@@ -20,6 +20,11 @@
 //	lixbench -batch 16,256,1024 -shards 8      # batched vs looped ops
 //	                                           # (results merge into an
 //	                                           # existing BENCH_<rev>.json)
+//	lixbench -obs-overhead -shards 8 -concurrency 4
+//	                                           # serving mix against a bare
+//	                                           # and a Metrics-attached
+//	                                           # stack; gates observed >=
+//	                                           # 0.85x bare
 //	lixbench -trace-overhead -quick            # tracing cost off/1%/100%
 //	                                           # vs no tracer; gates the
 //	                                           # disabled-sampling cost <2%
@@ -103,6 +108,7 @@ func main() {
 		duration  = flag.Duration("duration", 5*time.Second, "loadgen mode: measured send window")
 
 		traceOver = flag.Bool("trace-overhead", false, "measure request-tracing overhead (off/1%/100% sampling vs no tracer)")
+		obsOver   = flag.Bool("obs-overhead", false, "serving mode: observed vs bare sharded stack on the 95/5 mix; gates observed >= 0.85x bare")
 	)
 	flag.Parse()
 	if *list {
@@ -170,6 +176,10 @@ func main() {
 		runDurable(*fsync, *shards, *concurrency, *n, *q, *seed, *quick, *rev, *benchOut)
 		return
 	}
+	if *obsOver {
+		runObsOverhead(*shards, *concurrency, *n, *q, *seed, *quick, *rev, *benchOut)
+		return
+	}
 	if *shards > 0 || *concurrency > 0 {
 		runServing(*shards, *concurrency, *n, *q, *seed, *quick, *rev, *benchOut)
 		return
@@ -226,9 +236,8 @@ func main() {
 
 }
 
-// runServing executes the sharded serving benchmark (lixbench -shards N
-// -concurrency W) and optionally writes a BENCH_<rev>.json for -compare.
-func runServing(shards, workers, n, q int, seed int64, quick bool, rev, outDir string) {
+// servingConfig sizes the serving mode from its flags (zero = default).
+func servingConfig(shards, workers, n, q int, seed int64, quick bool) bench.ServingConfig {
 	cfg := bench.DefaultServingConfig()
 	if quick {
 		cfg.N, cfg.OpsPerWorker = 100_000, 20_000
@@ -246,7 +255,13 @@ func runServing(shards, workers, n, q int, seed int64, quick bool, rev, outDir s
 		cfg.OpsPerWorker = q
 	}
 	cfg.Seed = seed
+	return cfg
+}
 
+// runServing executes the sharded serving benchmark (lixbench -shards N
+// -concurrency W) and optionally writes a BENCH_<rev>.json for -compare.
+func runServing(shards, workers, n, q int, seed int64, quick bool, rev, outDir string) {
+	cfg := servingConfig(shards, workers, n, q, seed, quick)
 	tables, rows, err := bench.RunServing(cfg)
 	if err != nil {
 		fatal(err)
@@ -266,6 +281,21 @@ func runServing(shards, workers, n, q int, seed int64, quick bool, rev, outDir s
 		}
 		fmt.Println("wrote", path)
 	}
+}
+
+// runObsOverhead executes the serving mode's observed-vs-bare pair
+// (lixbench -obs-overhead, sized by the serving flags): the obs/95/5/...
+// results — the observed one carrying the blocking >= 0.85x bare intra-run
+// floor — merge into an existing BENCH_<rev>.json like the batch mode's.
+func runObsOverhead(shards, workers, n, q int, seed int64, quick bool, rev, outDir string) {
+	tables, results, err := bench.RunObsOverhead(servingConfig(shards, workers, n, q, seed, quick))
+	if err != nil {
+		fatal(err)
+	}
+	for _, t := range tables {
+		t.Render(os.Stdout)
+	}
+	mergeBenchOut(outDir, rev, results)
 }
 
 // runDurable executes the durability benchmark (lixbench -durable
@@ -354,25 +384,7 @@ func runBatch(sizeSpec string, shards, n, q int, seed int64, quick bool, rev, ou
 	for _, t := range tables {
 		t.Render(os.Stdout)
 	}
-	if outDir != "" {
-		path := filepath.Join(outDir, "BENCH_"+rev+".json")
-		f := bench.BenchFile{Rev: rev}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &f); err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-		}
-		f.Rev = rev
-		f.MergeResults(results)
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", path)
-	}
+	mergeBenchOut(outDir, rev, results)
 }
 
 // runPaged executes the paged-storage benchmark (lixbench -paged):
@@ -401,25 +413,7 @@ func runPaged(n, q int, seed int64, quick bool, rev, outDir string) {
 	for _, t := range tables {
 		t.Render(os.Stdout)
 	}
-	if outDir != "" {
-		path := filepath.Join(outDir, "BENCH_"+rev+".json")
-		f := bench.BenchFile{Rev: rev}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &f); err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-		}
-		f.Rev = rev
-		f.MergeResults(results)
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", path)
-	}
+	mergeBenchOut(outDir, rev, results)
 }
 
 // runLSM executes the storage-engine benchmark (lixbench -lsm): the same
@@ -448,25 +442,7 @@ func runLSM(n, q int, seed int64, quick bool, rev, outDir string) {
 	for _, t := range tables {
 		t.Render(os.Stdout)
 	}
-	if outDir != "" {
-		path := filepath.Join(outDir, "BENCH_"+rev+".json")
-		f := bench.BenchFile{Rev: rev}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &f); err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-		}
-		f.Rev = rev
-		f.MergeResults(results)
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", path)
-	}
+	mergeBenchOut(outDir, rev, results)
 }
 
 // runLoadgen executes the wire-protocol load generator (lixbench
@@ -501,25 +477,7 @@ func runLoadgen(addr string, pipeline int, qps float64, dur time.Duration,
 	for _, t := range tables {
 		t.Render(os.Stdout)
 	}
-	if outDir != "" {
-		path := filepath.Join(outDir, "BENCH_"+rev+".json")
-		f := bench.BenchFile{Rev: rev}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &f); err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-		}
-		f.Rev = rev
-		f.MergeResults(results)
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", path)
-	}
+	mergeBenchOut(outDir, rev, results)
 }
 
 // runTraceOverhead executes the tracing-cost benchmark (lixbench
@@ -555,25 +513,34 @@ func runTraceOverhead(pipeline int, dur time.Duration, conns, shards, n int,
 	for _, t := range tables {
 		t.Render(os.Stdout)
 	}
-	if outDir != "" {
-		path := filepath.Join(outDir, "BENCH_"+rev+".json")
-		f := bench.BenchFile{Rev: rev}
-		if data, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(data, &f); err != nil {
-				fatal(fmt.Errorf("%s: %w", path, err))
-			}
-		}
-		f.Rev = rev
-		f.MergeResults(results)
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote", path)
+	mergeBenchOut(outDir, rev, results)
+}
+
+// mergeBenchOut folds results into <outDir>/BENCH_<rev>.json, replacing
+// same-named entries of an existing file (or writing a fresh one), so one
+// CI job accumulates every mode into a single regression file. An empty
+// outDir writes nothing.
+func mergeBenchOut(outDir, rev string, results []bench.BenchResult) {
+	if outDir == "" {
+		return
 	}
+	path := filepath.Join(outDir, "BENCH_"+rev+".json")
+	f := bench.BenchFile{Rev: rev}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, &f); err != nil {
+			fatal(fmt.Errorf("%s: %w", path, err))
+		}
+	}
+	f.Rev = rev
+	f.MergeResults(results)
+	data, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Println("wrote", path)
 }
 
 // compareBenchFiles implements -compare old.json,new.json: print every

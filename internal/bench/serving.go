@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -174,6 +175,101 @@ func runMixed(keys []core.Key, cfg ServingConfig, readPct float64, get func(core
 	wg.Wait()
 	total := float64(cfg.OpsPerWorker * cfg.Workers)
 	return total / float64(time.Since(start).Nanoseconds()) * 1000
+}
+
+// RunObsOverhead's schedule: obsOverheadRounds fresh pairs of stacks, and
+// on each pair obsOverheadSlices alternating bare/observed slices that
+// together issue OpsPerWorker operations per worker and side. A shared
+// runner is disturbed for tens of milliseconds at a time and a whole pass
+// swung by +/-10 %, which made a 0.85 floor a coin toss; slices of a few
+// milliseconds put each disturbance on both sides, and fresh stacks keep
+// one lucky memory layout from deciding a run.
+const (
+	obsOverheadRounds = 7
+	obsOverheadSlices = 16
+)
+
+// ObsOverheadBare and ObsOverheadObserved name the pair RunObsOverhead
+// reports.
+const (
+	ObsOverheadBare     = "obs/95/5/bare"
+	ObsOverheadObserved = "obs/95/5/observed"
+)
+
+// RunObsOverhead is the serving mode's observed-vs-bare pair (lixbench
+// -obs-overhead): the 95/5 mix on one keyset against two sharded-rw
+// stacks that differ only in StackConfig.Metrics. Each side's result is
+// its median throughput over the rounds. The observed result carries a
+// blocking intra-run floor — at least 0.85 of the bare stack's
+// throughput — so the per-operation cost of the obs wrapper (counters on
+// every call, the clock on one call in lix.SampleEvery) is gated the way
+// disabled tracing is. The run also checks that the wrapper counted
+// every operation exactly.
+func RunObsOverhead(cfg ServingConfig) ([]*Table, []BenchResult, error) {
+	if cfg.Workers <= 0 {
+		cfg.Workers = 1
+	}
+	keys := mustKeys(dataset.Uniform, cfg.N, cfg.Seed)
+	recs := dataset.KV(keys)
+	slice := cfg
+	slice.OpsPerWorker = (cfg.OpsPerWorker + obsOverheadSlices - 1) / obsOverheadSlices
+	sliceOps := slice.OpsPerWorker * slice.Workers
+
+	var bareMops, obsMops []float64
+	var lookups, inserts, samples uint64
+	for round := 0; round < obsOverheadRounds; round++ {
+		bare, err := lix.NewStack(recs, lix.StackConfig{Shards: cfg.Shards})
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: build bare stack: %w", err)
+		}
+		m := lix.NewMetrics("obs-overhead")
+		observed, err := lix.NewStack(recs, lix.StackConfig{Shards: cfg.Shards, Metrics: m})
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: build observed stack: %w", err)
+		}
+		runtime.GC() // collect the previous round's stacks now, not during a slice
+
+		// Writes upsert keys of the preload, so neither stack grows. The
+		// slices are equal in size, so a side's rate over the round is
+		// the harmonic mean of its slices' rates.
+		var bareInv, obsInv float64
+		runBare := func() { bareInv += 1 / runMixed(keys, slice, 0.95, bare.Get, bare.Insert) }
+		runObserved := func() { obsInv += 1 / runMixed(keys, slice, 0.95, observed.Get, observed.Insert) }
+		for s := 0; s < obsOverheadSlices; s++ {
+			if (round+s)%2 == 0 {
+				runBare()
+				runObserved()
+			} else {
+				runObserved()
+				runBare()
+			}
+		}
+		bareMops = append(bareMops, obsOverheadSlices/bareInv)
+		obsMops = append(obsMops, obsOverheadSlices/obsInv)
+		snap := m.Snapshot()
+		lookups += snap.Counters["lookups"]
+		inserts += snap.Counters["inserts"]
+		samples += snap.Histograms["get_ns"].Count
+	}
+	if got, want := lookups+inserts, uint64(obsOverheadRounds*obsOverheadSlices*sliceOps); got != want {
+		return nil, nil, fmt.Errorf("bench: observed stacks counted %d operations, ran %d", got, want)
+	}
+
+	sort.Float64s(bareMops)
+	sort.Float64s(obsMops)
+	bareMed, obsMed := bareMops[len(bareMops)/2], obsMops[len(obsMops)/2]
+	t := &Table{
+		ID: "OBS",
+		Title: fmt.Sprintf("Obs wrapper overhead: sharded-rw(%d), 95/5, %d workers, n=%d, median of %d rounds (get_ns holds %d samples of %d lookups)",
+			cfg.Shards, cfg.Workers, cfg.N, obsOverheadRounds, samples, lookups),
+		Columns: []string{"stack", "Mops", "vs bare"},
+	}
+	t.AddRow("bare", bareMed, "1.000")
+	t.AddRow("observed", obsMed, fmt.Sprintf("%.3f", obsMed/bareMed))
+	return []*Table{t}, []BenchResult{
+		{Name: ObsOverheadBare, OpsPerSec: bareMed * 1e6},
+		{Name: ObsOverheadObserved, OpsPerSec: obsMed * 1e6, MinRatioOf: ObsOverheadBare, MinRatio: 0.85},
+	}, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -178,3 +178,30 @@ func TestCompareRatioGate(t *testing.T) {
 		t.Fatalf("inherited baseline constraint: regs = %v", regs)
 	}
 }
+
+// TestRunObsOverheadSmoke runs the observed-vs-bare pair at toy scale:
+// both sides must produce throughput, the observed result must carry the
+// blocking 0.85 floor against the bare one, and the run's own check that
+// the wrapper counted every operation must pass. The ratio itself is not
+// asserted — short passes are noisy; CI's bench job gates it via -compare
+// at real scale.
+func TestRunObsOverheadSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("obs overhead smoke skipped in -short mode")
+	}
+	tables, results, err := RunObsOverhead(ServingConfig{N: 2000, OpsPerWorker: 500, Workers: 2, Shards: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 || len(results) != 2 {
+		t.Fatalf("tables = %d, results = %d, want 1 and 2", len(tables), len(results))
+	}
+	bare, observed := results[0], results[1]
+	if bare.Name != ObsOverheadBare || bare.OpsPerSec <= 0 || bare.MinRatioOf != "" {
+		t.Errorf("bare result = %+v", bare)
+	}
+	if observed.Name != ObsOverheadObserved || observed.OpsPerSec <= 0 ||
+		observed.MinRatioOf != ObsOverheadBare || observed.MinRatio != 0.85 {
+		t.Errorf("observed result = %+v, want a 0.85 floor against %s", observed, ObsOverheadBare)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Metrics bundles the instrumentation one observed index (or a process-wide
@@ -20,14 +21,18 @@ type Metrics struct {
 	// Name labels snapshots, expvar variables and Prometheus series.
 	Name string
 
-	// Operation counters, maintained by the Observe wrappers.
+	// Operation counters, maintained by the Observe wrappers: exact on
+	// every call, and the source of rates.
 	Lookups Counter // Get calls
 	Hits    Counter // Get calls that found the key
 	Inserts Counter
 	Deletes Counter
 	Ranges  Counter
 
-	// Per-operation latency histograms in nanoseconds.
+	// Per-operation latency histograms in nanoseconds. GetNS, InsertNS
+	// and DeleteNS hold a 1-in-SampleEvery sample of the in-process point
+	// calls (Counter.IncSampled), so their Count is samples, not
+	// operations; RangeNS is fed on every call.
 	GetNS    Histogram
 	InsertNS Histogram
 	DeleteNS Histogram
@@ -106,11 +111,15 @@ type Metrics struct {
 
 	// Drift closes the §6.3 loop: every recorded search feeds its window
 	// width (the correction cost) into the attached detector; a trip
-	// publishes EvDriftTrip and latches until ReArmDrift.
-	driftMu sync.Mutex
-	drift   DriftDetector
-	onTrip  func()
-	tripped bool
+	// publishes EvDriftTrip and latches until ReArmDrift. driftArmed
+	// mirrors "drift != nil && !tripped" (written under driftMu), so a
+	// recorded search with no detector attached, or a latched one, costs
+	// one atomic load instead of the mutex.
+	driftArmed atomic.Bool
+	driftMu    sync.Mutex
+	drift      DriftDetector
+	onTrip     func()
+	tripped    bool
 }
 
 // DriftDetector is the detector surface Metrics feeds: both drift.EWMA and
@@ -170,6 +179,7 @@ func (m *Metrics) SetDriftDetector(d DriftDetector, onTrip func()) {
 	m.drift = d
 	m.onTrip = onTrip
 	m.tripped = false
+	m.driftArmed.Store(d != nil)
 	m.driftMu.Unlock()
 }
 
@@ -178,6 +188,7 @@ func (m *Metrics) SetDriftDetector(d DriftDetector, onTrip func()) {
 func (m *Metrics) ReArmDrift() {
 	m.driftMu.Lock()
 	m.tripped = false
+	m.driftArmed.Store(m.drift != nil)
 	m.driftMu.Unlock()
 }
 
@@ -190,10 +201,14 @@ func (m *Metrics) DriftTripped() bool {
 }
 
 func (m *Metrics) feedDrift(cost float64) {
+	if !m.driftArmed.Load() {
+		return
+	}
 	m.driftMu.Lock()
 	d, fired := m.drift, false
 	if d != nil && !m.tripped && d.Observe(cost) {
 		m.tripped = true
+		m.driftArmed.Store(false)
 		fired = true
 	}
 	onTrip := m.onTrip
@@ -360,6 +375,21 @@ func (m *Metrics) histogram(name string) *Histogram {
 	return nil
 }
 
+// sampledHistCounter names the exact operation counter behind a latency
+// histogram the point-operation wrappers feed 1 in SampleEvery ("" for
+// every other histogram).
+func sampledHistCounter(hist string) string {
+	switch hist {
+	case "get_ns":
+		return "lookups"
+	case "insert_ns":
+		return "inserts"
+	case "delete_ns":
+		return "deletes"
+	}
+	return ""
+}
+
 // Snapshot returns a point-in-time view with quantile estimates and the
 // most recent events.
 func (m *Metrics) Snapshot() Snapshot {
@@ -460,7 +490,8 @@ func escapeMetricName(s string) string {
 
 // WritePrometheus renders the bundle in the Prometheus text exposition
 // format: counters as lix_<name>_total, histograms as classic cumulative
-// lix_<name>{le=...} series, events as lix_events_total{type=...}. All
+// lix_<name>{le=...} series (the sampled point-operation ones under a
+// # HELP line saying so), events as lix_events_total{type=...}. All
 // series carry an index="<Name>" label so several bundles can be scraped
 // from one endpoint.
 func (m *Metrics) WritePrometheus(w io.Writer) error {
@@ -480,7 +511,14 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 	}
 	for _, n := range histNames {
-		if err := writePromHistogram(w, "lix_"+escapeMetricName(n), lbl, m.histogram(n).Snapshot()); err != nil {
+		en := "lix_" + escapeMetricName(n)
+		if counter := sampledHistCounter(n); counter != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s In-process point operations are timed 1 in %d: _count is the number of latency samples, not of operations; take rates from lix_%s_total.\n",
+				en, SampleEvery, counter); err != nil {
+				return err
+			}
+		}
+		if err := writePromHistogram(w, en, lbl, m.histogram(n).Snapshot()); err != nil {
 			return err
 		}
 	}

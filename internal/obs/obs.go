@@ -18,7 +18,10 @@
 //   - Histogram buckets observations by log₂(value): 65 fixed buckets cover
 //     the full uint64 range, so one histogram type serves probe counts
 //     (0..64), window widths, result cardinalities and latencies in
-//     nanoseconds alike.
+//     nanoseconds alike. It is striped the same way as Counter.
+//   - Counter.IncSampled / OpTimer time one point operation in SampleEvery,
+//     so the per-call cost of an observed Get is counter increments, not a
+//     clock pair.
 //   - EventLog is a typed, bounded event stream with per-type totals.
 //   - Metrics bundles the histograms and counters one observed index needs
 //     and renders them as a Snapshot, expvar variable, or Prometheus text.
@@ -32,6 +35,7 @@ package obs
 import (
 	"math/bits"
 	"sync/atomic"
+	"time"
 	"unsafe"
 )
 
@@ -54,15 +58,23 @@ type Counter struct {
 
 // shardHint derives a cheap goroutine-affine shard index from the address
 // of a live stack variable: goroutines have distinct stacks, so concurrent
-// writers spread across shards without any runtime support. Bits below the
-// page level are dropped because allocations within one frame share them.
-func shardHint(p unsafe.Pointer) int {
-	return int(uintptr(p)>>12) & (counterShards - 1)
+// writers spread across shards without any runtime support. Bits below
+// 2 KB, the smallest stack, are dropped because frames of one goroutine
+// share them; the bits above are folded down three at a time, because a
+// stack is aligned to its size: two 2 KB stacks share a 4 KB page, and
+// two stacks of 32 KB or more agree in every bit below their size at
+// equal call depth.
+func shardHint(addr uintptr) int {
+	x := addr >> 11
+	x ^= x >> 3
+	x ^= x >> 6
+	x ^= x >> 12
+	return int(x) & (counterShards - 1)
 }
 
 // Add adds n to the counter.
 func (c *Counter) Add(n uint64) {
-	c.shards[shardHint(unsafe.Pointer(&n))].n.Add(n)
+	c.shards[shardHint(uintptr(unsafe.Pointer(&n)))].n.Add(n)
 }
 
 // Inc adds 1 to the counter.
@@ -77,6 +89,70 @@ func (c *Counter) Load() uint64 {
 		total += c.shards[i].n.Load()
 	}
 	return total
+}
+
+// SampleEvery is N in the 1-in-N latency sample the point-operation
+// wrappers take (ObservedIndex.Get, ObservedMutableIndex.Insert/Delete
+// and the sharded layer's per-shard bundles): the operation counters stay
+// exact on every call, while the clock is read and get_ns / insert_ns /
+// delete_ns are fed on one call in SampleEvery. A clock pair costs about
+// as much as the bounded last-mile search it would be timing, so timing
+// every call taxed each lookup by a quarter. It is a constant, not a
+// setting: quantiles and means of a uniform sample are unbiased at any N,
+// and at 8 the amortized clock already costs less than the two counter
+// increments every call still makes.
+const SampleEvery = 1 << sampleShift
+
+const sampleShift = 3
+
+// sampled reports whether the n-th increment (0-based) of one counter
+// stripe is a timed one. Every aligned block of SampleEvery consecutive
+// increments holds exactly one, at an offset hashed from the block
+// number: the sample count is exact to within one per stripe, and no
+// periodic call pattern — a slow call every SampleEvery-th operation,
+// say — can line up with the timed slot the way it would with
+// n%SampleEvery == 0.
+func sampled(n uint64) bool {
+	x := (n >> sampleShift) * 0x9E3779B97F4A7C15
+	x ^= x >> 32
+	x *= 0xBF58476D1CE4E5B9
+	return n&(SampleEvery-1) == x>>(64-sampleShift)
+}
+
+// clockBase anchors OpTimer's monotonic readings: time.Since on a Time
+// carrying a monotonic reading is one clock read, where time.Now is two
+// (wall and monotonic).
+var clockBase = time.Now()
+
+// OpTimer is one call's share of a sampled latency stream. The zero value
+// means "this call is not timed" and makes Observe a no-op.
+type OpTimer struct {
+	start time.Duration // since clockBase; 0 = not timed
+}
+
+// IncSampled adds 1 to the counter and starts a timer on one call in
+// SampleEvery. The decision comes from the stripe-local value the
+// increment returns, so sampling shares no word between goroutines beyond
+// the counter itself and draws no random number.
+func (c *Counter) IncSampled() OpTimer {
+	var probe byte
+	n := c.shards[shardHint(uintptr(unsafe.Pointer(&probe)))].n.Add(1)
+	if !sampled(n - 1) {
+		return OpTimer{}
+	}
+	return OpTimer{start: time.Since(clockBase) | 1}
+}
+
+// Observe records the time since the timer started into h; on an untimed
+// call it does nothing (and inlines to one compare in the caller).
+func (t OpTimer) Observe(h *Histogram) {
+	if t.start != 0 {
+		t.observe(h)
+	}
+}
+
+func (t OpTimer) observe(h *Histogram) {
+	h.Observe(uint64(time.Since(clockBase) - t.start))
 }
 
 // Gauge is an atomic up/down level indicator (open connections, in-flight
@@ -107,45 +183,66 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // covers [2^(i-1), 2^i). 65 buckets span the whole uint64 range.
 const histBuckets = 65
 
-// Histogram is a log₂-bucketed histogram of uint64 observations. The zero
-// value is ready to use; Observe is allocation-free and safe for concurrent
-// use (one atomic add per bucket plus count/sum).
+// histStripe is one writer stripe of a Histogram. There is no count word:
+// the count is the sum of the buckets, so an observation is two atomic
+// adds and a max check. The pad rounds the stripe to a whole number of
+// 64-byte cache lines, keeping neighbouring stripes' hot words apart.
+type histStripe struct {
+	sum atomic.Uint64
+	max atomic.Uint64
+	bkt [histBuckets]atomic.Uint64
+	_   [40]byte
+}
+
+// Histogram is a log₂-bucketed histogram of uint64 observations, striped
+// like Counter: concurrent writers usually land on different stripes
+// (selected by stack address) instead of bouncing one cache line, and
+// Snapshot sums the stripes. The zero value is ready to use; Observe is
+// allocation-free and safe for concurrent use.
 type Histogram struct {
-	count atomic.Uint64
-	sum   atomic.Uint64
-	max   atomic.Uint64
-	bkt   [histBuckets]atomic.Uint64
+	stripes [counterShards]histStripe
 }
 
 // Observe records one observation.
-func (h *Histogram) Observe(v uint64) {
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.bkt[bits.Len64(v)].Add(1)
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v — exactly what n Observe(v) calls
+// leave in the snapshot — for callers that attribute one measurement to
+// a run of n operations.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if n == 0 {
+		return
+	}
+	s := &h.stripes[shardHint(uintptr(unsafe.Pointer(&v)))]
+	s.sum.Add(v * n)
+	s.bkt[bits.Len64(v)].Add(n)
 	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
+		cur := s.max.Load()
+		if v <= cur || s.max.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
+func (h *Histogram) Count() uint64 { return h.Snapshot().Count }
 
 // Snapshot returns a point-in-time copy of the histogram. Under concurrent
-// writers the copy is a live snapshot, not an atomic cut.
+// writers the copy is a live snapshot, not an atomic cut; Count is derived
+// from the copied buckets, so the two always agree.
 func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-		Max:   h.max.Load(),
-	}
-	for i := range h.bkt {
-		s.Buckets[i] = h.bkt[i].Load()
+	var s HistSnapshot
+	for i := range h.stripes {
+		st := &h.stripes[i]
+		s.Sum += st.sum.Load()
+		if m := st.max.Load(); m > s.Max {
+			s.Max = m
+		}
+		for b := range st.bkt {
+			n := st.bkt[b].Load()
+			s.Buckets[b] += n
+			s.Count += n
+		}
 	}
 	return s
 }

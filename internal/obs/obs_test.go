@@ -287,6 +287,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 %s_count{index="t"} 0
 `, name, name, name, name)
 	}
+	// Only the three sampled point-operation histograms carry a HELP line;
+	// every other series is byte-for-byte what it was before sampling.
+	sampledHelp := func(name, counter string) string {
+		return fmt.Sprintf("# HELP %s In-process point operations are timed 1 in 8: _count is the number of latency samples, not of operations; take rates from %s.\n", name, counter)
+	}
 	golden := `# TYPE lix_lookups_total counter
 lix_lookups_total{index="t"} 2
 # TYPE lix_hits_total counter
@@ -327,7 +332,7 @@ lix_lsm_tombstones{index="t"} 5
 lix_lbf_filter_bytes{index="t"} 2048
 # TYPE lix_lbf_filter_fpr_ppm gauge
 lix_lbf_filter_fpr_ppm{index="t"} 7000
-# TYPE lix_get_ns histogram
+` + sampledHelp("lix_get_ns", "lix_lookups_total") + `# TYPE lix_get_ns histogram
 lix_get_ns_bucket{index="t",le="0"} 0
 lix_get_ns_bucket{index="t",le="1"} 1
 lix_get_ns_bucket{index="t",le="3"} 2
@@ -335,8 +340,8 @@ lix_get_ns_bucket{index="t",le="+Inf"} 2
 lix_get_ns_sum{index="t"} 4
 lix_get_ns_count{index="t"} 2
 ` +
-		emptyHist("lix_insert_ns") +
-		emptyHist("lix_delete_ns") +
+		sampledHelp("lix_insert_ns", "lix_inserts_total") + emptyHist("lix_insert_ns") +
+		sampledHelp("lix_delete_ns", "lix_deletes_total") + emptyHist("lix_delete_ns") +
 		emptyHist("lix_range_ns") +
 		emptyHist("lix_range_len") +
 		emptyHist("lix_batch_ns") +
@@ -405,5 +410,176 @@ func TestEventTypeStrings(t *testing.T) {
 	e := Event{Type: EvNodeSplit, Source: "alex", Detail: "expand", N: 128}
 	if got := e.String(); got != "alex/node_split(expand) n=128" {
 		t.Errorf("Event.String() = %q", got)
+	}
+}
+
+// TestObserveNMatchesRepeatedObserve pins the weighted-observation
+// contract: ObserveN(v, n) leaves exactly the snapshot n Observe(v) calls
+// leave, and ObserveN(v, 0) leaves nothing (not even a max).
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	var weighted, looped Histogram
+	for _, c := range []struct{ v, n uint64 }{
+		{0, 3}, {1, 1}, {1500, 32}, {1 << 40, 2}, {99, 0}, {7, 5},
+	} {
+		weighted.ObserveN(c.v, c.n)
+		for i := uint64(0); i < c.n; i++ {
+			looped.Observe(c.v)
+		}
+	}
+	if w, l := weighted.Snapshot(), looped.Snapshot(); w != l {
+		t.Fatalf("ObserveN snapshot %+v\nlooped Observe snapshot %+v", w, l)
+	}
+	var empty Histogram
+	empty.ObserveN(1<<50, 0)
+	if s := empty.Snapshot(); s != (HistSnapshot{}) {
+		t.Fatalf("ObserveN(v, 0) left %+v", s)
+	}
+}
+
+// TestSampledOnePerBlock pins the shape of the sampling rule: every
+// aligned block of SampleEvery consecutive stripe values holds exactly
+// one timed slot, and the slot's offset moves from block to block with
+// every offset used about equally often.
+func TestSampledOnePerBlock(t *testing.T) {
+	const blocks = 1 << 14
+	var offsets [SampleEvery]int
+	for b := uint64(0); b < blocks; b++ {
+		hits := 0
+		for o := uint64(0); o < SampleEvery; o++ {
+			if sampled(b*SampleEvery + o) {
+				hits++
+				offsets[o]++
+			}
+		}
+		if hits != 1 {
+			t.Fatalf("block %d holds %d timed slots, want 1", b, hits)
+		}
+	}
+	for o, n := range offsets {
+		if want := blocks / SampleEvery; n < want*8/10 || n > want*12/10 {
+			t.Errorf("offset %d timed in %d of %d blocks, want about %d", o, n, blocks, want)
+		}
+	}
+}
+
+// TestSampledQuantilesUnbiased feeds synthetic bimodal latency streams
+// through the sampling rule and checks that the sample's p50, p99 and
+// slow share match the full stream's. The period-SampleEvery stream is the
+// adversarial one: a slow call every SampleEvery-th operation lines up
+// with a count%SampleEvery rule, whose sample then holds only slow calls
+// (or none) — shown here so the test proves the pattern can alias.
+func TestSampledQuantilesUnbiased(t *testing.T) {
+	const (
+		ops  = 1 << 17
+		fast = 300
+		slow = 90_000
+	)
+	streams := []struct {
+		name   string
+		isSlow func(i uint64) bool
+	}{
+		{"period-N", func(i uint64) bool { return i%SampleEvery == 0 }},
+		{"period-N-shifted", func(i uint64) bool { return i%SampleEvery == 5 }},
+		{"period-2N", func(i uint64) bool { return i%(2*SampleEvery) == 3 }},
+		{"period-13", func(i uint64) bool { return i%13 == 0 }},
+		{"scattered-10pct", func(i uint64) bool { return (i*0x9E3779B97F4A7C15)>>32%10 == 0 }},
+	}
+	for _, st := range streams {
+		t.Run(st.name, func(t *testing.T) {
+			var full, sample, naive Histogram
+			var slowFull, slowSample uint64
+			for i := uint64(0); i < ops; i++ {
+				lat := uint64(fast)
+				if st.isSlow(i) {
+					lat = slow
+					slowFull++
+				}
+				full.Observe(lat)
+				if sampled(i) {
+					sample.Observe(lat)
+					if lat == slow {
+						slowSample++
+					}
+				}
+				if i%SampleEvery == 0 {
+					naive.Observe(lat)
+				}
+			}
+			fs, ss := full.Snapshot(), sample.Snapshot()
+			if ss.Count != ops/SampleEvery {
+				t.Fatalf("sample holds %d of %d observations, want %d", ss.Count, ops, ops/SampleEvery)
+			}
+			for _, q := range []float64{0.50, 0.99} {
+				if f, s := fs.Quantile(q), ss.Quantile(q); bits.Len64(f) != bits.Len64(s) {
+					t.Errorf("q%.2f: full stream %d, sample %d — different buckets", q, f, s)
+				}
+			}
+			fullShare := float64(slowFull) / ops
+			sampleShare := float64(slowSample) / float64(ss.Count)
+			if d := sampleShare - fullShare; d < -0.01 || d > 0.01 {
+				t.Errorf("slow share: full stream %.4f, sample %.4f", fullShare, sampleShare)
+			}
+			if st.name == "period-N" {
+				if p50 := naive.Quantile(0.5); p50 != slow {
+					t.Errorf("count%%N sample p50 = %d: the period-N stream no longer aliases with the naive rule, so this test proves nothing", p50)
+				}
+			}
+		})
+	}
+}
+
+// TestDriftFeedArming pins the lock-free gate in front of the drift
+// detector: it is open exactly while a detector is attached and has not
+// tripped, through attach, trip, re-arm and detach.
+func TestDriftFeedArming(t *testing.T) {
+	m := NewMetrics("arm")
+	if m.driftArmed.Load() {
+		t.Fatal("armed with no detector")
+	}
+	m.RecordSearch(1, 1) // no detector: must not touch the mutex path or panic
+	m.ReArmDrift()
+	if m.driftArmed.Load() {
+		t.Fatal("ReArmDrift armed a bundle with no detector")
+	}
+	det := &fixedDetector{left: 2}
+	m.SetDriftDetector(det, nil)
+	if !m.driftArmed.Load() {
+		t.Fatal("not armed after SetDriftDetector")
+	}
+	m.RecordSearch(1, 1)
+	m.RecordSearch(1, 1) // trips
+	if m.driftArmed.Load() || !m.DriftTripped() {
+		t.Fatalf("after trip: armed=%v tripped=%v", m.driftArmed.Load(), m.DriftTripped())
+	}
+	m.RecordSearch(1, 1)
+	if det.left != 0 {
+		t.Fatalf("latched feed still reached the detector (left=%d)", det.left)
+	}
+	m.ReArmDrift()
+	if !m.driftArmed.Load() {
+		t.Fatal("not armed after ReArmDrift")
+	}
+	m.SetDriftDetector(nil, nil)
+	if m.driftArmed.Load() {
+		t.Fatal("armed after detach")
+	}
+}
+
+// TestShardHintSeparatesNeighbouringStacks pins what striping rests on:
+// two goroutines at the same call depth, on stacks one stack size apart
+// (2 KB fresh stacks up to 64 KB grown ones), almost never share a stripe.
+func TestShardHintSeparatesNeighbouringStacks(t *testing.T) {
+	const arena, depth = uintptr(0xc000000000), uintptr(0x71f)
+	for stride := uintptr(2 << 10); stride <= 64<<10; stride *= 2 {
+		same, pairs := 0, 0
+		for base := arena; base < arena+1<<24; base += stride {
+			pairs++
+			if shardHint(base+depth) == shardHint(base+stride+depth) {
+				same++
+			}
+		}
+		if same*20 > pairs {
+			t.Errorf("stacks %d KB apart share a stripe in %d of %d cases, want under 5%%", stride>>10, same, pairs)
+		}
 	}
 }

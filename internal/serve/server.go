@@ -414,9 +414,7 @@ func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sp *trace.Span) {
 			default:
 				h = &m.RangeNS
 			}
-			for range run {
-				h.Observe(lat)
-			}
+			h.ObserveN(lat, uint64(len(run)))
 		}
 		i = j
 	}

@@ -79,9 +79,10 @@ type Config struct {
 	// to DeltaCap).
 	DeltaBound int
 	// MetricsPrefix, when non-empty, attaches one obs.Metrics bundle per
-	// shard named "<prefix>-shard<i>"; per-op counters and latency
-	// histograms are recorded into the owning shard's bundle and
-	// structural events (RCU swaps) are routed there too.
+	// shard named "<prefix>-shard<i>"; per-op counters (exact) and
+	// latency histograms (point ops as a 1-in-obs.SampleEvery sample) are
+	// recorded into the owning shard's bundle and structural events (RCU
+	// swaps) are routed there too.
 	MetricsPrefix string
 }
 
@@ -349,9 +350,9 @@ func (s *Sharded) putRecs(p *[]core.KV) { s.recs.Put(p) }
 // Get returns the value stored for k.
 func (s *Sharded) Get(k core.Key) (core.Value, bool) {
 	si := s.router.Route(k)
-	var start time.Time
+	var t obs.OpTimer
 	if s.mets != nil {
-		start = time.Now()
+		t = s.mets[si].Lookups.IncSampled()
 	}
 	var v core.Value
 	var ok bool
@@ -365,8 +366,7 @@ func (s *Sharded) Get(k core.Key) (core.Value, bool) {
 	}
 	if s.mets != nil {
 		m := s.mets[si]
-		m.GetNS.Observe(uint64(time.Since(start)))
-		m.Lookups.Inc()
+		t.Observe(&m.GetNS)
 		if ok {
 			m.Hits.Inc()
 		}
@@ -377,9 +377,9 @@ func (s *Sharded) Get(k core.Key) (core.Value, bool) {
 // Insert upserts (k, v).
 func (s *Sharded) Insert(k core.Key, v core.Value) {
 	si := s.router.Route(k)
-	var start time.Time
+	var t obs.OpTimer
 	if s.mets != nil {
-		start = time.Now()
+		t = s.mets[si].Inserts.IncSampled()
 	}
 	if s.mode == LockRW {
 		sh := s.rw[si]
@@ -390,18 +390,16 @@ func (s *Sharded) Insert(k core.Key, v core.Value) {
 		s.rcu[si].insert(k, v)
 	}
 	if s.mets != nil {
-		m := s.mets[si]
-		m.InsertNS.Observe(uint64(time.Since(start)))
-		m.Inserts.Inc()
+		t.Observe(&s.mets[si].InsertNS)
 	}
 }
 
 // Delete removes k, reporting whether it was present.
 func (s *Sharded) Delete(k core.Key) bool {
 	si := s.router.Route(k)
-	var start time.Time
+	var t obs.OpTimer
 	if s.mets != nil {
-		start = time.Now()
+		t = s.mets[si].Deletes.IncSampled()
 	}
 	var ok bool
 	if s.mode == LockRW {
@@ -413,9 +411,7 @@ func (s *Sharded) Delete(k core.Key) bool {
 		ok = s.rcu[si].delete(k)
 	}
 	if s.mets != nil {
-		m := s.mets[si]
-		m.DeleteNS.Observe(uint64(time.Since(start)))
-		m.Deletes.Inc()
+		t.Observe(&s.mets[si].DeleteNS)
 	}
 	return ok
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -125,6 +126,8 @@ type Durable struct {
 
 	hook     obs.Hook
 	recovery RecoveryInfo
+
+	scratch sync.Pool // *segScratch, the batch paths' grouping workspace
 
 	// LSM engine state (engine == EngineLSM). The run list is mutated only
 	// under ckptMu; runMu additionally guards the swap so accessors get a
@@ -821,80 +824,136 @@ func (d *Durable) Delete(k core.Key) bool {
 	return ok
 }
 
-// InsertBatch durably upserts recs: records are grouped by WAL segment,
-// each group is framed as one contiguous append and applied under its
-// segment lock (groups proceed in parallel), then each touched segment
-// is group-committed once under SyncAlways.
-func (d *Durable) InsertBatch(recs []core.KV) { d.insertBatch(recs, nil) }
+// batchParallelMin is the shard layer's fan-out rule applied to WAL
+// segments: a batch below this size, or one that touches a single
+// segment, is logged and applied on the calling goroutine. A pipelined
+// connection's mixed groups break into write runs of two or three
+// records; a goroutine per touched segment for those costs more in
+// handoff and WaitGroup parking than the appends it overlaps.
+const batchParallelMin = 512
 
-// InsertBatchSpan is InsertBatch with per-stage attribution: WAL frame
-// encode+append time lands in the wal stage, the in-memory apply in the
-// shard stage, and the group commit in the fsync stage. Because segment
-// groups run in parallel, each stage is the *summed* time across
-// segments and may exceed the batch's wall time.
-func (d *Durable) InsertBatchSpan(recs []core.KV, sp *trace.Span) { d.insertBatch(recs, sp) }
+// segScratch is the reusable grouping workspace of one batch, pooled on
+// the Durable: per WAL segment, the batch's records (or keys plus their
+// input positions) in input order — the order later-wins upserts and
+// first-wins deletes depend on — the frames built for them, and the
+// segment's WAL end offset after the append (0 = untouched or failed).
+type segScratch struct {
+	recs  [][]core.KV
+	keys  [][]core.Key
+	idxs  [][]int32
+	wrecs [][]Record
+	offs  []int64
+}
 
-func (d *Durable) insertBatch(recs []core.KV, sp *trace.Span) {
-	if len(recs) == 0 || d.Err() != nil {
+func (d *Durable) getScratch() *segScratch {
+	sc, _ := d.scratch.Get().(*segScratch)
+	if sc == nil || len(sc.offs) != d.segments {
+		sc = &segScratch{
+			recs:  make([][]core.KV, d.segments),
+			keys:  make([][]core.Key, d.segments),
+			idxs:  make([][]int32, d.segments),
+			wrecs: make([][]Record, d.segments),
+			offs:  make([]int64, d.segments),
+		}
+	}
+	for seg := range sc.offs {
+		sc.recs[seg] = sc.recs[seg][:0]
+		sc.keys[seg] = sc.keys[seg][:0]
+		sc.idxs[seg] = sc.idxs[seg][:0]
+		sc.offs[seg] = 0
+	}
+	return sc
+}
+
+// touched reports whether the batch has records or keys for seg.
+func (sc *segScratch) touched(seg int) bool {
+	return len(sc.recs[seg]) > 0 || len(sc.keys[seg]) > 0
+}
+
+// forSegments runs fn for every segment the batch of n records touches:
+// one goroutine per segment when n >= batchParallelMin records spread
+// over several segments of a multi-core host, otherwise inline in
+// segment order.
+func (d *Durable) forSegments(n int, sc *segScratch, fn func(seg int)) {
+	touched := 0
+	for seg := range sc.offs {
+		if sc.touched(seg) {
+			touched++
+		}
+	}
+	if n < batchParallelMin || touched < 2 || runtime.GOMAXPROCS(0) < 2 {
+		for seg := range sc.offs {
+			if sc.touched(seg) {
+				fn(seg)
+			}
+		}
 		return
 	}
-	d.stateMu.RLock()
-	groups := make(map[int][]core.KV)
-	for _, r := range recs {
-		seg := d.seg(r.Key)
-		groups[seg] = append(groups[seg], r)
-	}
 	var wg sync.WaitGroup
-	offs := make([]int64, d.segments)
-	for seg, group := range groups {
-		wg.Add(1)
-		go func(seg int, group []core.KV) {
-			defer wg.Done()
-			w := d.wals[seg]
-			d.segMu[seg].Lock()
-			var walStart time.Time
-			if sp != nil {
-				walStart = time.Now()
-			}
-			wrecs := make([]Record, len(group))
-			for i, r := range group {
-				wrecs[i] = Record{Seq: d.seq.Add(1), Op: OpInsert, Key: r.Key, Val: r.Value}
-			}
-			off, err := w.Append(wrecs...)
-			if sp != nil {
-				sp.Add(trace.StageWAL, time.Since(walStart))
-			}
-			if err == nil {
-				var applyStart time.Time
-				if sp != nil {
-					applyStart = time.Now()
-				}
-				if d.batchInsert != nil {
-					d.batchInsert.InsertBatch(group)
-				} else {
-					for _, r := range group {
-						d.ix.Insert(r.Key, r.Value)
-					}
-				}
-				if sp != nil {
-					sp.Add(trace.StageShard, time.Since(applyStart))
-				}
-				offs[seg] = off
-			} else {
-				d.fail(err)
-			}
-			d.segMu[seg].Unlock()
-		}(seg, group)
+	for seg := range sc.offs {
+		if sc.touched(seg) {
+			wg.Add(1)
+			go func(seg int) {
+				defer wg.Done()
+				fn(seg)
+			}(seg)
+		}
 	}
 	wg.Wait()
+}
+
+// logAndApply is one segment's share of a batch, under the segment lock:
+// frame the group (upserts of sc.recs[seg], else deletes of sc.keys[seg];
+// sequence numbers are assigned under the lock) and append it as one
+// contiguous write — the span's wal stage — then run apply against the
+// in-memory index — the shard stage. A failed append latches the error
+// and skips apply.
+func (d *Durable) logAndApply(seg int, sc *segScratch, sp *trace.Span, apply func()) {
+	d.segMu[seg].Lock()
+	defer d.segMu[seg].Unlock()
+	var walStart time.Time
+	if sp != nil {
+		walStart = time.Now()
+	}
+	wrecs := sc.wrecs[seg][:0]
+	for _, r := range sc.recs[seg] {
+		wrecs = append(wrecs, Record{Seq: d.seq.Add(1), Op: OpInsert, Key: r.Key, Val: r.Value})
+	}
+	for _, k := range sc.keys[seg] {
+		wrecs = append(wrecs, Record{Seq: d.seq.Add(1), Op: OpDelete, Key: k})
+	}
+	sc.wrecs[seg] = wrecs
+	off, err := d.wals[seg].Append(wrecs...)
+	if sp != nil {
+		sp.Add(trace.StageWAL, time.Since(walStart))
+	}
+	if err != nil {
+		d.fail(err)
+		return
+	}
+	var applyStart time.Time
+	if sp != nil {
+		applyStart = time.Now()
+	}
+	apply()
+	if sp != nil {
+		sp.Add(trace.StageShard, time.Since(applyStart))
+	}
+	sc.offs[seg] = off
+}
+
+// commitBatch group-commits every segment the batch appended to (under
+// SyncAlways), returns the scratch to the pool and counts the batch
+// toward the next checkpoint. The caller holds stateMu.RLock.
+func (d *Durable) commitBatch(sc *segScratch, n int, sp *trace.Span) {
 	if d.cfg.Fsync == SyncAlways {
 		var fsyncStart time.Time
 		if sp != nil {
 			fsyncStart = time.Now()
 		}
-		for seg := range groups {
-			if offs[seg] > 0 {
-				if err := d.wals[seg].SyncTo(offs[seg]); err != nil {
+		for seg, off := range sc.offs {
+			if off > 0 {
+				if err := d.wals[seg].SyncTo(off); err != nil {
 					d.fail(err)
 				}
 			}
@@ -903,8 +962,47 @@ func (d *Durable) insertBatch(recs []core.KV, sp *trace.Span) {
 			sp.Add(trace.StageFsync, time.Since(fsyncStart))
 		}
 	}
+	d.scratch.Put(sc)
 	d.stateMu.RUnlock()
-	d.bumpCheckpoint(len(recs))
+	d.bumpCheckpoint(n)
+}
+
+// InsertBatch durably upserts recs: records are grouped by WAL segment,
+// each group is framed as one contiguous append and applied under its
+// segment lock (large multi-segment batches run their groups in
+// parallel, see batchParallelMin), then each touched segment is
+// group-committed once under SyncAlways.
+func (d *Durable) InsertBatch(recs []core.KV) { d.insertBatch(recs, nil) }
+
+// InsertBatchSpan is InsertBatch with per-stage attribution: WAL frame
+// encode+append time lands in the wal stage, the in-memory apply in the
+// shard stage, and the group commit in the fsync stage. Because segment
+// groups may run in parallel, each stage is the *summed* time across
+// segments and may exceed the batch's wall time.
+func (d *Durable) InsertBatchSpan(recs []core.KV, sp *trace.Span) { d.insertBatch(recs, sp) }
+
+func (d *Durable) insertBatch(recs []core.KV, sp *trace.Span) {
+	if len(recs) == 0 || d.Err() != nil {
+		return
+	}
+	d.stateMu.RLock()
+	sc := d.getScratch()
+	for _, r := range recs {
+		seg := d.seg(r.Key)
+		sc.recs[seg] = append(sc.recs[seg], r)
+	}
+	d.forSegments(len(recs), sc, func(seg int) {
+		d.logAndApply(seg, sc, sp, func() {
+			if d.batchInsert != nil {
+				d.batchInsert.InsertBatch(sc.recs[seg])
+				return
+			}
+			for _, r := range sc.recs[seg] {
+				d.ix.Insert(r.Key, r.Value)
+			}
+		})
+	})
+	d.commitBatch(sc, len(recs), sp)
 }
 
 // DeleteBatch durably removes keys with the same segment-grouped WAL
@@ -926,78 +1024,27 @@ func (d *Durable) deleteBatch(keys []core.Key, sp *trace.Span) []bool {
 		return oks
 	}
 	d.stateMu.RLock()
-	groups := make(map[int][]int)
+	sc := d.getScratch()
 	for i, k := range keys {
 		seg := d.seg(k)
-		groups[seg] = append(groups[seg], i)
+		sc.keys[seg] = append(sc.keys[seg], k)
+		sc.idxs[seg] = append(sc.idxs[seg], int32(i))
 	}
-	var wg sync.WaitGroup
-	offs := make([]int64, d.segments)
-	for seg, idxs := range groups {
-		wg.Add(1)
-		go func(seg int, idxs []int) {
-			defer wg.Done()
-			w := d.wals[seg]
-			d.segMu[seg].Lock()
-			var walStart time.Time
-			if sp != nil {
-				walStart = time.Now()
-			}
-			wrecs := make([]Record, len(idxs))
-			for j, i := range idxs {
-				wrecs[j] = Record{Seq: d.seq.Add(1), Op: OpDelete, Key: keys[i]}
-			}
-			off, err := w.Append(wrecs...)
-			if sp != nil {
-				sp.Add(trace.StageWAL, time.Since(walStart))
-			}
-			if err == nil {
-				var applyStart time.Time
-				if sp != nil {
-					applyStart = time.Now()
+	d.forSegments(len(keys), sc, func(seg int) {
+		d.logAndApply(seg, sc, sp, func() {
+			group, idxs := sc.keys[seg], sc.idxs[seg]
+			if d.batchDelete != nil {
+				for j, ok := range d.batchDelete.DeleteBatch(group) {
+					oks[idxs[j]] = ok
 				}
-				if d.batchDelete != nil {
-					group := make([]core.Key, len(idxs))
-					for j, i := range idxs {
-						group[j] = keys[i]
-					}
-					for j, ok := range d.batchDelete.DeleteBatch(group) {
-						oks[idxs[j]] = ok
-					}
-				} else {
-					for _, i := range idxs {
-						oks[i] = d.ix.Delete(keys[i])
-					}
-				}
-				if sp != nil {
-					sp.Add(trace.StageShard, time.Since(applyStart))
-				}
-				offs[seg] = off
-			} else {
-				d.fail(err)
+				return
 			}
-			d.segMu[seg].Unlock()
-		}(seg, idxs)
-	}
-	wg.Wait()
-	if d.cfg.Fsync == SyncAlways {
-		var fsyncStart time.Time
-		if sp != nil {
-			fsyncStart = time.Now()
-		}
-		for seg := range groups {
-			if offs[seg] > 0 {
-				if err := d.wals[seg].SyncTo(offs[seg]); err != nil {
-					d.fail(err)
-				}
+			for j, k := range group {
+				oks[idxs[j]] = d.ix.Delete(k)
 			}
-		}
-		if sp != nil {
-			sp.Add(trace.StageFsync, time.Since(fsyncStart))
-		}
-	}
-	d.stateMu.RUnlock()
-	d.bumpCheckpoint(len(keys))
+		})
+	})
+	d.commitBatch(sc, len(keys), sp)
 	return oks
 }
 

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -448,4 +450,69 @@ func TestScanDirIgnoresForeignFiles(t *testing.T) {
 		t.Fatalf("open with foreign files: %v", err)
 	}
 	d.Close()
+}
+
+// TestDurableBatchRegimes drives InsertBatch and DeleteBatch through both
+// execution regimes — inline on the caller (small batches, or one
+// segment) and one goroutine per touched segment (>= batchParallelMin
+// records over several segments) — with duplicate keys in every batch.
+// Either way the batch must behave like the sequential loop (later-wins
+// upserts, first-wins deletes), and a crash + reopen must replay the WAL
+// to the same state.
+func TestDurableBatchRegimes(t *testing.T) {
+	for _, segments := range []int{1, 4} {
+		for _, n := range []int{3, batchParallelMin - 1, 4 * batchParallelMin} {
+			t.Run(fmt.Sprintf("segments=%d/n=%d", segments, n), func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := Config{Fsync: SyncNever, CheckpointEvery: -1}
+				d, err := Open(dir, cfg, memBuild(segments))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := map[core.Key]core.Value{}
+				// Two rounds reuse the pooled scratch; every key appears
+				// about twice per batch.
+				for round := 0; round < 2; round++ {
+					recs := make([]core.KV, n)
+					for i := range recs {
+						recs[i] = core.KV{Key: core.Key((i*7 + round) % (n/2 + 1)), Value: core.Value(1000*round + i)}
+						want[recs[i].Key] = recs[i].Value
+					}
+					d.InsertBatch(recs)
+
+					keys := make([]core.Key, n/2+1)
+					wantOKs := make([]bool, len(keys))
+					for i := range keys {
+						keys[i] = core.Key((i * 3) % (n/4 + 2))
+						_, wantOKs[i] = want[keys[i]]
+						delete(want, keys[i])
+					}
+					if oks := d.DeleteBatch(keys); !reflect.DeepEqual(oks, wantOKs) {
+						t.Fatalf("round %d: DeleteBatch oks diverge from the sequential loop", round)
+					}
+				}
+				check := func(d *Durable, when string) {
+					got := collect(d)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d records, want %d", when, len(got), len(want))
+					}
+					for _, r := range got {
+						if v, ok := want[r.Key]; !ok || v != r.Value {
+							t.Fatalf("%s: key %d = %d, want (%d, %v)", when, r.Key, r.Value, v, ok)
+						}
+					}
+				}
+				check(d, "live")
+				if err := d.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				d, err = Open(dir, cfg, memBuild(segments))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				check(d, "reopened")
+			})
+		}
+	}
 }

@@ -21,7 +21,7 @@ func testSpan(t *testing.T, ops int) (*trace.Tracer, *trace.Span) {
 // TestDurableInsertBatchSpan pins the write-path stage attribution: a
 // span-carrying batched insert under SyncAlways records wal (frame
 // encode + append), shard (in-memory apply) and fsync (group commit)
-// time, across parallel segment goroutines.
+// time, summed over the touched segments.
 func TestDurableInsertBatchSpan(t *testing.T) {
 	d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(2))
 	if err != nil {

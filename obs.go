@@ -30,6 +30,10 @@ type (
 	DriftDetector = obs.DriftDetector
 )
 
+// SampleEvery is N in the 1-in-N latency sample of the point-operation
+// histograms (get_ns, insert_ns, delete_ns); see ObservedIndex.
+const SampleEvery = obs.SampleEvery
+
 // Structural event kinds re-exported from internal/obs.
 const (
 	EvRetrain     = obs.EvRetrain
@@ -72,16 +76,26 @@ type observable interface {
 
 // ObservedIndex wraps an Index, recording per-op latency and result
 // cardinality into a Metrics bundle. Reads pass through unchanged.
+//
+// Point-operation latency is sampled. Get (and Insert/Delete on
+// ObservedMutableIndex) bump their operation counters on every call, so
+// lookups, hits, inserts and deletes are exact and rates come from them;
+// the clock is read, and get_ns / insert_ns / delete_ns fed, on one call
+// in SampleEvery. Those histograms hold a uniform sample: quantiles and
+// mean are unbiased, Count is the number of samples. Range, SearchRange
+// and the batch methods do microseconds of work per call and stay timed
+// on every call.
 type ObservedIndex struct {
 	idx Index
 	m   *Metrics
 }
 
-// Observe wraps idx so every Get and Range records latency, hit/miss and
-// result cardinality into m. If the underlying index emits structural
-// events (splits, retrains, flushes, ...), those are routed into m.Events
-// as well. The wrapper is behavior-transparent: results are identical to
-// the unwrapped index (the conformance suite asserts this for every
+// Observe wraps idx so Get and Range record latency, hit/miss and result
+// cardinality into m (Get latency as a 1-in-SampleEvery sample, see
+// ObservedIndex). If the underlying index emits structural events
+// (splits, retrains, flushes, ...), those are routed into m.Events as
+// well. The wrapper is behavior-transparent: results are identical to the
+// unwrapped index (the conformance suite asserts this for every
 // registered index kind).
 func Observe(idx Index, m *Metrics) *ObservedIndex {
 	if o, ok := idx.(observable); ok {
@@ -96,12 +110,13 @@ func (o *ObservedIndex) Unwrap() Index { return o.idx }
 // Metrics returns the bundle this wrapper records into.
 func (o *ObservedIndex) Metrics() *Metrics { return o.m }
 
-// Get returns the value stored for k, recording latency and hit/miss.
+// Get returns the value stored for k. The lookups and hits counters are
+// exact; the latency lands in get_ns on one call in SampleEvery (see
+// ObservedIndex).
 func (o *ObservedIndex) Get(k Key) (Value, bool) {
-	start := time.Now()
+	t := o.m.Lookups.IncSampled()
 	v, ok := o.idx.Get(k)
-	o.m.GetNS.Observe(uint64(time.Since(start)))
-	o.m.Lookups.Inc()
+	t.Observe(&o.m.GetNS)
 	if ok {
 		o.m.Hits.Inc()
 	}
@@ -221,20 +236,20 @@ func ObserveMutable(idx MutableIndex, m *Metrics) *ObservedMutableIndex {
 	return &ObservedMutableIndex{ObservedIndex: ObservedIndex{idx: idx, m: m}, mut: idx}
 }
 
-// Insert upserts (k, v), recording latency.
+// Insert upserts (k, v): the inserts counter is exact, insert_ns is a
+// 1-in-SampleEvery sample.
 func (o *ObservedMutableIndex) Insert(k Key, v Value) {
-	start := time.Now()
+	t := o.m.Inserts.IncSampled()
 	o.mut.Insert(k, v)
-	o.m.InsertNS.Observe(uint64(time.Since(start)))
-	o.m.Inserts.Inc()
+	t.Observe(&o.m.InsertNS)
 }
 
-// Delete removes k, recording latency.
+// Delete removes k: the deletes counter is exact, delete_ns is a
+// 1-in-SampleEvery sample.
 func (o *ObservedMutableIndex) Delete(k Key) bool {
-	start := time.Now()
+	t := o.m.Deletes.IncSampled()
 	ok := o.mut.Delete(k)
-	o.m.DeleteNS.Observe(uint64(time.Since(start)))
-	o.m.Deletes.Inc()
+	t.Observe(&o.m.DeleteNS)
 	return ok
 }
 

@@ -2,9 +2,26 @@ package lix
 
 import (
 	"bytes"
+	"math/bits"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/lix-go/lix/internal/obs"
 )
+
+// checkSampled asserts the sampling contract for one point-operation
+// histogram after ops calls: its count is ops/SampleEvery to within one
+// per counter stripe (obs stripes a counter 8 ways and each stripe's
+// sample count is exact to within one).
+func checkSampled(t *testing.T, s MetricsSnapshot, hist string, ops uint64) {
+	t.Helper()
+	const stripes = 8
+	got, want := s.Histograms[hist].Count, ops/SampleEvery
+	if got+stripes < want || got > want+stripes {
+		t.Fatalf("%s holds %d samples after %d ops, want %d ± %d", hist, got, ops, want, stripes)
+	}
+}
 
 func obsTestRecs(n int) []KV {
 	recs := make([]KV, n)
@@ -103,9 +120,7 @@ func TestObserveRecordsAcrossKinds(t *testing.T) {
 			if s.Counters["ranges"] != 1 {
 				t.Fatalf("ranges = %d, want 1", s.Counters["ranges"])
 			}
-			if c := s.Histograms["get_ns"].Count; c != 501 {
-				t.Fatalf("get_ns count = %d, want 501", c)
-			}
+			checkSampled(t, s, "get_ns", 501)
 			if c := s.Histograms["range_ns"].Count; c != 1 {
 				t.Fatalf("range_ns count = %d, want 1", c)
 			}
@@ -162,12 +177,8 @@ func TestObserveMutableRecordsWritesAndEvents(t *testing.T) {
 			if s.Counters["inserts"] != n || s.Counters["deletes"] != 1 {
 				t.Fatalf("inserts=%d deletes=%d", s.Counters["inserts"], s.Counters["deletes"])
 			}
-			if c := s.Histograms["insert_ns"].Count; c != n {
-				t.Fatalf("insert_ns count = %d, want %d", c, n)
-			}
-			if c := s.Histograms["delete_ns"].Count; c != 1 {
-				t.Fatalf("delete_ns count = %d, want 1", c)
-			}
+			checkSampled(t, s, "insert_ns", n)
+			checkSampled(t, s, "delete_ns", 1)
 			if got := m.Events.Count(c.wantEvent); got == 0 {
 				t.Fatalf("no %v events recorded", c.wantEvent)
 			}
@@ -281,6 +292,113 @@ func TestWriteMetricsPrometheus(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Prometheus output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// spinIndex is a synthetic backend for the sampling tests: every call
+// busy-waits for delay(i) (i counts calls; a nil delay returns at once)
+// and records the time it took into full, the fully-timed reference the
+// sampled histograms are compared with.
+type spinIndex struct {
+	calls int
+	delay func(i int) time.Duration
+	full  obs.Histogram
+}
+
+func (x *spinIndex) spin() {
+	i := x.calls
+	x.calls++
+	if x.delay == nil {
+		return
+	}
+	start := time.Now()
+	d := x.delay(i)
+	for time.Since(start) < d {
+	}
+	x.full.Observe(uint64(time.Since(start)))
+}
+
+func (x *spinIndex) Get(Key) (Value, bool)                       { x.spin(); return 0, true }
+func (x *spinIndex) Insert(Key, Value)                           { x.spin() }
+func (x *spinIndex) Delete(Key) bool                             { x.spin(); return true }
+func (x *spinIndex) Range(_, _ Key, _ func(Key, Value) bool) int { return 0 }
+func (x *spinIndex) Len() int                                    { return 0 }
+func (x *spinIndex) Stats() Stats                                { return Stats{} }
+
+// TestSampledLatencyMatchesFullyTimed drives observed Gets against a
+// bimodal backend (3 µs and 23 µs calls, each mid-bucket, one call in
+// eight slow) and compares the sampled get_ns with the backend's own
+// timing of every call: same p50 bucket, p99 in the slow mode on both
+// sides, and the same share of slow-mode observations. The period-N
+// pattern makes every SampleEvery-th call the slow one, which a
+// count%SampleEvery rule would sample either always or never. (The exact
+// p99 bucket is compared on synthetic streams in internal/obs: here the
+// scheduler of a shared box moves about 1 % of wall-clock samples.)
+func TestSampledLatencyMatchesFullyTimed(t *testing.T) {
+	const (
+		ops  = 16000
+		fast = 3 * time.Microsecond
+		slow = 23 * time.Microsecond
+	)
+	slowBucket := bits.Len64(uint64(slow))
+	slowShare := func(h obs.HistSnapshot) float64 {
+		var n uint64
+		for _, c := range h.Buckets[slowBucket:] {
+			n += c
+		}
+		return float64(n) / float64(h.Count)
+	}
+	patterns := []struct {
+		name   string
+		isSlow func(i int) bool
+	}{
+		{"period-N", func(i int) bool { return i%SampleEvery == 0 }},
+		{"scattered", func(i int) bool { return uint32(i)*2654435761>>16%8 == 0 }},
+	}
+	for _, p := range patterns {
+		t.Run(p.name, func(t *testing.T) {
+			backend := &spinIndex{delay: func(i int) time.Duration {
+				if p.isSlow(i) {
+					return slow
+				}
+				return fast
+			}}
+			m := NewMetrics("bimodal")
+			o := Observe(backend, m)
+			for i := 0; i < ops; i++ {
+				o.Get(Key(i))
+			}
+			s := m.Snapshot()
+			if s.Counters["lookups"] != ops || s.Counters["hits"] != ops {
+				t.Fatalf("lookups=%d hits=%d, want %d exactly", s.Counters["lookups"], s.Counters["hits"], ops)
+			}
+			checkSampled(t, s, "get_ns", ops)
+			full, got := backend.full.Snapshot(), m.GetNS.Snapshot()
+			if f, g := full.Quantile(0.50), got.Quantile(0.50); bits.Len64(f) != bits.Len64(g) {
+				t.Errorf("p50: fully timed %d ns, sampled %d ns — different buckets", f, g)
+			}
+			if f, g := full.Quantile(0.99), got.Quantile(0.99); bits.Len64(f) < slowBucket || bits.Len64(g) < slowBucket {
+				t.Errorf("p99: fully timed %d ns, sampled %d ns — below the slow mode (%v)", f, g, slow)
+			}
+			if f, g := slowShare(full), slowShare(got); g < f-0.03 || g > f+0.03 {
+				t.Errorf("slow-mode share: fully timed %.3f, sampled %.3f", f, g)
+			}
+		})
+	}
+}
+
+// TestObservedPointOpsAllocFree pins that the wrapper adds no allocation
+// to Get, Insert or Delete, on timed and untimed calls alike.
+func TestObservedPointOpsAllocFree(t *testing.T) {
+	o := ObserveMutable(&spinIndex{}, NewMetrics("allocs"))
+	for name, op := range map[string]func(){
+		"Get":    func() { o.Get(1) },
+		"Insert": func() { o.Insert(1, 2) },
+		"Delete": func() { o.Delete(1) },
+	} {
+		if n := testing.AllocsPerRun(10*SampleEvery, op); n != 0 {
+			t.Errorf("observed %s allocates %.1f times per call, want 0", name, n)
 		}
 	}
 }
