@@ -10,8 +10,9 @@
 //	lixserve -addr :7070 -dir /var/lib/lix -fsync always
 //
 // With -admin-addr set, an out-of-band HTTP admin plane serves
-// /metrics (Prometheus), /healthz, /readyz (503 while draining),
-// /events, /topk and /debug/pprof/* alongside the data plane.
+// /metrics (Prometheus), /healthz, /readyz (503 while draining, and
+// once a durable store has failed a write), /events, /topk and
+// /debug/pprof/* alongside the data plane.
 // Request tracing (-trace-sample, -trace-slow, -topk) samples request
 // groups into per-stage spans feeding the slow-request event log and
 // the hot-key sketch; disabled sampling costs one atomic load per group.
@@ -125,7 +126,7 @@ func main() {
 			Handler: lix.NewAdminHandler(lix.AdminConfig{
 				Metrics: []*lix.Metrics{metrics},
 				Tracer:  stack.Tracer(),
-				Ready:   func() bool { return !srv.Draining() },
+				Ready:   func() bool { return !srv.Draining() && stack.Err() == nil },
 			}),
 		}
 		go func() {

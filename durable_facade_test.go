@@ -138,12 +138,15 @@ func TestDurableFacadeBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := durableSeed(1000)
-	d.InsertBatch(recs)
+	if err := d.InsertBatch(recs, nil); err != nil {
+		t.Fatal(err)
+	}
 	keys := make([]Key, len(recs))
 	for i, r := range recs {
 		keys[i] = r.Key
 	}
-	vals, oks := d.LookupBatch(keys)
+	vals, oks := make([]Value, len(keys)), make([]bool, len(keys))
+	d.LookupBatch(keys, vals, oks, nil)
 	for i := range keys {
 		if !oks[i] || vals[i] != recs[i].Value {
 			t.Fatalf("batch lookup %d: (%d,%v)", i, vals[i], oks[i])

@@ -96,8 +96,9 @@ func main() {
 	for i := range batch {
 		batch[i] = recs[r.Intn(len(recs))].Key
 	}
+	vals, hits := make([]lix.Value, len(batch)), make([]bool, len(batch))
 	start := time.Now()
-	vals, hits := srw.LookupBatch(batch)
+	srw.LookupBatch(batch, vals, hits, nil) // caller-owned results; nil span = untraced
 	fmt.Printf("\nLookupBatch: %d keys in %v (%d hits, %d values)\n",
 		len(batch), time.Since(start), countTrue(hits), len(vals))
 

@@ -86,7 +86,10 @@ func main() {
 	for i := range keys {
 		keys[i] = recs[i*3].Key
 	}
-	_, hits := s.LookupBatch(keys)
+	// Results land in caller-owned slices (reusable across calls); the
+	// last argument is the request's trace span, nil when untraced.
+	vals, hits := make([]lix.Value, len(keys)), make([]bool, len(keys))
+	s.LookupBatch(keys, vals, hits, nil)
 	found := 0
 	for _, ok := range hits {
 		if ok {

@@ -153,7 +153,7 @@ func RunBatch(cfg BatchConfig) ([]*Table, []BenchResult, error) {
 		// Insert measurements mutate, so every trial gets a fresh stack and
 		// the fastest trial is kept. measureInsert returns (ops/s, fsyncs
 		// issued during one trial).
-		measureInsert := func(nOps int, run func(s *lix.Stack)) (float64, uint64, error) {
+		measureInsert := func(nOps int, run func(s *lix.Stack) error) (float64, uint64, error) {
 			best, fs := 0.0, uint64(0)
 			for trial := 0; trial < insertTrials; trial++ {
 				s, cleanup, err := sys.build(recs)
@@ -162,10 +162,13 @@ func RunBatch(cfg BatchConfig) ([]*Table, []BenchResult, error) {
 				}
 				base := fsyncs(s)
 				start := time.Now()
-				run(s)
+				err = run(s)
 				v := opsPerSec(nOps, time.Since(start))
 				fs = fsyncs(s) - base
 				cleanup()
+				if err != nil {
+					return 0, 0, fmt.Errorf("bench: insert into %s: %w", sys.name, err)
+				}
 				if v > best {
 					best = v
 				}
@@ -177,10 +180,11 @@ func RunBatch(cfg BatchConfig) ([]*Table, []BenchResult, error) {
 		if sys.durable && insOps > loopedInsertCap {
 			insOps = loopedInsertCap
 		}
-		loopedIns, loopInsFsyncs, err := measureInsert(insOps, func(s *lix.Stack) {
+		loopedIns, loopInsFsyncs, err := measureInsert(insOps, func(s *lix.Stack) error {
 			for _, r := range fresh[:insOps] {
 				s.Insert(r.Key, r.Value)
 			}
+			return s.Err()
 		})
 		if err != nil {
 			return nil, nil, err
@@ -206,23 +210,24 @@ func RunBatch(cfg BatchConfig) ([]*Table, []BenchResult, error) {
 
 		for _, size := range cfg.Sizes {
 			size := size
-			batchedIns, batchInsFsyncs, err := measureInsert(len(fresh), func(s *lix.Stack) {
+			batchedIns, batchInsFsyncs, err := measureInsert(len(fresh), func(s *lix.Stack) error {
 				for off := 0; off < len(fresh); off += size {
 					end := off + size
 					if end > len(fresh) {
 						end = len(fresh)
 					}
-					s.InsertBatch(fresh[off:end])
+					if err := s.InsertBatch(fresh[off:end], nil); err != nil {
+						return err
+					}
 				}
+				return nil
 			})
 			if err != nil {
 				return nil, nil, err
 			}
 
-			// The batched side measures the allocation-free LookupBatchInto
-			// with reused buffers — the looped side's Get returns results on
-			// the stack, so comparing against allocating LookupBatch would
-			// charge the batch path for an API artifact, not batching cost.
+			// The batched side reuses its result buffers, as a serving loop
+			// does: the looped side's Get returns results on the stack.
 			lookupKeys := make([]core.Key, size)
 			lookupVals := make([]core.Value, size)
 			lookupOks := make([]bool, size)
@@ -232,7 +237,7 @@ func RunBatch(cfg BatchConfig) ([]*Table, []BenchResult, error) {
 						for i := range lookupKeys {
 							lookupKeys[i] = keys[(off+i)%len(keys)]
 						}
-						rs.LookupBatchInto(lookupKeys, lookupVals, lookupOks)
+						rs.LookupBatch(lookupKeys, lookupVals, lookupOks, nil)
 					}
 				})
 			})

@@ -10,6 +10,23 @@ import (
 	"github.com/lix-go/lix/internal/core"
 )
 
+// batchCaps is the full batch surface. Every layer of the stack must keep
+// all three: a wrapper that drops one does not fail, it silently falls to
+// the helpers' per-record loop — and, above a durable layer, from one
+// fsync per batch to one per record.
+type batchCaps interface {
+	core.BatchLookuper
+	core.BatchInserter
+	core.BatchDeleter
+}
+
+var (
+	_ batchCaps = (*lix.Sharded)(nil)
+	_ batchCaps = (*lix.Durable)(nil)
+	_ batchCaps = (*lix.ObservedMutableIndex)(nil)
+	_ batchCaps = (*lix.Stack)(nil)
+)
+
 // TestBatchEquivalence drives every registered 1-D factory — including
 // the layered durable-* and sharded-* configurations — through the
 // batched dispatch surface and demands state equivalence with the
@@ -50,17 +67,20 @@ func TestBatchLaterWinsPin(t *testing.T) {
 			}
 			defer closeIndex(ix)
 			mix := ix.(MutableIndex)
-			core.InsertBatch(mix, []core.KV{
+			if err := core.InsertBatch(mix, []core.KV{
 				{Key: 42, Value: 1}, {Key: 7, Value: 3}, {Key: 42, Value: 2},
-			})
+			}, nil); err != nil {
+				t.Fatal(err)
+			}
 			if v, ok := mix.Get(42); !ok || v != 2 {
 				t.Fatalf("Get(42) = (%d, %v), want later-wins (2, true)", v, ok)
 			}
 			if v, ok := mix.Get(7); !ok || v != 3 {
 				t.Fatalf("Get(7) = (%d, %v), want (3, true)", v, ok)
 			}
-			if oks := core.DeleteBatch(mix, []core.Key{42, 42, 99}); !oks[0] || oks[1] || oks[2] {
-				t.Fatalf("DeleteBatch(42, 42, 99) = %v, want [true false false]", oks)
+			oks := []bool{false, true, true}
+			if err := core.DeleteBatch(mix, []core.Key{42, 42, 99}, oks, nil); err != nil || !oks[0] || oks[1] || oks[2] {
+				t.Fatalf("DeleteBatch(42, 42, 99) = %v, %v, want [true false false]", oks, err)
 			}
 			if mix.Len() != 2 {
 				t.Fatalf("Len = %d, want 2 (keys 7, 10)", mix.Len())
@@ -111,7 +131,9 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 	for i := range batch {
 		batch[i] = core.KV{Key: core.Key((i*7919 + 13) % 1000), Value: core.Value(i + 1)}
 	}
-	d.InsertBatch(batch)
+	if err := d.InsertBatch(batch, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +213,9 @@ func TestDurableBatchFsyncAmortization(t *testing.T) {
 		}
 		base := d.Fsyncs()
 		if batched {
-			d.InsertBatch(recs)
+			if err := d.InsertBatch(recs, nil); err != nil {
+				t.Fatal(err)
+			}
 		} else {
 			for _, r := range recs {
 				if err := d.Put(r.Key, r.Value); err != nil {

@@ -28,7 +28,7 @@ type StressConfig struct {
 	RangeReaders  int   // concurrent range scanners
 	KeysPerWriter int   // keys owned by each writer
 	OpsPerWriter  int   // mutation ops generated per writer
-	Batch         bool  // exercise LookupBatch/InsertBatch when supported
+	Batch         bool  // exercise the core batch helpers (LookupBatch/InsertBatch)
 	Seed          int64 // history generation seed
 	ShrinkRetries int   // reruns per shrink candidate (failures are probabilistic)
 	ShrinkBudget  int   // max candidate evaluations during shrinking
@@ -49,13 +49,6 @@ func DefaultStressConfig() StressConfig {
 		ShrinkRetries: 3,
 		ShrinkBudget:  80,
 	}
-}
-
-// BatchIndex is the batched-operation surface of the sharded serving
-// layer. Stress runs exercise it when the index under test provides it.
-type BatchIndex interface {
-	LookupBatch(keys []core.Key) ([]core.Value, []bool)
-	InsertBatch(recs []core.KV)
 }
 
 // stressHistory is one generated concurrent history: the records the
@@ -137,10 +130,6 @@ func runStress(build func(init []core.KV) (MutableIndex, error), h stressHistory
 		return fmt.Errorf("conform: stress build failed: %v", err)
 	}
 	defer closeIndex(ix)
-	batch, _ := ix.(BatchIndex)
-	if !cfg.Batch {
-		batch = nil
-	}
 	total := cfg.Writers * cfg.KeysPerWriter
 
 	var mu sync.Mutex
@@ -168,22 +157,29 @@ func runStress(build func(init []core.KV) (MutableIndex, error), h stressHistory
 				}
 			}()
 			// Writers run to completion even after a reader failed so the
-			// quiesced state stays the oracle state.
+			// quiesced state stays the oracle state. Like a serving
+			// connection, each goroutine reuses one set of buffers and
+			// carries its own span on every second batch.
+			var recs []core.KV
+			var sp altSpan
 			for i := 0; i < len(ops); {
-				// Group a run of consecutive inserts into one batch when the
-				// index supports it (and the run length exceeds 1), to drive
-				// the batched write path under contention.
-				if batch != nil && ops[i].Kind == OpInsert {
+				// Group a run of consecutive inserts (when the run length
+				// exceeds 1) into one batch through the index's capability or
+				// the loop fallback, to drive the batched write path under
+				// contention.
+				if cfg.Batch && ops[i].Kind == OpInsert {
 					j := i
 					for j < len(ops) && ops[j].Kind == OpInsert && j-i < 16 {
 						j++
 					}
 					if j-i > 1 {
-						recs := make([]core.KV, 0, j-i)
+						recs = recs[:0]
 						for _, op := range ops[i:j] {
 							recs = append(recs, core.KV{Key: op.Key, Value: op.Val})
 						}
-						batch.InsertBatch(recs)
+						if err := core.InsertBatch(ix, recs, sp.next(len(recs))); err != nil {
+							fail("conform: stress InsertBatch(%d recs): %v", len(recs), err)
+						}
 						i = j
 						continue
 					}
@@ -217,18 +213,20 @@ func runStress(build func(init []core.KV) (MutableIndex, error), h stressHistory
 		go func(rd int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed + 100 + int64(rd)))
+			var (
+				keys = make([]core.Key, 32)
+				vals = make([]core.Value, 32)
+				oks  = make([]bool, 32)
+				sp   altSpan
+			)
 			for !done.Load() {
-				if batch != nil && r.Intn(4) == 0 {
-					keys := make([]core.Key, 1+r.Intn(32))
+				if cfg.Batch && r.Intn(4) == 0 {
+					n := 1 + r.Intn(32)
+					keys, vals, oks := keys[:n], vals[:n], oks[:n]
 					for i := range keys {
 						keys[i] = stressKey(r.Intn(total))
 					}
-					vals, oks := batch.LookupBatch(keys)
-					if len(vals) != len(keys) || len(oks) != len(keys) {
-						fail("conform: stress LookupBatch(%d keys) returned %d vals, %d oks",
-							len(keys), len(vals), len(oks))
-						return
-					}
+					core.LookupBatch(ix, keys, vals, oks, sp.next(n))
 					for i, k := range keys {
 						if oks[i] && !checkVal("LookupBatch", k, vals[i]) {
 							return

@@ -14,35 +14,37 @@ package core
 // it lives in the kind registry (internal/registry, Kind.Bulk) rather
 // than here.
 
+// The three batch capabilities share one shape. Result slices are always
+// caller-owned, len(keys) each, so a serving loop reuses its buffers and
+// no layer allocates per call. sp is the request's span, nil when the
+// request is not sampled: a layer that implements a capability attributes
+// its own stages into it and decides whether the layer below sees it (the
+// durable layer times its in-memory apply itself and passes nil down, so
+// shard time is never counted twice). Writes return the store's error —
+// the first I/O error of the call, or the latched error of a store that
+// has already failed; in-memory layers return nil. Reads have no error
+// result: no layer can fail a read.
+
 // BatchLookuper resolves many keys in one call. vals[i], oks[i] answer
 // keys[i]; implementations may reorder internally (the sharded layer
 // groups by shard) but the result slices follow input order.
 type BatchLookuper interface {
-	LookupBatch(keys []Key) ([]Value, []bool)
-}
-
-// BatchLookuperInto is the allocation-free variant of BatchLookuper:
-// answers are written into caller-supplied vals and oks slices
-// (len(keys) each), so a serving loop can reuse its buffers across
-// batches. The sharded layer pins zero allocations per call on this
-// path.
-type BatchLookuperInto interface {
-	LookupBatchInto(keys []Key, vals []Value, oks []bool)
+	LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span)
 }
 
 // BatchInserter upserts many records in one call. Duplicate keys inside
 // one batch resolve later-wins, exactly as a sequential upsert loop
 // would (the conformance suite pins this).
 type BatchInserter interface {
-	InsertBatch(recs []KV)
+	InsertBatch(recs []KV, sp *Span) error
 }
 
-// BatchDeleter removes many keys in one call, reporting per-key whether
-// the key was present, with sequential semantics: the first occurrence
+// BatchDeleter removes many keys in one call, reporting in oks[i] whether
+// keys[i] was present, with sequential semantics: the first occurrence
 // of a duplicated key reports its liveness, later occurrences report
 // false.
 type BatchDeleter interface {
-	DeleteBatch(keys []Key) []bool
+	DeleteBatch(keys []Key, oks []bool, sp *Span) error
 }
 
 // RangeSearcher collects every record with lo <= key <= hi into a slice
@@ -74,58 +76,47 @@ type (
 	}
 )
 
-// LookupBatch resolves keys against ix through its BatchLookuper
-// capability when present, else a Get loop. vals[i], oks[i] answer
-// keys[i].
-func LookupBatch(ix Getter, keys []Key) ([]Value, []bool) {
+// LookupBatch resolves keys against ix into vals and oks (len(keys)
+// each) through its BatchLookuper capability when present, else a Get
+// loop timed as the span's shard stage — either way without allocating.
+func LookupBatch(ix Getter, keys []Key, vals []Value, oks []bool, sp *Span) {
 	if b, ok := ix.(BatchLookuper); ok {
-		return b.LookupBatch(keys)
-	}
-	vals := make([]Value, len(keys))
-	oks := make([]bool, len(keys))
-	for i, k := range keys {
-		vals[i], oks[i] = ix.Get(k)
-	}
-	return vals, oks
-}
-
-// LookupBatchInto resolves keys into the caller-supplied vals and oks
-// slices (len(keys) each) through ix's BatchLookuperInto capability when
-// present, else a Get loop — either way without allocating.
-func LookupBatchInto(ix Getter, keys []Key, vals []Value, oks []bool) {
-	if b, ok := ix.(BatchLookuperInto); ok {
-		b.LookupBatchInto(keys, vals, oks)
+		b.LookupBatch(keys, vals, oks, sp)
 		return
 	}
+	defer sp.End(StageShard, sp.Begin())
 	for i, k := range keys {
 		vals[i], oks[i] = ix.Get(k)
 	}
 }
 
 // InsertBatch upserts recs into ix through its BatchInserter capability
-// when present, else an Insert loop (which is trivially later-wins).
-func InsertBatch(ix Inserter, recs []KV) {
+// when present, else an Insert loop (which is trivially later-wins and
+// cannot fail) timed as the span's shard stage.
+func InsertBatch(ix Inserter, recs []KV, sp *Span) error {
 	if b, ok := ix.(BatchInserter); ok {
-		b.InsertBatch(recs)
-		return
+		return b.InsertBatch(recs, sp)
 	}
+	defer sp.End(StageShard, sp.Begin())
 	for _, r := range recs {
 		ix.Insert(r.Key, r.Value)
 	}
+	return nil
 }
 
 // DeleteBatch removes keys from ix through its BatchDeleter capability
-// when present, else a Delete loop. oks[i] reports whether keys[i] was
-// present when its turn came (duplicates: first wins, rest read false).
-func DeleteBatch(ix Deleter, keys []Key) []bool {
+// when present, else a Delete loop timed as the span's shard stage.
+// oks[i] reports whether keys[i] was present when its turn came
+// (duplicates: first wins, rest read false).
+func DeleteBatch(ix Deleter, keys []Key, oks []bool, sp *Span) error {
 	if b, ok := ix.(BatchDeleter); ok {
-		return b.DeleteBatch(keys)
+		return b.DeleteBatch(keys, oks, sp)
 	}
-	oks := make([]bool, len(keys))
+	defer sp.End(StageShard, sp.Begin())
 	for i, k := range keys {
 		oks[i] = ix.Delete(k)
 	}
-	return oks
+	return nil
 }
 
 // CollectRange collects every record of ix with lo <= key <= hi in

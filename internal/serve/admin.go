@@ -24,9 +24,11 @@ type AdminConfig struct {
 	// the lix_topk_count family appended to /metrics.
 	Tracer *trace.Tracer
 	// Ready reports readiness for /readyz; nil means always ready.
-	// Wire it to the serving front-end as func() bool { return
-	// !srv.Draining() } so a load balancer stops sending traffic the
-	// moment Shutdown begins, while in-flight groups still complete.
+	// Wire it to the serving front-end and the store as func() bool {
+	// return !srv.Draining() && stack.Err() == nil } so a load balancer
+	// stops sending traffic the moment Shutdown begins, while in-flight
+	// groups still complete, and the moment a write fails, after which
+	// the store answers every write with an error.
 	Ready func() bool
 	// EventLog backs /events. Defaults to the first Metrics bundle's
 	// log when nil.
@@ -38,7 +40,7 @@ type AdminConfig struct {
 //	/            endpoint index (text)
 //	/metrics     Prometheus text exposition of every bundle + topk
 //	/healthz     200 while the process is up (liveness)
-//	/readyz      200 ready / 503 draining (readiness)
+//	/readyz      200 ready / 503 draining or store failed (readiness)
 //	/events      recent event-log tail as JSON (?n=, newest last)
 //	/topk        hot-key sketch as JSON (?n=, hottest first)
 //	/debug/pprof/*  stdlib profilers (cpu profile, heap, goroutine, ...)
@@ -61,7 +63,7 @@ func NewAdminHandler(cfg AdminConfig) http.Handler {
 		fmt.Fprint(w, "lix admin plane\n\n"+
 			"/metrics      Prometheus exposition\n"+
 			"/healthz      liveness\n"+
-			"/readyz       readiness (503 while draining)\n"+
+			"/readyz       readiness (503 while draining or after a failed write)\n"+
 			"/events?n=64  recent event log (JSON)\n"+
 			"/topk?n=32    hot keys (JSON)\n"+
 			"/debug/pprof  profilers\n")
@@ -87,7 +89,7 @@ func NewAdminHandler(cfg AdminConfig) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if cfg.Ready != nil && !cfg.Ready() {
 			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
+			fmt.Fprintln(w, "not ready: draining or store failed")
 			return
 		}
 		fmt.Fprintln(w, "ready")

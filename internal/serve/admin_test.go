@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -257,6 +258,92 @@ func TestAdminReadyzFlipsDuringDrain(t *testing.T) {
 	// Still 503 after the drain completes.
 	if code, _ := adminGet(t, admin.URL, "/readyz"); code != http.StatusServiceUnavailable {
 		t.Errorf("/readyz after drain: code=%d, want 503", code)
+	}
+}
+
+// TestWriteErrorsReachTheClient is the whole-stack pin for the write
+// error path: a durable stack (FsyncAlways) behind a real server loses
+// its WAL file descriptors — Crash closes them under the live store, the
+// nearest thing to a dead disk — and from then on no write may be
+// answered OK. A solo SET, a pipelined burst of SETs, an MSET and a DEL
+// each come back as an ERR frame (a *wire.ServerError through the typed
+// client calls), the connection survives and still answers GETs from
+// memory, the Errors counter grows by one per failed frame, and /readyz
+// flips from 200 to 503 on the latched store error.
+func TestWriteErrorsReachTheClient(t *testing.T) {
+	m := obs.NewMetrics("write-errors")
+	stack, err := lix.NewStack([]lix.KV{{Key: 1, Value: 11}}, lix.StackConfig{
+		Dir: t.TempDir(), Shards: 4, Fsync: lix.FsyncAlways, CheckpointEvery: -1, Metrics: m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, stack, serve.Config{Metrics: m, CloseStore: true})
+	defer srv.Shutdown()
+	admin := httptest.NewServer(serve.NewAdminHandler(serve.AdminConfig{
+		Ready: func() bool { return !srv.Draining() && stack.Err() == nil },
+	}))
+	defer admin.Close()
+	c, err := wire.DialTimeout(srv.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if err := c.Set(5, 50); err != nil {
+		t.Fatalf("SET on the healthy store: %v", err)
+	}
+	if code, _ := adminGet(t, admin.URL, "/readyz"); code != 200 {
+		t.Fatalf("/readyz on the healthy store: code=%d, want 200", code)
+	}
+
+	if err := stack.Durable().Crash(); err != nil {
+		t.Fatal(err)
+	}
+	errorsBefore := m.Errors.Load()
+	wantServerError := func(what string, err error) {
+		t.Helper()
+		var se *wire.ServerError
+		if !errors.As(err, &se) {
+			t.Errorf("%s on the failed store returned %v, want a *wire.ServerError", what, err)
+		}
+	}
+
+	wantServerError("solo SET", c.Set(6, 60))
+	const burst = 16
+	reqs := make([]wire.Msg, burst)
+	for i := range reqs {
+		reqs[i] = wire.Msg{Op: wire.OpSet, Key: core.Key(100 + i), Val: 1}
+	}
+	reps, err := c.Pipeline(reqs, nil)
+	if err != nil {
+		t.Fatalf("pipelined SETs: connection failed: %v", err)
+	}
+	for i, rep := range reps {
+		if rep.Op != wire.RErr || rep.Err == "" {
+			t.Errorf("pipelined SET %d on the failed store answered %+v, want ERR", i, rep)
+		}
+	}
+	wantServerError("MSET", c.MSet([]core.KV{{Key: 7, Value: 70}, {Key: 8, Value: 80}}))
+	_, err = c.Del(1)
+	wantServerError("DEL", err)
+
+	// Same connection, still open: reads are served from memory, and see
+	// exactly the acknowledged writes.
+	for _, want := range []struct {
+		k  core.Key
+		v  core.Value
+		ok bool
+	}{{1, 11, true}, {5, 50, true}, {6, 0, false}, {100, 0, false}, {7, 0, false}} {
+		if v, ok, err := c.Get(want.k); err != nil || ok != want.ok || v != want.v {
+			t.Errorf("GET %d after the failed writes = (%d, %v, %v), want (%d, %v)", want.k, v, ok, err, want.v, want.ok)
+		}
+	}
+	if got, want := m.Errors.Load()-errorsBefore, uint64(1+burst+1+1); got != want {
+		t.Errorf("Errors grew by %d, want %d (one per failed frame)", got, want)
+	}
+	if code, _ := adminGet(t, admin.URL, "/readyz"); code != http.StatusServiceUnavailable {
+		t.Errorf("/readyz after a failed write: code=%d, want 503", code)
 	}
 }
 

@@ -36,8 +36,10 @@ func startServer(t *testing.T, store serve.Store, cfg serve.Config) *serve.Serve
 // conform-backed differential e2e: the server IS an index
 // ---------------------------------------------------------------------------
 
-// netIndex adapts a live lixserve into conform.MutableIndex +
-// conform.BatchIndex: every operation is a wire round-trip, concurrent
+// netIndex adapts a live lixserve into conform.MutableIndex with the
+// batch capabilities the stress tier's core helpers detect (MGET and
+// MSET; deletes take the helpers' loop fallback): every operation is a
+// wire round-trip, concurrent
 // goroutines draw connections from a pool, and Close drains the server.
 // Running conform.CheckStress over it reuses the whole history-vs-oracle
 // machinery — randomized concurrent writers with disjoint key sets,
@@ -109,22 +111,27 @@ func (n *netIndex) Delete(k core.Key) bool {
 	return ok
 }
 
-func (n *netIndex) LookupBatch(keys []core.Key) ([]core.Value, []bool) {
+var (
+	_ core.BatchLookuper = (*netIndex)(nil)
+	_ core.BatchInserter = (*netIndex)(nil)
+)
+
+func (n *netIndex) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, _ *core.Span) {
 	c := n.client()
 	defer n.put(c)
-	vals, oks, err := c.MGet(keys)
+	gotVals, gotOks, err := c.MGet(keys)
 	if err != nil {
 		panic(fmt.Sprintf("e2e: MGET: %v", err))
 	}
-	return vals, oks
+	if copy(vals, gotVals) != len(keys) || copy(oks, gotOks) != len(keys) {
+		panic(fmt.Sprintf("e2e: MGET of %d keys answered %d vals, %d oks", len(keys), len(gotVals), len(gotOks)))
+	}
 }
 
-func (n *netIndex) InsertBatch(recs []core.KV) {
+func (n *netIndex) InsertBatch(recs []core.KV, _ *core.Span) error {
 	c := n.client()
 	defer n.put(c)
-	if err := c.MSet(recs); err != nil {
-		panic(fmt.Sprintf("e2e: MSET: %v", err))
-	}
+	return c.MSet(recs)
 }
 
 func (n *netIndex) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {

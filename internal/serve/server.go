@@ -4,7 +4,9 @@
 //
 // The design goal is to make the batch capabilities from the engine layer
 // (core.BatchLookuper / BatchInserter / BatchDeleter, forwarded through
-// shard, durable and obs wrappers) earn their keep on the network path.
+// shard, durable and obs wrappers) earn their keep on the network path,
+// and to carry their error result back to the client: a write run the
+// store could not make durable answers ERR on every frame, never OK.
 // Each connection is one goroutine that reads *pipelined request groups*:
 // one blocking read for the first frame, then a non-blocking drain of
 // every complete frame already received (wire.Reader.FrameBuffered). The
@@ -43,9 +45,12 @@ import (
 // interface. Batch capabilities are optional and detected through the
 // core dispatch helpers, so any layer of the engine stack — a bare
 // backend, lix.Sharded, lix.Durable, an observed wrapper or the whole
-// lix.Stack — serves without adaptation. If the store also implements
-// io.Closer and Config.CloseStore is set, Shutdown closes it after the
-// drain.
+// lix.Stack — serves without adaptation. Every write goes through those
+// helpers, so a store whose batch capabilities return an error has it
+// answered to the client; Insert and Delete serve only as the loop
+// fallback for stores without the capabilities. If the store also
+// implements io.Closer and Config.CloseStore is set, Shutdown closes it
+// after the drain.
 type Store interface {
 	Get(k core.Key) (core.Value, bool)
 	Insert(k core.Key, v core.Value)
@@ -251,6 +256,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := wire.NewReader(conn, s.cfg.MaxFrame)
 	w := wire.NewWriter(conn, s.cfg.MaxFrame)
 	group := make([]wire.Msg, 0, 64)
+	var sc scratch
 	tr := s.cfg.Tracer
 
 	for {
@@ -295,17 +301,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			group = append(group, m)
 		}
 
-		var sp *trace.Span
+		var sp *core.Span
 		if traceOn {
 			sp = tr.Start(len(group))
 			// The reader accumulated parse time while the group was
 			// drained — before the span existed; Total() adds it back.
 			// Drained unconditionally so an unsampled group's parse time
 			// cannot leak into the next sampled one.
-			sp.Add(trace.StageDecode, time.Duration(r.TakeDecodeNS()))
+			sp.Add(core.StageDecode, time.Duration(r.TakeDecodeNS()))
 		}
 
-		s.dispatch(group, w, sp)
+		s.dispatch(group, w, &sc, sp)
 
 		if s.cfg.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -364,23 +370,38 @@ func classify(op wire.Op) runKind {
 	}
 }
 
+// scratch is one connection's batch-assembly buffers, reused across runs
+// and groups: the flattened keys or records of a run and the store's
+// answers for them. wire.Writer.Write copies a reply into its frame
+// buffer before returning, so a run's replies never outlive the run.
+type scratch struct {
+	keys []core.Key
+	recs []core.KV
+	vals []core.Value
+	oks  []bool
+}
+
+// results returns the vals and oks buffers sized to n answers.
+func (sc *scratch) results(n int) ([]core.Value, []bool) {
+	if cap(sc.oks) < n {
+		sc.vals, sc.oks = make([]core.Value, n), make([]bool, n)
+	}
+	return sc.vals[:n], sc.oks[:n]
+}
+
 // dispatch serves one pipelined group: it slices the group into maximal
 // runs of batchable ops, dispatches each run through the store's batch
 // capabilities, and writes one reply per request in request order. A
 // non-nil span times the whole body as the dispatch stage; the store
-// stages (shard/wal/fsync) nest inside it via the trace batch helpers.
-func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sp *trace.Span) {
+// stages (shard/wal/fsync) nest inside it via the core batch helpers.
+func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	m := s.cfg.Metrics
 	if m != nil {
 		m.Groups.Inc()
 		m.GroupLen.Observe(uint64(len(group)))
 		m.Requests.Add(uint64(len(group)))
 	}
-	var dispatchStart time.Time
-	if sp != nil {
-		dispatchStart = time.Now()
-		defer func() { sp.Add(trace.StageDispatch, time.Since(dispatchStart)) }()
-	}
+	defer sp.End(core.StageDispatch, sp.Begin())
 	for i := 0; i < len(group); {
 		kind := classify(group[i].Op)
 		j := i + 1
@@ -391,11 +412,11 @@ func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sp *trace.Span) {
 		start := time.Now()
 		switch kind {
 		case runRead:
-			s.serveReads(run, w, sp)
+			s.serveReads(run, w, sc, sp)
 		case runWrite:
-			s.serveWrites(run, w, sp)
+			s.serveWrites(run, w, sc, sp)
 		case runDel:
-			s.serveDeletes(run, w, sp)
+			s.serveDeletes(run, w, sc, sp)
 		default:
 			s.serveSolo(&run[0], w, sp)
 		}
@@ -424,7 +445,7 @@ func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sp *trace.Span) {
 // Hot-key telemetry counts every key here at full rate — the sketch is
 // independent of span sampling, since a 1% sample would take ~100×
 // longer to surface a hot key.
-func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
+func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	hot := s.cfg.Tracer.HotKeys()
 	if sp == nil && len(run) == 1 && run[0].Op == wire.OpGet {
 		// Solo point read: skip batch assembly. (A sampled group takes
@@ -436,15 +457,7 @@ func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
 		s.writeGetReply(w, v, ok)
 		return
 	}
-	total := 0
-	for i := range run {
-		if run[i].Op == wire.OpGet {
-			total++
-		} else {
-			total += len(run[i].Keys)
-		}
-	}
-	keys := make([]core.Key, 0, total)
+	keys := sc.keys[:0]
 	for i := range run {
 		if run[i].Op == wire.OpGet {
 			keys = append(keys, run[i].Key)
@@ -452,10 +465,12 @@ func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
 			keys = append(keys, run[i].Keys...)
 		}
 	}
+	sc.keys = keys
 	if hot {
 		s.cfg.Tracer.TouchKeys(keys)
 	}
-	vals, oks := trace.LookupBatch(s.store, keys, sp)
+	vals, oks := sc.results(len(keys))
+	core.LookupBatch(s.store, keys, vals, oks, sp)
 	// Split the flat answers back into one reply per request frame.
 	off := 0
 	for i := range run {
@@ -478,24 +493,24 @@ func (s *Server) writeGetReply(w *wire.Writer, v core.Value, ok bool) {
 	}
 }
 
-// serveWrites applies a run of SET/MSET frames with one InsertBatch.
-// Flattening in request order makes InsertBatch's later-wins semantics
-// exactly the sequential pipelined outcome.
-func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
-	if sp == nil && len(run) == 1 && run[0].Op == wire.OpSet {
-		s.store.Insert(run[0].Key, run[0].Val)
-		w.Write(&wire.Msg{Op: wire.ROK})
-		return
+// failRun answers every frame of a write run the store failed with ERR.
+// The run is all-or-error from the client's side — a multi-segment store
+// may have applied part of it — and the connection stays open: the store
+// keeps serving reads from memory.
+func (s *Server) failRun(run []wire.Msg, w *wire.Writer, err error) {
+	reply := wire.Msg{Op: wire.RErr, Err: err.Error()}
+	for range run {
+		s.countError()
+		w.Write(&reply)
 	}
-	total := 0
-	for i := range run {
-		if run[i].Op == wire.OpSet {
-			total++
-		} else {
-			total += len(run[i].Recs)
-		}
-	}
-	recs := make([]core.KV, 0, total)
+}
+
+// serveWrites applies a run of SET/MSET frames — a solo frame included,
+// so every write has an error path — with one InsertBatch. Flattening in
+// request order makes InsertBatch's later-wins semantics exactly the
+// sequential pipelined outcome.
+func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
+	recs := sc.recs[:0]
 	for i := range run {
 		if run[i].Op == wire.OpSet {
 			recs = append(recs, core.KV{Key: run[i].Key, Value: run[i].Val})
@@ -503,7 +518,11 @@ func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
 			recs = append(recs, run[i].Recs...)
 		}
 	}
-	trace.InsertBatch(s.store, recs, sp)
+	sc.recs = recs
+	if err := core.InsertBatch(s.store, recs, sp); err != nil {
+		s.failRun(run, w, err)
+		return
+	}
 	for range run {
 		w.Write(&wire.Msg{Op: wire.ROK})
 	}
@@ -511,24 +530,24 @@ func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
 
 // serveDeletes applies a run of DEL frames with one DeleteBatch.
 // First-wins per-key liveness is exactly the sequential outcome.
-func (s *Server) serveDeletes(run []wire.Msg, w *wire.Writer, sp *trace.Span) {
-	if sp == nil && len(run) == 1 {
-		ok := s.store.Delete(run[0].Key)
-		w.Write(&wire.Msg{Op: wire.RBool, Ok: ok})
+func (s *Server) serveDeletes(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
+	keys := sc.keys[:0]
+	for i := range run {
+		keys = append(keys, run[i].Key)
+	}
+	sc.keys = keys
+	_, oks := sc.results(len(keys))
+	if err := core.DeleteBatch(s.store, keys, oks, sp); err != nil {
+		s.failRun(run, w, err)
 		return
 	}
-	keys := make([]core.Key, len(run))
-	for i := range run {
-		keys[i] = run[i].Key
-	}
-	oks := trace.DeleteBatch(s.store, keys, sp)
 	for _, ok := range oks {
 		w.Write(&wire.Msg{Op: wire.RBool, Ok: ok})
 	}
 }
 
 // serveSolo answers the non-batchable opcodes.
-func (s *Server) serveSolo(m *wire.Msg, w *wire.Writer, sp *trace.Span) {
+func (s *Server) serveSolo(m *wire.Msg, w *wire.Writer, sp *core.Span) {
 	switch m.Op {
 	case wire.OpPing:
 		w.Write(&wire.Msg{Op: wire.ROK})
@@ -539,18 +558,13 @@ func (s *Server) serveSolo(m *wire.Msg, w *wire.Writer, sp *trace.Span) {
 		}
 		var recs []core.KV
 		if m.Lo <= m.Hi {
-			var scanStart time.Time
-			if sp != nil {
-				scanStart = time.Now()
-			}
+			scanStart := sp.Begin()
 			recs = make([]core.KV, 0, 16)
 			s.store.Range(m.Lo, m.Hi, func(k core.Key, v core.Value) bool {
 				recs = append(recs, core.KV{Key: k, Value: v})
 				return len(recs) < limit
 			})
-			if sp != nil {
-				sp.Add(trace.StageShard, time.Since(scanStart))
-			}
+			sp.End(core.StageShard, scanStart)
 		}
 		// A reply too large for one frame streams as RKVsPart chunks
 		// closed by the final RKVs: payload is 5 header bytes + 16 per

@@ -41,11 +41,10 @@ func batchKeys(s *Sharded, n int) []core.Key {
 	return keys
 }
 
-// TestLookupBatchIntoZeroAlloc pins 0 allocs/op for the batched read
-// path at sizes 1/16/256 in both lock modes, on both the small-batch
-// coalesced path and (with per-shard metrics attached, which force it)
-// the grouped counting-sort path with its pooled scratch.
-func TestLookupBatchIntoZeroAlloc(t *testing.T) {
+// forBatchRegimes runs fn for both lock modes on both batch regimes: the
+// small-batch coalesced path and (with per-shard metrics attached, which
+// force it) the grouped counting-sort path with its pooled scratch.
+func forBatchRegimes(t *testing.T, fn func(t *testing.T, s *Sharded)) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
@@ -56,27 +55,72 @@ func TestLookupBatchIntoZeroAlloc(t *testing.T) {
 				path = "grouped"
 			}
 			t.Run(fmt.Sprintf("%s/%s", mode, path), func(t *testing.T) {
-				s := allocStack(t, mode, metrics)
-				for _, size := range []int{1, 16, 256} {
-					keys := batchKeys(s, size)
-					vals := make([]core.Value, size)
-					oks := make([]bool, size)
-					// Warm the scratch pool outside the measurement.
-					s.LookupBatchInto(keys, vals, oks)
-					if got := testing.AllocsPerRun(200, func() {
-						s.LookupBatchInto(keys, vals, oks)
-					}); got != 0 {
-						t.Errorf("size %d: %v allocs/op, want 0", size, got)
-					}
-					for i := range keys {
-						if !oks[i] {
-							t.Fatalf("size %d: key %d missing", size, keys[i])
-						}
-					}
-				}
+				fn(t, allocStack(t, mode, metrics))
 			})
 		}
 	}
+}
+
+// liveSpans is the span argument of a pinned call: absent and sampled.
+// Span attribution is two clock reads and an atomic add, never memory.
+func liveSpans() []*core.Span {
+	sp := new(core.Span)
+	sp.Reset(1)
+	return []*core.Span{nil, sp}
+}
+
+// TestLookupBatchZeroAlloc pins 0 allocs/op for the batched read path at
+// sizes 1/16/256 in both lock modes and both regimes, span off and on.
+func TestLookupBatchZeroAlloc(t *testing.T) {
+	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
+		for _, size := range []int{1, 16, 256} {
+			keys := batchKeys(s, size)
+			vals := make([]core.Value, size)
+			oks := make([]bool, size)
+			// Warm the scratch pool outside the measurement.
+			s.LookupBatch(keys, vals, oks, nil)
+			for _, sp := range liveSpans() {
+				if got := testing.AllocsPerRun(200, func() {
+					s.LookupBatch(keys, vals, oks, sp)
+				}); got != 0 {
+					t.Errorf("size %d, span %v: %v allocs/op, want 0", size, sp != nil, got)
+				}
+			}
+			for i := range keys {
+				if !oks[i] {
+					t.Fatalf("size %d: key %d missing", size, keys[i])
+				}
+			}
+		}
+	})
+}
+
+// TestDeleteBatchZeroAlloc pins 0 allocs/op for batched deletes — the
+// caller owns oks, so the plumbing has nothing left to allocate — at
+// sizes 1/16/256 in both lock modes and both regimes, span off and on.
+// The first call removes the keys; the pinned calls delete absent keys,
+// which touches no tree and appends no delta, so the batch plumbing is
+// what is measured.
+func TestDeleteBatchZeroAlloc(t *testing.T) {
+	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
+		for _, size := range []int{1, 16, 256} {
+			keys := batchKeys(s, size)
+			oks := make([]bool, size)
+			s.DeleteBatch(keys, oks, nil)
+			for _, sp := range liveSpans() {
+				if got := testing.AllocsPerRun(200, func() {
+					s.DeleteBatch(keys, oks, sp)
+				}); got != 0 {
+					t.Errorf("size %d, span %v: %v allocs/op, want 0", size, sp != nil, got)
+				}
+			}
+			for i := range keys {
+				if oks[i] {
+					t.Fatalf("size %d: key %d deleted twice", size, keys[i])
+				}
+			}
+		}
+	})
 }
 
 // TestGetZeroAlloc pins 0 allocs/op for single-key reads: the RW path is
@@ -119,11 +163,13 @@ func TestInsertBatchSteadyStateZeroAlloc(t *testing.T) {
 		for i, k := range keys {
 			recs[i] = core.KV{Key: k, Value: core.Value(i)}
 		}
-		s.InsertBatch(recs)
-		if got := testing.AllocsPerRun(200, func() {
-			s.InsertBatch(recs)
-		}); got != 0 {
-			t.Errorf("size %d: %v allocs/op, want 0", size, got)
+		s.InsertBatch(recs, nil)
+		for _, sp := range liveSpans() {
+			if got := testing.AllocsPerRun(200, func() {
+				s.InsertBatch(recs, sp)
+			}); got != 0 {
+				t.Errorf("size %d, span %v: %v allocs/op, want 0", size, sp != nil, got)
+			}
 		}
 	}
 }

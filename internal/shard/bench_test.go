@@ -34,22 +34,6 @@ func BenchmarkShardedRCU95(b *testing.B) { benchSharded(b, LockRCU, 95) }
 func BenchmarkShardedRW50(b *testing.B)  { benchSharded(b, LockRW, 50) }
 func BenchmarkShardedRCU50(b *testing.B) { benchSharded(b, LockRCU, 50) }
 
-func BenchmarkLookupBatch(b *testing.B) {
-	recs := sortedRecs(100_000, 1)
-	s, err := New(recs, Config{Shards: 8}, testBuilders())
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]core.Key, 256)
-	for i := range keys {
-		keys[i] = recs[i*97%len(recs)].Key
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LookupBatch(keys)
-	}
-}
-
 func BenchmarkRouterRoute(b *testing.B) {
 	r := UniformRouter(16)
 	b.ResetTimer()
@@ -58,10 +42,10 @@ func BenchmarkRouterRoute(b *testing.B) {
 	}
 }
 
-// BenchmarkLookupBatchVsLooped pins the batch-vs-looped comparison the
-// bench regression gate enforces: Into is the zero-alloc path, looped is
-// the per-key Get baseline.
-func BenchmarkLookupBatchInto(b *testing.B) {
+// BenchmarkLookupBatch and BenchmarkLookupLooped are the batch-vs-looped
+// comparison the bench regression gate enforces: the batch reuses its
+// result buffers, looped is the per-key Get baseline.
+func BenchmarkLookupBatch(b *testing.B) {
 	recs := sortedRecs(100_000, 1)
 	s, err := New(recs, Config{Shards: 8}, testBuilders())
 	if err != nil {
@@ -75,7 +59,7 @@ func BenchmarkLookupBatchInto(b *testing.B) {
 	oks := make([]bool, len(keys))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.LookupBatchInto(keys, vals, oks)
+		s.LookupBatch(keys, vals, oks, nil)
 	}
 }
 

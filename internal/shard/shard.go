@@ -748,9 +748,11 @@ func (s *Sharded) groupRecs(recs []core.KV, sc *batchScratch) int {
 	return -1
 }
 
-// LookupBatchInto resolves keys in one pass, writing answers into the
-// caller-supplied vals and oks slices (len(keys) each): zero allocations
-// in steady state, pinned by the allocation regression tier.
+// LookupBatch resolves keys in one pass, writing answers into the
+// caller-supplied vals and oks slices (len(keys) each; vals[i], oks[i]
+// answer keys[i]): zero allocations in steady state, pinned by the
+// allocation regression tier. The whole cross-shard call is the span's
+// shard stage.
 //
 // Small batches run a lock-coalescing loop: keys are answered in input
 // order, holding a shard's read lock only while consecutive keys stay in
@@ -759,13 +761,14 @@ func (s *Sharded) groupRecs(recs []core.KV, sc *batchScratch) int {
 // (RCU shards take no lock either way; the whole batch runs under one
 // epoch pin). Large batches on multi-core hosts are grouped by shard
 // with a pooled counting sort and fan out one goroutine per shard.
-func (s *Sharded) LookupBatchInto(keys []core.Key, vals []core.Value, oks []bool) {
+func (s *Sharded) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp *core.Span) {
 	if len(vals) != len(keys) || len(oks) != len(keys) {
-		panic("shard: LookupBatchInto: vals/oks length must equal len(keys)")
+		panic("shard: LookupBatch: vals/oks length must equal len(keys)")
 	}
 	if len(keys) == 0 {
 		return
 	}
+	defer sp.End(core.StageShard, sp.Begin())
 	if !s.parallelBatch(len(keys)) && s.mets == nil {
 		s.lookupCoalesced(keys, vals, oks)
 		return
@@ -834,14 +837,6 @@ func (s *Sharded) lookupCoalesced(keys []core.Key, vals []core.Value, oks []bool
 	sh.mu.RUnlock()
 }
 
-// LookupBatch resolves keys in one pass. vals[i], oks[i] answer keys[i].
-func (s *Sharded) LookupBatch(keys []core.Key) (vals []core.Value, oks []bool) {
-	vals = make([]core.Value, len(keys))
-	oks = make([]bool, len(keys))
-	s.LookupBatchInto(keys, vals, oks)
-	return vals, oks
-}
-
 // lookupGroup resolves one shard's group. A nil idx means the whole
 // batch routed to this shard: keys are processed in input order with no
 // index indirection (the single-shard fast path).
@@ -900,14 +895,16 @@ func (s *Sharded) lookupGroup(si int, idx []int32, keys []core.Key, vals []core.
 // later-wins semantics by construction. Large batches on multi-core
 // hosts group by shard and fan out one goroutine per shard (input order
 // within each shard, so cross-batch duplicates still resolve
-// later-wins).
-func (s *Sharded) InsertBatch(recs []core.KV) {
+// later-wins). The whole call is the span's shard stage; the error is
+// always nil (an in-memory layer cannot fail a write).
+func (s *Sharded) InsertBatch(recs []core.KV, sp *core.Span) error {
 	if len(recs) == 0 {
-		return
+		return nil
 	}
+	defer sp.End(core.StageShard, sp.Begin())
 	if !s.parallelBatch(len(recs)) && s.mets == nil {
 		s.insertCoalesced(recs)
-		return
+		return nil
 	}
 	sc := s.getScratch()
 	single := s.groupRecs(recs, sc)
@@ -935,6 +932,7 @@ func (s *Sharded) InsertBatch(recs []core.KV) {
 		}
 	}
 	s.putScratch(sc)
+	return nil
 }
 
 // insertGroup applies one shard's group; nil idx means the whole batch
@@ -1000,20 +998,24 @@ func (s *Sharded) insertCoalesced(recs []core.KV) {
 	sh.mu.Unlock()
 }
 
-// DeleteBatch removes keys in one pass. oks[i] reports whether keys[i]
-// was present, with sequential semantics: within one batch, the first
-// occurrence of a duplicated key reports its liveness and later
-// occurrences report false — exactly what a sequential Delete loop would
-// observe. Small batches apply in input order with coalesced locking;
-// large batches on multi-core hosts group by shard and fan out.
-func (s *Sharded) DeleteBatch(keys []core.Key) []bool {
-	oks := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return oks
+// DeleteBatch removes keys in one pass, overwriting the caller-supplied
+// oks (len(keys)): oks[i] reports whether keys[i] was present, with
+// sequential semantics: within one batch, the first occurrence of a
+// duplicated key reports its liveness and later occurrences report
+// false — exactly what a sequential Delete loop would observe. Small batches apply in input order with coalesced locking;
+// large batches on multi-core hosts group by shard and fan out. The
+// whole call is the span's shard stage; the error is always nil.
+func (s *Sharded) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
+	if len(oks) != len(keys) {
+		panic("shard: DeleteBatch: oks length must equal len(keys)")
 	}
+	if len(keys) == 0 {
+		return nil
+	}
+	defer sp.End(core.StageShard, sp.Begin())
 	if !s.parallelBatch(len(keys)) && s.mets == nil {
 		s.deleteCoalesced(keys, oks)
-		return oks
+		return nil
 	}
 	sc := s.getScratch()
 	single := s.groupKeys(keys, sc)
@@ -1041,7 +1043,7 @@ func (s *Sharded) DeleteBatch(keys []core.Key) []bool {
 		}
 	}
 	s.putScratch(sc)
-	return oks
+	return nil
 }
 
 // deleteGroup applies one shard's group; nil idx means the whole batch

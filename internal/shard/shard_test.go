@@ -224,7 +224,7 @@ func TestShardedRangeEarlyStop(t *testing.T) {
 func TestBatchedOps(t *testing.T) {
 	recs := sortedRecs(1024, 9)
 	modes(t, 8, 32, func(t *testing.T, s *Sharded) {
-		s.InsertBatch(recs)
+		s.InsertBatch(recs, nil)
 		if g, w := s.Len(), len(recs); g != w {
 			t.Fatalf("Len after InsertBatch = %d, want %d", g, w)
 		}
@@ -232,10 +232,8 @@ func TestBatchedOps(t *testing.T) {
 		for _, r := range recs {
 			keys = append(keys, r.Key, r.Key+1) // hit, (almost surely) miss
 		}
-		vals, oks := s.LookupBatch(keys)
-		if len(vals) != len(keys) || len(oks) != len(keys) {
-			t.Fatalf("LookupBatch shape: %d vals, %d oks, want %d", len(vals), len(oks), len(keys))
-		}
+		vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
+		s.LookupBatch(keys, vals, oks, nil)
 		for i, r := range recs {
 			if !oks[2*i] || vals[2*i] != r.Value {
 				t.Fatalf("LookupBatch[%d] = (%d, %v), want (%d, true)", 2*i, vals[2*i], oks[2*i], r.Value)
@@ -244,7 +242,7 @@ func TestBatchedOps(t *testing.T) {
 		// A batch with duplicate keys: the later record wins, as with a
 		// sequential upsert loop.
 		dup := []core.KV{{Key: 42, Value: 1}, {Key: 42, Value: 2}, {Key: 42, Value: 3}}
-		s.InsertBatch(dup)
+		s.InsertBatch(dup, nil)
 		if v, ok := s.Get(42); !ok || v != 3 {
 			t.Fatalf("Get(42) = (%d, %v) after duplicate batch, want (3, true)", v, ok)
 		}
@@ -265,7 +263,7 @@ func TestInsertBatchDuplicateKeysLastWins(t *testing.T) {
 				batch = append(batch, core.KV{Key: core.Key(k) * 7919, Value: core.Value(round*keys + k)})
 			}
 		}
-		s.InsertBatch(batch)
+		s.InsertBatch(batch, nil)
 		for k := 0; k < keys; k++ {
 			want := core.Value((rounds-1)*keys + k)
 			if v, ok := s.Get(core.Key(k) * 7919); !ok || v != want {
@@ -350,7 +348,7 @@ func TestObserverSeesRCUSwaps(t *testing.T) {
 func TestShardedStatsAggregates(t *testing.T) {
 	recs := sortedRecs(1000, 13)
 	modes(t, 4, 0, func(t *testing.T, s *Sharded) {
-		s.InsertBatch(recs)
+		s.InsertBatch(recs, nil)
 		st := s.Stats()
 		if st.Count != len(recs) {
 			t.Fatalf("Stats.Count = %d, want %d", st.Count, len(recs))
@@ -386,14 +384,15 @@ func TestConcurrentSmoke(t *testing.T) {
 					case 1:
 						s.Delete(k)
 					case 2:
-						s.InsertBatch([]core.KV{{Key: k, Value: core.Value(k)}, {Key: k + 1_000_003, Value: core.Value(k + 1_000_003)}})
+						s.InsertBatch([]core.KV{{Key: k, Value: core.Value(k)}, {Key: k + 1_000_003, Value: core.Value(k + 1_000_003)}}, nil)
 					case 3:
 						if v, ok := s.Get(k); ok && v != core.Value(k) {
 							t.Errorf("Get(%d) = %d", k, v)
 							return
 						}
 					case 4:
-						vals, oks := s.LookupBatch([]core.Key{k, k + 1})
+						vals, oks := make([]core.Value, 2), make([]bool, 2)
+						s.LookupBatch([]core.Key{k, k + 1}, vals, oks, nil)
 						if oks[0] && vals[0] != core.Value(k) {
 							t.Errorf("LookupBatch(%d) = %d", k, vals[0])
 							return

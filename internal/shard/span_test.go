@@ -8,11 +8,11 @@ import (
 	"github.com/lix-go/lix/internal/trace"
 )
 
-// TestShardedSpanMethods pins the span-aware batch capabilities on the
-// shard layer: the whole cross-shard fan-out lands in the shard stage,
-// nil spans fall through to the plain batch path, and results are
-// identical either way.
-func TestShardedSpanMethods(t *testing.T) {
+// TestShardedSpanAttribution pins the span argument of the batch
+// capabilities on the shard layer: the whole cross-shard fan-out lands in
+// the shard stage, nil spans skip the timing, and results are identical
+// either way.
+func TestShardedSpanAttribution(t *testing.T) {
 	s, err := New(nil, Config{Shards: 4}, testBuilders())
 	if err != nil {
 		t.Fatal(err)
@@ -27,36 +27,38 @@ func TestShardedSpanMethods(t *testing.T) {
 	}
 
 	sp := tr.Start(len(recs))
-	s.InsertBatchSpan(recs, sp)
-	if sp.Stage(trace.StageShard) <= 0 {
-		t.Errorf("insert shard stage = %v, want > 0", sp.Stage(trace.StageShard))
+	s.InsertBatch(recs, sp)
+	if sp.Stage(core.StageShard) <= 0 {
+		t.Errorf("insert shard stage = %v, want > 0", sp.Stage(core.StageShard))
 	}
-	if got := sp.Stage(trace.StageWAL); got != 0 {
+	if got := sp.Stage(core.StageWAL); got != 0 {
 		t.Errorf("insert wal stage = %v, want 0 (no durable layer)", got)
 	}
 	tr.Finish(sp)
 
 	sp = tr.Start(len(keys))
-	vals, oks := s.LookupBatchSpan(keys, sp)
+	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
+	s.LookupBatch(keys, vals, oks, sp)
 	for i := range keys {
 		if !oks[i] || vals[i] != core.Value(i) {
 			t.Fatalf("lookup %d = (%d,%v)", i, vals[i], oks[i])
 		}
 	}
-	if sp.Stage(trace.StageShard) <= 0 {
-		t.Errorf("lookup shard stage = %v, want > 0", sp.Stage(trace.StageShard))
+	if sp.Stage(core.StageShard) <= 0 {
+		t.Errorf("lookup shard stage = %v, want > 0", sp.Stage(core.StageShard))
 	}
 	tr.Finish(sp)
 
 	sp = tr.Start(len(keys))
-	delOks := s.DeleteBatchSpan(keys, sp)
+	delOks := make([]bool, len(keys))
+	s.DeleteBatch(keys, delOks, sp)
 	for i, ok := range delOks {
 		if !ok {
 			t.Fatalf("delete %d missed", i)
 		}
 	}
-	if sp.Stage(trace.StageShard) <= 0 {
-		t.Errorf("delete shard stage = %v, want > 0", sp.Stage(trace.StageShard))
+	if sp.Stage(core.StageShard) <= 0 {
+		t.Errorf("delete shard stage = %v, want > 0", sp.Stage(core.StageShard))
 	}
 	tr.Finish(sp)
 	if s.Len() != 0 {
@@ -64,11 +66,11 @@ func TestShardedSpanMethods(t *testing.T) {
 	}
 
 	// Nil spans: plain passthrough on all three.
-	s.InsertBatchSpan(recs[:4], nil)
-	if vals, oks := s.LookupBatchSpan(keys[:4], nil); !oks[0] || vals[0] != 0 {
+	s.InsertBatch(recs[:4], nil)
+	if s.LookupBatch(keys[:4], vals[:4], oks[:4], nil); !oks[0] || vals[0] != 0 {
 		t.Error("nil-span lookup broken")
 	}
-	if oks := s.DeleteBatchSpan(keys[:4], nil); !oks[3] {
+	if s.DeleteBatch(keys[:4], delOks[:4], nil); !delOks[3] {
 		t.Error("nil-span delete broken")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
 	"github.com/lix-go/lix/internal/sst"
-	"github.com/lix-go/lix/internal/trace"
 )
 
 // DefaultCheckpointEvery is the WAL record count between automatic
@@ -88,15 +87,9 @@ type Durable struct {
 	dir string
 	cfg Config
 
-	ix MutableIndex
-	// Batch capabilities of the wrapped index, detected once at assemble;
-	// nil fields fall back to per-record loops.
-	batchLookup     core.BatchLookuper
-	batchLookupInto core.BatchLookuperInto
-	batchInsert     core.BatchInserter
-	batchDelete     core.BatchDeleter
-	route           Router
-	segments        int
+	ix       MutableIndex
+	route    Router
+	segments int
 	// concReads: the wrapped index tolerates reads concurrent with writes,
 	// so readers skip the per-segment lock.
 	concReads bool
@@ -439,10 +432,6 @@ func assemble(dir string, cfg Config, res BuildResult, meta map[string]string, g
 		ckptCh: make(chan struct{}, 1),
 		stop:   make(chan struct{}),
 	}
-	d.batchLookup, _ = res.Index.(core.BatchLookuper)
-	d.batchLookupInto, _ = res.Index.(core.BatchLookuperInto)
-	d.batchInsert, _ = res.Index.(core.BatchInserter)
-	d.batchDelete, _ = res.Index.(core.BatchDeleter)
 	if cfg.Metrics != nil {
 		d.hook.SetRecorder(cfg.Metrics)
 	}
@@ -706,45 +695,18 @@ func (d *Durable) SearchRange(lo, hi core.Key) []core.KV {
 // diagnostics; mutating it directly bypasses the WAL).
 func (d *Durable) Unwrap() MutableIndex { return d.ix }
 
-// LookupBatch resolves keys in one pass, delegating to the wrapped
-// index's batched path when it has one.
-func (d *Durable) LookupBatch(keys []core.Key) ([]core.Value, []bool) {
-	if d.batchLookup != nil && d.concReads {
-		return d.batchLookup.LookupBatch(keys)
+// LookupBatch resolves keys into the caller's vals and oks slices
+// through the wrapped index's batched path when it has one. Reads
+// never touch the WAL, so the durable layer adds no stages of its own:
+// the whole in-memory batch is the span's shard stage, timed here and
+// not forwarded (no double count).
+func (d *Durable) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp *core.Span) {
+	defer sp.End(core.StageShard, sp.Begin())
+	if !d.concReads {
+		d.segMu[0].RLock()
+		defer d.segMu[0].RUnlock()
 	}
-	vals := make([]core.Value, len(keys))
-	oks := make([]bool, len(keys))
-	for i, k := range keys {
-		vals[i], oks[i] = d.Get(k)
-	}
-	return vals, oks
-}
-
-// LookupBatchInto is the allocation-free batched read path: answers are
-// written into the caller's vals and oks slices, delegating to the
-// wrapped index's zero-alloc path when it has one. Reads never touch
-// the WAL, so the durable layer adds nothing but the forward.
-func (d *Durable) LookupBatchInto(keys []core.Key, vals []core.Value, oks []bool) {
-	if d.batchLookupInto != nil && d.concReads {
-		d.batchLookupInto.LookupBatchInto(keys, vals, oks)
-		return
-	}
-	for i, k := range keys {
-		vals[i], oks[i] = d.Get(k)
-	}
-}
-
-// LookupBatchSpan is the span-aware read path: the durable layer adds no
-// stages of its own on reads (no WAL, no fsync), so the whole in-memory
-// batch is attributed to the shard stage.
-func (d *Durable) LookupBatchSpan(keys []core.Key, sp *trace.Span) ([]core.Value, []bool) {
-	if sp == nil {
-		return d.LookupBatch(keys)
-	}
-	t0 := time.Now()
-	vals, oks := d.LookupBatch(keys)
-	sp.Add(trace.StageShard, time.Since(t0))
-	return vals, oks
+	core.LookupBatch(d.ix, keys, vals, oks, nil)
 }
 
 // ---------------------------------------------------------------------------
@@ -815,7 +777,8 @@ func (d *Durable) Del(k core.Key) (bool, error) {
 }
 
 // Insert implements MutableIndex. I/O errors latch into Err and turn
-// further mutations into no-ops; callers that need the error use Put.
+// further mutations into no-ops; callers that need the error use Put or
+// InsertBatch.
 func (d *Durable) Insert(k core.Key, v core.Value) { d.Put(k, v) }
 
 // Delete implements MutableIndex; see Insert for error handling.
@@ -834,13 +797,15 @@ const batchParallelMin = 512
 
 // segScratch is the reusable grouping workspace of one batch, pooled on
 // the Durable: per WAL segment, the batch's records (or keys plus their
-// input positions) in input order — the order later-wins upserts and
-// first-wins deletes depend on — the frames built for them, and the
-// segment's WAL end offset after the append (0 = untouched or failed).
+// input positions, and the wrapped index's answers for them) in input
+// order — the order later-wins upserts and first-wins deletes depend on —
+// the frames built for them, and the segment's WAL end offset after the
+// append (0 = untouched, -1 = failed).
 type segScratch struct {
 	recs  [][]core.KV
 	keys  [][]core.Key
 	idxs  [][]int32
+	oks   [][]bool
 	wrecs [][]Record
 	offs  []int64
 }
@@ -852,6 +817,7 @@ func (d *Durable) getScratch() *segScratch {
 			recs:  make([][]core.KV, d.segments),
 			keys:  make([][]core.Key, d.segments),
 			idxs:  make([][]int32, d.segments),
+			oks:   make([][]bool, d.segments),
 			wrecs: make([][]Record, d.segments),
 			offs:  make([]int64, d.segments),
 		}
@@ -906,15 +872,12 @@ func (d *Durable) forSegments(n int, sc *segScratch, fn func(seg int)) {
 // frame the group (upserts of sc.recs[seg], else deletes of sc.keys[seg];
 // sequence numbers are assigned under the lock) and append it as one
 // contiguous write — the span's wal stage — then run apply against the
-// in-memory index — the shard stage. A failed append latches the error
-// and skips apply.
-func (d *Durable) logAndApply(seg int, sc *segScratch, sp *trace.Span, apply func()) {
+// in-memory index — the shard stage. A failed append skips apply; either
+// failure latches and marks the segment failed for commitBatch.
+func (d *Durable) logAndApply(seg int, sc *segScratch, sp *core.Span, apply func() error) {
 	d.segMu[seg].Lock()
 	defer d.segMu[seg].Unlock()
-	var walStart time.Time
-	if sp != nil {
-		walStart = time.Now()
-	}
+	t0 := sp.Begin()
 	wrecs := sc.wrecs[seg][:0]
 	for _, r := range sc.recs[seg] {
 		wrecs = append(wrecs, Record{Seq: d.seq.Add(1), Op: OpInsert, Key: r.Key, Val: r.Value})
@@ -924,66 +887,73 @@ func (d *Durable) logAndApply(seg int, sc *segScratch, sp *trace.Span, apply fun
 	}
 	sc.wrecs[seg] = wrecs
 	off, err := d.wals[seg].Append(wrecs...)
-	if sp != nil {
-		sp.Add(trace.StageWAL, time.Since(walStart))
+	sp.End(core.StageWAL, t0)
+	if err == nil {
+		t0 = sp.Begin()
+		err = apply()
+		sp.End(core.StageShard, t0)
 	}
 	if err != nil {
 		d.fail(err)
-		return
-	}
-	var applyStart time.Time
-	if sp != nil {
-		applyStart = time.Now()
-	}
-	apply()
-	if sp != nil {
-		sp.Add(trace.StageShard, time.Since(applyStart))
+		off = -1
 	}
 	sc.offs[seg] = off
 }
 
 // commitBatch group-commits every segment the batch appended to (under
-// SyncAlways), returns the scratch to the pool and counts the batch
-// toward the next checkpoint. The caller holds stateMu.RLock.
-func (d *Durable) commitBatch(sc *segScratch, n int, sp *trace.Span) {
-	if d.cfg.Fsync == SyncAlways {
-		var fsyncStart time.Time
-		if sp != nil {
-			fsyncStart = time.Now()
-		}
-		for seg, off := range sc.offs {
-			if off > 0 {
-				if err := d.wals[seg].SyncTo(off); err != nil {
-					d.fail(err)
-				}
+// SyncAlways; the span's fsync stage), returns the scratch to the pool
+// and counts the batch toward the next checkpoint. If any segment's
+// append, apply or fsync failed it returns the latched Err: the first of
+// those failures in time, unless a concurrent writer's came earlier. The
+// caller holds stateMu.RLock.
+func (d *Durable) commitBatch(sc *segScratch, n int, sp *core.Span) error {
+	always := d.cfg.Fsync == SyncAlways
+	t0 := sp.Begin()
+	failed := false
+	for seg, off := range sc.offs {
+		if always && off > 0 {
+			if err := d.wals[seg].SyncTo(off); err != nil {
+				d.fail(err)
+				off = -1
 			}
 		}
-		if sp != nil {
-			sp.Add(trace.StageFsync, time.Since(fsyncStart))
-		}
+		failed = failed || off < 0
+	}
+	if always {
+		sp.End(core.StageFsync, t0)
 	}
 	d.scratch.Put(sc)
 	d.stateMu.RUnlock()
 	d.bumpCheckpoint(n)
+	if failed {
+		return d.Err()
+	}
+	return nil
 }
 
 // InsertBatch durably upserts recs: records are grouped by WAL segment,
 // each group is framed as one contiguous append and applied under its
 // segment lock (large multi-segment batches run their groups in
 // parallel, see batchParallelMin), then each touched segment is
-// group-committed once under SyncAlways.
-func (d *Durable) InsertBatch(recs []core.KV) { d.insertBatch(recs, nil) }
-
-// InsertBatchSpan is InsertBatch with per-stage attribution: WAL frame
-// encode+append time lands in the wal stage, the in-memory apply in the
-// shard stage, and the group commit in the fsync stage. Because segment
-// groups may run in parallel, each stage is the *summed* time across
-// segments and may exceed the batch's wall time.
-func (d *Durable) InsertBatchSpan(recs []core.KV, sp *trace.Span) { d.insertBatch(recs, sp) }
-
-func (d *Durable) insertBatch(recs []core.KV, sp *trace.Span) {
-	if len(recs) == 0 || d.Err() != nil {
-		return
+// group-committed once under SyncAlways. A call that hits an I/O error
+// returns the store's latched Err — its own first failure, unless a
+// concurrent writer's came earlier; segments that failed applied
+// nothing. A store that has already failed returns Err with nothing
+// done.
+//
+// Span attribution: WAL frame encode+append time lands in the wal stage,
+// the in-memory apply in the shard stage (the span is not forwarded to
+// the wrapped index), and the group commit in the fsync stage. Because
+// segment groups may run in parallel, each stage is the *summed* time
+// across segments and may exceed the batch's wall time.
+func (d *Durable) InsertBatch(recs []core.KV, sp *core.Span) error {
+	if err := d.Err(); err != nil || len(recs) == 0 {
+		return err
+	}
+	if len(recs) == 1 && sp == nil {
+		// A serving connection's solo SET: nothing to group. (A sampled
+		// one takes the grouped path below for its stage attribution.)
+		return d.Put(recs[0].Key, recs[0].Value)
 	}
 	d.stateMu.RLock()
 	sc := d.getScratch()
@@ -992,36 +962,28 @@ func (d *Durable) insertBatch(recs []core.KV, sp *trace.Span) {
 		sc.recs[seg] = append(sc.recs[seg], r)
 	}
 	d.forSegments(len(recs), sc, func(seg int) {
-		d.logAndApply(seg, sc, sp, func() {
-			if d.batchInsert != nil {
-				d.batchInsert.InsertBatch(sc.recs[seg])
-				return
-			}
-			for _, r := range sc.recs[seg] {
-				d.ix.Insert(r.Key, r.Value)
-			}
+		d.logAndApply(seg, sc, sp, func() error {
+			return core.InsertBatch(d.ix, sc.recs[seg], nil)
 		})
 	})
-	d.commitBatch(sc, len(recs), sp)
+	return d.commitBatch(sc, len(recs), sp)
 }
 
 // DeleteBatch durably removes keys with the same segment-grouped WAL
-// framing as InsertBatch: per touched segment one contiguous frame group,
-// one group-committed fsync under SyncAlways. oks[i] reports whether
+// framing, span attribution and error contract as InsertBatch. oks
+// (len(keys), caller-owned) is overwritten: oks[i] reports whether
 // keys[i] was present, with sequential (first-wins on duplicates)
-// semantics inside the batch.
-func (d *Durable) DeleteBatch(keys []core.Key) []bool { return d.deleteBatch(keys, nil) }
-
-// DeleteBatchSpan is DeleteBatch with per-stage attribution; see
-// InsertBatchSpan for the stage semantics.
-func (d *Durable) DeleteBatchSpan(keys []core.Key, sp *trace.Span) []bool {
-	return d.deleteBatch(keys, sp)
-}
-
-func (d *Durable) deleteBatch(keys []core.Key, sp *trace.Span) []bool {
-	oks := make([]bool, len(keys))
-	if len(keys) == 0 || d.Err() != nil {
-		return oks
+// semantics inside the batch, and false for every key of a segment that
+// failed.
+func (d *Durable) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
+	clear(oks)
+	if err := d.Err(); err != nil || len(keys) == 0 {
+		return err
+	}
+	if len(keys) == 1 && sp == nil {
+		var err error
+		oks[0], err = d.Del(keys[0]) // solo DEL, as in InsertBatch
+		return err
 	}
 	d.stateMu.RLock()
 	sc := d.getScratch()
@@ -1031,21 +993,18 @@ func (d *Durable) deleteBatch(keys []core.Key, sp *trace.Span) []bool {
 		sc.idxs[seg] = append(sc.idxs[seg], int32(i))
 	}
 	d.forSegments(len(keys), sc, func(seg int) {
-		d.logAndApply(seg, sc, sp, func() {
+		d.logAndApply(seg, sc, sp, func() error {
 			group, idxs := sc.keys[seg], sc.idxs[seg]
-			if d.batchDelete != nil {
-				for j, ok := range d.batchDelete.DeleteBatch(group) {
-					oks[idxs[j]] = ok
-				}
-				return
+			got := append(sc.oks[seg][:0], make([]bool, len(group))...)
+			sc.oks[seg] = got
+			err := core.DeleteBatch(d.ix, group, got, nil)
+			for j, ok := range got {
+				oks[idxs[j]] = ok
 			}
-			for j, k := range group {
-				oks[idxs[j]] = d.ix.Delete(k)
-			}
+			return err
 		})
 	})
-	d.commitBatch(sc, len(keys), sp)
-	return oks
+	return d.commitBatch(sc, len(keys), sp)
 }
 
 func (d *Durable) bumpCheckpoint(n int) {

@@ -452,6 +452,99 @@ func TestScanDirIgnoresForeignFiles(t *testing.T) {
 	d.Close()
 }
 
+// TestDurableBatchErrorSurface pins the write error contract. Crash
+// closes the WAL file descriptors under a live store — the nearest thing
+// to a dead disk — after which every write entry point must say so: the
+// first failing call returns the I/O error, every later call returns that
+// same error latched in Err, for a single-record batch (which is a Put or
+// Del) and in both forSegments regimes (inline, and one goroutine per
+// touched segment at >= batchParallelMin records), and
+// nothing from a failed batch becomes visible to Get.
+func TestDurableBatchErrorSurface(t *testing.T) {
+	type write struct {
+		name string
+		do   func(d *Durable, base core.Key, n int) error
+	}
+	recsFrom := func(base core.Key, n int) []core.KV {
+		recs := make([]core.KV, n)
+		for i := range recs {
+			recs[i] = core.KV{Key: base + core.Key(i), Value: 7}
+		}
+		return recs
+	}
+	writes := []write{
+		{"InsertBatch", func(d *Durable, base core.Key, n int) error {
+			return d.InsertBatch(recsFrom(base, n), nil)
+		}},
+		{"DeleteBatch", func(d *Durable, base core.Key, n int) error {
+			// Half the keys are live (the preload), half are not: either
+			// way a failed delete must report false and remove nothing.
+			keys, oks := make([]core.Key, n), make([]bool, n)
+			for i := range keys {
+				keys[i], oks[i] = core.Key(i), true
+			}
+			err := d.DeleteBatch(keys, oks, nil)
+			for i, ok := range oks {
+				if ok {
+					t.Errorf("failed DeleteBatch reported key %d deleted", keys[i])
+					break
+				}
+			}
+			return err
+		}},
+		{"Put", func(d *Durable, base core.Key, _ int) error { return d.Put(base, 7) }},
+		{"Del", func(d *Durable, _ core.Key, _ int) error { _, err := d.Del(0); return err }},
+	}
+	const preload = 8
+	for _, n := range []int{1, 3, 4 * batchParallelMin} {
+		for _, first := range writes {
+			t.Run(fmt.Sprintf("n=%d/first=%s", n, first.name), func(t *testing.T) {
+				d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.InsertBatch(recsFrom(0, preload), nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				if err := d.Err(); err != nil {
+					t.Fatalf("Err() = %v before any failed write", err)
+				}
+
+				const base = 1 << 20
+				firstErr := first.do(d, base, n)
+				if firstErr == nil {
+					t.Fatalf("%s on a store with closed WALs returned nil", first.name)
+				}
+				if got := d.Err(); got != firstErr {
+					t.Fatalf("Err() = %v, want the first error %v", got, firstErr)
+				}
+				// Latched: every entry point, from now on, returns that error.
+				for _, w := range writes {
+					if err := w.do(d, base+core.Key(n), n); err != firstErr {
+						t.Errorf("%s after the store failed = %v, want the latched %v", w.name, err, firstErr)
+					}
+				}
+				// Nothing from any failed write is visible; the preload is
+				// intact and still served from memory.
+				if got := d.Len(); got != preload {
+					t.Errorf("Len() = %d after failed writes, want the preload's %d", got, preload)
+				}
+				for k := core.Key(base); k < base+core.Key(2*n); k++ {
+					if _, ok := d.Get(k); ok {
+						t.Fatalf("Get(%d) sees a record of a failed write", k)
+					}
+				}
+				if v, ok := d.Get(0); !ok || v != 7 {
+					t.Errorf("Get(0) = (%d, %v), want the preloaded (7, true)", v, ok)
+				}
+			})
+		}
+	}
+}
+
 // TestDurableBatchRegimes drives InsertBatch and DeleteBatch through both
 // execution regimes — inline on the caller (small batches, or one
 // segment) and one goroutine per touched segment (>= batchParallelMin
@@ -478,7 +571,9 @@ func TestDurableBatchRegimes(t *testing.T) {
 						recs[i] = core.KV{Key: core.Key((i*7 + round) % (n/2 + 1)), Value: core.Value(1000*round + i)}
 						want[recs[i].Key] = recs[i].Value
 					}
-					d.InsertBatch(recs)
+					if err := d.InsertBatch(recs, nil); err != nil {
+						t.Fatal(err)
+					}
 
 					keys := make([]core.Key, n/2+1)
 					wantOKs := make([]bool, len(keys))
@@ -487,8 +582,9 @@ func TestDurableBatchRegimes(t *testing.T) {
 						_, wantOKs[i] = want[keys[i]]
 						delete(want, keys[i])
 					}
-					if oks := d.DeleteBatch(keys); !reflect.DeepEqual(oks, wantOKs) {
-						t.Fatalf("round %d: DeleteBatch oks diverge from the sequential loop", round)
+					oks := make([]bool, len(keys))
+					if err := d.DeleteBatch(keys, oks, nil); err != nil || !reflect.DeepEqual(oks, wantOKs) {
+						t.Fatalf("round %d: DeleteBatch oks diverge from the sequential loop (err %v)", round, err)
 					}
 				}
 				check := func(d *Durable, when string) {

@@ -18,7 +18,8 @@
 // The cost model follows the obs.Hook contract: with no Tracer attached,
 // or with sampling disabled (rate 0), the serving hot path pays one
 // atomic load and a branch per request group. Spans themselves are pooled
-// and only exist for sampled groups.
+// and only exist for sampled groups; the type is core.Span, declared
+// beside the batch capabilities that thread it through the layers.
 //
 // Stage durations are recorded with atomic adds, so layers that fan work
 // out across goroutines (the sharded router, per-segment WAL group
@@ -29,9 +30,7 @@
 package trace
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,117 +38,6 @@ import (
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
 )
-
-// Stage identifies one timed section of a serving request's path through
-// the engine.
-type Stage uint8
-
-// Span stages, in pipeline order.
-const (
-	// StageDecode is wire-frame parse time (io wait excluded).
-	StageDecode Stage = iota
-	// StageDispatch is the serving layer's group dispatch: run slicing,
-	// batch assembly and reply encoding, covering the store calls.
-	StageDispatch
-	// StageShard is in-memory index work: the shard fan-out or the bare
-	// backend's batch application.
-	StageShard
-	// StageWAL is WAL frame encoding + append write time.
-	StageWAL
-	// StageFsync is group-commit fsync wait time.
-	StageFsync
-	// NumStages bounds the stage set.
-	NumStages
-)
-
-// String returns the stable snake_case metric-family stem of the stage.
-func (s Stage) String() string {
-	switch s {
-	case StageDecode:
-		return "decode"
-	case StageDispatch:
-		return "dispatch"
-	case StageShard:
-		return "shard"
-	case StageWAL:
-		return "wal"
-	case StageFsync:
-		return "fsync"
-	default:
-		return fmt.Sprintf("stage_%d", uint8(s))
-	}
-}
-
-// Span is the timeline of one sampled request group. Stage durations are
-// accumulated with atomic adds so parallel fan-out goroutines can record
-// into one span. The zero value is usable; spans handed out by
-// Tracer.Start are pooled and must be returned through Tracer.Finish.
-// All methods are safe on a nil receiver (no-ops / zero values), which
-// keeps call sites on the unsampled path branch-free.
-type Span struct {
-	start  time.Time
-	ops    int
-	stages [NumStages]atomic.Int64
-}
-
-// Add accumulates d into stage st. Safe for concurrent use and on a nil
-// receiver.
-func (sp *Span) Add(st Stage, d time.Duration) {
-	if sp == nil || st >= NumStages || d <= 0 {
-		return
-	}
-	sp.stages[st].Add(int64(d))
-}
-
-// Stage returns the accumulated duration of st (0 on a nil span).
-func (sp *Span) Stage(st Stage) time.Duration {
-	if sp == nil || st >= NumStages {
-		return 0
-	}
-	return time.Duration(sp.stages[st].Load())
-}
-
-// Ops returns the number of requests in the traced group.
-func (sp *Span) Ops() int {
-	if sp == nil {
-		return 0
-	}
-	return sp.ops
-}
-
-// Total returns the group's end-to-end duration: wall time since the span
-// started plus the decode stage, which the wire layer accumulates before
-// the span exists (frames are parsed while the group is drained).
-func (sp *Span) Total() time.Duration {
-	if sp == nil {
-		return 0
-	}
-	return time.Since(sp.start) + sp.Stage(StageDecode)
-}
-
-// Timeline renders the span as one line, stages in pipeline order with
-// zero stages elided: "ops=3 decode=1.2µs dispatch=80µs shard=75µs".
-func (sp *Span) Timeline() string {
-	if sp == nil {
-		return ""
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "ops=%d", sp.ops)
-	for st := Stage(0); st < NumStages; st++ {
-		if d := sp.Stage(st); d > 0 {
-			fmt.Fprintf(&b, " %s=%s", st, d)
-		}
-	}
-	return b.String()
-}
-
-func (sp *Span) reset(ops int) {
-	sp.start = time.Now()
-	sp.ops = ops
-	for i := range sp.stages {
-		sp.stages[i].Store(0)
-	}
-}
 
 // Config tunes a Tracer.
 type Config struct {
@@ -199,7 +87,7 @@ func New(cfg Config) *Tracer {
 		panic("trace: Config.SampleRate > 0 requires Config.Metrics")
 	}
 	t := &Tracer{met: cfg.Metrics}
-	t.pool.New = func() interface{} { return new(Span) }
+	t.pool.New = func() interface{} { return new(core.Span) }
 	if cfg.TopK > 0 {
 		t.topk = NewTopK(cfg.TopK)
 	}
@@ -261,7 +149,7 @@ func splitmix64(x uint64) uint64 {
 // requests: it returns a pooled, reset span when the group is sampled and
 // nil otherwise (also on a nil tracer or rate 0). A non-nil span must be
 // handed back through Finish.
-func (t *Tracer) Start(ops int) *Span {
+func (t *Tracer) Start(ops int) *core.Span {
 	if t == nil {
 		return nil
 	}
@@ -272,8 +160,8 @@ func (t *Tracer) Start(ops int) *Span {
 	if splitmix64(t.rng.Add(1)) > th {
 		return nil
 	}
-	sp := t.pool.Get().(*Span)
-	sp.reset(ops)
+	sp := t.pool.Get().(*core.Span)
+	sp.Reset(ops)
 	return sp
 }
 
@@ -281,22 +169,22 @@ func (t *Tracer) Start(ops int) *Span {
 // histograms, the slow threshold is checked (publishing EvSlowRequest
 // with the span's timeline when crossed), and the span returns to the
 // pool. Nil tracer or span is a no-op.
-func (t *Tracer) Finish(sp *Span) {
+func (t *Tracer) Finish(sp *core.Span) {
 	if t == nil || sp == nil {
 		return
 	}
 	total := sp.Total()
 	t.sampled.Inc()
 	if m := t.met; m != nil {
-		observeStage := func(h *obs.Histogram, st Stage) {
+		observeStage := func(h *obs.Histogram, st core.Stage) {
 			if d := sp.Stage(st); d > 0 {
 				h.Observe(uint64(d))
 			}
 		}
-		observeStage(&m.DecodeNS, StageDecode)
-		observeStage(&m.DispatchNS, StageDispatch)
-		observeStage(&m.ShardNS, StageShard)
-		observeStage(&m.WalNS, StageWAL)
+		observeStage(&m.DecodeNS, core.StageDecode)
+		observeStage(&m.DispatchNS, core.StageDispatch)
+		observeStage(&m.ShardNS, core.StageShard)
+		observeStage(&m.WalNS, core.StageWAL)
 		// StageFsync deliberately does not feed m.FsyncNS: the store
 		// records every group commit there already; a span's fsync time
 		// is per-request attribution, visible in the timeline.
@@ -354,70 +242,4 @@ func (t *Tracer) TopKeys(n int) []KeyCount {
 		return nil
 	}
 	return t.topk.Top(n)
-}
-
-// ---------------------------------------------------------------------------
-// Span-aware batch dispatch
-// ---------------------------------------------------------------------------
-
-// SpanLookuper is the span-aware batched-read capability: engine layers
-// that can attribute their internal stage timings (shard fan-out, WAL,
-// fsync) implement it alongside core.BatchLookuper.
-type SpanLookuper interface {
-	LookupBatchSpan(keys []core.Key, sp *Span) ([]core.Value, []bool)
-}
-
-// SpanInserter is the span-aware batched-write capability.
-type SpanInserter interface {
-	InsertBatchSpan(recs []core.KV, sp *Span)
-}
-
-// SpanDeleter is the span-aware batched-delete capability.
-type SpanDeleter interface {
-	DeleteBatchSpan(keys []core.Key, sp *Span) []bool
-}
-
-// LookupBatch resolves keys through ix, routing the span to the layer's
-// span-aware path when it has one; otherwise the whole call is timed as
-// the shard stage. With a nil span it is exactly core.LookupBatch.
-func LookupBatch(ix core.Getter, keys []core.Key, sp *Span) ([]core.Value, []bool) {
-	if sp == nil {
-		return core.LookupBatch(ix, keys)
-	}
-	if sl, ok := ix.(SpanLookuper); ok {
-		return sl.LookupBatchSpan(keys, sp)
-	}
-	t0 := time.Now()
-	vals, oks := core.LookupBatch(ix, keys)
-	sp.Add(StageShard, time.Since(t0))
-	return vals, oks
-}
-
-// InsertBatch applies recs through ix with span routing; see LookupBatch.
-func InsertBatch(ix core.Inserter, recs []core.KV, sp *Span) {
-	if sp == nil {
-		core.InsertBatch(ix, recs)
-		return
-	}
-	if si, ok := ix.(SpanInserter); ok {
-		si.InsertBatchSpan(recs, sp)
-		return
-	}
-	t0 := time.Now()
-	core.InsertBatch(ix, recs)
-	sp.Add(StageShard, time.Since(t0))
-}
-
-// DeleteBatch removes keys through ix with span routing; see LookupBatch.
-func DeleteBatch(ix core.Deleter, keys []core.Key, sp *Span) []bool {
-	if sp == nil {
-		return core.DeleteBatch(ix, keys)
-	}
-	if sd, ok := ix.(SpanDeleter); ok {
-		return sd.DeleteBatchSpan(keys, sp)
-	}
-	t0 := time.Now()
-	oks := core.DeleteBatch(ix, keys)
-	sp.Add(StageShard, time.Since(t0))
-	return oks
 }

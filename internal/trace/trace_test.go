@@ -26,12 +26,6 @@ func TestNilSafety(t *testing.T) {
 	if tr.TopKeys(4) != nil || tr.Sampled() != 0 || tr.Slow() != 0 {
 		t.Fatal("nil tracer returned non-zero state")
 	}
-
-	var sp *Span
-	sp.Add(StageWAL, time.Second)
-	if sp.Stage(StageWAL) != 0 || sp.Total() != 0 || sp.Ops() != 0 || sp.Timeline() != "" {
-		t.Fatal("nil span returned non-zero state")
-	}
 }
 
 func TestSamplingRates(t *testing.T) {
@@ -92,14 +86,14 @@ func TestSpanStagesAndHistograms(t *testing.T) {
 	if sp.Ops() != 5 {
 		t.Fatalf("Ops() = %d, want 5", sp.Ops())
 	}
-	sp.Add(StageDecode, 100)
-	sp.Add(StageDispatch, 2000)
-	sp.Add(StageShard, 1500)
-	sp.Add(StageWAL, 300)
-	sp.Add(StageWAL, 200) // accumulates
-	sp.Add(StageFsync, 50)
-	sp.Add(StageShard, -5) // non-positive ignored
-	if got := sp.Stage(StageWAL); got != 500 {
+	sp.Add(core.StageDecode, 100)
+	sp.Add(core.StageDispatch, 2000)
+	sp.Add(core.StageShard, 1500)
+	sp.Add(core.StageWAL, 300)
+	sp.Add(core.StageWAL, 200) // accumulates
+	sp.Add(core.StageFsync, 50)
+	sp.Add(core.StageShard, -5) // non-positive ignored
+	if got := sp.Stage(core.StageWAL); got != 500 {
 		t.Fatalf("Stage(WAL) = %d, want 500", got)
 	}
 	tl := sp.Timeline()
@@ -130,7 +124,7 @@ func TestSpanStagesAndHistograms(t *testing.T) {
 
 	// Pool reuse must hand back a clean span.
 	sp2 := tr.Start(1)
-	if sp2.Stage(StageWAL) != 0 || sp2.Stage(StageDecode) != 0 {
+	if sp2.Stage(core.StageWAL) != 0 || sp2.Stage(core.StageDecode) != 0 {
 		t.Fatal("pooled span not reset")
 	}
 	tr.Finish(sp2)
@@ -141,8 +135,8 @@ func TestSlowRequestEvent(t *testing.T) {
 	tr := New(Config{SampleRate: 1, SlowThreshold: time.Microsecond, Metrics: m})
 
 	sp := tr.Start(2)
-	sp.Add(StageShard, 3*time.Millisecond) // stage time alone doesn't make it slow...
-	time.Sleep(2 * time.Millisecond)       // ...wall time does
+	sp.Add(core.StageShard, 3*time.Millisecond) // stage time alone doesn't make it slow...
+	time.Sleep(2 * time.Millisecond)            // ...wall time does
 	tr.Finish(sp)
 
 	if got := m.Events.Count(obs.EvSlowRequest); got != 1 {
@@ -176,7 +170,7 @@ func TestSlowRequestEvent(t *testing.T) {
 	// Threshold 0 disables the slow log even for glacial requests.
 	off := New(Config{SampleRate: 1, Metrics: m})
 	sp = off.Start(1)
-	sp.Add(StageShard, time.Hour)
+	sp.Add(core.StageShard, time.Hour)
 	off.Finish(sp)
 	if got := m.Events.Count(obs.EvSlowRequest); got != 1 {
 		t.Fatalf("threshold 0 published a slow event (count %d)", got)
@@ -193,16 +187,16 @@ func TestConcurrentSpanAdds(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				sp.Add(StageWAL, 1)
-				sp.Add(StageFsync, 2)
+				sp.Add(core.StageWAL, 1)
+				sp.Add(core.StageFsync, 2)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := sp.Stage(StageWAL); got != 8000 {
+	if got := sp.Stage(core.StageWAL); got != 8000 {
 		t.Fatalf("concurrent WAL stage = %d, want 8000", got)
 	}
-	if got := sp.Stage(StageFsync); got != 16000 {
+	if got := sp.Stage(core.StageFsync); got != 16000 {
 		t.Fatalf("concurrent fsync stage = %d, want 16000", got)
 	}
 	tr.Finish(sp)
@@ -215,106 +209,6 @@ func TestNewPanicsWithoutMetrics(t *testing.T) {
 		}
 	}()
 	New(Config{SampleRate: 0.5})
-}
-
-// fakeIndex implements core.Getter/Inserter/Deleter without any span or
-// batch capability, to exercise the helper fallback timing.
-type fakeIndex struct {
-	m map[core.Key]core.Value
-}
-
-func (f *fakeIndex) Get(k core.Key) (core.Value, bool) { v, ok := f.m[k]; return v, ok }
-func (f *fakeIndex) Insert(k core.Key, v core.Value)   { f.m[k] = v }
-func (f *fakeIndex) Delete(k core.Key) bool {
-	_, ok := f.m[k]
-	delete(f.m, k)
-	return ok
-}
-
-// spanIndex additionally implements the Span* capabilities and records
-// which path was taken.
-type spanIndex struct {
-	fakeIndex
-	spanCalls int
-}
-
-func (s *spanIndex) LookupBatchSpan(keys []core.Key, sp *Span) ([]core.Value, []bool) {
-	s.spanCalls++
-	sp.Add(StageShard, 7)
-	return core.LookupBatch(&s.fakeIndex, keys)
-}
-
-func (s *spanIndex) InsertBatchSpan(recs []core.KV, sp *Span) {
-	s.spanCalls++
-	sp.Add(StageWAL, 9)
-	core.InsertBatch(&s.fakeIndex, recs)
-}
-
-func (s *spanIndex) DeleteBatchSpan(keys []core.Key, sp *Span) []bool {
-	s.spanCalls++
-	sp.Add(StageWAL, 11)
-	return core.DeleteBatch(&s.fakeIndex, keys)
-}
-
-func TestSpanBatchHelpers(t *testing.T) {
-	m := obs.NewMetrics("h")
-	tr := New(Config{SampleRate: 1, Metrics: m})
-
-	// Nil span: plain core dispatch, no timing.
-	plain := &fakeIndex{m: map[core.Key]core.Value{1: 10}}
-	vals, oks := LookupBatch(plain, []core.Key{1, 2}, nil)
-	if len(vals) != 2 || !oks[0] || oks[1] || vals[0] != 10 {
-		t.Fatalf("nil-span LookupBatch = %v %v", vals, oks)
-	}
-	InsertBatch(plain, []core.KV{{Key: 3, Value: 30}}, nil)
-	if v, ok := plain.Get(3); !ok || v != 30 {
-		t.Fatal("nil-span InsertBatch lost the record")
-	}
-	if oks := DeleteBatch(plain, []core.Key{3}, nil); !oks[0] {
-		t.Fatal("nil-span DeleteBatch missed")
-	}
-
-	// Plain index + live span: whole call timed as the shard stage.
-	sp := tr.Start(1)
-	LookupBatch(plain, []core.Key{1}, sp)
-	InsertBatch(plain, []core.KV{{Key: 4, Value: 40}}, sp)
-	DeleteBatch(plain, []core.Key{4}, sp)
-	if sp.Stage(StageShard) <= 0 {
-		t.Fatal("fallback path recorded no shard time")
-	}
-	if sp.Stage(StageWAL) != 0 {
-		t.Fatal("fallback path invented WAL time")
-	}
-	tr.Finish(sp)
-
-	// Span-capable index: helper must route to the span path.
-	si := &spanIndex{fakeIndex: fakeIndex{m: map[core.Key]core.Value{1: 10}}}
-	sp = tr.Start(3)
-	LookupBatch(si, []core.Key{1}, sp)
-	InsertBatch(si, []core.KV{{Key: 2, Value: 20}}, sp)
-	DeleteBatch(si, []core.Key{2}, sp)
-	if si.spanCalls != 3 {
-		t.Fatalf("span-capable index got %d span calls, want 3", si.spanCalls)
-	}
-	if got := sp.Stage(StageWAL); got != 20 {
-		t.Fatalf("span WAL stage = %d, want 20 (9+11)", got)
-	}
-	if got := sp.Stage(StageShard); got != 7 {
-		t.Fatalf("span shard stage = %d, want 7", got)
-	}
-	tr.Finish(sp)
-}
-
-func TestStageStrings(t *testing.T) {
-	want := []string{"decode", "dispatch", "shard", "wal", "fsync"}
-	for st := Stage(0); st < NumStages; st++ {
-		if st.String() != want[st] {
-			t.Errorf("Stage(%d).String() = %q, want %q", st, st, want[st])
-		}
-	}
-	if s := Stage(99).String(); !strings.Contains(s, "99") {
-		t.Errorf("unknown stage renders %q", s)
-	}
 }
 
 func TestTracerHotKeys(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
-	"github.com/lix-go/lix/internal/trace"
 )
 
 // Observability types, re-exported from internal/obs for the public API.
@@ -145,60 +144,31 @@ func (o *ObservedIndex) SearchRange(lo, hi Key) []KV {
 	return out
 }
 
-// LookupBatch resolves keys through the wrapped index's batched path when
-// it has one, recording whole-batch latency and cardinality alongside the
-// per-record lookup counters.
-func (o *ObservedIndex) LookupBatch(keys []Key) ([]Value, []bool) {
-	start := time.Now()
-	vals, oks := core.LookupBatch(o.idx, keys)
+// batchDone records one batched call that began at start: whole-batch
+// latency and cardinality, plus n on the per-record op counter. The
+// bundle's counters and histograms are preallocated, so this allocates
+// nothing.
+func (o *ObservedIndex) batchDone(start time.Time, n int, ops *obs.Counter) {
 	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(keys)))
+	o.m.BatchLen.Observe(uint64(n))
 	o.m.Batches.Inc()
-	o.m.Lookups.Add(uint64(len(keys)))
-	for _, ok := range oks {
-		if ok {
-			o.m.Hits.Inc()
-		}
-	}
-	return vals, oks
+	ops.Add(uint64(n))
 }
 
-// LookupBatchInto is the allocation-free batched read path: answers land
-// in the caller's vals and oks slices through the wrapped index's
-// zero-alloc capability when it has one. The same batch metrics are
-// recorded as LookupBatch — the metrics bundle's counters and histograms
-// are preallocated, so the whole call stays allocation-free.
-func (o *ObservedIndex) LookupBatchInto(keys []Key, vals []Value, oks []bool) {
+// LookupBatch resolves keys into the caller's vals and oks slices through
+// the wrapped index's batched path when it has one, recording whole-batch
+// latency and cardinality alongside the per-record lookup and hit
+// counters. The span is forwarded, so a Durable or Sharded below this
+// wrapper attributes its own stages.
+func (o *ObservedIndex) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
 	start := time.Now()
-	core.LookupBatchInto(o.idx, keys, vals, oks)
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(keys)))
-	o.m.Batches.Inc()
-	o.m.Lookups.Add(uint64(len(keys)))
+	core.LookupBatch(o.idx, keys, vals, oks, sp)
+	o.batchDone(start, len(keys), &o.m.Lookups)
 	for _, ok := range oks {
 		if ok {
 			o.m.Hits.Inc()
 		}
 	}
-}
-
-// LookupBatchSpan is LookupBatch with span forwarding: the same batch
-// metrics are recorded, then the batch routes to the wrapped index's
-// span-aware path (when it has one) so a Durable below this wrapper can
-// attribute its wal/fsync stages.
-func (o *ObservedIndex) LookupBatchSpan(keys []Key, sp *Span) ([]Value, []bool) {
-	start := time.Now()
-	vals, oks := trace.LookupBatch(o.idx, keys, sp)
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(keys)))
-	o.m.Batches.Inc()
-	o.m.Lookups.Add(uint64(len(keys)))
-	for _, ok := range oks {
-		if ok {
-			o.m.Hits.Inc()
-		}
-	}
-	return vals, oks
 }
 
 // Close forwards the io.Closer capability, so a wrapped Durable can be
@@ -254,49 +224,24 @@ func (o *ObservedMutableIndex) Delete(k Key) bool {
 }
 
 // InsertBatch upserts recs through the wrapped index's batched path when
-// it has one, recording whole-batch latency and cardinality.
-func (o *ObservedMutableIndex) InsertBatch(recs []KV) {
+// it has one, forwarding the span and the store's error, and recording
+// whole-batch latency and cardinality (a failed batch still counts as
+// attempted).
+func (o *ObservedMutableIndex) InsertBatch(recs []KV, sp *Span) error {
 	start := time.Now()
-	core.InsertBatch(o.mut, recs)
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(recs)))
-	o.m.Batches.Inc()
-	o.m.Inserts.Add(uint64(len(recs)))
+	err := core.InsertBatch(o.mut, recs, sp)
+	o.batchDone(start, len(recs), &o.m.Inserts)
+	return err
 }
 
 // DeleteBatch removes keys through the wrapped index's batched path when
-// it has one, recording whole-batch latency and cardinality.
-func (o *ObservedMutableIndex) DeleteBatch(keys []Key) []bool {
+// it has one, writing per-key presence into the caller's oks; span, error
+// and metrics as InsertBatch.
+func (o *ObservedMutableIndex) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
 	start := time.Now()
-	oks := core.DeleteBatch(o.mut, keys)
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(keys)))
-	o.m.Batches.Inc()
-	o.m.Deletes.Add(uint64(len(keys)))
-	return oks
-}
-
-// InsertBatchSpan is InsertBatch with span forwarding; see
-// ObservedIndex.LookupBatchSpan.
-func (o *ObservedMutableIndex) InsertBatchSpan(recs []KV, sp *Span) {
-	start := time.Now()
-	trace.InsertBatch(o.mut, recs, sp)
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(recs)))
-	o.m.Batches.Inc()
-	o.m.Inserts.Add(uint64(len(recs)))
-}
-
-// DeleteBatchSpan is DeleteBatch with span forwarding; see
-// ObservedIndex.LookupBatchSpan.
-func (o *ObservedMutableIndex) DeleteBatchSpan(keys []Key, sp *Span) []bool {
-	start := time.Now()
-	oks := trace.DeleteBatch(o.mut, keys, sp)
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(len(keys)))
-	o.m.Batches.Inc()
-	o.m.Deletes.Add(uint64(len(keys)))
-	return oks
+	err := core.DeleteBatch(o.mut, keys, oks, sp)
+	o.batchDone(start, len(keys), &o.m.Deletes)
+	return err
 }
 
 // WriteMetricsPrometheus renders the given bundles in Prometheus text

@@ -45,7 +45,7 @@ type AdminConfig = serve.AdminConfig
 //	h := lix.NewAdminHandler(lix.AdminConfig{
 //		Metrics: []*lix.Metrics{m},
 //		Tracer:  stack.Tracer(),
-//		Ready:   func() bool { return !srv.Draining() },
+//		Ready:   func() bool { return !srv.Draining() && stack.Err() == nil },
 //	})
 //	go http.ListenAndServe(adminAddr, h)
 func NewAdminHandler(cfg AdminConfig) http.Handler {

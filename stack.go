@@ -7,7 +7,6 @@ import (
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/registry"
-	"github.com/lix-go/lix/internal/trace"
 )
 
 // StackConfig configures NewStack, the one-call engine constructor. Zero
@@ -188,46 +187,45 @@ func (s *Stack) Insert(k Key, v Value) { s.top.Insert(k, v) }
 func (s *Stack) Delete(k Key) bool { return s.top.Delete(k) }
 
 // LookupBatch resolves keys in one pass through the layers' batch
-// capabilities. vals[i], oks[i] answer keys[i].
-func (s *Stack) LookupBatch(keys []Key) ([]Value, []bool) {
-	return core.LookupBatch(s.top, keys)
-}
-
-// LookupBatchInto is LookupBatch writing into caller-supplied vals and
-// oks slices (len(keys) each): with a sharded layer below, the whole
-// read path is allocation-free, so a serving loop can reuse its buffers
-// across batches indefinitely.
-func (s *Stack) LookupBatchInto(keys []Key, vals []Value, oks []bool) {
-	core.LookupBatchInto(s.top, keys, vals, oks)
+// capabilities into the caller-supplied vals and oks slices (len(keys)
+// each; vals[i], oks[i] answer keys[i]). With a sharded layer below, the
+// whole read path is allocation-free, so a serving loop can reuse its
+// buffers across batches indefinitely. sp is the request's span, nil
+// when it is not sampled: each layer that can break its time out
+// (durable: wal/fsync/apply; sharded: fan-out) attributes its stages
+// into it.
+func (s *Stack) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
+	core.LookupBatch(s.top, keys, vals, oks, sp)
 }
 
 // InsertBatch upserts recs in one pass: one WAL frame group and one group
 // commit per touched segment when the stack is durable, one lock
 // acquisition per touched shard when it is sharded. Duplicate keys inside
-// one batch resolve later-wins.
-func (s *Stack) InsertBatch(recs []KV) { core.InsertBatch(s.top, recs) }
-
-// DeleteBatch removes keys in one pass (same batching as InsertBatch).
-// oks[i] reports whether keys[i] was present, with sequential semantics
-// on duplicates.
-func (s *Stack) DeleteBatch(keys []Key) []bool { return core.DeleteBatch(s.top, keys) }
-
-// LookupBatchSpan is LookupBatch with per-stage span attribution,
-// forwarded down through whichever layers can break their time out
-// (durable: wal/fsync/apply; sharded: fan-out). Serving front-ends call
-// it for sampled request groups; a nil span is exactly LookupBatch.
-func (s *Stack) LookupBatchSpan(keys []Key, sp *Span) ([]Value, []bool) {
-	return trace.LookupBatch(s.top, keys, sp)
+// one batch resolve later-wins. The error is the durable layer's — the
+// first I/O error of the call, or the latched Err of a store that has
+// already failed — and always nil for an in-memory stack. sp as in
+// LookupBatch.
+func (s *Stack) InsertBatch(recs []KV, sp *Span) error {
+	return core.InsertBatch(s.top, recs, sp)
 }
 
-// InsertBatchSpan is InsertBatch with per-stage span attribution; see
-// LookupBatchSpan.
-func (s *Stack) InsertBatchSpan(recs []KV, sp *Span) { trace.InsertBatch(s.top, recs, sp) }
+// DeleteBatch removes keys in one pass (same batching, error and span as
+// InsertBatch). The caller-supplied oks (len(keys)) is overwritten:
+// oks[i] reports whether keys[i] was present, with sequential semantics
+// on duplicates.
+func (s *Stack) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
+	return core.DeleteBatch(s.top, keys, oks, sp)
+}
 
-// DeleteBatchSpan is DeleteBatch with per-stage span attribution; see
-// LookupBatchSpan.
-func (s *Stack) DeleteBatchSpan(keys []Key, sp *Span) []bool {
-	return trace.DeleteBatch(s.top, keys, sp)
+// Err returns the durable layer's latched I/O error — non-nil once a
+// write has failed, after which the stack refuses mutations and serves
+// reads from memory — and nil for an in-memory stack. Readiness probes
+// key off it.
+func (s *Stack) Err() error {
+	if s.durable == nil {
+		return nil
+	}
+	return s.durable.Err()
 }
 
 // SearchRange collects every record with lo <= key <= hi in ascending key

@@ -2,6 +2,7 @@ package lix
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -28,12 +29,18 @@ func TestStackPlain(t *testing.T) {
 	if v, ok := s.Get(30); !ok || v != 10 {
 		t.Fatalf("Get(30) = (%d, %v), want (10, true)", v, ok)
 	}
-	s.InsertBatch([]KV{{Key: 1, Value: 100}, {Key: 1, Value: 101}})
+	if err := s.InsertBatch([]KV{{Key: 1, Value: 100}, {Key: 1, Value: 101}}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if v, ok := s.Get(1); !ok || v != 101 {
 		t.Fatalf("later-wins InsertBatch: Get(1) = (%d, %v), want (101, true)", v, ok)
 	}
-	if oks := s.DeleteBatch([]Key{1, 1}); !reflect.DeepEqual(oks, []bool{true, false}) {
-		t.Fatalf("DeleteBatch dups = %v, want [true false]", oks)
+	oks := []bool{false, true}
+	if err := s.DeleteBatch([]Key{1, 1}, oks, nil); err != nil || !reflect.DeepEqual(oks, []bool{true, false}) {
+		t.Fatalf("DeleteBatch dups = %v, %v, want [true false]", oks, err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err() of an in-memory stack = %v", err)
 	}
 	if out := s.SearchRange(10, 5); out == nil || len(out) != 0 {
 		t.Fatalf("inverted SearchRange = %v, want non-nil empty", out)
@@ -57,7 +64,8 @@ func TestStackShardedAndObserved(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(i * 3)
 	}
-	vals, oks := s.LookupBatch(keys)
+	vals, oks := make([]Value, len(keys)), make([]bool, len(keys))
+	s.LookupBatch(keys, vals, oks, nil)
 	for i := range keys {
 		if !oks[i] || vals[i] != Value(i) {
 			t.Fatalf("LookupBatch[%d] = (%d, %v), want (%d, true)", i, vals[i], oks[i], i)
@@ -96,9 +104,15 @@ func TestStackDurableRoundTrip(t *testing.T) {
 	if s.Durable() == nil || s.Sharded() == nil {
 		t.Fatal("durable sharded stack missing a layer accessor")
 	}
-	s.InsertBatch([]KV{{Key: 7, Value: 70}, {Key: 11, Value: 110}})
-	if oks := s.DeleteBatch([]Key{7}); !oks[0] {
-		t.Fatal("DeleteBatch(7) = false, want true")
+	if err := s.InsertBatch([]KV{{Key: 7, Value: 70}, {Key: 11, Value: 110}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	oks := make([]bool, 1)
+	if err := s.DeleteBatch([]Key{7}, oks, nil); err != nil || !oks[0] {
+		t.Fatalf("DeleteBatch(7) = %v, %v, want true", oks[0], err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err() of a healthy durable stack = %v", err)
 	}
 	// Close through the obs wrapper's io.Closer forwarding — no unwrapping.
 	if err := s.Close(); err != nil {
@@ -155,5 +169,67 @@ func TestSearchRangeThroughWrappers(t *testing.T) {
 	}
 	if len(direct) == 0 {
 		t.Fatal("empty fan-out result")
+	}
+}
+
+// TestStackBatchSpansConcurrent drives the three batch methods through
+// the full forwarding chain (Stack → obs → durable → sharded) from
+// several goroutines at once, all recording into one shared live span —
+// the shape of a parallel fan-out — so the race tier covers the span
+// crossing every layer concurrently. Each goroutine owns a key range and
+// its result buffers, so answers are exact.
+func TestStackBatchSpansConcurrent(t *testing.T) {
+	s, err := NewStack(nil, StackConfig{
+		Dir: t.TempDir(), Shards: 4, Fsync: FsyncNever, CheckpointEvery: -1, Metrics: NewMetrics("spans"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var sp Span
+	sp.Reset(1)
+	const workers, per, rounds = 4, 64, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			recs, keys := make([]KV, per), make([]Key, per)
+			vals, oks := make([]Value, per), make([]bool, per)
+			for i := range recs {
+				keys[i] = Key(w*per + i)
+				recs[i] = KV{Key: keys[i], Value: Value(w)}
+			}
+			for r := 0; r < rounds; r++ {
+				if err := s.InsertBatch(recs, &sp); err != nil {
+					t.Errorf("worker %d: InsertBatch: %v", w, err)
+					return
+				}
+				s.LookupBatch(keys, vals, oks, &sp)
+				for i := range keys {
+					if !oks[i] || vals[i] != Value(w) {
+						t.Errorf("worker %d: LookupBatch[%d] = (%d, %v), want (%d, true)", w, i, vals[i], oks[i], w)
+						return
+					}
+				}
+				if err := s.DeleteBatch(keys, oks, &sp); err != nil {
+					t.Errorf("worker %d: DeleteBatch: %v", w, err)
+					return
+				}
+				for i, ok := range oks {
+					if !ok {
+						t.Errorf("worker %d: DeleteBatch[%d] = false, want true", w, i)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s.Len() != 0 {
+		t.Errorf("Len = %d after every batch was deleted, want 0", s.Len())
+	}
+	if sp.Stage(StageShard) <= 0 || sp.Stage(StageWAL) <= 0 {
+		t.Errorf("shared span: shard=%v wal=%v, want both > 0", sp.Stage(StageShard), sp.Stage(StageWAL))
 	}
 }

@@ -3,20 +3,22 @@ package lix
 import (
 	"time"
 
+	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/trace"
 )
 
-// Request tracing, re-exported from internal/trace for the public API.
+// Request tracing, re-exported from internal/trace (and the span type
+// from internal/core) for the public API.
 type (
 	// Tracer samples serving request groups into per-stage spans, feeds
 	// the slow-request event log, and (optionally) maintains the hot-key
 	// sketch. All methods are nil-safe: a nil *Tracer is "tracing off".
 	Tracer = trace.Tracer
 	// Span is the per-stage timeline of one sampled request group.
-	Span = trace.Span
+	Span = core.Span
 	// TraceStage identifies one timed section of a request's path
 	// (decode, dispatch, shard, wal, fsync).
-	TraceStage = trace.Stage
+	TraceStage = core.Stage
 	// TraceConfig tunes NewTracer.
 	TraceConfig = trace.Config
 	// KeyCount is one hot-key estimate from the SpaceSaving sketch:
@@ -26,11 +28,11 @@ type (
 
 // Span stages, in pipeline order.
 const (
-	StageDecode   = trace.StageDecode
-	StageDispatch = trace.StageDispatch
-	StageShard    = trace.StageShard
-	StageWAL      = trace.StageWAL
-	StageFsync    = trace.StageFsync
+	StageDecode   = core.StageDecode
+	StageDispatch = core.StageDispatch
+	StageShard    = core.StageShard
+	StageWAL      = core.StageWAL
+	StageFsync    = core.StageFsync
 )
 
 // NewTracer returns a Tracer for cfg; see TraceConfig for the sampling,
