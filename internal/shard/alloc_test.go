@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
@@ -12,22 +13,35 @@ import (
 // exact budgets so any future "small" allocation on these paths fails a
 // test instead of surfacing as a throughput regression months later.
 //
-// Batch sizes stay below batchParallelMin so the measurements exercise
-// the sequential paths deterministically (the parallel fan-out spawns
-// goroutines by design and is exercised by the scaling tier instead).
+// Both batch regimes are pinned at the same sizes: the fan-out regime's
+// counting sort, join and goroutine bodies all live in the pooled
+// batchScratch, so starting the per-shard goroutines allocates nothing
+// either.
 
-func allocStack(t *testing.T, mode LockMode, metrics bool) *Sharded {
+func allocStack(t *testing.T, mode LockMode) *Sharded {
 	t.Helper()
-	cfg := Config{Shards: 8, Mode: mode, DeltaCap: 1 << 20}
-	if metrics {
-		cfg.MetricsPrefix = "alloc"
-	}
-	s, err := New(sortedRecs(4096, 7), cfg, testBuilders())
+	s, err := New(sortedRecs(4096, 7), Config{Shards: 8, Mode: mode, DeltaCap: 1 << 20}, testBuilders())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// needTwoProcs raises GOMAXPROCS to 2 for the test on a single-P run: the
+// fan-out regime is only selected with a second P.
+func needTwoProcs(t *testing.T) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(1) })
+	}
+}
+
+// forceFanOut puts every batch of s, whatever its size, through the
+// fan-out regime: the size threshold is the same-package seam.
+func forceFanOut(t *testing.T, s *Sharded) {
+	s.fanoutMin = 1
+	needTwoProcs(t)
 }
 
 func batchKeys(s *Sharded, n int) []core.Key {
@@ -41,21 +55,25 @@ func batchKeys(s *Sharded, n int) []core.Key {
 	return keys
 }
 
-// forBatchRegimes runs fn for both lock modes on both batch regimes: the
-// small-batch coalesced path and (with per-shard metrics attached, which
-// force it) the grouped counting-sort path with its pooled scratch.
-func forBatchRegimes(t *testing.T, fn func(t *testing.T, s *Sharded)) {
+// forBatchRegimes runs fn for the given lock modes (default both) on both
+// batch regimes: runs cut from stretches of same-shard keys on the
+// calling goroutine, and counting-sort groups fanned out one goroutine
+// per shard.
+func forBatchRegimes(t *testing.T, fn func(t *testing.T, s *Sharded), modes ...LockMode) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
-	for _, mode := range []LockMode{LockRW, LockRCU} {
-		for _, metrics := range []bool{false, true} {
-			path := "coalesced"
-			if metrics {
-				path = "grouped"
-			}
-			t.Run(fmt.Sprintf("%s/%s", mode, path), func(t *testing.T) {
-				fn(t, allocStack(t, mode, metrics))
+	if len(modes) == 0 {
+		modes = []LockMode{LockRW, LockRCU}
+	}
+	for _, mode := range modes {
+		for _, regime := range []string{"stretches", "fanout"} {
+			t.Run(fmt.Sprintf("%s/%s", mode, regime), func(t *testing.T) {
+				s := allocStack(t, mode)
+				if regime == "fanout" {
+					forceFanOut(t, s)
+				}
+				fn(t, s)
 			})
 		}
 	}
@@ -124,15 +142,15 @@ func TestDeleteBatchZeroAlloc(t *testing.T) {
 }
 
 // TestGetZeroAlloc pins 0 allocs/op for single-key reads: the RW path is
-// a lock and a tree walk, the RCU path an epoch pin and a three-layer
-// probe — neither may allocate.
+// a lock and a tree walk, the RCU path a three-layer probe — neither may
+// allocate.
 func TestGetZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
 	for _, mode := range []LockMode{LockRW, LockRCU} {
 		t.Run(mode.String(), func(t *testing.T) {
-			s := allocStack(t, mode, false)
+			s := allocStack(t, mode)
 			keys := batchKeys(s, 256)
 			i := 0
 			if got := testing.AllocsPerRun(500, func() {
@@ -149,35 +167,33 @@ func TestGetZeroAlloc(t *testing.T) {
 }
 
 // TestInsertBatchSteadyStateZeroAlloc pins 0 allocs/op for batched
-// upserts of existing keys in RW mode (value overwrite in place: no tree
-// growth, no delta append, so the batch plumbing itself is what is
-// measured).
+// upserts of existing keys in RW mode, both regimes (value overwrite in
+// place: no tree growth, so the batch plumbing itself is what is
+// measured; an RCU upsert appends to the delta, which allocates by
+// design at every fold).
 func TestInsertBatchSteadyStateZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
-	}
-	s := allocStack(t, LockRW, false)
-	for _, size := range []int{1, 16, 256} {
-		keys := batchKeys(s, size)
-		recs := make([]core.KV, size)
-		for i, k := range keys {
-			recs[i] = core.KV{Key: k, Value: core.Value(i)}
-		}
-		s.InsertBatch(recs, nil)
-		for _, sp := range liveSpans() {
-			if got := testing.AllocsPerRun(200, func() {
-				s.InsertBatch(recs, sp)
-			}); got != 0 {
-				t.Errorf("size %d, span %v: %v allocs/op, want 0", size, sp != nil, got)
+	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
+		for _, size := range []int{1, 16, 256} {
+			keys := batchKeys(s, size)
+			recs := make([]core.KV, size)
+			for i, k := range keys {
+				recs[i] = core.KV{Key: k, Value: core.Value(i)}
+			}
+			s.InsertBatch(recs, nil)
+			for _, sp := range liveSpans() {
+				if got := testing.AllocsPerRun(200, func() {
+					s.InsertBatch(recs, sp)
+				}); got != 0 {
+					t.Errorf("size %d, span %v: %v allocs/op, want 0", size, sp != nil, got)
+				}
 			}
 		}
-	}
+	}, LockRW)
 }
 
 // TestRCUReadZeroAllocDuringMerges pins the RCU read path at 0 allocs
-// even while background merges churn snapshots underneath it: epoch
-// pin/unpin and the three-layer probe stay allocation-free regardless of
-// merge activity.
+// even while background merges churn snapshots underneath it: the
+// three-layer probe stays allocation-free regardless of merge activity.
 func TestRCUReadZeroAllocDuringMerges(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")

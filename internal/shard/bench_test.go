@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"fmt"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -77,6 +79,44 @@ func BenchmarkLookupLooped(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, k := range keys {
 			s.Get(k)
+		}
+	}
+}
+
+// BenchmarkBatchRegimes is the sweep batchParallelMin is set from: one
+// caller's LookupBatch of scattered keys over 100 k and 1 M records in 8
+// shards, at each size through both regimes (the threshold forced high or
+// low). Compare ns/key across the pair at one size; the constant belongs
+// at the smallest size from which fan-out loses on neither dataset.
+func BenchmarkBatchRegimes(b *testing.B) {
+	for _, n := range []int{100_000, 1_000_000} {
+		recs := sortedRecs(n, 1)
+		s, err := New(recs, Config{Shards: 8}, testBuilders())
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Pre-drawn keys, walked in order, so that drawing them is not timed.
+		pool := make([]core.Key, 1<<18)
+		seed := uint64(1)
+		for i := range pool {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			pool[i] = recs[int(seed>>33)%len(recs)].Key
+		}
+		for _, size := range []int{256, 512, 1024, 2048, 4096} {
+			vals, oks := make([]core.Value, size), make([]bool, size)
+			for _, regime := range []struct {
+				name string
+				min  int
+			}{{"stretches", math.MaxInt}, {"fanout", 1}} {
+				b.Run(fmt.Sprintf("n%d/b%d/%s", n, size, regime.name), func(b *testing.B) {
+					s.fanoutMin = regime.min
+					for i := 0; i < b.N; i++ {
+						off := i * size % len(pool)
+						s.LookupBatch(pool[off:off+size], vals, oks, nil)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/key")
+				})
+			}
 		}
 	}
 }

@@ -1,7 +1,10 @@
 package shard
 
 import (
+	"math"
 	"sort"
+	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"github.com/lix-go/lix/internal/core"
@@ -40,10 +43,99 @@ import (
 // stale upper layer with a new lower layer only re-observes records the
 // fold/merge already applied, which the precedence rule absorbs.
 //
-// Readers never lock: they pin the parent's epoch domain, read, unpin.
-// Superseded buffers are retired through the epoch domain and recycled
-// into the parent's pools only after all pinned readers advance
-// (epoch.go).
+// Readers never lock and hold nothing: they load the pointers and read.
+// What keeps a superseded layer valid under a reader that still holds it
+// is the garbage collector: a published snapshot array, sorted run or
+// tail is never written again (beyond tail slots above the published
+// length) and never handed to a pool, so there is no reclamation protocol
+// and no bound on how many readers, or how long-parked a scan, a shard
+// tolerates. Only scratch that is never published is pooled (drecPool).
+
+// snapshot is the immutable read side of one LockRCU shard: the sorted
+// records and a read-optimized index built over them. The initial
+// snapshot borrows the caller's bulk-build slice.
+type snapshot struct {
+	recs []core.KV
+	ix   Index
+}
+
+// deltaRec is one delta entry; del marks a tombstone.
+type deltaRec struct {
+	key core.Key
+	val core.Value
+	del bool
+}
+
+// rcuShard is one LockRCU shard. Readers load active → frozen → snap
+// (all atomic, lock-free); writers serialize on mu and append into the
+// active delta's tail; background merges fold frozen into a new snapshot.
+type rcuShard struct {
+	snap   atomic.Pointer[snapshot]
+	active atomic.Pointer[delta]
+	frozen atomic.Pointer[delta]
+	size   atomic.Int64
+
+	mu        sync.Mutex
+	mergeCond *sync.Cond // signaled when a background merge finishes
+	merging   bool
+
+	cap    int // sorted-delta size that schedules a background merge
+	bound  int // sorted-delta size at which writers block (backpressure)
+	build  func(recs []core.KV) (Index, error)
+	swaps  atomic.Uint64
+	stalls atomic.Uint64 // writer backpressure waits, for tests/stats
+	parent *Sharded      // swap events go to its hook and metrics
+	id     int
+}
+
+// newRCUShard builds shard id of parent over part (sorted).
+func newRCUShard(part []core.KV, cfg Config, build func([]core.KV) (Index, error), parent *Sharded, id int) (*rcuShard, error) {
+	ix, err := build(part)
+	if err != nil {
+		return nil, err
+	}
+	sh := &rcuShard{cap: cfg.DeltaCap, bound: cfg.DeltaBound, build: build, parent: parent, id: id}
+	sh.mergeCond = sync.NewCond(&sh.mu)
+	sh.snap.Store(&snapshot{recs: part, ix: ix})
+	sh.active.Store(&delta{tail: make([]deltaRec, tailCap(cfg.DeltaCap))})
+	sh.frozen.Store(&emptyDelta)
+	sh.size.Store(int64(len(part)))
+	return sh, nil
+}
+
+// tailCap sizes the delta append tail: half the merge trigger, clamped
+// to [8, 128] so point reads scan a bounded tail and folds amortize over
+// enough appends.
+func tailCap(deltaCap int) int {
+	t := deltaCap / 2
+	if t < 8 {
+		t = 8
+	}
+	if t > 128 {
+		t = 128
+	}
+	return t
+}
+
+// drecPool recycles []deltaRec scratch that is never published: compacted
+// tail patches and the merge overlay.
+var drecPool sync.Pool
+
+// getDrec returns a pooled deltaRec buffer (length 0) with capacity ≥ n.
+func getDrec(n int) *[]deltaRec {
+	if p, _ := drecPool.Get().(*[]deltaRec); p != nil && cap(*p) >= n {
+		*p = (*p)[:0]
+		return p
+	}
+	b := make([]deltaRec, 0, n)
+	return &b
+}
+
+// putDrec returns p to the pool, holding buf (p's buffer, possibly grown).
+func putDrec(p *[]deltaRec, buf []deltaRec) {
+	*p = buf
+	drecPool.Put(p)
+}
 
 // delta is one published overlay level: an immutable sorted run
 // (distinct keys, tombstones marked) plus an append tail. tail entries
@@ -91,19 +183,12 @@ func deltaFind(d []deltaRec, k core.Key) (int, bool) {
 }
 
 // ---------------------------------------------------------------------------
-// Read path (lock-free, zero-alloc; callers pin the epoch domain)
+// Read path (lock-free, zero-alloc)
 // ---------------------------------------------------------------------------
 
+// get resolves k through active → frozen → snapshot. Writers use it too
+// (under mu) to maintain the size counter and Delete's return value.
 func (sh *rcuShard) get(k core.Key) (core.Value, bool) {
-	slot := sh.parent.epoch.pin()
-	v, ok := sh.read(k)
-	sh.parent.epoch.unpin(slot)
-	return v, ok
-}
-
-// read resolves k through active → frozen → snapshot. The caller must
-// hold an epoch pin (readers) or sh.mu (writers).
-func (sh *rcuShard) read(k core.Key) (core.Value, bool) {
 	if v, del, ok := sh.active.Load().lookup(k); ok {
 		return v, !del
 	}
@@ -113,11 +198,33 @@ func (sh *rcuShard) read(k core.Key) (core.Value, bool) {
 	return sh.snap.Load().ix.Get(k)
 }
 
-// liveLocked reports whether k is live, used by writers (under mu) to
-// maintain the size counter and Delete's return value.
-func (sh *rcuShard) liveLocked(k core.Key) bool {
-	_, ok := sh.read(k)
-	return ok
+func (sh *rcuShard) lookupRun(keys []core.Key, r run, vals []core.Value, oks []bool) (hits int) {
+	for j, n := 0, r.len(); j < n; j++ {
+		i := r.at(j)
+		if vals[i], oks[i] = sh.get(keys[i]); oks[i] {
+			hits++
+		}
+	}
+	return hits
+}
+
+func (sh *rcuShard) len() int { return int(sh.size.Load()) }
+
+func (sh *rcuShard) deltaLen() int {
+	return sh.active.Load().overlay() + sh.frozen.Load().overlay()
+}
+
+func (sh *rcuShard) deltaCeiling() int { return sh.bound + len(sh.active.Load().tail) }
+
+func (sh *rcuShard) mergeCounts() (swaps, stalls uint64) {
+	return sh.swaps.Load(), sh.stalls.Load()
+}
+
+func (sh *rcuShard) stats() core.Stats {
+	st := sh.snap.Load().ix.Stats()
+	st.Count = sh.len()
+	st.IndexBytes += sh.deltaLen() * 24
+	return st
 }
 
 // ---------------------------------------------------------------------------
@@ -126,76 +233,56 @@ func (sh *rcuShard) liveLocked(k core.Key) bool {
 
 func (sh *rcuShard) insert(k core.Key, v core.Value) {
 	sh.mu.Lock()
-	sh.waitRoomLocked()
-	if !sh.liveLocked(k) {
-		sh.size.Add(1)
-	}
-	sh.appendLocked(deltaRec{key: k, val: v})
+	sh.insertLocked(k, v)
 	sh.mu.Unlock()
 }
 
 func (sh *rcuShard) delete(k core.Key) bool {
 	sh.mu.Lock()
-	if !sh.liveLocked(k) {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.waitRoomLocked()
-	sh.size.Add(-1)
-	sh.appendLocked(deltaRec{key: k, del: true})
+	ok := sh.deleteLocked(k)
 	sh.mu.Unlock()
-	return true
+	return ok
 }
 
-// insertGroup upserts recs[i] for each i in idx (nil idx = all of recs),
-// in order, under one lock acquisition. Append order makes later
-// duplicates win, exactly as a sequential upsert loop would.
-func (sh *rcuShard) insertGroup(recs []core.KV, idx []int32) {
+// insertRun appends in run order, so later duplicates win exactly as a
+// sequential upsert loop would.
+func (sh *rcuShard) insertRun(recs []core.KV, r run) {
 	sh.mu.Lock()
-	if idx == nil {
-		for i := range recs {
-			sh.applyInsertLocked(recs[i])
-		}
-	} else {
-		for _, i := range idx {
-			sh.applyInsertLocked(recs[i])
-		}
+	for j, n := 0, r.len(); j < n; j++ {
+		i := r.at(j)
+		sh.insertLocked(recs[i].Key, recs[i].Value)
 	}
 	sh.mu.Unlock()
 }
 
-func (sh *rcuShard) applyInsertLocked(r core.KV) {
+// deleteRun reports each key's liveness when its turn came: the first
+// occurrence of a duplicated key reports it, later occurrences report
+// false — the sequential-loop semantics the conformance suite pins.
+func (sh *rcuShard) deleteRun(keys []core.Key, r run, oks []bool) {
+	sh.mu.Lock()
+	for j, n := 0, r.len(); j < n; j++ {
+		i := r.at(j)
+		oks[i] = sh.deleteLocked(keys[i])
+	}
+	sh.mu.Unlock()
+}
+
+func (sh *rcuShard) insertLocked(k core.Key, v core.Value) {
 	sh.waitRoomLocked()
-	if !sh.liveLocked(r.Key) {
+	if _, live := sh.get(k); !live {
 		sh.size.Add(1)
 	}
-	sh.appendLocked(deltaRec{key: r.Key, val: r.Value})
+	sh.appendLocked(deltaRec{key: k, val: v})
 }
 
-// deleteGroup removes keys[i] for each i in idx (nil idx = all of keys),
-// in order, under one lock acquisition. oks[i] reports whether keys[i]
-// was live when its turn came: the first occurrence of a duplicated key
-// reports its liveness, later occurrences report false — the
-// sequential-loop semantics the conformance suite pins.
-func (sh *rcuShard) deleteGroup(keys []core.Key, idx []int32, oks []bool) {
-	sh.mu.Lock()
-	if idx == nil {
-		for i, k := range keys {
-			oks[i] = sh.applyDeleteLocked(k)
-		}
-	} else {
-		for _, i := range idx {
-			oks[i] = sh.applyDeleteLocked(keys[i])
-		}
-	}
-	sh.mu.Unlock()
-}
-
-func (sh *rcuShard) applyDeleteLocked(k core.Key) bool {
-	if !sh.liveLocked(k) {
+// deleteLocked waits for room before it looks: the wait releases mu, so a
+// liveness answer taken before it could be stale by the time the
+// tombstone is appended (two deleters of one key both reporting true).
+func (sh *rcuShard) deleteLocked(k core.Key) bool {
+	sh.waitRoomLocked()
+	if _, live := sh.get(k); !live {
 		return false
 	}
-	sh.waitRoomLocked()
 	sh.size.Add(-1)
 	sh.appendLocked(deltaRec{key: k, del: true})
 	return true
@@ -204,8 +291,10 @@ func (sh *rcuShard) applyDeleteLocked(k core.Key) bool {
 // waitRoomLocked is the delta-bound backpressure gate: while a background
 // merge is in flight and the active sorted run has reached bound, the
 // writer blocks until the merge completes. If no merge is running it
-// starts one instead of waiting. Guarantees the active overlay never
-// exceeds bound+len(tail) records (see DeltaCeiling).
+// starts one instead of waiting — scheduleLocked never declines here (the
+// run is past cap), which is what keeps this loop from spinning.
+// Guarantees the active overlay never exceeds bound+len(tail) records
+// (see DeltaCeiling).
 func (sh *rcuShard) waitRoomLocked() {
 	for len(sh.active.Load().sorted) >= sh.bound {
 		if !sh.merging {
@@ -229,32 +318,26 @@ func (sh *rcuShard) appendLocked(r deltaRec) {
 	d.tailLen.Store(n + 1) // ...then publish the length
 }
 
-// foldLocked folds the active delta's tail into its sorted run,
-// publishes the result as a fresh active delta, retires the old one and
-// returns the new current active (scheduleLocked may have frozen the
-// fold result and installed an empty active). Caller holds sh.mu.
+// foldLocked folds the active delta's tail into its sorted run, publishes
+// the result as a fresh active delta and returns the new current active
+// (scheduleLocked may have frozen the fold result and installed an empty
+// active). Caller holds sh.mu.
 func (sh *rcuShard) foldLocked() *delta {
-	old := sh.active.Load()
-	sh.active.Store(sh.foldDelta(old))
-	sh.retireDelta(old)
+	sh.active.Store(sh.foldDelta(sh.active.Load()))
 	sh.scheduleLocked()
 	return sh.active.Load()
 }
 
 // foldDelta merges d.sorted and d.tail (later tail entries winning) into
-// a new sorted run backed by pooled buffers. A tombstone survives the
-// fold only while it still shadows an entry in the frozen delta or the
-// snapshot; otherwise the key is absent everywhere below and the
-// tombstone is dropped.
+// a new delta with a fresh sorted run and a fresh empty tail. A tombstone
+// survives the fold only while it still shadows an entry in the frozen
+// delta or the snapshot; otherwise the key is absent everywhere below and
+// the tombstone is dropped.
 func (sh *rcuShard) foldDelta(d *delta) *delta {
-	patchp := sh.parent.getDrec(len(d.tail))
-	patch := compactTail(d, *patchp)
-	snapIx := sh.snap.Load().ix
-	frozen := sh.frozen.Load()
-
-	outp := sh.parent.getDrec(len(d.sorted) + len(patch))
-	out := *outp
-	keep := func(r deltaRec) bool {
+	patchp := getDrec(len(d.tail))
+	patch := compactTail(d, 0, math.MaxUint64, *patchp)
+	snapIx, frozen := sh.snap.Load().ix, sh.frozen.Load()
+	sorted := mergeRuns(d.sorted, patch, make([]deltaRec, 0, len(d.sorted)+len(patch)), func(r deltaRec) bool {
 		if !r.del {
 			return true
 		}
@@ -263,45 +346,23 @@ func (sh *rcuShard) foldDelta(d *delta) *delta {
 		}
 		_, ok := snapIx.Get(r.key)
 		return ok
-	}
-	i, j := 0, 0
-	for i < len(d.sorted) || j < len(patch) {
-		switch {
-		case j >= len(patch) || (i < len(d.sorted) && d.sorted[i].key < patch[j].key):
-			if keep(d.sorted[i]) {
-				out = append(out, d.sorted[i])
-			}
-			i++
-		case i >= len(d.sorted) || patch[j].key < d.sorted[i].key:
-			if keep(patch[j]) {
-				out = append(out, patch[j])
-			}
-			j++
-		default: // equal keys: the tail patch wins
-			if keep(patch[j]) {
-				out = append(out, patch[j])
-			}
-			i, j = i+1, j+1
-		}
-	}
-	*patchp = patch
-	sh.parent.putDrec(patchp)
-	*outp = out
-
-	nd := &delta{sorted: out, tail: sh.parent.getTail(len(d.tail))}
-	// outp's box is dropped; the slice itself is now published in nd and
-	// will be re-boxed at retirement.
-	return nd
+	})
+	putDrec(patchp, patch)
+	return &delta{sorted: sorted, tail: make([]deltaRec, len(d.tail))}
 }
 
-// compactTail collapses the published tail of d into a sorted,
-// distinct-key patch (later entries winning) appended to out. With the
-// tail capped at tailCap the quadratic insertion is a handful of cache
-// lines per fold.
-func compactTail(d *delta, out []deltaRec) []deltaRec {
+// compactTail collapses the published tail entries of d with keys in
+// [lo, hi] (the whole key space for a fold, the scan window for a range
+// scan) into a sorted, distinct-key patch (later entries winning)
+// appended to out. With the tail capped at tailCap the quadratic
+// insertion is a handful of cache lines per call.
+func compactTail(d *delta, lo, hi core.Key, out []deltaRec) []deltaRec {
 	n := int(d.tailLen.Load())
 	for i := 0; i < n; i++ {
 		r := d.tail[i]
+		if r.key < lo || r.key > hi {
+			continue
+		}
 		pos, found := deltaFind(out, r.key)
 		if found {
 			out[pos] = r
@@ -314,21 +375,29 @@ func compactTail(d *delta, out []deltaRec) []deltaRec {
 	return out
 }
 
-// retireDelta hands d's buffers to the epoch domain for recycling once
-// all pinned readers advance.
-func (sh *rcuShard) retireDelta(d *delta) {
-	if d == &emptyDelta {
-		return
+// mergeRuns appends to out the two-way merge of a sorted run and a tail
+// patch (both sorted, distinct keys; the patch wins on equal keys),
+// dropping the winners keep rejects; a nil keep keeps everything.
+func mergeRuns(sorted, patch, out []deltaRec, keep func(deltaRec) bool) []deltaRec {
+	i, j := 0, 0
+	for i < len(sorted) || j < len(patch) {
+		var r deltaRec
+		switch {
+		case j >= len(patch) || (i < len(sorted) && sorted[i].key < patch[j].key):
+			r = sorted[i]
+			i++
+		case i >= len(sorted) || patch[j].key < sorted[i].key:
+			r = patch[j]
+			j++
+		default:
+			r = patch[j]
+			i, j = i+1, j+1
+		}
+		if keep == nil || keep(r) {
+			out = append(out, r)
+		}
 	}
-	s, t, p := d.sorted, d.tail, sh.parent
-	sh.parent.epoch.retire(func() {
-		if cap(s) > 0 {
-			p.putDrec(&s)
-		}
-		if cap(t) > 0 {
-			p.putDrec(&t)
-		}
-	})
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +411,7 @@ func (sh *rcuShard) retireDelta(d *delta) {
 // is spawned; if a previous merge failed and left the frozen slot
 // occupied, the merge is simply re-spawned. Caller holds sh.mu.
 func (sh *rcuShard) scheduleLocked() {
-	if sh.merging || sh.closed {
+	if sh.merging {
 		return
 	}
 	f := sh.frozen.Load()
@@ -352,7 +421,7 @@ func (sh *rcuShard) scheduleLocked() {
 			return
 		}
 		sh.frozen.Store(a)
-		sh.active.Store(&delta{tail: sh.parent.getTail(len(a.tail))})
+		sh.active.Store(&delta{tail: make([]deltaRec, len(a.tail))})
 	}
 	sh.merging = true
 	go sh.mergeAsync()
@@ -362,39 +431,21 @@ func (sh *rcuShard) scheduleLocked() {
 // work — folding the frozen delta, merging records, rebuilding the
 // read-optimized index — runs outside every lock; only the pointer swaps
 // at the end take mu. The frozen delta is immutable while a merge is in
-// flight (writers only append to active), so reading it unlocked is
-// safe, and it stays published until the swap so no epoch pin is needed
-// here either.
+// flight (writers only append to active), so reading it unlocked is safe.
 func (sh *rcuShard) mergeAsync() {
 	f := sh.frozen.Load()
 	snap := sh.snap.Load()
 
 	// Fold frozen into one sorted overlay. Tombstones are kept: they drop
 	// snapshot records during the record merge below.
-	patchp := sh.parent.getDrec(len(f.tail))
-	patch := compactTail(f, *patchp)
-	ovp := sh.parent.getDrec(len(f.sorted) + len(patch))
-	ov := *ovp
-	i, j := 0, 0
-	for i < len(f.sorted) || j < len(patch) {
-		switch {
-		case j >= len(patch) || (i < len(f.sorted) && f.sorted[i].key < patch[j].key):
-			ov = append(ov, f.sorted[i])
-			i++
-		case i >= len(f.sorted) || patch[j].key < f.sorted[i].key:
-			ov = append(ov, patch[j])
-			j++
-		default:
-			ov = append(ov, patch[j])
-			i, j = i+1, j+1
-		}
-	}
-	*patchp = patch
-	sh.parent.putDrec(patchp)
+	patchp := getDrec(len(f.tail))
+	patch := compactTail(f, 0, math.MaxUint64, *patchp)
+	ovp := getDrec(len(f.sorted) + len(patch))
+	ov := mergeRuns(f.sorted, patch, *ovp, nil)
+	putDrec(patchp, patch)
 
-	mergedp := sh.parent.getRecs(len(snap.recs) + len(ov))
-	merged := *mergedp
-	i, j = 0, 0
+	merged := make([]core.KV, 0, len(snap.recs)+len(ov))
+	i, j := 0, 0
 	for i < len(snap.recs) || j < len(ov) {
 		switch {
 		case j >= len(ov) || (i < len(snap.recs) && snap.recs[i].Key < ov[j].key):
@@ -412,46 +463,34 @@ func (sh *rcuShard) mergeAsync() {
 			i, j = i+1, j+1
 		}
 	}
-	*ovp = ov
-	sh.parent.putDrec(ovp)
-	*mergedp = merged
+	putDrec(ovp, ov)
 
 	ix, err := sh.build(merged)
 
 	sh.mu.Lock()
-	if err != nil {
-		// The snapshot builder accepted these records at bulk-build time;
-		// failing mid-serve has no recovery path that preserves reads, so
-		// keep serving snapshot+frozen+active (correct, just unmerged).
-		// The next write retries via scheduleLocked.
-		sh.parent.putRecs(mergedp)
-		sh.merging = false
-		sh.mergeCond.Broadcast()
-		sh.mu.Unlock()
-		return
+	if err == nil {
+		sh.snap.Store(&snapshot{recs: merged, ix: ix})
+		sh.frozen.Store(&emptyDelta) // snapshot stored FIRST — see package comment
+		sh.swaps.Add(1)
 	}
-	oldSnap := sh.snap.Load()
-	sh.snap.Store(&snapshot{recs: merged, ix: ix, owned: true})
-	sh.frozen.Store(&emptyDelta) // snapshot stored FIRST — see package comment
+	// On a builder error (it accepted these records at bulk-build time, so
+	// failing mid-serve has no recovery path that preserves reads) the
+	// shard keeps serving snapshot+frozen+active — correct, just unmerged —
+	// and the next write retries via scheduleLocked.
 	sh.merging = false
-	sh.swaps.Add(1)
-	sh.retireDelta(f)
-	// The initial snapshot borrows the bulk-build caller's slice
-	// (owned=false): it must never be recycled into a write target, so
-	// only pool-owned record buffers go through the epoch domain.
-	if recs := oldSnap.recs; oldSnap.owned && cap(recs) > 0 {
-		p := sh.parent
-		p.epoch.retire(func() { p.putRecs(&recs) })
-	}
 	sh.mergeCond.Broadcast()
 	sh.mu.Unlock()
-	sh.emitSwap(len(merged))
+	if err == nil {
+		sh.emitSwap(len(merged))
+	}
 }
 
-// waitMergesLocked drains the merge pipeline: waits out an in-flight
-// merge, then keeps scheduling until neither the frozen slot nor a
-// cap-exceeding active sorted run remains. Caller holds sh.mu.
-func (sh *rcuShard) waitMergesLocked() {
+// waitMerges drains the merge pipeline: waits out an in-flight merge,
+// then keeps scheduling until neither the frozen slot nor a cap-exceeding
+// active sorted run remains.
+func (sh *rcuShard) waitMerges() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for {
 		for sh.merging {
 			sh.mergeCond.Wait()
@@ -463,28 +502,25 @@ func (sh *rcuShard) waitMergesLocked() {
 	}
 }
 
+// close waits out an in-flight merge and closes the snapshot index. The
+// shard stays usable: an in-memory backend's Close is a no-op, and later
+// writes keep merging.
+func (sh *rcuShard) close() error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for sh.merging {
+		sh.mergeCond.Wait()
+	}
+	return closeIndex(sh.snap.Load().ix)
+}
+
 func (sh *rcuShard) emitSwap(n int) {
 	p := sh.parent
-	detail := "shard=" + itoa(sh.id)
+	detail := "shard=" + strconv.Itoa(sh.id)
 	p.hook.Emit(obs.EvRCUSwap, n, detail)
 	if p.mets != nil {
 		p.mets[sh.id].Event(obs.Event{Type: obs.EvRCUSwap, N: n, Detail: detail})
 	}
-}
-
-// itoa avoids strconv for this one hot-adjacent call site.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // ---------------------------------------------------------------------------
@@ -492,22 +528,20 @@ func itoa(n int) string {
 // ---------------------------------------------------------------------------
 
 // rangeScan merge-iterates the snapshot window and both delta levels in
-// ascending key order under one epoch pin. The two tails are first
-// compacted into sorted window patches (pooled scratch), then a fixed
-// five-cursor merge emits each key once from its highest-precedence
-// source — active patch, active sorted, frozen patch, frozen sorted,
-// snapshot — skipping tombstones.
+// ascending key order, over the three layers it loaded at entry however
+// long fn takes. The two tails are first compacted into sorted window
+// patches (pooled scratch), then a fixed five-cursor merge emits each key
+// once from its highest-precedence source — active patch, active sorted,
+// frozen patch, frozen sorted, snapshot — skipping tombstones.
 func (sh *rcuShard) rangeScan(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
-	slot := sh.parent.epoch.pin()
-	defer sh.parent.epoch.unpin(slot)
 	a := sh.active.Load()
 	f := sh.frozen.Load()
 	snap := sh.snap.Load()
 
-	pap := sh.parent.getDrec(len(a.tail))
-	pa := compactTailWindow(a, lo, hi, *pap)
-	pfp := sh.parent.getDrec(len(f.tail))
-	pf := compactTailWindow(f, lo, hi, *pfp)
+	pap := getDrec(len(a.tail))
+	pa := compactTail(a, lo, hi, *pap)
+	pfp := getDrec(len(f.tail))
+	pf := compactTail(f, lo, hi, *pfp)
 
 	// Cursor order is precedence order.
 	cs := [4][]deltaRec{pa, a.sorted, pf, f.sorted}
@@ -565,29 +599,7 @@ func (sh *rcuShard) rangeScan(lo, hi core.Key, fn func(core.Key, core.Value) boo
 			break
 		}
 	}
-	*pap = pa
-	sh.parent.putDrec(pap)
-	*pfp = pf
-	sh.parent.putDrec(pfp)
+	putDrec(pap, pa)
+	putDrec(pfp, pf)
 	return count
-}
-
-// compactTailWindow is compactTail restricted to keys in [lo, hi].
-func compactTailWindow(d *delta, lo, hi core.Key, out []deltaRec) []deltaRec {
-	n := int(d.tailLen.Load())
-	for i := 0; i < n; i++ {
-		r := d.tail[i]
-		if r.key < lo || r.key > hi {
-			continue
-		}
-		pos, found := deltaFind(out, r.key)
-		if found {
-			out[pos] = r
-			continue
-		}
-		out = append(out, deltaRec{})
-		copy(out[pos+1:], out[pos:])
-		out[pos] = r
-	}
-	return out
 }

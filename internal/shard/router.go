@@ -15,8 +15,8 @@
 //     EvRCUSwap event).
 //
 // The layer also amortizes coordination: bulk build runs one goroutine per
-// shard, LookupBatch/InsertBatch group keys by shard so each shard's lock
-// is taken once per batch, and SearchRange fans out across the covered
+// shard, a batched call is cut into per-shard runs that each take their
+// shard's lock once (batch.go), and SearchRange fans out across the covered
 // shards and concatenates the per-shard results in shard order (shards are
 // range-partitioned, so concatenation is the ordered merge).
 package shard

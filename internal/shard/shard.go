@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/lix-go/lix/internal/core"
@@ -37,9 +36,11 @@ const (
 	// LockRW guards each shard's mutable index with a sync.RWMutex.
 	LockRW LockMode = iota
 	// LockRCU keeps each shard as an immutable snapshot plus two delta
-	// overlays behind atomic pointers: reads pin an epoch and never touch
-	// a lock, writers serialize per shard and append to a bounded delta,
-	// and a background goroutine folds the delta into a fresh snapshot.
+	// overlays behind atomic pointers: reads load the pointers and never
+	// touch a lock, writers serialize per shard and append to a bounded
+	// delta, and a background goroutine folds the delta into a fresh
+	// snapshot. Whatever a reader still holds is kept alive by the garbage
+	// collector; nothing published is ever written again.
 	LockRCU
 )
 
@@ -99,74 +100,49 @@ type Builders struct {
 	Static func(recs []core.KV) (Index, error)
 }
 
+// shardOps is what one shard does, whatever its lock mode: Sharded routes
+// a key (or cuts a batch into runs, batch.go) and calls these. rwShard
+// (rw.go) and rcuShard (rcu.go) are the two implementations.
+type shardOps interface {
+	get(k core.Key) (core.Value, bool)
+	insert(k core.Key, v core.Value)
+	delete(k core.Key) bool
+
+	// The run methods do one run of a batch (see run) under a single
+	// lock hold, in the run's order. lookupRun returns the hit count;
+	// deleteRun reports per position whether the key was live when its
+	// turn came.
+	lookupRun(keys []core.Key, r run, vals []core.Value, oks []bool) (hits int)
+	insertRun(recs []core.KV, r run)
+	deleteRun(keys []core.Key, r run, oks []bool)
+
+	rangeScan(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
+	len() int
+	stats() core.Stats
+	close() error
+
+	// The merge pipeline's gauges and drain; zero and a no-op on a shard
+	// that has no delta (LockRW).
+	deltaLen() int
+	deltaCeiling() int
+	mergeCounts() (swaps, stalls uint64)
+	waitMerges()
+}
+
 // Sharded is the range-partitioned concurrent front-end. All methods are
 // safe for concurrent use.
 type Sharded struct {
 	mode   LockMode
 	router Router
-	rw     []*rwShard
-	rcu    []*rcuShard
+	shards []shardOps
 	hook   obs.Hook // external recorder for structural events
 	mets   []*obs.Metrics
 
-	// epoch is the reclamation domain shared by all RCU shards: one pin
-	// covers a whole cross-shard batch (epoch.go).
-	epoch epochDomain
-
-	// Buffer pools. scratch holds *batchScratch group buffers reused
-	// across batched calls; drecs and recs recycle delta and snapshot
-	// buffers handed back by the epoch domain.
+	// fanoutMin is batchParallelMin; the allocation tests lower it to put
+	// small batches through the fan-out regime.
+	fanoutMin int
+	// scratch pools *batchScratch, the fan-out regime's workspace.
 	scratch sync.Pool
-	drecs   sync.Pool
-	recs    sync.Pool
-}
-
-// rwShard is one LockRW shard.
-type rwShard struct {
-	mu sync.RWMutex
-	ix MutableIndex
-}
-
-// snapshot is the immutable read side of one LockRCU shard: the sorted
-// records and a read-optimized index built over them. recs is never
-// mutated after publication. owned marks recs as pool-recyclable — the
-// initial snapshot borrows the caller's bulk-build slice and must never
-// be recycled into a write target.
-type snapshot struct {
-	recs  []core.KV
-	ix    Index
-	owned bool
-}
-
-// deltaRec is one delta entry; del marks a tombstone.
-type deltaRec struct {
-	key core.Key
-	val core.Value
-	del bool
-}
-
-// rcuShard is one LockRCU shard. Readers pin the parent epoch domain and
-// load active → frozen → snap (all atomic, lock-free); writers serialize
-// on mu and append into the active delta's tail; background merges fold
-// frozen into a new snapshot (rcu.go).
-type rcuShard struct {
-	snap   atomic.Pointer[snapshot]
-	active atomic.Pointer[delta]
-	frozen atomic.Pointer[delta]
-	size   atomic.Int64
-
-	mu        sync.Mutex
-	mergeCond *sync.Cond // signaled when a background merge finishes
-	merging   bool
-	closed    bool
-
-	cap    int // sorted-delta size that schedules a background merge
-	bound  int // sorted-delta size at which writers block (backpressure)
-	build  func(recs []core.KV) (Index, error)
-	swaps  atomic.Uint64
-	stalls atomic.Uint64 // writer backpressure waits, for tests/stats
-	parent *Sharded
-	id     int
 }
 
 // New builds a Sharded over recs (sorted ascending, distinct keys; may be
@@ -202,7 +178,10 @@ func New(recs []core.KV, cfg Config, b Builders) (*Sharded, error) {
 	if err := router.validate(); err != nil {
 		return nil, err
 	}
-	s := &Sharded{mode: cfg.Mode, router: router}
+	s := &Sharded{
+		mode: cfg.Mode, router: router, fanoutMin: batchParallelMin,
+		shards: make([]shardOps, cfg.Shards),
+	}
 	if cfg.MetricsPrefix != "" {
 		s.mets = make([]*obs.Metrics, cfg.Shards)
 		for i := range s.mets {
@@ -210,48 +189,18 @@ func New(recs []core.KV, cfg Config, b Builders) (*Sharded, error) {
 		}
 	}
 	parts := router.Partition(recs)
-	tail := tailCap(cfg.DeltaCap)
 
 	// Parallel bulk build: one goroutine per shard, errgroup-style join.
-	built := make([]any, cfg.Shards)
 	errs := make([]error, cfg.Shards)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.Shards; i++ {
+	for i := range s.shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			part := parts[i]
-			switch cfg.Mode {
-			case LockRW:
-				var ix MutableIndex
-				var err error
-				if b.Bulk != nil {
-					ix, err = b.Bulk(part)
-				} else {
-					ix, err = b.New()
-					if err == nil {
-						for _, r := range part {
-							ix.Insert(r.Key, r.Value)
-						}
-					}
-				}
-				built[i], errs[i] = ix, err
-			case LockRCU:
-				ix, err := b.Static(part)
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				sh := &rcuShard{
-					cap: cfg.DeltaCap, bound: cfg.DeltaBound,
-					build: b.Static, parent: s, id: i,
-				}
-				sh.mergeCond = sync.NewCond(&sh.mu)
-				sh.snap.Store(&snapshot{recs: part, ix: ix})
-				sh.active.Store(&delta{tail: make([]deltaRec, tail)})
-				sh.frozen.Store(&emptyDelta)
-				sh.size.Store(int64(len(part)))
-				built[i] = sh
+			if cfg.Mode == LockRW {
+				s.shards[i], errs[i] = newRWShard(parts[i], b)
+			} else {
+				s.shards[i], errs[i] = newRCUShard(parts[i], cfg, b.Static, s, i)
 			}
 		}(i)
 	}
@@ -261,33 +210,7 @@ func New(recs []core.KV, cfg Config, b Builders) (*Sharded, error) {
 			return nil, err
 		}
 	}
-	switch cfg.Mode {
-	case LockRW:
-		s.rw = make([]*rwShard, cfg.Shards)
-		for i := range s.rw {
-			s.rw[i] = &rwShard{ix: built[i].(MutableIndex)}
-		}
-	case LockRCU:
-		s.rcu = make([]*rcuShard, cfg.Shards)
-		for i := range s.rcu {
-			s.rcu[i] = built[i].(*rcuShard)
-		}
-	}
 	return s, nil
-}
-
-// tailCap sizes the delta append tail: half the merge trigger, clamped
-// to [8, 128] so point reads scan a bounded tail and folds amortize over
-// enough appends.
-func tailCap(deltaCap int) int {
-	t := deltaCap / 2
-	if t < 8 {
-		t = 8
-	}
-	if t > 128 {
-		t = 128
-	}
-	return t
 }
 
 // SetObserver routes structural events (RCU snapshot swaps, labeled with
@@ -302,46 +225,10 @@ func (s *Sharded) ShardMetrics() []*obs.Metrics { return s.mets }
 func (s *Sharded) Mode() LockMode { return s.mode }
 
 // Shards returns the shard count.
-func (s *Sharded) Shards() int { return s.router.Shards() }
+func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Router returns the key→shard router.
 func (s *Sharded) Router() Router { return s.router }
-
-// ---------------------------------------------------------------------------
-// Buffer pools
-// ---------------------------------------------------------------------------
-
-// getDrec returns a pooled deltaRec buffer (length 0) with capacity ≥ n.
-func (s *Sharded) getDrec(n int) *[]deltaRec {
-	if p, _ := s.drecs.Get().(*[]deltaRec); p != nil && cap(*p) >= n {
-		*p = (*p)[:0]
-		return p
-	}
-	b := make([]deltaRec, 0, n)
-	return &b
-}
-
-func (s *Sharded) putDrec(p *[]deltaRec) { s.drecs.Put(p) }
-
-// getTail returns a pooled full-length tail buffer of length n. Entries
-// above the published tailLen are garbage by design — readers never look
-// past the atomic length.
-func (s *Sharded) getTail(n int) []deltaRec {
-	p := s.getDrec(n)
-	return (*p)[:n]
-}
-
-// getRecs returns a pooled KV buffer (length 0) with capacity ≥ n.
-func (s *Sharded) getRecs(n int) *[]core.KV {
-	if p, _ := s.recs.Get().(*[]core.KV); p != nil && cap(*p) >= n {
-		*p = (*p)[:0]
-		return p
-	}
-	b := make([]core.KV, 0, n)
-	return &b
-}
-
-func (s *Sharded) putRecs(p *[]core.KV) { s.recs.Put(p) }
 
 // ---------------------------------------------------------------------------
 // Point operations
@@ -350,26 +237,15 @@ func (s *Sharded) putRecs(p *[]core.KV) { s.recs.Put(p) }
 // Get returns the value stored for k.
 func (s *Sharded) Get(k core.Key) (core.Value, bool) {
 	si := s.router.Route(k)
-	var t obs.OpTimer
-	if s.mets != nil {
-		t = s.mets[si].Lookups.IncSampled()
+	if s.mets == nil {
+		return s.shards[si].get(k)
 	}
-	var v core.Value
-	var ok bool
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.RLock()
-		v, ok = sh.ix.Get(k)
-		sh.mu.RUnlock()
-	} else {
-		v, ok = s.rcu[si].get(k)
-	}
-	if s.mets != nil {
-		m := s.mets[si]
-		t.Observe(&m.GetNS)
-		if ok {
-			m.Hits.Inc()
-		}
+	m := s.mets[si]
+	t := m.Lookups.IncSampled()
+	v, ok := s.shards[si].get(k)
+	t.Observe(&m.GetNS)
+	if ok {
+		m.Hits.Inc()
 	}
 	return v, ok
 }
@@ -377,75 +253,48 @@ func (s *Sharded) Get(k core.Key) (core.Value, bool) {
 // Insert upserts (k, v).
 func (s *Sharded) Insert(k core.Key, v core.Value) {
 	si := s.router.Route(k)
-	var t obs.OpTimer
-	if s.mets != nil {
-		t = s.mets[si].Inserts.IncSampled()
+	if s.mets == nil {
+		s.shards[si].insert(k, v)
+		return
 	}
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.Lock()
-		sh.ix.Insert(k, v)
-		sh.mu.Unlock()
-	} else {
-		s.rcu[si].insert(k, v)
-	}
-	if s.mets != nil {
-		t.Observe(&s.mets[si].InsertNS)
-	}
+	m := s.mets[si]
+	t := m.Inserts.IncSampled()
+	s.shards[si].insert(k, v)
+	t.Observe(&m.InsertNS)
 }
 
 // Delete removes k, reporting whether it was present.
 func (s *Sharded) Delete(k core.Key) bool {
 	si := s.router.Route(k)
-	var t obs.OpTimer
-	if s.mets != nil {
-		t = s.mets[si].Deletes.IncSampled()
+	if s.mets == nil {
+		return s.shards[si].delete(k)
 	}
-	var ok bool
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.Lock()
-		ok = sh.ix.Delete(k)
-		sh.mu.Unlock()
-	} else {
-		ok = s.rcu[si].delete(k)
-	}
-	if s.mets != nil {
-		t.Observe(&s.mets[si].DeleteNS)
-	}
+	m := s.mets[si]
+	t := m.Deletes.IncSampled()
+	ok := s.shards[si].delete(k)
+	t.Observe(&m.DeleteNS)
 	return ok
 }
 
 // Len returns the number of records across all shards.
 func (s *Sharded) Len() int {
 	total := 0
-	for i := 0; i < s.Shards(); i++ {
-		total += s.shardLen(i)
+	for _, sh := range s.shards {
+		total += sh.len()
 	}
 	return total
 }
 
 // ShardLen returns the number of records in shard i.
-func (s *Sharded) ShardLen(i int) int { return s.shardLen(i) }
-
-func (s *Sharded) shardLen(i int) int {
-	if s.mode == LockRW {
-		sh := s.rw[i]
-		sh.mu.RLock()
-		n := sh.ix.Len()
-		sh.mu.RUnlock()
-		return n
-	}
-	return int(s.rcu[i].size.Load())
-}
+func (s *Sharded) ShardLen(i int) int { return s.shards[i].len() }
 
 // Imbalance is the shard-imbalance gauge: the largest shard's share of the
 // records divided by the ideal equal share (1 = perfectly balanced,
 // Shards() = everything on one shard, 0 = empty index).
 func (s *Sharded) Imbalance() float64 {
 	total, max := 0, 0
-	for i := 0; i < s.Shards(); i++ {
-		n := s.shardLen(i)
+	for _, sh := range s.shards {
+		n := sh.len()
 		total += n
 		if n > max {
 			max = n
@@ -461,8 +310,9 @@ func (s *Sharded) Imbalance() float64 {
 // LockRW mode).
 func (s *Sharded) RCUSwaps() uint64 {
 	var n uint64
-	for _, sh := range s.rcu {
-		n += sh.swaps.Load()
+	for _, sh := range s.shards {
+		swaps, _ := sh.mergeCounts()
+		n += swaps
 	}
 	return n
 }
@@ -472,37 +322,22 @@ func (s *Sharded) RCUSwaps() uint64 {
 // was in flight (0 in LockRW mode).
 func (s *Sharded) RCUStalls() uint64 {
 	var n uint64
-	for _, sh := range s.rcu {
-		n += sh.stalls.Load()
+	for _, sh := range s.shards {
+		_, stalls := sh.mergeCounts()
+		n += stalls
 	}
 	return n
 }
 
-// EpochReclaims returns the number of retired buffers the epoch domain
-// has recycled so far (0 in LockRW mode).
-func (s *Sharded) EpochReclaims() uint64 { return s.epoch.reclaims.Load() }
-
 // DeltaLen returns the record count currently overlaying RCU shard i's
 // snapshot (active + frozen, sorted + tail); 0 in LockRW mode.
-func (s *Sharded) DeltaLen(i int) int {
-	if s.mode != LockRCU {
-		return 0
-	}
-	sh := s.rcu[i]
-	return sh.active.Load().overlay() + sh.frozen.Load().overlay()
-}
+func (s *Sharded) DeltaLen(i int) int { return s.shards[i].deltaLen() }
 
 // DeltaCeiling returns the guaranteed upper bound on any single delta
 // level's overlay under write saturation: DeltaBound plus the append
-// tail size. The conform stress tier asserts DeltaLen never exceeds
-// twice this (active + frozen each obey it).
-func (s *Sharded) DeltaCeiling() int {
-	if s.mode != LockRCU || len(s.rcu) == 0 {
-		return 0
-	}
-	sh := s.rcu[0]
-	return sh.bound + len(sh.active.Load().tail)
-}
+// tail size (0 in LockRW mode). The conform stress tier asserts DeltaLen
+// never exceeds twice this (active + frozen each obey it).
+func (s *Sharded) DeltaCeiling() int { return s.shards[0].deltaCeiling() }
 
 // WaitMerges blocks until every RCU shard has drained its merge
 // pipeline: in-flight background merges complete and cap-exceeding
@@ -510,30 +345,16 @@ func (s *Sharded) DeltaCeiling() int {
 // tests and benchmarks that need deterministic swap counts; with
 // concurrent writers the pipeline may refill immediately.
 func (s *Sharded) WaitMerges() {
-	for _, sh := range s.rcu {
-		sh.mu.Lock()
-		sh.waitMergesLocked()
-		sh.mu.Unlock()
+	for _, sh := range s.shards {
+		sh.waitMerges()
 	}
 }
 
 // Stats aggregates the per-shard structure statistics.
 func (s *Sharded) Stats() core.Stats {
 	agg := core.Stats{Name: fmt.Sprintf("sharded-%s(%d)", s.mode, s.Shards())}
-	for i := 0; i < s.Shards(); i++ {
-		var st core.Stats
-		if s.mode == LockRW {
-			sh := s.rw[i]
-			sh.mu.RLock()
-			st = sh.ix.Stats()
-			sh.mu.RUnlock()
-		} else {
-			sh := s.rcu[i]
-			snap := sh.snap.Load()
-			st = snap.ix.Stats()
-			st.Count = int(sh.size.Load())
-			st.IndexBytes += s.DeltaLen(i) * 24
-		}
+	for _, sh := range s.shards {
+		st := sh.stats()
 		agg.Count += st.Count
 		agg.IndexBytes += st.IndexBytes
 		agg.DataBytes += st.DataBytes
@@ -564,7 +385,7 @@ func (s *Sharded) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
 	first, last := s.router.Route(lo), s.router.Route(hi)
 	count, stopped := 0, false
 	for si := first; si <= last && !stopped; si++ {
-		count += s.shardRange(si, lo, hi, func(k core.Key, v core.Value) bool {
+		count += s.shards[si].rangeScan(lo, hi, func(k core.Key, v core.Value) bool {
 			if !fn(k, v) {
 				stopped = true
 				return false
@@ -581,16 +402,6 @@ func (s *Sharded) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
 	return count
 }
 
-func (s *Sharded) shardRange(si int, lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		return sh.ix.Range(lo, hi, fn)
-	}
-	return s.rcu[si].rangeScan(lo, hi, fn)
-}
-
 // SearchRange collects every record with lo <= key <= hi, fanning the scan
 // out across the covered shards in parallel (on multi-core hosts) and
 // concatenating the per-shard results in shard order (range partitioning
@@ -605,7 +416,7 @@ func (s *Sharded) SearchRange(lo, hi core.Key) []core.KV {
 	first, last := s.router.Route(lo), s.router.Route(hi)
 	if first == last || runtime.GOMAXPROCS(0) == 1 {
 		for si := first; si <= last; si++ {
-			s.shardRange(si, lo, hi, func(k core.Key, v core.Value) bool {
+			s.shards[si].rangeScan(lo, hi, func(k core.Key, v core.Value) bool {
 				out = append(out, core.KV{Key: k, Value: v})
 				return true
 			})
@@ -619,7 +430,7 @@ func (s *Sharded) SearchRange(lo, hi core.Key) []core.KV {
 		go func(si int) {
 			defer wg.Done()
 			var part []core.KV
-			s.shardRange(si, lo, hi, func(k core.Key, v core.Value) bool {
+			s.shards[si].rangeScan(lo, hi, func(k core.Key, v core.Value) bool {
 				part = append(part, core.KV{Key: k, Value: v})
 				return true
 			})
@@ -633,482 +444,6 @@ func (s *Sharded) SearchRange(lo, hi core.Key) []core.KV {
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Batched operations
-// ---------------------------------------------------------------------------
-
-// batchParallelMin is the batch size below which per-shard groups are
-// executed inline on the calling goroutine: the fan-out only pays for
-// itself once per-shard work outweighs goroutine handoff (and never on a
-// single-core host). The allocation regression tier relies on sizes
-// below this staying on the inline (allocation-free) path.
-const batchParallelMin = 512
-
-func (s *Sharded) parallelBatch(n int) bool {
-	return n >= batchParallelMin && s.Shards() > 1 && runtime.GOMAXPROCS(0) > 1
-}
-
-// batchScratch is the reusable counting-sort workspace for batch
-// grouping, pooled on the Sharded so grouping allocates nothing in
-// steady state. idx[starts[si]:starts[si+1]] lists the input positions
-// owned by shard si, preserving input order — the order batch semantics
-// (later-wins upserts, first-wins deletes) depend on.
-type batchScratch struct {
-	shardOf []int32
-	starts  []int32
-	cur     []int32
-	idx     []int32
-}
-
-func (sc *batchScratch) grow(n, shards int) {
-	if cap(sc.shardOf) < n {
-		sc.shardOf = make([]int32, n)
-		sc.idx = make([]int32, n)
-	}
-	sc.shardOf = sc.shardOf[:n]
-	sc.idx = sc.idx[:n]
-	if cap(sc.starts) < shards+1 {
-		sc.starts = make([]int32, shards+1)
-		sc.cur = make([]int32, shards)
-	}
-	sc.starts = sc.starts[:shards+1]
-	sc.cur = sc.cur[:shards]
-}
-
-// fill builds starts/idx from shardOf (with per-shard counts already in
-// cur) by counting sort: prefix-sum, then stable placement.
-func (sc *batchScratch) fill(shards int) {
-	off := int32(0)
-	for si := 0; si < shards; si++ {
-		sc.starts[si] = off
-		off += sc.cur[si]
-		sc.cur[si] = sc.starts[si]
-	}
-	sc.starts[shards] = off
-	for i, si := range sc.shardOf {
-		sc.idx[sc.cur[si]] = int32(i)
-		sc.cur[si]++
-	}
-}
-
-func (s *Sharded) getScratch() *batchScratch {
-	if sc, _ := s.scratch.Get().(*batchScratch); sc != nil {
-		return sc
-	}
-	return &batchScratch{}
-}
-
-func (s *Sharded) putScratch(sc *batchScratch) { s.scratch.Put(sc) }
-
-// groupKeys groups keys by owning shard. When every key routes to the
-// same shard — the common case for clustered keys under range
-// partitioning — it returns that shard and skips the counting sort
-// entirely; callers then process keys in input order with a nil idx.
-// Otherwise it returns -1 with starts/idx filled.
-func (s *Sharded) groupKeys(keys []core.Key, sc *batchScratch) int {
-	ns := s.router.Shards()
-	sc.grow(len(keys), ns)
-	for i := range sc.cur {
-		sc.cur[i] = 0
-	}
-	first := int32(s.router.Route(keys[0]))
-	single := true
-	for i, k := range keys {
-		si := int32(s.router.Route(k))
-		sc.shardOf[i] = si
-		sc.cur[si]++
-		single = single && si == first
-	}
-	if single {
-		return int(first)
-	}
-	sc.fill(ns)
-	return -1
-}
-
-// groupRecs is groupKeys over record keys.
-func (s *Sharded) groupRecs(recs []core.KV, sc *batchScratch) int {
-	ns := s.router.Shards()
-	sc.grow(len(recs), ns)
-	for i := range sc.cur {
-		sc.cur[i] = 0
-	}
-	first := int32(s.router.Route(recs[0].Key))
-	single := true
-	for i := range recs {
-		si := int32(s.router.Route(recs[i].Key))
-		sc.shardOf[i] = si
-		sc.cur[si]++
-		single = single && si == first
-	}
-	if single {
-		return int(first)
-	}
-	sc.fill(ns)
-	return -1
-}
-
-// LookupBatch resolves keys in one pass, writing answers into the
-// caller-supplied vals and oks slices (len(keys) each; vals[i], oks[i]
-// answer keys[i]): zero allocations in steady state, pinned by the
-// allocation regression tier. The whole cross-shard call is the span's
-// shard stage.
-//
-// Small batches run a lock-coalescing loop: keys are answered in input
-// order, holding a shard's read lock only while consecutive keys stay in
-// that shard — one lock acquisition per batch for clustered keys, never
-// more than looped Gets for scattered ones, and no grouping pass at all
-// (RCU shards take no lock either way; the whole batch runs under one
-// epoch pin). Large batches on multi-core hosts are grouped by shard
-// with a pooled counting sort and fan out one goroutine per shard.
-func (s *Sharded) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp *core.Span) {
-	if len(vals) != len(keys) || len(oks) != len(keys) {
-		panic("shard: LookupBatch: vals/oks length must equal len(keys)")
-	}
-	if len(keys) == 0 {
-		return
-	}
-	defer sp.End(core.StageShard, sp.Begin())
-	if !s.parallelBatch(len(keys)) && s.mets == nil {
-		s.lookupCoalesced(keys, vals, oks)
-		return
-	}
-	sc := s.getScratch()
-	single := s.groupKeys(keys, sc)
-	var slot *epochSlot
-	if s.mode == LockRCU {
-		slot = s.epoch.pin()
-	}
-	if single >= 0 {
-		s.lookupGroup(single, nil, keys, vals, oks)
-	} else if s.parallelBatch(len(keys)) {
-		var wg sync.WaitGroup
-		for si := 0; si < s.Shards(); si++ {
-			b, e := sc.starts[si], sc.starts[si+1]
-			if b == e {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, idx []int32) {
-				defer wg.Done()
-				s.lookupGroup(si, idx, keys, vals, oks)
-			}(si, sc.idx[b:e])
-		}
-		wg.Wait()
-	} else {
-		for si := 0; si < s.Shards(); si++ {
-			if b, e := sc.starts[si], sc.starts[si+1]; b != e {
-				s.lookupGroup(si, sc.idx[b:e], keys, vals, oks)
-			}
-		}
-	}
-	if slot != nil {
-		s.epoch.unpin(slot)
-	}
-	s.putScratch(sc)
-}
-
-// lookupCoalesced is the small-batch lookup path: in-order with
-// coalesced locking, no grouping, no allocations, no per-shard metric
-// attribution (callers route metric-attached layers through the grouped
-// path instead).
-func (s *Sharded) lookupCoalesced(keys []core.Key, vals []core.Value, oks []bool) {
-	if s.mode == LockRCU {
-		slot := s.epoch.pin()
-		for i, k := range keys {
-			vals[i], oks[i] = s.rcu[s.router.Route(k)].read(k)
-		}
-		s.epoch.unpin(slot)
-		return
-	}
-	last := -1
-	var sh *rwShard
-	for i, k := range keys {
-		if si := s.router.Route(k); si != last {
-			if sh != nil {
-				sh.mu.RUnlock()
-			}
-			sh = s.rw[si]
-			sh.mu.RLock()
-			last = si
-		}
-		vals[i], oks[i] = sh.ix.Get(k)
-	}
-	sh.mu.RUnlock()
-}
-
-// lookupGroup resolves one shard's group. A nil idx means the whole
-// batch routed to this shard: keys are processed in input order with no
-// index indirection (the single-shard fast path).
-func (s *Sharded) lookupGroup(si int, idx []int32, keys []core.Key, vals []core.Value, oks []bool) {
-	hits, n := 0, len(idx)
-	if idx == nil {
-		n = len(keys)
-	}
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.RLock()
-		if idx == nil {
-			for i, k := range keys {
-				vals[i], oks[i] = sh.ix.Get(k)
-				if oks[i] {
-					hits++
-				}
-			}
-		} else {
-			for _, i := range idx {
-				vals[i], oks[i] = sh.ix.Get(keys[i])
-				if oks[i] {
-					hits++
-				}
-			}
-		}
-		sh.mu.RUnlock()
-	} else {
-		sh := s.rcu[si]
-		if idx == nil {
-			for i, k := range keys {
-				vals[i], oks[i] = sh.read(k)
-				if oks[i] {
-					hits++
-				}
-			}
-		} else {
-			for _, i := range idx {
-				vals[i], oks[i] = sh.read(keys[i])
-				if oks[i] {
-					hits++
-				}
-			}
-		}
-	}
-	if s.mets != nil {
-		m := s.mets[si]
-		m.Lookups.Add(uint64(n))
-		m.Hits.Add(uint64(hits))
-	}
-}
-
-// InsertBatch upserts recs in one pass. Small batches apply in input
-// order with coalesced locking — a shard's write lock is held while
-// consecutive records stay in that shard, which preserves sequential
-// later-wins semantics by construction. Large batches on multi-core
-// hosts group by shard and fan out one goroutine per shard (input order
-// within each shard, so cross-batch duplicates still resolve
-// later-wins). The whole call is the span's shard stage; the error is
-// always nil (an in-memory layer cannot fail a write).
-func (s *Sharded) InsertBatch(recs []core.KV, sp *core.Span) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	defer sp.End(core.StageShard, sp.Begin())
-	if !s.parallelBatch(len(recs)) && s.mets == nil {
-		s.insertCoalesced(recs)
-		return nil
-	}
-	sc := s.getScratch()
-	single := s.groupRecs(recs, sc)
-	if single >= 0 {
-		s.insertGroup(single, nil, recs)
-	} else if s.parallelBatch(len(recs)) {
-		var wg sync.WaitGroup
-		for si := 0; si < s.Shards(); si++ {
-			b, e := sc.starts[si], sc.starts[si+1]
-			if b == e {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, idx []int32) {
-				defer wg.Done()
-				s.insertGroup(si, idx, recs)
-			}(si, sc.idx[b:e])
-		}
-		wg.Wait()
-	} else {
-		for si := 0; si < s.Shards(); si++ {
-			if b, e := sc.starts[si], sc.starts[si+1]; b != e {
-				s.insertGroup(si, sc.idx[b:e], recs)
-			}
-		}
-	}
-	s.putScratch(sc)
-	return nil
-}
-
-// insertGroup applies one shard's group; nil idx means the whole batch
-// (input order, no indirection).
-func (s *Sharded) insertGroup(si int, idx []int32, recs []core.KV) {
-	n := len(idx)
-	if idx == nil {
-		n = len(recs)
-	}
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.Lock()
-		if idx == nil {
-			for i := range recs {
-				sh.ix.Insert(recs[i].Key, recs[i].Value)
-			}
-		} else {
-			for _, i := range idx {
-				sh.ix.Insert(recs[i].Key, recs[i].Value)
-			}
-		}
-		sh.mu.Unlock()
-	} else {
-		s.rcu[si].insertGroup(recs, idx)
-	}
-	if s.mets != nil {
-		s.mets[si].Inserts.Add(uint64(n))
-	}
-}
-
-// insertCoalesced is the small-batch insert path: in-order with
-// coalesced locking, no grouping pass.
-func (s *Sharded) insertCoalesced(recs []core.KV) {
-	last := -1
-	if s.mode == LockRW {
-		var sh *rwShard
-		for i := range recs {
-			if si := s.router.Route(recs[i].Key); si != last {
-				if sh != nil {
-					sh.mu.Unlock()
-				}
-				sh = s.rw[si]
-				sh.mu.Lock()
-				last = si
-			}
-			sh.ix.Insert(recs[i].Key, recs[i].Value)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	var sh *rcuShard
-	for i := range recs {
-		if si := s.router.Route(recs[i].Key); si != last {
-			if sh != nil {
-				sh.mu.Unlock()
-			}
-			sh = s.rcu[si]
-			sh.mu.Lock()
-			last = si
-		}
-		sh.applyInsertLocked(recs[i])
-	}
-	sh.mu.Unlock()
-}
-
-// DeleteBatch removes keys in one pass, overwriting the caller-supplied
-// oks (len(keys)): oks[i] reports whether keys[i] was present, with
-// sequential semantics: within one batch, the first occurrence of a
-// duplicated key reports its liveness and later occurrences report
-// false — exactly what a sequential Delete loop would observe. Small batches apply in input order with coalesced locking;
-// large batches on multi-core hosts group by shard and fan out. The
-// whole call is the span's shard stage; the error is always nil.
-func (s *Sharded) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
-	if len(oks) != len(keys) {
-		panic("shard: DeleteBatch: oks length must equal len(keys)")
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	defer sp.End(core.StageShard, sp.Begin())
-	if !s.parallelBatch(len(keys)) && s.mets == nil {
-		s.deleteCoalesced(keys, oks)
-		return nil
-	}
-	sc := s.getScratch()
-	single := s.groupKeys(keys, sc)
-	if single >= 0 {
-		s.deleteGroup(single, nil, keys, oks)
-	} else if s.parallelBatch(len(keys)) {
-		var wg sync.WaitGroup
-		for si := 0; si < s.Shards(); si++ {
-			b, e := sc.starts[si], sc.starts[si+1]
-			if b == e {
-				continue
-			}
-			wg.Add(1)
-			go func(si int, idx []int32) {
-				defer wg.Done()
-				s.deleteGroup(si, idx, keys, oks)
-			}(si, sc.idx[b:e])
-		}
-		wg.Wait()
-	} else {
-		for si := 0; si < s.Shards(); si++ {
-			if b, e := sc.starts[si], sc.starts[si+1]; b != e {
-				s.deleteGroup(si, sc.idx[b:e], keys, oks)
-			}
-		}
-	}
-	s.putScratch(sc)
-	return nil
-}
-
-// deleteGroup applies one shard's group; nil idx means the whole batch
-// (input order, no indirection).
-func (s *Sharded) deleteGroup(si int, idx []int32, keys []core.Key, oks []bool) {
-	n := len(idx)
-	if idx == nil {
-		n = len(keys)
-	}
-	if s.mode == LockRW {
-		sh := s.rw[si]
-		sh.mu.Lock()
-		if idx == nil {
-			for i, k := range keys {
-				oks[i] = sh.ix.Delete(k)
-			}
-		} else {
-			for _, i := range idx {
-				oks[i] = sh.ix.Delete(keys[i])
-			}
-		}
-		sh.mu.Unlock()
-	} else {
-		s.rcu[si].deleteGroup(keys, idx, oks)
-	}
-	if s.mets != nil {
-		s.mets[si].Deletes.Add(uint64(n))
-	}
-}
-
-// deleteCoalesced is the small-batch delete path: in-order with
-// coalesced locking, no grouping pass.
-func (s *Sharded) deleteCoalesced(keys []core.Key, oks []bool) {
-	last := -1
-	if s.mode == LockRW {
-		var sh *rwShard
-		for i, k := range keys {
-			if si := s.router.Route(k); si != last {
-				if sh != nil {
-					sh.mu.Unlock()
-				}
-				sh = s.rw[si]
-				sh.mu.Lock()
-				last = si
-			}
-			oks[i] = sh.ix.Delete(k)
-		}
-		sh.mu.Unlock()
-		return
-	}
-	var sh *rcuShard
-	for i, k := range keys {
-		if si := s.router.Route(k); si != last {
-			if sh != nil {
-				sh.mu.Unlock()
-			}
-			sh = s.rcu[si]
-			sh.mu.Lock()
-			last = si
-		}
-		oks[i] = sh.applyDeleteLocked(k)
-	}
-	sh.mu.Unlock()
-}
-
 // Close drains in-flight background merges, then forwards Close to every
 // shard backend with the io.Closer capability, returning the first
 // error. Shard backends are in-memory today, so the backend half is
@@ -1116,30 +451,17 @@ func (s *Sharded) deleteCoalesced(keys []core.Key, oks []bool) {
 // stacks built over closeable backends.
 func (s *Sharded) Close() error {
 	var first error
-	closeIx := func(ix Index) {
-		if c, ok := ix.(io.Closer); ok {
-			if err := c.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, sh := range s.shards {
+		if err := sh.close(); err != nil && first == nil {
+			first = err
 		}
 	}
-	if s.mode == LockRW {
-		for _, sh := range s.rw {
-			sh.mu.Lock()
-			closeIx(sh.ix)
-			sh.mu.Unlock()
-		}
-		return first
-	}
-	for _, sh := range s.rcu {
-		sh.mu.Lock()
-		sh.closed = true // stop scheduleLocked from spawning new merges
-		for sh.merging {
-			sh.mergeCond.Wait()
-		}
-		closeIx(sh.snap.Load().ix)
-		sh.mu.Unlock()
-	}
-	s.epoch.collect()
 	return first
+}
+
+func closeIndex(ix Index) error {
+	if c, ok := ix.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }

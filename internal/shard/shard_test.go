@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -415,4 +416,47 @@ func TestConcurrentSmoke(t *testing.T) {
 		}
 		wg.Wait()
 	})
+}
+
+// TestShardMetricsBothRegimes pins that per-shard counters are attributed
+// per run whichever way a batch is cut into runs: at 16 keys (stretches
+// on the calling goroutine) and at 4096 (counting-sort groups fanned
+// out), the shards' Lookups, Hits, Inserts and Deletes each sum to the
+// batch size.
+func TestShardMetricsBothRegimes(t *testing.T) {
+	needTwoProcs(t)
+	for _, mode := range []LockMode{LockRW, LockRCU} {
+		for _, size := range []int{16, 4096} {
+			t.Run(fmt.Sprintf("%s/%d", mode, size), func(t *testing.T) {
+				s, err := New(nil, Config{Shards: 4, Mode: mode, MetricsPrefix: "m"}, testBuilders())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				recs := sortedRecs(size, 21)
+				rand.New(rand.NewSource(1)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+				keys := make([]core.Key, size)
+				for i, r := range recs {
+					keys[i] = r.Key
+				}
+				vals, oks := make([]core.Value, size), make([]bool, size)
+
+				s.InsertBatch(recs, nil)
+				s.LookupBatch(keys, vals, oks, nil)
+				s.DeleteBatch(keys, oks, nil)
+
+				var lookups, hits, inserts, deletes uint64
+				for _, m := range s.ShardMetrics() {
+					lookups += m.Lookups.Load()
+					hits += m.Hits.Load()
+					inserts += m.Inserts.Load()
+					deletes += m.Deletes.Load()
+				}
+				n := uint64(size)
+				if lookups != n || hits != n || inserts != n || deletes != n {
+					t.Fatalf("lookups/hits/inserts/deletes = %d/%d/%d/%d, want %d each", lookups, hits, inserts, deletes, n)
+				}
+			})
+		}
+	}
 }
