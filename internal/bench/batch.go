@@ -10,31 +10,25 @@ import (
 	"github.com/lix-go/lix/internal/dataset"
 )
 
-// BatchConfig sizes the batched-vs-looped throughput benchmark (lixbench
-// -batch).
-type BatchConfig struct {
-	// N is the preloaded dataset size.
-	N int `json:"n"`
-	// Ops is the operation count per measurement.
-	Ops int `json:"ops"`
-	// Sizes are the batch sizes measured (records per batch).
-	Sizes []int `json:"sizes"`
-	// Shards is the shard count of the layered systems.
-	Shards int `json:"shards"`
-	// Seed drives key generation.
-	Seed int64 `json:"seed"`
-}
+// batchSizes are the records per batch the gate measures.
+var batchSizes = []int{16, 256, 4096}
+
+// loopedInsertCap bounds the looped durable-insert measurement: every
+// looped insert under FsyncAlways pays a full fsync, so the loop is
+// sampled rather than run at full op count.
+const loopedInsertCap = 1000
 
 // batchSystem is one system under test. build returns the assembled stack
 // plus a cleanup func; durable reports whether mutations pay fsyncs
-// (which caps the looped-insert op count).
+// (which caps the looped-insert op count and widens the insert margin
+// enough to measure the two sides one after the other).
 type batchSystem struct {
 	name    string
 	durable bool
 	build   func(recs []core.KV) (*lix.Stack, func(), error)
 }
 
-func batchSystems(cfg BatchConfig) []batchSystem {
+func batchSystems(cfg Config) []batchSystem {
 	return []batchSystem{
 		{
 			name: fmt.Sprintf("sharded(%d)", cfg.Shards),
@@ -71,211 +65,197 @@ func batchSystems(cfg BatchConfig) []batchSystem {
 	}
 }
 
-// loopedInsertCap bounds the looped durable-insert measurement: every
-// looped insert under FsyncAlways pays a full fsync, so the loop is
-// sampled rather than run at full op count.
-const loopedInsertCap = 1000
-
-// lookupTrials is the best-of count for read measurements. Lookups are
-// idempotent, so repeating the trial and keeping the fastest filters out
-// scheduler noise that would otherwise trip the 15% regression gate.
-const lookupTrials = 3
-
-// insertTrials is the best-of count for write measurements; each trial
-// rebuilds the stack, so this is kept lower than lookupTrials.
-const insertTrials = 3
-
-// minMeasure is the floor on a single read trial: at quick CI scale one
-// pass over the op count finishes in ~1ms, far too short to average out
-// scheduler noise, so trials repeat the pass until this much time passed.
-const minMeasure = 50 * time.Millisecond
-
-func bestOf(n int, trial func() float64) float64 {
-	best := 0.0
-	for i := 0; i < n; i++ {
-		if v := trial(); v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// timed repeats one pass of opsPerPass operations until minMeasure has
-// elapsed and returns the aggregate ops/s.
-func timed(opsPerPass int, pass func()) float64 {
-	start := time.Now()
-	total := 0
-	for {
-		pass()
-		total += opsPerPass
-		if el := time.Since(start); el >= minMeasure {
-			return opsPerSec(total, el)
-		}
-	}
-}
-
-// RunBatch measures batched vs looped insert and lookup throughput for
-// each configured batch size, on an in-memory sharded stack and on a
-// durable FsyncAlways stack. It returns rendered tables plus regression
-// results named batch/<system>/<op>/{looped,b<size>}.
-func RunBatch(cfg BatchConfig) ([]*Table, []BenchResult, error) {
-	if cfg.N <= 0 {
-		cfg.N = 1_000_000
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 100_000
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 8
-	}
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = []int{16, 256, 1024}
-	}
+// gateBatch measures batched against looped inserts and lookups at each of
+// batchSizes, on an in-memory sharded stack and on a durable FsyncAlways
+// stack. Every batched cell carries a floor against its looped sibling —
+// the "batch >= looped" promise with headroom for runner noise. Lookups
+// measure ~1.0-1.1x (floor 0.9, against the 0.42x the old grouping path
+// regressed to). In-memory inserts churn the allocator as the trees grow,
+// which widens their jitter around ~1.0, so their floor is 0.8 (the
+// regression class it guards was 0.52-0.76x). Both are near 1.0 and so
+// measured by abMedian, cfg.Q operations per side and round. Durable
+// batched inserts amortize fsyncs 10-100x: a hard 2x, measured once on a
+// fresh stack per side.
+func gateBatch(cfg Config) ([]*Table, []floor, error) {
 	keys := mustKeys(dataset.Uniform, cfg.N, cfg.Seed)
 	recs := dataset.KV(keys)
-	// Fresh keys (absent from the preload) feed the insert measurements.
-	freshKeys := mustKeys(dataset.Uniform, cfg.Ops, cfg.Seed+1)
+	// Fresh keys (absent from the preload) feed the insert measurements: a
+	// round inserts abSlices slices, each a whole number of batches.
+	maxSize := batchSizes[len(batchSizes)-1]
+	freshKeys := mustKeys(dataset.Uniform, abSlices*roundUp(max(cfg.Q/abSlices, 1), maxSize), cfg.Seed+1)
 	fresh := make([]core.KV, len(freshKeys))
 	for i, k := range freshKeys {
 		fresh[i] = core.KV{Key: k + 1, Value: core.Value(i)}
 	}
 
 	var tables []*Table
-	var results []BenchResult
+	var floors []floor
 	for _, sys := range batchSystems(cfg) {
-		t := &Table{
-			ID: "BATCH",
-			Title: fmt.Sprintf("Batched vs looped ops, %s, n=%d, %d ops (Kops/s)",
-				sys.name, cfg.N, cfg.Ops),
-			Columns: []string{"op", "looped Kops", "batch size", "batched Kops", "speedup", "fsyncs looped/batched"},
-		}
-
-		// Insert measurements mutate, so every trial gets a fresh stack and
-		// the fastest trial is kept. measureInsert returns (ops/s, fsyncs
-		// issued during one trial).
-		measureInsert := func(nOps int, run func(s *lix.Stack) error) (float64, uint64, error) {
-			best, fs := 0.0, uint64(0)
-			for trial := 0; trial < insertTrials; trial++ {
-				s, cleanup, err := sys.build(recs)
-				if err != nil {
-					return 0, 0, fmt.Errorf("bench: build %s: %w", sys.name, err)
-				}
-				base := fsyncs(s)
-				start := time.Now()
-				err = run(s)
-				v := opsPerSec(nOps, time.Since(start))
-				fs = fsyncs(s) - base
-				cleanup()
-				if err != nil {
-					return 0, 0, fmt.Errorf("bench: insert into %s: %w", sys.name, err)
-				}
-				if v > best {
-					best = v
-				}
-			}
-			return best, fs, nil
-		}
-
-		insOps := cfg.Ops
-		if sys.durable && insOps > loopedInsertCap {
-			insOps = loopedInsertCap
-		}
-		loopedIns, loopInsFsyncs, err := measureInsert(insOps, func(s *lix.Stack) error {
-			for _, r := range fresh[:insOps] {
-				s.Insert(r.Key, r.Value)
-			}
-			return s.Err()
-		})
+		t, fs, err := sys.measure(cfg, keys, recs, fresh)
 		if err != nil {
 			return nil, nil, err
 		}
-
-		// All read measurements share one preloaded stack: lookups never
-		// mutate, and the preload (not the insert history) is what they hit.
-		rs, rcleanup, err := sys.build(recs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: build %s: %w", sys.name, err)
-		}
-		loopedGet := bestOf(lookupTrials, func() float64 {
-			return timed(cfg.Ops, func() {
-				for i := 0; i < cfg.Ops; i++ {
-					rs.Get(keys[i%len(keys)])
-				}
-			})
-		})
-		results = append(results,
-			BenchResult{Name: fmt.Sprintf("batch/%s/insert/looped", sys.name), OpsPerSec: loopedIns},
-			BenchResult{Name: fmt.Sprintf("batch/%s/lookup/looped", sys.name), OpsPerSec: loopedGet},
-		)
-
-		for _, size := range cfg.Sizes {
-			size := size
-			batchedIns, batchInsFsyncs, err := measureInsert(len(fresh), func(s *lix.Stack) error {
-				for off := 0; off < len(fresh); off += size {
-					end := off + size
-					if end > len(fresh) {
-						end = len(fresh)
-					}
-					if err := s.InsertBatch(fresh[off:end], nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-
-			// The batched side reuses its result buffers, as a serving loop
-			// does: the looped side's Get returns results on the stack.
-			lookupKeys := make([]core.Key, size)
-			lookupVals := make([]core.Value, size)
-			lookupOks := make([]bool, size)
-			batchedGet := bestOf(lookupTrials, func() float64 {
-				return timed(cfg.Ops, func() {
-					for off := 0; off < cfg.Ops; off += size {
-						for i := range lookupKeys {
-							lookupKeys[i] = keys[(off+i)%len(keys)]
-						}
-						rs.LookupBatch(lookupKeys, lookupVals, lookupOks, nil)
-					}
-				})
-			})
-
-			// Every batched result carries a blocking intra-run floor
-			// against its looped sibling — the "batch >= looped" promise
-			// with headroom for single-threaded runner noise. Lookups
-			// measure ~1.0-1.1x with small jitter (floor 0.9, vs the 0.42x
-			// the old grouping path regressed to). In-memory inserts churn
-			// the allocator as the trees grow, which widens their jitter to
-			// +/-15% around ~1.0, so their floor is 0.8 (the regression
-			// class it guards was 0.52-0.76x). Durable batched inserts
-			// amortize fsyncs 10-100x, so their floor is a hard 2x.
-			insFloor := 0.8
-			if sys.durable {
-				insFloor = 2.0
-			}
-			results = append(results,
-				BenchResult{
-					Name: fmt.Sprintf("batch/%s/insert/b%d", sys.name, size), OpsPerSec: batchedIns,
-					MinRatioOf: fmt.Sprintf("batch/%s/insert/looped", sys.name), MinRatio: insFloor,
-				},
-				BenchResult{
-					Name: fmt.Sprintf("batch/%s/lookup/b%d", sys.name, size), OpsPerSec: batchedGet,
-					MinRatioOf: fmt.Sprintf("batch/%s/lookup/looped", sys.name), MinRatio: 0.9,
-				},
-			)
-			fsyncCell := "-"
-			if sys.durable {
-				fsyncCell = fmt.Sprintf("%d/%d (per %d/%d ops)", loopInsFsyncs, batchInsFsyncs, insOps, len(fresh))
-			}
-			t.AddRow("insert", loopedIns/1e3, size, batchedIns/1e3, batchedIns/loopedIns, fsyncCell)
-			t.AddRow("lookup", loopedGet/1e3, size, batchedGet/1e3, batchedGet/loopedGet, "-")
-		}
-		rcleanup()
-		tables = append(tables, t)
+		tables, floors = append(tables, t), append(floors, fs...)
 	}
-	return tables, results, nil
+	return tables, floors, nil
+}
+
+// measure is gateBatch for one system.
+func (sys batchSystem) measure(cfg Config, keys []core.Key, recs, fresh []core.KV) (*Table, []floor, error) {
+	t := &Table{
+		ID: "BATCH",
+		Title: fmt.Sprintf("Batched vs looped ops, %s, n=%d, %d ops (Kops/s)",
+			sys.name, cfg.N, cfg.Q),
+		Columns: []string{"op", "looped Kops", "batch size", "batched Kops", "speedup", "fsyncs looped/batched"},
+	}
+	var durLooped float64
+	var durLoopedFsyncs uint64
+	durLoopedOps := min(cfg.Q, loopedInsertCap)
+	if sys.durable {
+		var err error
+		if durLooped, durLoopedFsyncs, err = sys.timeInserts(recs, fresh[:durLoopedOps], insertLooped); err != nil {
+			return nil, nil, err
+		}
+	}
+	// All lookup measurements share one preloaded stack: lookups never
+	// mutate, and the preload (not the insert history) is what they hit.
+	reads, closeReads, err := sys.build(recs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("bench: build %s: %w", sys.name, err)
+	}
+	defer closeReads()
+
+	var floors []floor
+	for _, size := range batchSizes {
+		var batIns, loopIns float64
+		var err error
+		insFloor, fsyncCell := 0.8, "-"
+		if sys.durable {
+			var batFsyncs uint64
+			batIns, batFsyncs, err = sys.timeInserts(recs, fresh[:cfg.Q], func(s *lix.Stack, recs []core.KV) error {
+				return insertBatched(s, recs, size)
+			})
+			loopIns, insFloor = durLooped, 2
+			fsyncCell = fmt.Sprintf("%d/%d (per %d/%d ops)", durLoopedFsyncs, batFsyncs, durLoopedOps, cfg.Q)
+		} else {
+			batIns, loopIns, err = sys.insertsAB(recs, fresh, cfg.Q, size)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: insert into %s: %w", sys.name, err)
+		}
+		batGet, loopGet, err := lookupsAB(reads, keys, cfg.Q, size)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bench: lookup on %s: %w", sys.name, err)
+		}
+
+		floors = append(floors,
+			floor{name: fmt.Sprintf("batch/%s/insert/b%d", sys.name, size), got: batIns, ref: loopIns, min: insFloor},
+			floor{name: fmt.Sprintf("batch/%s/lookup/b%d", sys.name, size), got: batGet, ref: loopGet, min: 0.9},
+		)
+		t.AddRow("insert", loopIns/1e3, size, batIns/1e3, batIns/loopIns, fsyncCell)
+		t.AddRow("lookup", loopGet/1e3, size, batGet/1e3, batGet/loopGet, "-")
+	}
+	return t, floors, nil
+}
+
+// insertsAB compares batched (a) with looped (b) inserts of fresh records
+// through abMedian: one stack per side and round, both grown by the same
+// q records (rounded up so a slice is a whole number of batches), slice by
+// slice.
+func (sys batchSystem) insertsAB(preload, fresh []core.KV, q, size int) (batched, looped float64, err error) {
+	n := roundUp(max(q/abSlices, 1), size)
+	return abMedian(abRounds, abSlices, func() (side, side, func(), error) {
+		sb, closeB, err := sys.build(preload)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		sl, closeL, err := sys.build(preload)
+		if err != nil {
+			closeB()
+			return nil, nil, nil, err
+		}
+		insertSide := func(insert func([]core.KV) error) side {
+			off := 0
+			return func() (float64, error) {
+				chunk := fresh[off : off+n]
+				off += n
+				return timeOps(n, func() error { return insert(chunk) })
+			}
+		}
+		return insertSide(func(recs []core.KV) error { return insertBatched(sb, recs, size) }),
+			insertSide(func(recs []core.KV) error { return insertLooped(sl, recs) }),
+			func() { closeB(); closeL() }, nil
+	})
+}
+
+// lookupRounds is lookupsAB's round count. Its rounds build nothing, so it
+// affords more of them than abRounds, and needs them: a burst of host
+// contention lasts a few hundred milliseconds and during one a 4096-key
+// batch, which fans out to a goroutine per shard, loses more than a Get
+// does; seven rounds of 50 ms sat inside such a burst once in ten runs.
+const lookupRounds = 11
+
+// lookupsAB compares batched (a) with looped (b) lookups of q keys a slice
+// through abMedian. Both sides read the same stack s — so a fresh one per
+// round would change nothing between them — and the batched side reuses its
+// result buffers, as a serving loop does: the looped side's Get returns
+// results on the stack.
+func lookupsAB(s *lix.Stack, keys []core.Key, q, size int) (batched, looped float64, err error) {
+	n := roundUp(q, size)
+	lookupKeys := make([]core.Key, size)
+	lookupVals := make([]core.Value, size)
+	lookupOks := make([]bool, size)
+	batchedSide := func() (float64, error) {
+		return timeOps(n, func() error {
+			for off := 0; off < n; off += size {
+				for i := range lookupKeys {
+					lookupKeys[i] = keys[(off+i)%len(keys)]
+				}
+				s.LookupBatch(lookupKeys, lookupVals, lookupOks, nil)
+			}
+			return nil
+		})
+	}
+	loopedSide := func() (float64, error) {
+		return timeOps(n, func() error {
+			for i := 0; i < n; i++ {
+				s.Get(keys[i%len(keys)])
+			}
+			return nil
+		})
+	}
+	return abMedian(lookupRounds, abSlices, func() (side, side, func(), error) {
+		return batchedSide, loopedSide, func() {}, nil
+	})
+}
+
+func insertBatched(s *lix.Stack, recs []core.KV, size int) error {
+	for off := 0; off < len(recs); off += size {
+		if err := s.InsertBatch(recs[off:min(off+size, len(recs))], nil); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func insertLooped(s *lix.Stack, recs []core.KV) error {
+	for _, r := range recs {
+		s.Insert(r.Key, r.Value)
+	}
+	return s.Err()
+}
+
+// timeInserts builds a fresh stack and times insert over recs on it; it
+// returns ops/s and the fsyncs the inserts cost.
+func (sys batchSystem) timeInserts(preload, recs []core.KV, insert func(*lix.Stack, []core.KV) error) (float64, uint64, error) {
+	s, cleanup, err := sys.build(preload)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bench: build %s: %w", sys.name, err)
+	}
+	defer cleanup()
+	base := fsyncs(s)
+	rate, err := timeOps(len(recs), func() error { return insert(s, recs) })
+	return rate, fsyncs(s) - base, err
 }
 
 func fsyncs(s *lix.Stack) uint64 {
@@ -285,9 +265,16 @@ func fsyncs(s *lix.Stack) uint64 {
 	return 0
 }
 
-func opsPerSec(n int, d time.Duration) float64 {
+// timeOps runs f, which performs n operations, and returns ops/s.
+func timeOps(n int, f func() error) (float64, error) {
+	start := time.Now()
+	err := f()
+	d := time.Since(start)
 	if d <= 0 {
 		d = time.Nanosecond
 	}
-	return float64(n) / d.Seconds()
+	return float64(n) / d.Seconds(), err
 }
+
+// roundUp returns the smallest multiple of m that is at least n.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }

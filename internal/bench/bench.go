@@ -20,7 +20,10 @@ import (
 	"github.com/lix-go/lix/internal/zm"
 )
 
-// Config controls experiment scale.
+// Config sizes a run. The experiments read N, Q and Seed. A gate runs at
+// the size declared beside it in gates.go and takes from here only Seed
+// and, where it has them, Shards and Workers. The wire client (RunLoadgen,
+// the trace gate) reads Workers, Pipeline, Duration, N and Seed.
 type Config struct {
 	// N is the dataset size (records or points).
 	N int
@@ -28,6 +31,15 @@ type Config struct {
 	Q int
 	// Seed drives all generators.
 	Seed int64
+	// Shards is the shard count of a sharded stack.
+	Shards int `json:",omitempty"`
+	// Workers is the number of concurrent goroutines or connections.
+	Workers int `json:",omitempty"`
+	// Pipeline is the number of requests per pipelined group on the wire.
+	Pipeline int `json:",omitempty"`
+	// Duration is the wire client's send window: RunLoadgen's whole run,
+	// one slice of the trace gate.
+	Duration time.Duration `json:",omitempty"`
 }
 
 // DefaultConfig is the scale used for EXPERIMENTS.md.
@@ -41,7 +53,8 @@ func IDs() []string {
 	return []string{"E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19"}
 }
 
-// Run executes one experiment by ID.
+// Run executes one experiment or gate by ID ("gates" runs every gate). A
+// gate that misses a floor returns its tables together with the error.
 func Run(id string, cfg Config) ([]*Table, error) {
 	switch id {
 	case "E4":
@@ -77,7 +90,7 @@ func Run(id string, cfg Config) ([]*Table, error) {
 	case "E19":
 		return E19DimSweep(cfg), nil
 	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q", id)
+		return runGates(id, cfg)
 	}
 }
 

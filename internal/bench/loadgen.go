@@ -9,198 +9,99 @@ import (
 	"time"
 
 	"github.com/lix-go/lix/internal/core"
-	"github.com/lix-go/lix/internal/obs"
 	"github.com/lix-go/lix/internal/wire"
 )
 
-// LoadgenConfig sizes the wire-protocol load generator (lixbench
-// -serve-addr): a client-side benchmark that drives a running lixserve
-// over TCP with pipelined request groups and measures end-to-end
-// throughput and per-request latency percentiles.
-type LoadgenConfig struct {
-	// Addr is the server address ("host:port").
-	Addr string `json:"addr"`
-	// Conns is the parallel connection count.
-	Conns int `json:"conns"`
-	// Pipeline is the number of requests sent per pipelined group; 1
-	// degenerates to one round-trip per request.
-	Pipeline int `json:"pipeline"`
-	// TargetQPS paces the senders to this aggregate request rate
-	// (open-loop: senders keep pace even while replies are outstanding).
-	// 0 runs closed-loop at maximum throughput.
-	TargetQPS float64 `json:"target_qps"`
-	// Duration is the measured send window.
-	Duration time.Duration `json:"duration"`
-	// ReadFrac is the GET fraction of the workload; the rest are SETs.
-	ReadFrac float64 `json:"read_frac"`
-	// Keys is the key-space size; keys are drawn uniformly from
-	// [0, 16*Keys) with the generator stride, matching lixserve -n preload.
-	Keys int `json:"keys"`
-	// Seed drives key choice and op mixing.
-	Seed int64 `json:"seed"`
+// RunLoadgen drives a running lixserve at addr (lixbench -serve-addr) with
+// the closed-loop wire client and prints what it sent: cfg.Workers
+// connections (default 4), cfg.Pipeline requests per group (default 32),
+// for cfg.Duration (default 5s), keys drawn from [0, 16*cfg.N) (default
+// N 1M) to match lixserve -n preload. It is a smoke load, not a
+// measurement: the repo benchmark's wire workloads measure the server from
+// outside (benchmark/README.md).
+func RunLoadgen(addr string, cfg Config) ([]*Table, error) {
+	if addr == "" {
+		return nil, fmt.Errorf("loadgen: no server address")
+	}
+	if cfg.Workers <= 0 {
+		cfg.Workers = 4
+	}
+	if cfg.Pipeline <= 0 {
+		cfg.Pipeline = 32
+	}
+	if cfg.Duration <= 0 {
+		cfg.Duration = 5 * time.Second
+	}
+	if cfg.N <= 0 {
+		cfg.N = 1_000_000
+	}
+	ops, errs, elapsed, err := wireLoad(addr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		ID:      "L1",
+		Title:   fmt.Sprintf("Wire serving: 95-5 closed loop over %d conns, pipeline depth %d", cfg.Workers, cfg.Pipeline),
+		Columns: []string{"ops", "errors", "seconds", "Kops/s"},
+	}
+	t.AddRow(ops, errs, elapsed.Seconds(), float64(ops)/elapsed.Seconds()/1e3)
+	return []*Table{t}, nil
 }
 
-// DefaultLoadgenConfig is the scale used by the CI smoke run.
-func DefaultLoadgenConfig() LoadgenConfig {
-	return LoadgenConfig{
-		Conns:    4,
-		Pipeline: 32,
-		Duration: 5 * time.Second,
-		ReadFrac: 0.95,
-		Keys:     1_000_000,
-		Seed:     7,
-	}
-}
-
-func (c LoadgenConfig) withDefaults() LoadgenConfig {
-	d := DefaultLoadgenConfig()
-	if c.Conns <= 0 {
-		c.Conns = d.Conns
-	}
-	if c.Pipeline <= 0 {
-		c.Pipeline = d.Pipeline
-	}
-	if c.Duration <= 0 {
-		c.Duration = d.Duration
-	}
-	if c.ReadFrac <= 0 || c.ReadFrac > 1 {
-		c.ReadFrac = d.ReadFrac
-	}
-	if c.Keys <= 0 {
-		c.Keys = d.Keys
-	}
-	return c
-}
-
-// LoadgenResult is one measured load-generation run.
-type LoadgenResult struct {
-	Ops       uint64        `json:"ops"`
-	Errors    uint64        `json:"errors"`
-	Elapsed   time.Duration `json:"elapsed"`
-	OpsPerSec float64       `json:"ops_per_sec"`
-	P50       time.Duration `json:"p50"`
-	P99       time.Duration `json:"p99"`
-	P999      time.Duration `json:"p999"`
-}
-
-// inflight is one pipelined group in flight: its send timestamp and size,
-// passed from the sender to the receiver goroutine of a connection.
-type inflight struct {
-	sent time.Time
-	n    int
-}
-
-// RunLoadgen drives the server at cfg.Addr with cfg.Conns connections,
-// each running a decoupled sender/receiver pair: the sender paces
-// pipelined groups (open-loop under TargetQPS — it does not wait for
-// replies), the receiver drains replies and records one latency sample
-// per request into a shared obs histogram, from which the percentile
-// columns are read. The workload is ReadFrac GETs / (1-ReadFrac) SETs
-// over a uniform key space.
-func RunLoadgen(cfg LoadgenConfig) ([]*Table, LoadgenResult, []BenchResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Addr == "" {
-		return nil, LoadgenResult{}, nil, fmt.Errorf("loadgen: no server address")
+// wireLoad is the closed-loop wire client: cfg.Workers connections to addr,
+// each a decoupled sender/receiver pair that keeps pipelined groups of
+// cfg.Pipeline requests (95% GET, 5% SET, uniform keys in [0, 16*cfg.N))
+// in flight for cfg.Duration. It returns the replies received, how many of
+// them were RErr, and the time from first send to last reply.
+func wireLoad(addr string, cfg Config) (ops, errs uint64, elapsed time.Duration, err error) {
+	conns := make([]net.Conn, 0, cfg.Workers)
+	for len(conns) < cfg.Workers {
+		conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+		if err != nil {
+			for _, c := range conns {
+				c.Close()
+			}
+			return 0, 0, 0, fmt.Errorf("loadgen: dial %s: %w", addr, err)
+		}
+		conns = append(conns, conn)
 	}
 
-	lat := &obs.Histogram{} // per-request round-trip latencies, all conns
-	var ops, errs atomic.Uint64
+	var nOps, nErrs atomic.Uint64
 	var wg sync.WaitGroup
-	connErrs := make(chan error, cfg.Conns)
-
-	// Per-sender group interval under TargetQPS pacing.
-	var interval time.Duration
-	if cfg.TargetQPS > 0 {
-		perConn := cfg.TargetQPS / float64(cfg.Conns)
-		interval = time.Duration(float64(cfg.Pipeline) / perConn * float64(time.Second))
-	}
-
+	connErrs := make(chan error, cfg.Workers)
 	start := time.Now()
 	deadline := start.Add(cfg.Duration)
-	for id := 0; id < cfg.Conns; id++ {
-		conn, err := net.DialTimeout("tcp", cfg.Addr, 5*time.Second)
-		if err != nil {
-			return nil, LoadgenResult{}, nil, fmt.Errorf("loadgen: dial %s: %w", cfg.Addr, err)
-		}
+	for id, conn := range conns {
 		wg.Add(1)
 		go func(id int, conn net.Conn) {
 			defer wg.Done()
 			defer conn.Close()
-			if err := driveConn(conn, cfg, id, deadline, interval, lat, &ops, &errs); err != nil {
-				connErrs <- fmt.Errorf("conn %d: %w", id, err)
+			if err := driveConn(conn, cfg, id, deadline, &nOps, &nErrs); err != nil {
+				connErrs <- fmt.Errorf("loadgen: conn %d: %w", id, err)
 			}
 		}(id, conn)
 	}
 	wg.Wait()
 	close(connErrs)
-	for err := range connErrs {
-		return nil, LoadgenResult{}, nil, err
-	}
-	elapsed := time.Since(start)
-
-	res := LoadgenResult{
-		Ops:       ops.Load(),
-		Errors:    errs.Load(),
-		Elapsed:   elapsed,
-		OpsPerSec: float64(ops.Load()) / elapsed.Seconds(),
-		P50:       time.Duration(lat.Quantile(0.5)),
-		P99:       time.Duration(lat.Quantile(0.99)),
-		P999:      time.Duration(lat.Quantile(0.999)),
-	}
-
-	workload := fmt.Sprintf("%.0f-%.0f", cfg.ReadFrac*100, (1-cfg.ReadFrac)*100)
-	t := &Table{
-		ID:      "L1",
-		Title:   fmt.Sprintf("Wire serving: %s over %d conns, pipeline depth %d", workload, cfg.Conns, cfg.Pipeline),
-		Columns: []string{"mode", "ops", "errors", "Kops/s", "p50", "p99", "p999"},
-	}
-	mode := "closed-loop"
-	if cfg.TargetQPS > 0 {
-		mode = fmt.Sprintf("open-loop %.0f qps", cfg.TargetQPS)
-	}
-	t.AddRow(mode, res.Ops, res.Errors, fmt.Sprintf("%.1f", res.OpsPerSec/1e3),
-		res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond), res.P999.Round(time.Microsecond))
-
-	name := fmt.Sprintf("serve/%s/pipeline=%d", workload, cfg.Pipeline)
-	bres := []BenchResult{{
-		Name:      name,
-		OpsPerSec: res.OpsPerSec,
-		P50NS:     uint64(res.P50),
-		P99NS:     uint64(res.P99),
-		P999NS:    uint64(res.P999),
-	}}
-	return []*Table{t}, res, bres, nil
+	return nOps.Load(), nErrs.Load(), time.Since(start), <-connErrs
 }
 
 // driveConn runs one connection's sender/receiver pair until deadline.
-func driveConn(conn net.Conn, cfg LoadgenConfig, id int, deadline time.Time,
-	interval time.Duration, lat *obs.Histogram, ops, errs *atomic.Uint64) error {
-
+func driveConn(conn net.Conn, cfg Config, id int, deadline time.Time, ops, errs *atomic.Uint64) error {
 	// The sender never blocks on replies; up to cap(pending) groups ride
-	// the connection at once. The channel doubles as the handoff of send
-	// timestamps to the receiver.
-	pending := make(chan inflight, 64)
+	// the connection at once, one entry per group sent.
+	pending := make(chan struct{}, 64)
 	sendErr := make(chan error, 1)
 
 	go func() {
 		defer close(pending)
 		w := wire.NewWriter(conn, 0)
 		r := rand.New(rand.NewSource(cfg.Seed + int64(id)*101))
-		key := func() core.Key { return core.Key(r.Intn(cfg.Keys * 16)) }
-		next := time.Now()
+		key := func() core.Key { return core.Key(r.Intn(cfg.N * 16)) }
 		var m wire.Msg
 		for time.Now().Before(deadline) {
-			if interval > 0 {
-				// Open loop: each group has a schedule slot; a slow server
-				// does not slow the schedule down, it just queues.
-				if d := time.Until(next); d > 0 {
-					time.Sleep(d)
-				}
-				next = next.Add(interval)
-			}
-			sent := time.Now()
 			for i := 0; i < cfg.Pipeline; i++ {
-				if r.Float64() < cfg.ReadFrac {
+				if r.Float64() < 0.95 {
 					m = wire.Msg{Op: wire.OpGet, Key: key()}
 				} else {
 					m = wire.Msg{Op: wire.OpSet, Key: key(), Val: core.Value(i)}
@@ -215,7 +116,7 @@ func driveConn(conn net.Conn, cfg LoadgenConfig, id int, deadline time.Time,
 				return
 			}
 			select {
-			case pending <- inflight{sent: sent, n: cfg.Pipeline}:
+			case pending <- struct{}{}:
 			case <-time.After(time.Until(deadline)):
 				return // receiver wedged past the deadline; stop sending
 			}
@@ -224,8 +125,8 @@ func driveConn(conn net.Conn, cfg LoadgenConfig, id int, deadline time.Time,
 
 	rd := wire.NewReader(conn, 0)
 	conn.SetReadDeadline(deadline.Add(10 * time.Second))
-	for g := range pending {
-		for i := 0; i < g.n; i++ {
+	for range pending {
+		for i := 0; i < cfg.Pipeline; i++ {
 			rep, err := rd.Read()
 			if err != nil {
 				return err
@@ -233,7 +134,6 @@ func driveConn(conn net.Conn, cfg LoadgenConfig, id int, deadline time.Time,
 			if rep.Op == wire.RErr {
 				errs.Add(1)
 			}
-			lat.Observe(uint64(time.Since(g.sent)))
 			ops.Add(1)
 		}
 	}
@@ -241,6 +141,6 @@ func driveConn(conn net.Conn, cfg LoadgenConfig, id int, deadline time.Time,
 	case err := <-sendErr:
 		return err
 	default:
+		return nil
 	}
-	return nil
 }

@@ -11,28 +11,10 @@ import (
 	"github.com/lix-go/lix/internal/page"
 )
 
-// PagedConfig sizes the paged-storage benchmark (lixbench -paged): random
-// point lookups against the disk-backed indexes, once through a buffer
-// pool far smaller than the dataset (cold, every probe faults pages in
-// from disk) and once through a pool big enough to hold every page (warm,
-// the steady state after the working set is resident).
-type PagedConfig struct {
-	// N is the bulk-loaded dataset size.
-	N int `json:"n"`
-	// Lookups is the number of random point lookups per measurement.
-	Lookups int `json:"lookups"`
-	// ColdFrames is the cold run's buffer-pool frame budget. The default
-	// holds well under 1% of the dataset's pages, so the cold run is
-	// dominated by page faults and CLOCK evictions.
-	ColdFrames int `json:"cold_frames"`
-	// Seed drives key generation and probe sampling.
-	Seed int64 `json:"seed"`
-}
-
-// DefaultPagedConfig is the scale used for the committed baseline.
-func DefaultPagedConfig() PagedConfig {
-	return PagedConfig{N: 200_000, Lookups: 100_000, ColdFrames: 16, Seed: 7}
-}
+// pagedColdFrames is the cold run's buffer-pool frame budget: well under
+// 1% of the dataset's pages, so the cold run is dominated by page faults
+// and CLOCK evictions.
+const pagedColdFrames = 16
 
 // pagedBenchIndex is the slice of the paged index API the benchmark
 // drives; both *page.BTree and *page.PGM satisfy it.
@@ -42,25 +24,19 @@ type pagedBenchIndex interface {
 	Close() error
 }
 
-// PagedResultName returns the BenchResult name for one (kind, phase)
-// cell, e.g. "paged/paged-btree/lookup/cold".
-func PagedResultName(kind, phase string) string {
-	return fmt.Sprintf("paged/%s/lookup/%s", kind, phase)
-}
-
-// RunPaged measures cold-pool vs warm-pool random-lookup throughput for
-// both paged kinds. The warm results carry a blocking intra-run floor —
-// warm must be at least 3x cold — which pins the structural promise of
-// the buffer pool: serving from resident frames must be far cheaper than
-// faulting pages in, on every machine, or caching is buying nothing.
-func RunPaged(cfg PagedConfig) ([]*Table, []BenchResult, error) {
-	if cfg.ColdFrames <= 0 {
-		cfg.ColdFrames = DefaultPagedConfig().ColdFrames
-	}
+// gatePaged measures random point lookups (cfg.Q of them over cfg.N keys)
+// against both disk-backed paged kinds, once through a buffer pool far
+// smaller than the dataset (cold, every probe faults pages in from disk)
+// and once through a pool holding every page (warm, the steady state after
+// the working set is resident). The floor — warm at least 3x cold — pins
+// the structural promise of the buffer pool: serving from resident frames
+// must be far cheaper than faulting pages in, on every machine, or caching
+// is buying nothing.
+func gatePaged(cfg Config) ([]*Table, []floor, error) {
 	keys := mustKeys(dataset.Uniform, cfg.N, cfg.Seed)
 	recs := dataset.KV(keys)
 	r := newRand(cfg.Seed + 101)
-	probes := make([]core.Key, cfg.Lookups)
+	probes := make([]core.Key, cfg.Q)
 	for i := range probes {
 		probes[i] = keys[r.Intn(len(keys))]
 	}
@@ -91,10 +67,10 @@ func RunPaged(cfg PagedConfig) ([]*Table, []BenchResult, error) {
 	t := &Table{
 		ID: "PAGED",
 		Title: fmt.Sprintf("Paged lookup throughput, n=%d, cold pool %d frames vs all-resident (Kops/s)",
-			cfg.N, cfg.ColdFrames),
+			cfg.N, pagedColdFrames),
 		Columns: []string{"kind", "cold Kops", "warm Kops", "warm/cold", "cold miss%", "evictions"},
 	}
-	var results []BenchResult
+	var floors []floor
 	for _, kind := range kinds {
 		path := filepath.Join(dir, kind.name+".lpx")
 		b, err := kind.bulk(path, recs, page.Options{})
@@ -112,7 +88,7 @@ func RunPaged(cfg PagedConfig) ([]*Table, []BenchResult, error) {
 		// that splits would add (there are none here: lookups only).
 		warmFrames := int(st.Size())/page.DefaultPageSize + 16
 
-		cold, err := kind.open(path, page.Options{PoolFrames: cfg.ColdFrames})
+		cold, err := kind.open(path, page.Options{PoolFrames: pagedColdFrames})
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: open cold %s: %w", kind.name, err)
 		}
@@ -143,18 +119,9 @@ func RunPaged(cfg PagedConfig) ([]*Table, []BenchResult, error) {
 
 		missPct := 100 * float64(cs.Misses) / float64(cs.Hits+cs.Misses)
 		t.AddRow(kind.name, coldRate/1e3, warmRate/1e3, warmRate/coldRate, missPct, cs.Evictions)
-
-		coldName := PagedResultName(kind.name, "cold")
-		results = append(results,
-			BenchResult{Name: coldName, OpsPerSec: coldRate},
-			BenchResult{
-				Name:       PagedResultName(kind.name, "warm"),
-				OpsPerSec:  warmRate,
-				MinRatioOf: coldName,
-				MinRatio:   3,
-			})
+		floors = append(floors, floor{name: "paged/" + kind.name + "/lookup/warm", got: warmRate, ref: coldRate, min: 3})
 	}
-	return []*Table{t}, results, nil
+	return []*Table{t}, floors, nil
 }
 
 // pagedLookupRate drives the probe sequence through ix and returns

@@ -2,41 +2,20 @@ package bench
 
 import "testing"
 
-// TestRunPagedSmoke runs the paged benchmark at a tiny scale and checks
-// the contract the CI gate depends on: four results, cold runs actually
-// evicting (RunPaged errors otherwise), and every warm result carrying
-// the blocking >= 3x floor against its own kind's cold result.
+// TestRunPagedSmoke runs the paged gate at a tiny scale and checks the
+// contract CI depends on: one row per kind, cold runs actually evicting
+// (gatePaged errors otherwise), and every warm rate carrying the >= 3x
+// floor against its own kind's cold rate.
 func TestRunPagedSmoke(t *testing.T) {
-	cfg := PagedConfig{N: 20_000, Lookups: 4_000, ColdFrames: 8, Seed: 3}
-	tables, results, err := RunPaged(cfg)
+	tables, floors, err := gatePaged(Config{N: 20_000, Q: 4_000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 1 || len(tables[0].Rows) != 2 {
 		t.Fatalf("want 1 table with 2 rows, got %d tables", len(tables))
 	}
-	if len(results) != 4 {
-		t.Fatalf("want 4 results, got %d", len(results))
-	}
-	byName := make(map[string]BenchResult, len(results))
-	for _, r := range results {
-		if r.OpsPerSec <= 0 {
-			t.Errorf("%s: non-positive throughput %v", r.Name, r.OpsPerSec)
-		}
-		byName[r.Name] = r
-	}
-	for _, kind := range []string{"paged-btree", "paged-pgm"} {
-		coldName := PagedResultName(kind, "cold")
-		if _, ok := byName[coldName]; !ok {
-			t.Fatalf("missing result %s", coldName)
-		}
-		warm, ok := byName[PagedResultName(kind, "warm")]
-		if !ok {
-			t.Fatalf("missing result %s", PagedResultName(kind, "warm"))
-		}
-		if warm.MinRatioOf != coldName || warm.MinRatio != 3 {
-			t.Errorf("%s: ratio gate = (%q, %v), want (%q, 3)",
-				warm.Name, warm.MinRatioOf, warm.MinRatio, coldName)
-		}
-	}
+	wantFloors(t, floors, map[string]float64{
+		"paged/paged-btree/lookup/warm": 3,
+		"paged/paged-pgm/lookup/warm":   3,
+	})
 }

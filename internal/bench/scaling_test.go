@@ -35,7 +35,7 @@ func TestShardedScaling(t *testing.T) {
 		minRatio = v
 	}
 
-	cfg := ServingConfig{N: 200_000, OpsPerWorker: 100_000, Workers: 8, Shards: 8, Seed: 1}
+	cfg := Config{N: 200_000, Q: 100_000, Workers: 8, Shards: 8, Seed: 1}
 	keys := mustKeys(dataset.Uniform, cfg.N, cfg.Seed)
 	recs := dataset.KV(keys)
 	systems := servingSystems(cfg)

@@ -1,7 +1,11 @@
 // Package bench is the experiment harness behind the lixbench CLI and the
 // repository's top-level benchmarks: it generates workloads, drives every
 // index through the experiment suite E4–E19 defined in DESIGN.md, and
-// renders the result tables recorded in EXPERIMENTS.md.
+// renders the result tables recorded in EXPERIMENTS.md. It also holds the
+// self-checking ratio gates CI blocks on (gates.go): each measures both
+// sides of a ratio inside one run and holds it to a floor declared beside
+// the measurement. Comparing two revisions is not done here; that is the
+// repo benchmark (benchmark/).
 package bench
 
 import (
