@@ -23,7 +23,8 @@
 //	lixbench -e trace     # tracer attached but off >= 0.95x no tracer
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare
-//	lixbench -e gates     # all six
+//	lixbench -e spatial   # flood rectangle search >= 3.1x the STR R-tree
+//	lixbench -e gates     # all seven
 //
 // Nothing here compares two revisions: that is the repo benchmark's job
 // (benchmark/README.md).
@@ -80,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs := flag.NewFlagSet("lixbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("e", "all", "experiment ID (E4..E19), 'all', or a gate: serving batch paged lsm trace obs, 'gates' for all six")
+		exp        = fs.String("e", "all", "experiment ID (E4..E19), 'all', or a gate: serving batch paged lsm trace obs spatial, 'gates' for all seven")
 		n          = fs.Int("n", 0, "dataset size (0 = default)")
 		q          = fs.Int("q", 0, "queries per measurement (0 = default)")
 		seed       = fs.Int64("seed", 7, "generator seed")

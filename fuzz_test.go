@@ -160,7 +160,7 @@ func FuzzSFCRangeDecompose(f *testing.F) {
 			maxCode uint64
 		}{
 			"morton": {
-				ranges: func() []sfc.Interval { return morton.Ranges(min, max, maxRanges) },
+				ranges: func() []sfc.Interval { return morton.Ranges(nil, morton.Encode(min), morton.Encode(max), maxRanges) },
 				encode: func(x, y uint32) uint64 { return morton.Encode([]uint32{x, y}) },
 				decode: func(code uint64) (x, y uint32) {
 					c := morton.Decode(code)

@@ -475,7 +475,7 @@ func E12KNN(cfg Config) []*Table {
 	pts := mustPoints(dataset.SOSMLike, n, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
 	queries := dataset.KNNQueries(pts, 200, cfg.Seed+8)
-	for _, name := range []string{"rtree", "kdtree", "quadtree", "grid", "zm", "mlindex", "lisa"} {
+	for _, name := range []string{"rtree", "kdtree", "quadtree", "grid", "zm", "mlindex", "flood", "lisa"} {
 		ixAny, err := lix.BuildSpatial(name, pvs)
 		if err != nil {
 			panic(err)

@@ -9,8 +9,10 @@
 package flood
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/lix-go/lix/internal/core"
@@ -32,23 +34,19 @@ type Config struct {
 type Index struct {
 	cfg     Config
 	dim     int
-	cdfs    []*mlmodel.CDF // per dimension (only grid dims used)
-	cols    []int          // columns per dimension (1 for sort dim)
-	offsets []int32        // cell -> start in pts; len = cells+1
-	pts     []core.PV      // grouped by cell, sorted by sort dim inside
-	n       int
+	side    float64         // longest side of the data extent
+	cdfs    []*mlmodel.CDF  // per dimension (only grid dims used)
+	cols    []int           // columns per dimension (1 for sort dim)
+	offsets []int32         // cell -> start in pts; len = cells+1
+	pts     core.PointStore // grouped by cell, sorted by sort dim inside
 }
 
-// Build constructs a Flood index with an explicit layout.
+// Build constructs a Flood index with an explicit layout over the points
+// (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
-	if len(pvs) == 0 {
-		return nil, fmt.Errorf("flood: empty input")
-	}
-	dim := pvs[0].Point.Dim()
-	for i := range pvs {
-		if pvs[i].Point.Dim() != dim {
-			return nil, fmt.Errorf("flood: point %d dim %d, want %d", i, pvs[i].Point.Dim(), dim)
-		}
+	dim, err := core.PointsDim(pvs)
+	if err != nil {
+		return nil, fmt.Errorf("flood: %w", err)
 	}
 	if cfg.SortDim < 0 || cfg.SortDim >= dim {
 		return nil, fmt.Errorf("flood: sort dim %d out of range [0,%d)", cfg.SortDim, dim)
@@ -66,7 +64,7 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	if len(cfg.Cols) != dim {
 		return nil, fmt.Errorf("flood: cols len %d, want %d", len(cfg.Cols), dim)
 	}
-	ix := &Index{cfg: cfg, dim: dim, n: len(pvs)}
+	ix := &Index{cfg: cfg, dim: dim}
 	ix.cols = make([]int, dim)
 	totalCells := 1
 	for d := 0; d < dim; d++ {
@@ -86,7 +84,9 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	// Per-dimension CDFs from sorted coordinate samples.
 	ix.cdfs = make([]*mlmodel.CDF, dim)
 	coord := make([]float64, len(pvs))
+	ext := core.Bounds(pvs)
 	for d := 0; d < dim; d++ {
+		ix.side = max(ix.side, ext.Max[d]-ext.Min[d])
 		if ix.cols[d] == 1 {
 			continue
 		}
@@ -96,32 +96,29 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		sort.Float64s(coord)
 		ix.cdfs[d] = mlmodel.NewCDF(coord, cfg.CDFSamples)
 	}
-	// Bucket points into cells.
+	// Bucket the points into cells, then sort each cell by the sort
+	// dimension.
 	cellOf := make([]int32, len(pvs))
-	counts := make([]int32, totalCells)
-	for i, pv := range pvs {
-		c := ix.cell(pv.Point)
-		cellOf[i] = int32(c)
-		counts[c]++
-	}
 	ix.offsets = make([]int32, totalCells+1)
-	for c := 0; c < totalCells; c++ {
-		ix.offsets[c+1] = ix.offsets[c] + counts[c]
-	}
-	ix.pts = make([]core.PV, len(pvs))
-	cursor := make([]int32, totalCells)
-	copy(cursor, ix.offsets[:totalCells])
 	for i, pv := range pvs {
-		c := cellOf[i]
-		ix.pts[cursor[c]] = pv
+		cellOf[i] = int32(ix.cell(pv.Point))
+		ix.offsets[cellOf[i]+1]++
+	}
+	for c := 0; c < totalCells; c++ {
+		ix.offsets[c+1] += ix.offsets[c]
+	}
+	cursor := append([]int32(nil), ix.offsets[:totalCells]...)
+	byCell := make([]int32, len(pvs))
+	for i, c := range cellOf {
+		byCell[cursor[c]] = int32(i)
 		cursor[c]++
 	}
-	// Sort each cell by the sort dimension.
-	s := cfg.SortDim
 	for c := 0; c < totalCells; c++ {
-		run := ix.pts[ix.offsets[c]:ix.offsets[c+1]]
-		sort.Slice(run, func(i, j int) bool { return run[i].Point[s] < run[j].Point[s] })
+		slices.SortFunc(byCell[ix.offsets[c]:ix.offsets[c+1]], func(a, b int32) int {
+			return cmp.Compare(pvs[a].Point[cfg.SortDim], pvs[b].Point[cfg.SortDim])
+		})
 	}
+	ix.pts = core.NewPointStoreFrom(dim, pvs, byCell)
 	return ix, nil
 }
 
@@ -150,7 +147,7 @@ func (ix *Index) cell(p core.Point) int {
 }
 
 // Len returns the number of points.
-func (ix *Index) Len() int { return ix.n }
+func (ix *Index) Len() int { return ix.pts.Len() }
 
 // Layout returns the columns-per-dimension vector and the sort dimension.
 func (ix *Index) Layout() ([]int, int) {
@@ -165,14 +162,10 @@ func (ix *Index) Lookup(p core.Point) (core.Value, bool) {
 	if p.Dim() != ix.dim {
 		return 0, false
 	}
-	c := ix.cell(p)
-	run := ix.pts[ix.offsets[c]:ix.offsets[c+1]]
-	s := ix.cfg.SortDim
-	i := sort.Search(len(run), func(i int) bool { return run[i].Point[s] >= p[s] })
-	for ; i < len(run) && run[i].Point[s] == p[s]; i++ {
-		if run[i].Point.Equal(p) {
-			return run[i].Value, true
-		}
+	c, s := ix.cell(p), ix.cfg.SortDim
+	lo, hi := ix.pts.DimRange(int(ix.offsets[c]), int(ix.offsets[c+1]), s, p[s], p[s])
+	if i := ix.pts.Find(lo, hi, p); i >= 0 {
+		return ix.pts.PV(i).Value, true
 	}
 	return 0, false
 }
@@ -183,50 +176,52 @@ func (ix *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, cells i
 	if rect.Dim() != ix.dim {
 		return 0, 0
 	}
-	lo := make([]int, ix.dim)
-	hi := make([]int, ix.dim)
+	// Column bounds and the odometer over them; on the stack for the usual
+	// dimensionalities.
+	var buf [3 * 8]int
+	b := buf[:]
+	if 3*ix.dim > len(b) {
+		b = make([]int, 3*ix.dim)
+	}
+	lo, hi, idx := b[:ix.dim], b[ix.dim:2*ix.dim], b[2*ix.dim:3*ix.dim]
 	for d := 0; d < ix.dim; d++ {
 		lo[d] = ix.column(d, rect.Min[d])
 		hi[d] = ix.column(d, rect.Max[d])
+		idx[d] = lo[d]
 	}
 	s := ix.cfg.SortDim
-	idx := make([]int, ix.dim)
-	copy(idx, lo)
 	for {
 		flat := 0
 		for d := 0; d < ix.dim; d++ {
 			flat = flat*ix.cols[d] + idx[d]
 		}
 		cells++
-		run := ix.pts[ix.offsets[flat]:ix.offsets[flat+1]]
-		i := sort.Search(len(run), func(i int) bool { return run[i].Point[s] >= rect.Min[s] })
-		for ; i < len(run) && run[i].Point[s] <= rect.Max[s]; i++ {
-			if rect.Contains(run[i].Point) {
-				visited++
-				if !fn(run[i]) {
-					return visited, cells
-				}
-			}
+		i, j := ix.pts.DimRange(int(ix.offsets[flat]), int(ix.offsets[flat+1]), s, rect.Min[s], rect.Max[s])
+		n, cont := ix.pts.ScanRect(i, j, rect, fn)
+		visited += n
+		if !cont {
+			return visited, cells
 		}
-		// Odometer over grid dims.
+		// Odometer over grid dims (the sort dim has one column).
 		d := ix.dim - 1
-		for d >= 0 {
-			if d == s {
-				d--
-				continue
-			}
-			idx[d]++
-			if idx[d] <= hi[d] {
+		for ; d >= 0; d-- {
+			if idx[d]++; idx[d] <= hi[d] {
 				break
 			}
 			idx[d] = lo[d]
-			d--
 		}
 		if d < 0 {
-			break
+			return visited, cells
 		}
 	}
-	return visited, cells
+}
+
+// KNN returns the k nearest points to q in ascending distance order.
+func (ix *Index) KNN(q core.Point, k int) []core.PV {
+	if q.Dim() != ix.dim {
+		return nil
+	}
+	return core.KNNByWindow(q, k, ix.pts.Len(), ix.side, ix.Search)
 }
 
 // Stats reports structure statistics.
@@ -239,9 +234,9 @@ func (ix *Index) Stats() core.Stats {
 	}
 	return core.Stats{
 		Name:       "flood",
-		Count:      ix.n,
+		Count:      ix.pts.Len(),
 		IndexBytes: 4*len(ix.offsets) + cdfBytes,
-		DataBytes:  ix.n * (8*ix.dim + 8),
+		DataBytes:  ix.pts.Len() * (8*ix.dim + 8),
 		Height:     1,
 		Models:     ix.dim,
 	}

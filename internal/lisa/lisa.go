@@ -12,6 +12,7 @@ package lisa
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/lix-go/lix/internal/core"
@@ -27,16 +28,38 @@ type Config struct {
 	DeltaCap int
 }
 
-type mappedRec struct {
-	m  float64
-	pv core.PV
+// run is a run of records sorted by mapped value: m[i] belongs to point i
+// of pts.
+type run struct {
+	m   []float64
+	pts core.PointStore
+}
+
+func newRun(dim, capacity int) run {
+	return run{m: make([]float64, 0, capacity), pts: core.NewPointStore(dim, capacity)}
+}
+
+// span returns the positions [lo, hi) of the records with mapped value in
+// [mLo, mHi], both finite.
+func (r *run) span(mLo, mHi float64) (lo, hi int) {
+	lo = sort.SearchFloat64s(r.m, mLo)
+	return lo, lo + sort.SearchFloat64s(r.m[lo:], math.Nextafter(mHi, math.Inf(1)))
+}
+
+// add appends record i of src.
+func (r *run) add(src *run, i int) {
+	pv := src.pts.PV(i)
+	r.m = append(r.m, src.m[i])
+	r.pts.Append(pv.Point, pv.Value)
 }
 
 type shard struct {
-	loM   float64 // smallest mapped value routed here
-	recs  []mappedRec
-	delta []mappedRec // sorted by m
+	loM         float64 // smallest mapped value routed here
+	base, delta run
 }
+
+// runs lists the shard's two runs, base first.
+func (sh *shard) runs() [2]*run { return [2]*run{&sh.base, &sh.delta} }
 
 // Index is a LISA index.
 type Index struct {
@@ -47,21 +70,17 @@ type Index struct {
 	// router: linear model over shard loM -> index, corrected by walk.
 	slope, base float64
 	size        int
+	side        float64 // longest side of the extent the index was built on
 	// Merges and Splits count shard maintenance events (diagnostics).
 	Merges int
 	Splits int
 }
 
-// Build constructs a LISA index over the points.
+// Build constructs a LISA index over the points (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
-	if len(pvs) == 0 {
-		return nil, fmt.Errorf("lisa: empty input")
-	}
-	dim := pvs[0].Point.Dim()
-	for i := range pvs {
-		if pvs[i].Point.Dim() != dim {
-			return nil, fmt.Errorf("lisa: point %d dim %d, want %d", i, pvs[i].Point.Dim(), dim)
-		}
+	dim, err := core.PointsDim(pvs)
+	if err != nil {
+		return nil, fmt.Errorf("lisa: %w", err)
 	}
 	if cfg.GridCols <= 0 {
 		cfg.GridCols = 16
@@ -84,6 +103,7 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 			coord[i] = pv.Point[d]
 		}
 		sort.Float64s(coord)
+		ix.side = max(ix.side, coord[len(coord)-1]-coord[0])
 		b := make([]float64, cfg.GridCols+1)
 		b[0] = math.Inf(-1)
 		for c := 1; c < cfg.GridCols; c++ {
@@ -99,21 +119,19 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		}
 		ix.bounds[d] = b
 	}
-	// Map and sort.
-	ms := make([]mappedRec, len(pvs))
+	// Map, sort and shard.
+	ms := coord
 	for i, pv := range pvs {
-		ms[i] = mappedRec{m: ix.mapPoint(pv.Point), pv: pv}
+		ms[i] = ix.mapPoint(pv.Point)
 	}
-	sort.Slice(ms, func(i, j int) bool { return ms[i].m < ms[j].m })
-	// Shard.
+	order := core.SortKeys(ms)
 	for i := 0; i < len(ms); i += cfg.ShardSize {
-		end := i + cfg.ShardSize
-		if end > len(ms) {
-			end = len(ms)
-		}
-		sh := &shard{recs: append([]mappedRec(nil), ms[i:end]...)}
-		sh.loM = sh.recs[0].m
-		ix.shards = append(ix.shards, sh)
+		end := min(i+cfg.ShardSize, len(ms))
+		ix.shards = append(ix.shards, &shard{
+			loM:   ms[i],
+			base:  run{m: slices.Clone(ms[i:end]), pts: core.NewPointStoreFrom(dim, pvs, order[i:end])},
+			delta: newRun(dim, 0),
+		})
 	}
 	ix.shards[0].loM = math.Inf(-1)
 	ix.retrainRouter()
@@ -158,8 +176,8 @@ func (ix *Index) column(d int, v float64) int {
 // cellRank flattens per-dimension columns.
 func (ix *Index) cellRank(cols []int) float64 {
 	r := 0
-	for d := 0; d < ix.dim; d++ {
-		r = r*ix.cfg.GridCols + cols[d]
+	for _, c := range cols {
+		r = r*ix.cfg.GridCols + c
 	}
 	return float64(r)
 }
@@ -196,11 +214,12 @@ func cellM(rank, f float64) float64 {
 
 // mapPoint is LISA's monotone mapping function M.
 func (ix *Index) mapPoint(p core.Point) float64 {
-	cols := make([]int, ix.dim)
-	for d := 0; d < ix.dim; d++ {
-		cols[d] = ix.column(d, p[d])
+	c0 := ix.column(0, p[0])
+	rank := c0
+	for d := 1; d < ix.dim; d++ {
+		rank = rank*ix.cfg.GridCols + ix.column(d, p[d])
 	}
-	return cellM(ix.cellRank(cols), ix.frac(cols[0], p[0]))
+	return cellM(float64(rank), ix.frac(c0, p[0]))
 }
 
 // locate returns the shard index owning mapped value m.
@@ -221,19 +240,6 @@ func (ix *Index) Len() int { return ix.size }
 // Shards returns the shard count.
 func (ix *Index) Shards() int { return len(ix.shards) }
 
-func lowerBoundM(recs []mappedRec, m float64) int {
-	lo, hi := 0, len(recs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if recs[mid].m < m {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // firstShardFor returns the index of the first shard that can hold mapped
 // value m. Equal mapped values may span several shards after count-based
 // splits, so this backtracks from the routing result.
@@ -245,21 +251,21 @@ func (ix *Index) firstShardFor(m float64) int {
 	return si
 }
 
-// forEachEq visits every record with mapped value exactly m.
-func (ix *Index) forEachEq(m float64, fn func(rec *mappedRec) bool) {
-	for si := ix.firstShardFor(m); si < len(ix.shards); si++ {
-		sh := ix.shards[si]
-		if sh.loM > m {
-			return
-		}
-		for _, run := range [][]mappedRec{sh.delta, sh.recs} {
-			for i := lowerBoundM(run, m); i < len(run) && run[i].m == m; i++ {
-				if !fn(&run[i]) {
-					return
+// find returns the run and position of a stored point equal to p whose
+// value v accepts, or a nil run.
+func (ix *Index) find(p core.Point, accept func(core.Value) bool) (*run, int) {
+	m := ix.mapPoint(p)
+	for si := ix.firstShardFor(m); si < len(ix.shards) && ix.shards[si].loM <= m; si++ {
+		for _, r := range ix.shards[si].runs() {
+			lo, hi := r.span(m, m)
+			for i := r.pts.Find(lo, hi, p); i >= 0; i = r.pts.Find(i+1, hi, p) {
+				if accept(r.pts.PV(i).Value) {
+					return r, i
 				}
 			}
 		}
 	}
+	return nil, 0
 }
 
 // Lookup returns the value of the point equal to p.
@@ -267,32 +273,25 @@ func (ix *Index) Lookup(p core.Point) (core.Value, bool) {
 	if p.Dim() != ix.dim {
 		return 0, false
 	}
-	m := ix.mapPoint(p)
-	var out core.Value
-	found := false
-	ix.forEachEq(m, func(rec *mappedRec) bool {
-		if rec.pv.Point.Equal(p) {
-			out, found = rec.pv.Value, true
-			return false
-		}
-		return true
-	})
-	return out, found
+	r, i := ix.find(p, func(core.Value) bool { return true })
+	if r == nil {
+		return 0, false
+	}
+	return r.pts.PV(i).Value, true
 }
 
-// Insert adds a point.
+// Insert adds a copy of the point.
 func (ix *Index) Insert(p core.Point, v core.Value) error {
 	if p.Dim() != ix.dim {
 		return fmt.Errorf("lisa: point dim %d, want %d", p.Dim(), ix.dim)
 	}
 	m := ix.mapPoint(p)
 	sh := ix.shards[ix.locate(m)]
-	i := lowerBoundM(sh.delta, m)
-	sh.delta = append(sh.delta, mappedRec{})
-	copy(sh.delta[i+1:], sh.delta[i:])
-	sh.delta[i] = mappedRec{m: m, pv: core.PV{Point: p.Clone(), Value: v}}
+	i := sort.SearchFloat64s(sh.delta.m, m)
+	sh.delta.m = slices.Insert(sh.delta.m, i, m)
+	sh.delta.pts.Insert(i, p, v)
 	ix.size++
-	if len(sh.delta) >= ix.cfg.DeltaCap {
+	if len(sh.delta.m) >= ix.cfg.DeltaCap {
 		ix.mergeShard(sh)
 	}
 	return nil
@@ -303,81 +302,50 @@ func (ix *Index) Delete(p core.Point, v core.Value) bool {
 	if p.Dim() != ix.dim {
 		return false
 	}
-	m := ix.mapPoint(p)
-	for si := ix.firstShardFor(m); si < len(ix.shards); si++ {
-		sh := ix.shards[si]
-		if sh.loM > m {
-			break
-		}
-		for _, runp := range []*[]mappedRec{&sh.delta, &sh.recs} {
-			run := *runp
-			for i := lowerBoundM(run, m); i < len(run) && run[i].m == m; i++ {
-				if run[i].pv.Value == v && run[i].pv.Point.Equal(p) {
-					*runp = append(run[:i], run[i+1:]...)
-					ix.size--
-					return true
-				}
-			}
-		}
+	r, i := ix.find(p, func(got core.Value) bool { return got == v })
+	if r == nil {
+		return false
 	}
-	return false
+	r.m = slices.Delete(r.m, i, i+1)
+	r.pts.Remove(i)
+	ix.size--
+	return true
 }
 
 // mergeShard folds the delta into the base run and splits if oversized.
 func (ix *Index) mergeShard(sh *shard) {
-	merged := make([]mappedRec, 0, len(sh.recs)+len(sh.delta))
-	i, j := 0, 0
-	for i < len(sh.recs) || j < len(sh.delta) {
-		switch {
-		case i >= len(sh.recs):
-			merged = append(merged, sh.delta[j])
-			j++
-		case j >= len(sh.delta):
-			merged = append(merged, sh.recs[i])
+	base, delta := &sh.base, &sh.delta
+	merged := newRun(ix.dim, len(base.m)+len(delta.m))
+	for i, j := 0, 0; i < len(base.m) || j < len(delta.m); {
+		if j >= len(delta.m) || (i < len(base.m) && base.m[i] <= delta.m[j]) {
+			merged.add(base, i)
 			i++
-		case sh.delta[j].m < sh.recs[i].m:
-			merged = append(merged, sh.delta[j])
+		} else {
+			merged.add(delta, j)
 			j++
-		default:
-			merged = append(merged, sh.recs[i])
-			i++
 		}
 	}
-	sh.delta = nil
+	sh.delta = newRun(ix.dim, 0)
 	ix.Merges++
-	if len(merged) <= 2*ix.cfg.ShardSize {
-		sh.recs = merged
+	if len(merged.m) <= 2*ix.cfg.ShardSize {
+		sh.base = merged
 		return
 	}
 	// Split into target-size shards.
-	pos := ix.shardIndex(sh)
+	pos := slices.Index(ix.shards, sh)
 	var repl []*shard
-	for s := 0; s < len(merged); s += ix.cfg.ShardSize {
-		e := s + ix.cfg.ShardSize
-		if e > len(merged) {
-			e = len(merged)
+	for s := 0; s < len(merged.m); s += ix.cfg.ShardSize {
+		e := min(s+ix.cfg.ShardSize, len(merged.m))
+		ns := &shard{loM: merged.m[s], base: newRun(ix.dim, e-s), delta: newRun(ix.dim, 0)}
+		for i := s; i < e; i++ {
+			ns.base.add(&merged, i)
 		}
-		ns := &shard{recs: append([]mappedRec(nil), merged[s:e]...)}
-		ns.loM = ns.recs[0].m
 		repl = append(repl, ns)
 	}
 	repl[0].loM = sh.loM
-	out := make([]*shard, 0, len(ix.shards)-1+len(repl))
-	out = append(out, ix.shards[:pos]...)
-	out = append(out, repl...)
-	out = append(out, ix.shards[pos+1:]...)
-	ix.shards = out
+	ix.shards = slices.Replace(ix.shards, pos, pos+1, repl...)
 	ix.Splits++
 	ix.retrainRouter()
-}
-
-func (ix *Index) shardIndex(sh *shard) int {
-	for i, s := range ix.shards {
-		if s == sh {
-			return i
-		}
-	}
-	panic("lisa: shard not found")
 }
 
 // Search calls fn for every point in rect; fn returning false stops.
@@ -386,16 +354,20 @@ func (ix *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned
 	if rect.Dim() != ix.dim {
 		return 0, 0
 	}
-	lo := make([]int, ix.dim)
-	hi := make([]int, ix.dim)
+	// Column bounds and the odometer over them; on the stack for the usual
+	// dimensionalities.
+	var buf [3 * 8]int
+	b := buf[:]
+	if 3*ix.dim > len(b) {
+		b = make([]int, 3*ix.dim)
+	}
+	lo, hi, cols := b[:ix.dim], b[ix.dim:2*ix.dim], b[2*ix.dim:3*ix.dim]
 	for d := 0; d < ix.dim; d++ {
 		lo[d] = ix.column(d, rect.Min[d])
 		hi[d] = ix.column(d, rect.Max[d])
+		cols[d] = lo[d]
 	}
-	cols := make([]int, ix.dim)
-	copy(cols, lo)
-	stop := false
-	for !stop {
+	for {
 		// Mapped interval of this cell restricted to the rect's dim-0 span.
 		rank := ix.cellRank(cols)
 		var fLo, fHi float64
@@ -409,121 +381,45 @@ func (ix *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned
 			// by two adjacent cell intervals.
 			fHi = math.Nextafter(1, 0)
 		}
-		mLo := cellM(rank, fLo)
-		mHi := cellM(rank, fHi)
-		v, s, cont := ix.scanMapped(mLo, mHi, rect, fn)
-		visited += v
-		scanned += s
-		if !cont {
-			return visited, scanned
-		}
-		// Odometer.
-		d := ix.dim - 1
-		for d >= 0 {
-			cols[d]++
-			if cols[d] <= hi[d] {
-				break
-			}
-			cols[d] = lo[d]
-			d--
-		}
-		if d < 0 {
-			break
-		}
-	}
-	return visited, scanned
-}
-
-// scanMapped scans shards covering [mLo, mHi], filtering by rect.
-func (ix *Index) scanMapped(mLo, mHi float64, rect core.Rect, fn func(core.PV) bool) (visited, scanned int, cont bool) {
-	for si := ix.firstShardFor(mLo); si < len(ix.shards); si++ {
-		sh := ix.shards[si]
-		if sh.loM > mHi {
-			break
-		}
-		for _, run := range [][]mappedRec{sh.recs, sh.delta} {
-			for i := lowerBoundM(run, mLo); i < len(run) && run[i].m <= mHi; i++ {
-				scanned++
-				if rect.Contains(run[i].pv.Point) {
-					visited++
-					if !fn(run[i].pv) {
-						return visited, scanned, false
-					}
+		mLo, mHi := cellM(rank, fLo), cellM(rank, fHi)
+		for si := ix.firstShardFor(mLo); si < len(ix.shards) && ix.shards[si].loM <= mHi; si++ {
+			for _, r := range ix.shards[si].runs() {
+				i, j := r.span(mLo, mHi)
+				n, cont := r.pts.ScanRect(i, j, rect, fn)
+				visited += n
+				scanned += j - i
+				if !cont {
+					return visited, scanned
 				}
 			}
 		}
+		// Odometer.
+		d := ix.dim - 1
+		for ; d >= 0; d-- {
+			if cols[d]++; cols[d] <= hi[d] {
+				break
+			}
+			cols[d] = lo[d]
+		}
+		if d < 0 {
+			return visited, scanned
+		}
 	}
-	return visited, scanned, true
 }
 
-// KNN returns the k nearest points to q in ascending distance order by
-// doubling an axis-aligned window until the k-th candidate is inside the
-// window's inscribed ball.
+// KNN returns the k nearest points to q in ascending distance order.
 func (ix *Index) KNN(q core.Point, k int) []core.PV {
-	if k <= 0 || q.Dim() != ix.dim || ix.size == 0 {
+	if q.Dim() != ix.dim {
 		return nil
 	}
-	if k > ix.size {
-		k = ix.size
-	}
-	span := 0.0
-	for d := 0; d < ix.dim; d++ {
-		b := ix.bounds[d]
-		// Use the finite interior span.
-		if len(b) >= 3 {
-			s := b[len(b)-2] - b[1]
-			if s > span {
-				span = s
-			}
-		}
-	}
-	if span <= 0 {
-		span = 1
-	}
-	w := span * 0.02
-	for {
-		rect := core.Rect{Min: make(core.Point, ix.dim), Max: make(core.Point, ix.dim)}
-		for d := 0; d < ix.dim; d++ {
-			rect.Min[d] = q[d] - w
-			rect.Max[d] = q[d] + w
-		}
-		var cand []core.PV
-		ix.Search(rect, func(pv core.PV) bool {
-			cand = append(cand, pv)
-			return true
-		})
-		if len(cand) >= k {
-			sort.Slice(cand, func(i, j int) bool {
-				return q.DistSq(cand[i].Point) < q.DistSq(cand[j].Point)
-			})
-			if q.DistSq(cand[k-1].Point) <= w*w {
-				return cand[:k]
-			}
-		}
-		// Stop only once the window provably holds every stored point —
-		// capping expansion by the data span alone terminated too early
-		// when the extent was degenerate (all points equal) or q lay far
-		// outside it. Inserts may land in the grid's unbounded edge cells,
-		// so the exact count, not geometry, is the completeness test; w
-		// doubles until the window swallows every finite point.
-		if len(cand) == ix.size {
-			sort.Slice(cand, func(i, j int) bool {
-				return q.DistSq(cand[i].Point) < q.DistSq(cand[j].Point)
-			})
-			if len(cand) > k {
-				cand = cand[:k]
-			}
-			return cand
-		}
-		w *= 2
-	}
+	return core.KNNByWindow(q, k, ix.size, ix.side, ix.Search)
 }
 
 // Stats reports structure statistics.
 func (ix *Index) Stats() core.Stats {
 	var deltaRecs int
 	for _, sh := range ix.shards {
-		deltaRecs += len(sh.delta)
+		deltaRecs += len(sh.delta.m)
 	}
 	return core.Stats{
 		Name:       "lisa",

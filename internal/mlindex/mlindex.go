@@ -33,9 +33,9 @@ type Index struct {
 	cfg  Config
 	dim  int
 	refs []core.Point
-	keys []core.Key // sorted projected keys, parallel to pts
-	pts  []core.PV
-	ix   *pgm.Index
+	keys []core.Key      // sorted projected keys, parallel to pts
+	pts  core.PointStore // in key order
+	ix   *pgm.Index      // over keys
 	// distScale converts distances to integer key offsets within a
 	// partition's 2^32 key band; it is sized to the data's bounding-box
 	// diagonal so the full distance range spreads over the band.
@@ -46,14 +46,9 @@ type Index struct {
 
 // Build constructs an ML-Index over the points (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
-	if len(pvs) == 0 {
-		return nil, fmt.Errorf("mlindex: empty input")
-	}
-	dim := pvs[0].Point.Dim()
-	for i := range pvs {
-		if pvs[i].Point.Dim() != dim {
-			return nil, fmt.Errorf("mlindex: point %d dim %d, want %d", i, pvs[i].Point.Dim(), dim)
-		}
+	dim, err := core.PointsDim(pvs)
+	if err != nil {
+		return nil, fmt.Errorf("mlindex: %w", err)
 	}
 	if cfg.Refs <= 0 {
 		// Scale partitions with the data so annulus scans stay short; the
@@ -76,50 +71,26 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	m.refs = kmeans(pvs, cfg.Refs, cfg.KMeansIters)
 	// Scale: spread the largest possible distance (bounding-box diagonal)
 	// over the 32-bit offset band.
-	var diag float64
-	for d := 0; d < dim; d++ {
-		lo, hi := pvs[0].Point[d], pvs[0].Point[d]
-		for _, pv := range pvs {
-			if pv.Point[d] < lo {
-				lo = pv.Point[d]
-			}
-			if pv.Point[d] > hi {
-				hi = pv.Point[d]
-			}
-		}
-		diag += (hi - lo) * (hi - lo)
-	}
-	diag = math.Sqrt(diag)
+	ext := core.Bounds(pvs)
+	diag := ext.Min.Dist(ext.Max)
 	if diag <= 0 {
 		diag = 1
 	}
 	m.distScale = float64(uint64(1)<<32-2) / diag
 	// Project and sort.
-	type proj struct {
-		key core.Key
-		pv  core.PV
-	}
-	ps := make([]proj, len(pvs))
+	m.keys = make([]core.Key, len(pvs))
 	m.maxDist = make([]float64, len(m.refs))
 	for i, pv := range pvs {
 		r, d := m.nearestRef(pv.Point)
 		if d > m.maxDist[r] {
 			m.maxDist[r] = d
 		}
-		ps[i] = proj{key: m.key(r, d), pv: pv}
+		m.keys[i] = m.key(r, d)
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].key < ps[j].key })
-	m.keys = make([]core.Key, len(ps))
-	m.pts = make([]core.PV, len(ps))
-	recs := make([]core.KV, len(ps))
-	for i, p := range ps {
-		m.keys[i] = p.key
-		m.pts[i] = p.pv
-		recs[i] = core.KV{Key: p.key, Value: core.Value(i)}
-	}
-	var err error
-	m.ix, err = pgm.Build(recs, cfg.Epsilon)
-	if err != nil {
+	m.pts = core.NewPointStoreFrom(dim, pvs, core.SortKeys(m.keys))
+	// The model is built over the key column the index already holds: a
+	// key's value would only be its position.
+	if m.ix, err = pgm.BuildKeys(m.keys, cfg.Epsilon); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -182,7 +153,7 @@ func (m *Index) key(ref int, dist float64) core.Key {
 }
 
 // Len returns the number of points.
-func (m *Index) Len() int { return len(m.pts) }
+func (m *Index) Len() int { return len(m.keys) }
 
 // Refs returns the reference points (read-only).
 func (m *Index) Refs() []core.Point { return m.refs }
@@ -193,43 +164,28 @@ func (m *Index) Lookup(p core.Point) (core.Value, bool) {
 		return 0, false
 	}
 	r, d := m.nearestRef(p)
-	k := m.key(r, d)
-	// distScale quantization: scan the key and its neighbor.
-	for _, probe := range []core.Key{k - 1, k, k + 1} {
-		i := m.ix.LowerBound(probe)
-		for ; i < len(m.keys) && m.keys[i] == probe; i++ {
-			if m.pts[i].Point.Equal(p) {
-				return m.pts[i].Value, true
-			}
-		}
+	// distScale quantization: the point's key may be one off either way.
+	lo, hi := m.annulus(r, d, d)
+	if i := m.pts.Find(lo, hi, p); i >= 0 {
+		return m.pts.PV(i).Value, true
 	}
 	return 0, false
 }
 
-// scanAnnulus visits stored points of partition r with distance in
-// [dLo, dHi], calling fn; fn returning false stops the scan. Returns false
-// if stopped.
-func (m *Index) scanAnnulus(r int, dLo, dHi float64, fn func(core.PV) bool) (int, bool) {
-	if dLo < 0 {
-		dLo = 0
+// annulus returns the positions [lo, hi) of the stored points of partition
+// r whose distance to the reference lies in [dLo, dHi].
+func (m *Index) annulus(r int, dLo, dHi float64) (lo, hi int) {
+	kLo := m.key(r, max(dLo, 0))
+	if kLo > core.Key(r)<<32 {
+		kLo-- // quantization slack, kept within partition r
 	}
-	lo := m.key(r, dLo)
-	if lo > core.Key(r)<<32 {
-		lo-- // quantization slack, kept within partition r
+	kHi := m.key(r, dHi)
+	if kHi < core.Key(r)<<32|(1<<32-1) {
+		kHi++ // quantization slack, kept within partition r
 	}
-	hi := m.key(r, dHi)
-	if hi < core.Key(r)<<32|(1<<32-1) {
-		hi++ // quantization slack, kept within partition r
-	}
-	i := m.ix.LowerBound(lo)
-	visited := 0
-	for ; i < len(m.keys) && m.keys[i] <= hi; i++ {
-		visited++
-		if !fn(m.pts[i]) {
-			return visited, false
-		}
-	}
-	return visited, true
+	lo = m.ix.LowerBound(kLo)
+	// An inverted rectangle can put kHi below kLo: an empty annulus.
+	return lo, max(lo, core.ExponentialSearch(m.keys, kHi+1, lo))
 }
 
 // Search calls fn for every point in rect; fn returning false stops.
@@ -241,23 +197,15 @@ func (m *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned 
 	for r := range m.refs {
 		// Distance band of the rect seen from ref r.
 		dLo := math.Sqrt(rect.MinDistSq(m.refs[r]))
-		dHi := maxDistToRect(m.refs[r], rect)
 		if dLo > m.maxDist[r] {
 			continue
 		}
-		if dHi > m.maxDist[r] {
-			dHi = m.maxDist[r]
-		}
-		n, cont := m.scanAnnulus(r, dLo, dHi, func(pv core.PV) bool {
-			if rect.Contains(pv.Point) {
-				visited++
-				return fn(pv)
-			}
-			return true
-		})
-		scanned += n
+		lo, hi := m.annulus(r, dLo, min(maxDistToRect(m.refs[r], rect), m.maxDist[r]))
+		n, cont := m.pts.ScanRect(lo, hi, rect, fn)
+		visited += n
+		scanned += hi - lo
 		if !cont {
-			return visited, scanned
+			break
 		}
 	}
 	return visited, scanned
@@ -279,12 +227,10 @@ func maxDistToRect(p core.Point, rect core.Rect) float64 {
 // KNN returns the k nearest points to q in ascending distance order using
 // the iDistance expanding-annulus algorithm.
 func (m *Index) KNN(q core.Point, k int) []core.PV {
-	if k <= 0 || q.Dim() != m.dim || len(m.pts) == 0 {
+	if k <= 0 || q.Dim() != m.dim {
 		return nil
 	}
-	if k > len(m.pts) {
-		k = len(m.pts)
-	}
+	k = min(k, len(m.keys))
 	// coverRadius is the radius at which every partition's annulus
 	// [qDist-radius, qDist+radius] contains its full distance range
 	// [0, maxDist], i.e. the search provably scans every stored point.
@@ -294,55 +240,39 @@ func (m *Index) KNN(q core.Point, k int) []core.PV {
 	coverRadius := 0.0
 	for r := range m.refs {
 		qDist[r] = q.Dist(m.refs[r])
-		if c := qDist[r] + m.maxDist[r]; c > coverRadius {
-			coverRadius = c
-		}
+		coverRadius = max(coverRadius, qDist[r]+m.maxDist[r])
 	}
-	// Expanding radius search.
-	radius := m.initialRadius()
-	var result []core.PV
-	for {
-		type cand struct {
-			pv core.PV
-			d2 float64
-		}
-		var cands []cand
+	type cand struct {
+		i  int
+		d2 float64
+	}
+	var cands []cand
+	for radius := m.initialRadius(); ; radius *= 2 {
+		cands = cands[:0]
 		for r := range m.refs {
 			// Points of partition r within radius of q lie in the annulus
 			// [qDist-radius, qDist+radius] around ref r.
-			dLo := qDist[r] - radius
-			dHi := qDist[r] + radius
-			if dLo > m.maxDist[r] {
+			if qDist[r]-radius > m.maxDist[r] {
 				continue
 			}
-			m.scanAnnulus(r, dLo, dHi, func(pv core.PV) bool {
-				cands = append(cands, cand{pv, q.DistSq(pv.Point)})
-				return true
-			})
-		}
-		if len(cands) >= k {
-			sort.Slice(cands, func(i, j int) bool { return cands[i].d2 < cands[j].d2 })
-			if cands[k-1].d2 <= radius*radius {
-				result = make([]core.PV, k)
-				for i := 0; i < k; i++ {
-					result[i] = cands[i].pv
-				}
-				return result
+			lo, hi := m.annulus(r, qDist[r]-radius, qDist[r]+radius)
+			for i := lo; i < hi; i++ {
+				cands = append(cands, cand{i, q.DistSq(m.pts.At(i))})
 			}
 		}
-		if radius >= coverRadius {
-			// Every partition was scanned in full: cands holds all points.
-			sort.Slice(cands, func(i, j int) bool { return cands[i].d2 < cands[j].d2 })
-			if len(cands) > k {
-				cands = cands[:k]
-			}
-			result = make([]core.PV, len(cands))
-			for i := range cands {
-				result[i] = cands[i].pv
+		// At coverRadius every partition was scanned in full.
+		all := radius >= coverRadius
+		if len(cands) < k && !all {
+			continue
+		}
+		sort.Slice(cands, func(i, j int) bool { return cands[i].d2 < cands[j].d2 })
+		if all || cands[k-1].d2 <= radius*radius {
+			result := make([]core.PV, min(k, len(cands)))
+			for i := range result {
+				result[i] = m.pts.PV(cands[i].i)
 			}
 			return result
 		}
-		radius *= 2
 	}
 }
 
@@ -364,9 +294,9 @@ func (m *Index) Stats() core.Stats {
 	st := m.ix.Stats()
 	return core.Stats{
 		Name:       "mlindex",
-		Count:      len(m.pts),
+		Count:      len(m.keys),
 		IndexBytes: st.IndexBytes + 8*len(m.keys) + len(m.refs)*8*m.dim,
-		DataBytes:  len(m.pts) * (8*m.dim + 8),
+		DataBytes:  len(m.keys) * (8*m.dim + 8),
 		Height:     st.Height,
 		Models:     st.Models + len(m.refs),
 	}

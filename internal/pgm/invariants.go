@@ -13,14 +13,14 @@ import (
 // It is O(n) and intended for tests (the conform suite calls it through the
 // public façade).
 func (ix *Index) CheckInvariants() error {
-	if len(ix.recs) != ix.n || len(ix.keys) != ix.n {
+	if (ix.recs != nil && len(ix.recs) != ix.n) || len(ix.keys) != ix.n {
 		return fmt.Errorf("pgm: n=%d but len(recs)=%d len(keys)=%d", ix.n, len(ix.recs), len(ix.keys))
 	}
 	for i := 1; i < ix.n; i++ {
 		if ix.keys[i] < ix.keys[i-1] {
 			return fmt.Errorf("pgm: keys out of order at %d", i)
 		}
-		if ix.keys[i] != ix.recs[i].Key {
+		if ix.recs != nil && ix.keys[i] != ix.recs[i].Key {
 			return fmt.Errorf("pgm: keys[%d] != recs[%d].Key", i, i)
 		}
 	}

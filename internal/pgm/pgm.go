@@ -31,7 +31,7 @@ type level struct {
 
 // Index is a static PGM-index over a sorted record array.
 type Index struct {
-	recs []core.KV
+	recs []core.KV // nil for an index built by BuildKeys
 	keys []core.Key
 
 	// distinct/firstPos are only materialized when duplicate keys (or
@@ -50,20 +50,32 @@ type Index struct {
 // Build constructs a PGM-index over recs (sorted ascending by key) with the
 // given error bound (0 selects DefaultEpsilon). recs is retained.
 func Build(recs []core.KV, eps int) (*Index, error) {
+	keys := make([]core.Key, len(recs))
+	for i := range recs {
+		keys[i] = recs[i].Key
+	}
+	ix, err := BuildKeys(keys, eps)
+	if err != nil {
+		return nil, err
+	}
+	ix.recs = recs
+	return ix, nil
+}
+
+// BuildKeys constructs a PGM-index over a sorted key column alone, for
+// callers that keep their records elsewhere and want only LowerBound: the
+// value of the key at position i is i. keys is retained, not copied.
+func BuildKeys(keys []core.Key, eps int) (*Index, error) {
 	if eps <= 0 {
 		eps = DefaultEpsilon
 	}
-	n := len(recs)
+	n := len(keys)
 	for i := 1; i < n; i++ {
-		if recs[i].Key < recs[i-1].Key {
+		if keys[i] < keys[i-1] {
 			return nil, fmt.Errorf("pgm: input not sorted at %d", i)
 		}
 	}
-	ix := &Index{recs: recs, eps: eps, n: n}
-	ix.keys = make([]core.Key, n)
-	for i := range recs {
-		ix.keys[i] = recs[i].Key
-	}
+	ix := &Index{keys: keys, eps: eps, n: n}
 	if n == 0 {
 		return ix, nil
 	}
@@ -265,11 +277,19 @@ func (ix *Index) distinctAt(i int) float64 {
 	return ix.distinct[i]
 }
 
+// value returns the value at position i.
+func (ix *Index) value(i int) core.Value {
+	if ix.recs == nil {
+		return core.Value(i)
+	}
+	return ix.recs[i].Value
+}
+
 // Get returns the value stored for k.
 func (ix *Index) Get(k core.Key) (core.Value, bool) {
 	i := ix.LowerBound(k)
 	if i < ix.n && ix.keys[i] == k {
-		return ix.recs[i].Value, true
+		return ix.value(i), true
 	}
 	return 0, false
 }
@@ -281,7 +301,7 @@ func (ix *Index) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int 
 	count := 0
 	for ; i < ix.n && ix.keys[i] <= hi; i++ {
 		count++
-		if !fn(ix.keys[i], ix.recs[i].Value) {
+		if !fn(ix.keys[i], ix.value(i)) {
 			break
 		}
 	}

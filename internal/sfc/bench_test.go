@@ -25,11 +25,13 @@ func BenchmarkHilbertEncode(b *testing.B) {
 
 func BenchmarkMortonRanges(b *testing.B) {
 	m, _ := NewMorton(2, 20)
-	min := []uint32{10000, 20000}
-	max := []uint32{30000, 25000}
+	zmin := m.Encode([]uint32{10000, 20000})
+	zmax := m.Encode([]uint32{30000, 25000})
+	var buf [128]Interval
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ivs := m.Ranges(min, max, 128); len(ivs) == 0 {
+		if ivs := m.Ranges(buf[:0], zmin, zmax, 128); len(ivs) == 0 {
 			b.Fatal("no intervals")
 		}
 	}

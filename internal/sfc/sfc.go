@@ -11,6 +11,7 @@ package sfc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/lix-go/lix/internal/core"
 )
@@ -79,6 +80,11 @@ func (q *Quantizer) CellLo(d int, c uint32) float64 {
 type Morton struct {
 	Dims int
 	Bits uint
+	// lane has the code bits of the last dimension set: bits 0, Dims,
+	// 2*Dims, ... Dimension d's bits are lane << (Dims-1-d). Masking a code
+	// to one dimension's bits keeps that dimension's order, so box tests
+	// run on codes without decoding them.
+	lane uint64
 }
 
 // NewMorton validates and returns a Morton curve.
@@ -86,16 +92,28 @@ func NewMorton(dims int, bits uint) (*Morton, error) {
 	if dims < 1 || bits == 0 || bits*uint(dims) > 63 {
 		return nil, fmt.Errorf("sfc: invalid morton dims=%d bits=%d", dims, bits)
 	}
-	return &Morton{Dims: dims, Bits: bits}, nil
+	m := &Morton{Dims: dims, Bits: bits}
+	for b := uint(0); b < bits; b++ {
+		m.lane |= 1 << (b * uint(dims))
+	}
+	return m, nil
+}
+
+// Spread returns the contribution of dimension d's cell c to a code; a
+// point's code is the OR of its dimensions' contributions.
+func (m *Morton) Spread(d int, c uint32) uint64 {
+	var z uint64
+	for b := uint(0); b < m.Bits; b++ {
+		z |= uint64(c>>b&1) << (b*uint(m.Dims) + uint(m.Dims-1-d))
+	}
+	return z
 }
 
 // Encode interleaves coords (one per dimension, each < 2^Bits) into a code.
 func (m *Morton) Encode(coords []uint32) uint64 {
 	var z uint64
-	for b := int(m.Bits) - 1; b >= 0; b-- {
-		for d := 0; d < m.Dims; d++ {
-			z = (z << 1) | uint64((coords[d]>>uint(b))&1)
-		}
+	for d, c := range coords {
+		z |= m.Spread(d, c)
 	}
 	return z
 }
@@ -126,74 +144,114 @@ func (m *Morton) MaxCode() uint64 {
 	return (uint64(1) << (m.Bits * uint(m.Dims))) - 1
 }
 
+// boxRel places the code span [lo, hi] — one cell (lo == hi) or an aligned
+// cube — against the box whose corner cells have codes zmin and zmax.
+func (m *Morton) boxRel(lo, hi, zmin, zmax uint64) (disjoint, contained bool) {
+	contained = true
+	for d := 0; d < m.Dims; d++ {
+		mask := m.lane << uint(d)
+		l, h, bl, bh := lo&mask, hi&mask, zmin&mask, zmax&mask
+		if l > bh || h < bl {
+			return true, false
+		}
+		if l < bl || h > bh {
+			contained = false
+		}
+	}
+	return false, contained
+}
+
+// InBox reports whether the cell with code z lies in the box whose corner
+// cells have codes zmin and zmax.
+func (m *Morton) InBox(z, zmin, zmax uint64) bool {
+	_, in := m.boxRel(z, z, zmin, zmax)
+	return in
+}
+
+// BigMin returns the smallest code greater than z whose cell lies in the
+// box [zmin, zmax] (Tropf & Herzog's BIGMIN). z must lie strictly between
+// zmin and zmax with its cell outside the box; a Z-order scan that meets
+// such a code resumes at BigMin and skips nothing that is in the box.
+func (m *Morton) BigMin(z, zmin, zmax uint64) uint64 {
+	var bigmin uint64
+	// Above the highest bit where the three differ every step is a no-op.
+	for b := bits.Len64((z^zmin)|(z^zmax)) - 1; b >= 0; b-- {
+		bit := uint64(1) << uint(b)
+		// The lower bits of the dimension that owns bit b.
+		low := m.lane << (uint(b) % uint(m.Dims)) & (bit - 1)
+		switch zb, minb, maxb := z&bit != 0, zmin&bit != 0, zmax&bit != 0; {
+		case !zb && !minb && maxb:
+			// The box straddles this bit and z is in the lower half: the
+			// answer is in the lower half if the search below finds one,
+			// else the first box code of the upper half.
+			bigmin = zmin&^low | bit
+			zmax = zmax&^bit | low
+		case !zb && minb:
+			return zmin // the whole box lies above z
+		case zb && !maxb:
+			return bigmin // the whole box lies below z in this half
+		case zb && !minb:
+			zmin = zmin&^low | bit // z is in the upper half: raise the box
+		}
+	}
+	return bigmin
+}
+
 // Interval is an inclusive range of curve codes.
 type Interval struct {
 	Lo, Hi uint64
 }
 
-// Ranges decomposes the cell-space rectangle [min[d], max[d]] (inclusive
-// cell coordinates per dimension) into at most maxRanges code intervals
-// whose union covers every cell in the rectangle. Intervals may
-// over-approximate (cover cells outside the rectangle) when the budget is
-// too small for an exact decomposition; callers filter by decoding.
-func (m *Morton) Ranges(min, max []uint32, maxRanges int) []Interval {
-	if maxRanges < 1 {
-		maxRanges = 1
+// Ranges decomposes the box whose corner cells have codes zmin and zmax
+// into at most maxRanges code intervals, appended to buf[:0], whose union
+// covers every cell in the box. Intervals may over-approximate (cover
+// cells outside the box) when the budget is too small for an exact
+// decomposition, but never beyond [zmin, zmax], the box's lowest and highest
+// codes; callers filter, or skip ahead with BigMin.
+func (m *Morton) Ranges(buf []Interval, zmin, zmax uint64, maxRanges int) []Interval {
+	out := decompose(buf, uint(m.Dims), m.Bits, maxRanges, func(lo, hi uint64) (bool, bool) {
+		return m.boxRel(lo, hi, zmin, zmax)
+	})
+	if len(out) > 0 { // an inverted box has no cells
+		out[0].Lo, out[len(out)-1].Hi = zmin, zmax
 	}
-	var out []Interval
-	// Recursive octant walk over the implicit 2^d-ary partition of code
-	// space. Each node is the code prefix interval [lo, hi] of an aligned
-	// hypercube with side 2^level cells, whose corner cell coords are c.
-	var walk func(lo uint64, level uint, c []uint32, budget *int)
-	walk = func(lo uint64, level uint, c []uint32, budget *int) {
-		size := uint64(1) << (level * uint(m.Dims)) // codes in this cube
-		hi := lo + size - 1
-		side := uint32(1)<<level - 1
-		// Disjoint?
-		for d := 0; d < m.Dims; d++ {
-			if c[d] > max[d] || c[d]+side < min[d] {
-				return
+	return out
+}
+
+// decompose is the range decomposition of both curves. On either, the
+// aligned cubes of side 2^level cells are the aligned code spans of
+// 2^(level*dims) codes, so the walk runs in code space and asks rel where a
+// span's cube lies against the query box. It is a depth-first walk over that
+// implicit 2^dims-ary tree without a stack: a node's first child starts at
+// the node's own first code, and the node after a finished subtree starts at
+// the next code, on the highest level that code is aligned to. A node is
+// emitted whole when it is inside the box, a single cell, or the budget is
+// spent; a node emitted next to the last one extends it.
+func decompose(buf []Interval, dims, bits uint, maxRanges int, rel func(lo, hi uint64) (disjoint, contained bool)) []Interval {
+	maxRanges = max(maxRanges, 1)
+	budget, out := maxRanges, buf[:0]
+	for lo, level := uint64(0), bits; ; {
+		hi := lo + 1<<(level*dims) - 1
+		if disjoint, contained := rel(lo, hi); !disjoint {
+			if !contained && level > 0 && budget > 1 {
+				level--
+				continue
 			}
-		}
-		// Fully contained?
-		contained := true
-		for d := 0; d < m.Dims; d++ {
-			if c[d] < min[d] || c[d]+side > max[d] {
-				contained = false
-				break
-			}
-		}
-		if contained || level == 0 || *budget <= 1 {
-			// Emit, merging with the previous interval when adjacent.
 			if n := len(out); n > 0 && out[n-1].Hi+1 == lo {
 				out[n-1].Hi = hi
 			} else {
 				out = append(out, Interval{lo, hi})
-				*budget--
+				budget--
 			}
-			return
 		}
-		// Recurse into 2^d children in Z-order.
-		childSize := size >> uint(m.Dims)
-		half := uint32(1) << (level - 1)
-		child := make([]uint32, m.Dims)
-		for i := uint64(0); i < 1<<uint(m.Dims); i++ {
-			for d := 0; d < m.Dims; d++ {
-				child[d] = c[d]
-				// Bit (Dims-1-d) of i selects the upper half of dim d so
-				// that dimension 0 owns the most significant bit, matching
-				// Encode.
-				if i>>(uint(m.Dims)-1-uint(d))&1 == 1 {
-					child[d] += half
-				}
-			}
-			walk(lo+i*childSize, level-1, child, budget)
+		if hi == 1<<(bits*dims)-1 {
+			return coalesce(out, maxRanges)
+		}
+		lo = hi + 1
+		for level < bits && lo&(1<<((level+1)*dims)-1) == 0 {
+			level++
 		}
 	}
-	budget := maxRanges
-	corner := make([]uint32, m.Dims)
-	walk(0, m.Bits, corner, &budget)
-	return coalesce(out, maxRanges)
 }
 
 // coalesce merges intervals across the smallest code gaps until at most
@@ -302,77 +360,17 @@ func (h *Hilbert2D) MaxCode() uint64 { return (uint64(1) << (2 * h.Bits)) - 1 }
 
 // Ranges decomposes the rectangle [min, max] (inclusive cell coords) into
 // at most maxRanges Hilbert index intervals covering it, by the same
-// quadrant recursion as Morton.Ranges.
+// quadrant walk as Morton.Ranges.
 func (h *Hilbert2D) Ranges(min, max [2]uint32, maxRanges int) []Interval {
-	if maxRanges < 1 {
-		maxRanges = 1
-	}
-	type cube struct {
-		x, y  uint32
-		level uint
-	}
-	var out []Interval
-	var walk func(c cube, budget *int)
-	walk = func(c cube, budget *int) {
-		side := uint32(1)<<c.level - 1
-		if c.x > max[0] || c.x+side < min[0] || c.y > max[1] || c.y+side < min[1] {
-			return
-		}
-		contained := c.x >= min[0] && c.x+side <= max[0] && c.y >= min[1] && c.y+side <= max[1]
-		if contained || c.level == 0 || *budget <= 1 {
-			// Hilbert codes of an aligned quadrant form a contiguous
-			// interval; compute it from the corner cells' codes: the min
-			// and max code in the cube are attained at some corner-ordered
-			// positions, but since the cube is a single Hilbert subtree,
-			// codes span exactly size^2 consecutive values starting at the
-			// minimum corner code among cells. Compute via entry cell.
-			lo := h.cubeStart(c.x, c.y, c.level)
-			size := uint64(1) << (2 * c.level)
-			hi := lo + size - 1
-			if n := len(out); n > 0 && out[n-1].Hi+1 == lo {
-				out[n-1].Hi = hi
-			} else {
-				out = append(out, Interval{lo, hi})
-				*budget--
-			}
-			return
-		}
-		half := uint32(1) << (c.level - 1)
-		children := [4]cube{
-			{c.x, c.y, c.level - 1},
-			{c.x + half, c.y, c.level - 1},
-			{c.x, c.y + half, c.level - 1},
-			{c.x + half, c.y + half, c.level - 1},
-		}
-		// Visit children in Hilbert code order so adjacent intervals merge.
-		starts := make([]uint64, 4)
-		for i, ch := range children {
-			starts[i] = h.cubeStart(ch.x, ch.y, ch.level)
-		}
-		order := [4]int{0, 1, 2, 3}
-		for i := 1; i < 4; i++ {
-			for j := i; j > 0 && starts[order[j]] < starts[order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-		for _, i := range order {
-			walk(children[i], budget)
-		}
-	}
-	budget := maxRanges
-	walk(cube{0, 0, h.Bits}, &budget)
-	// The recursion emits in code order already.
-	return coalesce(out, maxRanges)
-}
-
-// cubeStart returns the smallest Hilbert code inside the aligned cube with
-// corner (x, y) and side 2^level. Because an aligned cube is a complete
-// subtree of the Hilbert recursion, its codes are the 4^level consecutive
-// values starting at floor(code(any corner cell) / 4^level) * 4^level.
-func (h *Hilbert2D) cubeStart(x, y uint32, level uint) uint64 {
-	code := h.Encode(x, y)
-	size := uint64(1) << (2 * level)
-	return code / size * size
+	return decompose(nil, 2, h.Bits, maxRanges, func(lo, hi uint64) (disjoint, contained bool) {
+		// An aligned span of 4^level codes is one quadrant of the Hilbert
+		// recursion: the aligned square around any of its cells.
+		side := uint32(1)<<(bits.Len64(hi-lo)/2) - 1
+		x, y := h.Decode(lo)
+		x, y = x&^side, y&^side
+		return x > max[0] || x+side < min[0] || y > max[1] || y+side < min[1],
+			x >= min[0] && x+side <= max[0] && y >= min[1] && y+side <= max[1]
+	})
 }
 
 // ---------------------------------------------------------------------------

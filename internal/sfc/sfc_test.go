@@ -174,7 +174,7 @@ func TestMortonRangesExact(t *testing.T) {
 		x1, y1 := x0+uint32(r.Intn(int(32-x0))), y0+uint32(r.Intn(int(32-y0)))
 		min := []uint32{x0, y0}
 		max := []uint32{x1, y1}
-		ivs := m.Ranges(min, max, 1<<20) // effectively unlimited budget
+		ivs := m.Ranges(nil, m.Encode(min), m.Encode(max), 1<<20) // effectively unlimited budget
 		checkRanges(t, m, min, max, ivs, true)
 	}
 }
@@ -184,7 +184,7 @@ func TestMortonRangesBudget(t *testing.T) {
 	min := []uint32{3, 5}
 	max := []uint32{40, 33}
 	for _, budget := range []int{1, 2, 4, 8} {
-		ivs := m.Ranges(min, max, budget)
+		ivs := m.Ranges(nil, m.Encode(min), m.Encode(max), budget)
 		if len(ivs) > budget {
 			t.Fatalf("budget %d produced %d intervals", budget, len(ivs))
 		}
@@ -196,7 +196,7 @@ func TestMortonRanges3D(t *testing.T) {
 	m, _ := NewMorton(3, 4)
 	min := []uint32{1, 2, 3}
 	max := []uint32{9, 11, 7}
-	ivs := m.Ranges(min, max, 1<<20)
+	ivs := m.Ranges(nil, m.Encode(min), m.Encode(max), 1<<20)
 	checkRanges(t, m, min, max, ivs, true)
 }
 
@@ -302,7 +302,7 @@ func TestHilbertFewerRangesThanMorton(t *testing.T) {
 		x0, y0 := uint32(r.Intn(48)), uint32(r.Intn(48))
 		x1, y1 := x0+uint32(r.Intn(16)), y0+uint32(r.Intn(16))
 		hTotal += len(h.Ranges([2]uint32{x0, y0}, [2]uint32{x1, y1}, 1<<20))
-		mTotal += len(m.Ranges([]uint32{x0, y0}, []uint32{x1, y1}, 1<<20))
+		mTotal += len(m.Ranges(nil, m.Encode([]uint32{x0, y0}), m.Encode([]uint32{x1, y1}), 1<<20))
 	}
 	if hTotal > mTotal {
 		t.Fatalf("hilbert intervals %d > morton %d in aggregate", hTotal, mTotal)
@@ -343,5 +343,56 @@ func TestMortonProperty(t *testing.T) {
 func TestDist2D(t *testing.T) {
 	if Dist2D([]uint32{3, 9}, []uint32{5, 4}) != 5 {
 		t.Fatal("Dist2D wrong")
+	}
+}
+
+// TestBigMinMatchesBruteForce is the property BIGMIN skip-ahead rests on:
+// for a code between the box's corner codes whose cell is outside the box,
+// BigMin is exactly the next code whose cell is inside, so a scan that
+// jumps there skips no result. Checked in 2-D and 3-D by walking the codes.
+func TestBigMinMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	for _, c := range []struct {
+		dims int
+		bits uint
+	}{{2, 5}, {3, 4}} {
+		m, _ := NewMorton(c.dims, c.bits)
+		side := 1 << c.bits
+		checked := 0
+		for box := 0; box < 200; box++ {
+			min, max := make([]uint32, c.dims), make([]uint32, c.dims)
+			for d := range min {
+				a, b := uint32(r.Intn(side)), uint32(r.Intn(side))
+				if a > b {
+					a, b = b, a
+				}
+				min[d], max[d] = a, b
+			}
+			zmin, zmax := m.Encode(min), m.Encode(max)
+			for try := 0; try < 20 && zmax-zmin > 1; try++ {
+				z := zmin + 1 + uint64(r.Int63n(int64(zmax-zmin-1)))
+				if ContainsCell(m.Decode(z), min, max) {
+					if !m.InBox(z, zmin, zmax) {
+						t.Fatalf("dims=%d box %v..%v: InBox(%d) = false for a cell inside", c.dims, min, max, z)
+					}
+					continue
+				}
+				if m.InBox(z, zmin, zmax) {
+					t.Fatalf("dims=%d box %v..%v: InBox(%d) = true for a cell outside", c.dims, min, max, z)
+				}
+				want := z + 1
+				for !ContainsCell(m.Decode(want), min, max) {
+					want++ // zmax is inside the box and above z
+				}
+				got := m.BigMin(z, zmin, zmax)
+				if got != want || got <= z {
+					t.Fatalf("dims=%d box %v..%v: BigMin(%d) = %d, want %d", c.dims, min, max, z, got, want)
+				}
+				checked++
+			}
+		}
+		if checked < 500 {
+			t.Fatalf("dims=%d: only %d out-of-box codes checked", c.dims, checked)
+		}
 	}
 }

@@ -8,14 +8,14 @@ import "fmt"
 // invariants and maps every code to the correct array position. It is
 // O(n log n) and intended for tests.
 func (z *Index) CheckInvariants() error {
-	if len(z.codes) != len(z.pts) {
-		return fmt.Errorf("zm: %d codes for %d points", len(z.codes), len(z.pts))
+	if len(z.codes) != z.pts.Len() {
+		return fmt.Errorf("zm: %d codes for %d points", len(z.codes), z.pts.Len())
 	}
 	for i := range z.codes {
 		if i > 0 && z.codes[i] < z.codes[i-1] {
 			return fmt.Errorf("zm: codes out of order at %d", i)
 		}
-		if got := z.code(z.pts[i].Point); got != z.codes[i] {
+		if got := z.code(z.pts.At(i)); got != z.codes[i] {
 			return fmt.Errorf("zm: stored code %d at %d, re-encoding gives %d", z.codes[i], i, got)
 		}
 	}

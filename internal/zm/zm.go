@@ -10,8 +10,6 @@ package zm
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/pgm"
@@ -35,32 +33,36 @@ type Config struct {
 	Epsilon int
 	// Curve selects the projection (empty selects CurveZ).
 	Curve CurveKind
-	// MaxRanges bounds the per-query rectangle decomposition (0 -> 128).
+	// MaxRanges bounds the per-query rectangle decomposition. 0 selects 8 on
+	// the Z-curve, whose scan skips ahead over whatever a coarse interval
+	// covers outside the rectangle, so a finer decomposition only costs its
+	// own time; and 128 on the Hilbert curve, whose scan filters all of it.
 	MaxRanges int
 }
+
+const (
+	zMaxRanges       = 8
+	hilbertMaxRanges = 128
+)
 
 // Index is an immutable ZM-index.
 type Index struct {
 	cfg    Config
 	dim    int
+	side   float64 // longest side of the data extent
 	quant  *sfc.Quantizer
 	morton *sfc.Morton
 	hil    *sfc.Hilbert2D
-	codes  []core.Key // sorted curve codes, parallel to pts
-	pts    []core.PV
-	ix     *pgm.Index
+	codes  []core.Key      // sorted curve codes, parallel to pts
+	pts    core.PointStore // in code order
+	ix     *pgm.Index      // over codes
 }
 
 // Build constructs a ZM-index over the points (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
-	if len(pvs) == 0 {
-		return nil, fmt.Errorf("zm: empty input")
-	}
-	dim := pvs[0].Point.Dim()
-	for i := range pvs {
-		if pvs[i].Point.Dim() != dim {
-			return nil, fmt.Errorf("zm: point %d dim %d, want %d", i, pvs[i].Point.Dim(), dim)
-		}
+	dim, err := core.PointsDim(pvs)
+	if err != nil {
+		return nil, fmt.Errorf("zm: %w", err)
 	}
 	if cfg.Curve == "" {
 		cfg.Curve = CurveZ
@@ -75,36 +77,25 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		}
 	}
 	if cfg.MaxRanges <= 0 {
-		cfg.MaxRanges = 128
+		cfg.MaxRanges = zMaxRanges
+		if cfg.Curve == CurveHilbert {
+			cfg.MaxRanges = hilbertMaxRanges
+		}
 	}
 	// Bounds: dataset extent with slack for exact data bounds.
-	min := make([]float64, dim)
-	max := make([]float64, dim)
+	ext := core.Bounds(pvs)
+	z := &Index{cfg: cfg, dim: dim}
 	for d := 0; d < dim; d++ {
-		min[d], max[d] = pvs[0].Point[d], pvs[0].Point[d]
-	}
-	for _, pv := range pvs {
-		for d := 0; d < dim; d++ {
-			if pv.Point[d] < min[d] {
-				min[d] = pv.Point[d]
-			}
-			if pv.Point[d] > max[d] {
-				max[d] = pv.Point[d]
-			}
-		}
-	}
-	for d := 0; d < dim; d++ {
-		if !(max[d] > min[d]) {
-			max[d] = min[d] + 1
+		z.side = max(z.side, ext.Max[d]-ext.Min[d])
+		if !(ext.Max[d] > ext.Min[d]) {
+			ext.Max[d] = ext.Min[d] + 1
 		} else {
-			max[d] += (max[d] - min[d]) * 1e-9 // make the top point interior
+			ext.Max[d] += (ext.Max[d] - ext.Min[d]) * 1e-9 // make the top point interior
 		}
 	}
-	q, err := sfc.NewQuantizer(min, max, cfg.Bits)
-	if err != nil {
+	if z.quant, err = sfc.NewQuantizer(ext.Min, ext.Max, cfg.Bits); err != nil {
 		return nil, err
 	}
-	z := &Index{cfg: cfg, dim: dim, quant: q}
 	switch cfg.Curve {
 	case CurveZ:
 		z.morton, err = sfc.NewMorton(dim, cfg.Bits)
@@ -116,41 +107,33 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Encode, sort by code.
-	type coded struct {
-		code core.Key
-		pv   core.PV
-	}
-	cs := make([]coded, len(pvs))
+	z.codes = make([]core.Key, len(pvs))
 	for i, pv := range pvs {
-		cs[i] = coded{code: z.code(pv.Point), pv: pv}
+		z.codes[i] = z.code(pv.Point)
 	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i].code < cs[j].code })
-	z.codes = make([]core.Key, len(cs))
-	z.pts = make([]core.PV, len(cs))
-	recs := make([]core.KV, len(cs))
-	for i, c := range cs {
-		z.codes[i] = c.code
-		z.pts[i] = c.pv
-		recs[i] = core.KV{Key: c.code, Value: core.Value(i)}
-	}
-	z.ix, err = pgm.Build(recs, cfg.Epsilon)
-	if err != nil {
+	z.pts = core.NewPointStoreFrom(dim, pvs, core.SortKeys(z.codes))
+	// The model is built over the code column the index already holds: a
+	// code's value would only be its position.
+	if z.ix, err = pgm.BuildKeys(z.codes, cfg.Epsilon); err != nil {
 		return nil, err
 	}
 	return z, nil
 }
 
+// code projects p to its curve code, allocating nothing.
 func (z *Index) code(p core.Point) core.Key {
-	cells := z.quant.CellPoint(p)
-	if z.morton != nil {
-		return core.Key(z.morton.Encode(cells))
+	if z.morton == nil {
+		return z.hil.Encode(z.quant.Cell(0, p[0]), z.quant.Cell(1, p[1]))
 	}
-	return core.Key(z.hil.Encode(cells[0], cells[1]))
+	var c core.Key
+	for d := range p {
+		c |= z.morton.Spread(d, z.quant.Cell(d, p[d]))
+	}
+	return c
 }
 
 // Len returns the number of points.
-func (z *Index) Len() int { return len(z.pts) }
+func (z *Index) Len() int { return len(z.codes) }
 
 // Lookup returns the value of the point equal to p.
 func (z *Index) Lookup(p core.Point) (core.Value, bool) {
@@ -159,12 +142,10 @@ func (z *Index) Lookup(p core.Point) (core.Value, bool) {
 	}
 	c := z.code(p)
 	i := z.ix.LowerBound(c)
-	for ; i < len(z.codes) && z.codes[i] == c; i++ {
-		if z.pts[i].Point.Equal(p) {
-			return z.pts[i].Value, true
-		}
+	if i = z.pts.Find(i, core.ExponentialSearch(z.codes, c+1, i), p); i < 0 {
+		return 0, false
 	}
-	return 0, false
+	return z.pts.PV(i).Value, true
 }
 
 // Search calls fn for every point in rect; fn returning false stops. It
@@ -173,95 +154,61 @@ func (z *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, interval
 	if rect.Dim() != z.dim {
 		return 0, 0
 	}
-	min := make([]uint32, z.dim)
-	max := make([]uint32, z.dim)
-	for d := 0; d < z.dim; d++ {
-		min[d] = z.quant.Cell(d, rect.Min[d])
-		max[d] = z.quant.Cell(d, rect.Max[d])
-	}
+	var buf [zMaxRanges]sfc.Interval // a larger budget spills to the heap
 	var ivs []sfc.Interval
+	var zmin, zmax core.Key
 	if z.morton != nil {
-		ivs = z.morton.Ranges(min, max, z.cfg.MaxRanges)
+		zmin, zmax = z.code(rect.Min), z.code(rect.Max)
+		ivs = z.morton.Ranges(buf[:0], zmin, zmax, z.cfg.MaxRanges)
 	} else {
-		ivs = z.hil.Ranges([2]uint32{min[0], min[1]}, [2]uint32{max[0], max[1]}, z.cfg.MaxRanges)
+		ivs = z.hil.Ranges(
+			[2]uint32{z.quant.Cell(0, rect.Min[0]), z.quant.Cell(1, rect.Min[1])},
+			[2]uint32{z.quant.Cell(0, rect.Max[0]), z.quant.Cell(1, rect.Max[1])}, z.cfg.MaxRanges)
 	}
+	if len(ivs) == 0 {
+		return 0, 0 // a rectangle whose Min lies above its Max holds nothing
+	}
+	// inBox says whether a stored code can hold a result; the Hilbert curve
+	// has no cheap test and filters every point of its intervals.
+	inBox := func(c core.Key) bool { return z.morton == nil || z.morton.InBox(c, zmin, zmax) }
+	// The learned index finds where the scan starts; from there every move
+	// is forward, mostly by a few positions, and an exponential search from
+	// the current one costs the logarithm of that distance.
+	pos, n := z.ix.LowerBound(ivs[0].Lo), len(z.codes)
 	for _, iv := range ivs {
-		i := z.ix.LowerBound(core.Key(iv.Lo))
-		for ; i < len(z.codes) && z.codes[i] <= core.Key(iv.Hi); i++ {
-			if rect.Contains(z.pts[i].Point) {
-				visited++
-				if !fn(z.pts[i]) {
-					return visited, len(ivs)
+		pos = core.ExponentialSearch(z.codes, iv.Lo, pos)
+		for pos < n && z.codes[pos] <= iv.Hi {
+			if c := z.codes[pos]; !inBox(c) {
+				// The budget made this interval cover cells outside the
+				// box: resume at the next code inside it.
+				next := z.morton.BigMin(c, zmin, zmax)
+				if next > iv.Hi {
+					break
 				}
+				pos = core.ExponentialSearch(z.codes, next, pos)
+				continue
 			}
+			end := pos + 1
+			for end < n && z.codes[end] <= iv.Hi && inBox(z.codes[end]) {
+				end++
+			}
+			m, cont := z.pts.ScanRect(pos, end, rect, fn)
+			visited += m
+			if !cont {
+				return visited, len(ivs)
+			}
+			pos = end
 		}
 	}
 	return visited, len(ivs)
 }
 
-// KNN returns the k nearest points to q in ascending distance order, by
-// doubling an axis-aligned search window until the k-th candidate lies
-// within the window's inscribed ball.
+// KNN returns the k nearest points to q in ascending distance order.
 func (z *Index) KNN(q core.Point, k int) []core.PV {
-	if k <= 0 || q.Dim() != z.dim || len(z.pts) == 0 {
+	if q.Dim() != z.dim {
 		return nil
 	}
-	if k > len(z.pts) {
-		k = len(z.pts)
-	}
-	// Initial half-width guess from global density; cover is the half-width
-	// at which the window is guaranteed to contain the entire data extent
-	// (and with it every stored point), measured from q. Capping expansion
-	// by the span alone would terminate too early when the extent is
-	// degenerate (all points equal) or q lies far outside it.
-	span, cover := 0.0, 0.0
-	for d := 0; d < z.dim; d++ {
-		s := z.quant.Max[d] - z.quant.Min[d]
-		if s > span {
-			span = s
-		}
-		if a := math.Abs(q[d] - z.quant.Min[d]); a > cover {
-			cover = a
-		}
-		if a := math.Abs(q[d] - z.quant.Max[d]); a > cover {
-			cover = a
-		}
-	}
-	w := span * 0.01
-	if w <= 0 {
-		w = 1
-	}
-	for {
-		rect := core.Rect{Min: make(core.Point, z.dim), Max: make(core.Point, z.dim)}
-		for d := 0; d < z.dim; d++ {
-			rect.Min[d] = q[d] - w
-			rect.Max[d] = q[d] + w
-		}
-		var cand []core.PV
-		z.Search(rect, func(pv core.PV) bool {
-			cand = append(cand, pv)
-			return true
-		})
-		if len(cand) >= k {
-			sort.Slice(cand, func(i, j int) bool {
-				return q.DistSq(cand[i].Point) < q.DistSq(cand[j].Point)
-			})
-			if q.DistSq(cand[k-1].Point) <= w*w {
-				return cand[:k]
-			}
-		}
-		if len(cand) == len(z.pts) || w >= cover {
-			// The window holds every stored point: finish with what we have.
-			sort.Slice(cand, func(i, j int) bool {
-				return q.DistSq(cand[i].Point) < q.DistSq(cand[j].Point)
-			})
-			if len(cand) > k {
-				cand = cand[:k]
-			}
-			return cand
-		}
-		w *= 2
-	}
+	return core.KNNByWindow(q, k, len(z.codes), z.side, z.Search)
 }
 
 // Stats reports structure statistics.
@@ -269,9 +216,9 @@ func (z *Index) Stats() core.Stats {
 	st := z.ix.Stats()
 	return core.Stats{
 		Name:       "zm-" + string(z.cfg.Curve),
-		Count:      len(z.pts),
+		Count:      len(z.codes),
 		IndexBytes: st.IndexBytes + 8*len(z.codes),
-		DataBytes:  len(z.pts) * (8*z.dim + 8),
+		DataBytes:  len(z.codes) * (8*z.dim + 8),
 		Height:     st.Height,
 		Models:     st.Models,
 	}

@@ -241,7 +241,7 @@ func registerSpatialKinds() {
 	})
 	registry.Register(registry.Kind{
 		Name: "flood",
-		Caps: registry.Caps{Spatial: true},
+		Caps: registry.Caps{Spatial: true, KNN: true},
 		SpatialBulk: func(pvs []core.PV) (registry.SpatialIndex, error) {
 			dim := 2
 			if len(pvs) > 0 {

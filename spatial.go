@@ -35,6 +35,9 @@ type SpatialIndex interface {
 	// Search calls fn for every point inside rect; fn returning false
 	// stops. It returns points visited and an implementation-specific
 	// work counter (nodes, cells, or candidates touched — the I/O proxy).
+	// The PV handed to fn may alias index memory: its Point is read-only,
+	// valid for the life of an immutable index and until the next Insert
+	// or Delete on a mutable one.
 	Search(rect Rect, fn func(PV) bool) (visited, work int)
 	// Len returns the number of points.
 	Len() int
@@ -52,7 +55,9 @@ type KNNIndex interface {
 // MutableSpatialIndex is a SpatialIndex supporting inserts and deletes.
 type MutableSpatialIndex interface {
 	SpatialIndex
-	// Insert adds a point.
+	// Insert adds a point. The LISA index copies p; the R-tree, quadtree
+	// and uniform grid retain the caller's slice, which must not be
+	// written to afterwards.
 	Insert(p Point, v Value) error
 	// Delete removes one stored point equal to p with matching value.
 	Delete(p Point, v Value) bool
@@ -87,7 +92,8 @@ func lookupViaSearch(s interface {
 }, p Point) (Value, bool) {
 	var out Value
 	found := false
-	s.Search(core.RectOf(p), func(pv PV) bool {
+	// No Search mutates its rectangle, so both corners can be p itself.
+	s.Search(Rect{Min: p, Max: p}, func(pv PV) bool {
 		if pv.Point.Equal(p) {
 			out, found = pv.Value, true
 			return false
@@ -207,7 +213,8 @@ func NewZMIndex(pvs []PV, cfg ZMConfig) (KNNIndex, error) { return zm.Build(pvs,
 // index).
 func NewMLIndex(pvs []PV, cfg MLIndexConfig) (KNNIndex, error) { return mlindex.Build(pvs, cfg) }
 
-// NewFlood builds a Flood index with an explicit layout.
+// NewFlood builds a Flood index with an explicit layout. The index also
+// answers KNN (it satisfies KNNIndex).
 func NewFlood(pvs []PV, cfg FloodConfig) (SpatialIndex, error) { return flood.Build(pvs, cfg) }
 
 // NewFloodTuned tunes Flood's layout on a sample workload and builds it.
@@ -259,7 +266,10 @@ func SpatialKinds() []string {
 
 // BuildSpatial builds a spatial index of the named kind over the points.
 // Quadtree and grid derive their bounds from the dataset extent convention
-// ([0, 2^20) per dimension).
+// ([0, 2^20) per dimension). The zm, zm-hilbert, mlindex, flood and lisa
+// kinds copy the coordinates into their own store; rtree, kdtree, quadtree
+// and grid retain each pvs[i].Point, which the caller must not write to
+// while the index is in use.
 func BuildSpatial(kind string, pvs []PV) (SpatialIndex, error) {
 	switch kind {
 	case "rtree":
