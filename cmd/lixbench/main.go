@@ -19,7 +19,7 @@
 //	lixbench -e batch     # batched vs looped ops at 16, 256, 4096; lookup
 //	                      # >= 0.9x, insert >= 0.8x, durable insert >= 2x
 //	lixbench -e paged     # paged indexes: warm pool >= 3x cold pool
-//	lixbench -e lsm       # LSM checkpoint rate >= 2x snapshot engine
+//	lixbench -e lsm       # checkpoint rate >= 2x a rewrite of the record set
 //	lixbench -e trace     # tracer attached but off >= 0.95x no tracer
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare

@@ -13,9 +13,10 @@ import (
 
 // Durable is a crash-safe index: every mutation is written ahead to a
 // segmented log before it is applied in memory, and background
-// checkpoints atomically rotate a full snapshot plus fresh log. Open
-// recovers the exact committed state after a crash. See DESIGN.md
-// §"Durable storage".
+// checkpoints rotate the log and flush the retired part's delta into an
+// immutable sorted run (O(delta), never a rewrite of the dataset), with a
+// size-tiered compactor keeping the run count bounded. Open recovers the
+// exact committed state after a crash. See DESIGN.md §"Durable storage".
 type Durable = store.Durable
 
 // DurableRecoveryInfo describes what Open reconstructed.
@@ -40,19 +41,6 @@ const (
 // ParseSyncPolicy parses "always", "interval" or "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) { return store.ParseSyncPolicy(s) }
 
-// Storage engines for DurableOptions.Engine.
-const (
-	// EngineSnapshot checkpoints by rewriting the full record set into a
-	// snapshot file — simple, one file to recover, O(dataset) per
-	// checkpoint.
-	EngineSnapshot = store.EngineSnapshot
-	// EngineLSM checkpoints by flushing only the WAL delta into a new
-	// immutable sorted run with a learned fence index and a learned
-	// filter; a size-tiered compactor keeps the run count bounded.
-	// Checkpoint cost is O(memtable), independent of dataset size.
-	EngineLSM = store.EngineLSM
-)
-
 // DurableOptions configures Open and NewDurable.
 type DurableOptions struct {
 	// Kind is the in-memory index kind, one of Mutable1DKinds ("" selects
@@ -70,29 +58,24 @@ type DurableOptions struct {
 	// CheckpointEvery triggers a background checkpoint after this many
 	// logged records (0 selects the store default, negative disables).
 	CheckpointEvery int
-	// Engine selects the checkpoint storage engine, EngineSnapshot or
-	// EngineLSM ("" selects EngineSnapshot). On reopen the engine the
-	// directory already uses wins; explicitly asking for the other one is
-	// a configuration error.
-	Engine string
 	// Metrics, when set, receives checkpoint/flush/recovery events and
 	// fsync latencies.
 	Metrics *obs.Metrics
 }
 
-// metaKind, metaShards and metaEngine are the snapshot meta keys the
-// façade persists so a bare Open(dir, DurableOptions{}) rebuilds the
-// stored configuration.
+// metaKind and metaShards are the manifest meta keys the façade persists
+// so a bare Open(dir, DurableOptions{}) rebuilds the stored configuration.
 const (
 	metaKind   = "kind"
 	metaShards = "shards"
-	metaEngine = "engine"
 )
 
 // Open opens (or, for an empty directory, creates) the durable index at
-// dir. On reopen the kind and shard count stored in the newest snapshot
+// dir. On reopen the kind and shard count stored in the newest manifest
 // win; opts fields explicitly set to a different value are a
-// configuration error, zero values defer to disk.
+// configuration error, zero values defer to disk. A directory written by
+// the snapshot-rewrite engine of earlier versions is converted to sorted
+// runs before it is served.
 func Open(dir string, opts DurableOptions) (*Durable, error) {
 	cfg, build, err := durablePlan(opts)
 	if err != nil {
@@ -102,8 +85,9 @@ func Open(dir string, opts DurableOptions) (*Durable, error) {
 }
 
 // NewDurable creates a fresh durable index at dir seeded with recs
-// (sorted ascending, distinct keys; may be nil) and checkpoints the seed
-// so it is durable immediately. It fails if dir already holds a store.
+// (sorted ascending, distinct keys; may be nil) and writes the seed as
+// the first run, so it is durable immediately. It fails if dir already
+// holds a store.
 func NewDurable(dir string, recs []KV, opts DurableOptions) (*Durable, error) {
 	cfg, build, err := durablePlan(opts)
 	if err != nil {
@@ -124,23 +108,13 @@ func durablePlan(opts DurableOptions) (store.Config, store.BuildFunc, error) {
 	if opts.Shards < 0 {
 		return store.Config{}, nil, fmt.Errorf("lix: negative shard count %d", opts.Shards)
 	}
-	engine := opts.Engine
-	switch engine {
-	case "":
-		engine = EngineSnapshot
-	case EngineSnapshot, EngineLSM:
-	default:
-		return store.Config{}, nil, fmt.Errorf("lix: unknown storage engine %q", opts.Engine)
-	}
 	cfg := store.Config{
 		Fsync:           opts.Fsync,
 		SyncInterval:    opts.SyncInterval,
 		CheckpointEvery: opts.CheckpointEvery,
-		Engine:          engine,
 		Meta: map[string]string{
 			metaKind:   kind,
 			metaShards: strconv.Itoa(opts.Shards),
-			metaEngine: engine,
 		},
 		Metrics: opts.Metrics,
 	}
@@ -160,10 +134,6 @@ func durablePlan(opts DurableOptions) (store.Config, store.BuildFunc, error) {
 			if opts.Shards != 0 && opts.Shards != diskShards {
 				return store.BuildResult{}, fmt.Errorf(
 					"lix: store holds %d shards, options ask for %d", diskShards, opts.Shards)
-			}
-			if diskEngine := meta[metaEngine]; diskEngine != "" && opts.Engine != "" && opts.Engine != diskEngine {
-				return store.BuildResult{}, fmt.Errorf(
-					"lix: store uses the %s engine, options ask for %s", diskEngine, opts.Engine)
 			}
 			useKind, useShards = diskKind, diskShards
 		}
@@ -192,12 +162,12 @@ func durablePlan(opts DurableOptions) (store.Config, store.BuildFunc, error) {
 func parseDurableMeta(meta map[string]string) (kind string, shards int, err error) {
 	kind = meta[metaKind]
 	if kind == "" {
-		return "", 0, fmt.Errorf("lix: snapshot meta has no %q entry", metaKind)
+		return "", 0, fmt.Errorf("lix: store meta has no %q entry", metaKind)
 	}
 	if s := meta[metaShards]; s != "" {
 		shards, err = strconv.Atoi(s)
 		if err != nil || shards < 0 {
-			return "", 0, fmt.Errorf("lix: snapshot meta %q=%q invalid", metaShards, s)
+			return "", 0, fmt.Errorf("lix: store meta %q=%q invalid", metaShards, s)
 		}
 	}
 	if _, err := registry.Mutable(kind); err != nil {

@@ -1,7 +1,10 @@
 package lix
 
 import (
+	"path/filepath"
 	"testing"
+
+	"github.com/lix-go/lix/internal/store"
 )
 
 func durableSeed(n int) []KV {
@@ -20,8 +23,6 @@ func TestDurableFacadeLifecycle(t *testing.T) {
 		{"btree", DurableOptions{Fsync: FsyncNever, CheckpointEvery: -1}},
 		{"alex", DurableOptions{Kind: "alex", Fsync: FsyncNever, CheckpointEvery: -1}},
 		{"sharded", DurableOptions{Shards: 4, Fsync: FsyncNever, CheckpointEvery: -1}},
-		{"lsm", DurableOptions{Engine: EngineLSM, Fsync: FsyncNever, CheckpointEvery: -1}},
-		{"lsm-sharded", DurableOptions{Engine: EngineLSM, Shards: 4, Fsync: FsyncNever, CheckpointEvery: -1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -60,44 +61,7 @@ func TestDurableFacadeLifecycle(t *testing.T) {
 			if tc.opts.Shards > 0 && d2.Segments() != tc.opts.Shards {
 				t.Fatalf("segments %d, want %d", d2.Segments(), tc.opts.Shards)
 			}
-			if want := tc.opts.Engine; want != "" && d2.Engine() != want {
-				t.Fatalf("reopened engine %q, want %q", d2.Engine(), want)
-			}
 		})
-	}
-}
-
-func TestDurableFacadeEnginePersists(t *testing.T) {
-	dir := t.TempDir()
-	d, err := NewDurable(dir, durableSeed(300), DurableOptions{Engine: EngineLSM, Fsync: FsyncNever, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Engine() != EngineLSM {
-		t.Fatalf("engine = %q, want lsm", d.Engine())
-	}
-	d.Put(1, 1)
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-
-	// A bare reopen resolves to the on-disk engine.
-	d2, err := Open(dir, DurableOptions{Fsync: FsyncNever, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2.Engine() != EngineLSM {
-		t.Fatalf("bare reopen engine = %q, want lsm", d2.Engine())
-	}
-	d2.Close()
-
-	// Asking for the other engine on reopen is a configuration error.
-	if _, err := Open(dir, DurableOptions{Engine: EngineSnapshot}); err == nil {
-		t.Fatal("conflicting engine accepted on reopen")
-	}
-	if _, err := Open(t.TempDir(), DurableOptions{Engine: "no-such-engine"}); err == nil {
-		t.Fatal("unknown engine accepted")
 	}
 }
 
@@ -161,5 +125,40 @@ func TestDurableFacadeBatches(t *testing.T) {
 	defer d2.Close()
 	if d2.Len() != len(recs) {
 		t.Fatalf("recovered %d, want %d", d2.Len(), len(recs))
+	}
+}
+
+// TestDurableFacadeOpensSnapshotEngineDirectory: a directory the façade of
+// earlier versions wrote on its default engine — a snapshot whose meta still
+// names that engine — opens on a bare Open with its kind and shard count,
+// and is a store of sorted runs from then on.
+func TestDurableFacadeOpensSnapshotEngineDirectory(t *testing.T) {
+	dir := t.TempDir()
+	seed := durableSeed(400)
+	err := store.WriteSnapshot(filepath.Join(dir, "snap-0000000000000001.lix"), &store.SnapshotData{
+		Meta: map[string]string{"kind": "alex", "shards": "4", "engine": "snapshot"},
+		Recs: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		d, err := Open(dir, DurableOptions{Fsync: FsyncNever, CheckpointEvery: -1})
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		if d.Len() != len(seed)+pass || d.Segments() != 4 || d.Meta()["kind"] != "alex" {
+			t.Fatalf("pass %d: %d records, %d segments, meta %v", pass, d.Len(), d.Segments(), d.Meta())
+		}
+		if ls := d.LSMStats(); ls.Runs != 1 || ls.LiveRecs != len(seed) {
+			t.Fatalf("pass %d: LSMStats %+v, want the snapshot's records as one run", pass, ls)
+		}
+		if err := d.Put(1, 1); err != nil {
+			t.Fatal(err)
+		}
+		d.Close()
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) != 0 {
+		t.Fatalf("snapshot files left after conversion: %v", snaps)
 	}
 }

@@ -1,7 +1,7 @@
 // Persistence: the durable storage layer. Every mutation is written
 // ahead to a segmented log before the in-memory learned index applies
-// it; checkpoints atomically rotate a full snapshot plus fresh log; a
-// crash (here: closing without flushing) loses nothing that was synced.
+// it; a checkpoint rotates the log and flushes the old one into a sorted
+// run; a crash (here: closing without flushing) loses nothing synced.
 //
 // The example writes through a checkpoint, keeps writing, "crashes",
 // reopens the directory, and verifies the recovered index holds exactly
@@ -49,8 +49,8 @@ func run(dir string) error {
 		expect[r.Key] = r.Value
 	}
 
-	// First wave of writes, then a checkpoint: the snapshot now holds
-	// everything so far and the logs restart empty.
+	// First wave of writes, then a checkpoint: the seed run and a new
+	// 100-record run now hold everything so far and the logs restart empty.
 	for i := 0; i < 100; i++ {
 		k, v := lix.Key(1_000_000+i), lix.Value(i)
 		if err := d.Put(k, v); err != nil {
@@ -86,16 +86,16 @@ func run(dir string) error {
 	fmt.Println("crashed without a checkpoint")
 
 	// Reopen with zero options: the kind and shard count are read back
-	// from the snapshot, the log suffix replays over it, and the torn or
-	// unsynced tail (none here) would be truncated, not fatal.
+	// from the manifest, the log suffix merges over the runs it lists, and
+	// the torn or unsynced tail (none here) would be truncated, not fatal.
 	r, err := lix.Open(dir, lix.DurableOptions{})
 	if err != nil {
 		return err
 	}
 	defer r.Close()
 	info := r.RecoveryInfo()
-	fmt.Printf("recovered: snapshot gen %d (%d records) + %d log records in %v\n",
-		info.SnapshotGen, info.SnapshotRecs, info.WALRecs, info.Elapsed)
+	fmt.Printf("recovered: manifest gen %d (%d records in %d runs) + %d log records in %v\n",
+		info.SnapshotGen, info.SnapshotRecs, info.Runs, info.WALRecs, info.Elapsed)
 
 	if r.Len() != len(expect) {
 		return fmt.Errorf("recovered %d records, want %d", r.Len(), len(expect))

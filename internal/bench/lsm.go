@@ -3,60 +3,56 @@ package bench
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"time"
 
 	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/sst"
 )
 
-// The storage-engine gate runs lsmRounds write phases per engine, each on a
-// fresh store and each taking lsmCheckpoints explicit checkpoints — a
-// snapshot-engine checkpoint rewrites the full record set, an LSM
-// checkpoint flushes only the accumulated delta — and then drives lsmProbes
-// absent keys through the run set.
+// The checkpoint gate runs lsmRounds write phases per side, each on a fresh
+// store with lsmCheckpoints checkpoints, then lsmProbes absent-key probes.
 const (
 	lsmRounds      = 3
 	lsmCheckpoints = 6
 	lsmProbes      = 30_000
 )
 
-// lsmRow is one engine's measured cells.
+// lsmRow is one side's measured cells.
 type lsmRow struct {
 	writeRate  float64 // sustained inserts/s including checkpoint stalls
 	ckptPerSec float64 // checkpoints/s over checkpoint wall time alone
-	runs       int     // LSM only
-	skipPct    float64 // LSM only: absent-key filter skip rate
+	runs       int     // store side only
+	skipPct    float64 // store side only: absent-key filter skip rate
 }
 
-// gateLSM measures the checkpoint cost of the two storage engines under
-// the same write-heavy workload: cfg.Q inserts into a preloaded store of
-// cfg.N records, checkpointing every Q/lsmCheckpoints ops, then cold-start
-// recovery. The delta-to-dataset ratio matters: each LSM checkpoint pays
-// O(delta) — dominated by training the new run's learned filter — while
-// the snapshot engine pays O(N) to rewrite the record set, so the gap only
-// shows when checkpoints are frequent relative to dataset size (the regime
-// checkpointing exists for). The floor — LSM checkpoints at least 2x the
-// snapshot engine's rate — pins the structural promise of the engine:
-// flushing the memtable delta must beat rewriting the full record set, on
-// every machine, or tiering is buying nothing. The LSM run additionally
-// drives absent-key lookups through the run set and fails outright if the
-// per-run learned filters skip fewer than 90% of the probes that reach
-// them.
+// gateLSM holds a checkpoint to the promise of the run tiers. Under the
+// same write-heavy workload — cfg.Q inserts into a preloaded store of cfg.N
+// records, a checkpoint every Q/lsmCheckpoints ops — one side calls
+// Checkpoint, which pays O(delta) (fold the retired WAL, write one small
+// run; no model is trained, a run's models wait for a reader), the other
+// writes the full record set as one run file, the O(N) rewrite a checkpoint
+// was before there were tiers. The gap only shows when checkpoints are
+// frequent relative to dataset size, the regime checkpointing exists for;
+// the floor says the flush must win there on every machine. The store
+// side also fails outright if the per-run learned filters skip fewer than
+// 90% of the absent-key probes that reach them, and the table sets its
+// cold start (manifest, runs, WAL tail, merge, index build) beside the
+// least one can cost: one validated decode of the rewrite side's flat file
+// and the same index built over it.
 //
-// The engines are timed one after the other, never with both stores open:
-// a second live store slows the LSM side's checkpoints (1.4-2.0x measured
-// against 2.8-4.6x apart). But an LSM write phase is six checkpoints of
-// 10-50 ms, one host stall inside it halves the ratio, and on unchanged
-// code that missed the floor one run in ten on a quiet host and four in ten
-// on a busy one; so a whole write phase is one abMedian slice, and the
-// result the median of lsmRounds rounds.
+// The sides are timed one after the other, never with both stores open (a
+// second live store slows the first one's checkpoints), but one host stall
+// inside six checkpoints of a few milliseconds halves the ratio: so a
+// whole write phase is one abMedian slice, and the result the median of
+// lsmRounds rounds.
 func gateLSM(cfg Config) ([]*Table, []floor, error) {
 	recs := evenKV(cfg.N, cfg.Seed)
-	engines := [2]string{lix.EngineLSM, lix.EngineSnapshot}
 	var rows [2]lsmRow
-	var dirs [2]string // each engine's latest store, crashed with a WAL tail
+	var dirs [2]string // each side's latest store, crashed with a WAL tail
 	defer func() {
 		for _, dir := range dirs {
 			os.RemoveAll(dir)
@@ -66,42 +62,64 @@ func gateLSM(cfg Config) ([]*Table, []floor, error) {
 		return func() (float64, error) {
 			os.RemoveAll(dirs[i])
 			var err error
-			rows[i], dirs[i], err = lsmWritePhase(cfg, engines[i], recs)
+			rows[i], dirs[i], err = lsmWritePhase(cfg, i == 1, recs)
 			return rows[i].ckptPerSec, err
 		}
 	}
-	lsmRate, snapRate, err := abMedian(lsmRounds, 1, func() (side, side, func(), error) {
+	lsmRate, rewriteRate, err := abMedian(lsmRounds, 1, func() (side, side, func(), error) {
 		return writePhase(0), writePhase(1), func() {}, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 
+	// Cold start of the last round, both ways.
+	re, err := lix.Open(dirs[0], lsmOptions)
+	if err != nil {
+		return nil, nil, err
+	}
+	recoverMs := [2]float64{float64(re.RecoveryInfo().Elapsed.Microseconds()) / 1e3}
+	re.Close()
+	start := time.Now()
+	_, flat, err := sst.Open(flatPath(dirs[1]))
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := lix.NewStack(flat.Live, lix.StackConfig{}); err != nil {
+		return nil, nil, err
+	}
+	recoverMs[1] = float64(time.Since(start).Microseconds()) / 1e3
+
 	t := &Table{
 		ID: "LSM",
-		Title: fmt.Sprintf("Checkpoint engines under write load, n=%d, %d writes, %d checkpoints, median of %d rounds",
+		Title: fmt.Sprintf("Checkpoint as a delta flush against a rewrite of the record set, n=%d, %d writes, %d checkpoints, median of %d rounds",
 			cfg.N, cfg.Q, lsmCheckpoints, lsmRounds),
-		Columns: []string{"engine", "write Kops/s", "ckpt/s", "avg ckpt ms", "recover ms", "runs", "skip%"},
+		Columns: []string{"checkpoint", "write Kops/s", "ckpt/s", "avg ckpt ms", "recover ms", "runs", "skip%"},
 	}
-	for i, rate := range []float64{lsmRate, snapRate} {
-		// Cold-start recovery of the last round's store.
-		re, err := lix.Open(dirs[i], lsmOptions(engines[i]))
-		if err != nil {
-			return nil, nil, err
-		}
-		recoverMs := float64(re.RecoveryInfo().Elapsed.Microseconds()) / 1e3
-		re.Close()
-		t.AddRow(engines[i], rows[i].writeRate/1e3, rate, 1e3/rate, recoverMs, rows[i].runs, rows[i].skipPct)
+	for i, rate := range []float64{lsmRate, rewriteRate} {
+		t.AddRow([]string{"lsm", "rewrite"}[i], rows[i].writeRate/1e3, rate, 1e3/rate, recoverMs[i], rows[i].runs, rows[i].skipPct)
 	}
-	return []*Table{t}, []floor{{name: "lsm/checkpoint/lsm", got: lsmRate, ref: snapRate, min: 2}}, nil
+	return []*Table{t}, []floor{{name: "lsm/checkpoint/lsm", got: lsmRate, ref: rewriteRate, min: 2}}, nil
 }
 
-func lsmOptions(engine string) lix.DurableOptions {
-	return lix.DurableOptions{
-		Engine:          engine,
-		Fsync:           lix.FsyncNever, // measure checkpoint I/O, not WAL sync policy
-		CheckpointEvery: -1,             // checkpoints are explicit, so both engines pay at the same points
-	}
+var lsmOptions = lix.DurableOptions{
+	Fsync:           lix.FsyncNever, // measure checkpoint I/O, not WAL sync policy
+	CheckpointEvery: -1,             // checkpoints are explicit, so both sides pay at the same points
+}
+
+// flatPath is where the rewrite side keeps its one run file: inside the
+// store directory, under a name the store does not claim.
+func flatPath(dir string) string { return filepath.Join(dir, "rewrite.run") }
+
+// rewriteAll is the rewrite side's checkpoint: the whole current record
+// set, scanned out of the store and written as one durable run file.
+func rewriteAll(d *lix.Durable, path string) error {
+	fd := &sst.FileData{Live: make([]core.KV, 0, d.Len())} // sized once: the scan is the cost, not slice growth
+	d.Range(0, ^core.Key(0), func(k core.Key, v core.Value) bool {
+		fd.Live = append(fd.Live, core.KV{Key: k, Value: v})
+		return true
+	})
+	return sst.WriteFile(path, fd)
 }
 
 // evenKV builds n sorted distinct even keys: everything the benchmark
@@ -126,68 +144,73 @@ func evenKV(n int, seed int64) []core.KV {
 	return recs
 }
 
-// lsmWritePhase builds a fresh store under engine, runs the checkpointing
-// write phase and (on the LSM engine) the filter probe on it, then appends a
-// WAL tail and kills it. It returns the store's directory for the caller to
-// reopen and remove.
-func lsmWritePhase(cfg Config, engine string, recs []core.KV) (row lsmRow, dir string, err error) {
+// lsmWritePhase builds a fresh store, runs the checkpointing write phase on
+// it — the store's own checkpoints and then the filter probe, or with
+// rewrite a full rewrite at the same points — then appends a WAL tail and
+// kills it. It returns the store's directory for the caller to reopen and
+// remove.
+func lsmWritePhase(cfg Config, rewrite bool, recs []core.KV) (row lsmRow, dir string, err error) {
 	if dir, err = os.MkdirTemp("", "lixbench-lsm-*"); err != nil {
-		return lsmRow{}, "", err
+		return row, "", err
 	}
-	d, err := lix.NewDurable(dir, recs, lsmOptions(engine))
+	d, err := lix.NewDurable(dir, recs, lsmOptions)
 	if err != nil {
-		return lsmRow{}, dir, err
+		return row, dir, err
+	}
+	defer func() {
+		if err != nil {
+			d.Close()
+		}
+	}()
+	checkpoint := d.Checkpoint
+	if rewrite {
+		checkpoint = func() error { return rewriteAll(d, flatPath(dir)) }
+	}
+	perCkpt := max(cfg.Q/lsmCheckpoints, 1)
+	r := newRand(cfg.Seed + 57)
+	puts := func() error { // one cycle's worth of fresh even keys
+		for i := 0; i < perCkpt; i++ {
+			if err := d.Put(core.Key(r.Uint64())>>2&^1, core.Value(i)); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	runtime.GC() // collect the build's garbage now, not during a checkpoint
-	// Write phase: fresh even keys with a checkpoint per cycle.
-	perCkpt := max(cfg.Q/lsmCheckpoints, 1)
-	r := newRand(cfg.Seed + 57)
 	var ckptTime time.Duration
 	start := time.Now()
 	for c := 0; c < lsmCheckpoints; c++ {
-		for i := 0; i < perCkpt; i++ {
-			if err := d.Put(core.Key(r.Uint64())>>2&^1, core.Value(i)); err != nil {
-				d.Close()
-				return row, dir, err
-			}
+		if err = puts(); err != nil {
+			return row, dir, err
 		}
 		cs := time.Now()
-		if err := d.Checkpoint(); err != nil {
-			d.Close()
+		if err = checkpoint(); err != nil {
 			return row, dir, err
 		}
 		ckptTime += time.Since(cs)
 	}
-	elapsed := time.Since(start)
-	row.writeRate = float64(perCkpt*lsmCheckpoints) / elapsed.Seconds()
+	row.writeRate = float64(perCkpt*lsmCheckpoints) / time.Since(start).Seconds()
 	row.ckptPerSec = float64(lsmCheckpoints) / ckptTime.Seconds()
-
-	if engine == lix.EngineLSM {
-		if err := probeLSMFilters(cfg, d, &row); err != nil {
-			d.Close()
+	if !rewrite {
+		if err = probeLSMFilters(cfg, d, &row); err != nil {
 			return row, dir, err
 		}
 	}
-
 	// What cold-start recovery will find: a WAL tail on top of the last
 	// checkpoint, and a killed store.
-	for i := 0; i < perCkpt; i++ {
-		if err := d.Put(core.Key(r.Uint64())>>2&^1, core.Value(i)); err != nil {
-			d.Close()
-			return row, dir, err
-		}
+	if err = puts(); err != nil {
+		return row, dir, err
 	}
 	return row, dir, d.Crash()
 }
 
 // probeLSMFilters drives absent (odd) keys through the run set and
 // fails unless the learned filters skip at least 90% of the run probes
-// that reach them — the engine's structural read-path promise.
+// that reach them — the run tiers' structural read-path promise.
 func probeLSMFilters(cfg Config, d *lix.Durable, row *lsmRow) error {
-	tiers := d.Tiers()
-	before := d.LSMStats().Counters
-	row.runs = d.LSMStats().Runs
+	tiers := d.Tiers() // nothing has read through these runs yet: their counters start at zero
+	row.runs = len(tiers.Runs())
 	r := newRand(cfg.Seed + 131)
 	for i := 0; i < lsmProbes; i++ {
 		k := core.Key(r.Uint64())>>2 | 1
@@ -197,13 +220,12 @@ func probeLSMFilters(cfg Config, d *lix.Durable, row *lsmRow) error {
 			return fmt.Errorf("bench: absent key %d found in the run set", k)
 		}
 	}
-	after := d.LSMStats().Counters
-	consulted := (after.Probes - after.RangeSkips) - (before.Probes - before.RangeSkips)
+	c := tiers.Counters()
+	consulted := c.Probes - c.RangeSkips
 	if consulted == 0 {
 		return fmt.Errorf("bench: no absent-key probe consulted a filter — run set not exercised")
 	}
-	skips := after.FilterSkips - before.FilterSkips
-	row.skipPct = 100 * float64(skips) / float64(consulted)
+	row.skipPct = 100 * float64(c.FilterSkips) / float64(consulted)
 	if row.skipPct < 90 {
 		return fmt.Errorf("bench: learned filters skipped %.1f%% of absent-key run probes, want >= 90%%", row.skipPct)
 	}

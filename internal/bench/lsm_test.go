@@ -2,10 +2,10 @@ package bench
 
 import "testing"
 
-// TestRunLSMSmoke runs the storage-engine gate at a tiny scale and checks
-// the contract CI depends on: one row per engine, the absent-key filter
-// probe passing (gateLSM errors if filters skip under 90%), and the LSM
-// checkpoint rate carrying the >= 2x floor against the snapshot engine's.
+// TestRunLSMSmoke runs the checkpoint gate at a tiny scale and checks the
+// contract CI depends on: one row per side, the absent-key filter probe
+// passing (gateLSM errors if filters skip under 90%), and the delta
+// flush's checkpoint rate carrying its floor against the full rewrite's.
 func TestRunLSMSmoke(t *testing.T) {
 	tables, floors, err := gateLSM(Config{N: 20_000, Q: 6_000, Seed: 3})
 	if err != nil {

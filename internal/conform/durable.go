@@ -33,39 +33,48 @@ func (d durableIndex) Close() error {
 // (the suite checks logical equivalence, not power-loss durability, and
 // replays thousands of ops per workload) and a checkpoint interval small
 // enough that replays cross generation rotations.
-func durableOpts(shards int, engine string) lix.DurableOptions {
+func durableOpts(shards, checkpointEvery int) lix.DurableOptions {
 	return lix.DurableOptions{
 		Shards:          shards,
 		Fsync:           lix.FsyncNever,
-		CheckpointEvery: 2000,
-		Engine:          engine,
+		CheckpointEvery: checkpointEvery,
 	}
 }
 
-func durable1D(name string, shards int, engine string) {
-	Register(Factory{
-		Name: name,
-		Caps: Caps{Mutable: true, AllowsEmpty: true},
-		Build1D: func(recs []core.KV) (Index, error) {
-			dir, err := os.MkdirTemp("", "lix-conform-"+name+"-*")
-			if err != nil {
-				return nil, err
-			}
-			d, err := lix.NewDurable(dir, recs, durableOpts(shards, engine))
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			return durableIndex{Durable: d, dir: dir}, nil
-		},
-	})
+// durableConfigs are the durable configurations under conformance: the
+// WAL unsharded and with one segment per shard, each at two flush
+// cadences. At 2000 records a replay crosses a rotation or two; at 300
+// (the "-lsm" names, which once selected a second engine) it stacks enough
+// runs that compaction and tombstone dropping run under the check too.
+var durableConfigs = []struct {
+	name                    string
+	shards, checkpointEvery int
+}{
+	{"durable-btree", 0, 2000},
+	{"durable-sharded", 4, 2000},
+	{"durable-lsm", 0, 300},
+	{"durable-lsm-sharded", 4, 300},
 }
 
 func init() {
-	durable1D("durable-btree", 0, "")
-	durable1D("durable-sharded", 4, "")
-	durable1D("durable-lsm", 0, lix.EngineLSM)
-	durable1D("durable-lsm-sharded", 4, lix.EngineLSM)
+	for _, c := range durableConfigs {
+		Register(Factory{
+			Name: c.name,
+			Caps: Caps{Mutable: true, AllowsEmpty: true},
+			Build1D: func(recs []core.KV) (Index, error) {
+				dir, err := os.MkdirTemp("", "lix-conform-"+c.name+"-*")
+				if err != nil {
+					return nil, err
+				}
+				d, err := lix.NewDurable(dir, recs, durableOpts(c.shards, c.checkpointEvery))
+				if err != nil {
+					os.RemoveAll(dir)
+					return nil, err
+				}
+				return durableIndex{Durable: d, dir: dir}, nil
+			},
+		})
+	}
 }
 
 // DurableFactory builds and reopens a durable store for CheckReopen.
@@ -80,28 +89,21 @@ type DurableFactory struct {
 // DurableFactories lists the reopen-checked configurations, mirroring
 // the registered differential factories.
 func DurableFactories() []DurableFactory {
-	mk := func(name string, shards int, engine string) DurableFactory {
-		return DurableFactory{
-			Name: name,
+	var out []DurableFactory
+	for _, c := range durableConfigs {
+		out = append(out, DurableFactory{
+			Name: c.name,
 			Create: func(dir string, init []core.KV) (*lix.Durable, error) {
-				return lix.NewDurable(dir, init, durableOpts(shards, engine))
+				return lix.NewDurable(dir, init, durableOpts(c.shards, c.checkpointEvery))
 			},
 			Reopen: func(dir string) (*lix.Durable, error) {
-				// A bare reconfiguration-free open: kind, shard count and
-				// storage engine must come back from the persisted state.
-				return lix.Open(dir, lix.DurableOptions{
-					Fsync:           lix.FsyncNever,
-					CheckpointEvery: 2000,
-				})
+				// A bare reconfiguration-free open: kind and shard count
+				// must come back from the persisted state.
+				return lix.Open(dir, durableOpts(0, c.checkpointEvery))
 			},
-		}
+		})
 	}
-	return []DurableFactory{
-		mk("durable-btree", 0, ""),
-		mk("durable-sharded", 4, ""),
-		mk("durable-lsm", 0, lix.EngineLSM),
-		mk("durable-lsm-sharded", 4, lix.EngineLSM),
-	}
+	return out
 }
 
 // CheckReopen is the reopen-after-quiesce equivalence check: it replays

@@ -38,17 +38,7 @@ func TestDurableReopenEquivalence(t *testing.T) {
 // in-memory index, under concurrent readers, and the quiesced state must
 // match the sequential oracle.
 func TestDurableStress(t *testing.T) {
-	cases := []struct {
-		name   string
-		shards int
-		engine string
-	}{
-		{"durable-sharded", 4, ""},
-		{"durable-btree", 0, ""},
-		{"durable-lsm", 0, lix.EngineLSM},
-		{"durable-lsm-sharded", 4, lix.EngineLSM},
-	}
-	for i, c := range cases {
+	for i, c := range durableConfigs {
 		c, i := c, i
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
@@ -59,7 +49,7 @@ func TestDurableStress(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				d, err := lix.NewDurable(dir, init, durableOpts(c.shards, c.engine))
+				d, err := lix.NewDurable(dir, init, durableOpts(c.shards, c.checkpointEvery))
 				if err != nil {
 					return nil, err
 				}
@@ -75,13 +65,13 @@ func TestDurableStress(t *testing.T) {
 // TestDurableFactoriesRegistered pins the persistence path into the
 // differential registry alongside the in-memory factories.
 func TestDurableFactoriesRegistered(t *testing.T) {
-	for _, name := range []string{"durable-btree", "durable-sharded", "durable-lsm", "durable-lsm-sharded"} {
-		f, err := Lookup(name)
+	for _, c := range durableConfigs {
+		f, err := Lookup(c.name)
 		if err != nil {
-			t.Fatalf("factory %q not registered: %v", name, err)
+			t.Fatalf("factory %q not registered: %v", c.name, err)
 		}
 		if !f.Caps.Mutable || !f.Caps.AllowsEmpty {
-			t.Fatalf("factory %q caps %+v", name, f.Caps)
+			t.Fatalf("factory %q caps %+v", c.name, f.Caps)
 		}
 	}
 }

@@ -76,14 +76,15 @@ type Metrics struct {
 	PageHits   Counter
 	PageMisses Counter
 
-	// Learned LSM engine instrumentation, maintained by the durable
-	// store's LSM engine (internal/store + internal/sst). The counters
-	// accumulate per-run learned-filter outcomes (a probe resolves as a
-	// skip, a false positive, or a genuine hit inside the run); the gauges
-	// describe the current tier state and are refreshed after every
-	// memtable flush and compaction. FilterBytes is the summed memory of
-	// all per-run learned filters (model + backup); FilterFPRPpm is the
-	// measured false-positive rate of the newest run's filter in parts per
+	// Run-tier instrumentation, maintained by the durable store
+	// (internal/store + internal/sst). The counters accumulate per-run
+	// learned-filter outcomes (a probe resolves as a skip, a false
+	// positive, or a genuine hit inside the run); the gauges describe the
+	// current tier state and are refreshed after every memtable flush and
+	// compaction. FilterBytes is the summed memory of the per-run learned
+	// filters that exist (model + backup; one is trained by the first
+	// lookup through its run, so 0 until then); FilterFPRPpm is the
+	// measured false-positive rate of the newest such filter in parts per
 	// million (a gauge because FPR is a level, not a flow).
 	FilterProbes Counter
 	FilterSkips  Counter

@@ -229,12 +229,12 @@ func (p Buf) InnerInsertAt(i int, k core.Key, child uint64) {
 
 // Decoded is the logical content of one validated leaf or inner page.
 type Decoded struct {
-	Type  byte
-	ID    uint64
-	Link  uint64
-	Keys  []core.Key
-	Vals  []uint64 // record values (leaf) or child ids (inner)
-	Size  int      // page size the buffer was validated at
+	Type byte
+	ID   uint64
+	Link uint64
+	Keys []core.Key
+	Vals []uint64 // record values (leaf) or child ids (inner)
+	Size int      // page size the buffer was validated at
 }
 
 // Decode validates p as a canonical leaf or inner page — CRC intact,

@@ -53,8 +53,8 @@ type Counters struct {
 	PageReads      uint64
 }
 
-// add accumulates o into c.
-func (c *Counters) add(o Counters) {
+// Add accumulates o into c.
+func (c *Counters) Add(o Counters) {
 	c.Probes += o.Probes
 	c.RangeSkips += o.RangeSkips
 	c.FilterSkips += o.FilterSkips
@@ -64,7 +64,9 @@ func (c *Counters) add(o Counters) {
 	c.PageReads += o.PageReads
 }
 
-// RunStats describes one open run for gauges and debugging.
+// RunStats describes one open run for gauges and debugging. Fences,
+// Segments, FilterBits and BackupKeys are zero until the run has been read
+// through (see Reader).
 type RunStats struct {
 	Path       string
 	Live       int
@@ -79,28 +81,18 @@ type RunStats struct {
 	BackupKeys int
 }
 
-// Reader serves point lookups against one immutable run file. The data
-// pages stay on disk; in memory the reader keeps only derived structures —
-// the fence array (first key of each data page), a PLA model over it, the
-// tombstone keys, and the learned filter — all rebuilt at Open the same
-// way the paged PGM kind rebuilds its fence model. Methods are safe for
-// concurrent use.
+// Reader serves point lookups against one immutable run file. Open
+// validates the file and keeps only its summary; the data pages stay on
+// disk. What a lookup needs beyond that is derived data, built by the
+// first Get (see lookup): a run nobody reads through costs no training
+// time, no memory and no file descriptor. Methods are safe for concurrent
+// use.
 type Reader struct {
-	f    *os.File
-	path string
-	size int64
+	sum RunStats // what Open read; the model fields stay zero here
 
-	live      int
-	dataPages int
-	seq       uint64
-	minKey    core.Key
-	maxKey    core.Key
-
-	fences []core.Key        // first key of data page i
-	model  []segment.Segment // PLA over fences (nil for small runs)
-	tombs  []core.Key        // sorted tombstone keys, fully in memory
-	filter *lbf.Filter       // membership over live ∪ tombstone keys
-	fpr    float64           // filter FPR measured on a holdout at open
+	mu     sync.Mutex // serializes train and Close
+	closed bool
+	look   atomic.Pointer[lookup]
 
 	probes    atomic.Uint64
 	rangeSkip atomic.Uint64
@@ -111,6 +103,17 @@ type Reader struct {
 	pageReads atomic.Uint64
 }
 
+// lookup is a run's derived read-path state, rebuilt from the page contents
+// as the paged PGM kind rebuilds its fence model; immutable once published.
+type lookup struct {
+	f      *os.File
+	fences []core.Key        // first key of data page i
+	model  []segment.Segment // PLA over fences (nil for small runs)
+	tombs  []core.Key        // sorted tombstone keys, fully in memory
+	filter *lbf.Filter       // membership over live ∪ tombstone keys
+	fpr    float64           // filter FPR measured on a holdout when trained
+}
+
 // pagePool recycles 4 KiB lookup buffers across Get calls.
 var pagePool = sync.Pool{New: func() any {
 	b := make([]byte, PageSize)
@@ -118,87 +121,92 @@ var pagePool = sync.Pool{New: func() any {
 }}
 
 // Open validates the run file at path end to end (full canonical decode —
-// a torn or corrupted run is rejected here, never served) and builds the
-// derived lookup structures.
-func Open(path string) (*Reader, error) {
+// a torn or corrupted run is rejected here, never served) and returns the
+// reader together with that decode, so a caller that merges the run does
+// not read it a second time.
+func Open(path string) (*Reader, *FileData, error) {
+	d, size, err := readFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &Reader{sum: RunStats{
+		Path: path, FileBytes: size, Live: len(d.Live), Dead: len(d.Dead),
+		Seq: d.Seq, MinKey: d.MinKey(), MaxKey: d.MaxKey(),
+	}}, d, nil
+}
+
+// readFile reads and decodes the run file at path.
+func readFile(path string) (*FileData, int64, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	d, err := DecodeFile(b)
 	if err != nil {
-		return nil, fmt.Errorf("sst: %s: %w", path, err)
+		return nil, 0, fmt.Errorf("sst: %s: %w", path, err)
 	}
-	f, err := os.Open(path)
+	return d, int64(len(b)), nil
+}
+
+// train builds the lookup state from the file and publishes it; the first
+// Get of a run pays for it, later ones find it published.
+func (r *Reader) train() (*lookup, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if lk := r.look.Load(); lk != nil {
+		return lk, nil
+	}
+	if r.closed {
+		return nil, fmt.Errorf("sst: %s: %w", r.sum.Path, os.ErrClosed)
+	}
+	d, _, err := readFile(r.sum.Path)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{
-		f:         f,
-		path:      path,
-		size:      int64(len(b)),
-		live:      len(d.Live),
-		dataPages: pagesFor(len(d.Live)),
-		seq:       d.Seq,
-		minKey:    d.MinKey(),
-		maxKey:    d.MaxKey(),
-		tombs:     d.Dead,
-	}
+	lk := &lookup{tombs: d.Dead}
 	// Fence array: the first key of each data page.
-	if r.dataPages > 0 {
-		r.fences = make([]core.Key, r.dataPages)
-		for i := range r.fences {
-			r.fences[i] = d.Live[i*RecsPerPage].Key
+	if pages := pagesFor(len(d.Live)); pages > 0 {
+		lk.fences = make([]core.Key, pages)
+		for i := range lk.fences {
+			lk.fences[i] = d.Live[i*RecsPerPage].Key
 		}
 	}
-	if len(r.fences) >= minModelFences {
-		xs := make([]float64, len(r.fences))
-		for i, k := range r.fences {
+	if len(lk.fences) >= minModelFences {
+		xs := make([]float64, len(lk.fences))
+		for i, k := range lk.fences {
 			xs[i] = float64(k)
 		}
-		r.model = segment.BuildOptimal(xs, segment.Positions(len(xs)), fenceEps)
+		lk.model = segment.BuildOptimal(xs, segment.Positions(len(xs)), fenceEps)
 	}
 	// Learned filter over every key the run speaks for — live and dead.
 	// Zero false negatives is load-bearing twice over: a missed live key
 	// would lose a committed write, a missed tombstone would resurrect a
 	// deleted one from an older run.
-	members := memberKeys(d)
-	negs := synthNegatives(members, r.minKey, r.maxKey, d.Seq^r.minKey)
-	bits := uint64(len(members)) * filterBitsPerKey
-	if bits < minFilterBits {
-		bits = minFilterBits
+	members, lo, hi := memberKeys(d), r.sum.MinKey, r.sum.MaxKey
+	negs := synthNegatives(members, lo, hi, d.Seq^lo)
+	bits := max(uint64(len(members))*filterBitsPerKey, minFilterBits)
+	if lk.filter, err = lbf.Train(members, negs, bits, 0); err != nil {
+		return nil, fmt.Errorf("sst: %s: train filter: %w", r.sum.Path, err)
 	}
-	filter, err := lbf.Train(members, negs, bits, 0)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sst: %s: train filter: %w", path, err)
-	}
-	r.filter = filter
 	// Measure the realized FPR on a holdout batch of absent keys the
 	// filter was not trained on; exported on /metrics per run.
-	if holdout := synthNegatives(members, r.minKey, r.maxKey, d.Seq^r.maxKey^0x5bf0a8b1); len(holdout) > 0 {
-		r.fpr = lbf.MeasureFPR(filter, holdout)
+	if holdout := synthNegatives(members, lo, hi, d.Seq^hi^0x5bf0a8b1); len(holdout) > 0 {
+		lk.fpr = lbf.MeasureFPR(lk.filter, holdout)
 	}
-	return r, nil
+	if lk.f, err = os.Open(r.sum.Path); err != nil {
+		return nil, err
+	}
+	r.look.Store(lk)
+	return lk, nil
 }
 
 // memberKeys returns the sorted union of live and tombstone keys.
 func memberKeys(d *FileData) []core.Key {
 	out := make([]core.Key, 0, len(d.Live)+len(d.Dead))
-	i, j := 0, 0
-	for i < len(d.Live) && j < len(d.Dead) {
-		if d.Live[i].Key < d.Dead[j] {
-			out = append(out, d.Live[i].Key)
-			i++
-		} else {
-			out = append(out, d.Dead[j])
-			j++
-		}
+	c := cursor{d: d}
+	for c.head(); c.ok; c.next() {
+		out = append(out, c.key)
 	}
-	for ; i < len(d.Live); i++ {
-		out = append(out, d.Live[i].Key)
-	}
-	out = append(out, d.Dead[j:]...)
 	return out
 }
 
@@ -257,30 +265,38 @@ func splitmix64(x *uint64) uint64 {
 // when the run tombstones k, Absent when the run says nothing (the caller
 // consults older runs). At most one page read per call; absent keys are
 // usually rejected by the range check or the learned filter without
-// touching disk.
+// touching disk. The first Get inside the run's key range trains the
+// models, and fails if the file has gone missing or bad since Open.
 func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 	r.probes.Add(1)
-	if k < r.minKey || k > r.maxKey {
+	if k < r.sum.MinKey || k > r.sum.MaxKey {
 		r.rangeSkip.Add(1)
 		return 0, Absent, nil
 	}
-	if !r.filter.Contains(k) {
+	lk := r.look.Load()
+	if lk == nil {
+		var err error
+		if lk, err = r.train(); err != nil {
+			return 0, Absent, err
+		}
+	}
+	if !lk.filter.Contains(k) {
 		r.filtSkip.Add(1)
 		return 0, Absent, nil
 	}
-	if i := core.LowerBound(r.tombs, k); i < len(r.tombs) && r.tombs[i] == k {
+	if i := core.LowerBound(lk.tombs, k); i < len(lk.tombs) && lk.tombs[i] == k {
 		r.tombHits.Add(1)
 		return 0, Deleted, nil
 	}
-	if r.live == 0 {
+	if r.sum.Live == 0 {
 		r.falsePos.Add(1)
 		return 0, Absent, nil
 	}
-	pg := r.pageFor(k)
+	pg := lk.pageFor(k)
 	bp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bp)
 	p := page.Buf(*bp)
-	if err := r.readPage(uint64(1+pg), p); err != nil {
+	if err := r.readPage(lk.f, uint64(1+pg), p); err != nil {
 		return 0, Absent, err
 	}
 	if i, ok := p.LeafSearch(k); ok {
@@ -296,19 +312,19 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 // fence ≤ k. The PLA model predicts a slot and a windowed search corrects
 // it; the result is verified against the full fence array (the model is
 // an accelerator, never an authority) with a binary-search fallback.
-func (r *Reader) pageFor(k core.Key) int {
+func (lk *lookup) pageFor(k core.Key) int {
 	var i int
-	if r.model != nil {
-		s := &r.model[segment.Locate(r.model, float64(k))]
+	if lk.model != nil {
+		s := &lk.model[segment.Locate(lk.model, float64(k))]
 		p := int(s.Predict(float64(k)))
-		i = core.SearchRange(r.fences, k, p-fenceEps-1, p+fenceEps+2)
-		if !((i == 0 || r.fences[i-1] < k) && (i == len(r.fences) || r.fences[i] >= k)) {
-			i = core.LowerBound(r.fences, k)
+		i = core.SearchRange(lk.fences, k, p-fenceEps-1, p+fenceEps+2)
+		if !((i == 0 || lk.fences[i-1] < k) && (i == len(lk.fences) || lk.fences[i] >= k)) {
+			i = core.LowerBound(lk.fences, k)
 		}
 	} else {
-		i = core.LowerBound(r.fences, k)
+		i = core.LowerBound(lk.fences, k)
 	}
-	if i < len(r.fences) && r.fences[i] == k {
+	if i < len(lk.fences) && lk.fences[i] == k {
 		return i
 	}
 	if i == 0 {
@@ -319,33 +335,26 @@ func (r *Reader) pageFor(k core.Key) int {
 
 // readPage fills p with page id's content, verifying CRC and self-id —
 // the last line of defense against corruption that appears after Open.
-func (r *Reader) readPage(id uint64, p page.Buf) error {
-	n, err := r.f.ReadAt(p, int64(id)*PageSize)
+func (r *Reader) readPage(f *os.File, id uint64, p page.Buf) error {
+	n, err := f.ReadAt(p, int64(id)*PageSize)
 	if n != PageSize {
-		return fmt.Errorf("sst: %s: short read of page %d (%d bytes): %v", r.path, id, n, err)
+		return fmt.Errorf("sst: %s: short read of page %d (%d bytes): %v", r.sum.Path, id, n, err)
 	}
 	r.pageReads.Add(1)
 	if !p.VerifyCRC() {
-		return fmt.Errorf("sst: %s: page %d CRC mismatch (torn or corrupted write)", r.path, id)
+		return fmt.Errorf("sst: %s: page %d CRC mismatch (torn or corrupted write)", r.sum.Path, id)
 	}
 	if p.ID() != id {
-		return fmt.Errorf("sst: %s: page %d stores id %d (misdirected write)", r.path, id, p.ID())
+		return fmt.Errorf("sst: %s: page %d stores id %d (misdirected write)", r.sum.Path, id, p.ID())
 	}
 	return nil
 }
 
 // Data re-reads and decodes the whole run — the bulk path for compaction
-// merges and recovery.
+// merges.
 func (r *Reader) Data() (*FileData, error) {
-	b, err := os.ReadFile(r.path)
-	if err != nil {
-		return nil, err
-	}
-	d, err := DecodeFile(b)
-	if err != nil {
-		return nil, fmt.Errorf("sst: %s: %w", r.path, err)
-	}
-	return d, nil
+	d, _, err := readFile(r.sum.Path)
+	return d, err
 }
 
 // Counters returns a snapshot of the lookup counters.
@@ -361,47 +370,36 @@ func (r *Reader) Counters() Counters {
 	}
 }
 
-// Stats describes the open run.
+// Stats describes the open run: the summary Open read, plus the sizes of
+// the models once a Get has built them.
 func (r *Reader) Stats() RunStats {
-	return RunStats{
-		Path:       r.path,
-		Live:       r.live,
-		Dead:       len(r.tombs),
-		Seq:        r.seq,
-		MinKey:     r.minKey,
-		MaxKey:     r.maxKey,
-		FileBytes:  r.size,
-		Fences:     len(r.fences),
-		Segments:   len(r.model),
-		FilterBits: r.filter.Bits(),
-		BackupKeys: r.filter.BackupKeys(),
+	st := r.sum
+	if lk := r.look.Load(); lk != nil {
+		st.Fences = len(lk.fences)
+		st.Segments = len(lk.model)
+		st.FilterBits = lk.filter.Bits()
+		st.BackupKeys = lk.filter.BackupKeys()
 	}
+	return st
 }
 
-// Path returns the run file's path.
-func (r *Reader) Path() string { return r.path }
+// MeasuredFPR is the filter's false-positive rate measured on a holdout
+// batch of synthesized absent keys when the filter was trained, 0 before.
+func (r *Reader) MeasuredFPR() float64 {
+	if lk := r.look.Load(); lk != nil {
+		return lk.fpr
+	}
+	return 0
+}
 
-// Seq returns the run's sequence watermark.
-func (r *Reader) Seq() uint64 { return r.seq }
-
-// Live returns the number of live records.
-func (r *Reader) Live() int { return r.live }
-
-// Dead returns the number of tombstones.
-func (r *Reader) Dead() int { return len(r.tombs) }
-
-// FileBytes returns the run file's size.
-func (r *Reader) FileBytes() int64 { return r.size }
-
-// FilterBits returns the learned filter's size in bits (model + backup).
-func (r *Reader) FilterBits() uint64 { return r.filter.Bits() }
-
-// Filter exposes the run's learned filter (for FPR measurement).
-func (r *Reader) Filter() *lbf.Filter { return r.filter }
-
-// MeasuredFPR is the filter's false-positive rate measured at Open on a
-// holdout batch of synthesized absent keys.
-func (r *Reader) MeasuredFPR() float64 { return r.fpr }
-
-// Close closes the underlying file.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close releases the read handle, if a Get ever opened one; later Gets
+// that would need to train fail.
+func (r *Reader) Close() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.closed = true
+	if lk := r.look.Load(); lk != nil {
+		return lk.f.Close()
+	}
+	return nil
+}

@@ -1,7 +1,8 @@
-// Package sst implements immutable sorted-run files (SSTables) for the
-// learned LSM storage engine: the disk format, a canonical encoder/decoder
-// (the fuzz surface), an atomic writer, and a reader that serves point
-// lookups through a learned fence index and a hybrid learned Bloom filter.
+// Package sst implements immutable sorted-run files (SSTables), the one
+// durable format of the store's checkpoint engine: the disk format, a
+// canonical encoder/decoder (the fuzz surface), an atomic writer, the
+// linear last-wins merge, and a reader that serves point lookups through a
+// learned fence index and a hybrid learned Bloom filter.
 //
 // This is the LSM branch of the learned-index taxonomy (paper §5, Bourbon;
 // "Updatable Learned Indexes Meet Disk-Resident DBMS" in PAPERS.md): the
@@ -36,10 +37,12 @@
 // keys this run deletes from older runs, in their own chain. A key appears
 // at most once per run — live or dead, never both.
 //
-// The fence index and the learned filter are derived data: they are
-// rebuilt from the page contents at open (exactly as the paged PGM kind
-// rebuilds its fence model), never persisted, so the file format stays
-// canonical and the fuzz target can pin Encode(Decode(b)) == b.
+// The fence index and the learned filter are derived data, and lazy: they
+// are built from the page contents by the first lookup that reads through
+// the run (as the paged PGM kind rebuilds its fence model), never at open,
+// flush or compaction and never persisted, so a writer pays nothing for
+// models nobody reads and the file format stays canonical — the fuzz
+// target can pin Encode(Decode(b)) == b.
 package sst
 
 import (
@@ -79,31 +82,19 @@ type FileData struct {
 // MinKey returns the smallest key in the run (live or dead). The run must
 // be non-empty.
 func (d *FileData) MinKey() core.Key {
-	switch {
-	case len(d.Live) == 0:
+	if len(d.Live) == 0 || (len(d.Dead) > 0 && d.Dead[0] < d.Live[0].Key) {
 		return d.Dead[0]
-	case len(d.Dead) == 0:
-		return d.Live[0].Key
-	case d.Dead[0] < d.Live[0].Key:
-		return d.Dead[0]
-	default:
-		return d.Live[0].Key
 	}
+	return d.Live[0].Key
 }
 
 // MaxKey returns the largest key in the run (live or dead). The run must
 // be non-empty.
 func (d *FileData) MaxKey() core.Key {
-	switch {
-	case len(d.Live) == 0:
-		return d.Dead[len(d.Dead)-1]
-	case len(d.Dead) == 0:
-		return d.Live[len(d.Live)-1].Key
-	case d.Dead[len(d.Dead)-1] > d.Live[len(d.Live)-1].Key:
-		return d.Dead[len(d.Dead)-1]
-	default:
-		return d.Live[len(d.Live)-1].Key
+	if nl, nd := len(d.Live), len(d.Dead); nl == 0 || (nd > 0 && d.Dead[nd-1] > d.Live[nl-1].Key) {
+		return d.Dead[nd-1]
 	}
+	return d.Live[len(d.Live)-1].Key
 }
 
 // validate checks the writer-side invariants: a non-empty run, strictly
@@ -166,44 +157,30 @@ func EncodeFile(d *FileData) ([]byte, error) {
 	binary.LittleEndian.PutUint64(meta[72:80], d.MaxKey())
 	meta.Seal()
 
-	// Data chain: pages 1..dp, every page full except the last.
-	for i := 0; i < dp; i++ {
-		id := uint64(1 + i)
-		p := page.Buf(buf[int(id)*PageSize : (int(id)+1)*PageSize])
-		p.Reset(page.TypeLeaf, id)
-		if i < dp-1 {
-			p.SetLink(id + 1)
+	// chain writes n records as the linked pages first, first+1, ...,
+	// every page full except the last.
+	chain := func(first, n int, rec func(j int) (core.Key, core.Value)) {
+		for i, pages := 0, pagesFor(n); i < pages; i++ {
+			id := uint64(first + i)
+			p := page.Buf(buf[int(id)*PageSize : (int(id)+1)*PageSize])
+			p.Reset(page.TypeLeaf, id)
+			if i < pages-1 {
+				p.SetLink(id + 1)
+			}
+			lo := i * RecsPerPage
+			hi := min(lo+RecsPerPage, n)
+			p.SetCount(hi - lo)
+			for j := lo; j < hi; j++ {
+				k, v := rec(j)
+				p.SetLeafRecord(j-lo, k, v)
+			}
+			p.Seal()
 		}
-		lo := i * RecsPerPage
-		hi := lo + RecsPerPage
-		if hi > len(d.Live) {
-			hi = len(d.Live)
-		}
-		p.SetCount(hi - lo)
-		for j := lo; j < hi; j++ {
-			p.SetLeafRecord(j-lo, d.Live[j].Key, d.Live[j].Value)
-		}
-		p.Seal()
 	}
-	// Tombstone chain: pages dp+1..dp+tp, value 0 for every record.
-	for i := 0; i < tp; i++ {
-		id := uint64(1 + dp + i)
-		p := page.Buf(buf[int(id)*PageSize : (int(id)+1)*PageSize])
-		p.Reset(page.TypeLeaf, id)
-		if i < tp-1 {
-			p.SetLink(id + 1)
-		}
-		lo := i * RecsPerPage
-		hi := lo + RecsPerPage
-		if hi > len(d.Dead) {
-			hi = len(d.Dead)
-		}
-		p.SetCount(hi - lo)
-		for j := lo; j < hi; j++ {
-			p.SetLeafRecord(j-lo, d.Dead[j], 0)
-		}
-		p.Seal()
-	}
+	// Data chain: pages 1..dp. Tombstone chain: pages dp+1..dp+tp, value 0
+	// for every record.
+	chain(1, len(d.Live), func(j int) (core.Key, core.Value) { return d.Live[j].Key, d.Live[j].Value })
+	chain(1+dp, len(d.Dead), func(j int) (core.Key, core.Value) { return d.Dead[j], 0 })
 	return buf, nil
 }
 
@@ -367,25 +344,19 @@ func WriteFile(path string, d *FileData) error {
 	if err != nil {
 		return err
 	}
-	tmpPath := tmp.Name()
-	cleanup := func() {
-		tmp.Close()
-		os.Remove(tmpPath)
-	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(buf); err != nil {
-		cleanup()
+		tmp.Close()
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
-		cleanup()
+		tmp.Close()
 		return err
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
 		return err
 	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
 	return syncDir(dir)

@@ -1,9 +1,13 @@
 package sst
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
@@ -107,7 +111,7 @@ func TestReaderGet(t *testing.T) {
 	if err := WriteFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(path)
+	r, _, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +166,7 @@ func TestFilterSkipRate(t *testing.T) {
 	if err := WriteFile(path, d); err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(path)
+	r, _, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +192,7 @@ func TestFilterSkipRate(t *testing.T) {
 			100*rate, c.FilterSkips, consulted)
 	}
 	t.Logf("filter skip rate on absent keys: %.2f%% (false positives %d, filter %d bits)",
-		100*rate, c.FalsePositives, r.FilterBits())
+		100*rate, c.FalsePositives, r.Stats().FilterBits)
 }
 
 func TestTiersNewestWins(t *testing.T) {
@@ -212,12 +216,12 @@ func TestTiersNewestWins(t *testing.T) {
 	if err := WriteFile(newPath, nw); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := Open(oldPath)
+	ro, do, err := Open(oldPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	rn, err := Open(newPath)
+	rn, dn, err := Open(newPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +247,7 @@ func TestTiersNewestWins(t *testing.T) {
 	}
 
 	// Full merge (dropDead): tombstoned key gone, newest values retained.
-	merged, err := Merge([]*Reader{rn, ro}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged := MergeData([]*FileData{dn, do}, true)
 	if len(merged.Dead) != 0 {
 		t.Fatalf("full merge kept %d tombstones", len(merged.Dead))
 	}
@@ -274,10 +275,7 @@ func TestTiersNewestWins(t *testing.T) {
 	}
 
 	// Partial merge (keep tombstones): the tombstone must survive.
-	kept, err := Merge([]*Reader{rn}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kept := MergeData([]*FileData{dn}, false)
 	if len(kept.Dead) != 1 || kept.Dead[0] != 6 {
 		t.Fatalf("partial merge tombstones = %v, want [6]", kept.Dead)
 	}
@@ -300,7 +298,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, b[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if r, err := Open(p); err == nil {
+		if r, _, err := Open(p); err == nil {
 			r.Close()
 			t.Fatalf("Open accepted a run truncated to %d bytes", cut)
 		}
@@ -315,9 +313,168 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if r, err := Open(p); err == nil {
+		if r, _, err := Open(p); err == nil {
 			r.Close()
 			t.Fatalf("Open accepted a run with bit %d of byte %d flipped", i, pos)
 		}
+	}
+}
+
+// mergeByMap is the map-and-sort merge MergeData replaced, kept as its
+// oracle: apply the runs oldest to newest into a map of every key, then
+// sort what is left.
+func mergeByMap(newestFirst []*FileData, dropDead bool) *FileData {
+	type entry struct {
+		val  core.Value
+		dead bool
+	}
+	m := make(map[core.Key]entry)
+	out := &FileData{}
+	for i := len(newestFirst) - 1; i >= 0; i-- {
+		d := newestFirst[i]
+		if d.Seq > out.Seq {
+			out.Seq = d.Seq
+		}
+		for _, kv := range d.Live {
+			m[kv.Key] = entry{val: kv.Value}
+		}
+		for _, k := range d.Dead {
+			m[k] = entry{dead: true}
+		}
+	}
+	for k, e := range m {
+		if e.dead {
+			if !dropDead {
+				out.Dead = append(out.Dead, k)
+			}
+			continue
+		}
+		out.Live = append(out.Live, core.KV{Key: k, Value: e.val})
+	}
+	sort.Slice(out.Live, func(i, j int) bool { return out.Live[i].Key < out.Live[j].Key })
+	sort.Slice(out.Dead, func(i, j int) bool { return out.Dead[i] < out.Dead[j] })
+	return out
+}
+
+// TestMergeDataMatchesMapOracle merges random stacks of 1-6 runs whose
+// live and dead keys overlap heavily (a small key space, so most keys are
+// in several runs, live in some and dead in others) and requires the
+// linear merge to equal the map-and-sort one, tombstones kept and dropped.
+func TestMergeDataMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		runs := make([]*FileData, 1+rng.Intn(6))
+		space := 1 + rng.Intn(200)
+		for i := range runs {
+			d := &FileData{Seq: uint64(rng.Intn(1000))}
+			for k := 0; k < space; k++ {
+				switch rng.Intn(4) {
+				case 0:
+					d.Live = append(d.Live, core.KV{Key: core.Key(k), Value: core.Value(rng.Uint64())})
+				case 1:
+					d.Dead = append(d.Dead, core.Key(k))
+				}
+			}
+			runs[i] = d // may be empty: the WAL tail of a quiet store is
+		}
+		for _, dropDead := range []bool{false, true} {
+			got, want := MergeData(runs, dropDead), mergeByMap(runs, dropDead)
+			if len(got.Live) == 0 {
+				got.Live = nil
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d (%d runs, dropDead=%v): linear merge\n%+v\nmap merge\n%+v", trial, len(runs), dropDead, got, want)
+			}
+			if len(got.Live)+len(got.Dead) > 0 {
+				if err := validate(got); err != nil {
+					t.Fatalf("trial %d: merged run is not writable: %v", trial, err)
+				}
+			}
+		}
+	}
+}
+
+// TestOpenTrainsLazily: Open keeps a summary only; the first Get inside the
+// run's range builds the models and opens the file, and a run that has
+// gone missing by then, or a reader closed before it was ever read, is an
+// error from Get rather than a panic.
+func TestOpenTrainsLazily(t *testing.T) {
+	d := genRun(t, 30000, 100, 5)
+	path := filepath.Join(t.TempDir(), "run.lix")
+	if err := WriteFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.FilterBits != 0 || st.Segments != 0 || st.Fences != 0 || r.MeasuredFPR() != 0 {
+		t.Fatalf("Open trained something: %+v", st)
+	}
+	if _, st, err := r.Get(d.MaxKey() | 1); err != nil || st != Absent {
+		t.Fatalf("Get outside the range = %v, %v", st, err)
+	}
+	if st := r.Stats(); st.FilterBits != 0 {
+		t.Fatalf("a range skip trained the filter: %+v", st)
+	}
+	if v, st, err := r.Get(d.Live[0].Key); err != nil || st != Found || v != d.Live[0].Value {
+		t.Fatalf("first Get = (%d, %v, %v)", v, st, err)
+	}
+	if st := r.Stats(); st.FilterBits == 0 || st.Segments == 0 || st.Fences != pagesFor(len(d.Live)) {
+		t.Fatalf("first Get did not train: %+v", st)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gone, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := gone.Get(d.Live[0].Key); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Get on a removed run = %v, want a not-exist error", err)
+	}
+	if err := gone.Close(); err != nil {
+		t.Fatalf("Close of a never-read reader: %v", err)
+	}
+	if _, _, err := gone.Get(d.Live[0].Key); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Get after Close = %v, want a closed error", err)
+	}
+}
+
+// TestFirstGetFromManyGoroutines: the first lookups of a run may come from
+// several goroutines at once, beside Stats and Counters readers; the models
+// are built once and everyone gets the right answer.
+func TestFirstGetFromManyGoroutines(t *testing.T) {
+	d := genRun(t, 20000, 50, 9)
+	path := filepath.Join(t.TempDir(), "run.lix")
+	if err := WriteFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(d.Live); i += 97 {
+				if v, st, err := r.Get(d.Live[i].Key); err != nil || st != Found || v != d.Live[i].Value {
+					t.Errorf("Get(%d) = (%d, %v, %v)", d.Live[i].Key, v, st, err)
+					return
+				}
+				_, _ = r.Stats(), r.Counters()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := r.Stats(); st.FilterBits == 0 || st.Fences != pagesFor(len(d.Live)) {
+		t.Fatalf("untrained after concurrent lookups: %+v", st)
 	}
 }

@@ -1,10 +1,6 @@
 package sst
 
-import (
-	"sort"
-
-	"github.com/lix-go/lix/internal/core"
-)
+import "github.com/lix-go/lix/internal/core"
 
 // Tiers is a read view over a set of open runs ordered newest first — the
 // LSM resolution rule in one place: the newest run that speaks for a key
@@ -40,50 +36,85 @@ func (t *Tiers) Runs() []*Reader { return t.runs }
 func (t *Tiers) Counters() Counters {
 	var c Counters
 	for _, r := range t.runs {
-		c.add(r.Counters())
+		c.Add(r.Counters())
 	}
 	return c
 }
 
-// Merge merges runs (ordered newest first) into one logical run: for each
-// key the newest entry wins. When dropDead is true tombstones are dropped
-// from the output — legal only when the merge includes the store's oldest
-// run, otherwise a dropped tombstone would resurrect a shadowed record
-// below. The merged Seq is the maximum across inputs.
-func Merge(runs []*Reader, dropDead bool) (*FileData, error) {
-	type entry struct {
-		val  core.Value
-		dead bool
+// cursor walks one run's live and dead lists as a single ascending key
+// stream; key is the stream's head while ok.
+type cursor struct {
+	d    *FileData
+	i, j int // next unread Live and Dead entries
+	key  core.Key
+	ok   bool
+}
+
+// head recomputes the cursor's head after i or j moved.
+func (c *cursor) head() {
+	haveLive, haveDead := c.i < len(c.d.Live), c.j < len(c.d.Dead)
+	c.ok = haveLive || haveDead
+	switch {
+	case haveLive && (!haveDead || c.d.Live[c.i].Key < c.d.Dead[c.j]):
+		c.key = c.d.Live[c.i].Key
+	case haveDead:
+		c.key = c.d.Dead[c.j]
 	}
-	m := make(map[core.Key]entry)
-	var seq uint64
-	// Apply oldest → newest so newer entries overwrite older ones.
-	for i := len(runs) - 1; i >= 0; i-- {
-		d, err := runs[i].Data()
-		if err != nil {
-			return nil, err
-		}
-		if d.Seq > seq {
-			seq = d.Seq
-		}
-		for _, kv := range d.Live {
-			m[kv.Key] = entry{val: kv.Value}
-		}
-		for _, k := range d.Dead {
-			m[k] = entry{dead: true}
-		}
+}
+
+// live reports whether the head is a live record rather than a tombstone.
+func (c *cursor) live() bool { return c.i < len(c.d.Live) && c.d.Live[c.i].Key == c.key }
+
+// next moves past the head.
+func (c *cursor) next() {
+	if c.live() {
+		c.i++
+	} else {
+		c.j++
 	}
-	out := &FileData{Seq: seq}
-	for k, e := range m {
-		if e.dead {
-			if !dropDead {
-				out.Dead = append(out.Dead, k)
+	c.head()
+}
+
+// MergeData merges runs (ordered newest first) into one logical run in a
+// single linear pass: for each key the newest entry wins. When dropDead is
+// true tombstones are dropped from the output — legal only when the merge
+// includes the store's oldest run, otherwise a dropped tombstone would
+// resurrect a shadowed record below. The merged Seq is the maximum across
+// inputs. Inputs may be empty; they are not modified.
+func MergeData(newestFirst []*FileData, dropDead bool) *FileData {
+	out := &FileData{}
+	cur := make([]cursor, len(newestFirst))
+	live := 0
+	for i, d := range newestFirst {
+		cur[i].d = d
+		cur[i].head()
+		out.Seq = max(out.Seq, d.Seq)
+		live += len(d.Live)
+	}
+	out.Live = make([]core.KV, 0, live)
+	for {
+		// The smallest key any run still holds; ties go to the newest run,
+		// which is the one that speaks for the key.
+		win := -1
+		for i := range cur {
+			if cur[i].ok && (win < 0 || cur[i].key < cur[win].key) {
+				win = i
 			}
-			continue
 		}
-		out.Live = append(out.Live, core.KV{Key: k, Value: e.val})
+		if win < 0 {
+			return out
+		}
+		k := cur[win].key
+		if c := &cur[win]; c.live() {
+			out.Live = append(out.Live, c.d.Live[c.i])
+		} else if !dropDead {
+			out.Dead = append(out.Dead, k)
+		}
+		// Every run's entry for k, the winner's included, is consumed.
+		for i := win; i < len(cur); i++ {
+			if cur[i].ok && cur[i].key == k {
+				cur[i].next()
+			}
+		}
 	}
-	sort.Slice(out.Live, func(i, j int) bool { return out.Live[i].Key < out.Live[j].Key })
-	sort.Slice(out.Dead, func(i, j int) bool { return out.Dead[i] < out.Dead[j] })
-	return out, nil
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
@@ -194,7 +193,8 @@ func TestCrashSyncAlwaysLosesNothing(t *testing.T) {
 
 func TestCrashDuringCheckpointRotation(t *testing.T) {
 	// Simulate the two dangerous checkpoint crash points by constructing
-	// the directory states a kill would leave behind.
+	// the directory states a kill would leave behind. What is renamed into
+	// place at a checkpoint is the manifest, a file of the snapshot codec.
 	t.Run("new wal created, snapshot never renamed", func(t *testing.T) {
 		dir := t.TempDir()
 		d, _ := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
@@ -203,12 +203,12 @@ func TestCrashDuringCheckpointRotation(t *testing.T) {
 		}
 		d.Crash()
 		// The crash happened right after the gen-2 WAL was created: an
-		// empty gen-2 segment exists, no gen-2 snapshot.
+		// empty gen-2 segment exists, no gen-2 manifest.
 		if err := os.WriteFile(walPath(dir, 2, 0), walHeader(2, 0), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// A stray snapshot temp file may also linger.
-		os.WriteFile(filepath.Join(dir, "snap-0000000000000002.lix.tmp-123"), []byte("garbage"), 0o644)
+		// A stray manifest temp file may also linger.
+		os.WriteFile(manifestPath(dir, 2)+".tmp-123", []byte("garbage"), 0o644)
 
 		d2, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
 		if err != nil {
@@ -248,13 +248,13 @@ func TestCrashDuringCheckpointRotation(t *testing.T) {
 			t.Fatalf("recovery: %v", err)
 		}
 		defer d2.Close()
-		// The stale generation predates the snapshot and must be ignored:
-		// values come from the snapshot + gen-2 WAL, not the old log.
+		// The stale generation predates the manifest and must be ignored:
+		// values come from the run + gen-2 WAL, not the old log.
 		if d2.Len() != 60 {
 			t.Fatalf("recovered %d records, want 60", d2.Len())
 		}
 		if v, _ := d2.Get(0); v == 999 {
-			t.Fatal("pre-snapshot WAL generation replayed over the snapshot")
+			t.Fatal("pre-manifest WAL generation replayed over the runs")
 		}
 	})
 }

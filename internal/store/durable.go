@@ -1,10 +1,12 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -24,15 +26,6 @@ const DefaultCheckpointEvery = 1 << 16
 // when Config.SyncInterval is zero.
 const DefaultSyncInterval = 50 * time.Millisecond
 
-// Storage engines. EngineSnapshot rewrites the full record set into a
-// snapshot at every checkpoint; EngineLSM flushes only the WAL delta into
-// a new sorted run and lets a background size-tiered compactor bound the
-// run count, making checkpoint cost O(memtable) instead of O(dataset).
-const (
-	EngineSnapshot = "snapshot"
-	EngineLSM      = "lsm"
-)
-
 // Config tunes a Durable store.
 type Config struct {
 	// Fsync selects WAL durability (default SyncAlways).
@@ -44,12 +37,9 @@ type Config struct {
 	// records since the last one (0 selects DefaultCheckpointEvery,
 	// negative disables automatic checkpoints).
 	CheckpointEvery int
-	// Engine selects the checkpoint storage engine (EngineSnapshot or
-	// EngineLSM; "" means EngineSnapshot). On reopen the engine the
-	// directory's files belong to wins over this setting.
-	Engine string
-	// Meta is the rebuild-parameter map persisted in snapshots of a fresh
-	// store; on reopen the on-disk meta wins and is passed to the builder.
+	// Meta is the rebuild-parameter map persisted in the manifest of a
+	// fresh store; on reopen the on-disk meta wins and is passed to the
+	// builder.
 	Meta map[string]string
 	// Metrics, when set, receives checkpoint/flush/recovery events and the
 	// fsync-latency histogram.
@@ -58,31 +48,32 @@ type Config struct {
 
 // RecoveryInfo describes what Open reconstructed.
 type RecoveryInfo struct {
-	// SnapshotGen is the generation of the snapshot loaded (0 = none).
+	// SnapshotGen is the manifest generation loaded (0 = none).
 	SnapshotGen uint64
-	// SnapshotRecs is the record count loaded from the snapshot.
+	// SnapshotRecs is the number of records loaded from runs: their live
+	// records, summed over the runs before newer ones shadow older.
 	SnapshotRecs int
 	// WALRecs is the number of committed WAL records replayed.
 	WALRecs int
 	// TruncatedBytes counts torn or corrupt tail bytes discarded across
 	// segments.
 	TruncatedBytes int64
-	// CorruptSnapshots counts snapshot generations that failed validation
-	// and were skipped.
+	// CorruptSnapshots counts manifest generations (and, in a directory of
+	// the retired snapshot engine, snapshots) that failed validation and
+	// were skipped.
 	CorruptSnapshots int
-	// Runs is the number of LSM sorted runs loaded (0 for the snapshot
-	// engine).
+	// Runs is the number of sorted runs loaded.
 	Runs int
 	// Elapsed is the wall time recovery took.
 	Elapsed time.Duration
 }
 
 // Durable wraps a mutable in-memory index with write-ahead logging and
-// snapshot checkpoints. Every mutation is framed into a WAL segment
-// before it is applied in memory; Checkpoint rotates to a fresh
-// generation by atomically writing a full snapshot and retiring the old
-// log. All methods are safe for concurrent use (writes to indexes that
-// are not themselves concurrency-safe are serialized internally).
+// sorted-run checkpoints. Every mutation is framed into a WAL segment
+// before it is applied in memory; Checkpoint rotates to a fresh WAL
+// generation and flushes the retired one's delta into an immutable run
+// (see lsm.go). All methods are safe for concurrent use (writes to indexes
+// that are not themselves concurrency-safe are serialized internally).
 type Durable struct {
 	dir string
 	cfg Config
@@ -110,7 +101,7 @@ type Durable struct {
 	seq       atomic.Uint64 // last assigned commit sequence number
 	sinceCkpt atomic.Int64  // records logged since the last checkpoint
 
-	ckptMu   sync.Mutex // serializes checkpoints (and LSM flush/compaction)
+	ckptMu   sync.Mutex // serializes checkpoints (flush and compaction)
 	ckptCh   chan struct{}
 	stop     chan struct{}
 	bg       sync.WaitGroup
@@ -122,10 +113,9 @@ type Durable struct {
 
 	scratch sync.Pool // *segScratch, the batch paths' grouping workspace
 
-	// LSM engine state (engine == EngineLSM). The run list is mutated only
-	// under ckptMu; runMu additionally guards the swap so accessors get a
-	// consistent snapshot without blocking on a flush in progress.
-	engine      string
+	// The run list is mutated only under ckptMu; runMu additionally guards
+	// the swap so accessors get a consistent snapshot without blocking on a
+	// flush in progress.
 	runMu       sync.RWMutex
 	runs        []*sst.Reader // newest first
 	runRefs     []RunRef      // manifest entries matching runs
@@ -140,15 +130,13 @@ type Durable struct {
 // File layout
 // ---------------------------------------------------------------------------
 
-func snapPath(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%016x.lix", gen))
-}
-
 func walPath(dir string, gen uint64, seg int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x-%03d.lix", gen, seg))
 }
 
-// dirState is the generation inventory of a store directory.
+// dirState is the generation inventory of a store directory. snaps are
+// the checkpoints of the retired snapshot-rewrite engine (snap-<gen>.lix),
+// which Open still converts.
 type dirState struct {
 	snaps     map[uint64]string
 	wals      map[uint64]map[int]string
@@ -167,30 +155,24 @@ func scanDir(dir string) (dirState, error) {
 	if err != nil {
 		return st, err
 	}
+	single := map[string]map[uint64]string{"snap": st.snaps, "lsm": st.manifests, "sst": st.runs}
 	for _, e := range entries {
 		name := e.Name()
+		prefix, _, _ := strings.Cut(name, "-")
+		if !strings.HasSuffix(name, ".lix") { // temp files of an atomic write, foreign files
+			continue
+		}
 		var gen uint64
 		var seg int
-		switch {
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".lix"):
-			if _, err := fmt.Sscanf(name, "snap-%016x.lix", &gen); err == nil {
-				st.snaps[gen] = filepath.Join(dir, name)
+		if byGen := single[prefix]; byGen != nil {
+			if _, err := fmt.Sscanf(name, prefix+"-%016x.lix", &gen); err == nil {
+				byGen[gen] = filepath.Join(dir, name)
 			}
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".lix"):
-			if _, err := fmt.Sscanf(name, "wal-%016x-%03d.lix", &gen, &seg); err == nil {
-				if st.wals[gen] == nil {
-					st.wals[gen] = map[int]string{}
-				}
-				st.wals[gen][seg] = filepath.Join(dir, name)
+		} else if _, err := fmt.Sscanf(name, "wal-%016x-%03d.lix", &gen, &seg); err == nil {
+			if st.wals[gen] == nil {
+				st.wals[gen] = map[int]string{}
 			}
-		case strings.HasPrefix(name, "lsm-") && strings.HasSuffix(name, ".lix"):
-			if _, err := fmt.Sscanf(name, "lsm-%016x.lix", &gen); err == nil {
-				st.manifests[gen] = filepath.Join(dir, name)
-			}
-		case strings.HasPrefix(name, "sst-") && strings.HasSuffix(name, ".lix"):
-			if _, err := fmt.Sscanf(name, "sst-%016x.lix", &gen); err == nil {
-				st.runs[gen] = filepath.Join(dir, name)
-			}
+			st.wals[gen][seg] = filepath.Join(dir, name)
 		}
 	}
 	return st, nil
@@ -200,29 +182,13 @@ func (st dirState) empty() bool {
 	return len(st.snaps) == 0 && len(st.wals) == 0 && len(st.manifests) == 0 && len(st.runs) == 0
 }
 
-// resolveEngine picks the storage engine: the engine the directory's
-// files belong to wins, a fresh directory follows the config.
-func resolveEngine(st dirState, want string) string {
-	if len(st.manifests) > 0 || len(st.runs) > 0 {
-		return EngineLSM
-	}
-	if len(st.snaps) > 0 {
-		return EngineSnapshot
-	}
-	if want == EngineLSM {
-		return EngineLSM
-	}
-	return EngineSnapshot
-}
-
 // ---------------------------------------------------------------------------
 // Open / Create
 // ---------------------------------------------------------------------------
 
 // Create initializes a fresh durable store at dir seeded with recs
 // (sorted ascending, distinct keys; may be empty) and makes the seed
-// durable with an initial checkpoint. It fails if dir already holds
-// store files.
+// durable as the first run. It fails if dir already holds store files.
 func Create(dir string, cfg Config, build BuildFunc, recs []core.KV) (*Durable, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -242,26 +208,24 @@ func Create(dir string, cfg Config, build BuildFunc, recs []core.KV) (*Durable, 
 	if err != nil {
 		return nil, err
 	}
-	d.engine = resolveEngine(st, cfg.Engine)
-	if d.engine == EngineLSM {
-		if err := d.createLSM(recs); err != nil {
-			d.Close()
-			return nil, err
-		}
-	} else if err := WriteSnapshot(snapPath(dir, 1), &SnapshotData{Meta: d.meta, Recs: recs, LastSeq: 0}); err != nil {
+	if d.runs, d.runRefs, err = writeBase(dir, 1, 1, d.meta, recs, 0); err != nil {
 		d.Close()
 		return nil, err
 	}
+	d.nextRunID, d.manifestGen = 1+uint64(len(d.runs)), 1
+	d.publishLSMGauges()
 	d.start()
 	return d, nil
 }
 
 // Open opens the durable store at dir, creating it empty if the
 // directory holds no store files. Recovery loads the newest valid
-// snapshot, then replays every WAL generation at or after it: segments
-// are decoded and CRC-validated in parallel, torn or corrupt tails are
-// truncated, and the committed records are merged by global sequence
-// number before the index is rebuilt.
+// manifest and its runs, decodes every WAL generation at or after it
+// (segments in parallel, CRC-validated, torn or corrupt tails truncated)
+// and folds the records past the manifest's watermark into one more sorted
+// delta — the WAL tail is the newest run, not yet written — whose last-wins
+// merge over the runs is the record set the index is rebuilt from. A
+// directory of the retired snapshot-rewrite engine is converted first.
 func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -271,87 +235,38 @@ func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	engine := resolveEngine(st, cfg.Engine)
-
-	// Newest valid snapshot wins; corrupt ones are skipped, not fatal.
-	// Under the LSM engine the "snapshot" is the newest decodable manifest
-	// with its runs merged into a base record set; a manifest whose run
-	// files fail validation is a hard error (serving without them would
-	// silently drop committed writes).
 	var info RecoveryInfo
-	var snap *SnapshotData
-	var runReaders []*sst.Reader
-	if engine == EngineLSM {
-		snap, runReaders, err = openLSMBase(dir, st, &info)
-		if err != nil {
+	if len(st.manifests) == 0 && len(st.snaps) > 0 {
+		if err := convertLegacy(dir, st, &info); err != nil {
 			return nil, err
 		}
-	} else {
-		for _, gen := range gensDesc(st.snaps) {
-			s, err := ReadSnapshot(st.snaps[gen])
-			if err != nil {
-				info.CorruptSnapshots++
-				continue
-			}
-			snap, info.SnapshotGen = s, gen
-			break
+		if st, err = scanDir(dir); err != nil {
+			return nil, err
 		}
 	}
-	base, meta := []core.KV(nil), map[string]string(nil)
-	if snap != nil {
-		base, meta = snap.Recs, snap.Meta
-		info.SnapshotRecs = len(snap.Recs)
+	man, runs, datas, err := openRuns(dir, st, &info)
+	if err != nil {
+		return nil, err
+	}
+	meta, watermark := man.Meta, man.LastSeq
+
+	// WAL generations before the manifest's are folded into its runs and
+	// left for GC; the rest is the tail.
+	ops, truncated, err := readGenerations(st.wals, info.SnapshotGen, ^uint64(0))
+	if err != nil {
+		return nil, err
+	}
+	info.WALRecs, info.TruncatedBytes = len(ops), truncated
+	currentGen := max(info.SnapshotGen, 1)
+	for gen := range st.wals {
+		currentGen = max(currentGen, gen)
+	}
+	last := watermark // resume the sequence counter past everything recovered
+	for _, op := range ops {
+		last = max(last, op.Seq)
 	}
 
-	// Decode every WAL segment of every generation >= the snapshot's, in
-	// parallel (one goroutine per segment file).
-	type segJob struct {
-		gen  uint64
-		seg  int
-		path string
-	}
-	var jobs []segJob
-	currentGen := info.SnapshotGen
-	for gen, segs := range st.wals {
-		if gen < info.SnapshotGen {
-			continue // absorbed by the snapshot, left for GC
-		}
-		if gen > currentGen {
-			currentGen = gen
-		}
-		for seg, path := range segs {
-			jobs = append(jobs, segJob{gen, seg, path})
-		}
-	}
-	if currentGen == 0 {
-		currentGen = 1
-	}
-	segRecs := make([][]Record, len(jobs))
-	segTrunc := make([]int64, len(jobs))
-	segErr := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j segJob) {
-			defer wg.Done()
-			segRecs[i], segTrunc[i], segErr[i] = readSegment(j.path)
-		}(i, j)
-	}
-	wg.Wait()
-	var ops []Record
-	for i := range jobs {
-		if segErr[i] != nil {
-			return nil, segErr[i]
-		}
-		ops = append(ops, segRecs[i]...)
-		info.TruncatedBytes += segTrunc[i]
-	}
-	// Global commit order across segments and generations.
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
-	info.WALRecs = len(ops)
-
-	recs := replayOver(base, ops)
+	recs := sst.MergeData(append([]*sst.FileData{fold(ops, watermark)}, datas...), true).Live
 	res, err := build(meta, recs)
 	if err != nil {
 		return nil, err
@@ -361,40 +276,19 @@ func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	}
 	d, err := assemble(dir, cfg, res, meta, currentGen)
 	if err != nil {
-		for _, r := range runReaders {
-			r.Close()
-		}
 		return nil, err
 	}
-	d.engine = engine
-	if engine == EngineLSM {
-		d.runs = runReaders
-		if snap != nil {
-			d.runRefs = snap.Runs
-			d.manifestGen, d.manifestSeq = info.SnapshotGen, snap.LastSeq
+	d.runs, d.runRefs, d.nextRunID = runs, man.Runs, nextRunID(st)
+	d.manifestGen, d.manifestSeq = info.SnapshotGen, watermark
+	info.Runs = len(runs)
+	if st.empty() {
+		// Fresh directory: publish the meta now, so that a bare reopen
+		// rebuilds this configuration even if no checkpoint comes first.
+		if err := writeManifest(dir, 1, d.meta, 0, nil); err != nil {
+			d.Close()
+			return nil, err
 		}
-		d.nextRunID = nextRunID(st)
-		info.Runs = len(runReaders)
-		if st.empty() {
-			// Fresh directory opened straight onto the LSM engine: make the
-			// choice durable so a reopen without cfg.Engine resolves to it.
-			if err := WriteSnapshot(manifestPath(dir, 1), &SnapshotData{Meta: d.meta, LastSeq: 0}); err != nil {
-				d.Close()
-				return nil, err
-			}
-			d.manifestGen = 1
-		}
-	}
-
-	// Resume the sequence counter past everything recovered.
-	last := uint64(0)
-	if snap != nil {
-		last = snap.LastSeq
-	}
-	for _, op := range ops {
-		if op.Seq > last {
-			last = op.Seq
-		}
+		d.manifestGen = 1
 	}
 	d.seq.Store(last)
 	info.Elapsed = time.Since(start)
@@ -402,6 +296,68 @@ func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	d.emit(obs.EvRecovery, info.WALRecs, fmt.Sprintf("gen=%d truncated=%dB", currentGen, info.TruncatedBytes))
 	d.start()
 	return d, nil
+}
+
+// readGenerations decodes every WAL segment of generations lo..hi, one
+// goroutine per file, and returns their committed records (in no
+// particular order) and the torn or corrupt tail bytes passed over.
+func readGenerations(wals map[uint64]map[int]string, lo, hi uint64) (ops []Record, truncated int64, err error) {
+	var paths []string
+	for gen, segs := range wals {
+		if gen < lo || gen > hi {
+			continue
+		}
+		for _, path := range segs {
+			paths = append(paths, path)
+		}
+	}
+	segs := make([]struct {
+		recs  []Record
+		trunc int64
+		err   error
+	}, len(paths))
+	var wg sync.WaitGroup
+	for i, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			segs[i].recs, segs[i].trunc, segs[i].err = readSegment(path)
+		}()
+	}
+	wg.Wait()
+	for _, seg := range segs {
+		if seg.err != nil {
+			return nil, 0, seg.err
+		}
+		ops = append(ops, seg.recs...)
+		truncated += seg.trunc
+	}
+	return ops, truncated, nil
+}
+
+// fold reduces WAL records to what a run holds of them: of those past the
+// watermark (the rest are already in a run), the last of each key in
+// commit order, as sorted live and dead lists. Sequence numbers are
+// unique, so the (key, seq) order is total. ops is reordered.
+func fold(ops []Record, watermark uint64) *sst.FileData {
+	slices.SortFunc(ops, func(a, b Record) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
+	fd := &sst.FileData{}
+	for i, op := range ops {
+		if op.Seq <= watermark || (i+1 < len(ops) && ops[i+1].Key == op.Key) {
+			continue
+		}
+		if op.Op == OpDelete {
+			fd.Dead = append(fd.Dead, op.Key)
+		} else {
+			fd.Live = append(fd.Live, core.KV{Key: op.Key, Value: op.Val})
+		}
+	}
+	return fd
 }
 
 // assemble builds the Durable shell and opens (or creates) the current
@@ -466,43 +422,6 @@ func (d *Durable) openGeneration(gen uint64) ([]*WAL, error) {
 	return wals, nil
 }
 
-// replayOver applies ops (sorted by Seq) over the sorted base record set
-// and returns the resulting sorted record set.
-func replayOver(base []core.KV, ops []Record) []core.KV {
-	if len(ops) == 0 {
-		return base
-	}
-	type state struct {
-		val core.Value
-		del bool
-	}
-	overlay := make(map[core.Key]state, len(ops))
-	for _, op := range ops {
-		overlay[op.Key] = state{val: op.Val, del: op.Op == OpDelete}
-	}
-	keys := make([]core.Key, 0, len(overlay))
-	for k := range overlay {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-
-	out := make([]core.KV, 0, len(base)+len(keys))
-	bi := 0
-	for _, k := range keys {
-		for bi < len(base) && base[bi].Key < k {
-			out = append(out, base[bi])
-			bi++
-		}
-		if bi < len(base) && base[bi].Key == k {
-			bi++ // superseded by the overlay
-		}
-		if s := overlay[k]; !s.del {
-			out = append(out, core.KV{Key: k, Value: s.val})
-		}
-	}
-	return append(out, base[bi:]...)
-}
-
 func gensDesc(m map[uint64]string) []uint64 {
 	out := make([]uint64, 0, len(m))
 	for g := range m {
@@ -539,8 +458,10 @@ func (d *Durable) start() {
 				case <-d.stop:
 					return
 				case <-d.ckptCh:
-					if err := d.Checkpoint(); err != nil {
-						d.fail(err)
+					// A signal a writer sent while the last checkpoint was
+					// cutting is stale: the count it saw has been reset.
+					if d.sinceCkpt.Load() >= int64(d.cfg.CheckpointEvery) {
+						d.fail(d.Checkpoint())
 					}
 				}
 			}
@@ -717,36 +638,17 @@ func (d *Durable) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp
 // and applied in memory before Put returns; under SyncAlways it is also
 // fsynced (group commit batches concurrent writers into one fsync).
 func (d *Durable) Put(k core.Key, v core.Value) error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	d.stateMu.RLock()
-	seg := d.seg(k)
-	w := d.wals[seg]
-	d.segMu[seg].Lock()
-	rec := Record{Seq: d.seq.Add(1), Op: OpInsert, Key: k, Val: v}
-	off, err := w.Append(rec)
-	if err == nil {
-		d.ix.Insert(k, v)
-	}
-	d.segMu[seg].Unlock()
-	d.stateMu.RUnlock()
-	if err != nil {
-		d.fail(err)
-		return err
-	}
-	if d.cfg.Fsync == SyncAlways {
-		if err := w.SyncTo(off); err != nil {
-			d.fail(err)
-			return err
-		}
-	}
-	d.bumpCheckpoint(1)
-	return nil
+	_, err := d.logOne(OpInsert, k, v)
+	return err
 }
 
 // Del durably removes k, reporting whether it was present.
-func (d *Durable) Del(k core.Key) (bool, error) {
+func (d *Durable) Del(k core.Key) (bool, error) { return d.logOne(OpDelete, k, 0) }
+
+// logOne is Put and Del: one record logged and applied under its segment's
+// lock, then group-committed. applied is true for an upsert and whether
+// the key was present for a delete; a failed append applies nothing.
+func (d *Durable) logOne(op OpKind, k core.Key, v core.Value) (applied bool, err error) {
 	if err := d.Err(); err != nil {
 		return false, err
 	}
@@ -754,26 +656,26 @@ func (d *Durable) Del(k core.Key) (bool, error) {
 	seg := d.seg(k)
 	w := d.wals[seg]
 	d.segMu[seg].Lock()
-	rec := Record{Seq: d.seq.Add(1), Op: OpDelete, Key: k}
-	off, err := w.Append(rec)
-	ok := false
-	if err == nil {
-		ok = d.ix.Delete(k)
+	off, err := w.Append(Record{Seq: d.seq.Add(1), Op: op, Key: k, Val: v})
+	switch {
+	case err != nil:
+	case op == OpInsert:
+		d.ix.Insert(k, v)
+		applied = true
+	default:
+		applied = d.ix.Delete(k)
 	}
 	d.segMu[seg].Unlock()
 	d.stateMu.RUnlock()
+	if err == nil && d.cfg.Fsync == SyncAlways {
+		err = w.SyncTo(off)
+	}
 	if err != nil {
 		d.fail(err)
-		return false, err
-	}
-	if d.cfg.Fsync == SyncAlways {
-		if err := w.SyncTo(off); err != nil {
-			d.fail(err)
-			return ok, err
-		}
+		return applied, err
 	}
 	d.bumpCheckpoint(1)
-	return ok, nil
+	return applied, nil
 }
 
 // Insert implements MutableIndex. I/O errors latch into Err and turn
@@ -1023,78 +925,6 @@ func (d *Durable) bumpCheckpoint(n int) {
 // Checkpoint / lifecycle
 // ---------------------------------------------------------------------------
 
-// Checkpoint rotates to the next generation: the record set is captured
-// under a consistent cut while fresh WAL segments are swapped in, the
-// snapshot is written to a temp file and atomically renamed into place,
-// and only then are the previous generation's files removed. A crash at
-// any point leaves either the old snapshot plus complete old WAL, or the
-// new snapshot — never a state that loses committed records.
-func (d *Durable) Checkpoint() error {
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.engine == EngineLSM {
-		return d.flushLSM()
-	}
-	d.ckptMu.Lock()
-	defer d.ckptMu.Unlock()
-
-	// Consistent cut: writers drain, the record set and sequence number
-	// are captured, and fresh segments take over before writers resume.
-	d.stateMu.Lock()
-	newGen := d.gen + 1
-	newWals, err := d.openGeneration(newGen)
-	if err != nil {
-		d.stateMu.Unlock()
-		return err
-	}
-	recs := make([]core.KV, 0, d.ix.Len())
-	d.ix.Range(0, ^core.Key(0), func(k core.Key, v core.Value) bool {
-		recs = append(recs, core.KV{Key: k, Value: v})
-		return true
-	})
-	lastSeq := d.seq.Load()
-	oldGen, oldWals := d.gen, d.wals
-	d.gen, d.wals = newGen, newWals
-	d.sinceCkpt.Store(0)
-	d.stateMu.Unlock()
-
-	// The old log must be fully durable before its records move into the
-	// snapshot; Close fsyncs, after which in-flight SyncTo calls from
-	// writers that raced the rotation resolve as already-covered.
-	for _, w := range oldWals {
-		if err := w.Close(); err != nil {
-			d.fail(err)
-			return err
-		}
-	}
-	if err := WriteSnapshot(snapPath(d.dir, newGen), &SnapshotData{
-		Meta: d.meta, Recs: recs, LastSeq: lastSeq,
-	}); err != nil {
-		d.fail(err)
-		return err
-	}
-	// The new snapshot is durable: generations before it are garbage.
-	st, err := scanDir(d.dir)
-	if err == nil {
-		for gen, path := range st.snaps {
-			if gen < newGen {
-				os.Remove(path)
-			}
-		}
-		for gen, segs := range st.wals {
-			if gen <= oldGen {
-				for _, path := range segs {
-					os.Remove(path)
-				}
-			}
-		}
-		syncDir(d.dir)
-	}
-	d.emit(obs.EvCheckpoint, len(recs), fmt.Sprintf("gen=%d", newGen))
-	return nil
-}
-
 // Sync fsyncs every WAL segment (a durability barrier under SyncInterval
 // and SyncNever).
 func (d *Durable) Sync() error {
@@ -1112,29 +942,18 @@ func (d *Durable) Sync() error {
 
 // Close stops background work, makes the WAL durable and closes the
 // files. It does not checkpoint: the next Open replays the log.
-func (d *Durable) Close() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return nil
-	}
-	close(d.stop)
-	d.bg.Wait()
-	d.stateMu.Lock()
-	defer d.stateMu.Unlock()
-	var first error
-	for _, w := range d.wals {
-		if err := w.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	d.closeRuns()
-	return first
-}
+func (d *Durable) Close() error { return d.shutdown((*WAL).Close) }
 
 // Crash simulates a process kill: background work stops and the files
 // are closed without any final fsync or checkpoint. State that was not
 // yet synced is exactly what a real crash would lose. The store is
 // unusable afterwards; reopen the directory with Open.
-func (d *Durable) Crash() error {
+func (d *Durable) Crash() error { return d.shutdown((*WAL).Crash) }
+
+// shutdown stops the background goroutines, then releases every WAL
+// segment through release, and the run readers (immutable files: closing
+// them loses nothing). It returns the first release error.
+func (d *Durable) shutdown(release func(*WAL) error) error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
 	}
@@ -1144,21 +963,15 @@ func (d *Durable) Crash() error {
 	defer d.stateMu.Unlock()
 	var first error
 	for _, w := range d.wals {
-		if err := w.Crash(); err != nil && first == nil {
+		if err := release(w); err != nil && first == nil {
 			first = err
 		}
 	}
-	d.closeRuns()
-	return first
-}
-
-// closeRuns closes the LSM run readers (no-op for the snapshot engine).
-// Run files are immutable, so closing loses nothing.
-func (d *Durable) closeRuns() {
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
 	for _, r := range d.runs {
 		r.Close()
 	}
 	d.runs, d.runRefs = nil, nil
+	return first
 }

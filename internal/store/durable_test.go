@@ -178,14 +178,14 @@ func TestDurableCheckpointRotatesAndGCs(t *testing.T) {
 	}
 	d.Close()
 
-	// Old generation files are gone; exactly one snapshot plus the
-	// current WAL remain.
+	// Old generation files are gone; exactly one manifest, the run it
+	// lists and the current WAL remain.
 	st, err := scanDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(st.snaps) != 1 || len(st.wals) != 1 {
-		t.Fatalf("post-GC dir: %d snaps %d wal gens", len(st.snaps), len(st.wals))
+	if len(st.manifests) != 1 || len(st.runs) != 1 || len(st.wals) != 1 {
+		t.Fatalf("post-GC dir: %d manifests %d runs %d wal gens", len(st.manifests), len(st.runs), len(st.wals))
 	}
 
 	d2, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
@@ -328,7 +328,8 @@ func TestDurableSegmentCountChangeAcrossSessions(t *testing.T) {
 
 func TestDurableAutoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	d, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: 100}, memBuild(1))
+	m := obs.NewMetrics("auto")
+	d, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: 100, Metrics: m}, memBuild(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,6 +346,11 @@ func TestDurableAutoCheckpoint(t *testing.T) {
 		t.Fatal("background checkpoint never fired")
 	}
 	d.Close()
+	// A checkpoint takes 100 logged records to earn: the signals writers
+	// send while one is cutting must not buy a second, near-empty one.
+	if n := m.Events.Count(obs.EvCheckpoint); n > 10 {
+		t.Fatalf("%d checkpoints for 1000 records at one per 100", n)
+	}
 }
 
 func TestDurableObservability(t *testing.T) {
@@ -399,6 +405,11 @@ func TestDurableStatsWrapped(t *testing.T) {
 	}
 }
 
+// TestDurableCorruptSnapshotFallsBack: a manifest that does not decode is
+// one that was never made durable (it is published by rename, and the
+// generation before it is removed only afterwards), so recovery skips it,
+// says so in CorruptSnapshots, and serves the previous generation's
+// manifest plus the WAL from there on — every record, not an error.
 func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
@@ -414,30 +425,33 @@ func TestDurableCorruptSnapshotFallsBack(t *testing.T) {
 	for i := 100; i < 120; i++ {
 		d.Put(core.Key(i), core.Value(i))
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
 
-	// Corrupt the newest snapshot. After the second checkpoint the first
-	// generation was GC'd, so recovery falls back to an empty base — but
-	// it must not abort, and the corrupt-snapshot count must say why.
-	st, _ := scanDir(dir)
-	if len(st.snaps) != 1 {
-		t.Fatalf("snaps after GC: %d", len(st.snaps))
+	// The crash came while the next checkpoint was publishing: the WAL had
+	// rotated and a manifest of generation 3 is in place but torn.
+	if err := os.WriteFile(walPath(dir, 3, 0), walHeader(3, 0), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, path := range st.snaps {
-		data, _ := os.ReadFile(path)
-		data[len(data)/2] ^= 0xff
-		os.WriteFile(path, data, 0o644)
+	good, err := os.ReadFile(manifestPath(dir, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good[len(good)/2] ^= 0xff
+	if err := os.WriteFile(manifestPath(dir, 3), good, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	d2, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
 	if err != nil {
-		t.Fatalf("open with corrupt snapshot: %v", err)
+		t.Fatalf("open with corrupt manifest: %v", err)
 	}
 	defer d2.Close()
-	if d2.RecoveryInfo().CorruptSnapshots != 1 {
-		t.Fatalf("corrupt snapshots %d", d2.RecoveryInfo().CorruptSnapshots)
+	if ri := d2.RecoveryInfo(); ri.CorruptSnapshots != 1 || ri.SnapshotGen != 2 {
+		t.Fatalf("RecoveryInfo = %+v, want 1 corrupt manifest skipped and generation 2 loaded", ri)
+	}
+	if d2.Len() != 120 {
+		t.Fatalf("recovered %d records, want 120", d2.Len())
 	}
 }
 
@@ -610,5 +624,42 @@ func TestDurableBatchRegimes(t *testing.T) {
 				check(d, "reopened")
 			})
 		}
+	}
+}
+
+// TestAutoCheckpointIgnoresStaleSignal: writers keep signalling the
+// checkpointer for as long as the record count sits above the threshold,
+// so one signal is usually left in the channel when a checkpoint finishes.
+// It must not buy a second checkpoint of the few records logged since.
+func TestAutoCheckpointIgnoresStaleSignal(t *testing.T) {
+	m := obs.NewMetrics("stale")
+	d, err := Open(t.TempDir(), Config{Fsync: SyncNever, CheckpointEvery: 10, Metrics: m}, memBuild(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	waitDrained := func() {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); len(d.ckptCh) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("checkpointer never took the signal")
+			}
+		}
+	}
+	d.ckptMu.Lock() // the checkpointer will take the first signal and wait here
+	for i := 0; i < 10; i++ {
+		d.Put(core.Key(i), 1)
+	}
+	waitDrained()
+	d.Put(10, 1) // still above the threshold: a second signal, left in the channel
+	if len(d.ckptCh) != 1 {
+		t.Fatal("the write above the threshold did not signal")
+	}
+	d.ckptMu.Unlock()
+	waitDrained()
+	d.ckptMu.Lock() // behind whatever checkpoint the second signal may have started
+	defer d.ckptMu.Unlock()
+	if n := m.Events.Count(obs.EvCheckpoint); n != 1 || d.Gen() != 2 {
+		t.Fatalf("%d checkpoints, generation %d; want 1 and 2: the stale signal was honoured", n, d.Gen())
 	}
 }

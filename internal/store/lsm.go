@@ -4,20 +4,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
 	"github.com/lix-go/lix/internal/sst"
 )
 
-// LSM storage engine. Instead of rewriting the full record set into a
-// snapshot at every checkpoint, the engine treats the in-memory index as
-// the memtable and the WAL as its durable image: a checkpoint folds the
-// retired WAL generations into one sorted run (O(memtable), not
-// O(dataset)), appends it to the run list, and publishes the new list in
-// a manifest. A size-tiered compactor merges runs of similar size so the
-// list stays short and tombstones are eventually dropped.
+// The checkpoint engine. The in-memory index is the memtable and the WAL
+// its durable image: a checkpoint folds the retired WAL generations into
+// one sorted run (O(memtable), not O(dataset)), prepends it to the run
+// list, and publishes the new list in a manifest. A size-tiered compactor
+// merges runs of similar size so the list stays short and tombstones are
+// eventually dropped. Flush, compaction and recovery are one last-wins
+// merge (sst.MergeData) over different inputs.
 //
 // File layout next to the WAL segments:
 //
@@ -25,13 +24,13 @@ import (
 //	               section listing the live runs newest first
 //	sst-<id>.lix   immutable sorted run (internal/sst format)
 //
-// Durability ordering is the same discipline as the snapshot engine: a
-// new run file is fully durable (temp+fsync+rename) before the manifest
-// that references it, the manifest is durable before any old file is
-// removed, and recovery trusts only the newest decodable manifest plus
-// the WAL generations at or after it. Replaying WAL records that a run
-// already folded is idempotent (last-wins per key in sequence order), so
-// a crash between WAL rotation and manifest publication loses nothing.
+// Durability ordering: a new run file is fully durable (temp+fsync+rename)
+// before the manifest that references it, the manifest is durable before
+// any old file is removed, and recovery trusts only the newest decodable
+// manifest plus the WAL generations at or after it. Replaying WAL records
+// that a run already folded is idempotent (last-wins per key in sequence
+// order), so a crash between WAL rotation and manifest publication loses
+// nothing.
 const (
 	// compactMinRuns is the size-tiered window: the compactor merges the
 	// first (oldest-most) window of this many consecutive runs whose sizes
@@ -60,64 +59,89 @@ func runPath(dir string, id uint64) string {
 func nextRunID(st dirState) uint64 {
 	next := uint64(1)
 	for id := range st.runs {
-		if id >= next {
-			next = id + 1
-		}
+		next = max(next, id+1)
 	}
 	return next
 }
 
-func runRefOf(id uint64, r *sst.Reader) RunRef {
-	s := r.Stats()
-	return RunRef{
-		ID: id, Live: uint64(r.Live()), Dead: uint64(r.Dead()),
-		Seq: r.Seq(), MinKey: s.MinKey, MaxKey: s.MaxKey,
+// writeRun makes fd durable as run id and reads it back through sst.Open:
+// a run is never listed before it has decoded cleanly from disk.
+func writeRun(dir string, id uint64, fd *sst.FileData) (*sst.Reader, RunRef, error) {
+	if err := sst.WriteFile(runPath(dir, id), fd); err != nil {
+		return nil, RunRef{}, err
 	}
+	r, _, err := sst.Open(runPath(dir, id))
+	if err != nil {
+		return nil, RunRef{}, err
+	}
+	s := r.Stats()
+	return r, RunRef{
+		ID: id, Live: uint64(s.Live), Dead: uint64(s.Dead),
+		Seq: s.Seq, MinKey: s.MinKey, MaxKey: s.MaxKey,
+	}, nil
 }
 
-// createLSM makes a fresh store's seed durable under the LSM engine: the
-// seed records become run 1 (when non-empty) and manifest generation 1
-// publishes the run list. Called from Create with the engine already
-// resolved.
-func (d *Durable) createLSM(recs []core.KV) error {
-	d.nextRunID = 1
+// writeBase makes recs the whole durable content of the store at dir: run
+// runID (when recs is non-empty), then manifest gen listing it.
+func writeBase(dir string, gen, runID uint64, meta map[string]string, recs []core.KV, lastSeq uint64) ([]*sst.Reader, []RunRef, error) {
+	var runs []*sst.Reader
 	var refs []RunRef
 	if len(recs) > 0 {
-		id := d.nextRunID
-		if err := sst.WriteFile(runPath(d.dir, id), &sst.FileData{Live: recs}); err != nil {
-			return err
+		r, ref, err := writeRun(dir, runID, &sst.FileData{Live: recs, Seq: lastSeq})
+		if err != nil {
+			return nil, nil, err
 		}
-		r, err := sst.Open(runPath(d.dir, id))
+		runs, refs = []*sst.Reader{r}, []RunRef{ref}
+	}
+	return runs, refs, writeManifest(dir, gen, meta, lastSeq, refs)
+}
+
+// writeManifest durably publishes refs, newest first, as the run list of
+// generation gen; lastSeq is the WAL watermark the runs cover.
+func writeManifest(dir string, gen uint64, meta map[string]string, lastSeq uint64, refs []RunRef) error {
+	return WriteSnapshot(manifestPath(dir, gen), &SnapshotData{Meta: meta, LastSeq: lastSeq, Runs: refs})
+}
+
+// convertLegacy turns a directory of the retired snapshot-rewrite engine
+// (snap-<gen>.lix, no manifest) into runs before it is served: the newest
+// valid snapshot's records become one run with the snapshot's watermark, a
+// manifest is published at the snapshot's generation, and GC removes the
+// snapshots. The order is the flush's, so a crash anywhere is safe: with
+// no manifest yet the next Open converts again and the orphaned run is
+// garbage, with one the leftover snapshot is. Corrupt snapshots are
+// skipped and counted; if none decodes, recovery proceeds from the WAL
+// alone, as that engine's did.
+func convertLegacy(dir string, st dirState, info *RecoveryInfo) error {
+	for _, gen := range gensDesc(st.snaps) {
+		snap, err := ReadSnapshot(st.snaps[gen])
+		if err != nil {
+			info.CorruptSnapshots++
+			continue
+		}
+		_, refs, err := writeBase(dir, gen, nextRunID(st), snap.Meta, snap.Recs, snap.LastSeq)
 		if err != nil {
 			return err
 		}
-		d.nextRunID++
-		d.runs = []*sst.Reader{r}
-		refs = []RunRef{runRefOf(id, r)}
+		gcDir(dir, gen, refs)
+		return nil
 	}
-	d.runRefs = refs
-	if err := WriteSnapshot(manifestPath(d.dir, 1), &SnapshotData{Meta: d.meta, LastSeq: 0, Runs: refs}); err != nil {
-		return err
-	}
-	d.manifestGen = 1
-	d.publishLSMGauges()
 	return nil
 }
 
-// openLSMBase loads the newest decodable manifest and opens every run it
-// references, returning the manifest (with Recs filled in as the merged
-// base record set) and the open readers, newest first. Decode failures
-// skip to the older manifest generation (which only exists when the newer
-// one was never made durable); a decodable manifest whose runs are
-// missing or corrupt is a hard error — serving without them would
-// silently drop committed writes.
-func openLSMBase(dir string, st dirState, info *RecoveryInfo) (*SnapshotData, []*sst.Reader, error) {
+// openRuns loads the newest decodable manifest and opens every run it
+// references, returning the manifest, the readers and their decoded
+// contents, newest first — each run is read and validated once, and that
+// decode is the one recovery merges. Decode failures skip to the older
+// manifest generation (which only exists when the newer one was never made
+// durable); a decodable manifest whose runs are missing or corrupt is a
+// hard error — serving without them would silently drop committed writes.
+func openRuns(dir string, st dirState, info *RecoveryInfo) (*SnapshotData, []*sst.Reader, []*sst.FileData, error) {
 	gens := gensDesc(st.manifests)
 	if len(gens) == 0 {
 		if len(st.runs) > 0 {
-			return nil, nil, fmt.Errorf("store: %s holds %d run files but no LSM manifest", dir, len(st.runs))
+			return nil, nil, nil, fmt.Errorf("store: %s holds %d run files but no manifest", dir, len(st.runs))
 		}
-		return nil, nil, nil
+		return &SnapshotData{}, nil, nil, nil // nothing checkpointed yet: no meta, no runs, watermark 0
 	}
 	var man *SnapshotData
 	for _, gen := range gens {
@@ -130,42 +154,32 @@ func openLSMBase(dir string, st dirState, info *RecoveryInfo) (*SnapshotData, []
 		break
 	}
 	if man == nil {
-		return nil, nil, fmt.Errorf("store: %s: no decodable LSM manifest among %d generations", dir, len(gens))
+		return nil, nil, nil, fmt.Errorf("store: %s: no decodable manifest among %d generations", dir, len(gens))
 	}
-	readers := make([]*sst.Reader, 0, len(man.Runs))
-	fail := func(err error) (*SnapshotData, []*sst.Reader, error) {
-		for _, r := range readers {
-			r.Close()
-		}
-		return nil, nil, err
-	}
-	for _, ref := range man.Runs {
-		r, err := sst.Open(runPath(dir, ref.ID))
+	readers := make([]*sst.Reader, len(man.Runs))
+	datas := make([]*sst.FileData, len(man.Runs))
+	for i, ref := range man.Runs {
+		r, d, err := sst.Open(runPath(dir, ref.ID))
 		if err != nil {
-			return fail(fmt.Errorf("store: manifest gen %d: run %016x: %w", info.SnapshotGen, ref.ID, err))
+			return nil, nil, nil, fmt.Errorf("store: manifest gen %d: run %016x: %w", info.SnapshotGen, ref.ID, err)
 		}
-		if r.Seq() != ref.Seq || r.Live() != int(ref.Live) || r.Dead() != int(ref.Dead) {
-			r.Close()
-			return fail(fmt.Errorf("store: run %016x does not match its manifest entry", ref.ID))
+		if d.Seq != ref.Seq || len(d.Live) != int(ref.Live) || len(d.Dead) != int(ref.Dead) {
+			return nil, nil, nil, fmt.Errorf("store: run %016x does not match its manifest entry", ref.ID)
 		}
-		readers = append(readers, r)
+		readers[i], datas[i] = r, d
+		info.SnapshotRecs += len(d.Live)
 	}
-	base, err := sst.Merge(readers, true)
-	if err != nil {
-		return fail(err)
-	}
-	man.Recs = base.Live
-	info.SnapshotRecs = len(base.Live)
-	return man, readers, nil
+	return man, readers, datas, nil
 }
 
-// flushLSM is the LSM checkpoint: rotate the WAL to a fresh generation
-// under the same consistent cut the snapshot engine uses, fold the
-// retired generations' committed records (only those past the manifest
-// watermark) into one new sorted run, publish the extended run list in a
-// new manifest, retire the old files, then let the compactor run. The
-// cost is proportional to the WAL delta, never to the dataset.
-func (d *Durable) flushLSM() error {
+// Checkpoint rotates the WAL to a fresh generation under a consistent cut
+// and flushes the retired generations into a new run: O(WAL delta), never
+// O(dataset). A crash at any point leaves either the old manifest plus the
+// complete old WAL, or the new manifest — never a loss of committed records.
+func (d *Durable) Checkpoint() error {
+	if err := d.Err(); err != nil {
+		return err
+	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 
@@ -179,112 +193,76 @@ func (d *Durable) flushLSM() error {
 		return err
 	}
 	lastSeq := d.seq.Load()
-	oldGen, oldWals := d.gen, d.wals
+	oldWals := d.wals
 	d.gen, d.wals = newGen, newWals
 	d.sinceCkpt.Store(0)
 	d.stateMu.Unlock()
 
+	err = d.flush(oldWals, newGen, lastSeq)
+	d.fail(err)
+	return err
+}
+
+// flush folds the retired WAL generations (everything below newGen) into
+// one new run, publishes manifest newGen, retires the old files and lets
+// the compactor run. Caller holds ckptMu.
+func (d *Durable) flush(oldWals []*WAL, newGen, lastSeq uint64) error {
 	// The retired log must be fully durable before its records move into
-	// a run; Close fsyncs.
+	// a run; Close fsyncs, after which in-flight SyncTo calls from writers
+	// that raced the rotation resolve as already-covered.
 	for _, w := range oldWals {
 		if err := w.Close(); err != nil {
-			d.fail(err)
 			return err
 		}
 	}
-
-	// Fold every retired generation — lingering generations from earlier
-	// crashes included — into one last-wins delta past the manifest seq.
+	// Every retired generation — lingering ones from earlier crashes
+	// included — becomes one last-wins delta past the manifest watermark.
 	st, err := scanDir(d.dir)
 	if err != nil {
-		d.fail(err)
 		return err
 	}
-	var ops []Record
-	for gen, segs := range st.wals {
-		if gen > oldGen {
-			continue
-		}
-		for _, path := range segs {
-			recs, _, err := readSegment(path)
-			if err != nil {
-				d.fail(err)
-				return err
-			}
-			ops = append(ops, recs...)
-		}
+	ops, _, err := readGenerations(st.wals, 0, newGen-1)
+	if err != nil {
+		return err
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].Seq < ops[j].Seq })
-	type opState struct {
-		val core.Value
-		del bool
-	}
-	fold := make(map[core.Key]opState, len(ops))
-	for _, op := range ops {
-		if op.Seq <= d.manifestSeq {
-			continue // already folded into a run
-		}
-		fold[op.Key] = opState{val: op.Val, del: op.Op == OpDelete}
-	}
-
-	newRuns := append([]*sst.Reader(nil), d.runs...)
-	newRefs := append([]RunRef(nil), d.runRefs...)
-	flushed := 0
-	if len(fold) > 0 {
-		fd := &sst.FileData{Seq: lastSeq}
+	fd := fold(ops, d.manifestSeq)
+	fd.Seq = lastSeq
+	if len(d.runs) == 0 {
 		// A tombstone only matters if an older run could hold the key;
 		// with no older runs the delete already fully happened.
-		keepDead := len(d.runs) > 0
-		for k, s := range fold {
-			if s.del {
-				if keepDead {
-					fd.Dead = append(fd.Dead, k)
-				}
-				continue
-			}
-			fd.Live = append(fd.Live, core.KV{Key: k, Value: s.val})
+		fd.Dead = nil
+	}
+	newRuns, newRefs := d.runs, d.runRefs
+	flushed := len(fd.Live) + len(fd.Dead)
+	if flushed > 0 {
+		r, ref, err := writeRun(d.dir, d.nextRunID, fd)
+		if err != nil {
+			return err
 		}
-		sort.Slice(fd.Live, func(i, j int) bool { return fd.Live[i].Key < fd.Live[j].Key })
-		sort.Slice(fd.Dead, func(i, j int) bool { return fd.Dead[i] < fd.Dead[j] })
-		if flushed = len(fd.Live) + len(fd.Dead); flushed > 0 {
-			id := d.nextRunID
-			if err := sst.WriteFile(runPath(d.dir, id), fd); err != nil {
-				d.fail(err)
-				return err
-			}
-			r, err := sst.Open(runPath(d.dir, id))
-			if err != nil {
-				d.fail(err)
-				return err
-			}
-			d.nextRunID++
-			newRuns = append([]*sst.Reader{r}, newRuns...)
-			newRefs = append([]RunRef{runRefOf(id, r)}, newRefs...)
-		}
+		d.nextRunID++
+		newRuns = append([]*sst.Reader{r}, d.runs...)
+		newRefs = append([]RunRef{ref}, d.runRefs...)
 	}
 
 	// Manifest durable → old WAL generations and orphans are garbage.
-	if err := WriteSnapshot(manifestPath(d.dir, newGen), &SnapshotData{
-		Meta: d.meta, LastSeq: lastSeq, Runs: newRefs,
-	}); err != nil {
-		d.fail(err)
+	if err := writeManifest(d.dir, newGen, d.meta, lastSeq, newRefs); err != nil {
 		return err
 	}
 	d.runMu.Lock()
 	d.runs, d.runRefs = newRuns, newRefs
-	d.runMu.Unlock()
 	d.manifestGen, d.manifestSeq = newGen, lastSeq
-	d.gcLSM(newGen, oldGen)
-	d.emit(obs.EvCheckpoint, flushed, fmt.Sprintf("lsm gen=%d runs=%d", newGen, len(newRefs)))
+	d.runMu.Unlock()
+	gcDir(d.dir, newGen, newRefs)
+	d.emit(obs.EvCheckpoint, flushed, fmt.Sprintf("gen=%d runs=%d", newGen, len(newRefs)))
 	d.publishLSMGauges()
 	return d.maybeCompact()
 }
 
-// gcLSM removes files the current manifest generation has superseded:
-// older manifests, WAL generations at or before oldGen, and run files the
-// manifest does not reference (crash orphans).
-func (d *Durable) gcLSM(keepGen, oldGen uint64) {
-	st, err := scanDir(d.dir)
+// gcDir removes what manifest generation keepGen has superseded: older
+// manifests and WAL generations, run files refs does not list (crash
+// orphans), and the snapshot files of a converted directory.
+func gcDir(dir string, keepGen uint64, refs []RunRef) {
+	st, err := scanDir(dir)
 	if err != nil {
 		return
 	}
@@ -294,22 +272,22 @@ func (d *Durable) gcLSM(keepGen, oldGen uint64) {
 		}
 	}
 	for gen, segs := range st.wals {
-		if gen <= oldGen {
+		if gen < keepGen {
 			for _, path := range segs {
 				os.Remove(path)
 			}
 		}
 	}
-	live := make(map[uint64]bool, len(d.runRefs))
-	for _, ref := range d.runRefs {
-		live[ref.ID] = true
+	for _, ref := range refs {
+		delete(st.runs, ref.ID)
 	}
-	for id, path := range st.runs {
-		if !live[id] {
-			os.Remove(path)
-		}
+	for _, path := range st.runs {
+		os.Remove(path)
 	}
-	syncDir(d.dir)
+	for _, path := range st.snaps {
+		os.Remove(path)
+	}
+	syncDir(dir)
 }
 
 // pickCompaction scans merge windows of compactMinRuns consecutive runs
@@ -322,13 +300,8 @@ func (d *Durable) pickCompaction() (lo, hi int, ok bool) {
 	for start := n - compactMinRuns; start >= 0; start-- {
 		minB, maxB := int64(1<<62), int64(0)
 		for _, r := range d.runs[start : start+compactMinRuns] {
-			b := r.FileBytes()
-			if b < minB {
-				minB = b
-			}
-			if b > maxB {
-				maxB = b
-			}
+			b := r.Stats().FileBytes
+			minB, maxB = min(minB, b), max(maxB, b)
 		}
 		if maxB <= minB*compactSizeRatio {
 			return start, start + compactMinRuns, true
@@ -364,51 +337,44 @@ func (d *Durable) maybeCompact() error {
 func (d *Durable) compact(lo, hi int) error {
 	window := d.runs[lo:hi]
 	dropDead := hi == len(d.runs)
-	fd, err := sst.Merge(window, dropDead)
-	if err != nil {
-		d.fail(err)
-		return err
-	}
-	newRuns := append([]*sst.Reader(nil), d.runs[:lo]...)
-	newRefs := append([]RunRef(nil), d.runRefs[:lo]...)
-	merged := 0
-	if len(fd.Live)+len(fd.Dead) > 0 {
-		id := d.nextRunID
-		if err := sst.WriteFile(runPath(d.dir, id), fd); err != nil {
-			d.fail(err)
+	datas := make([]*sst.FileData, len(window))
+	for i, r := range window {
+		var err error
+		if datas[i], err = r.Data(); err != nil {
 			return err
 		}
-		r, err := sst.Open(runPath(d.dir, id))
+	}
+	fd := sst.MergeData(datas, dropDead)
+	newRuns := append([]*sst.Reader(nil), d.runs[:lo]...)
+	newRefs := append([]RunRef(nil), d.runRefs[:lo]...)
+	merged := len(fd.Live) + len(fd.Dead)
+	if merged > 0 {
+		r, ref, err := writeRun(d.dir, d.nextRunID, fd)
 		if err != nil {
-			d.fail(err)
 			return err
 		}
 		d.nextRunID++
-		merged = len(fd.Live) + len(fd.Dead)
 		newRuns = append(newRuns, r)
-		newRefs = append(newRefs, runRefOf(id, r))
+		newRefs = append(newRefs, ref)
 	}
 	newRuns = append(newRuns, d.runs[hi:]...)
 	newRefs = append(newRefs, d.runRefs[hi:]...)
 
-	if err := WriteSnapshot(manifestPath(d.dir, d.manifestGen), &SnapshotData{
-		Meta: d.meta, LastSeq: d.manifestSeq, Runs: newRefs,
-	}); err != nil {
-		d.fail(err)
+	if err := writeManifest(d.dir, d.manifestGen, d.meta, d.manifestSeq, newRefs); err != nil {
 		return err
 	}
-	old := make([]*sst.Reader, len(window))
-	copy(old, window)
 	d.runMu.Lock()
 	d.runs, d.runRefs = newRuns, newRefs
+	for _, r := range window {
+		d.lsmRetired.Add(r.Counters())
+	}
 	d.runMu.Unlock()
-	for _, r := range old {
-		addCounters(&d.lsmRetired, r.Counters())
+	for _, r := range window {
 		r.Close()
-		os.Remove(r.Path())
+		os.Remove(r.Stats().Path)
 	}
 	syncDir(d.dir)
-	d.emit(obs.EvCompaction, merged, fmt.Sprintf("lsm merged %d runs into %d records (dropDead=%v)", len(old), merged, dropDead))
+	d.emit(obs.EvCompaction, merged, fmt.Sprintf("lsm merged %d runs into %d records (dropDead=%v)", len(window), merged, dropDead))
 	d.publishLSMGauges()
 	return nil
 }
@@ -417,8 +383,7 @@ func (d *Durable) compact(lo, hi int) error {
 // Introspection
 // ---------------------------------------------------------------------------
 
-// LSMStats summarizes the LSM engine state (zero value for the snapshot
-// engine).
+// LSMStats summarizes the run tiers.
 type LSMStats struct {
 	Runs        int
 	RunBytes    int64
@@ -429,17 +394,9 @@ type LSMStats struct {
 	Counters    sst.Counters
 }
 
-// Engine reports which storage engine the store runs on.
-func (d *Durable) Engine() string {
-	if d.engine == "" {
-		return EngineSnapshot
-	}
-	return d.engine
-}
-
-// Runs returns a snapshot of the open LSM run readers, newest first. The
+// Runs returns a snapshot of the open run readers, newest first. The
 // readers stay valid until the next flush or compaction replaces them;
-// hold ckpt-free callers should treat them as a point-in-time view.
+// callers should treat them as a point-in-time view.
 func (d *Durable) Runs() []*sst.Reader {
 	d.runMu.RLock()
 	defer d.runMu.RUnlock()
@@ -449,64 +406,47 @@ func (d *Durable) Runs() []*sst.Reader {
 // Tiers returns a point-in-time read view over the current runs.
 func (d *Durable) Tiers() *sst.Tiers { return sst.NewTiers(d.Runs()) }
 
-// LSMStats reports the engine state.
+// LSMStats reports the state of the run tiers.
 func (d *Durable) LSMStats() LSMStats {
 	d.runMu.RLock()
-	runs := d.runs
-	st := LSMStats{Runs: len(runs), ManifestGen: d.manifestGen, ManifestSeq: d.manifestSeq}
-	for _, r := range runs {
-		st.RunBytes += r.FileBytes()
-		st.LiveRecs += r.Live()
-		st.Tombstones += r.Dead()
+	defer d.runMu.RUnlock()
+	st := LSMStats{Runs: len(d.runs), ManifestGen: d.manifestGen, ManifestSeq: d.manifestSeq}
+	for _, r := range d.runs {
+		rs := r.Stats()
+		st.RunBytes += rs.FileBytes
+		st.LiveRecs += rs.Live
+		st.Tombstones += rs.Dead
 	}
-	st.Counters = sumCounters(runs, d.lsmRetired)
-	d.runMu.RUnlock()
+	st.Counters = sst.NewTiers(d.runs).Counters()
+	st.Counters.Add(d.lsmRetired)
 	return st
 }
 
-func addCounters(dst *sst.Counters, src sst.Counters) {
-	dst.Probes += src.Probes
-	dst.RangeSkips += src.RangeSkips
-	dst.FilterSkips += src.FilterSkips
-	dst.FalsePositives += src.FalsePositives
-	dst.Hits += src.Hits
-	dst.TombHits += src.TombHits
-	dst.PageReads += src.PageReads
-}
-
-func sumCounters(runs []*sst.Reader, base sst.Counters) sst.Counters {
-	c := base
-	for _, r := range runs {
-		addCounters(&c, r.Counters())
-	}
-	return c
-}
-
-// publishLSMGauges refreshes the LSM gauges and pushes filter counter
+// publishLSMGauges refreshes the run gauges and pushes filter counter
 // deltas into Metrics. Called after every flush and compaction (under
-// ckptMu, which makes the delta bookkeeping race-free).
+// ckptMu, which makes the delta bookkeeping race-free). Only trained
+// filters count: both filter gauges read 0 while no run has been read
+// through, and the FPR is that of the newest run that has.
 func (d *Durable) publishLSMGauges() {
 	m := d.cfg.Metrics
 	if m == nil {
 		return
 	}
-	d.runMu.RLock()
-	runs := append([]*sst.Reader(nil), d.runs...)
-	d.runMu.RUnlock()
-	var bytes, tombs, bits int64
-	for _, r := range runs {
-		bytes += r.FileBytes()
-		tombs += int64(r.Dead())
-		bits += int64(r.FilterBits())
+	st := d.LSMStats()
+	var bits int64
+	var fpr float64
+	for _, r := range d.runs {
+		bits += int64(r.Stats().FilterBits)
+		if fpr == 0 {
+			fpr = r.MeasuredFPR()
+		}
 	}
-	m.LSMRuns.Set(int64(len(runs)))
-	m.LSMRunBytes.Set(bytes)
-	m.LSMTombs.Set(tombs)
+	m.LSMRuns.Set(int64(st.Runs))
+	m.LSMRunBytes.Set(st.RunBytes)
+	m.LSMTombs.Set(int64(st.Tombstones))
 	m.FilterBytes.Set((bits + 7) / 8)
-	if len(runs) > 0 {
-		m.FilterFPRPpm.Set(int64(runs[0].MeasuredFPR() * 1e6))
-	}
-	c := sumCounters(runs, d.lsmRetired)
+	m.FilterFPRPpm.Set(int64(fpr * 1e6))
+	c := st.Counters
 	m.FilterProbes.Add((c.Probes - c.RangeSkips) - (d.lsmPub.Probes - d.lsmPub.RangeSkips))
 	m.FilterSkips.Add(c.FilterSkips - d.lsmPub.FilterSkips)
 	m.FilterFPs.Add(c.FalsePositives - d.lsmPub.FalsePositives)

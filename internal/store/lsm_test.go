@@ -20,7 +20,7 @@ func seedOrphan(t *testing.T, path string) {
 }
 
 func lsmCfg() Config {
-	return Config{Fsync: SyncNever, CheckpointEvery: -1, Engine: EngineLSM}
+	return Config{Fsync: SyncNever, CheckpointEvery: -1}
 }
 
 func TestLSMFlushReopen(t *testing.T) {
@@ -28,9 +28,6 @@ func TestLSMFlushReopen(t *testing.T) {
 	d, err := Open(dir, lsmCfg(), memBuild(1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if d.Engine() != EngineLSM {
-		t.Fatalf("engine = %q, want lsm", d.Engine())
 	}
 	const n = 500
 	for i := 0; i < n; i++ {
@@ -67,15 +64,11 @@ func TestLSMFlushReopen(t *testing.T) {
 	}
 	d.Close()
 
-	// Reopen without Engine in the config: the directory's files win.
-	d2, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
+	d2, err := Open(dir, lsmCfg(), memBuild(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if d2.Engine() != EngineLSM {
-		t.Fatalf("reopened engine = %q, want lsm", d2.Engine())
-	}
 	if ri := d2.RecoveryInfo(); ri.Runs != 1 || ri.SnapshotRecs != n-50 {
 		t.Fatalf("RecoveryInfo = %+v, want 1 run / %d base records", ri, n-50)
 	}
@@ -122,11 +115,11 @@ func TestLSMFlushIsIncremental(t *testing.T) {
 	if len(runs) != 2 {
 		t.Fatalf("run count = %d, want 2", len(runs))
 	}
-	if got := runs[0].Live() + runs[0].Dead(); got != delta {
+	if got := runs[0].Stats().Live + runs[0].Stats().Dead; got != delta {
 		t.Fatalf("second flush wrote %d records, want the %d-record delta", got, delta)
 	}
-	if runs[1].Live() != base {
-		t.Fatalf("base run holds %d records, want %d", runs[1].Live(), base)
+	if runs[1].Stats().Live != base {
+		t.Fatalf("base run holds %d records, want %d", runs[1].Stats().Live, base)
 	}
 	// An empty delta must not mint a new run.
 	if err := d.Checkpoint(); err != nil {
@@ -179,6 +172,19 @@ func TestLSMCompactionBoundsRuns(t *testing.T) {
 	}
 	if m.LSMRunBytes.Load() != ls.RunBytes || ls.RunBytes == 0 {
 		t.Fatalf("lsm_run_bytes gauge = %d, want %d (nonzero)", m.LSMRunBytes.Load(), ls.RunBytes)
+	}
+	// Nothing has read through a run yet, so no filter exists to weigh.
+	// One lookup per run trains them; the next flush publishes the gauges.
+	if m.FilterBytes.Load() != 0 || m.FilterFPRPpm.Load() != 0 {
+		t.Fatalf("filter gauges = %d B / %d ppm before any run was read through", m.FilterBytes.Load(), m.FilterFPRPpm.Load())
+	}
+	for _, r := range d.Runs() {
+		if _, _, err := r.Get(r.Stats().MinKey); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	if m.FilterBytes.Load() == 0 {
 		t.Fatal("lbf_filter_bytes gauge not published")
@@ -452,5 +458,180 @@ func TestLSMTombstoneShadowsAcrossReopen(t *testing.T) {
 	}
 	if d2.Len() != 99 {
 		t.Fatalf("Len = %d, want 99", d2.Len())
+	}
+}
+
+// TestOpenTrainsNothing: Create, a flush, a compaction and Open build no
+// model — a run's fence model and filter wait for the first lookup that
+// reads through it — and one Tiers lookup per run builds them all.
+func TestOpenTrainsNothing(t *testing.T) {
+	untrained := func(d *Durable, when string) {
+		t.Helper()
+		for _, r := range d.Runs() {
+			if st := r.Stats(); st.FilterBits != 0 || st.Segments != 0 {
+				t.Fatalf("%s: run %s is trained (%d filter bits, %d segments) with nothing read through it", when, st.Path, st.FilterBits, st.Segments)
+			}
+		}
+	}
+	dir := t.TempDir()
+	// Runs big enough for a fence model (>= 64 data pages each).
+	const perRun = 20_000
+	seed := make([]core.KV, perRun)
+	for i := range seed {
+		seed[i] = core.KV{Key: core.Key(i), Value: 1}
+	}
+	d, err := Create(dir, lsmCfg(), memBuild(1), seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	untrained(d, "after Create")
+	compactions := 0
+	for b := 1; compactions == 0; b++ {
+		recs := make([]core.KV, perRun)
+		for i := range recs {
+			recs[i] = core.KV{Key: core.Key(b*perRun + i), Value: core.Value(b)}
+		}
+		if err := d.InsertBatch(recs, nil); err != nil {
+			t.Fatal(err)
+		}
+		before := len(d.Runs())
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		untrained(d, "after a flush")
+		if len(d.Runs()) <= before {
+			compactions++
+		}
+	}
+	if err := d.Put(0, 2); err != nil { // a second run beside the compacted one
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	untrained(d, "after a compaction")
+	d.Close()
+
+	d, err = Open(dir, lsmCfg(), memBuild(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	untrained(d, "after Open")
+	if len(d.Runs()) < 2 {
+		t.Fatalf("%d runs, want at least 2", len(d.Runs()))
+	}
+	// Key 0 lies inside every run here: the seed, compacted, and the
+	// rewrite on top.
+	if v, ok, err := d.Tiers().Get(0); err != nil || !ok || v != 2 {
+		t.Fatalf("Tiers().Get(0) = (%d, %v, %v), want the newest run's 2", v, ok, err)
+	}
+	newest := d.Runs()[0].Stats()
+	if newest.FilterBits == 0 {
+		t.Fatalf("the run that answered is untrained: %+v", newest)
+	}
+	for _, r := range d.Runs()[1:] {
+		if _, _, err := r.Get(r.Stats().MinKey); err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.FilterBits == 0 || st.Segments == 0 {
+			t.Fatalf("run %s still untrained after a lookup: %+v", st.Path, st)
+		}
+	}
+}
+
+// TestOpenErrorLeaksNoDescriptors: an Open that fails after the runs were
+// loaded — here the builder refuses, as the façade's does on a kind
+// conflict — must not leave the run files open.
+func TestOpenErrorLeaksNoDescriptors(t *testing.T) {
+	countFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+		}
+		return len(ents)
+	}
+	countFDs()
+	dir := t.TempDir()
+	d, err := Open(dir, lsmCfg(), memBuild(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Runs of 4, 8, 16, 32 and 64 data pages: no window of four is within
+	// the compactor's size ratio, so all five stay.
+	for b, pages := 0, 4; b < 5; b, pages = b+1, pages*2 {
+		for i := 0; i < pages*sst.RecsPerPage; i++ {
+			d.Put(core.Key(b<<32|i), 1)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(d.Runs()); got != 5 {
+		t.Fatalf("%d runs, want 5", got)
+	}
+	d.Close()
+
+	refuse := func(map[string]string, []core.KV) (BuildResult, error) {
+		return BuildResult{}, os.ErrInvalid
+	}
+	before := countFDs()
+	for i := 0; i < 50; i++ {
+		if d, err := Open(dir, lsmCfg(), refuse); err == nil {
+			d.Close()
+			t.Fatal("Open succeeded with a builder that refuses")
+		}
+	}
+	if after := countFDs(); after > before {
+		t.Fatalf("50 failed opens of a 5-run directory left %d descriptors open", after-before)
+	}
+}
+
+// TestFoldMatchesMapReplay: fold's sort-and-keep-last equals replaying the
+// records in commit order through a map, for records that arrive out of
+// order (as segments do), repeat keys, and straddle the watermark.
+func TestFoldMatchesMapReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(400)
+		ops := make([]Record, n)
+		for i := range ops {
+			ops[i] = Record{Seq: uint64(i + 1), Op: OpInsert, Key: core.Key(rng.Intn(60)), Val: core.Value(rng.Uint64())}
+			if rng.Intn(3) == 0 {
+				ops[i].Op, ops[i].Val = OpDelete, 0
+			}
+		}
+		watermark := uint64(rng.Intn(n + 1))
+		type state struct {
+			val  core.Value
+			dead bool
+		}
+		replay := map[core.Key]state{}
+		for _, op := range ops { // still in commit order
+			if op.Seq > watermark {
+				replay[op.Key] = state{val: op.Val, dead: op.Op == OpDelete}
+			}
+		}
+		rng.Shuffle(n, func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+		fd := fold(ops, watermark)
+		if len(fd.Live)+len(fd.Dead) != len(replay) {
+			t.Fatalf("trial %d: fold kept %d keys, the replay %d", trial, len(fd.Live)+len(fd.Dead), len(replay))
+		}
+		for i, kv := range fd.Live {
+			if s, ok := replay[kv.Key]; !ok || s.dead || s.val != kv.Value {
+				t.Fatalf("trial %d: live %+v, replay says %+v (present %v)", trial, kv, s, ok)
+			}
+			if i > 0 && fd.Live[i-1].Key >= kv.Key {
+				t.Fatalf("trial %d: live keys not ascending at %d", trial, i)
+			}
+		}
+		for i, k := range fd.Dead {
+			if s, ok := replay[k]; !ok || !s.dead {
+				t.Fatalf("trial %d: dead key %d, replay says %+v (present %v)", trial, k, s, ok)
+			}
+			if i > 0 && fd.Dead[i-1] >= k {
+				t.Fatalf("trial %d: dead keys not ascending at %d", trial, i)
+			}
+		}
 	}
 }

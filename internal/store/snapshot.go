@@ -11,8 +11,9 @@ import (
 	"github.com/lix-go/lix/internal/core"
 )
 
-// Snapshot on-disk format. A snapshot file is a magic string followed by
-// CRC32C-framed sections:
+// Snapshot codec: the format of the manifest (lsm-<gen>.lix) and of the
+// retired snapshot-rewrite engine's checkpoints (snap-<gen>.lix), which
+// Open converts. A file is a magic string followed by CRC32C-framed sections:
 //
 //	file:    magic "LIXSNAP1" | section*
 //	section: u8 id | u64 payload length | payload | u32 CRC32C(id, length, payload)
@@ -20,18 +21,18 @@ import (
 // Sections (in write order):
 //
 //	meta (1):    u32 pair count | (u16 klen, key bytes, u16 vlen, value bytes)*
-//	records (2): u64 count | (u64 key, u64 value)* — sorted ascending by key
+//	records (2): u64 count | (u64 key, u64 value)* — sorted ascending by
+//	             key; empty in a manifest
 //	state (3):   u64 last committed WAL sequence number
 //	runs (4):    u32 run count | (u64 id, u64 live, u64 dead, u64 seq,
-//	             u64 minKey, u64 maxKey)* — the LSM engine's run list,
-//	             newest first (absent from snapshot-engine files; readers
-//	             that predate it skip it as an unknown section)
+//	             u64 minKey, u64 maxKey)* — the run list, newest first
+//	             (absent when empty and from snapshot-engine files)
 //	footer (240): u64 record count echo — marks the file complete
 //
 // All integers are little-endian. A reader accepts a snapshot only if
 // every section's CRC validates and the footer is present with a matching
 // record count; anything else (torn write, bit rot, partial copy) makes
-// the whole snapshot invalid and recovery falls back to the previous
+// the whole file invalid and recovery falls back to the previous
 // generation. Writers get atomicity from temp-file-then-rename: the final
 // name only ever refers to a fully written, fsynced file.
 const (
@@ -49,10 +50,10 @@ const (
 	maxSnapSection = 1 << 30
 )
 
-// SnapshotData is the logical content of one snapshot: the rebuild
-// parameters, the full record set and the WAL sequence high-water mark at
-// checkpoint time. The LSM engine reuses the codec for its manifests:
-// Recs stays empty and Runs lists the sorted-run files, newest first.
+// SnapshotData is the logical content of one file of the codec: the
+// rebuild parameters, the WAL sequence high-water mark at checkpoint time,
+// and either the sorted-run files, newest first (a manifest: Recs stays
+// empty), or the full record set (a snapshot-engine checkpoint).
 type SnapshotData struct {
 	Meta    map[string]string
 	Recs    []core.KV
@@ -61,7 +62,7 @@ type SnapshotData struct {
 }
 
 // RunRef is one manifest entry: the identity and summary of a sorted-run
-// file the LSM engine owns. The list order in the manifest is the age
+// file the store owns. The list order in the manifest is the age
 // order (newest first), which is what makes shadowing deterministic.
 type RunRef struct {
 	// ID names the run file (sst-<id>.lix). IDs are allocated

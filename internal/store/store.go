@@ -1,26 +1,26 @@
 // Package store is the durable storage subsystem of the lix library. It
-// persists any mutable index kind with the classic snapshot-plus-log
-// shape used by disk-resident DBMS engines ("Updatable Learned Indexes
-// Meet Disk-Resident DBMS"): a versioned binary snapshot codec with
-// CRC32C-framed sections checkpoints the full record set, an append-only
-// write-ahead log with length+CRC record framing and batched group commit
-// makes individual mutations durable, and recovery replays the committed
-// WAL suffix over the newest valid snapshot, truncating at the first torn
-// or corrupt entry instead of failing.
+// persists any mutable index kind with the log-plus-sorted-runs shape used
+// by disk-resident DBMS engines ("Updatable Learned Indexes Meet
+// Disk-Resident DBMS"): an append-only write-ahead log with length+CRC
+// record framing and batched group commit makes individual mutations
+// durable, a checkpoint flushes the log's delta into an immutable sorted
+// run (internal/sst) listed in a CRC32C-framed manifest, and recovery
+// merges the committed WAL suffix over the runs of the newest valid
+// manifest, truncating the log at the first torn or corrupt entry instead
+// of failing.
 //
-// Files live in one directory and carry a generation number:
+// Files live in one directory:
 //
-//	snap-<gen>.lix        full checkpoint (meta + records, CRC-framed)
+//	lsm-<gen>.lix         manifest of generation <gen> (meta + run list)
+//	sst-<id>.lix          immutable sorted run
 //	wal-<gen>-<seg>.lix   WAL segment <seg> of generation <gen>
 //
-// A checkpoint atomically rotates to the next generation: new WAL
-// segments are created first, the snapshot is written to a temp file,
-// fsynced and renamed into place, and only then are the previous
-// generation's files deleted. Recovery therefore always finds either the
-// old snapshot plus the complete old WAL, or the new snapshot — replaying
-// every WAL generation at or after the newest valid snapshot, merged by
-// global sequence number, reconstructs the exact committed state for any
-// crash point.
+// A checkpoint rotates to the next generation: new WAL segments first,
+// then the run, then the manifest (each temp file, fsync, rename), and
+// only then are the previous generation's files deleted, so recovery
+// always finds either the old manifest plus the complete old WAL, or the
+// new manifest. lsm.go has the engine; a directory of the retired
+// snapshot-rewrite engine (snap-<gen>.lix) is converted on Open.
 package store
 
 import (
@@ -31,7 +31,7 @@ import (
 )
 
 // castagnoli is the CRC32C polynomial table shared by the WAL and the
-// snapshot codec (iSCSI polynomial, hardware-accelerated on amd64/arm64).
+// manifest codec (iSCSI polynomial, hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // SyncPolicy selects when the WAL is fsynced. The zero value is
@@ -146,8 +146,8 @@ type BuildResult struct {
 }
 
 // BuildFunc rebuilds the in-memory index during Open/Create. meta is the
-// rebuild-parameter map persisted in the newest snapshot, or nil when the
-// directory is fresh (the builder then uses its own defaults, which are
-// persisted by the first checkpoint). recs is the recovered record set,
+// rebuild-parameter map persisted in the newest manifest, or nil when the
+// directory is fresh (the builder then uses its own defaults, and
+// Config.Meta is what gets persisted). recs is the recovered record set,
 // sorted ascending by key.
 type BuildFunc func(meta map[string]string, recs []core.KV) (BuildResult, error)

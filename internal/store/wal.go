@@ -215,7 +215,7 @@ func validWalHeader(data []byte, gen uint64, seg int) bool {
 
 // Append encodes and writes recs as one contiguous write, returning the
 // logical end offset of the last record. It does not fsync; pair with
-// SyncTo (or Sync) according to the configured policy.
+// SyncTo according to the configured policy.
 func (w *WAL) Append(recs ...Record) (int64, error) {
 	w.mu.Lock()
 	w.buf = w.buf[:0]
@@ -269,14 +269,6 @@ func (w *WAL) SyncTo(off int64) error {
 	return nil
 }
 
-// Sync makes everything appended so far durable.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	off := w.size
-	w.mu.Unlock()
-	return w.SyncTo(off)
-}
-
 // Appended returns the number of records appended through this handle.
 func (w *WAL) Appended() uint64 {
 	w.mu.Lock()
@@ -297,9 +289,6 @@ func (w *WAL) Size() int64 {
 	defer w.mu.Unlock()
 	return w.size
 }
-
-// Path returns the segment file path.
-func (w *WAL) Path() string { return w.path }
 
 // Close fsyncs outstanding writes and closes the file. After Close,
 // SyncTo returns nil for offsets the close covered.

@@ -35,7 +35,7 @@ type StackConfig struct {
 	DeltaBound int
 	// Dir, when non-empty, inserts the durable layer: the stack is opened
 	// at (or created in) this directory with write-ahead logging and
-	// snapshot checkpoints.
+	// sorted-run checkpoints.
 	Dir string
 	// Fsync selects WAL durability (default FsyncAlways; Dir only).
 	Fsync SyncPolicy
@@ -45,9 +45,10 @@ type StackConfig struct {
 	// CheckpointEvery triggers a checkpoint after this many logged records
 	// (Dir only; 0 selects the store default, negative disables).
 	CheckpointEvery int
-	// StorageEngine selects the durable checkpoint engine, EngineSnapshot
-	// or EngineLSM (Dir only; "" selects EngineSnapshot; on reopen the
-	// engine the directory already uses wins).
+	// StorageEngine is vestigial and selects nothing: there is one
+	// checkpoint engine. "" and EngineLSM are accepted, anything else is a
+	// NewStack error; field and constant stay only until the repo
+	// benchmark stops assigning one to the other.
 	StorageEngine string
 	// Metrics, when set, wraps the stack in the observability layer: per-op
 	// and per-batch latencies, counters, and (with Dir) fsync/checkpoint
@@ -63,6 +64,9 @@ type StackConfig struct {
 	// alone does not. Retrieve the tracer with Stack.Tracer().
 	Trace *TraceOptions
 }
+
+// EngineLSM is what StackConfig.StorageEngine accepts besides "".
+const EngineLSM = "lsm"
 
 // Stack is a fully assembled serving engine: backend → shard → durable →
 // obs, composed in the one canonical order by NewStack. It satisfies
@@ -80,16 +84,19 @@ type Stack struct {
 
 // NewStack assembles a serving stack over recs (sorted ascending,
 // distinct keys; may be nil to start empty) in the canonical wrapping
-// order. With Dir set, a fresh directory is seeded with recs (and the
-// seed checkpointed); a directory already holding a store recovers it —
-// in that case recs must be nil and the stored kind/shard configuration
-// wins, exactly as Open.
+// order. With Dir set, a fresh directory is seeded with recs (the seed
+// is written as the first run); a directory already holding a store
+// recovers it — in that case recs must be nil and the stored kind/shard
+// configuration wins, exactly as Open.
 func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
 	if cfg.Kind == "" {
 		cfg.Kind = "btree"
 	}
 	if _, err := registry.Mutable(cfg.Kind); err != nil {
 		return nil, err
+	}
+	if cfg.StorageEngine != "" && cfg.StorageEngine != EngineLSM {
+		return nil, fmt.Errorf("lix: unknown storage engine %q", cfg.StorageEngine)
 	}
 	s := &Stack{metrics: cfg.Metrics}
 
@@ -105,7 +112,6 @@ func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
 			Fsync:           cfg.Fsync,
 			SyncInterval:    cfg.SyncInterval,
 			CheckpointEvery: cfg.CheckpointEvery,
-			Engine:          cfg.StorageEngine,
 			Metrics:         cfg.Metrics,
 		}
 		var (

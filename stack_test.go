@@ -148,6 +148,18 @@ func TestStackConfigErrors(t *testing.T) {
 	if _, err := NewStack(nil, StackConfig{Dir: t.TempDir(), Mode: ShardRCU, Shards: 2}); err == nil {
 		t.Fatal("durable RCU stack accepted")
 	}
+	// StorageEngine selects nothing any more; it only rejects what it
+	// never knew.
+	if _, err := NewStack(nil, StackConfig{Dir: t.TempDir(), StorageEngine: "snapshot"}); err == nil {
+		t.Fatal("a storage engine that does not exist accepted")
+	}
+	for _, engine := range []string{"", EngineLSM} {
+		st, err := NewStack(nil, StackConfig{Dir: t.TempDir(), StorageEngine: engine})
+		if err != nil {
+			t.Fatalf("StorageEngine %q rejected: %v", engine, err)
+		}
+		st.Close()
+	}
 }
 
 // TestSearchRangeThroughWrappers pins the satellite fix: SearchRange
