@@ -24,7 +24,8 @@
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare
 //	lixbench -e spatial   # flood rectangle search >= 3.1x the STR R-tree
-//	lixbench -e gates     # all seven
+//	lixbench -e wire      # GETs over one loopback connection >= 0.27x in-process LookupBatch
+//	lixbench -e gates     # all eight
 //
 // Nothing here compares two revisions: that is the repo benchmark's job
 // (benchmark/README.md).
@@ -81,7 +82,7 @@ func run(args []string, stdout, stderr io.Writer) (status int) {
 	fs := flag.NewFlagSet("lixbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp        = fs.String("e", "all", "experiment ID (E4..E19), 'all', or a gate: serving batch paged lsm trace obs spatial, 'gates' for all seven")
+		exp        = fs.String("e", "all", "experiment ID (E4..E19), 'all', or a gate: serving batch paged lsm trace obs spatial wire, 'gates' for all eight")
 		n          = fs.Int("n", 0, "dataset size (0 = default)")
 		q          = fs.Int("q", 0, "queries per measurement (0 = default)")
 		seed       = fs.Int64("seed", 7, "generator seed")

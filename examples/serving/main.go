@@ -77,11 +77,12 @@ func main() {
 	fmt.Printf("%d writes, one pipelined burst: %8s  (%.1fx)\n\n",
 		burst, pipelined.Round(time.Microsecond), float64(oneAtATime)/float64(pipelined))
 
-	// The server-side evidence: pipelined requests arrive in few groups.
+	// The server-side evidence: pipelined requests arrive in few groups,
+	// and their replies leave in at most as many writes.
 	snap := m.Snapshot()
-	fmt.Printf("server saw %d requests in %d groups (mean group %.0f frames)\n",
+	fmt.Printf("server saw %d requests in %d groups (mean group %.0f frames), answered in %d writes\n",
 		snap.Counters["requests"], snap.Counters["groups"],
-		float64(snap.Counters["requests"])/float64(snap.Counters["groups"]))
+		float64(snap.Counters["requests"])/float64(snap.Counters["groups"]), snap.Counters["flushes"])
 	fmt.Printf("insert p99 %s, get p99 %s\n",
 		time.Duration(snap.Histograms["insert_ns"].P99),
 		time.Duration(snap.Histograms["get_ns"].P99))

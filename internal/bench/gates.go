@@ -25,6 +25,7 @@ var gates = []gate{
 	{"trace", Config{N: 100_000, Shards: 4, Workers: 4, Pipeline: 32, Duration: 100 * time.Millisecond}, gateTrace},
 	{"obs", Config{N: 1_000_000, Q: 200_000, Shards: 8, Workers: 4}, gateObs},
 	{"spatial", Config{N: 200_000, Q: 3_000}, gateSpatial},
+	{"wire", Config{N: 100_000, Q: 8192, Shards: 4, Pipeline: 32}, gateWire},
 }
 
 // runGates runs the gate named id, or all of them for "gates". Every gate

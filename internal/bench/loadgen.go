@@ -125,10 +125,10 @@ func driveConn(conn net.Conn, cfg Config, id int, deadline time.Time, ops, errs 
 
 	rd := wire.NewReader(conn, 0)
 	conn.SetReadDeadline(deadline.Add(10 * time.Second))
+	var rep wire.Msg
 	for range pending {
 		for i := 0; i < cfg.Pipeline; i++ {
-			rep, err := rd.Read()
-			if err != nil {
+			if err := rd.ReadInto(&rep); err != nil {
 				return err
 			}
 			if rep.Op == wire.RErr {

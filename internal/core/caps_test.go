@@ -180,7 +180,7 @@ func TestSpanNilAndStages(t *testing.T) {
 	if sp.Stage(StageWAL) != 0 || sp.Total() != 0 || sp.Ops() != 0 || sp.Timeline() != "" {
 		t.Fatal("nil span returned non-zero state")
 	}
-	want := []string{"decode", "dispatch", "shard", "wal", "fsync"}
+	want := []string{"decode", "dispatch", "shard", "wal", "fsync", "flush"}
 	for st := Stage(0); st < NumStages; st++ {
 		if st.String() != want[st] {
 			t.Errorf("Stage(%d).String() = %q, want %q", st, st, want[st])

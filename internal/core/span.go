@@ -25,6 +25,9 @@ const (
 	StageWAL
 	// StageFsync is group-commit fsync wait time.
 	StageFsync
+	// StageFlush is reply delivery: the connection's write-buffer flush,
+	// where a slow or stalled client shows up.
+	StageFlush
 	// NumStages bounds the stage set.
 	NumStages
 )
@@ -42,6 +45,8 @@ func (s Stage) String() string {
 		return "wal"
 	case StageFsync:
 		return "fsync"
+	case StageFlush:
+		return "flush"
 	default:
 		return fmt.Sprintf("stage_%d", uint8(s))
 	}

@@ -98,12 +98,14 @@ type Metrics struct {
 	// Serving front-end instrumentation, maintained by internal/serve:
 	// Requests counts frames received, Errors counts error replies sent
 	// (protocol violations and refused connections included), Groups
-	// counts pipelined request groups dispatched, GroupLen is the
-	// frames-per-group histogram, and Conns tracks currently open
-	// connections.
+	// counts pipelined request groups dispatched, Flushes counts the
+	// socket writes that delivered their replies (Groups/Flushes is the
+	// coalescing factor), GroupLen is the frames-per-group histogram, and
+	// Conns tracks currently open connections.
 	Requests Counter
 	Errors   Counter
 	Groups   Counter
+	Flushes  Counter
 	GroupLen Histogram
 	Conns    Gauge
 
@@ -269,7 +271,7 @@ type Snapshot struct {
 // counterNames fixes the rendering order of the counter set.
 var counterNames = []string{
 	"lookups", "hits", "inserts", "deletes", "ranges", "batches",
-	"requests", "errors", "groups", "page_hits", "page_misses",
+	"requests", "errors", "groups", "flushes", "page_hits", "page_misses",
 	"lsm_filter_probes", "lsm_filter_skips", "lsm_filter_false_positives",
 }
 
@@ -308,6 +310,8 @@ func (m *Metrics) counter(name string) *Counter {
 		return &m.Errors
 	case "groups":
 		return &m.Groups
+	case "flushes":
+		return &m.Flushes
 	case "page_hits":
 		return &m.PageHits
 	case "page_misses":

@@ -310,6 +310,8 @@ lix_requests_total{index="t"} 0
 lix_errors_total{index="t"} 0
 # TYPE lix_groups_total counter
 lix_groups_total{index="t"} 0
+# TYPE lix_flushes_total counter
+lix_flushes_total{index="t"} 0
 # TYPE lix_page_hits_total counter
 lix_page_hits_total{index="t"} 0
 # TYPE lix_page_misses_total counter

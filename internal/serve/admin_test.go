@@ -350,7 +350,8 @@ func TestWriteErrorsReachTheClient(t *testing.T) {
 // TestSlowRequestTimelineE2E is the acceptance pin for span visibility:
 // a sampled pipelined write group against a durable sharded stack must
 // leave an EvSlowRequest event whose detail carries the full stage
-// timeline — decode, dispatch, shard, wal and fsync.
+// timeline — decode, dispatch, shard, wal, fsync and the reply flush —
+// and /metrics' flushes counter must account for the delivery.
 func TestSlowRequestTimelineE2E(t *testing.T) {
 	m := lix.NewMetrics("slow-e2e")
 	stack, err := lix.NewStack([]lix.KV{}, lix.StackConfig{
@@ -421,12 +422,17 @@ func TestSlowRequestTimelineE2E(t *testing.T) {
 	// Every group is a durable write group, so each timeline carries every
 	// stage.
 	for _, detail := range groups {
-		for _, stage := range []string{"decode=", "dispatch=", "shard=", "wal=", "fsync=", "total="} {
+		for _, stage := range []string{"decode=", "dispatch=", "shard=", "wal=", "fsync=", "flush=", "total="} {
 			if !strings.Contains(detail, stage) {
 				t.Errorf("slow-request detail missing %q: %s", stage, detail)
 			}
 		}
 		t.Logf("slow-request timeline: %s", detail)
+	}
+	// A sampled group is flushed inside its span, never coalesced away:
+	// one flush per group here.
+	if g, f := m.Groups.Load(), m.Flushes.Load(); int(g) != len(groups) || f != g {
+		t.Errorf("groups = %d, flushes = %d, want %d of each", g, f, len(groups))
 	}
 }
 

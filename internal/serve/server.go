@@ -13,10 +13,13 @@
 // group is then dispatched run-by-run — consecutive reads become one
 // LookupBatch, consecutive writes one InsertBatch, consecutive deletes
 // one DeleteBatch — so a pipelined MGET of 256 keys is one shard fan-out
-// and one WAL frame group, not 256 independent calls. Replies are written
-// in request order and flushed once per group; a SCAN whose result set
-// exceeds the frame guard streams as wire.RKVsPart chunks closed by a
-// final RKVs, still one logical reply in order.
+// and one WAL frame group, not 256 independent calls. Replies are encoded
+// in request order into the connection's write buffer and flushed before
+// the handler next blocks on a read — or earlier, once coalesceBytes of
+// them are pending: while complete frames keep arriving, a burst of short
+// groups shares one write(2). A SCAN whose result set exceeds the frame
+// guard streams as wire.RKVsPart chunks closed by a final RKVs, still one
+// logical reply in order.
 //
 // Pipelined semantics are sequential: a request observes every earlier
 // request on the same connection. Run grouping preserves this because
@@ -80,18 +83,18 @@ type Config struct {
 	// of a group (default 5m; negative disables). A connection idle past
 	// it is closed.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds flushing one group's replies (default 30s;
-	// negative disables).
+	// WriteTimeout bounds each write of replies to the socket (default
+	// 30s; negative disables).
 	WriteTimeout time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight groups
 	// (default 5s).
 	DrainTimeout time.Duration
 	// Metrics, when set, receives the serving instrumentation:
-	// Conns gauge, Requests/Errors/Groups counters, GroupLen and per-op
-	// latency histograms, and the EvDrain event.
+	// Conns gauge, Requests/Errors/Groups/Flushes counters, GroupLen and
+	// per-op latency histograms, and the EvDrain event.
 	Metrics *obs.Metrics
 	// Tracer, when set, samples request groups into per-stage spans
-	// (decode → dispatch → shard → wal → fsync), feeds the slow-request
+	// (decode → dispatch → shard → wal → fsync → flush), feeds the slow-request
 	// event log, and — when its hot-key sketch is enabled — counts every
 	// read-path key. Nil disables tracing at zero cost; a tracer with
 	// rate 0 costs one atomic load per group.
@@ -244,8 +247,20 @@ func (s *Server) countError() {
 	}
 }
 
+// coalesceBytes is how many bytes of replies may wait in the write buffer
+// while a complete request frame is already buffered: under it the next
+// group is dispatched before the flush, so a burst of short groups shares
+// one write(2). It is a constant, not a Config field, chosen from a sweep
+// of 0 / 1 / 4 / 32 KiB on both wire workloads of the repo benchmark
+// (DESIGN §7 has the numbers): most of what draining the input dry gains,
+// while a client that pipelines deeply still sees its first replies
+// after a few hundred of them, not after all.
+const coalesceBytes = 4 << 10
+
 // serveConn runs one connection: read a pipelined group, dispatch it
-// through the batch capabilities, write replies, flush, repeat.
+// through the batch capabilities, encode the replies, repeat — flushing
+// before every read that can block, when coalesceBytes of replies are
+// pending, for a sampled span, on drain and on any error.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.untrack(conn)
@@ -254,20 +269,30 @@ func (s *Server) serveConn(conn net.Conn) {
 		tc.SetNoDelay(true)
 	}
 	r := wire.NewReader(conn, s.cfg.MaxFrame)
-	w := wire.NewWriter(conn, s.cfg.MaxFrame)
+	w := wire.NewWriter(replyWriter{conn, s.cfg.WriteTimeout, s.cfg.Metrics}, s.cfg.MaxFrame)
 	group := make([]wire.Msg, 0, 64)
 	var sc scratch
 	tr := s.cfg.Tracer
 
 	for {
+		// With a complete frame buffered the next read cannot block, so
+		// the replies pending may wait for that group's and no read
+		// deadline is needed.
+		more := r.FrameBuffered()
+		if !more || w.Buffered() >= coalesceBytes {
+			if w.Flush() != nil {
+				return
+			}
+		}
 		// Deadline first, drain check second: Shutdown sets draining and
 		// then stamps an immediate read deadline on every connection, so
 		// this order guarantees a handler either sees the flag here or
 		// has its blocking read below woken — never a lost wake-up.
-		if s.cfg.IdleTimeout > 0 {
+		if !more && s.cfg.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
 		if s.draining.Load() {
+			w.Flush()
 			return
 		}
 		// One atomic load per group decides whether this iteration pays
@@ -275,54 +300,50 @@ func (s *Server) serveConn(conn net.Conn) {
 		// group size is known.
 		traceOn := tr.Enabled()
 		r.SetTiming(traceOn)
-		first, err := r.Read()
-		if err != nil {
-			// EOF and drain wake-ups end the connection quietly; protocol
-			// violations get a final ERR frame (the stream is
-			// desynchronized, so the connection must close either way).
-			if isProtocolErr(err) && !s.draining.Load() {
-				s.replyFatal(conn, w, err)
-			}
-			return
-		}
 
-		// Drain every complete frame already received into this group — a
-		// malformed frame cuts the group: everything before it is served,
-		// then the connection dies with an ERR frame. It never travels
+		// Decode the first frame, then every complete frame already
+		// received, each into its slot of the group. A frame that fails
+		// cuts the group: everything before it is served, then the
+		// connection dies — with an ERR frame if the client broke the
+		// protocol, quietly on EOF and drain wake-ups. It never travels
 		// with valid requests into the dispatcher.
-		group = append(group[:0], first)
+		group = group[:0]
 		var groupErr error
-		for len(group) < s.cfg.MaxGroup && r.FrameBuffered() {
-			m, err := r.Read()
-			if err != nil {
-				groupErr = err
+		for {
+			group = append(group, wire.Msg{})
+			if groupErr = r.ReadInto(&group[len(group)-1]); groupErr != nil {
+				group = group[:len(group)-1]
 				break
 			}
-			group = append(group, m)
+			if len(group) >= s.cfg.MaxGroup || !r.FrameBuffered() {
+				break
+			}
 		}
 
 		var sp *core.Span
-		if traceOn {
-			sp = tr.Start(len(group))
-			// The reader accumulated parse time while the group was
-			// drained — before the span existed; Total() adds it back.
-			// Drained unconditionally so an unsampled group's parse time
-			// cannot leak into the next sampled one.
-			sp.Add(core.StageDecode, time.Duration(r.TakeDecodeNS()))
+		if len(group) > 0 {
+			if traceOn {
+				sp = tr.Start(len(group))
+				// The reader accumulated parse time while the group was
+				// drained — before the span existed; Total() adds it back.
+				// Drained unconditionally so an unsampled group's parse time
+				// cannot leak into the next sampled one.
+				sp.Add(core.StageDecode, time.Duration(r.TakeDecodeNS()))
+			}
+			s.dispatch(group, w, &sc, sp)
 		}
-
-		s.dispatch(group, w, &sc, sp)
-
-		if s.cfg.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		if sp == nil && groupErr == nil {
+			continue
 		}
-		if groupErr != nil && isProtocolErr(groupErr) {
+		if isProtocolErr(groupErr) {
 			s.countError()
 			w.Write(&wire.Msg{Op: wire.RErr, Err: groupErr.Error()})
 		}
+		// A sampled group is flushed inside its span, so the span covers
+		// reply delivery, where a slow client shows up.
+		flushStart := sp.Begin()
 		ferr := w.Flush()
-		// Finish after the flush so the span's total covers reply
-		// delivery, where a slow client shows up.
+		sp.End(core.StageFlush, flushStart)
 		tr.Finish(sp)
 		if ferr != nil || groupErr != nil {
 			return
@@ -330,20 +351,32 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
+// replyWriter is what a connection's reply buffer writes to, so every
+// call is one write(2) of replies: the flushes serveConn asks for (a
+// flush of an empty buffer makes none) and the ones the buffer makes on
+// its own when a group's replies outgrow it. Each is counted, and each
+// is armed with WriteTimeout — none runs under the deadline a write long
+// ago left behind.
+type replyWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+	m       *obs.Metrics
+}
+
+func (rw replyWriter) Write(p []byte) (int, error) {
+	if rw.timeout > 0 {
+		rw.conn.SetWriteDeadline(time.Now().Add(rw.timeout))
+	}
+	if rw.m != nil {
+		rw.m.Flushes.Inc()
+	}
+	return rw.conn.Write(p)
+}
+
 // isProtocolErr reports whether err is a client-caused framing error that
 // deserves an ERR reply (as opposed to EOF/timeouts/transport failures).
 func isProtocolErr(err error) bool {
 	return errors.Is(err, wire.ErrMalformed) || errors.Is(err, wire.ErrFrameTooLarge)
-}
-
-// replyFatal sends one final ERR frame before the connection closes.
-func (s *Server) replyFatal(conn net.Conn, w *wire.Writer, err error) {
-	s.countError()
-	if s.cfg.WriteTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	}
-	w.Write(&wire.Msg{Op: wire.RErr, Err: err.Error()})
-	w.Flush()
 }
 
 // runKind classifies opcodes into batchable families.
@@ -371,14 +404,16 @@ func classify(op wire.Op) runKind {
 }
 
 // scratch is one connection's batch-assembly buffers, reused across runs
-// and groups: the flattened keys or records of a run and the store's
-// answers for them. wire.Writer.Write copies a reply into its frame
-// buffer before returning, so a run's replies never outlive the run.
+// and groups: the flattened keys or records of a run (or the results of a
+// SCAN), the store's answers for them, and the one Msg every scalar reply
+// is encoded from. wire.Writer.Write encodes a reply into the write buffer
+// before returning, so none of this outlives the call.
 type scratch struct {
 	keys []core.Key
 	recs []core.KV
 	vals []core.Value
 	oks  []bool
+	rep  wire.Msg
 }
 
 // results returns the vals and oks buffers sized to n answers.
@@ -389,6 +424,21 @@ func (sc *scratch) results(n int) ([]core.Value, []bool) {
 	return sc.vals[:n], sc.oks[:n]
 }
 
+// reply encodes one scalar reply — RValue, RNil, ROK or RBool — through
+// sc.rep instead of building a Msg per reply.
+func (sc *scratch) reply(w *wire.Writer, op wire.Op, v core.Value, ok bool) {
+	sc.rep.Op, sc.rep.Val, sc.rep.Ok = op, v, ok
+	w.Write(&sc.rep)
+}
+
+func (sc *scratch) replyGet(w *wire.Writer, v core.Value, ok bool) {
+	if ok {
+		sc.reply(w, wire.RValue, v, false)
+	} else {
+		sc.reply(w, wire.RNil, 0, false)
+	}
+}
+
 // dispatch serves one pipelined group: it slices the group into maximal
 // runs of batchable ops, dispatches each run through the store's batch
 // capabilities, and writes one reply per request in request order. A
@@ -396,10 +446,12 @@ func (sc *scratch) results(n int) ([]core.Value, []bool) {
 // stages (shard/wal/fsync) nest inside it via the core batch helpers.
 func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	m := s.cfg.Metrics
+	var mark time.Time // the last run boundary: one clock read per run, plus one
 	if m != nil {
 		m.Groups.Inc()
 		m.GroupLen.Observe(uint64(len(group)))
 		m.Requests.Add(uint64(len(group)))
+		mark = time.Now()
 	}
 	defer sp.End(core.StageDispatch, sp.Begin())
 	for i := 0; i < len(group); {
@@ -409,7 +461,6 @@ func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sc *scratch, sp *cor
 			j++
 		}
 		run := group[i:j]
-		start := time.Now()
 		switch kind {
 		case runRead:
 			s.serveReads(run, w, sc, sp)
@@ -418,12 +469,14 @@ func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sc *scratch, sp *cor
 		case runDel:
 			s.serveDeletes(run, w, sc, sp)
 		default:
-			s.serveSolo(&run[0], w, sp)
+			s.serveSolo(&run[0], w, sc, sp)
 		}
 		if m != nil {
 			// Attribute the run's latency to each request in it, into the
 			// op-family histogram.
-			lat := uint64(time.Since(start)) / uint64(len(run))
+			now := time.Now()
+			lat := uint64(now.Sub(mark)) / uint64(len(run))
+			mark = now
 			var h *obs.Histogram
 			switch kind {
 			case runRead:
@@ -454,7 +507,7 @@ func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sc *scratch, sp *cor
 			s.cfg.Tracer.TouchKey(run[0].Key)
 		}
 		v, ok := s.store.Get(run[0].Key)
-		s.writeGetReply(w, v, ok)
+		sc.replyGet(w, v, ok)
 		return
 	}
 	keys := sc.keys[:0]
@@ -475,21 +528,13 @@ func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sc *scratch, sp *cor
 	off := 0
 	for i := range run {
 		if run[i].Op == wire.OpGet {
-			s.writeGetReply(w, vals[off], oks[off])
+			sc.replyGet(w, vals[off], oks[off])
 			off++
 			continue
 		}
 		n := len(run[i].Keys)
 		w.Write(&wire.Msg{Op: wire.RValues, Vals: vals[off : off+n], Oks: oks[off : off+n]})
 		off += n
-	}
-}
-
-func (s *Server) writeGetReply(w *wire.Writer, v core.Value, ok bool) {
-	if ok {
-		w.Write(&wire.Msg{Op: wire.RValue, Val: v})
-	} else {
-		w.Write(&wire.Msg{Op: wire.RNil})
 	}
 }
 
@@ -524,7 +569,7 @@ func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sc *scratch, sp *co
 		return
 	}
 	for range run {
-		w.Write(&wire.Msg{Op: wire.ROK})
+		sc.reply(w, wire.ROK, 0, false)
 	}
 }
 
@@ -542,29 +587,29 @@ func (s *Server) serveDeletes(run []wire.Msg, w *wire.Writer, sc *scratch, sp *c
 		return
 	}
 	for _, ok := range oks {
-		w.Write(&wire.Msg{Op: wire.RBool, Ok: ok})
+		sc.reply(w, wire.RBool, 0, ok)
 	}
 }
 
 // serveSolo answers the non-batchable opcodes.
-func (s *Server) serveSolo(m *wire.Msg, w *wire.Writer, sp *core.Span) {
+func (s *Server) serveSolo(m *wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	switch m.Op {
 	case wire.OpPing:
-		w.Write(&wire.Msg{Op: wire.ROK})
+		sc.reply(w, wire.ROK, 0, false)
 	case wire.OpScan:
 		limit := s.cfg.MaxScan
 		if m.Limit > 0 && int(m.Limit) < limit {
 			limit = int(m.Limit)
 		}
-		var recs []core.KV
+		recs := sc.recs[:0]
 		if m.Lo <= m.Hi {
 			scanStart := sp.Begin()
-			recs = make([]core.KV, 0, 16)
 			s.store.Range(m.Lo, m.Hi, func(k core.Key, v core.Value) bool {
 				recs = append(recs, core.KV{Key: k, Value: v})
 				return len(recs) < limit
 			})
 			sp.End(core.StageShard, scanStart)
+			sc.recs = recs
 		}
 		// A reply too large for one frame streams as RKVsPart chunks
 		// closed by the final RKVs: payload is 5 header bytes + 16 per

@@ -85,39 +85,36 @@ func (c *Client) do(reqs []Msg, reps []Msg) ([]Msg, error) {
 	}
 	reps = reps[:0]
 	for range reqs {
-		m, err := c.readReply()
-		if err != nil {
+		reps = append(reps, Msg{})
+		if err := c.readReply(&reps[len(reps)-1]); err != nil {
 			return nil, err
 		}
-		reps = append(reps, m)
 	}
 	return reps, nil
 }
 
-// readReply reads one logical reply: a chunked SCAN answer (RKVsPart
-// frames closed by a final RKVs) is reassembled into a single RKVs
-// message, so Pipeline callers still see one reply per request.
-func (c *Client) readReply() (Msg, error) {
-	m, err := c.r.Read()
-	if err != nil || m.Op != RKVsPart {
-		return m, err
+// readReply reads one logical reply into *m: a chunked SCAN answer
+// (RKVsPart frames closed by a final RKVs) is reassembled into a single
+// RKVs message, so Pipeline callers still see one reply per request.
+func (c *Client) readReply(m *Msg) error {
+	if err := c.r.ReadInto(m); err != nil || m.Op != RKVsPart {
+		return err
 	}
 	recs := m.Recs
 	for {
-		m, err = c.r.Read()
-		if err != nil {
-			return Msg{}, err
+		if err := c.r.ReadInto(m); err != nil {
+			return err
 		}
 		switch m.Op {
 		case RKVsPart:
 			recs = append(recs, m.Recs...)
 		case RKVs:
 			m.Recs = append(recs, m.Recs...)
-			return m, nil
+			return nil
 		default:
 			// The stream is desynchronized: a chunk sequence must end in
 			// RKVs before any other reply.
-			return Msg{}, fmt.Errorf("%w: %s interrupts a chunked %s reply", ErrMalformed, m.Op, RKVs)
+			return fmt.Errorf("%w: %s interrupts a chunked %s reply", ErrMalformed, m.Op, RKVs)
 		}
 	}
 }

@@ -64,3 +64,32 @@ func FuzzWireDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReaderStream throws arbitrary bytes at the Reader as a *stream* —
+// any number of frames, whole or cut short, fragmented by the transport in
+// a pattern the input also chooses — through read buffers small enough
+// that frames straddle their end or exceed them. The invariant is
+// checkStream's: the in-place Reader yields exactly the messages and
+// errors that Decode yields on a copy of each payload, ends on io.EOF,
+// io.ErrUnexpectedEOF or ErrFrameTooLarge exactly where an index walk of
+// the bytes does, and never goes to the transport for a frame it reported
+// as buffered.
+func FuzzReaderStream(f *testing.F) {
+	f.Add(mixedStream(f, 5), []byte{3, 1, 7}, uint8(48))
+	f.Add(mixedStream(f, 40), []byte{255}, uint8(0))
+	f.Add([]byte{0, 0, 0, 9, 0x01, 0, 0, 0, 0, 0, 0, 0, 42, 0, 0}, []byte{1}, uint8(0)) // GET, then half a header
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01}, []byte{2}, uint8(16))                   // 4 GiB prefix
+	f.Add([]byte{0, 0, 1, 1}, []byte{}, uint8(1))                                       // prefix one past the guard
+	f.Fuzz(func(t *testing.T, stream, chunks []byte, buf uint8) {
+		sizes := []int{1 << 30} // no chunks: whatever the reader asks for
+		if len(chunks) > 0 {
+			sizes = sizes[:0]
+		}
+		for _, c := range chunks {
+			sizes = append(sizes, 1+int(c))
+		}
+		// bufio's minimum buffer is 16 bytes; 256 is the frame guard, so
+		// buffers run from far below it to well above.
+		checkStream(t, stream, 256, 16+2*int(buf), sizes)
+	})
+}

@@ -256,10 +256,22 @@ func payloadLen(m *Msg) int {
 // match the payload length exactly, so a malicious count can never drive
 // an allocation past the payload the caller already bounded.
 func Decode(payload []byte) (Msg, error) {
-	if len(payload) == 0 {
-		return Msg{}, fmt.Errorf("%w: empty payload", ErrMalformed)
+	var m Msg
+	if err := decodeInto(&m, payload); err != nil {
+		return Msg{}, err
 	}
-	m := Msg{Op: Op(payload[0])}
+	return m, nil
+}
+
+// decodeInto is the one decoder, behind Decode and Reader.ReadInto. It
+// overwrites every field of *m and keeps no reference to payload: scalar
+// fields are copied out, the MGET/MSET/VALUES/KVS slices and the ERR
+// string are freshly allocated. On error *m holds a partial decode.
+func decodeInto(m *Msg, payload []byte) error {
+	if len(payload) == 0 {
+		return fmt.Errorf("%w: empty payload", ErrMalformed)
+	}
+	*m = Msg{Op: Op(payload[0])}
 	body := payload[1:]
 	fixed := func(n int) error {
 		if len(body) != n {
@@ -282,19 +294,19 @@ func Decode(payload []byte) (Msg, error) {
 	switch m.Op {
 	case OpGet, OpDel:
 		if err := fixed(8); err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Key = binary.BigEndian.Uint64(body)
 	case OpSet:
 		if err := fixed(16); err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Key = binary.BigEndian.Uint64(body)
 		m.Val = binary.BigEndian.Uint64(body[8:])
 	case OpMGet:
 		n, err := counted(8)
 		if err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Keys = make([]core.Key, n)
 		for i := range m.Keys {
@@ -303,7 +315,7 @@ func Decode(payload []byte) (Msg, error) {
 	case OpMSet, RKVs, RKVsPart:
 		n, err := counted(16)
 		if err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Recs = make([]core.KV, n)
 		for i := range m.Recs {
@@ -312,39 +324,39 @@ func Decode(payload []byte) (Msg, error) {
 		}
 	case OpScan:
 		if err := fixed(20); err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Lo = binary.BigEndian.Uint64(body)
 		m.Hi = binary.BigEndian.Uint64(body[8:])
 		m.Limit = binary.BigEndian.Uint32(body[16:])
 	case OpPing, RNil, ROK:
 		if err := fixed(0); err != nil {
-			return Msg{}, err
+			return err
 		}
 	case RValue:
 		if err := fixed(8); err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Val = binary.BigEndian.Uint64(body)
 	case RBool:
 		if err := fixed(1); err != nil {
-			return Msg{}, err
+			return err
 		}
 		if body[0] > 1 {
-			return Msg{}, fmt.Errorf("%w: BOOL byte 0x%02x", ErrMalformed, body[0])
+			return fmt.Errorf("%w: BOOL byte 0x%02x", ErrMalformed, body[0])
 		}
 		m.Ok = body[0] == 1
 	case RValues:
 		n, err := counted(9)
 		if err != nil {
-			return Msg{}, err
+			return err
 		}
 		m.Vals = make([]core.Value, n)
 		m.Oks = make([]bool, n)
 		for i := range m.Vals {
 			b := body[9*i]
 			if b > 1 {
-				return Msg{}, fmt.Errorf("%w: VALUES ok byte 0x%02x", ErrMalformed, b)
+				return fmt.Errorf("%w: VALUES ok byte 0x%02x", ErrMalformed, b)
 			}
 			m.Oks[i] = b == 1
 			m.Vals[i] = binary.BigEndian.Uint64(body[9*i+1:])
@@ -352,21 +364,21 @@ func Decode(payload []byte) (Msg, error) {
 	case RErr:
 		m.Err = string(body)
 	default:
-		return Msg{}, fmt.Errorf("%w: unknown opcode 0x%02x", ErrMalformed, payload[0])
+		return fmt.Errorf("%w: unknown opcode 0x%02x", ErrMalformed, payload[0])
 	}
-	return m, nil
+	return nil
 }
 
 // Reader decodes frames from a stream, enforcing the max-frame guard
-// before any payload allocation. It buffers the underlying stream; use
-// FrameBuffered to drain already-received pipelined frames without
-// blocking.
+// before any payload allocation. It buffers the underlying stream and
+// decodes a frame where it landed in that buffer; use FrameBuffered to
+// drain already-received pipelined frames without blocking.
 type Reader struct {
 	br  *bufio.Reader
 	max int
-	buf []byte // reused payload buffer
+	buf []byte // payload copy of a frame larger than br's buffer, reused
 
-	// Decode timing for request tracing: when enabled, Read accumulates
+	// Decode timing for request tracing: when enabled, a read accumulates
 	// the time spent parsing payloads (io wait excluded — the tracer
 	// wants CPU attribution, not how long the client took to send).
 	timing   bool
@@ -374,7 +386,7 @@ type Reader struct {
 }
 
 // SetTiming enables or disables decode timing. Off (the default) costs
-// nothing; on, each Read adds one monotonic-clock pair around Decode.
+// nothing; on, each read adds one monotonic-clock pair around the decode.
 func (r *Reader) SetTiming(on bool) { r.timing = on }
 
 // TakeDecodeNS returns the decode nanoseconds accumulated since the last
@@ -395,37 +407,73 @@ func NewReader(r io.Reader, maxFrame int) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 64<<10), max: maxFrame}
 }
 
-// Read reads and decodes the next frame, blocking until one arrives. A
-// length prefix past the guard returns ErrFrameTooLarge without reading
-// (or allocating) the payload. The returned Msg's slices are freshly
-// allocated and remain valid after the next Read; the scalar decode path
-// is allocation-free.
-func (r *Reader) Read() (Msg, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
-		return Msg{}, err
+// Read is ReadInto returning the message by value (the zero Msg on
+// error). The result is named so the frame decodes into the caller's slot
+// and is not copied on return.
+func (r *Reader) Read() (m Msg, err error) {
+	if err = r.ReadInto(&m); err != nil {
+		m = Msg{}
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > r.max {
-		return Msg{}, fmt.Errorf("%w: %d bytes, max %d", ErrFrameTooLarge, n, r.max)
-	}
-	if cap(r.buf) < n {
-		r.buf = make([]byte, n)
-	}
-	buf := r.buf[:n]
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	return m, err
+}
+
+// ReadInto reads the next frame and decodes it into *m, blocking until one
+// arrives; on error the contents of *m are unspecified. A length prefix
+// past the guard returns ErrFrameTooLarge with nothing consumed and
+// nothing allocated; a payload that does not decode returns ErrMalformed
+// with the frame consumed. The frame is parsed in place in the read buffer
+// (a frame larger than that buffer is copied out first) and the view dies
+// with the call: *m owns nothing of it. Scalar frames allocate nothing
+// (TestReaderWriterAllocs); the slices of an MGET/MSET/VALUES/KVS message
+// are fresh and stay valid after the next read.
+func (r *Reader) ReadInto(m *Msg) error {
+	hdr, err := r.br.Peek(HeaderLen)
+	if err != nil {
+		if len(hdr) > 0 {
+			err = midFrame(err)
 		}
-		return Msg{}, err
+		return err
 	}
-	if r.timing {
-		t0 := time.Now()
-		m, err := Decode(buf)
-		r.decodeNS += time.Since(t0).Nanoseconds()
-		return m, err
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > r.max {
+		return fmt.Errorf("%w: %d bytes, max %d", ErrFrameTooLarge, n, r.max)
 	}
-	return Decode(buf)
+	var payload []byte
+	if total := HeaderLen + n; total <= r.br.Size() {
+		frame, err := r.br.Peek(total)
+		if err != nil {
+			return midFrame(err)
+		}
+		payload = frame[HeaderLen:]
+		// Discard only moves the read offset: payload stays intact until
+		// the next call that fills the buffer, which is after the decode.
+		r.br.Discard(total)
+	} else {
+		r.br.Discard(HeaderLen)
+		if cap(r.buf) < n {
+			r.buf = make([]byte, n)
+		}
+		payload = r.buf[:n]
+		if _, err := io.ReadFull(r.br, payload); err != nil {
+			return midFrame(err)
+		}
+	}
+	if !r.timing {
+		return decodeInto(m, payload)
+	}
+	t0 := time.Now()
+	err = decodeInto(m, payload)
+	r.decodeNS += time.Since(t0).Nanoseconds()
+	return err
+}
+
+// midFrame is the error of a read that stopped inside a frame: the
+// stream's EOF there is unexpected, anything else is itself.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // FrameBuffered reports whether a complete frame is already buffered, so
@@ -456,7 +504,7 @@ func (r *Reader) FrameBuffered() bool {
 type Writer struct {
 	bw  *bufio.Writer
 	max int
-	buf []byte // reused encode buffer
+	buf []byte // encode buffer of a frame larger than the space left in bw, reused
 }
 
 // NewWriter returns a Writer over w with the given frame-size guard
@@ -468,17 +516,28 @@ func NewWriter(w io.Writer, maxFrame int) *Writer {
 	return &Writer{bw: bufio.NewWriterSize(w, 64<<10), max: maxFrame}
 }
 
-// Write encodes m into the buffer. The bytes reach the stream on Flush
-// (or when the buffer fills).
+// Write encodes m into the buffer, in place: the frame is appended to the
+// buffer's own free space, with no copy and no allocation, unless it does
+// not fit there. The bytes reach the stream on Flush (or when the buffer
+// fills).
 func (w *Writer) Write(m *Msg) error {
-	b, err := AppendFrame(w.buf[:0], m, w.max)
-	w.buf = b[:0]
+	dst := w.bw.AvailableBuffer()
+	if n := HeaderLen + payloadLen(m); n > cap(dst) && n <= HeaderLen+w.max {
+		if cap(w.buf) < n {
+			w.buf = make([]byte, 0, n)
+		}
+		dst = w.buf
+	}
+	b, err := AppendFrame(dst, m, w.max)
 	if err != nil {
 		return err
 	}
 	_, err = w.bw.Write(b)
 	return err
 }
+
+// Buffered returns the number of encoded bytes waiting for Flush.
+func (w *Writer) Buffered() int { return w.bw.Buffered() }
 
 // Flush writes the buffered frames to the underlying stream.
 func (w *Writer) Flush() error { return w.bw.Flush() }

@@ -17,7 +17,7 @@ type (
 	// Span is the per-stage timeline of one sampled request group.
 	Span = core.Span
 	// TraceStage identifies one timed section of a request's path
-	// (decode, dispatch, shard, wal, fsync).
+	// (decode, dispatch, shard, wal, fsync, flush).
 	TraceStage = core.Stage
 	// TraceConfig tunes NewTracer.
 	TraceConfig = trace.Config
@@ -33,6 +33,7 @@ const (
 	StageShard    = core.StageShard
 	StageWAL      = core.StageWAL
 	StageFsync    = core.StageFsync
+	StageFlush    = core.StageFlush
 )
 
 // NewTracer returns a Tracer for cfg; see TraceConfig for the sampling,
