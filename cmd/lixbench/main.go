@@ -24,7 +24,8 @@
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare
 //	lixbench -e spatial   # flood rectangle search >= 3.1x the STR R-tree
-//	lixbench -e wire      # GETs over one loopback connection >= 0.27x in-process LookupBatch
+//	lixbench -e wire      # GETs over one loopback connection >= 0.27x in-process LookupBatch;
+//	                      # mixed groups over a durable stack >= 0.59x an in-memory one, <= 1 log write per group
 //	lixbench -e gates     # all eight
 //
 // Nothing here compares two revisions: that is the repo benchmark's job

@@ -11,8 +11,9 @@ import (
 	"github.com/lix-go/lix/internal/store"
 )
 
-// Durable is a crash-safe index: every mutation is written ahead to a
-// segmented log before it is applied in memory, and background
+// Durable is a crash-safe index: every mutation is framed into an
+// append-only log as it is applied in memory and the log is committed
+// before the mutation is acknowledged, and background
 // checkpoints rotate the log and flush the retired part's delta into an
 // immutable sorted run (O(delta), never a rewrite of the dataset), with a
 // size-tiered compactor keeping the run count bounded. Open recovers the
@@ -46,9 +47,10 @@ type DurableOptions struct {
 	// Kind is the in-memory index kind, one of Mutable1DKinds ("" selects
 	// "btree"). With Shards > 0 it is the per-shard backend.
 	Kind string
-	// Shards, when positive, serves through the sharded concurrent layer
-	// with one WAL segment per shard (parallel group commit and parallel
-	// recovery). Zero serves through a single index and WAL segment.
+	// Shards, when positive, serves through the sharded concurrent layer:
+	// writers of different shards log and apply beside each other, into
+	// the one log whose commits they share. Zero serves through a single
+	// index, its writes serialized.
 	Shards int
 	// Fsync selects WAL durability (default FsyncAlways).
 	Fsync SyncPolicy

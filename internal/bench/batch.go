@@ -42,7 +42,7 @@ func batchSystems(cfg Config) []batchSystem {
 		},
 		{
 			// The headline case: under FsyncAlways a batch is one WAL frame
-			// group and one group commit per touched segment, so throughput
+			// group and one commit of the log, so throughput
 			// should scale roughly linearly with batch size.
 			name:    "durable-fsync",
 			durable: true,

@@ -27,6 +27,15 @@ var (
 	_ batchCaps = (*lix.Stack)(nil)
 )
 
+// The commit capability must reach the server through every layer above
+// the store: a wrapper that drops it sends the server back to one log
+// write per write run.
+var (
+	_ core.Committer = (*lix.Durable)(nil)
+	_ core.Committer = (*lix.ObservedMutableIndex)(nil)
+	_ core.Committer = (*lix.Stack)(nil)
+)
+
 // TestBatchEquivalence drives every registered 1-D factory — including
 // the layered durable-* and sharded-* configurations — through the
 // batched dispatch surface and demands state equivalence with the
@@ -139,7 +148,7 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 	}
 	wals, err := filepath.Glob(filepath.Join(dir, "wal-*-000.lix"))
 	if err != nil || len(wals) == 0 {
-		t.Fatalf("no WAL segment found: %v (%v)", wals, err)
+		t.Fatalf("no WAL file found: %v (%v)", wals, err)
 	}
 	wal := wals[len(wals)-1] // lexicographically largest generation
 	walData, err := os.ReadFile(wal)
@@ -191,8 +200,8 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 
 // TestDurableBatchFsyncAmortization is the issue's measurable claim:
 // under FsyncAlways, inserting N records through one InsertBatch issues
-// at least 10x fewer fsyncs than N single Puts (group commit collapses
-// the whole batch into one fsync per touched segment).
+// at least 10x fewer fsyncs than N single Puts (the batch is one commit
+// of the log: one write, one fsync).
 func TestDurableBatchFsyncAmortization(t *testing.T) {
 	n := 1000
 	if testing.Short() {

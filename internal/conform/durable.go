@@ -42,7 +42,7 @@ func durableOpts(shards, checkpointEvery int) lix.DurableOptions {
 }
 
 // durableConfigs are the durable configurations under conformance: the
-// WAL unsharded and with one segment per shard, each at two flush
+// store unsharded and with one write segment per shard, each at two flush
 // cadences. At 2000 records a replay crosses a rotation or two; at 300
 // (the "-lsm" names, which once selected a second engine) it stacks enough
 // runs that compaction and tombstone dropping run under the check too.

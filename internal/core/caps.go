@@ -47,6 +47,23 @@ type BatchDeleter interface {
 	DeleteBatch(keys []Key, oks []bool, sp *Span) error
 }
 
+// Committer is the capability of a store that logs a write into a buffer
+// when it applies it and writes the buffer out when somebody commits.
+// InsertBatch and DeleteBatch commit before they return; the Uncommitted
+// forms are the same calls without that step, for a caller that batches
+// many writes behind one commit and withholds every acknowledgement — and
+// every answer that may show such a write — until Commit has returned nil:
+// the serving layer, which commits once per reply flush. Commit makes the
+// whole log up to its current end durable (as durable as the store's sync
+// policy makes any write), its write and fsync landing in sp's wal and
+// fsync stages; its error is the store's latched one, and the writes it
+// failed to log stay visible in memory, unacknowledged.
+type Committer interface {
+	InsertUncommitted(recs []KV, sp *Span) error
+	DeleteUncommitted(keys []Key, oks []bool, sp *Span) error
+	Commit(sp *Span) error
+}
+
 // RangeSearcher collects every record with lo <= key <= hi into a slice
 // in ascending key order. Implementations must return a non-nil slice
 // (empty result => empty slice), the façade-wide normalization.
@@ -115,6 +132,33 @@ func DeleteBatch(ix Deleter, keys []Key, oks []bool, sp *Span) error {
 	defer sp.End(StageShard, sp.Begin())
 	for i, k := range keys {
 		oks[i] = ix.Delete(k)
+	}
+	return nil
+}
+
+// InsertUncommitted is InsertBatch through ix's Committer capability when
+// present — the batch is applied and logged, the commit left to Commit —
+// else InsertBatch itself, which leaves nothing to commit.
+func InsertUncommitted(ix Inserter, recs []KV, sp *Span) error {
+	if c, ok := ix.(Committer); ok {
+		return c.InsertUncommitted(recs, sp)
+	}
+	return InsertBatch(ix, recs, sp)
+}
+
+// DeleteUncommitted is DeleteBatch the same way.
+func DeleteUncommitted(ix Deleter, keys []Key, oks []bool, sp *Span) error {
+	if c, ok := ix.(Committer); ok {
+		return c.DeleteUncommitted(keys, oks, sp)
+	}
+	return DeleteBatch(ix, keys, oks, sp)
+}
+
+// Commit commits what the Uncommitted calls on ix left buffered; a no-op
+// on an index without the capability.
+func Commit(ix any, sp *Span) error {
+	if c, ok := ix.(Committer); ok {
+		return c.Commit(sp)
 	}
 	return nil
 }

@@ -56,8 +56,14 @@ type Metrics struct {
 	Window Histogram
 
 	// FsyncNS is the WAL fsync-latency histogram in nanoseconds, fed by
-	// the durable storage layer's group commits.
-	FsyncNS Histogram
+	// the durable storage layer's group commits. WALWrites counts the
+	// write(2) calls that carried log records to the file and WALBytes
+	// their bytes: against Requests and Groups they give log writes per
+	// request and per group, against the run bytes below the write
+	// amplification.
+	FsyncNS   Histogram
+	WALWrites Counter
+	WALBytes  Counter
 
 	// Per-stage request-span histograms in nanoseconds, fed by
 	// internal/trace for sampled serving request groups: frame parse
@@ -86,9 +92,17 @@ type Metrics struct {
 	// lookup through its run, so 0 until then); FilterFPRPpm is the
 	// measured false-positive rate of the newest such filter in parts per
 	// million (a gauge because FPR is a level, not a flow).
+	//
+	// FlushNS/FlushBytes and CompactNS/CompactBytes are the background
+	// half of the write path: wall time spent in memtable flushes and in
+	// compactions, and the bytes of the run files each wrote.
 	FilterProbes Counter
 	FilterSkips  Counter
 	FilterFPs    Counter
+	FlushNS      Counter
+	FlushBytes   Counter
+	CompactNS    Counter
+	CompactBytes Counter
 	LSMRuns      Gauge
 	LSMRunBytes  Gauge
 	LSMTombs     Gauge
@@ -273,6 +287,8 @@ var counterNames = []string{
 	"lookups", "hits", "inserts", "deletes", "ranges", "batches",
 	"requests", "errors", "groups", "flushes", "page_hits", "page_misses",
 	"lsm_filter_probes", "lsm_filter_skips", "lsm_filter_false_positives",
+	"wal_writes", "wal_bytes",
+	"lsm_flush_ns", "lsm_flush_bytes", "lsm_compaction_ns", "lsm_compaction_bytes",
 }
 
 // histNames fixes the rendering order of the histogram set.
@@ -322,6 +338,18 @@ func (m *Metrics) counter(name string) *Counter {
 		return &m.FilterSkips
 	case "lsm_filter_false_positives":
 		return &m.FilterFPs
+	case "wal_writes":
+		return &m.WALWrites
+	case "wal_bytes":
+		return &m.WALBytes
+	case "lsm_flush_ns":
+		return &m.FlushNS
+	case "lsm_flush_bytes":
+		return &m.FlushBytes
+	case "lsm_compaction_ns":
+		return &m.CompactNS
+	case "lsm_compaction_bytes":
+		return &m.CompactBytes
 	}
 	return nil
 }

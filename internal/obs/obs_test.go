@@ -322,6 +322,18 @@ lix_lsm_filter_probes_total{index="t"} 100
 lix_lsm_filter_skips_total{index="t"} 93
 # TYPE lix_lsm_filter_false_positives_total counter
 lix_lsm_filter_false_positives_total{index="t"} 2
+# TYPE lix_wal_writes_total counter
+lix_wal_writes_total{index="t"} 0
+# TYPE lix_wal_bytes_total counter
+lix_wal_bytes_total{index="t"} 0
+# TYPE lix_lsm_flush_ns_total counter
+lix_lsm_flush_ns_total{index="t"} 0
+# TYPE lix_lsm_flush_bytes_total counter
+lix_lsm_flush_bytes_total{index="t"} 0
+# TYPE lix_lsm_compaction_ns_total counter
+lix_lsm_compaction_ns_total{index="t"} 0
+# TYPE lix_lsm_compaction_bytes_total counter
+lix_lsm_compaction_bytes_total{index="t"} 0
 # TYPE lix_conns gauge
 lix_conns{index="t"} 0
 # TYPE lix_lsm_runs gauge

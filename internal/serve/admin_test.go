@@ -350,8 +350,9 @@ func TestWriteErrorsReachTheClient(t *testing.T) {
 // TestSlowRequestTimelineE2E is the acceptance pin for span visibility:
 // a sampled pipelined write group against a durable sharded stack must
 // leave an EvSlowRequest event whose detail carries the full stage
-// timeline — decode, dispatch, shard, wal, fsync and the reply flush —
-// and /metrics' flushes counter must account for the delivery.
+// timeline — decode, dispatch, shard, wal, fsync and the reply flush (the
+// fsync is the commit's, in front of the group's replies inside its
+// flush) — and /metrics' flushes counter must account for the delivery.
 func TestSlowRequestTimelineE2E(t *testing.T) {
 	m := lix.NewMetrics("slow-e2e")
 	stack, err := lix.NewStack([]lix.KV{}, lix.StackConfig{
@@ -378,7 +379,8 @@ func TestSlowRequestTimelineE2E(t *testing.T) {
 	defer c.Close()
 
 	// One pipelined write group: decode (parse), dispatch (group), wal +
-	// shard apply + fsync (durable insert) all get span time.
+	// shard apply (durable insert) and fsync (the commit at the flush) all
+	// get span time.
 	reqs := make([]wire.Msg, 16)
 	for i := range reqs {
 		reqs[i] = wire.Msg{Op: wire.OpSet, Key: core.Key(i), Val: core.Value(i)}
@@ -433,6 +435,95 @@ func TestSlowRequestTimelineE2E(t *testing.T) {
 	// one flush per group here.
 	if g, f := m.Groups.Load(), m.Flushes.Load(); int(g) != len(groups) || f != g {
 		t.Errorf("groups = %d, flushes = %d, want %d of each", g, f, len(groups))
+	}
+}
+
+// TestSampledDurableGroupCoversItsWallTime: the top-level stages of a
+// sampled group over a durable stack — decode, dispatch and flush, which
+// between them cover the store's shard, wal and fsync work, the commit in
+// front of the replies included — account for at least 90 % of the group's
+// wall time. A commit made outside the flush the span times, or a stage
+// that stopped following the work, shows as a hole.
+func TestSampledDurableGroupCoversItsWallTime(t *testing.T) {
+	m := lix.NewMetrics("span-coverage")
+	stack, err := lix.NewStack([]lix.KV{}, lix.StackConfig{
+		Dir: t.TempDir(), Shards: 2, Fsync: lix.FsyncAlways, Metrics: m,
+		Trace: &lix.TraceOptions{SampleRate: 1, SlowThreshold: time.Nanosecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, stack, serve.Config{Metrics: m, Tracer: stack.Tracer(), CloseStore: true})
+	defer srv.Shutdown()
+	c, err := wire.DialTimeout(srv.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	reqs := make([]wire.Msg, 64)
+	for i := range reqs {
+		k := core.Key(i % 24)
+		switch i % 4 {
+		case 0, 1:
+			reqs[i] = wire.Msg{Op: wire.OpSet, Key: k, Val: core.Value(i)}
+		case 2:
+			reqs[i] = wire.Msg{Op: wire.OpGet, Key: k}
+		default:
+			reqs[i] = wire.Msg{Op: wire.OpDel, Key: k}
+		}
+	}
+	for round := 0; round < 8; round++ {
+		if _, err := c.Pipeline(reqs, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The last group's span is finished after its replies are sent.
+	var events []lix.Event
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		events = events[:0]
+		ops := 0
+		for _, ev := range m.Events.Recent(256) {
+			if ev.Type == lix.EvSlowRequest {
+				var n int
+				fmt.Sscanf(ev.Detail, "ops=%d ", &n)
+				ops += n
+				events = append(events, ev)
+			}
+		}
+		if ops == 8*len(reqs) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("slow-request events cover %d of %d requests", ops, 8*len(reqs))
+		}
+	}
+	committed := 0
+	for _, ev := range events {
+		stage := map[string]time.Duration{}
+		for _, field := range strings.Fields(ev.Detail)[1:] {
+			name, val, _ := strings.Cut(field, "=")
+			d, err := time.ParseDuration(val)
+			if err != nil {
+				t.Fatalf("timeline field %q of %q: %v", field, ev.Detail, err)
+			}
+			stage[name] = d
+		}
+		top := stage["decode"] + stage["dispatch"] + stage["flush"]
+		if total := stage["total"]; top < total*9/10 || top > total {
+			t.Errorf("decode+dispatch+flush = %v of total %v, want 90-100 %%: %s", top, total, ev.Detail)
+		}
+		if stage["fsync"] > stage["flush"] {
+			t.Errorf("fsync time outside the flush: %s", ev.Detail)
+		}
+		if stage["fsync"] > 0 && stage["wal"] > 0 {
+			committed++
+		}
+	}
+	// TCP may cut a pipeline into more groups than rounds, some without a
+	// write; most have one, and its commit must show.
+	if committed < 8 {
+		t.Errorf("%d of %d groups show a commit's wal and fsync time, want at least 8", committed, len(events))
 	}
 }
 

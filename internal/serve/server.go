@@ -17,9 +17,14 @@
 // in request order into the connection's write buffer and flushed before
 // the handler next blocks on a read — or earlier, once coalesceBytes of
 // them are pending: while complete frames keep arriving, a burst of short
-// groups shares one write(2). A SCAN whose result set exceeds the frame
-// guard streams as wire.RKVsPart chunks closed by a final RKVs, still one
-// logical reply in order.
+// groups shares one write(2). Over a store with the core.Committer
+// capability (a durable stack) the write runs are applied and logged
+// uncommitted, and every write of replies to a socket commits the store's
+// log first (replyWriter): no reply byte — an acknowledgement, or a GET on
+// any connection that saw the value — leaves before the log holds every
+// record applied so far, at one log write per reply flush. A SCAN whose
+// result set exceeds the frame guard streams as wire.RKVsPart chunks closed
+// by a final RKVs, still one logical reply in order.
 //
 // Pipelined semantics are sequential: a request observes every earlier
 // request on the same connection. Run grouping preserves this because
@@ -144,6 +149,10 @@ func (c *Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	store Store
+	// commit is the store's commit capability, nil when it keeps no log to
+	// commit: then writes are durable (as far as they ever are) when the
+	// batch call returns, and replies need nothing in front of them.
+	commit core.Committer
 
 	ln       net.Listener
 	mu       sync.Mutex
@@ -155,7 +164,9 @@ type Server struct {
 
 // New returns an unstarted server over store.
 func New(store Store, cfg Config) *Server {
-	return &Server{cfg: cfg.withDefaults(), store: store, conns: make(map[net.Conn]struct{})}
+	s := &Server{cfg: cfg.withDefaults(), store: store, conns: make(map[net.Conn]struct{})}
+	s.commit, _ = store.(core.Committer)
+	return s
 }
 
 // Start binds the listen address and begins accepting connections. It
@@ -218,6 +229,16 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// refuse sends conn one ERR frame, straight to the socket and bounded by a
+// second, and counts it; the caller closes the connection.
+func (s *Server) refuse(conn net.Conn, why string) {
+	s.countError()
+	w := wire.NewWriter(conn, s.cfg.MaxFrame)
+	conn.SetWriteDeadline(time.Now().Add(time.Second))
+	w.Write(&wire.Msg{Op: wire.RErr, Err: why})
+	w.Flush()
+}
+
 // track registers conn, enforcing MaxConns and the draining gate.
 func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
@@ -269,20 +290,31 @@ func (s *Server) serveConn(conn net.Conn) {
 		tc.SetNoDelay(true)
 	}
 	r := wire.NewReader(conn, s.cfg.MaxFrame)
-	w := wire.NewWriter(replyWriter{conn, s.cfg.WriteTimeout, s.cfg.Metrics}, s.cfg.MaxFrame)
+	rw := &replyWriter{conn: conn, timeout: s.cfg.WriteTimeout, m: s.cfg.Metrics, commit: s.commit}
+	w := wire.NewWriter(rw, s.cfg.MaxFrame)
 	group := make([]wire.Msg, 0, 64)
-	var sc scratch
+	sc := scratch{out: rw}
 	tr := s.cfg.Tracer
+	// flush delivers the pending replies and reports whether the connection
+	// lives on. When the commit in front of the write failed while write
+	// acknowledgements were pending, the replies are dropped — none of them
+	// may leave — and the client is told why instead.
+	flush := func() bool {
+		err := w.Flush()
+		var ce commitError
+		if errors.As(err, &ce) {
+			s.refuse(conn, ce.Error())
+		}
+		return err == nil
+	}
 
 	for {
 		// With a complete frame buffered the next read cannot block, so
 		// the replies pending may wait for that group's and no read
 		// deadline is needed.
 		more := r.FrameBuffered()
-		if !more || w.Buffered() >= coalesceBytes {
-			if w.Flush() != nil {
-				return
-			}
+		if (!more || w.Buffered() >= coalesceBytes) && !flush() {
+			return
 		}
 		// Deadline first, drain check second: Shutdown sets draining and
 		// then stamps an immediate read deadline on every connection, so
@@ -292,7 +324,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 		}
 		if s.draining.Load() {
-			w.Flush()
+			flush()
 			return
 		}
 		// One atomic load per group decides whether this iteration pays
@@ -329,6 +361,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				// Drained unconditionally so an unsampled group's parse time
 				// cannot leak into the next sampled one.
 				sp.Add(core.StageDecode, time.Duration(r.TakeDecodeNS()))
+				rw.sp = sp // the commits in front of this group's replies are its wal and fsync time
 			}
 			s.dispatch(group, w, &sc, sp)
 		}
@@ -340,12 +373,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			w.Write(&wire.Msg{Op: wire.RErr, Err: groupErr.Error()})
 		}
 		// A sampled group is flushed inside its span, so the span covers
-		// reply delivery, where a slow client shows up.
+		// the commit of its writes (the wal and fsync stages, inside flush)
+		// and reply delivery, where a slow client shows up.
 		flushStart := sp.Begin()
-		ferr := w.Flush()
+		alive := flush()
 		sp.End(core.StageFlush, flushStart)
+		rw.sp = nil
 		tr.Finish(sp)
-		if ferr != nil || groupErr != nil {
+		if !alive || groupErr != nil {
 			return
 		}
 	}
@@ -356,14 +391,34 @@ func (s *Server) serveConn(conn net.Conn) {
 // flush of an empty buffer makes none) and the ones the buffer makes on
 // its own when a group's replies outgrow it. Each is counted, and each
 // is armed with WriteTimeout — none runs under the deadline a write long
-// ago left behind.
+// ago left behind. It is also the one place replies leave the process,
+// which makes it the place the store's log is committed: before the
+// write, up to the log's current end, so whatever these replies
+// acknowledge or show — this connection's writes, or another's that a
+// GET here saw — is in the log first.
 type replyWriter struct {
 	conn    net.Conn
 	timeout time.Duration
 	m       *obs.Metrics
+	commit  core.Committer // nil: the store keeps no log to commit
+	sp      *core.Span     // the sampled group in progress, else nil
+	// acks: acknowledgements of uncommitted writes are in the buffer. A
+	// failed commit then fails the write. Without them the replies are
+	// reads and ERRs off a store that has latched its error, and they go
+	// out: a latched store serves reads from memory.
+	acks bool
 }
 
-func (rw replyWriter) Write(p []byte) (int, error) {
+// commitError is the store error a reply write was refused with.
+type commitError struct{ error }
+
+func (rw *replyWriter) Write(p []byte) (int, error) {
+	if rw.commit != nil {
+		if err := rw.commit.Commit(rw.sp); err != nil && rw.acks {
+			return 0, commitError{err}
+		}
+		rw.acks = false
+	}
 	if rw.timeout > 0 {
 		rw.conn.SetWriteDeadline(time.Now().Add(rw.timeout))
 	}
@@ -407,13 +462,15 @@ func classify(op wire.Op) runKind {
 // and groups: the flattened keys or records of a run (or the results of a
 // SCAN), the store's answers for them, and the one Msg every scalar reply
 // is encoded from. wire.Writer.Write encodes a reply into the write buffer
-// before returning, so none of this outlives the call.
+// before returning, so none of this outlives the call. out is where the
+// write buffer drains to, told when write acknowledgements enter it.
 type scratch struct {
 	keys []core.Key
 	recs []core.KV
 	vals []core.Value
 	oks  []bool
 	rep  wire.Msg
+	out  *replyWriter
 }
 
 // results returns the vals and oks buffers sized to n answers.
@@ -539,9 +596,8 @@ func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sc *scratch, sp *cor
 }
 
 // failRun answers every frame of a write run the store failed with ERR.
-// The run is all-or-error from the client's side — a multi-segment store
-// may have applied part of it — and the connection stays open: the store
-// keeps serving reads from memory.
+// The run is all-or-error from the client's side and the connection stays
+// open: the store keeps serving reads from memory.
 func (s *Server) failRun(run []wire.Msg, w *wire.Writer, err error) {
 	reply := wire.Msg{Op: wire.RErr, Err: err.Error()}
 	for range run {
@@ -551,9 +607,11 @@ func (s *Server) failRun(run []wire.Msg, w *wire.Writer, err error) {
 }
 
 // serveWrites applies a run of SET/MSET frames — a solo frame included,
-// so every write has an error path — with one InsertBatch. Flattening in
-// request order makes InsertBatch's later-wins semantics exactly the
-// sequential pipelined outcome.
+// so every write has an error path — with one InsertBatch, uncommitted
+// where the store can commit later: the ROKs wait in the write buffer
+// behind the commit replyWriter makes. Flattening in request order makes
+// InsertBatch's later-wins semantics exactly the sequential pipelined
+// outcome.
 func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	recs := sc.recs[:0]
 	for i := range run {
@@ -564,16 +622,18 @@ func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sc *scratch, sp *co
 		}
 	}
 	sc.recs = recs
-	if err := core.InsertBatch(s.store, recs, sp); err != nil {
+	if err := core.InsertUncommitted(s.store, recs, sp); err != nil {
 		s.failRun(run, w, err)
 		return
 	}
+	sc.out.acks = true
 	for range run {
 		sc.reply(w, wire.ROK, 0, false)
 	}
 }
 
-// serveDeletes applies a run of DEL frames with one DeleteBatch.
+// serveDeletes applies a run of DEL frames with one DeleteBatch (as
+// serveWrites: uncommitted, the replies behind the commit).
 // First-wins per-key liveness is exactly the sequential outcome.
 func (s *Server) serveDeletes(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	keys := sc.keys[:0]
@@ -582,10 +642,11 @@ func (s *Server) serveDeletes(run []wire.Msg, w *wire.Writer, sc *scratch, sp *c
 	}
 	sc.keys = keys
 	_, oks := sc.results(len(keys))
-	if err := core.DeleteBatch(s.store, keys, oks, sp); err != nil {
+	if err := core.DeleteUncommitted(s.store, keys, oks, sp); err != nil {
 		s.failRun(run, w, err)
 		return
 	}
+	sc.out.acks = true
 	for _, ok := range oks {
 		sc.reply(w, wire.RBool, 0, ok)
 	}

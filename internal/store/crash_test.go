@@ -112,36 +112,48 @@ func TestCrashBitFlipTruncatesNotAborts(t *testing.T) {
 	}
 }
 
+// TestCrashMultiSegmentMergedPrefix reopens the layout of the versions
+// that kept one log per segment: four wal-<gen>-00k.lix files of one
+// generation, written here with the WAL codec (sequence numbers global,
+// each key in the file its segment routes to, as those versions wrote
+// them), each torn independently at a random offset. Recovery reads every
+// file of the generation and must yield the per-file committed prefixes
+// merged by sequence number; the store then appends to segment 0 alone,
+// and the next checkpoint folds all four files into a run and removes them.
 func TestCrashMultiSegmentMergedPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	cfg := Config{Fsync: SyncNever, CheckpointEvery: -1}
 	for trial := 0; trial < 10; trial++ {
 		dir := t.TempDir()
 		const segs, n = 4, 400
-		d, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(segs))
+		d, err := Open(dir, cfg, memBuild(segs)) // the manifest, and an empty segment 0
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < n; i++ {
-			d.Put(core.Key(i), core.Value(i+1))
-		}
 		d.Crash()
+		files := make([][]byte, segs)
+		for seg := range files {
+			files[seg] = walHeader(1, seg)
+		}
+		for i := 0; i < n; i++ {
+			k := core.Key(i % (n / 2)) // every key is written twice: the later sequence number wins
+			seg := int(k) % segs
+			files[seg] = appendRecord(files[seg], Record{Seq: uint64(i + 1), Op: OpInsert, Key: k, Val: core.Value(i + 1)})
+		}
 
-		// Tear each segment independently at a random offset, then compute
-		// the expected surviving state: per-segment committed prefixes
-		// merged by sequence number.
+		// Tear each file at a random offset, then compute the expected
+		// surviving state: per-file committed prefixes merged by sequence
+		// number.
 		type kv struct {
 			seq uint64
 			val core.Value
 		}
 		expect := map[core.Key]kv{}
-		for seg := 0; seg < segs; seg++ {
-			path := walPath(dir, 1, seg)
-			data, err := os.ReadFile(path)
-			if err != nil {
+		for seg, data := range files {
+			cut := rng.Intn(len(data) + 1)
+			if err := os.WriteFile(walPath(dir, 1, seg), data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			cut := rng.Intn(len(data) + 1)
-			os.WriteFile(path, data[:cut], 0o644)
 			keep := committedAt(cut)
 			recs, _ := DecodeRecords(data[walHeaderSize : walHeaderSize+keep*insertFrame])
 			for _, r := range recs {
@@ -150,20 +162,44 @@ func TestCrashMultiSegmentMergedPrefix(t *testing.T) {
 				}
 			}
 		}
+		check := func(d *Durable, when string) {
+			t.Helper()
+			if d.Len() != len(expect) {
+				t.Fatalf("trial %d, %s: %d records, want %d", trial, when, d.Len(), len(expect))
+			}
+			for k, e := range expect {
+				if v, ok := d.Get(k); !ok || v != e.val {
+					t.Fatalf("trial %d, %s: key %d: got (%d,%v) want %d", trial, when, k, v, ok, e.val)
+				}
+			}
+		}
 
-		d2, err := Open(dir, Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(segs))
+		d2, err := Open(dir, cfg, memBuild(segs))
 		if err != nil {
 			t.Fatalf("trial %d: recovery aborted: %v", trial, err)
 		}
-		if d2.Len() != len(expect) {
-			t.Fatalf("trial %d: recovered %d records, want %d", trial, d2.Len(), len(expect))
+		check(d2, "reopened")
+		if err := d2.Put(1<<40, 7); err != nil {
+			t.Fatal(err)
 		}
-		for k, e := range expect {
-			if v, ok := d2.Get(k); !ok || v != e.val {
-				t.Fatalf("trial %d: key %d: got (%d,%v) want %d", trial, k, v, ok, e.val)
-			}
+		expect[1<<40] = kv{val: 7}
+		if err := d2.Checkpoint(); err != nil {
+			t.Fatal(err)
 		}
-		d2.Close()
+		st, err := scanDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.wals) != 1 || len(st.wals[2]) != 1 {
+			t.Fatalf("trial %d: log files after the checkpoint: %v, want generation 2's one", trial, st.wals)
+		}
+		d2.Crash()
+		d3, err := Open(dir, cfg, memBuild(segs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(d3, "after a checkpoint and a second reopen")
+		d3.Close()
 	}
 }
 

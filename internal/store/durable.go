@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -69,9 +68,12 @@ type RecoveryInfo struct {
 }
 
 // Durable wraps a mutable in-memory index with write-ahead logging and
-// sorted-run checkpoints. Every mutation is framed into a WAL segment
-// before it is applied in memory; Checkpoint rotates to a fresh WAL
-// generation and flushes the retired one's delta into an immutable run
+// sorted-run checkpoints. Every mutation is framed into the generation's
+// one log as it is applied in memory, and the log is committed — written,
+// and fsynced under SyncAlways — before the mutation is acknowledged: by
+// the write entry points themselves before they return, or, for the
+// Uncommitted forms, by the caller's Commit. Checkpoint rotates to a fresh
+// log generation and flushes the retired one's delta into an immutable run
 // (see lsm.go). All methods are safe for concurrent use (writes to indexes
 // that are not themselves concurrency-safe are serialized internally).
 type Durable struct {
@@ -82,21 +84,23 @@ type Durable struct {
 	route    Router
 	segments int
 	// concReads: the wrapped index tolerates reads concurrent with writes,
-	// so readers skip the per-segment lock.
+	// so readers skip the segment lock.
 	concReads bool
 	meta      map[string]string
 
 	// stateMu: writers and checkpoints. Writers hold RLock for the whole
 	// log+apply step, so Checkpoint's Lock is a consistent cut.
 	stateMu sync.RWMutex
-	// segMu[i]: orders log and apply within segment i, which preserves
-	// per-key operation order (a key routes to exactly one segment).
-	// Non-concurrent backends have a single segment, so this lock also
-	// serializes their writes; readers of such backends take RLock.
+	// segMu[i]: held from sequence assignment to apply by every write of a
+	// key that routes to segment i, so a key's sequence order is its apply
+	// order (what recovery replays), while writers of other segments run
+	// beside it. Non-concurrent backends have a single segment, so this
+	// lock also serializes their writes; readers of such backends take
+	// RLock.
 	segMu []sync.RWMutex
 
-	gen  uint64
-	wals []*WAL
+	gen uint64
+	wal *WAL
 
 	seq       atomic.Uint64 // last assigned commit sequence number
 	sinceCkpt atomic.Int64  // records logged since the last checkpoint
@@ -110,8 +114,6 @@ type Durable struct {
 
 	hook     obs.Hook
 	recovery RecoveryInfo
-
-	scratch sync.Pool // *segScratch, the batch paths' grouping workspace
 
 	// The run list is mutated only under ckptMu; runMu additionally guards
 	// the swap so accessors get a consistent snapshot without blocking on a
@@ -130,6 +132,9 @@ type Durable struct {
 // File layout
 // ---------------------------------------------------------------------------
 
+// walPath names a log file. This version writes segment 0 only; recovery
+// reads every segment a generation has, which is how a directory of the
+// log-per-segment layout reopens.
 func walPath(dir string, gen uint64, seg int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x-%03d.lix", gen, seg))
 }
@@ -139,7 +144,7 @@ func walPath(dir string, gen uint64, seg int) string {
 // which Open still converts.
 type dirState struct {
 	snaps     map[uint64]string
-	wals      map[uint64]map[int]string
+	wals      map[uint64][]string // every wal-<gen>-<seg>.lix, by generation
 	manifests map[uint64]string
 	runs      map[uint64]string
 }
@@ -147,7 +152,7 @@ type dirState struct {
 func scanDir(dir string) (dirState, error) {
 	st := dirState{
 		snaps:     map[uint64]string{},
-		wals:      map[uint64]map[int]string{},
+		wals:      map[uint64][]string{},
 		manifests: map[uint64]string{},
 		runs:      map[uint64]string{},
 	}
@@ -169,10 +174,7 @@ func scanDir(dir string) (dirState, error) {
 				byGen[gen] = filepath.Join(dir, name)
 			}
 		} else if _, err := fmt.Sscanf(name, "wal-%016x-%03d.lix", &gen, &seg); err == nil {
-			if st.wals[gen] == nil {
-				st.wals[gen] = map[int]string{}
-			}
-			st.wals[gen][seg] = filepath.Join(dir, name)
+			st.wals[gen] = append(st.wals[gen], filepath.Join(dir, name))
 		}
 	}
 	return st, nil
@@ -220,12 +222,12 @@ func Create(dir string, cfg Config, build BuildFunc, recs []core.KV) (*Durable, 
 
 // Open opens the durable store at dir, creating it empty if the
 // directory holds no store files. Recovery loads the newest valid
-// manifest and its runs, decodes every WAL generation at or after it
-// (segments in parallel, CRC-validated, torn or corrupt tails truncated)
-// and folds the records past the manifest's watermark into one more sorted
-// delta — the WAL tail is the newest run, not yet written — whose last-wins
-// merge over the runs is the record set the index is rebuilt from. A
-// directory of the retired snapshot-rewrite engine is converted first.
+// manifest and its runs, decodes every WAL file of the generations at or
+// after it (CRC-validated, torn or corrupt tails passed over) and folds the
+// records past the manifest's watermark into one more sorted delta — the
+// WAL tail is the newest run, not yet written — whose last-wins merge over
+// the runs is the record set the index is rebuilt from. A directory of the
+// retired snapshot-rewrite engine is converted first.
 func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -298,39 +300,22 @@ func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	return d, nil
 }
 
-// readGenerations decodes every WAL segment of generations lo..hi, one
-// goroutine per file, and returns their committed records (in no
-// particular order) and the torn or corrupt tail bytes passed over.
-func readGenerations(wals map[uint64]map[int]string, lo, hi uint64) (ops []Record, truncated int64, err error) {
-	var paths []string
-	for gen, segs := range wals {
+// readGenerations decodes every WAL file of generations lo..hi and returns
+// their committed records (in no particular order) and the torn or corrupt
+// tail bytes passed over.
+func readGenerations(wals map[uint64][]string, lo, hi uint64) (ops []Record, truncated int64, err error) {
+	for gen, paths := range wals {
 		if gen < lo || gen > hi {
 			continue
 		}
-		for _, path := range segs {
-			paths = append(paths, path)
+		for _, path := range paths {
+			recs, trunc, err := readSegment(path)
+			if err != nil {
+				return nil, 0, err
+			}
+			ops = append(ops, recs...)
+			truncated += trunc
 		}
-	}
-	segs := make([]struct {
-		recs  []Record
-		trunc int64
-		err   error
-	}, len(paths))
-	var wg sync.WaitGroup
-	for i, path := range paths {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			segs[i].recs, segs[i].trunc, segs[i].err = readSegment(path)
-		}()
-	}
-	wg.Wait()
-	for _, seg := range segs {
-		if seg.err != nil {
-			return nil, 0, seg.err
-		}
-		ops = append(ops, seg.recs...)
-		truncated += seg.trunc
 	}
 	return ops, truncated, nil
 }
@@ -361,7 +346,7 @@ func fold(ops []Record, watermark uint64) *sst.FileData {
 }
 
 // assemble builds the Durable shell and opens (or creates) the current
-// generation's WAL segments, truncating torn tails.
+// generation's log, truncating a torn tail.
 func assemble(dir string, cfg Config, res BuildResult, meta map[string]string, gen uint64) (*Durable, error) {
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = DefaultSyncInterval
@@ -391,35 +376,18 @@ func assemble(dir string, cfg Config, res BuildResult, meta map[string]string, g
 	if cfg.Metrics != nil {
 		d.hook.SetRecorder(cfg.Metrics)
 	}
-	wals, err := d.openGeneration(gen)
-	if err != nil {
-		return nil, err
-	}
-	d.wals = wals
-	return d, nil
+	var err error
+	d.wal, err = d.openLog(gen)
+	return d, err
 }
 
-// openGeneration opens or creates the append handles for generation gen.
-// Recovery already consumed their committed records via readSegment;
-// OpenWAL re-validates and truncates any torn tail so appends land after
-// the last committed frame.
-func (d *Durable) openGeneration(gen uint64) ([]*WAL, error) {
-	wals := make([]*WAL, d.segments)
-	var fsyncNS *obs.Histogram
-	if d.cfg.Metrics != nil {
-		fsyncNS = &d.cfg.Metrics.FsyncNS
-	}
-	for seg := range wals {
-		w, _, _, err := OpenWAL(walPath(d.dir, gen, seg), gen, seg, &d.hook, fsyncNS)
-		if err != nil {
-			for _, open := range wals[:seg] {
-				open.Close()
-			}
-			return nil, err
-		}
-		wals[seg] = w
-	}
-	return wals, nil
+// openLog opens or creates the log of generation gen for appending.
+// Recovery already consumed its committed records via readSegment; OpenWAL
+// re-validates and truncates any torn tail so appends land after the last
+// committed frame.
+func (d *Durable) openLog(gen uint64) (*WAL, error) {
+	w, _, _, err := OpenWAL(walPath(d.dir, gen, 0), gen, 0, &d.hook, d.cfg.Metrics)
+	return w, err
 }
 
 func gensDesc(m map[uint64]string) []uint64 {
@@ -483,7 +451,9 @@ func (d *Durable) Gen() uint64 {
 	return d.gen
 }
 
-// Segments returns the WAL segment count.
+// Segments returns the number of write segments: the lock domains writers
+// of different keys run in beside each other (one per shard of a sharded
+// index, else one).
 func (d *Durable) Segments() int { return d.segments }
 
 // Meta returns the persisted rebuild-parameter map.
@@ -498,16 +468,14 @@ func (d *Durable) Meta() map[string]string {
 // RecoveryInfo reports what Open reconstructed (zero value after Create).
 func (d *Durable) RecoveryInfo() RecoveryInfo { return d.recovery }
 
-// Fsyncs returns the total fsync count across the current generation's
-// segments.
-func (d *Durable) Fsyncs() uint64 {
+// Fsyncs returns the fsync count of the current generation's log.
+func (d *Durable) Fsyncs() uint64 { return d.log().Fsyncs() }
+
+// log returns the current generation's log.
+func (d *Durable) log() *WAL {
 	d.stateMu.RLock()
 	defer d.stateMu.RUnlock()
-	var n uint64
-	for _, w := range d.wals {
-		n += w.Fsyncs()
-	}
-	return n
+	return d.wal
 }
 
 // Err returns the first unrecoverable I/O error, if any. After an error
@@ -523,11 +491,14 @@ func (d *Durable) Err() error {
 // recovery) into r; nil detaches.
 func (d *Durable) SetObserver(r obs.Recorder) { d.hook.SetRecorder(r) }
 
-func (d *Durable) fail(err error) {
+// fail latches err as the store's first error unless one is latched
+// already (nil latches nothing) and returns what Err now returns.
+func (d *Durable) fail(err error) error {
 	if err == nil {
-		return
+		return nil
 	}
 	d.firstErr.CompareAndSwap(nil, &err)
+	return d.Err()
 }
 
 func (d *Durable) emit(t obs.EventType, n int, detail string) {
@@ -590,11 +561,7 @@ func (d *Durable) Stats() core.Stats {
 		st = d.ix.Stats()
 		d.segMu[0].RUnlock()
 	}
-	d.stateMu.RLock()
-	for _, w := range d.wals {
-		st.IndexBytes += int(w.Size())
-	}
-	d.stateMu.RUnlock()
+	st.IndexBytes += int(d.log().End())
 	st.Name = "durable(" + st.Name + ")"
 	return st
 }
@@ -634,9 +601,10 @@ func (d *Durable) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp
 // Writes
 // ---------------------------------------------------------------------------
 
-// Put durably upserts (k, v): the record is framed into its WAL segment
-// and applied in memory before Put returns; under SyncAlways it is also
-// fsynced (group commit batches concurrent writers into one fsync).
+// Put durably upserts (k, v): the record is framed into the log's buffer
+// and applied in memory under its segment's lock, and the log is committed
+// (one write; under SyncAlways also fsynced, concurrent writers sharing
+// both) before Put returns.
 func (d *Durable) Put(k core.Key, v core.Value) error {
 	_, err := d.logOne(OpInsert, k, v)
 	return err
@@ -645,16 +613,14 @@ func (d *Durable) Put(k core.Key, v core.Value) error {
 // Del durably removes k, reporting whether it was present.
 func (d *Durable) Del(k core.Key) (bool, error) { return d.logOne(OpDelete, k, 0) }
 
-// logOne is Put and Del: one record logged and applied under its segment's
-// lock, then group-committed. applied is true for an upsert and whether
-// the key was present for a delete; a failed append applies nothing.
+// logOne is Put and Del. applied is true for an upsert and whether the key
+// was present for a delete; a failed append applies nothing.
 func (d *Durable) logOne(op OpKind, k core.Key, v core.Value) (applied bool, err error) {
 	if err := d.Err(); err != nil {
 		return false, err
 	}
 	d.stateMu.RLock()
-	seg := d.seg(k)
-	w := d.wals[seg]
+	seg, w := d.seg(k), d.wal
 	d.segMu[seg].Lock()
 	off, err := w.Append(Record{Seq: d.seq.Add(1), Op: op, Key: k, Val: v})
 	switch {
@@ -667,15 +633,19 @@ func (d *Durable) logOne(op OpKind, k core.Key, v core.Value) (applied bool, err
 	}
 	d.segMu[seg].Unlock()
 	d.stateMu.RUnlock()
-	if err == nil && d.cfg.Fsync == SyncAlways {
-		err = w.SyncTo(off)
+	return applied, d.finish(w, off, 1, true, nil, err)
+}
+
+// finish ends a write of n records appended to w up to off with err: it
+// commits (unless the append failed, or the caller will), counts the
+// records toward the next checkpoint, and latches a failure, returning the
+// latched Err — this call's, unless a concurrent writer's came earlier.
+func (d *Durable) finish(w *WAL, off int64, n int, commit bool, sp *core.Span, err error) error {
+	if err == nil && commit {
+		err = w.Commit(off, d.cfg.Fsync == SyncAlways, sp)
 	}
-	if err != nil {
-		d.fail(err)
-		return applied, err
-	}
-	d.bumpCheckpoint(1)
-	return applied, nil
+	d.bumpCheckpoint(n)
+	return d.fail(err)
 }
 
 // Insert implements MutableIndex. I/O errors latch into Err and turn
@@ -689,224 +659,119 @@ func (d *Durable) Delete(k core.Key) bool {
 	return ok
 }
 
-// batchParallelMin is the shard layer's fan-out rule applied to WAL
-// segments: a batch below this size, or one that touches a single
-// segment, is logged and applied on the calling goroutine. A pipelined
-// connection's mixed groups break into write runs of two or three
-// records; a goroutine per touched segment for those costs more in
-// handoff and WaitGroup parking than the appends it overlaps.
-const batchParallelMin = 512
-
-// segScratch is the reusable grouping workspace of one batch, pooled on
-// the Durable: per WAL segment, the batch's records (or keys plus their
-// input positions, and the wrapped index's answers for them) in input
-// order — the order later-wins upserts and first-wins deletes depend on —
-// the frames built for them, and the segment's WAL end offset after the
-// append (0 = untouched, -1 = failed).
-type segScratch struct {
-	recs  [][]core.KV
-	keys  [][]core.Key
-	idxs  [][]int32
-	oks   [][]bool
-	wrecs [][]Record
-	offs  []int64
-}
-
-func (d *Durable) getScratch() *segScratch {
-	sc, _ := d.scratch.Get().(*segScratch)
-	if sc == nil || len(sc.offs) != d.segments {
-		sc = &segScratch{
-			recs:  make([][]core.KV, d.segments),
-			keys:  make([][]core.Key, d.segments),
-			idxs:  make([][]int32, d.segments),
-			oks:   make([][]bool, d.segments),
-			wrecs: make([][]Record, d.segments),
-			offs:  make([]int64, d.segments),
+// lockSegments takes, in ascending order, the lock of every segment a key
+// of the batch routes to, and returns the set for unlockSegments. The set
+// is a 64-bit mask over segment numbers mod 64, so beyond 64 segments it
+// holds some the batch does not touch — more exclusion than needed, never
+// less, and the ascending order keeps two batches from deadlocking.
+func (d *Durable) lockSegments(recs []core.KV, keys []core.Key) (mask uint64) {
+	if d.segments == 1 {
+		d.segMu[0].Lock()
+		return 1
+	}
+	for i := range recs {
+		mask |= 1 << (d.seg(recs[i].Key) & 63)
+	}
+	for _, k := range keys {
+		mask |= 1 << (d.seg(k) & 63)
+	}
+	for seg := range d.segMu {
+		if mask>>(seg&63)&1 != 0 {
+			d.segMu[seg].Lock()
 		}
 	}
-	for seg := range sc.offs {
-		sc.recs[seg] = sc.recs[seg][:0]
-		sc.keys[seg] = sc.keys[seg][:0]
-		sc.idxs[seg] = sc.idxs[seg][:0]
-		sc.offs[seg] = 0
-	}
-	return sc
+	return mask
 }
 
-// touched reports whether the batch has records or keys for seg.
-func (sc *segScratch) touched(seg int) bool {
-	return len(sc.recs[seg]) > 0 || len(sc.keys[seg]) > 0
+func (d *Durable) unlockSegments(mask uint64) {
+	for seg := range d.segMu {
+		if mask>>(seg&63)&1 != 0 {
+			d.segMu[seg].Unlock()
+		}
+	}
 }
 
-// forSegments runs fn for every segment the batch of n records touches:
-// one goroutine per segment when n >= batchParallelMin records spread
-// over several segments of a multi-core host, otherwise inline in
-// segment order.
-func (d *Durable) forSegments(n int, sc *segScratch, fn func(seg int)) {
-	touched := 0
-	for seg := range sc.offs {
-		if sc.touched(seg) {
-			touched++
-		}
+// writeBatch is the four batch entry points: upserts of recs, or — recs
+// empty — deletes of keys into oks (cleared first). Under the locks of the segments the
+// batch touches it numbers the records, frames them into the log's buffer
+// (the span's wal stage) and hands the whole batch to the wrapped index's
+// batch capability (the shard stage; the span is not forwarded, and a
+// sharded index fans a large batch out itself); a failed append applies
+// nothing. With commit it then commits the log up to the batch's end, the
+// write in the wal stage and the fsync in the fsync stage.
+func (d *Durable) writeBatch(recs []core.KV, keys []core.Key, oks []bool, commit bool, sp *core.Span) error {
+	clear(oks)
+	n := len(recs) + len(keys)
+	if err := d.Err(); err != nil || n == 0 {
+		return err
 	}
-	if n < batchParallelMin || touched < 2 || runtime.GOMAXPROCS(0) < 2 {
-		for seg := range sc.offs {
-			if sc.touched(seg) {
-				fn(seg)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for seg := range sc.offs {
-		if sc.touched(seg) {
-			wg.Add(1)
-			go func(seg int) {
-				defer wg.Done()
-				fn(seg)
-			}(seg)
-		}
-	}
-	wg.Wait()
-}
-
-// logAndApply is one segment's share of a batch, under the segment lock:
-// frame the group (upserts of sc.recs[seg], else deletes of sc.keys[seg];
-// sequence numbers are assigned under the lock) and append it as one
-// contiguous write — the span's wal stage — then run apply against the
-// in-memory index — the shard stage. A failed append skips apply; either
-// failure latches and marks the segment failed for commitBatch.
-func (d *Durable) logAndApply(seg int, sc *segScratch, sp *core.Span, apply func() error) {
-	d.segMu[seg].Lock()
-	defer d.segMu[seg].Unlock()
+	d.stateMu.RLock()
+	w := d.wal
+	mask := d.lockSegments(recs, keys)
 	t0 := sp.Begin()
-	wrecs := sc.wrecs[seg][:0]
-	for _, r := range sc.recs[seg] {
-		wrecs = append(wrecs, Record{Seq: d.seq.Add(1), Op: OpInsert, Key: r.Key, Val: r.Value})
-	}
-	for _, k := range sc.keys[seg] {
-		wrecs = append(wrecs, Record{Seq: d.seq.Add(1), Op: OpDelete, Key: k})
-	}
-	sc.wrecs[seg] = wrecs
-	off, err := d.wals[seg].Append(wrecs...)
+	off, err := w.AppendBatch(recs, keys, d.seq.Add(uint64(n))-uint64(n)+1)
 	sp.End(core.StageWAL, t0)
 	if err == nil {
 		t0 = sp.Begin()
-		err = apply()
+		if len(recs) > 0 {
+			err = core.InsertBatch(d.ix, recs, nil)
+		} else {
+			err = core.DeleteBatch(d.ix, keys, oks, nil)
+		}
 		sp.End(core.StageShard, t0)
 	}
-	if err != nil {
-		d.fail(err)
-		off = -1
-	}
-	sc.offs[seg] = off
-}
-
-// commitBatch group-commits every segment the batch appended to (under
-// SyncAlways; the span's fsync stage), returns the scratch to the pool
-// and counts the batch toward the next checkpoint. If any segment's
-// append, apply or fsync failed it returns the latched Err: the first of
-// those failures in time, unless a concurrent writer's came earlier. The
-// caller holds stateMu.RLock.
-func (d *Durable) commitBatch(sc *segScratch, n int, sp *core.Span) error {
-	always := d.cfg.Fsync == SyncAlways
-	t0 := sp.Begin()
-	failed := false
-	for seg, off := range sc.offs {
-		if always && off > 0 {
-			if err := d.wals[seg].SyncTo(off); err != nil {
-				d.fail(err)
-				off = -1
-			}
-		}
-		failed = failed || off < 0
-	}
-	if always {
-		sp.End(core.StageFsync, t0)
-	}
-	d.scratch.Put(sc)
+	d.unlockSegments(mask)
 	d.stateMu.RUnlock()
-	d.bumpCheckpoint(n)
-	if failed {
-		return d.Err()
-	}
-	return nil
+	return d.finish(w, off, n, commit, sp, err)
 }
 
-// InsertBatch durably upserts recs: records are grouped by WAL segment,
-// each group is framed as one contiguous append and applied under its
-// segment lock (large multi-segment batches run their groups in
-// parallel, see batchParallelMin), then each touched segment is
-// group-committed once under SyncAlways. A call that hits an I/O error
-// returns the store's latched Err — its own first failure, unless a
-// concurrent writer's came earlier; segments that failed applied
-// nothing. A store that has already failed returns Err with nothing
-// done.
-//
-// Span attribution: WAL frame encode+append time lands in the wal stage,
-// the in-memory apply in the shard stage (the span is not forwarded to
-// the wrapped index), and the group commit in the fsync stage. Because
-// segment groups may run in parallel, each stage is the *summed* time
-// across segments and may exceed the batch's wall time.
+// InsertBatch durably upserts recs: one pass through the log and the index
+// (see writeBatch) and one commit, duplicate keys resolving later-wins. A
+// call that hits an I/O error returns the store's latched Err — its own
+// failure, unless a concurrent writer's came earlier — having applied
+// nothing if the append failed, everything if the commit did (the store is
+// latched either way). A store that has already failed returns Err with
+// nothing done.
 func (d *Durable) InsertBatch(recs []core.KV, sp *core.Span) error {
-	if err := d.Err(); err != nil || len(recs) == 0 {
-		return err
-	}
-	if len(recs) == 1 && sp == nil {
-		// A serving connection's solo SET: nothing to group. (A sampled
-		// one takes the grouped path below for its stage attribution.)
-		return d.Put(recs[0].Key, recs[0].Value)
-	}
-	d.stateMu.RLock()
-	sc := d.getScratch()
-	for _, r := range recs {
-		seg := d.seg(r.Key)
-		sc.recs[seg] = append(sc.recs[seg], r)
-	}
-	d.forSegments(len(recs), sc, func(seg int) {
-		d.logAndApply(seg, sc, sp, func() error {
-			return core.InsertBatch(d.ix, sc.recs[seg], nil)
-		})
-	})
-	return d.commitBatch(sc, len(recs), sp)
+	return d.writeBatch(recs, nil, nil, true, sp)
 }
 
-// DeleteBatch durably removes keys with the same segment-grouped WAL
-// framing, span attribution and error contract as InsertBatch. oks
-// (len(keys), caller-owned) is overwritten: oks[i] reports whether
-// keys[i] was present, with sequential (first-wins on duplicates)
-// semantics inside the batch, and false for every key of a segment that
-// failed.
+// DeleteBatch durably removes keys with the same framing, span attribution
+// and error contract as InsertBatch. oks (len(keys), caller-owned) is
+// overwritten: oks[i] reports whether keys[i] was present, with sequential
+// (first-wins on duplicates) semantics inside the batch, and false for
+// every key when the append failed.
 func (d *Durable) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
-	clear(oks)
-	if err := d.Err(); err != nil || len(keys) == 0 {
-		return err
-	}
-	if len(keys) == 1 && sp == nil {
-		var err error
-		oks[0], err = d.Del(keys[0]) // solo DEL, as in InsertBatch
-		return err
-	}
-	d.stateMu.RLock()
-	sc := d.getScratch()
-	for i, k := range keys {
-		seg := d.seg(k)
-		sc.keys[seg] = append(sc.keys[seg], k)
-		sc.idxs[seg] = append(sc.idxs[seg], int32(i))
-	}
-	d.forSegments(len(keys), sc, func(seg int) {
-		d.logAndApply(seg, sc, sp, func() error {
-			group, idxs := sc.keys[seg], sc.idxs[seg]
-			got := append(sc.oks[seg][:0], make([]bool, len(group))...)
-			sc.oks[seg] = got
-			err := core.DeleteBatch(d.ix, group, got, nil)
-			for j, ok := range got {
-				oks[idxs[j]] = ok
-			}
-			return err
-		})
-	})
-	return d.commitBatch(sc, len(keys), sp)
+	return d.writeBatch(nil, keys, oks, true, sp)
+}
+
+// InsertUncommitted, DeleteUncommitted and Commit are the core.Committer
+// capability: the batch calls without their commit, and the commit of
+// everything applied so far — by any caller, through any entry point — as
+// one log write. Between the two the index is ahead of the log by at most
+// the log's buffer, so the caller must not let an acknowledgement, or a
+// read that may have seen such a write, out before Commit returns nil.
+func (d *Durable) InsertUncommitted(recs []core.KV, sp *core.Span) error {
+	return d.writeBatch(recs, nil, nil, false, sp)
+}
+
+// DeleteUncommitted is DeleteBatch without its commit; see InsertUncommitted.
+func (d *Durable) DeleteUncommitted(keys []core.Key, oks []bool, sp *core.Span) error {
+	return d.writeBatch(nil, keys, oks, false, sp)
+}
+
+// Commit writes the log out up to its current end (and fsyncs it under
+// SyncAlways), into sp's wal and fsync stages. A failure latches Err, as a
+// failed write does; on a store already latched Commit keeps failing while
+// records applied before the failure are not in the log.
+func (d *Durable) Commit(sp *core.Span) error {
+	return d.commitLog(d.cfg.Fsync == SyncAlways, sp)
+}
+
+// commitLog commits the current log up to its end, latching a failure.
+func (d *Durable) commitLog(sync bool, sp *core.Span) error {
+	w := d.log()
+	return d.fail(w.Commit(w.End(), sync, sp))
 }
 
 func (d *Durable) bumpCheckpoint(n int) {
@@ -925,34 +790,24 @@ func (d *Durable) bumpCheckpoint(n int) {
 // Checkpoint / lifecycle
 // ---------------------------------------------------------------------------
 
-// Sync fsyncs every WAL segment (a durability barrier under SyncInterval
-// and SyncNever).
-func (d *Durable) Sync() error {
-	d.stateMu.RLock()
-	wals := d.wals
-	d.stateMu.RUnlock()
-	for _, w := range wals {
-		if err := w.SyncTo(w.Size()); err != nil {
-			d.fail(err)
-			return err
-		}
-	}
-	return nil
-}
+// Sync commits and fsyncs the log (a durability barrier under
+// SyncInterval and SyncNever).
+func (d *Durable) Sync() error { return d.commitLog(true, nil) }
 
-// Close stops background work, makes the WAL durable and closes the
-// files. It does not checkpoint: the next Open replays the log.
+// Close stops background work, commits the log and makes it durable, and
+// closes the files. It does not checkpoint: the next Open replays the log.
 func (d *Durable) Close() error { return d.shutdown((*WAL).Close) }
 
-// Crash simulates a process kill: background work stops and the files
-// are closed without any final fsync or checkpoint. State that was not
-// yet synced is exactly what a real crash would lose. The store is
-// unusable afterwards; reopen the directory with Open.
+// Crash simulates a process kill: background work stops, the log's buffer
+// is dropped and the files are closed without any final fsync or
+// checkpoint. State that was not yet committed and synced is exactly what a
+// real crash would lose. The store is unusable afterwards; reopen the
+// directory with Open.
 func (d *Durable) Crash() error { return d.shutdown((*WAL).Crash) }
 
-// shutdown stops the background goroutines, then releases every WAL
-// segment through release, and the run readers (immutable files: closing
-// them loses nothing). It returns the first release error.
+// shutdown stops the background goroutines, then releases the log through
+// release, and the run readers (immutable files: closing them loses
+// nothing).
 func (d *Durable) shutdown(release func(*WAL) error) error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return nil
@@ -961,17 +816,12 @@ func (d *Durable) shutdown(release func(*WAL) error) error {
 	d.bg.Wait()
 	d.stateMu.Lock()
 	defer d.stateMu.Unlock()
-	var first error
-	for _, w := range d.wals {
-		if err := release(w); err != nil && first == nil {
-			first = err
-		}
-	}
+	err := release(d.wal)
 	d.runMu.Lock()
 	defer d.runMu.Unlock()
 	for _, r := range d.runs {
 		r.Close()
 	}
 	d.runs, d.runRefs = nil, nil
-	return first
+	return err
 }

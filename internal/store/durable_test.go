@@ -466,14 +466,18 @@ func TestScanDirIgnoresForeignFiles(t *testing.T) {
 	d.Close()
 }
 
+// batchParallelMin is the batch size from which a sharded index under the
+// store fans a batch out over goroutines (the shard package's constant of
+// the same name); the batch tests run on both sides of it.
+const batchParallelMin = 512
+
 // TestDurableBatchErrorSurface pins the write error contract. Crash
 // closes the WAL file descriptors under a live store — the nearest thing
 // to a dead disk — after which every write entry point must say so: the
 // first failing call returns the I/O error, every later call returns that
-// same error latched in Err, for a single-record batch (which is a Put or
-// Del) and in both forSegments regimes (inline, and one goroutine per
-// touched segment at >= batchParallelMin records), and
-// nothing from a failed batch becomes visible to Get.
+// same error latched in Err, for a single-record batch and on both sides
+// of the size at which a sharded index fans a batch out (batchParallelMin),
+// and nothing from a failed batch becomes visible to Get.
 func TestDurableBatchErrorSurface(t *testing.T) {
 	type write struct {
 		name string
@@ -559,10 +563,10 @@ func TestDurableBatchErrorSurface(t *testing.T) {
 	}
 }
 
-// TestDurableBatchRegimes drives InsertBatch and DeleteBatch through both
-// execution regimes — inline on the caller (small batches, or one
-// segment) and one goroutine per touched segment (>= batchParallelMin
-// records over several segments) — with duplicate keys in every batch.
+// TestDurableBatchRegimes drives InsertBatch and DeleteBatch with one and
+// with four segments, at sizes on both sides of batchParallelMin and of
+// the log's walChunk (a batch is framed walChunk records per hold of the
+// buffer), with duplicate keys in every batch.
 // Either way the batch must behave like the sequential loop (later-wins
 // upserts, first-wins deletes), and a crash + reopen must replay the WAL
 // to the same state.
@@ -577,8 +581,7 @@ func TestDurableBatchRegimes(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := map[core.Key]core.Value{}
-				// Two rounds reuse the pooled scratch; every key appears
-				// about twice per batch.
+				// Two rounds; every key appears about twice per batch.
 				for round := 0; round < 2; round++ {
 					recs := make([]core.KV, n)
 					for i := range recs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
@@ -18,7 +19,7 @@ import (
 // eventually dropped. Flush, compaction and recovery are one last-wins
 // merge (sst.MergeData) over different inputs.
 //
-// File layout next to the WAL segments:
+// File layout next to the log:
 //
 //	lsm-<gen>.lix  manifest — snapshot codec, empty record section, runs
 //	               section listing the live runs newest first
@@ -183,22 +184,28 @@ func (d *Durable) Checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 
-	// Consistent cut: writers drain, fresh segments take over. lastSeq
-	// covers every record in the retired generations.
+	// Consistent cut: writers drain, the old log's buffer goes to its file
+	// (and to disk under SyncAlways: a Commit that comes after the cut
+	// covers the new log only), a fresh log takes over. lastSeq covers
+	// every record in the retired generations.
 	d.stateMu.Lock()
-	newGen := d.gen + 1
-	newWals, err := d.openGeneration(newGen)
+	newGen, old := d.gen+1, d.wal
+	err := old.Commit(old.End(), d.cfg.Fsync == SyncAlways, nil)
+	var fresh *WAL
+	if err == nil {
+		fresh, err = d.openLog(newGen)
+	}
 	if err != nil {
 		d.stateMu.Unlock()
+		d.fail(err)
 		return err
 	}
 	lastSeq := d.seq.Load()
-	oldWals := d.wals
-	d.gen, d.wals = newGen, newWals
+	d.gen, d.wal = newGen, fresh
 	d.sinceCkpt.Store(0)
 	d.stateMu.Unlock()
 
-	err = d.flush(oldWals, newGen, lastSeq)
+	err = d.flush(old, newGen, lastSeq)
 	d.fail(err)
 	return err
 }
@@ -206,14 +213,13 @@ func (d *Durable) Checkpoint() error {
 // flush folds the retired WAL generations (everything below newGen) into
 // one new run, publishes manifest newGen, retires the old files and lets
 // the compactor run. Caller holds ckptMu.
-func (d *Durable) flush(oldWals []*WAL, newGen, lastSeq uint64) error {
+func (d *Durable) flush(old *WAL, newGen, lastSeq uint64) error {
+	start := time.Now()
 	// The retired log must be fully durable before its records move into
-	// a run; Close fsyncs, after which in-flight SyncTo calls from writers
+	// a run; Close fsyncs, after which in-flight Commit calls from writers
 	// that raced the rotation resolve as already-covered.
-	for _, w := range oldWals {
-		if err := w.Close(); err != nil {
-			return err
-		}
+	if err := old.Close(); err != nil {
+		return err
 	}
 	// Every retired generation — lingering ones from earlier crashes
 	// included — becomes one last-wins delta past the manifest watermark.
@@ -233,7 +239,7 @@ func (d *Durable) flush(oldWals []*WAL, newGen, lastSeq uint64) error {
 		fd.Dead = nil
 	}
 	newRuns, newRefs := d.runs, d.runRefs
-	flushed := len(fd.Live) + len(fd.Dead)
+	flushed, runBytes := len(fd.Live)+len(fd.Dead), int64(0)
 	if flushed > 0 {
 		r, ref, err := writeRun(d.dir, d.nextRunID, fd)
 		if err != nil {
@@ -242,6 +248,7 @@ func (d *Durable) flush(oldWals []*WAL, newGen, lastSeq uint64) error {
 		d.nextRunID++
 		newRuns = append([]*sst.Reader{r}, d.runs...)
 		newRefs = append([]RunRef{ref}, d.runRefs...)
+		runBytes = r.Stats().FileBytes
 	}
 
 	// Manifest durable → old WAL generations and orphans are garbage.
@@ -255,6 +262,7 @@ func (d *Durable) flush(oldWals []*WAL, newGen, lastSeq uint64) error {
 	gcDir(d.dir, newGen, newRefs)
 	d.emit(obs.EvCheckpoint, flushed, fmt.Sprintf("gen=%d runs=%d", newGen, len(newRefs)))
 	d.publishLSMGauges()
+	d.countWork(start, runBytes, false)
 	return d.maybeCompact()
 }
 
@@ -271,9 +279,9 @@ func gcDir(dir string, keepGen uint64, refs []RunRef) {
 			os.Remove(path)
 		}
 	}
-	for gen, segs := range st.wals {
+	for gen, paths := range st.wals {
 		if gen < keepGen {
-			for _, path := range segs {
+			for _, path := range paths {
 				os.Remove(path)
 			}
 		}
@@ -335,6 +343,7 @@ func (d *Durable) maybeCompact() error {
 // Tombstones are dropped only when the window includes the oldest run;
 // anywhere else a dropped tombstone would resurrect a shadowed record.
 func (d *Durable) compact(lo, hi int) error {
+	start := time.Now()
 	window := d.runs[lo:hi]
 	dropDead := hi == len(d.runs)
 	datas := make([]*sst.FileData, len(window))
@@ -347,7 +356,7 @@ func (d *Durable) compact(lo, hi int) error {
 	fd := sst.MergeData(datas, dropDead)
 	newRuns := append([]*sst.Reader(nil), d.runs[:lo]...)
 	newRefs := append([]RunRef(nil), d.runRefs[:lo]...)
-	merged := len(fd.Live) + len(fd.Dead)
+	merged, runBytes := len(fd.Live)+len(fd.Dead), int64(0)
 	if merged > 0 {
 		r, ref, err := writeRun(d.dir, d.nextRunID, fd)
 		if err != nil {
@@ -356,6 +365,7 @@ func (d *Durable) compact(lo, hi int) error {
 		d.nextRunID++
 		newRuns = append(newRuns, r)
 		newRefs = append(newRefs, ref)
+		runBytes = r.Stats().FileBytes
 	}
 	newRuns = append(newRuns, d.runs[hi:]...)
 	newRefs = append(newRefs, d.runRefs[hi:]...)
@@ -376,7 +386,23 @@ func (d *Durable) compact(lo, hi int) error {
 	syncDir(d.dir)
 	d.emit(obs.EvCompaction, merged, fmt.Sprintf("lsm merged %d runs into %d records (dropDead=%v)", len(window), merged, dropDead))
 	d.publishLSMGauges()
+	d.countWork(start, runBytes, true)
 	return nil
+}
+
+// countWork adds a flush or a compaction that began at start and wrote a
+// run of runBytes to that kind's wall-time and bytes-written counters.
+func (d *Durable) countWork(start time.Time, runBytes int64, compaction bool) {
+	m := d.cfg.Metrics
+	if m == nil {
+		return
+	}
+	ns, bytes := &m.FlushNS, &m.FlushBytes
+	if compaction {
+		ns, bytes = &m.CompactNS, &m.CompactBytes
+	}
+	ns.Add(uint64(time.Since(start)))
+	bytes.Add(uint64(runBytes))
 }
 
 // ---------------------------------------------------------------------------

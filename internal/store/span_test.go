@@ -54,7 +54,7 @@ func (x *spyIndex) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error
 
 // TestDurableKeepsSpanFromInnerIndex pins the no-double-count rule: the
 // durable layer reaches the wrapped index through its batch capabilities
-// (one call per touched segment, not a loop per record) and times that
+// (one call for the whole batch, not a loop per record) and times that
 // work into the shard stage itself, so the span stops here — an inner
 // Sharded handed the same span would add its fan-out a second time.
 func TestDurableKeepsSpanFromInnerIndex(t *testing.T) {
@@ -91,9 +91,9 @@ func TestDurableKeepsSpanFromInnerIndex(t *testing.T) {
 }
 
 // TestDurableInsertSpanStages pins the write-path stage attribution: a
-// span-carrying batched insert under SyncAlways records wal (frame
-// encode + append), shard (in-memory apply) and fsync (group commit)
-// time, summed over the touched segments.
+// span-carrying batched insert under SyncAlways records wal (framing into
+// the log's buffer, and the commit's write), shard (in-memory apply) and
+// fsync (the commit's fsync) time.
 func TestDurableInsertSpanStages(t *testing.T) {
 	d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(2))
 	if err != nil {
@@ -133,7 +133,7 @@ func TestDurableInsertSpanStages(t *testing.T) {
 }
 
 // TestDurableInsertSpanNoFsyncStage checks that fsync time is only
-// attributed when the policy actually group-commits: under SyncNever the
+// attributed when the policy makes the commit fsync: under SyncNever the
 // fsync stage stays zero while wal and shard still record.
 func TestDurableInsertSpanNoFsyncStage(t *testing.T) {
 	d, err := Open(t.TempDir(), Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(1))
@@ -226,4 +226,31 @@ func TestDurableLookupSpanStages(t *testing.T) {
 	if d.LookupBatch([]core.Key{2}, vals[:1], oks[:1], nil); !oks[0] || vals[0] != 20 {
 		t.Error("nil-span lookup broken")
 	}
+}
+
+// TestUncommittedSpanStages pins where a deferred commit's time goes: the
+// uncommitted batch records wal (framing) and shard time and no fsync, and
+// the Commit that follows — the one the server makes inside the flush its
+// span covers — adds the write to wal and the fsync to fsync.
+func TestUncommittedSpanStages(t *testing.T) {
+	d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	tr, sp := testSpan(t, 8)
+	if err := d.InsertUncommitted(kvs(0, 8), sp); err != nil {
+		t.Fatal(err)
+	}
+	framed := sp.Stage(core.StageWAL)
+	if framed <= 0 || sp.Stage(core.StageShard) <= 0 || sp.Stage(core.StageFsync) != 0 {
+		t.Errorf("uncommitted batch: wal=%v shard=%v fsync=%v, want wal and shard only", framed, sp.Stage(core.StageShard), sp.Stage(core.StageFsync))
+	}
+	if err := d.Commit(sp); err != nil {
+		t.Fatal(err)
+	}
+	if sp.Stage(core.StageWAL) <= framed || sp.Stage(core.StageFsync) <= 0 {
+		t.Errorf("after Commit: wal=%v (was %v) fsync=%v, want both to have grown", sp.Stage(core.StageWAL), framed, sp.Stage(core.StageFsync))
+	}
+	tr.Finish(sp)
 }

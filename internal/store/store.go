@@ -1,9 +1,11 @@
 // Package store is the durable storage subsystem of the lix library. It
 // persists any mutable index kind with the log-plus-sorted-runs shape used
 // by disk-resident DBMS engines ("Updatable Learned Indexes Meet
-// Disk-Resident DBMS"): an append-only write-ahead log with length+CRC
-// record framing and batched group commit makes individual mutations
-// durable, a checkpoint flushes the log's delta into an immutable sorted
+// Disk-Resident DBMS"): one append-only write-ahead log per generation,
+// with length+CRC record framing and a combining committer (records are
+// buffered as they are applied; whoever commits writes the buffer for
+// everyone), makes mutations durable before they are acknowledged, a
+// checkpoint flushes the log's delta into an immutable sorted
 // run (internal/sst) listed in a CRC32C-framed manifest, and recovery
 // merges the committed WAL suffix over the runs of the newest valid
 // manifest, truncating the log at the first torn or corrupt entry instead
@@ -13,9 +15,10 @@
 //
 //	lsm-<gen>.lix         manifest of generation <gen> (meta + run list)
 //	sst-<id>.lix          immutable sorted run
-//	wal-<gen>-<seg>.lix   WAL segment <seg> of generation <gen>
+//	wal-<gen>-000.lix     the log of generation <gen> (older versions wrote
+//	                      one per segment, -001 and up; recovery reads all)
 //
-// A checkpoint rotates to the next generation: new WAL segments first,
+// A checkpoint rotates to the next generation: the new log first,
 // then the run, then the manifest (each temp file, fsync, rename), and
 // only then are the previous generation's files deleted, so recovery
 // always finds either the old manifest plus the complete old WAL, or the
@@ -40,8 +43,8 @@ type SyncPolicy uint8
 
 // The fsync policies.
 const (
-	// SyncAlways fsyncs before every mutation returns (group commit
-	// batches concurrent writers into one fsync).
+	// SyncAlways fsyncs before every mutation is acknowledged (concurrent
+	// committers share one write and one fsync).
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs from a background flusher on a fixed cadence; a
 	// crash may lose the last interval's writes.
@@ -95,10 +98,10 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("OpKind(%d)", uint8(k))
 }
 
-// Record is one logged mutation. Seq is the global commit order across
-// all WAL segments of a store: per-segment logs are merged by Seq during
-// recovery, so records of the same key (which always route to the same
-// segment while a generation is live) replay in their original order.
+// Record is one logged mutation. Seq is the store-wide order recovery
+// replays a key's records in, whichever files they are read from: it is
+// assigned under the key's segment lock, which is held until the record
+// is applied, so per key it is the apply order.
 type Record struct {
 	Seq uint64
 	Op  OpKind
@@ -124,20 +127,22 @@ type MutableIndex interface {
 	Delete(k core.Key) bool
 }
 
-// Router maps a key to its WAL segment. While a generation is live the
-// routing must be stable (the same key always lands in the same segment)
-// so that per-key operation order survives the per-segment merge.
+// Router maps a key to its write segment, the lock domain its writes are
+// ordered in. The routing must be stable while the store is open (the same
+// key always lands in the same segment): that is what makes a key's
+// sequence order its apply order.
 type Router func(k core.Key) int
 
 // BuildResult is what a BuildFunc returns: the in-memory index plus the
-// WAL segmentation scheme it implies.
+// write segmentation it implies.
 type BuildResult struct {
 	// Index is the rebuilt in-memory index.
 	Index MutableIndex
-	// Route maps keys to WAL segments (nil routes everything to segment 0).
+	// Route maps keys to write segments (nil routes everything to segment 0).
 	Route Router
-	// Segments is the WAL segment count (0 selects 1). The sharded layer
-	// uses one segment per shard so group commits proceed in parallel.
+	// Segments is the write segment count (0 selects 1). The sharded layer
+	// uses one per shard, so writers of different shards log and apply
+	// beside each other.
 	Segments int
 	// ConcurrentReads declares the index safe for reads concurrent with
 	// writes (the sharded layer, XIndex). When false the durable wrapper

@@ -4,14 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
 )
 
-// WAL on-disk format. A segment file is a 24-byte header followed by a
+// WAL on-disk format. A log file is a 24-byte header followed by a
 // stream of framed records:
 //
 //	header:  magic "LIXWAL01" | u64 generation | u32 segment | u32 CRC32C(gen, seg)
@@ -19,7 +22,7 @@ import (
 //	payload: u8 op | u64 seq | u64 key | u64 value (inserts only)
 //
 // All integers are little-endian. A record is committed iff its frame is
-// fully present and its CRC validates; recovery truncates the segment at
+// fully present and its CRC validates; recovery truncates the log at
 // the first frame that is torn (short) or corrupt (CRC/shape mismatch)
 // and keeps everything before it. Payload lengths are fixed per op (25
 // bytes for inserts, 17 for deletes), so any CRC-valid frame re-encodes
@@ -55,7 +58,7 @@ func appendRecord(buf []byte, r Record) []byte {
 	return append(buf, p[:n]...)
 }
 
-// DecodeRecords scans a record stream (the segment body after the file
+// DecodeRecords scans a record stream (the log body after the file
 // header) and returns every leading committed record plus the byte offset
 // of the first torn or corrupt frame (== len(buf) when the stream is
 // clean). It never panics on arbitrary input and never returns a record
@@ -110,40 +113,64 @@ func decodePayload(p []byte) (Record, bool) {
 	return r, true
 }
 
-// WAL is one append-only segment file. Append serializes writers on an
-// internal mutex; SyncTo implements batched group commit: concurrent
-// callers queue on the sync mutex and every fsync covers all bytes
-// written before it started, so followers whose offset is already durable
-// return without issuing their own fsync.
-type WAL struct {
-	path string
-	gen  uint64
-	seg  int
-
-	mu       sync.Mutex // serializes Append (encode + write + size)
-	f        *os.File
-	size     int64
-	buf      []byte
-	appended uint64
-
-	syncMu  sync.Mutex // serializes fsync; the group-commit queue
-	synced  int64      // bytes known durable
-	fsyncs  uint64
-	closed  bool
-	syncErr error
-
-	// Optional observability sinks, shared with the owning Durable.
-	hook    *obs.Hook
-	fsyncNS *obs.Histogram
+// logFile is what the log uses of its *os.File; the tests substitute one
+// whose n-th write fails or comes up short.
+type logFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
-// OpenWAL opens or creates the segment file at path, recovers its
-// committed records, and truncates any torn or corrupt tail so appends
-// continue from the last committed frame. A missing, empty or
-// header-torn file is (re)initialized as an empty segment. It returns the
-// WAL positioned for appending, the recovered records, and the number of
-// tail bytes truncated.
-func OpenWAL(path string, gen uint64, seg int, hook *obs.Hook, fsyncNS *obs.Histogram) (*WAL, []Record, int64, error) {
+const (
+	// walBufMax is the size at which the buffer commits itself, so memory
+	// runs ahead of the file by a bounded number of bytes whoever forgets
+	// to commit.
+	walBufMax = 64 << 10
+	// walChunk is how many records of a batch are framed per hold of the
+	// buffer lock, which is what lets a batch of any size respect walBufMax.
+	walChunk = 1024
+)
+
+// WAL is the append-only log of one generation, with a combining
+// committer. Append frames records into an in-memory buffer and returns
+// the logical offset of their end; Commit(off) returns once the file
+// holds every byte up to off: the first committer to arrive writes the
+// whole buffer with one write(2) (and fsyncs, when asked), those that
+// queued behind it find their offset covered and return without a
+// syscall. The first short or failed write, or failed fsync, is sticky:
+// the frames behind a torn one would be cut off by recovery, so nothing
+// is appended or committed after it.
+type WAL struct {
+	path string
+
+	mu       sync.Mutex // the tail: buf, base, appended, err
+	buf      []byte     // frames appended and not yet written
+	base     int64      // logical offset of buf[0]; the log ends at base+len(buf)
+	appended uint64
+	err      error // sticky: the first failed write or fsync, or closed
+
+	ioMu    sync.Mutex // serializes file I/O, the commit queue; taken before mu
+	f       logFile
+	spare   []byte       // the buffer not in use: the two swap at every commit
+	written atomic.Int64 // bytes the file holds
+	synced  atomic.Int64 // bytes known durable
+	writes  atomic.Uint64
+	fsyncs  atomic.Uint64
+	closed  bool
+
+	// Optional observability sinks, shared with the owning Durable.
+	hook *obs.Hook
+	m    *obs.Metrics
+}
+
+// OpenWAL opens or creates the log file at path, recovers its committed
+// records, and truncates any torn or corrupt tail so appends continue
+// from the last committed frame. A missing, empty or header-torn file is
+// (re)initialized as an empty log. It returns the WAL positioned for
+// appending, the recovered records, and the number of tail bytes
+// truncated. seg is the header's segment field: 0 in every file this
+// version writes.
+func OpenWAL(path string, gen uint64, seg int, hook *obs.Hook, m *obs.Metrics) (*WAL, []Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, 0, err
@@ -152,7 +179,7 @@ func OpenWAL(path string, gen uint64, seg int, hook *obs.Hook, fsyncNS *obs.Hist
 	fresh := !validWalHeader(data, gen, seg)
 	if fresh {
 		// Missing file, or a header torn by a crash at creation time: no
-		// record can have committed, start the segment over.
+		// record can have committed, start the log over.
 		truncated = int64(len(data))
 		if err := os.WriteFile(path, walHeader(gen, seg), 0o644); err != nil {
 			return nil, nil, 0, err
@@ -170,17 +197,14 @@ func OpenWAL(path string, gen uint64, seg int, hook *obs.Hook, fsyncNS *obs.Hist
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	w := &WAL{
-		path: path, gen: gen, seg: seg, f: f,
-		size: int64(walHeaderSize + body),
-		hook: hook, fsyncNS: fsyncNS,
-	}
+	w := &WAL{path: path, f: f, base: int64(walHeaderSize + body), hook: hook, m: m}
+	w.written.Store(w.base)
 	return w, recs, truncated, nil
 }
 
-// readSegment decodes a segment file without opening it for appending or
-// truncating it (used for read-only older generations during recovery).
-// Torn tails are simply ignored.
+// readSegment decodes a log file without opening it for appending or
+// truncating it (recovery, and the flush of retired generations). Torn
+// tails are simply ignored.
 func readSegment(path string) ([]Record, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -213,60 +237,156 @@ func validWalHeader(data []byte, gen uint64, seg int) bool {
 		binary.LittleEndian.Uint32(data[16:]) == uint32(seg)
 }
 
-// Append encodes and writes recs as one contiguous write, returning the
-// logical end offset of the last record. It does not fsync; pair with
-// SyncTo according to the configured policy.
-func (w *WAL) Append(recs ...Record) (int64, error) {
+// begin takes mu for an append or a commit; on a log that has failed or is
+// closed it returns that error with mu released.
+func (w *WAL) begin() error {
 	w.mu.Lock()
-	w.buf = w.buf[:0]
-	for _, r := range recs {
-		w.buf = appendRecord(w.buf, r)
+	if err := w.err; err != nil {
+		w.mu.Unlock()
+		return err
 	}
-	n, err := w.f.Write(w.buf)
-	w.size += int64(n)
-	off := w.size
-	w.appended += uint64(len(recs))
+	return nil
+}
+
+// appendedUnlock accounts for n records just framed, releases mu, and
+// commits the buffer if it has reached walBufMax. It returns the log's end.
+func (w *WAL) appendedUnlock(n int) (int64, error) {
+	w.appended += uint64(n)
+	off, full := w.base+int64(len(w.buf)), len(w.buf) >= walBufMax
 	w.mu.Unlock()
-	if err != nil {
-		return off, fmt.Errorf("store: wal %s append: %w", w.path, err)
+	if full {
+		return off, w.Commit(off, false, nil)
 	}
 	return off, nil
 }
 
-// SyncTo makes every byte up to off durable. Group commit: if a
-// concurrent caller's fsync already covered off by the time the sync
-// mutex is acquired, no additional fsync is issued.
-func (w *WAL) SyncTo(off int64) error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.synced >= off {
+// Append frames recs into the buffer and returns the logical end offset of
+// the last one; pair with Commit. On a log that has failed or is closed it
+// buffers nothing and returns that error.
+func (w *WAL) Append(recs ...Record) (int64, error) {
+	if err := w.begin(); err != nil {
+		return 0, err
+	}
+	for _, r := range recs {
+		w.buf = appendRecord(w.buf, r)
+	}
+	return w.appendedUnlock(len(recs))
+}
+
+// AppendBatch is Append for a batch in the shape the index takes it:
+// upserts of recs, or — recs empty — deletes of keys, numbered from seq in
+// input order, walChunk records per hold of the buffer. An error part-way
+// (only a self-commit can cause one) leaves the earlier chunks in the log;
+// the caller applies nothing.
+func (w *WAL) AppendBatch(recs []core.KV, keys []core.Key, seq uint64) (off int64, err error) {
+	for len(recs)+len(keys) > 0 {
+		if err := w.begin(); err != nil {
+			return 0, err
+		}
+		n := min(len(recs)+len(keys), walChunk)
+		if len(recs) > 0 {
+			for _, r := range recs[:n] {
+				w.buf = appendRecord(w.buf, Record{Seq: seq, Op: OpInsert, Key: r.Key, Val: r.Value})
+				seq++
+			}
+			recs = recs[n:]
+		} else {
+			for _, k := range keys[:n] {
+				w.buf = appendRecord(w.buf, Record{Seq: seq, Op: OpDelete, Key: k})
+				seq++
+			}
+			keys = keys[n:]
+		}
+		if off, err = w.appendedUnlock(n); err != nil {
+			return off, err
+		}
+	}
+	return off, nil
+}
+
+// covered reports whether the file holds (sync: durably) every byte up to
+// off.
+func (w *WAL) covered(off int64, sync bool) bool {
+	if sync {
+		return w.synced.Load() >= off
+	}
+	return w.written.Load() >= off
+}
+
+// Commit returns once the file holds every byte up to off, and with sync
+// once they are durable. Concurrent committers combine: one of them writes
+// everything buffered so far — one write(2), the span's wal stage — and
+// fsyncs it (the fsync stage), and each one queued behind it whose offset
+// that covered returns without a syscall, its wait in the stage it waited
+// for.
+func (w *WAL) Commit(off int64, sync bool, sp *core.Span) error {
+	if w.covered(off, sync) {
 		return nil
 	}
-	if w.syncErr != nil {
-		return w.syncErr
+	t0 := sp.Begin()
+	w.ioMu.Lock()
+	defer w.ioMu.Unlock()
+	if w.covered(off, sync) {
+		if sync {
+			sp.End(core.StageFsync, t0)
+		} else {
+			sp.End(core.StageWAL, t0)
+		}
+		return nil
 	}
-	if w.closed {
-		return fmt.Errorf("store: wal %s: sync after close", w.path)
+	if err := w.begin(); err != nil {
+		return err
 	}
-	w.mu.Lock()
-	end := w.size
+	buf := w.buf
+	w.buf, w.base = w.spare[:0], w.base+int64(len(buf))
 	w.mu.Unlock()
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		w.syncErr = fmt.Errorf("store: wal %s fsync: %w", w.path, err)
-		return w.syncErr
+	if len(buf) > 0 {
+		n, err := w.f.Write(buf)
+		w.writes.Add(1)
+		if w.m != nil {
+			w.m.WALWrites.Inc()
+			w.m.WALBytes.Add(uint64(n))
+		}
+		if err == nil && n < len(buf) {
+			err = io.ErrShortWrite
+		}
+		if err != nil {
+			return w.fail(fmt.Errorf("store: wal %s write: %w", w.path, err))
+		}
+		w.written.Add(int64(n))
 	}
-	elapsed := time.Since(start)
-	w.fsyncs++
-	covered := end - w.synced
-	w.synced = end
-	if w.fsyncNS != nil {
-		w.fsyncNS.Observe(uint64(elapsed))
-	}
-	if w.hook != nil {
-		w.hook.Emit(obs.EvWALFlush, int(covered), fmt.Sprintf("seg=%d", w.seg))
+	w.spare = buf[:0]
+	sp.End(core.StageWAL, t0)
+	if end := w.written.Load(); sync && w.synced.Load() < end {
+		t0 = time.Now()
+		if err := w.f.Sync(); err != nil {
+			return w.fail(fmt.Errorf("store: wal %s fsync: %w", w.path, err))
+		}
+		elapsed := time.Since(t0)
+		sp.Add(core.StageFsync, elapsed)
+		w.fsyncs.Add(1)
+		covered := end - w.synced.Swap(end)
+		if w.m != nil {
+			w.m.FsyncNS.Observe(uint64(elapsed))
+		}
+		if w.hook != nil {
+			w.hook.Emit(obs.EvWALFlush, int(covered), "")
+		}
 	}
 	return nil
+}
+
+// fail makes err the log's sticky error unless an earlier one is, drops
+// the frames nobody will write now (their offsets stay handed out, so a
+// Commit of one fails), and returns the sticky error.
+func (w *WAL) fail(err error) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.err = err
+	}
+	w.buf, w.base = nil, w.base+int64(len(w.buf))
+	return w.err
 }
 
 // Appended returns the number of records appended through this handle.
@@ -276,54 +396,42 @@ func (w *WAL) Appended() uint64 {
 	return w.appended
 }
 
-// Fsyncs returns the number of fsync calls issued.
-func (w *WAL) Fsyncs() uint64 {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	return w.fsyncs
-}
+// Writes returns the number of write(2) calls issued.
+func (w *WAL) Writes() uint64 { return w.writes.Load() }
 
-// Size returns the logical file size in bytes.
-func (w *WAL) Size() int64 {
+// Fsyncs returns the number of fsync calls issued.
+func (w *WAL) Fsyncs() uint64 { return w.fsyncs.Load() }
+
+// End returns the logical size in bytes: the file plus the buffer.
+func (w *WAL) End() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.size
+	return w.base + int64(len(w.buf))
 }
 
-// Close fsyncs outstanding writes and closes the file. After Close,
-// SyncTo returns nil for offsets the close covered.
+// Close commits and fsyncs what is buffered and closes the file. After
+// Close, Commit returns nil for offsets the close covered.
 func (w *WAL) Close() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
-	if w.closed {
-		return nil
-	}
-	w.mu.Lock()
-	end := w.size
-	w.mu.Unlock()
-	var err error
-	if w.synced < end && w.syncErr == nil {
-		if err = w.f.Sync(); err == nil {
-			w.synced = end
-			w.fsyncs++
-		}
-	}
-	w.closed = true
-	if cerr := w.f.Close(); err == nil {
+	err := w.Commit(w.End(), true, nil)
+	if cerr := w.release(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Crash closes the file without syncing — a crash-simulation aid for
-// tests and examples: whatever the OS has not yet flushed is exactly what
-// a power loss at this instant would lose.
-func (w *WAL) Crash() error {
-	w.syncMu.Lock()
-	defer w.syncMu.Unlock()
+// Crash drops the buffer and closes the file without syncing — a
+// crash-simulation aid for tests and examples: whatever the OS has not
+// yet flushed is exactly what a power loss at this instant would lose.
+func (w *WAL) Crash() error { return w.release() }
+
+// release closes the file once; from then on the log refuses appends.
+func (w *WAL) release() error {
+	w.ioMu.Lock()
+	defer w.ioMu.Unlock()
 	if w.closed {
 		return nil
 	}
 	w.closed = true
+	w.fail(fmt.Errorf("store: wal %s: closed", w.path))
 	return w.f.Close()
 }

@@ -163,7 +163,7 @@ func TestWALGroupCommit(t *testing.T) {
 					t.Errorf("append: %v", err)
 					return
 				}
-				if err := w.SyncTo(off); err != nil {
+				if err := w.Commit(off, true, nil); err != nil {
 					t.Errorf("sync: %v", err)
 					return
 				}
@@ -174,10 +174,13 @@ func TestWALGroupCommit(t *testing.T) {
 	if w.Appended() != writers*each {
 		t.Fatalf("appended %d, want %d", w.Appended(), writers*each)
 	}
-	// Group commit: concurrent SyncTo calls share fsyncs, so the fsync
-	// count must come in below one per record.
+	// Group commit: concurrent Commit calls share writes and fsyncs, so
+	// neither count may exceed one per record.
 	if f := w.Fsyncs(); f == 0 || f > writers*each {
 		t.Fatalf("fsyncs %d out of range (0, %d]", f, writers*each)
+	}
+	if n := w.Writes(); n == 0 || n > writers*each {
+		t.Fatalf("writes %d out of range (0, %d]", n, writers*each)
 	}
 }
 
@@ -191,12 +194,12 @@ func TestWALSyncAfterCloseCovered(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// A SyncTo racing a checkpoint rotation resolves via the close's fsync.
-	if err := w.SyncTo(off); err != nil {
-		t.Fatalf("SyncTo after covering close: %v", err)
+	// A Commit racing a checkpoint rotation resolves via the close's fsync.
+	if err := w.Commit(off, true, nil); err != nil {
+		t.Fatalf("Commit after covering close: %v", err)
 	}
-	if err := w.SyncTo(off + 1); err == nil {
-		t.Fatal("SyncTo beyond the close must fail")
+	if err := w.Commit(off+1, true, nil); err == nil {
+		t.Fatal("Commit beyond the close must fail")
 	}
 }
 

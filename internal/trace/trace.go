@@ -21,12 +21,13 @@
 // and only exist for sampled groups; the type is core.Span, declared
 // beside the batch capabilities that thread it through the layers.
 //
-// Stage durations are recorded with atomic adds, so layers that fan work
-// out across goroutines (the sharded router, per-segment WAL group
-// commits) can record concurrently into one span; a stage value is the
-// summed duration across that parallel work, which can exceed the group's
-// wall time. Stages are also hierarchical, not additive: dispatch covers
-// the store calls, which in turn cover shard/wal/fsync work.
+// Stage durations are recorded with atomic adds, so a layer that fans work
+// out across goroutines (the sharded router) can record concurrently into
+// one span; a stage value is the summed duration across that parallel
+// work, which can exceed the group's wall time. Stages are also
+// hierarchical, not additive: dispatch covers the store calls and their
+// shard and wal (framing) work, flush covers the commit in front of the
+// replies — the log's write (wal) and fsync.
 package trace
 
 import (

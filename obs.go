@@ -223,26 +223,52 @@ func (o *ObservedMutableIndex) Delete(k Key) bool {
 	return ok
 }
 
-// InsertBatch upserts recs through the wrapped index's batched path when
-// it has one, forwarding the span and the store's error, and recording
-// whole-batch latency and cardinality (a failed batch still counts as
-// attempted).
-func (o *ObservedMutableIndex) InsertBatch(recs []KV, sp *Span) error {
+// insertBatch and deleteBatch run one batched write through call — the
+// core dispatch helper of the entry point — forwarding the span and the
+// store's error, and recording whole-batch latency and cardinality (a
+// failed batch still counts as attempted).
+func (o *ObservedMutableIndex) insertBatch(recs []KV, sp *Span, call func(core.Inserter, []KV, *Span) error) error {
 	start := time.Now()
-	err := core.InsertBatch(o.mut, recs, sp)
+	err := call(o.mut, recs, sp)
 	o.batchDone(start, len(recs), &o.m.Inserts)
 	return err
 }
 
-// DeleteBatch removes keys through the wrapped index's batched path when
-// it has one, writing per-key presence into the caller's oks; span, error
-// and metrics as InsertBatch.
-func (o *ObservedMutableIndex) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
+func (o *ObservedMutableIndex) deleteBatch(keys []Key, oks []bool, sp *Span, call func(core.Deleter, []Key, []bool, *Span) error) error {
 	start := time.Now()
-	err := core.DeleteBatch(o.mut, keys, oks, sp)
+	err := call(o.mut, keys, oks, sp)
 	o.batchDone(start, len(keys), &o.m.Deletes)
 	return err
 }
+
+// InsertBatch upserts recs through the wrapped index's batched path when
+// it has one; span, error and metrics as insertBatch says.
+func (o *ObservedMutableIndex) InsertBatch(recs []KV, sp *Span) error {
+	return o.insertBatch(recs, sp, core.InsertBatch)
+}
+
+// DeleteBatch removes keys through the wrapped index's batched path when
+// it has one, writing per-key presence into the caller's oks.
+func (o *ObservedMutableIndex) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
+	return o.deleteBatch(keys, oks, sp, core.DeleteBatch)
+}
+
+// InsertUncommitted, DeleteUncommitted and Commit forward the
+// core.Committer capability of a durable index below the wrapper: the
+// batches are recorded as InsertBatch and DeleteBatch record theirs, the
+// commit passes through (the store counts it into wal_writes and fsync_ns).
+func (o *ObservedMutableIndex) InsertUncommitted(recs []KV, sp *Span) error {
+	return o.insertBatch(recs, sp, core.InsertUncommitted)
+}
+
+// DeleteUncommitted is DeleteBatch without the commit; see InsertUncommitted.
+func (o *ObservedMutableIndex) DeleteUncommitted(keys []Key, oks []bool, sp *Span) error {
+	return o.deleteBatch(keys, oks, sp, core.DeleteUncommitted)
+}
+
+// Commit commits what the Uncommitted calls left in the log's buffer; a
+// no-op over an index that keeps no log.
+func (o *ObservedMutableIndex) Commit(sp *Span) error { return core.Commit(o.mut, sp) }
 
 // WriteMetricsPrometheus renders the given bundles in Prometheus text
 // exposition format (stdlib only, no client dependency).

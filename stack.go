@@ -18,8 +18,8 @@ type StackConfig struct {
 	// with Dir set it is the recovered kind.
 	Kind string
 	// Shards, when positive, inserts the sharded concurrent serving layer.
-	// With Dir set this also gives the WAL one segment per shard (parallel
-	// group commit and recovery).
+	// With Dir set, writers of different shards log and apply beside each
+	// other (the log itself is one file; its commits combine).
 	Shards int
 	// Mode selects the shard concurrency scheme (default ShardRW; only
 	// meaningful with Shards > 0). ShardRCU cannot be combined with Dir.
@@ -204,9 +204,9 @@ func (s *Stack) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
 	core.LookupBatch(s.top, keys, vals, oks, sp)
 }
 
-// InsertBatch upserts recs in one pass: one WAL frame group and one group
-// commit per touched segment when the stack is durable, one lock
-// acquisition per touched shard when it is sharded. Duplicate keys inside
+// InsertBatch upserts recs in one pass: one WAL frame group and one
+// commit of the log when the stack is durable, one lock acquisition per
+// touched shard when it is sharded. Duplicate keys inside
 // one batch resolve later-wins. The error is the durable layer's — the
 // first I/O error of the call, or the latched Err of a store that has
 // already failed — and always nil for an in-memory stack. sp as in
@@ -221,6 +221,33 @@ func (s *Stack) InsertBatch(recs []KV, sp *Span) error {
 // on duplicates.
 func (s *Stack) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
 	return core.DeleteBatch(s.top, keys, oks, sp)
+}
+
+// InsertUncommitted, DeleteUncommitted and Commit are the commit
+// capability of a durable stack (core.Committer, which the server uses):
+// the batch calls apply and log into the log's buffer without committing
+// it, and Commit writes out everything applied so far — one write(2),
+// and one fsync under FsyncAlways, for however many batches came before.
+// A caller of the Uncommitted forms must hold back every acknowledgement,
+// and every read result that may show such a write, until Commit has
+// returned nil. On an in-memory stack they are InsertBatch, DeleteBatch
+// and a no-op.
+func (s *Stack) InsertUncommitted(recs []KV, sp *Span) error {
+	return core.InsertUncommitted(s.top, recs, sp)
+}
+
+// DeleteUncommitted is DeleteBatch without the commit; see InsertUncommitted.
+func (s *Stack) DeleteUncommitted(keys []Key, oks []bool, sp *Span) error {
+	return core.DeleteUncommitted(s.top, keys, oks, sp)
+}
+
+// Commit commits the durable layer's log up to its current end; see
+// InsertUncommitted.
+func (s *Stack) Commit(sp *Span) error {
+	if s.durable == nil {
+		return nil
+	}
+	return core.Commit(s.top, sp)
 }
 
 // Err returns the durable layer's latched I/O error — non-nil once a
