@@ -144,6 +144,11 @@ func durablePlan(opts DurableOptions) (store.Config, store.BuildFunc, error) {
 			if err != nil {
 				return store.BuildResult{}, err
 			}
+			if opts.Metrics != nil {
+				// The shard locks' slow acquires; nothing else of a
+				// ShardRW layer reaches its observer.
+				s.SetObserver(opts.Metrics)
+			}
 			r := s.Router()
 			return store.BuildResult{
 				Index:           s,

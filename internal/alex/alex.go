@@ -18,6 +18,7 @@ package alex
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/mlmodel"
@@ -35,16 +36,30 @@ const (
 	innerFanoutMax = 64   // bulk build: max children per inner node
 )
 
+// cacheLine is the unit a write on one core takes away from a reader on
+// another. Index and dataNode keep the words every lookup loads and the
+// words every insert and delete writes on different lines: behind a
+// sharded layer one caller's write would otherwise cost the other
+// caller's next Get a miss on the root, or on the slice headers and model
+// of a leaf whose slots it did not touch. Both structs are a whole number
+// of lines, and the allocator starts an object of such a size (pointers
+// or not, up to 512 bytes) on a line boundary; alex_test.go pins both.
+const cacheLine = 64
+
 // Index is an ALEX tree. The zero value is not usable; call New or Bulk.
 type Index struct {
+	// Read by every operation, written by a root split and SetObserver.
 	root node
+	hook obs.Hook
+	_    [cacheLine - unsafe.Sizeof(node(nil)) - unsafe.Sizeof(obs.Hook{})]byte
+
+	// Written by inserts and deletes.
 	size int
 	// adaptation counters (ablation diagnostics)
 	Shifts  int
 	Expands int
 	Splits  int
-
-	hook obs.Hook
+	_       [cacheLine - 4*unsafe.Sizeof(int(0))]byte
 }
 
 // SetObserver installs r to receive structural events (node expands, splits
@@ -62,12 +77,18 @@ type inner struct {
 }
 
 type dataNode struct {
-	keys    []core.Key
-	vals    []core.Value
-	occ     []bool
+	// Read by every operation on the leaf, written by expand (and next by
+	// a split of the neighbour): two lines.
+	keys  []core.Key
+	vals  []core.Value
+	occ   []bool
+	model mlmodel.Linear
+	next  *dataNode // leaf chain for range scans
+	_     [2*cacheLine - 3*unsafe.Sizeof([]bool(nil)) - unsafe.Sizeof(mlmodel.Linear{}) - unsafe.Sizeof((*dataNode)(nil))]byte
+
+	// Written by every insert and delete that lands here.
 	numKeys int
-	model   mlmodel.Linear
-	next    *dataNode // leaf chain for range scans
+	_       [cacheLine - unsafe.Sizeof(int(0))]byte
 }
 
 func (*inner) isNode()    {}
@@ -288,65 +309,46 @@ func (ix *Index) Get(k core.Key) (core.Value, bool) {
 
 // Insert upserts (k, v); returns true if the key was new.
 func (ix *Index) Insert(k core.Key, v core.Value) bool {
-	// Descend, remembering the path for splits.
-	var path []*inner
-	n := ix.root
 	for {
-		in, ok := n.(*inner)
-		if !ok {
-			break
+		// Descend, remembering the leaf's parent for a split.
+		var parent *inner
+		n := ix.root
+		for {
+			in, ok := n.(*inner)
+			if !ok {
+				break
+			}
+			parent = in
+			n = in.children[in.route(k)]
 		}
-		path = append(path, in)
-		n = in.children[in.route(k)]
-	}
-	dn := n.(*dataNode)
-	added := ix.insertInto(dn, k, v, path)
-	if added {
+		dn := n.(*dataNode)
+		s := dn.lowerSlot(k)
+		// Upsert: scan the run of equal keys for an occupied slot.
+		for t := s; t < len(dn.keys) && dn.keys[t] == k; t++ {
+			if dn.occ[t] {
+				dn.vals[t] = v
+				return false
+			}
+		}
+		// Structural adaptation before placing, if too dense; the leaf
+		// and the slot are then found again from the root.
+		if float64(dn.numKeys+1) > maxDensity*float64(len(dn.keys)) {
+			if 2*len(dn.keys) <= maxDataSlots {
+				ix.expand(dn)
+			} else {
+				ix.split(dn, parent)
+			}
+			continue
+		}
+		dn.place(s, k, v, &ix.Shifts)
 		ix.size++
+		return true
 	}
-	return added
 }
 
-func (ix *Index) insertInto(dn *dataNode, k core.Key, v core.Value, path []*inner) bool {
-	s := dn.lowerSlot(k)
-	// Upsert: scan the run of equal keys for an occupied slot.
-	for t := s; t < len(dn.keys) && dn.keys[t] == k; t++ {
-		if dn.occ[t] {
-			dn.vals[t] = v
-			return false
-		}
-	}
-	// Structural adaptation before placing, if too dense.
-	if float64(dn.numKeys+1) > maxDensity*float64(len(dn.keys)) {
-		if 2*len(dn.keys) <= maxDataSlots {
-			ix.expand(dn)
-		} else {
-			ix.split(dn, path)
-		}
-		return ix.insertInto(ix.relocate(k, path), k, v, path)
-	}
-	dn.place(k, v, &ix.Shifts)
-	return true
-}
-
-// relocate re-resolves the data node for k after an expand (same node
-// object) or split (parent updated).
-func (ix *Index) relocate(k core.Key, path []*inner) *dataNode {
-	if len(path) == 0 {
-		return ix.findLeaf(k)
-	}
-	in := path[len(path)-1]
-	n := in.children[in.route(k)]
-	if dn, ok := n.(*dataNode); ok {
-		return dn
-	}
-	return ix.findLeaf(k)
-}
-
-// place inserts (k, v) into the gapped array; the caller guarantees a free
-// slot exists and k is not present.
-func (dn *dataNode) place(k core.Key, v core.Value, shifts *int) {
-	s := dn.lowerSlot(k)
+// place inserts (k, v) into the gapped array at its lower-bound slot s;
+// the caller guarantees a free slot exists and k is not present.
+func (dn *dataNode) place(s int, k core.Key, v core.Value, shifts *int) {
 	// Fast path: the lower-bound slot itself is a gap carrying exactly k
 	// (a duplicate left over from a deletion): claim it, order unchanged.
 	if s < len(dn.keys) && !dn.occ[s] && dn.keys[s] == k {
@@ -422,8 +424,8 @@ func (dn *dataNode) extract() ([]core.Key, []core.Value) {
 }
 
 // split divides dn into two data nodes at the median and installs them in
-// the parent (creating a new root inner node if needed).
-func (ix *Index) split(dn *dataNode, path []*inner) {
+// parent (nil when dn is the root: a new root inner node is created).
+func (ix *Index) split(dn *dataNode, parent *inner) {
 	keys, vals := dn.extract()
 	mid := len(keys) / 2
 	capL := int(float64(mid)/minDensity) + 2
@@ -434,7 +436,7 @@ func (ix *Index) split(dn *dataNode, path []*inner) {
 	leftN.next = rightN
 	ix.Splits++
 	ix.hook.Emit(obs.EvNodeSplit, len(keys), "split")
-	if len(path) == 0 {
+	if parent == nil {
 		// dn was the root.
 		rootFirst := core.Key(0)
 		if len(keys) > 0 {
@@ -449,7 +451,6 @@ func (ix *Index) split(dn *dataNode, path []*inner) {
 		ix.root = in
 		return
 	}
-	parent := path[len(path)-1]
 	ci := parent.route(keys[mid])
 	// The child at ci must be dn; replace with left and insert right after.
 	parent.children[ci] = leftN

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
@@ -300,5 +301,44 @@ func TestErrorsAndStats(t *testing.T) {
 	st := big.Stats()
 	if st.Count != 30000 || st.Models < 2 || st.Height < 2 || st.DataBytes <= 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestWrittenWordsOffTheReadLines pins what alex.go says about cacheLine:
+// the counters an insert or delete writes share no cache line with the
+// words a lookup loads, in Index and in every leaf, and both structs start
+// on a line boundary wherever the allocator puts them.
+func TestWrittenWordsOffTheReadLines(t *testing.T) {
+	var ix Index
+	if unsafe.Sizeof(ix)%cacheLine != 0 || unsafe.Offsetof(ix.size) != cacheLine ||
+		unsafe.Offsetof(ix.hook) >= cacheLine {
+		t.Errorf("Index: size %d, root@0 hook@%d size@%d: root and hook belong on line 0, the counters on line 1",
+			unsafe.Sizeof(ix), unsafe.Offsetof(ix.hook), unsafe.Offsetof(ix.size))
+	}
+	var dn dataNode
+	if unsafe.Sizeof(dn)%cacheLine != 0 || unsafe.Offsetof(dn.numKeys) != 2*cacheLine ||
+		unsafe.Offsetof(dn.next)+unsafe.Sizeof(dn.next) > 2*cacheLine {
+		t.Errorf("dataNode: size %d, next@%d numKeys@%d: headers, model and next belong on lines 0-1, numKeys on line 2",
+			unsafe.Sizeof(dn), unsafe.Offsetof(dn.next), unsafe.Offsetof(dn.numKeys))
+	}
+	keys, err := dataset.Keys(dataset.Lognormal, 50000, 509)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		// Different sizes in between, so that the objects do not all come
+		// from the start of a fresh span.
+		tree, err := Bulk(dataset.KV(keys[:5000*(i+1)]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if uintptr(unsafe.Pointer(tree))%cacheLine != 0 {
+			t.Errorf("Index allocated at %p, not on a cache line", tree)
+		}
+		for l := tree.leftmostLeaf(); l != nil; l = l.next {
+			if uintptr(unsafe.Pointer(l))%cacheLine != 0 {
+				t.Fatalf("dataNode allocated at %p, not on a cache line", l)
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -145,7 +146,84 @@ func gateServing(cfg Config) ([]*Table, []floor, error) {
 		}
 		floors = append(floors, floor{name: "serving/50/50/" + g.sys.name, got: got, ref: ref, min: g.min})
 	}
-	return []*Table{t}, floors, nil
+
+	ct, cf, err := callerScaling(keys, recs, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return []*Table{t, ct}, append(floors, cf...), nil
+}
+
+// callerScalingFloor is what a second caller must multiply sharded-rw's
+// rate by on the repo benchmark's in-process mix. On the 2-vCPU sandbox the
+// gate read 0.86-0.94 over three runs while the shard lock was a
+// sync.RWMutex, whose waiters park, and 1.30-1.38 over six with the
+// polling lock of internal/shard/lock.go; the floor is that less 20 %.
+// (The two vCPUs there behave like two threads of one core: a keyset
+// that fits the cache scales less than one that does not, 1.4 against
+// 1.6-1.7 at 2 M keys whatever the kind.)
+const callerScalingFloor = 1.1
+
+// callerScaling measures a sharded-rw ALEX stack with one caller and with
+// two, alternating slices through abMedian on the same instance, on the
+// mix the repo benchmark's inproc-mixed workload runs on that stack: 80 %
+// Get, 8 % Insert, 7 % Delete, 5 % Range of up to 100 records, on keys of
+// the preload (so nothing grows; the population settles near half of the
+// written keys present). It is the one gate on what the per-shard lock
+// costs two callers; with one CPU there is no second core to buy anything
+// with, and the table says so instead.
+func callerScaling(keys []core.Key, recs []core.KV, cfg Config) (*Table, []floor, error) {
+	t := &Table{
+		ID:      "CALLERS",
+		Title:   fmt.Sprintf("sharded-rw(%d) over alex, 80/8/7/5 get/insert/delete/range(100), n=%d: one caller against two (Mops/s aggregate)", cfg.Shards, cfg.N),
+		Columns: []string{"callers", "Mops", "vs one"},
+	}
+	if runtime.NumCPU() < 2 {
+		t.AddRow("skipped", fmt.Sprintf("runtime.NumCPU() = %d: a second caller has no core of its own", runtime.NumCPU()), "-")
+		return t, nil, nil
+	}
+	var slice int64
+	two, one, err := abMedian(abRounds, abSlices, func() (side, side, func(), error) {
+		s, err := lix.NewStack(recs, lix.StackConfig{Kind: "alex", Shards: cfg.Shards})
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("bench: build sharded-rw: %w", err)
+		}
+		callers := func(n int) side {
+			return func() (float64, error) {
+				slice++
+				return runBenchmarkMix(s, keys, cfg.Q, n, cfg.Seed+1000*slice), nil
+			}
+		}
+		return callers(2), callers(1), func() {}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	t.AddRow(1, one, "1.000")
+	t.AddRow(2, two, fmt.Sprintf("%.3f", two/one))
+	return t, []floor{{name: "serving/callers/2-vs-1", got: two, ref: one, min: callerScalingFloor}}, nil
+}
+
+// runBenchmarkMix drives callers goroutines, q operations each, of the
+// 80/8/7/5 mix against s and returns aggregate Mops/s.
+func runBenchmarkMix(s *lix.Stack, keys []core.Key, q, callers int, seed int64) float64 {
+	return drive(callers, q, seed, func(r *rand.Rand, o int) {
+		k := keys[r.Intn(len(keys))]
+		switch p := r.Intn(100); {
+		case p < 80:
+			s.Get(k)
+		case p < 88:
+			s.Insert(k, core.Value(o))
+		case p < 95:
+			s.Delete(k)
+		default:
+			left := 100
+			s.Range(k, ^core.Key(0), func(core.Key, core.Value) bool {
+				left--
+				return left > 0
+			})
+		}
+	})
 }
 
 // mixedSide is runMixed as an abMedian side. Writes upsert keys of the
@@ -157,26 +235,33 @@ func mixedSide(keys []core.Key, cfg Config, readPct float64, get func(core.Key) 
 // runMixed drives cfg.Workers goroutines, cfg.Q operations each, of the
 // given read/write mix and returns aggregate Mops/s.
 func runMixed(keys []core.Key, cfg Config, readPct float64, get func(core.Key) (core.Value, bool), put func(core.Key, core.Value)) float64 {
+	return drive(cfg.Workers, cfg.Q, cfg.Seed, func(r *rand.Rand, o int) {
+		k := keys[r.Intn(len(keys))]
+		if r.Float64() < readPct {
+			get(k)
+		} else {
+			put(k, core.Value(o))
+		}
+	})
+}
+
+// drive runs op q times on each of workers goroutines, each with a
+// generator of its own seeded from seed, and returns aggregate Mops/s.
+func drive(workers, q int, seed int64, op func(r *rand.Rand, o int)) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()
-	for w := 0; w < cfg.Workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			r := newRand(cfg.Seed + 31*int64(id))
-			for o := 0; o < cfg.Q; o++ {
-				k := keys[r.Intn(len(keys))]
-				if r.Float64() < readPct {
-					get(k)
-				} else {
-					put(k, core.Value(o))
-				}
+			r := newRand(seed + 31*int64(id))
+			for o := 0; o < q; o++ {
+				op(r, o)
 			}
 		}(w)
 	}
 	wg.Wait()
-	total := float64(cfg.Q * cfg.Workers)
-	return total / float64(time.Since(start).Nanoseconds()) * 1000
+	return float64(q*workers) / float64(time.Since(start).Nanoseconds()) * 1000
 }
 
 // gateObs is the observed-vs-bare pair: the 95/5 mix on one keyset against

@@ -223,6 +223,15 @@ type PageRecorder interface {
 	RecordPageAccess(hit bool)
 }
 
+// LockRecorder is the optional Recorder extension the shard layer's locks
+// feed, from their slow paths only. *Metrics implements it.
+type LockRecorder interface {
+	// RecordLockWait receives one step of a contended acquire of the read
+	// or the write side: blocked false when it first had to poll, blocked
+	// true when it then used up its polling budget and slept.
+	RecordLockWait(write, blocked bool)
+}
+
 type recorderBox struct{ r Recorder }
 
 // Hook is the embeddable, concurrency-safe recorder holder used by index

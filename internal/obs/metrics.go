@@ -123,6 +123,14 @@ type Metrics struct {
 	GroupLen Histogram
 	Conns    Gauge
 
+	// Slow acquires of the sharded layer's per-shard locks, index 0 the
+	// read side and 1 the write side: LockContended counts acquires that
+	// had to poll, LockBlocked those of them that used up their polling
+	// budget and slept. An uncontended acquire counts nothing, so against
+	// Lookups and Inserts + Deletes they are the contended share.
+	LockContended [2]Counter
+	LockBlocked   [2]Counter
+
 	// Events is the structural event stream.
 	Events EventLog
 
@@ -168,6 +176,19 @@ func (m *Metrics) RecordPageAccess(hit bool) {
 		m.PageHits.Inc()
 	} else {
 		m.PageMisses.Inc()
+	}
+}
+
+// RecordLockWait implements LockRecorder.
+func (m *Metrics) RecordLockWait(write, blocked bool) {
+	side := 0
+	if write {
+		side = 1
+	}
+	if blocked {
+		m.LockBlocked[side].Inc()
+	} else {
+		m.LockContended[side].Inc()
 	}
 }
 
@@ -289,6 +310,21 @@ var counterNames = []string{
 	"lsm_filter_probes", "lsm_filter_skips", "lsm_filter_false_positives",
 	"wal_writes", "wal_bytes",
 	"lsm_flush_ns", "lsm_flush_bytes", "lsm_compaction_ns", "lsm_compaction_bytes",
+}
+
+// lockSides names the two series of a lock counter family, in index
+// order; lockFamilies lists the families in rendering order. A snapshot
+// has them as "<family>_<side>", the exposition as
+// lix_<family>_total{side="<side>"}.
+var lockSides = [2]string{"read", "write"}
+
+type lockFamily struct {
+	name  string
+	sides *[2]Counter
+}
+
+func (m *Metrics) lockFamilies() [2]lockFamily {
+	return [2]lockFamily{{"shard_lock_contended", &m.LockContended}, {"shard_lock_blocked", &m.LockBlocked}}
 }
 
 // histNames fixes the rendering order of the histogram set.
@@ -436,6 +472,11 @@ func (m *Metrics) Snapshot() Snapshot {
 	for _, n := range counterNames {
 		s.Counters[n] = m.counter(n).Load()
 	}
+	for _, f := range m.lockFamilies() {
+		for i, side := range lockSides {
+			s.Counters[f.name+"_"+side] = f.sides[i].Load()
+		}
+	}
 	for _, n := range gaugeNames {
 		s.Gauges[n] = m.gauge(n).Load()
 	}
@@ -522,7 +563,8 @@ func escapeMetricName(s string) string {
 }
 
 // WritePrometheus renders the bundle in the Prometheus text exposition
-// format: counters as lix_<name>_total, histograms as classic cumulative
+// format: counters as lix_<name>_total (the lock counters one series per
+// side="read"|"write"), histograms as classic cumulative
 // lix_<name>{le=...} series (the sampled point-operation ones under a
 // # HELP line saying so), events as lix_events_total{type=...}. All
 // series carry an index="<Name>" label so several bundles can be scraped
@@ -534,6 +576,16 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		if _, err := fmt.Fprintf(w, "# TYPE lix_%s_total counter\nlix_%s_total{%s} %d\n",
 			en, en, lbl, m.counter(n).Load()); err != nil {
 			return err
+		}
+	}
+	for _, f := range m.lockFamilies() {
+		if _, err := fmt.Fprintf(w, "# TYPE lix_%s_total counter\n", f.name); err != nil {
+			return err
+		}
+		for i, side := range lockSides {
+			if _, err := fmt.Fprintf(w, "lix_%s_total{%s,side=%q} %d\n", f.name, lbl, side, f.sides[i].Load()); err != nil {
+				return err
+			}
 		}
 	}
 	for _, n := range gaugeNames {

@@ -275,6 +275,11 @@ func TestWritePrometheusGolden(t *testing.T) {
 	m.FilterBytes.Set(2048)
 	m.FilterFPRPpm.Set(7000)
 	m.Events.Publish(Event{Type: EvRetrain})
+	for i := 0; i < 3; i++ {
+		m.RecordLockWait(false, false)
+	}
+	m.RecordLockWait(true, false)
+	m.RecordLockWait(true, true)
 
 	var b strings.Builder
 	if err := m.WritePrometheus(&b); err != nil {
@@ -334,6 +339,12 @@ lix_lsm_flush_bytes_total{index="t"} 0
 lix_lsm_compaction_ns_total{index="t"} 0
 # TYPE lix_lsm_compaction_bytes_total counter
 lix_lsm_compaction_bytes_total{index="t"} 0
+# TYPE lix_shard_lock_contended_total counter
+lix_shard_lock_contended_total{index="t",side="read"} 3
+lix_shard_lock_contended_total{index="t",side="write"} 1
+# TYPE lix_shard_lock_blocked_total counter
+lix_shard_lock_blocked_total{index="t",side="read"} 0
+lix_shard_lock_blocked_total{index="t",side="write"} 1
 # TYPE lix_conns gauge
 lix_conns{index="t"} 0
 # TYPE lix_lsm_runs gauge
@@ -588,7 +599,7 @@ func TestShardHintSeparatesNeighbouringStacks(t *testing.T) {
 		same, pairs := 0, 0
 		for base := arena; base < arena+1<<24; base += stride {
 			pairs++
-			if shardHint(base+depth) == shardHint(base+stride+depth) {
+			if StripeHint(base+depth) == StripeHint(base+stride+depth) {
 				same++
 			}
 		}

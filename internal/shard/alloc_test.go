@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/lix-go/lix/internal/alex"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -190,6 +191,43 @@ func TestInsertBatchSteadyStateZeroAlloc(t *testing.T) {
 		}
 	}, LockRW)
 }
+
+// TestAlexInsertSteadyStateZeroAlloc pins 0 allocs/op for a point Insert
+// of a new key into ALEX shards when no leaf has to expand or split — the
+// write the serving mix makes: the descent keeps no path on the heap and
+// placing the key is a shift inside the gapped array. Each run inserts a
+// key and deletes it again, so the leaves never fill up.
+func TestAlexInsertSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun pins skipped under -race")
+	}
+	recs := sortedRecs(50_000, 7) // leaves under inner nodes in every shard
+	s, err := New(recs, Config{Shards: 4}, Builders{
+		Bulk: func(recs []core.KV) (MutableIndex, error) {
+			ix, err := alex.Bulk(recs)
+			return alexIx{ix}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	i := 0
+	if got := testing.AllocsPerRun(2000, func() {
+		k := recs[(i*97)%len(recs)].Key + 1 // absent: the preload's keys are 64-bit random
+		i++
+		s.Insert(k, 1)
+		if !s.Delete(k) {
+			t.Fatalf("key %d not there after its insert", k)
+		}
+	}); got != 0 {
+		t.Errorf("%v allocs per insert+delete, want 0", got)
+	}
+}
+
+type alexIx struct{ *alex.Index }
+
+func (a alexIx) Insert(k core.Key, v core.Value) { a.Index.Insert(k, v) }
 
 // TestRCUReadZeroAllocDuringMerges pins the RCU read path at 0 allocs
 // even while background merges churn snapshots underneath it: the

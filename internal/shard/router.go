@@ -4,8 +4,9 @@
 // concurrent use. Two lock modes are supported (§6.5 of the survey frames
 // concurrency as the open challenge for learned structures):
 //
-//   - LockRW: each shard is a mutable index behind a sync.RWMutex. Reads
-//     share the lock, writes exclude; cross-shard traffic never contends.
+//   - LockRW: each shard is a mutable index behind a reader-writer lock
+//     made for sub-microsecond holds (lock.go). Reads share the lock,
+//     writes exclude; cross-shard traffic never contends.
 //   - LockRCU: each shard is an immutable read-optimized snapshot (any
 //     static learned index) plus a small immutable delta overlay, both
 //     behind atomic pointers. Reads are lock-free; writers serialize on a

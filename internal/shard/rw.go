@@ -1,107 +1,108 @@
 package shard
 
-import (
-	"sync"
+import "github.com/lix-go/lix/internal/core"
 
-	"github.com/lix-go/lix/internal/core"
-)
-
-// rwShard is one LockRW shard: a mutable index behind a sync.RWMutex.
+// rwShard is one LockRW shard: a mutable index behind an rwLock. The lock's
+// words and ix are one 64-byte object, so they share the one cache line a
+// reader loads anyway (the writer word); only writers write it.
 type rwShard struct {
-	mu sync.RWMutex
+	mu rwLock
 	ix MutableIndex
 }
 
 // newRWShard builds the shard's backend over part (sorted), through the
-// bulk builder when the kind has one.
-func newRWShard(part []core.KV, b Builders) (*rwShard, error) {
+// bulk builder when the kind has one. waited is the lock's slow-path
+// counter (rwLock.waited).
+func newRWShard(part []core.KV, b Builders, waited func(write, blocked bool)) (*rwShard, error) {
+	sh := &rwShard{}
+	sh.mu.init(waited)
+	var err error
 	if b.Bulk != nil {
-		ix, err := b.Bulk(part)
-		return &rwShard{ix: ix}, err
+		sh.ix, err = b.Bulk(part)
+		return sh, err
 	}
-	ix, err := b.New()
-	if err != nil {
+	if sh.ix, err = b.New(); err != nil {
 		return nil, err
 	}
 	for _, r := range part {
-		ix.Insert(r.Key, r.Value)
+		sh.ix.Insert(r.Key, r.Value)
 	}
-	return &rwShard{ix: ix}, nil
+	return sh, nil
 }
 
 func (sh *rwShard) get(k core.Key) (core.Value, bool) {
-	sh.mu.RLock()
+	s := sh.mu.rlock()
 	v, ok := sh.ix.Get(k)
-	sh.mu.RUnlock()
+	sh.mu.runlock(s)
 	return v, ok
 }
 
 func (sh *rwShard) insert(k core.Key, v core.Value) {
-	sh.mu.Lock()
+	sh.mu.lock()
 	sh.ix.Insert(k, v)
-	sh.mu.Unlock()
+	sh.mu.unlock()
 }
 
 func (sh *rwShard) delete(k core.Key) bool {
-	sh.mu.Lock()
+	sh.mu.lock()
 	ok := sh.ix.Delete(k)
-	sh.mu.Unlock()
+	sh.mu.unlock()
 	return ok
 }
 
 func (sh *rwShard) lookupRun(keys []core.Key, r run, vals []core.Value, oks []bool) (hits int) {
-	sh.mu.RLock()
+	s := sh.mu.rlock()
 	for j, n := 0, r.len(); j < n; j++ {
 		i := r.at(j)
 		if vals[i], oks[i] = sh.ix.Get(keys[i]); oks[i] {
 			hits++
 		}
 	}
-	sh.mu.RUnlock()
+	sh.mu.runlock(s)
 	return hits
 }
 
 func (sh *rwShard) insertRun(recs []core.KV, r run) {
-	sh.mu.Lock()
+	sh.mu.lock()
 	for j, n := 0, r.len(); j < n; j++ {
 		i := r.at(j)
 		sh.ix.Insert(recs[i].Key, recs[i].Value)
 	}
-	sh.mu.Unlock()
+	sh.mu.unlock()
 }
 
 func (sh *rwShard) deleteRun(keys []core.Key, r run, oks []bool) {
-	sh.mu.Lock()
+	sh.mu.lock()
 	for j, n := 0, r.len(); j < n; j++ {
 		i := r.at(j)
 		oks[i] = sh.ix.Delete(keys[i])
 	}
-	sh.mu.Unlock()
+	sh.mu.unlock()
 }
 
 func (sh *rwShard) rangeScan(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
+	s := sh.mu.rlock()
+	defer sh.mu.runlock(s)
 	return sh.ix.Range(lo, hi, fn)
 }
 
 func (sh *rwShard) len() int {
-	sh.mu.RLock()
+	s := sh.mu.rlock()
 	n := sh.ix.Len()
-	sh.mu.RUnlock()
+	sh.mu.runlock(s)
 	return n
 }
 
 func (sh *rwShard) stats() core.Stats {
-	sh.mu.RLock()
+	s := sh.mu.rlock()
 	st := sh.ix.Stats()
-	sh.mu.RUnlock()
+	sh.mu.runlock(s)
 	return st
 }
 
 func (sh *rwShard) close() error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh.mu.lock()
+	defer sh.mu.unlock()
 	return closeIndex(sh.ix)
 }
 

@@ -33,7 +33,8 @@ type LockMode uint8
 
 // The lock modes.
 const (
-	// LockRW guards each shard's mutable index with a sync.RWMutex.
+	// LockRW guards each shard's mutable index with a reader-writer lock
+	// made for sub-microsecond holds (rwLock, lock.go).
 	LockRW LockMode = iota
 	// LockRCU keeps each shard as an immutable snapshot plus two delta
 	// overlays behind atomic pointers: reads load the pointers and never
@@ -198,7 +199,7 @@ func New(recs []core.KV, cfg Config, b Builders) (*Sharded, error) {
 		go func(i int) {
 			defer wg.Done()
 			if cfg.Mode == LockRW {
-				s.shards[i], errs[i] = newRWShard(parts[i], b)
+				s.shards[i], errs[i] = newRWShard(parts[i], b, s.lockWaited(i))
 			} else {
 				s.shards[i], errs[i] = newRCUShard(parts[i], cfg, b.Static, s, i)
 			}
@@ -214,8 +215,23 @@ func New(recs []core.KV, cfg Config, b Builders) (*Sharded, error) {
 }
 
 // SetObserver routes structural events (RCU snapshot swaps, labeled with
-// the emitting shard) into r; nil detaches.
+// the emitting shard) into r, and the LockRW locks' slow acquires when r
+// is an obs.LockRecorder, as *obs.Metrics is; nil detaches.
 func (s *Sharded) SetObserver(r obs.Recorder) { s.hook.SetRecorder(r) }
+
+// lockWaited returns shard si's rwLock.waited: slow acquires are counted
+// into the shard's own bundle and into the observer. Nothing on an
+// uncontended acquire comes here.
+func (s *Sharded) lockWaited(si int) func(write, blocked bool) {
+	return func(write, blocked bool) {
+		if s.mets != nil {
+			s.mets[si].RecordLockWait(write, blocked)
+		}
+		if r, ok := s.hook.Recorder().(obs.LockRecorder); ok {
+			r.RecordLockWait(write, blocked)
+		}
+	}
+}
 
 // ShardMetrics returns the per-shard metrics bundles, nil unless
 // Config.MetricsPrefix was set.

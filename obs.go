@@ -164,11 +164,13 @@ func (o *ObservedIndex) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Sp
 	start := time.Now()
 	core.LookupBatch(o.idx, keys, vals, oks, sp)
 	o.batchDone(start, len(keys), &o.m.Lookups)
+	hits := 0
 	for _, ok := range oks {
 		if ok {
-			o.m.Hits.Inc()
+			hits++
 		}
 	}
+	o.m.Hits.Add(uint64(hits))
 }
 
 // Close forwards the io.Closer capability, so a wrapped Durable can be

@@ -9,11 +9,11 @@ import (
 )
 
 // Sharded is the range-partitioned concurrent serving layer: it wraps any
-// registered index kind into an N-shard structure with per-shard RWMutex
-// or RCU snapshot-swap concurrency, parallel bulk build, batched
-// LookupBatch/InsertBatch, and cross-shard SearchRange fan-out. All
-// methods are safe for concurrent use. See DESIGN.md §"Sharded serving
-// layer".
+// registered index kind into an N-shard structure with a reader-writer
+// lock or RCU snapshot-swap concurrency per shard, parallel bulk build,
+// batched LookupBatch/InsertBatch, and cross-shard SearchRange fan-out.
+// All methods are safe for concurrent use. See DESIGN.md §"Sharded
+// serving layer".
 type Sharded = shard.Sharded
 
 // ShardMode selects the per-shard concurrency scheme of a Sharded index.
@@ -21,7 +21,9 @@ type ShardMode = shard.LockMode
 
 // The shard lock modes.
 const (
-	// ShardRW guards each shard's mutable index with one RWMutex.
+	// ShardRW guards each shard's mutable index with one reader-writer
+	// lock: readers of a shard share it, a writer excludes them, and a
+	// waiter polls and yields before it sleeps (DESIGN.md §4).
 	ShardRW = shard.LockRW
 	// ShardRCU serves lock-free reads from an immutable snapshot + delta
 	// pair and swaps in merged snapshots RCU-style.

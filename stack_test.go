@@ -87,6 +87,9 @@ func TestStackShardedAndObserved(t *testing.T) {
 	if snap.Counters["lookups"] < 200 {
 		t.Fatalf("lookups = %d, want >= 200", snap.Counters["lookups"])
 	}
+	if snap.Counters["hits"] != 200 {
+		t.Fatalf("hits = %d, want the batch's 200", snap.Counters["hits"])
+	}
 	if snap.Counters["ranges"] == 0 {
 		t.Fatal("obs layer did not count SearchRange")
 	}
