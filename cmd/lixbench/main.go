@@ -14,8 +14,8 @@
 // sizes CI uses; -n, -q and -quick do not apply, -shards and -concurrency
 // do where a gate serves a sharded stack from several goroutines.
 //
-//	lixbench -e serving   # baseline vs sharded vs xindex, 95/5 and 50/50;
-//	                      # sharded-rw >= 0.6x, sharded-rcu >= 0.25x mutex
+//	lixbench -e serving   # btree+mutex vs sharded-rw vs xindex, 95/5 and 50/50:
+//	                      # sharded-rw >= 0.6x mutex; two callers >= 1.1x one
 //	lixbench -e batch     # batched vs looped ops at 16, 256, 4096; lookup
 //	                      # >= 0.9x, insert >= 0.8x, durable insert >= 2x
 //	lixbench -e paged     # paged indexes: warm pool >= 3x cold pool

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	lix "github.com/lix-go/lix"
@@ -39,12 +38,8 @@ func main() {
 		panic(err)
 	}
 	var mu sync.RWMutex
-	// Both sharded modes assembled through the canonical stack constructor.
+	// The sharded layer assembled through the canonical stack constructor.
 	srw, err := lix.NewStack(recs, lix.StackConfig{Shards: 8})
-	if err != nil {
-		panic(err)
-	}
-	srcu, err := lix.NewStack(recs, lix.StackConfig{Shards: 8, Mode: lix.ShardRCU, DeltaCap: 8192})
 	if err != nil {
 		panic(err)
 	}
@@ -73,14 +68,6 @@ func main() {
 	}
 	fmt.Println()
 
-	fmt.Printf("%-16s", "sharded-rcu Mops")
-	for _, g := range gs {
-		fmt.Printf("  %8.2f", run(g, recs,
-			func(k lix.Key) { srcu.Get(k) },
-			func(k lix.Key, v lix.Value) { srcu.Insert(k, v) }))
-	}
-	fmt.Println()
-
 	fmt.Printf("%-16s", "btree+lock Mops")
 	for _, g := range gs {
 		fmt.Printf("  %8.2f", run(g, recs,
@@ -103,8 +90,7 @@ func main() {
 		len(batch), time.Since(start), countTrue(hits), len(vals))
 
 	// Layer-specific stats live on the layer: Stack.Sharded exposes it.
-	fmt.Printf("sharded-rw imbalance %.2fx, sharded-rcu swaps %d\n",
-		srw.Sharded().Imbalance(), srcu.Sharded().RCUSwaps())
+	fmt.Printf("sharded-rw imbalance %.2fx\n", srw.Sharded().Imbalance())
 }
 
 func countTrue(bs []bool) int {
@@ -117,12 +103,6 @@ func countTrue(bs []bool) int {
 	return n
 }
 
-// seedSeq gives every worker goroutine across the whole program a fresh
-// seed. Reusing seeds between table columns would replay identical write
-// key sets, which the RCU delta dedups — hiding the snapshot swaps this
-// example is meant to show.
-var seedSeq int64
-
 func run(workers int, recs []lix.KV, get func(lix.Key), put func(lix.Key, lix.Value)) float64 {
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -130,7 +110,7 @@ func run(workers int, recs []lix.KV, get func(lix.Key), put func(lix.Key, lix.Va
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			r := rand.New(rand.NewSource(atomic.AddInt64(&seedSeq, 1) * 7919))
+			r := rand.New(rand.NewSource(int64(id+1) * 7919))
 			for o := 0; o < ops; o++ {
 				k := recs[r.Intn(len(recs))].Key
 				if r.Float64() < 0.95 {

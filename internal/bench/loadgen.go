@@ -51,8 +51,10 @@ func RunLoadgen(addr string, cfg Config) ([]*Table, error) {
 // wireLoad is the closed-loop wire client: cfg.Workers connections to addr,
 // each a decoupled sender/receiver pair that keeps pipelined groups of
 // cfg.Pipeline requests (95% GET, 5% SET, uniform keys in [0, 16*cfg.N))
-// in flight for cfg.Duration. It returns the replies received, how many of
-// them were RErr, and the time from first send to last reply.
+// in flight for cfg.Duration. Every connection sends at least one group,
+// so a burst whose goroutines got no CPU before the deadline still reports
+// the rate it ran at, never zero. It returns the replies received, how many
+// of them were RErr, and the time from first send to last reply.
 func wireLoad(addr string, cfg Config) (ops, errs uint64, elapsed time.Duration, err error) {
 	conns := make([]net.Conn, 0, cfg.Workers)
 	for len(conns) < cfg.Workers {
@@ -99,7 +101,7 @@ func driveConn(conn net.Conn, cfg Config, id int, deadline time.Time, ops, errs 
 		r := rand.New(rand.NewSource(cfg.Seed + int64(id)*101))
 		key := func() core.Key { return core.Key(r.Intn(cfg.N * 16)) }
 		var m wire.Msg
-		for time.Now().Before(deadline) {
+		for sent := 0; sent == 0 || time.Now().Before(deadline); sent++ {
 			for i := 0; i < cfg.Pipeline; i++ {
 				if r.Float64() < 0.95 {
 					m = wire.Msg{Op: wire.OpGet, Key: key()}
@@ -114,6 +116,10 @@ func driveConn(conn net.Conn, cfg Config, id int, deadline time.Time, ops, errs 
 			if err := w.Flush(); err != nil {
 				sendErr <- err
 				return
+			}
+			if sent == 0 {
+				pending <- struct{}{} // room for 64: the first never waits
+				continue
 			}
 			select {
 			case pending <- struct{}{}:

@@ -6,8 +6,8 @@ import (
 )
 
 // TestRunServingSmoke runs the serving gate at toy scale: every system
-// must produce a positive throughput for both workloads, the two sharded
-// 50/50 cells carry their floors against btree+mutex, and the
+// must produce a positive throughput for both workloads, the sharded
+// 50/50 cell carries its floor against btree+mutex, and the
 // two-callers-against-one pair carries its own, or says why it was not
 // measured.
 func TestRunServingSmoke(t *testing.T) {
@@ -18,18 +18,15 @@ func TestRunServingSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 2 || len(tables[0].Rows) != 4 {
-		t.Fatalf("tables = %+v, want a table of 4 systems and the callers table", tables)
+	if len(tables) != 2 || len(tables[0].Rows) != 3 {
+		t.Fatalf("tables = %+v, want a table of 3 systems and the callers table", tables)
 	}
 	for _, row := range tables[0].Rows {
 		if len(row) != 3 || row[1] == "0" || row[2] == "0" {
 			t.Fatalf("row %v: want a positive Mops for both workloads", row)
 		}
 	}
-	want := map[string]float64{
-		"serving/50/50/sharded-rw(4)":  0.6,
-		"serving/50/50/sharded-rcu(4)": 0.25,
-	}
+	want := map[string]float64{"serving/50/50/sharded-rw(4)": 0.6}
 	if runtime.NumCPU() >= 2 {
 		want["serving/callers/2-vs-1"] = callerScalingFloor
 	} else if rows := tables[1].Rows; len(rows) != 1 || rows[0][0] != "skipped" {

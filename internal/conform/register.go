@@ -160,20 +160,13 @@ func init() {
 
 	// The sharded serving layer, registered with a bulk-building factory so
 	// the router splits at the workload's key quantiles and every replay
-	// crosses shard boundaries. Shard counts and delta caps are small so
-	// 5k-op workloads force cross-shard ranges and RCU snapshot swaps.
+	// crosses shard boundaries. The shard count is small so 5k-op
+	// workloads force cross-shard ranges.
 	Register(Factory{
 		Name: "sharded-rw",
 		Caps: Caps{Mutable: true, AllowsEmpty: true},
 		Build1D: func(recs []core.KV) (Index, error) {
 			return lix.NewSharded(recs, lix.ShardedConfig{Shards: 4})
-		},
-	})
-	Register(Factory{
-		Name: "sharded-rcu",
-		Caps: Caps{Mutable: true, AllowsEmpty: true},
-		Build1D: func(recs []core.KV) (Index, error) {
-			return lix.NewSharded(recs, lix.ShardedConfig{Shards: 4, Mode: lix.ShardRCU, DeltaCap: 32})
 		},
 	})
 }

@@ -35,8 +35,8 @@ type StressConfig struct {
 }
 
 // DefaultStressConfig returns a configuration sized so a -race run
-// finishes in a few seconds while still forcing delta merges, splits and
-// RCU swaps in the structures under test.
+// finishes in a few seconds while still forcing delta merges and splits
+// in the structures under test.
 func DefaultStressConfig() StressConfig {
 	return StressConfig{
 		Writers:       4,

@@ -22,9 +22,8 @@ func stressCfg(t *testing.T, seed int64) StressConfig {
 }
 
 // TestShardedStress runs the concurrent differential stress tier against
-// the sharded serving layer in both lock modes, with shard and delta sizes
-// small enough that every run crosses shard boundaries and forces RCU
-// snapshot swaps while readers are in flight.
+// the sharded serving layer over two backends, with shard counts small
+// enough that every run crosses shard boundaries.
 func TestShardedStress(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,8 +31,6 @@ func TestShardedStress(t *testing.T) {
 	}{
 		{"rw-btree", lix.ShardedConfig{Shards: 4}},
 		{"rw-skiplist", lix.ShardedConfig{Shards: 3, Backend: "skiplist"}},
-		{"rcu-pgm", lix.ShardedConfig{Shards: 4, Mode: lix.ShardRCU, DeltaCap: 32}},
-		{"rcu-binary", lix.ShardedConfig{Shards: 2, Mode: lix.ShardRCU, Snapshot: "binary", DeltaCap: 16}},
 	}
 	for i, c := range cases {
 		c, i := c, i

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -19,9 +18,9 @@ import (
 // batchScratch, so starting the per-shard goroutines allocates nothing
 // either.
 
-func allocStack(t *testing.T, mode LockMode) *Sharded {
+func allocStack(t *testing.T) *Sharded {
 	t.Helper()
-	s, err := New(sortedRecs(4096, 7), Config{Shards: 8, Mode: mode, DeltaCap: 1 << 20}, testBuilders())
+	s, err := New(sortedRecs(4096, 7), Config{Shards: 8}, testBuilders())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,27 +55,22 @@ func batchKeys(s *Sharded, n int) []core.Key {
 	return keys
 }
 
-// forBatchRegimes runs fn for the given lock modes (default both) on both
-// batch regimes: runs cut from stretches of same-shard keys on the
-// calling goroutine, and counting-sort groups fanned out one goroutine
-// per shard.
-func forBatchRegimes(t *testing.T, fn func(t *testing.T, s *Sharded), modes ...LockMode) {
+// forBatchRegimes runs fn on both batch regimes: runs cut from stretches
+// of same-shard keys on the calling goroutine, and counting-sort groups
+// fanned out one goroutine per shard. The subtests keep the "rw/" they
+// were named with while there was a second lock mode.
+func forBatchRegimes(t *testing.T, fn func(t *testing.T, s *Sharded)) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
-	if len(modes) == 0 {
-		modes = []LockMode{LockRW, LockRCU}
-	}
-	for _, mode := range modes {
-		for _, regime := range []string{"stretches", "fanout"} {
-			t.Run(fmt.Sprintf("%s/%s", mode, regime), func(t *testing.T) {
-				s := allocStack(t, mode)
-				if regime == "fanout" {
-					forceFanOut(t, s)
-				}
-				fn(t, s)
-			})
-		}
+	for _, regime := range []string{"stretches", "fanout"} {
+		t.Run("rw/"+regime, func(t *testing.T) {
+			s := allocStack(t)
+			if regime == "fanout" {
+				forceFanOut(t, s)
+			}
+			fn(t, s)
+		})
 	}
 }
 
@@ -89,7 +83,7 @@ func liveSpans() []*core.Span {
 }
 
 // TestLookupBatchZeroAlloc pins 0 allocs/op for the batched read path at
-// sizes 1/16/256 in both lock modes and both regimes, span off and on.
+// sizes 1/16/256 in both regimes, span off and on.
 func TestLookupBatchZeroAlloc(t *testing.T) {
 	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
 		for _, size := range []int{1, 16, 256} {
@@ -116,10 +110,9 @@ func TestLookupBatchZeroAlloc(t *testing.T) {
 
 // TestDeleteBatchZeroAlloc pins 0 allocs/op for batched deletes — the
 // caller owns oks, so the plumbing has nothing left to allocate — at
-// sizes 1/16/256 in both lock modes and both regimes, span off and on.
+// sizes 1/16/256 in both regimes, span off and on.
 // The first call removes the keys; the pinned calls delete absent keys,
-// which touches no tree and appends no delta, so the batch plumbing is
-// what is measured.
+// which changes no tree, so the batch plumbing is what is measured.
 func TestDeleteBatchZeroAlloc(t *testing.T) {
 	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
 		for _, size := range []int{1, 16, 256} {
@@ -142,36 +135,31 @@ func TestDeleteBatchZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestGetZeroAlloc pins 0 allocs/op for single-key reads: the RW path is
-// a lock and a tree walk, the RCU path a three-layer probe — neither may
-// allocate.
+// TestGetZeroAlloc pins 0 allocs/op for single-key reads: a lock and a
+// tree walk.
 func TestGetZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
-	for _, mode := range []LockMode{LockRW, LockRCU} {
-		t.Run(mode.String(), func(t *testing.T) {
-			s := allocStack(t, mode)
-			keys := batchKeys(s, 256)
-			i := 0
-			if got := testing.AllocsPerRun(500, func() {
-				k := keys[i%len(keys)]
-				i++
-				if _, ok := s.Get(k); !ok {
-					t.Fatalf("key %d missing", k)
-				}
-			}); got != 0 {
-				t.Errorf("%v allocs/op, want 0", got)
+	t.Run("rw", func(t *testing.T) {
+		s := allocStack(t)
+		keys := batchKeys(s, 256)
+		i := 0
+		if got := testing.AllocsPerRun(500, func() {
+			k := keys[i%len(keys)]
+			i++
+			if _, ok := s.Get(k); !ok {
+				t.Fatalf("key %d missing", k)
 			}
-		})
-	}
+		}); got != 0 {
+			t.Errorf("%v allocs/op, want 0", got)
+		}
+	})
 }
 
 // TestInsertBatchSteadyStateZeroAlloc pins 0 allocs/op for batched
-// upserts of existing keys in RW mode, both regimes (value overwrite in
-// place: no tree growth, so the batch plumbing itself is what is
-// measured; an RCU upsert appends to the delta, which allocates by
-// design at every fold).
+// upserts of existing keys, both regimes (value overwrite in place: no
+// tree growth, so the batch plumbing itself is what is measured).
 func TestInsertBatchSteadyStateZeroAlloc(t *testing.T) {
 	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
 		for _, size := range []int{1, 16, 256} {
@@ -189,7 +177,7 @@ func TestInsertBatchSteadyStateZeroAlloc(t *testing.T) {
 				}
 			}
 		}
-	}, LockRW)
+	})
 }
 
 // TestAlexInsertSteadyStateZeroAlloc pins 0 allocs/op for a point Insert
@@ -228,44 +216,3 @@ func TestAlexInsertSteadyStateZeroAlloc(t *testing.T) {
 type alexIx struct{ *alex.Index }
 
 func (a alexIx) Insert(k core.Key, v core.Value) { a.Index.Insert(k, v) }
-
-// TestRCUReadZeroAllocDuringMerges pins the RCU read path at 0 allocs
-// even while background merges churn snapshots underneath it: the
-// three-layer probe stays allocation-free regardless of merge activity.
-func TestRCUReadZeroAllocDuringMerges(t *testing.T) {
-	if raceEnabled {
-		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
-	}
-	s, err := New(sortedRecs(4096, 7), Config{Shards: 4, Mode: LockRCU, DeltaCap: 64}, testBuilders())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	keys := batchKeys(s, 64)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.Insert(keys[i%len(keys)], core.Value(i))
-		}
-	}()
-	i := 0
-	got := testing.AllocsPerRun(500, func() {
-		k := keys[i%len(keys)]
-		i++
-		if _, ok := s.Get(k); !ok {
-			t.Fatalf("key %d missing", k)
-		}
-	})
-	close(stop)
-	<-done
-	if got != 0 {
-		t.Errorf("%v allocs/op, want 0", got)
-	}
-}

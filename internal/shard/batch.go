@@ -8,10 +8,9 @@ import (
 )
 
 // A batched call is a sequence of (shard, run) pairs: the driver (batch)
-// routes the keys and cuts them into runs, a shard does each run under
-// one lock hold (shardOps), and per-shard metrics are counted per run.
-// The three operations share the driver; the two regimes differ only in
-// how runs are formed.
+// routes the keys and cuts them into runs, and a shard does each run under
+// one lock hold (rw.go). The three operations share the driver; the two
+// regimes differ only in how runs are formed.
 
 // run is the part of a batch one shard does under one lock hold, as input
 // positions in input order — the order batch semantics (later-wins
@@ -69,26 +68,16 @@ func (op *batchOp) key(i int) core.Key {
 	return op.keys[i]
 }
 
-// exec has shard si do run r of op and counts it in the shard's metrics.
+// exec has shard si do run r of op.
 func (s *Sharded) exec(op *batchOp, si int, r run) {
-	sh, n := s.shards[si], uint64(r.len())
+	sh := s.shards[si]
 	switch op.kind {
 	case opLookup:
-		hits := sh.lookupRun(op.keys, r, op.vals, op.oks)
-		if s.mets != nil {
-			s.mets[si].Lookups.Add(n)
-			s.mets[si].Hits.Add(uint64(hits))
-		}
+		sh.lookupRun(op.keys, r, op.vals, op.oks)
 	case opInsert:
 		sh.insertRun(op.recs, r)
-		if s.mets != nil {
-			s.mets[si].Inserts.Add(n)
-		}
 	case opDelete:
 		sh.deleteRun(op.keys, r, op.oks)
-		if s.mets != nil {
-			s.mets[si].Deletes.Add(n)
-		}
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 	"github.com/lix-go/lix/internal/core"
 )
 
-func benchSharded(b *testing.B, mode LockMode, readPct int) {
+func benchSharded(b *testing.B, readPct int) {
 	recs := sortedRecs(100_000, 1)
-	s, err := New(recs, Config{Shards: 8, Mode: mode, DeltaCap: 4096}, testBuilders())
+	s, err := New(recs, Config{Shards: 8}, testBuilders())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -31,10 +31,8 @@ func benchSharded(b *testing.B, mode LockMode, readPct int) {
 	})
 }
 
-func BenchmarkShardedRW95(b *testing.B)  { benchSharded(b, LockRW, 95) }
-func BenchmarkShardedRCU95(b *testing.B) { benchSharded(b, LockRCU, 95) }
-func BenchmarkShardedRW50(b *testing.B)  { benchSharded(b, LockRW, 50) }
-func BenchmarkShardedRCU50(b *testing.B) { benchSharded(b, LockRCU, 50) }
+func BenchmarkShardedRW95(b *testing.B) { benchSharded(b, 95) }
+func BenchmarkShardedRW50(b *testing.B) { benchSharded(b, 50) }
 
 func BenchmarkRouterRoute(b *testing.B) {
 	r := UniformRouter(16)

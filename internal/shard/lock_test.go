@@ -39,8 +39,7 @@ func TestLockLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, sh := range s.shards {
-		rw := sh.(*rwShard)
+	for i, rw := range s.shards {
 		if a := uintptr(unsafe.Pointer(rw)); a%64 != 0 {
 			t.Errorf("shard %d allocated at %#x, not on a cache line", i, a)
 		}

@@ -1,19 +1,16 @@
 // Package shard is the concurrent serving layer of the lix library: it
 // range-partitions the key space across N shards, each wrapping one
-// single-threaded index from the registry, and makes the ensemble safe for
-// concurrent use. Two lock modes are supported (§6.5 of the survey frames
-// concurrency as the open challenge for learned structures):
-//
-//   - LockRW: each shard is a mutable index behind a reader-writer lock
-//     made for sub-microsecond holds (lock.go). Reads share the lock,
-//     writes exclude; cross-shard traffic never contends.
-//   - LockRCU: each shard is an immutable read-optimized snapshot (any
-//     static learned index) plus a small immutable delta overlay, both
-//     behind atomic pointers. Reads are lock-free; writers serialize on a
-//     per-shard mutex, publish copy-on-write deltas, and when the delta
-//     reaches its cap merge it into a freshly built snapshot and swap the
-//     pointer (the XIndex-style two-phase RCU retrain, emitted as an
-//     EvRCUSwap event).
+// single-threaded mutable index from the registry, and makes the ensemble
+// safe for concurrent use (§6.5 of the survey frames concurrency as the
+// open challenge for learned structures). There is one design: each shard
+// is a mutable index behind a reader-writer lock made for sub-microsecond
+// holds (lock.go). Reads of a shard share the lock, a write excludes
+// them, and traffic to different shards never contends. A Range callback
+// runs inside the shard's read hold, so a consumer that may block collects
+// first (SearchRange) and acts afterwards. Readers that must never wait for
+// a writer are not this package's: data that does not change needs no lock
+// (any static kind), and internal/xindex is the paper's delta-buffer design
+// (DESIGN.md §4).
 //
 // The layer also amortizes coordination: bulk build runs one goroutine per
 // shard, a batched call is cut into per-shard runs that each take their

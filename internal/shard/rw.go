@@ -2,7 +2,7 @@ package shard
 
 import "github.com/lix-go/lix/internal/core"
 
-// rwShard is one LockRW shard: a mutable index behind an rwLock. The lock's
+// rwShard is one shard: a mutable index behind an rwLock. The lock's
 // words and ix are one 64-byte object, so they share the one cache line a
 // reader loads anyway (the writer word); only writers write it.
 type rwShard struct {
@@ -50,16 +50,17 @@ func (sh *rwShard) delete(k core.Key) bool {
 	return ok
 }
 
-func (sh *rwShard) lookupRun(keys []core.Key, r run, vals []core.Value, oks []bool) (hits int) {
+// The run methods do one run of a batch (see run) under a single lock
+// hold, in the run's order; deleteRun reports per position whether the key
+// was live when its turn came.
+
+func (sh *rwShard) lookupRun(keys []core.Key, r run, vals []core.Value, oks []bool) {
 	s := sh.mu.rlock()
 	for j, n := 0, r.len(); j < n; j++ {
 		i := r.at(j)
-		if vals[i], oks[i] = sh.ix.Get(keys[i]); oks[i] {
-			hits++
-		}
+		vals[i], oks[i] = sh.ix.Get(keys[i])
 	}
 	sh.mu.runlock(s)
-	return hits
 }
 
 func (sh *rwShard) insertRun(recs []core.KV, r run) {
@@ -105,9 +106,3 @@ func (sh *rwShard) close() error {
 	defer sh.mu.unlock()
 	return closeIndex(sh.ix)
 }
-
-// A LockRW shard has no delta and no merge pipeline.
-func (sh *rwShard) deltaLen() int                       { return 0 }
-func (sh *rwShard) deltaCeiling() int                   { return 0 }
-func (sh *rwShard) mergeCounts() (swaps, stalls uint64) { return 0, 0 }
-func (sh *rwShard) waitMerges()                         {}

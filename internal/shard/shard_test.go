@@ -1,22 +1,20 @@
 package shard
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/lix-go/lix/internal/btree"
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
-	"github.com/lix-go/lix/internal/pgm"
 )
 
-// testBuilders wires the shard layer to a B+-tree backend (RW) and a PGM
-// snapshot (RCU) without importing the façade (which imports this
-// package's consumers).
+// testBuilders wires the shard layer to a B+-tree backend without
+// importing the façade (which imports this package's consumers).
 func testBuilders() Builders {
 	return Builders{
 		New: func() (MutableIndex, error) { return btreeIx{btree.New(0)}, nil },
@@ -27,7 +25,6 @@ func testBuilders() Builders {
 			}
 			return btreeIx{t}, nil
 		},
-		Static: func(recs []core.KV) (Index, error) { return pgm.Build(recs, 0) },
 	}
 }
 
@@ -51,18 +48,18 @@ func sortedRecs(n int, seed int64) []core.KV {
 	return recs
 }
 
-func modes(t *testing.T, shards, deltaCap int, fn func(t *testing.T, s *Sharded)) {
+// onEmpty runs fn on an empty Sharded of the given shard count, in the
+// subtest "rw": these tests ran once per lock mode until the second mode
+// was deleted, and keep the name the one that is left always had.
+func onEmpty(t *testing.T, shards int, fn func(t *testing.T, s *Sharded)) {
 	t.Helper()
-	for _, mode := range []LockMode{LockRW, LockRCU} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			s, err := New(nil, Config{Shards: shards, Mode: mode, DeltaCap: deltaCap}, testBuilders())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fn(t, s)
-		})
-	}
+	t.Run("rw", func(t *testing.T) {
+		s, err := New(nil, Config{Shards: shards}, testBuilders())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fn(t, s)
+	})
 }
 
 func TestRouterPartitionIsTotal(t *testing.T) {
@@ -110,94 +107,88 @@ func TestRouterOwnsMatchesRoute(t *testing.T) {
 	}
 }
 
-// TestShardedDifferential replays a mixed sequential workload against both
-// lock modes and a map oracle, crossing shard boundaries and the key-space
+// TestShardedDifferential replays a mixed sequential workload against a
+// Sharded and a map oracle, crossing shard boundaries and the key-space
 // extremes.
 func TestShardedDifferential(t *testing.T) {
 	recs := sortedRecs(2000, 3)
-	for _, mode := range []LockMode{LockRW, LockRCU} {
-		mode := mode
-		t.Run(mode.String(), func(t *testing.T) {
-			s, err := New(recs, Config{Shards: 8, Mode: mode, DeltaCap: 64}, testBuilders())
-			if err != nil {
-				t.Fatal(err)
+	t.Run("rw", func(t *testing.T) {
+		s, err := New(recs, Config{Shards: 8}, testBuilders())
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := make(map[core.Key]core.Value, len(recs))
+		for _, r := range recs {
+			oracle[r.Key] = r.Value
+		}
+		r := rand.New(rand.NewSource(7))
+		keys := make([]core.Key, 0, len(oracle))
+		for k := range oracle {
+			keys = append(keys, k)
+		}
+		pick := func() core.Key {
+			if r.Intn(8) == 0 {
+				return []core.Key{0, 1, math.MaxUint64 - 1, math.MaxUint64}[r.Intn(4)]
 			}
-			oracle := make(map[core.Key]core.Value, len(recs))
-			for _, r := range recs {
-				oracle[r.Key] = r.Value
-			}
-			r := rand.New(rand.NewSource(7))
-			keys := make([]core.Key, 0, len(oracle))
-			for k := range oracle {
-				keys = append(keys, k)
-			}
-			pick := func() core.Key {
-				if r.Intn(8) == 0 {
-					return []core.Key{0, 1, math.MaxUint64 - 1, math.MaxUint64}[r.Intn(4)]
+			return keys[r.Intn(len(keys))]
+		}
+		for op := 0; op < 8000; op++ {
+			switch r.Intn(10) {
+			case 0, 1:
+				k, v := pick(), core.Value(r.Uint64())
+				s.Insert(k, v)
+				oracle[k] = v
+			case 2:
+				k := pick()
+				_, want := oracle[k]
+				if got := s.Delete(k); got != want {
+					t.Fatalf("Delete(%d) = %v, oracle %v", k, got, want)
 				}
-				return keys[r.Intn(len(keys))]
-			}
-			for op := 0; op < 8000; op++ {
-				switch r.Intn(10) {
-				case 0, 1:
-					k, v := pick(), core.Value(r.Uint64())
-					s.Insert(k, v)
-					oracle[k] = v
-				case 2:
-					k := pick()
-					_, want := oracle[k]
-					if got := s.Delete(k); got != want {
-						t.Fatalf("Delete(%d) = %v, oracle %v", k, got, want)
+				delete(oracle, k)
+			case 3, 4, 5, 6:
+				k := pick()
+				gv, gok := s.Get(k)
+				wv, wok := oracle[k]
+				if gok != wok || (gok && gv != wv) {
+					t.Fatalf("Get(%d) = (%d, %v), oracle (%d, %v)", k, gv, gok, wv, wok)
+				}
+			case 7:
+				if g, w := s.Len(), len(oracle); g != w {
+					t.Fatalf("Len() = %d, oracle %d", g, w)
+				}
+			default:
+				lo := pick()
+				hi := lo + core.Key(r.Intn(1<<30))
+				if hi < lo {
+					hi = math.MaxUint64
+				}
+				got := s.SearchRange(lo, hi)
+				if got == nil {
+					t.Fatalf("SearchRange returned nil")
+				}
+				var want []core.KV
+				for k, v := range oracle {
+					if k >= lo && k <= hi {
+						want = append(want, core.KV{Key: k, Value: v})
 					}
-					delete(oracle, k)
-				case 3, 4, 5, 6:
-					k := pick()
-					gv, gok := s.Get(k)
-					wv, wok := oracle[k]
-					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("Get(%d) = (%d, %v), oracle (%d, %v)", k, gv, gok, wv, wok)
-					}
-				case 7:
-					if g, w := s.Len(), len(oracle); g != w {
-						t.Fatalf("Len() = %d, oracle %d", g, w)
-					}
-				default:
-					lo := pick()
-					hi := lo + core.Key(r.Intn(1<<30))
-					if hi < lo {
-						hi = math.MaxUint64
-					}
-					got := s.SearchRange(lo, hi)
-					if got == nil {
-						t.Fatalf("SearchRange returned nil")
-					}
-					var want []core.KV
-					for k, v := range oracle {
-						if k >= lo && k <= hi {
-							want = append(want, core.KV{Key: k, Value: v})
-						}
-					}
-					sort.Sort(core.KVSlice(want))
-					if len(got) != len(want) {
-						t.Fatalf("SearchRange(%d,%d) yielded %d records, oracle %d", lo, hi, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("SearchRange(%d,%d) record %d = %v, oracle %v", lo, hi, i, got[i], want[i])
-						}
+				}
+				sort.Sort(core.KVSlice(want))
+				if len(got) != len(want) {
+					t.Fatalf("SearchRange(%d,%d) yielded %d records, oracle %d", lo, hi, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("SearchRange(%d,%d) record %d = %v, oracle %v", lo, hi, i, got[i], want[i])
 					}
 				}
 			}
-			if mode == LockRCU && s.RCUSwaps() == 0 {
-				t.Fatal("workload never triggered an RCU snapshot swap")
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestShardedRangeEarlyStop(t *testing.T) {
 	recs := sortedRecs(512, 5)
-	modes(t, 4, 16, func(t *testing.T, s *Sharded) {
+	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
 		for _, r := range recs {
 			s.Insert(r.Key, r.Value)
 		}
@@ -224,7 +215,7 @@ func TestShardedRangeEarlyStop(t *testing.T) {
 
 func TestBatchedOps(t *testing.T) {
 	recs := sortedRecs(1024, 9)
-	modes(t, 8, 32, func(t *testing.T, s *Sharded) {
+	onEmpty(t, 8, func(t *testing.T, s *Sharded) {
 		s.InsertBatch(recs, nil)
 		if g, w := s.Len(), len(recs); g != w {
 			t.Fatalf("Len after InsertBatch = %d, want %d", g, w)
@@ -256,7 +247,7 @@ func TestBatchedOps(t *testing.T) {
 // the first of two equal-key upserts could win. A large batch with many
 // interleaved duplicates forces the instability.
 func TestInsertBatchDuplicateKeysLastWins(t *testing.T) {
-	modes(t, 4, 1<<20, func(t *testing.T, s *Sharded) {
+	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
 		const keys, rounds = 64, 8
 		batch := make([]core.KV, 0, keys*rounds)
 		for round := 0; round < rounds; round++ {
@@ -275,7 +266,7 @@ func TestInsertBatchDuplicateKeysLastWins(t *testing.T) {
 }
 
 func TestSearchRangeEmptyIsNonNil(t *testing.T) {
-	modes(t, 4, 8, func(t *testing.T, s *Sharded) {
+	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
 		for _, q := range [][2]core.Key{{0, math.MaxUint64}, {5, 10}, {10, 5}} {
 			got := s.SearchRange(q[0], q[1])
 			if got == nil || len(got) != 0 {
@@ -294,61 +285,71 @@ func TestSearchRangeEmptyIsNonNil(t *testing.T) {
 
 func TestParallelBulkBuildMatchesSequentialState(t *testing.T) {
 	recs := sortedRecs(4096, 11)
-	for _, mode := range []LockMode{LockRW, LockRCU} {
-		s, err := New(recs, Config{Shards: 7, Mode: mode}, testBuilders())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if g, w := s.Len(), len(recs); g != w {
-			t.Fatalf("%v: Len = %d, want %d", mode, g, w)
-		}
-		for i := 0; i < len(recs); i += 64 {
-			r := recs[i]
-			if v, ok := s.Get(r.Key); !ok || v != r.Value {
-				t.Fatalf("%v: Get(%d) = (%d, %v), want (%d, true)", mode, r.Key, v, ok, r.Value)
-			}
-		}
-		got := s.SearchRange(0, math.MaxUint64)
-		for i := range got {
-			if got[i] != recs[i] {
-				t.Fatalf("%v: full scan record %d = %v, want %v", mode, i, got[i], recs[i])
-			}
-		}
-		if imb := s.Imbalance(); imb < 1 || imb > 1.5 {
-			t.Fatalf("%v: quantile-built imbalance = %g, want ~1", mode, imb)
-		}
-	}
-}
-
-func TestObserverSeesRCUSwaps(t *testing.T) {
-	m := obs.NewMetrics("test")
-	s, err := New(nil, Config{Shards: 2, Mode: LockRCU, DeltaCap: 8, MetricsPrefix: "t"}, testBuilders())
+	s, err := New(recs, Config{Shards: 7}, testBuilders())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if g, w := s.Len(), len(recs); g != w {
+		t.Fatalf("Len = %d, want %d", g, w)
+	}
+	for i := 0; i < len(recs); i += 64 {
+		r := recs[i]
+		if v, ok := s.Get(r.Key); !ok || v != r.Value {
+			t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", r.Key, v, ok, r.Value)
+		}
+	}
+	got := s.SearchRange(0, math.MaxUint64)
+	for i := range got {
+		if got[i] != recs[i] {
+			t.Fatalf("full scan record %d = %v, want %v", i, got[i], recs[i])
+		}
+	}
+	if imb := s.Imbalance(); imb < 1 || imb > 1.5 {
+		t.Fatalf("quantile-built imbalance = %g, want ~1", imb)
+	}
+}
+
+// TestObserverCountsLockWaits drives the one route a lock wait has to
+// /metrics: SetObserver hands the shards' locks a recorder, and a reader
+// that arrives while a writer is inside its shard is counted there as
+// contended.
+func TestObserverCountsLockWaits(t *testing.T) {
+	recs := sortedRecs(100, 5)
+	s, err := New(recs, Config{Shards: 2}, testBuilders())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	m := obs.NewMetrics("test")
 	s.SetObserver(m)
-	for i := 0; i < 100; i++ {
-		s.Insert(core.Key(i)*7919, core.Value(i))
+
+	k := recs[0].Key
+	sh := s.shards[s.router.Route(k)]
+	sh.mu.lock() // a writer inside the shard
+	read := make(chan struct{})
+	go func() {
+		s.Get(k)
+		close(read)
+	}()
+	// The writer stays until the reader has had to wait: its first poll is
+	// the count.
+	for deadline := time.Now().Add(10 * time.Second); m.LockContended[0].Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			sh.mu.unlock()
+			t.Fatal("a reader behind a writer was never counted into the observer")
+		}
 	}
-	if m.Events.Count(obs.EvRCUSwap) == 0 {
-		t.Fatal("observer saw no RCU swap events")
-	}
-	perShard := s.ShardMetrics()
-	if len(perShard) != 2 {
-		t.Fatalf("ShardMetrics returned %d bundles, want 2", len(perShard))
-	}
-	var inserts uint64
-	for _, pm := range perShard {
-		inserts += pm.Inserts.Load()
-	}
-	if inserts != 100 {
-		t.Fatalf("per-shard insert counters sum to %d, want 100", inserts)
+	sh.mu.unlock()
+	<-read
+	w := lockWaits(m)
+	if w["shard_lock_contended_read"] != 1 || w["shard_lock_contended_write"] != 0 {
+		t.Fatalf("lock waits %v, want one contended read and no contended write", w)
 	}
 }
 
 func TestShardedStatsAggregates(t *testing.T) {
 	recs := sortedRecs(1000, 13)
-	modes(t, 4, 0, func(t *testing.T, s *Sharded) {
+	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
 		s.InsertBatch(recs, nil)
 		st := s.Stats()
 		if st.Count != len(recs) {
@@ -370,7 +371,7 @@ func TestConcurrentSmoke(t *testing.T) {
 	if testing.Short() {
 		opsEach = 400
 	}
-	modes(t, 4, 32, func(t *testing.T, s *Sharded) {
+	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -416,47 +417,4 @@ func TestConcurrentSmoke(t *testing.T) {
 		}
 		wg.Wait()
 	})
-}
-
-// TestShardMetricsBothRegimes pins that per-shard counters are attributed
-// per run whichever way a batch is cut into runs: at 16 keys (stretches
-// on the calling goroutine) and at 4096 (counting-sort groups fanned
-// out), the shards' Lookups, Hits, Inserts and Deletes each sum to the
-// batch size.
-func TestShardMetricsBothRegimes(t *testing.T) {
-	needTwoProcs(t)
-	for _, mode := range []LockMode{LockRW, LockRCU} {
-		for _, size := range []int{16, 4096} {
-			t.Run(fmt.Sprintf("%s/%d", mode, size), func(t *testing.T) {
-				s, err := New(nil, Config{Shards: 4, Mode: mode, MetricsPrefix: "m"}, testBuilders())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer s.Close()
-				recs := sortedRecs(size, 21)
-				rand.New(rand.NewSource(1)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
-				keys := make([]core.Key, size)
-				for i, r := range recs {
-					keys[i] = r.Key
-				}
-				vals, oks := make([]core.Value, size), make([]bool, size)
-
-				s.InsertBatch(recs, nil)
-				s.LookupBatch(keys, vals, oks, nil)
-				s.DeleteBatch(keys, oks, nil)
-
-				var lookups, hits, inserts, deletes uint64
-				for _, m := range s.ShardMetrics() {
-					lookups += m.Lookups.Load()
-					hits += m.Hits.Load()
-					inserts += m.Inserts.Load()
-					deletes += m.Deletes.Load()
-				}
-				n := uint64(size)
-				if lookups != n || hits != n || inserts != n || deletes != n {
-					t.Fatalf("lookups/hits/inserts/deletes = %d/%d/%d/%d, want %d each", lookups, hits, inserts, deletes, n)
-				}
-			})
-		}
-	}
 }

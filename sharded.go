@@ -1,57 +1,41 @@
 package lix
 
 import (
-	"fmt"
-
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/registry"
 	"github.com/lix-go/lix/internal/shard"
 )
 
 // Sharded is the range-partitioned concurrent serving layer: it wraps any
-// registered index kind into an N-shard structure with a reader-writer
-// lock or RCU snapshot-swap concurrency per shard, parallel bulk build,
-// batched LookupBatch/InsertBatch, and cross-shard SearchRange fan-out.
-// All methods are safe for concurrent use. See DESIGN.md §"Sharded
-// serving layer".
+// registered mutable index kind into an N-shard structure with one
+// reader-writer lock per shard, parallel bulk build, batched
+// LookupBatch/InsertBatch/DeleteBatch, and cross-shard SearchRange
+// fan-out. All methods are safe for concurrent use. A Range callback runs
+// inside the shard's read hold: a consumer that may block collects first
+// (SearchRange) and acts afterwards. See DESIGN.md §"Sharded serving
+// layer".
 type Sharded = shard.Sharded
 
-// ShardMode selects the per-shard concurrency scheme of a Sharded index.
-type ShardMode = shard.LockMode
+// ShardMode is vestigial and selects nothing: there is one shard design —
+// a mutable index behind a reader-writer lock per shard, whose waiters
+// poll and yield before they sleep (DESIGN.md §4) — and every ShardMode
+// value builds it. The type, its two constants and StackConfig.Mode/
+// Snapshot stay only until the repo benchmark stops assigning them.
+type ShardMode uint8
 
-// The shard lock modes.
+// The two names a ShardMode value has; neither selects anything.
 const (
-	// ShardRW guards each shard's mutable index with one reader-writer
-	// lock: readers of a shard share it, a writer excludes them, and a
-	// waiter polls and yields before it sleeps (DESIGN.md §4).
-	ShardRW = shard.LockRW
-	// ShardRCU serves lock-free reads from an immutable snapshot + delta
-	// pair and swaps in merged snapshots RCU-style.
-	ShardRCU = shard.LockRCU
+	ShardRW ShardMode = iota
+	ShardRCU
 )
 
 // ShardedConfig configures NewSharded.
 type ShardedConfig struct {
 	// Shards is the shard count (0 selects 8).
 	Shards int
-	// Mode selects the concurrency scheme (default ShardRW).
-	Mode ShardMode
-	// Backend is the per-shard mutable index kind for ShardRW mode, one of
-	// Mutable1DKinds ("" selects "btree").
+	// Backend is the per-shard mutable index kind, one of Mutable1DKinds
+	// ("" selects "btree").
 	Backend string
-	// Snapshot is the per-shard read-optimized index kind for ShardRCU
-	// mode, one of Static1DKinds ("" selects "pgm").
-	Snapshot string
-	// DeltaCap is the per-shard delta size that schedules a background RCU
-	// snapshot merge (0 selects the shard package default).
-	DeltaCap int
-	// DeltaBound is the hard per-shard delta size: writers about to grow
-	// the delta past it while a merge is in flight block until the merge
-	// completes (0 selects 4×DeltaCap).
-	DeltaBound int
-	// MetricsPrefix, when non-empty, creates one Metrics bundle per shard
-	// named "<prefix>-shard<i>" (retrieve them with ShardMetrics).
-	MetricsPrefix string
 }
 
 // NewSharded builds the sharded serving layer over recs (sorted ascending,
@@ -63,40 +47,16 @@ func NewSharded(recs []KV, cfg ShardedConfig) (*Sharded, error) {
 	if cfg.Backend == "" {
 		cfg.Backend = "btree"
 	}
-	if cfg.Snapshot == "" {
-		cfg.Snapshot = "pgm"
+	k, err := registry.Mutable(cfg.Backend)
+	if err != nil {
+		return nil, err
 	}
-	b := shard.Builders{}
-	switch cfg.Mode {
-	case ShardRW:
-		k, err := registry.Mutable(cfg.Backend)
-		if err != nil {
-			return nil, err
-		}
-		b.New = func() (shard.MutableIndex, error) { return k.New() }
-		if k.Bulk != nil {
-			// The kind has a bulk path faster than an insert loop.
-			b.Bulk = func(recs []core.KV) (shard.MutableIndex, error) { return k.Bulk(recs) }
-		}
-	case ShardRCU:
-		k, err := registry.Static(cfg.Snapshot)
-		if err != nil {
-			return nil, err
-		}
-		if !k.Caps.AllowsEmpty {
-			return nil, fmt.Errorf("lix: sharded snapshot kind %q must build empty", cfg.Snapshot)
-		}
-		b.Static = func(recs []core.KV) (shard.Index, error) { return k.Static(recs) }
-	default:
-		return nil, fmt.Errorf("lix: unknown shard mode %v", cfg.Mode)
+	b := shard.Builders{New: func() (shard.MutableIndex, error) { return k.New() }}
+	if k.Bulk != nil {
+		// The kind has a bulk path faster than an insert loop.
+		b.Bulk = func(recs []core.KV) (shard.MutableIndex, error) { return k.Bulk(recs) }
 	}
-	return shard.New(recs, shard.Config{
-		Shards:        cfg.Shards,
-		Mode:          cfg.Mode,
-		DeltaCap:      cfg.DeltaCap,
-		DeltaBound:    cfg.DeltaBound,
-		MetricsPrefix: cfg.MetricsPrefix,
-	}, b)
+	return shard.New(recs, shard.Config{Shards: cfg.Shards}, b)
 }
 
 // SearchRange collects every record of ix with lo <= key <= hi into a

@@ -14,25 +14,19 @@ import (
 // unobserved "btree" backend.
 type StackConfig struct {
 	// Kind is the backend index kind, one of Mutable1DKinds ("" selects
-	// "btree"). With Shards > 0 it is the per-shard backend (ShardRW) and
-	// with Dir set it is the recovered kind.
+	// "btree"). With Shards > 0 it is the per-shard backend and with Dir
+	// set it is the recovered kind.
 	Kind string
 	// Shards, when positive, inserts the sharded concurrent serving layer.
 	// With Dir set, writers of different shards log and apply beside each
 	// other (the log itself is one file; its commits combine).
 	Shards int
-	// Mode selects the shard concurrency scheme (default ShardRW; only
-	// meaningful with Shards > 0). ShardRCU cannot be combined with Dir.
-	Mode ShardMode
-	// Snapshot is the per-shard read-optimized kind for ShardRCU mode
-	// ("" selects "pgm").
+	// Mode and Snapshot are vestigial and select nothing: there is one
+	// shard design (see ShardMode). Any value of either is accepted, with
+	// or without Dir; the fields stay only until the repo benchmark stops
+	// assigning them.
+	Mode     ShardMode
 	Snapshot string
-	// DeltaCap is the RCU delta size that schedules a background snapshot
-	// merge (0 selects the shard package default).
-	DeltaCap int
-	// DeltaBound is the hard RCU delta size at which writers block while a
-	// merge is in flight (0 selects 4×DeltaCap).
-	DeltaBound int
 	// Dir, when non-empty, inserts the durable layer: the stack is opened
 	// at (or created in) this directory with write-ahead logging and
 	// sorted-run checkpoints.
@@ -54,10 +48,6 @@ type StackConfig struct {
 	// and per-batch latencies, counters, and (with Dir) fsync/checkpoint
 	// events all record into this bundle.
 	Metrics *Metrics
-	// ShardMetricsPrefix, when non-empty, additionally attaches one metrics
-	// bundle per shard (non-durable stacks only; retrieve them through
-	// Sharded().ShardMetrics()).
-	ShardMetricsPrefix string
 	// Trace, when set, attaches a request tracer bound to Metrics:
 	// sampled per-stage spans, the slow-request log, and (with TopK) the
 	// hot-key sketch. Span sampling requires Metrics; hot-key telemetry
@@ -103,9 +93,6 @@ func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
 	var inner MutableIndex
 	switch {
 	case cfg.Dir != "":
-		if cfg.Mode == ShardRCU {
-			return nil, fmt.Errorf("lix: durable stack requires ShardRW shards (RCU snapshots are rebuilt, not logged)")
-		}
 		opts := DurableOptions{
 			Kind:            cfg.Kind,
 			Shards:          cfg.Shards,
@@ -130,15 +117,7 @@ func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
 		s.sharded, _ = d.Unwrap().(*Sharded)
 		inner = d
 	case cfg.Shards > 0:
-		sh, err := NewSharded(recs, ShardedConfig{
-			Shards:        cfg.Shards,
-			Mode:          cfg.Mode,
-			Backend:       cfg.Kind,
-			Snapshot:      cfg.Snapshot,
-			DeltaCap:      cfg.DeltaCap,
-			DeltaBound:    cfg.DeltaBound,
-			MetricsPrefix: cfg.ShardMetricsPrefix,
-		})
+		sh, err := NewSharded(recs, ShardedConfig{Shards: cfg.Shards, Backend: cfg.Kind})
 		if err != nil {
 			return nil, err
 		}

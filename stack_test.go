@@ -148,9 +148,6 @@ func TestStackConfigErrors(t *testing.T) {
 	if _, err := NewStack(nil, StackConfig{Kind: "rmi"}); err == nil {
 		t.Fatal("static-only kind accepted as stack backend")
 	}
-	if _, err := NewStack(nil, StackConfig{Dir: t.TempDir(), Mode: ShardRCU, Shards: 2}); err == nil {
-		t.Fatal("durable RCU stack accepted")
-	}
 	// StorageEngine selects nothing any more; it only rejects what it
 	// never knew.
 	if _, err := NewStack(nil, StackConfig{Dir: t.TempDir(), StorageEngine: "snapshot"}); err == nil {
