@@ -23,7 +23,7 @@
 //	lixbench -e trace     # tracer attached but off >= 0.95x no tracer
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare
-//	lixbench -e spatial   # flood rectangle search >= 3.1x the STR R-tree
+//	lixbench -e spatial   # rectangle search: flood >= 1.9x, the STR R-tree >= 1.8x the k-d tree
 //	lixbench -e wire      # GETs over one loopback connection >= 0.27x in-process LookupBatch;
 //	                      # mixed groups over a durable stack >= 0.59x an in-memory one, <= 1 log write per group
 //	lixbench -e gates     # all eight

@@ -1,9 +1,10 @@
 package bench
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -116,28 +117,51 @@ type side func() (float64, error)
 // the LSM floor. The durable-batch and paged floors time their sides one
 // after the other.
 func abMedian(rounds, slices int, fresh func() (a, b side, done func(), err error)) (aRate, bRate float64, err error) {
-	rates := make([][2]float64, rounds)
-	for round := range rates {
+	rates, err := abRates(rounds, slices, func() ([]side, func(), error) {
 		a, b, done, err := fresh()
+		return []side{a, b}, done, err
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	r := medianRound(rates, 0, 1)
+	return r[0], r[1], nil
+}
+
+// abRates is abMedian's schedule for any number of sides, the order rotating
+// as abMedian's alternates: it returns every round's rate of every side, for
+// a gate that holds several sides against one control in the same moments.
+func abRates(rounds, slices int, fresh func() (sides []side, done func(), err error)) ([][]float64, error) {
+	rates := make([][]float64, rounds)
+	for round := range rates {
+		sides, done, err := fresh()
 		if err != nil {
-			return 0, 0, err
+			return nil, err
 		}
-		sides := [2]side{a, b}
-		var inv [2]float64
+		inv := make([]float64, len(sides))
 		for s := 0; s < slices; s++ {
-			for k := 0; k < 2; k++ {
-				i := (round + s + k) % 2
+			for k := range sides {
+				i := (round + s + k) % len(sides)
 				rate, err := sides[i]()
 				if err != nil {
 					done()
-					return 0, 0, err
+					return nil, err
 				}
 				inv[i] += 1 / rate
 			}
 		}
 		done()
-		rates[round] = [2]float64{float64(slices) / inv[0], float64(slices) / inv[1]}
+		for i := range inv {
+			inv[i] = float64(slices) / inv[i]
+		}
+		rates[round] = inv
 	}
-	sort.Slice(rates, func(i, j int) bool { return rates[i][0]/rates[i][1] < rates[j][0]/rates[j][1] })
-	return rates[rounds/2][0], rates[rounds/2][1], nil
+	return rates, nil
+}
+
+// medianRound returns the round of rates whose a/b ratio is the median.
+func medianRound(rates [][]float64, a, b int) []float64 {
+	rates = slices.Clone(rates)
+	slices.SortFunc(rates, func(x, y []float64) int { return cmp.Compare(x[a]/x[b], y[a]/y[b]) })
+	return rates[len(rates)/2]
 }

@@ -10,22 +10,32 @@ import (
 	"github.com/lix-go/lix/internal/dataset"
 )
 
-// spatialFloor is the least flood may lead the STR R-tree by on rectangle
-// searches. Flood on a []PV of slice headers into the caller's points, as
-// before the flat point store, read 2.15-2.30 here on the 2-vCPU sandbox
-// and the store reads 3.96-4.48 (twenty runs); 3.1 is out of reach of the
-// first and under 0.8 of the lowest run of the second.
-const spatialFloor = 3.1
+// The least flood and the STR R-tree may lead the k-d tree by on rectangle
+// searches. Twelve runs on the 2-vCPU sandbox read 2.39-2.75 for flood and
+// 2.31-2.84 for the R-tree; each floor is under 0.8 of the lowest. What each
+// replaced is out of reach of it: the R-tree of 88-byte entries behind
+// three pointers read 0.49-0.52 on this schedule, and flood on a []PV of
+// slice headers into the caller's points 0.54 of the flat store's rate
+// (2.15-2.30 against 3.96-4.48 when both were held against that R-tree).
+const (
+	spatialFloodFloor = 1.9
+	spatialRTreeFloor = 1.8
+)
 
-// gateSpatial is the rectangle-search pair: flood, the fastest of the kinds
-// built on the flat point store, against the bulk-loaded R-tree, which keeps
-// its own node layout and is the control the store must not move. Both are
-// built over the same cfg.N clustered 2-D points and answer the same cfg.Q
-// rectangles, a third each at three selectivities two decades apart like the
-// repo benchmark's; abMedian compares them slice by slice. Every slice's
-// result count is checked between the two sides. The floor is what the
-// store's win on spatial-query leaves behind: a refine loop that goes back
-// to chasing a pointer per candidate falls under it.
+// spatialKinds are the sides of the spatial gate; the control comes last.
+var spatialKinds = []string{"flood", "rtree", "kdtree"}
+
+// gateSpatial is the rectangle-search gate of the two flat layouts: flood,
+// the fastest of the kinds built on the flat point store, and the
+// bulk-loaded R-tree, whose leaves are point stores and whose inner nodes
+// are flat boxes, each against the k-d tree, which keeps pointer nodes into
+// the caller's points and is the control neither layout can move. All three
+// are built over the same cfg.N clustered 2-D points and answer the same
+// cfg.Q rectangles, a third each at three selectivities two decades apart
+// like the repo benchmark's; abRates runs them slice by slice. Every
+// slice's result count is checked across the three sides. A refine loop or
+// an MBR test that goes back to chasing a pointer per candidate falls
+// under its floor.
 func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	pts := mustPoints(dataset.SOSMLike, cfg.N, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
@@ -35,7 +45,7 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	}
 	per := (len(queries) + abSlices - 1) / abSlices
 
-	var results [2]int
+	results := make([]int, len(spatialKinds))
 	rectSide := func(k int, ix lix.SpatialIndex) side {
 		next := 0
 		return func() (float64, error) {
@@ -48,32 +58,37 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 			return float64(per) / float64(time.Since(start).Nanoseconds()) * 1000, nil
 		}
 	}
-	floodMed, rtreeMed, err := abMedian(abRounds, abSlices, func() (side, side, func(), error) {
-		fl, err := lix.BuildSpatial("flood", pvs)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bench: build flood: %w", err)
-		}
-		rt, err := lix.BuildSpatial("rtree", pvs)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("bench: build rtree: %w", err)
+	rates, err := abRates(abRounds, abSlices, func() ([]side, func(), error) {
+		sides := make([]side, len(spatialKinds))
+		for k, kind := range spatialKinds {
+			ix, err := lix.BuildSpatial(kind, pvs)
+			if err != nil {
+				return nil, nil, fmt.Errorf("bench: build %s: %w", kind, err)
+			}
+			sides[k] = rectSide(k, ix)
 		}
 		runtime.GC() // collect the previous round's indexes now, not during a slice
-		return rectSide(0, fl), rectSide(1, rt), func() {}, nil
+		return sides, func() {}, nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if results[0] != results[1] || results[0] == 0 {
-		return nil, nil, fmt.Errorf("bench: flood returned %d points, rtree %d, on the same rectangles", results[0], results[1])
+	ctl := len(spatialKinds) - 1
+	if results[0] != results[ctl] || results[1] != results[ctl] || results[ctl] == 0 {
+		return nil, nil, fmt.Errorf("bench: %v returned %v points on the same rectangles", spatialKinds, results)
 	}
 
 	t := &Table{
 		ID: "SPATIAL",
 		Title: fmt.Sprintf("Rectangle search, n=%d clustered 2-D points, %d rectangles (mean result %.1f points), median of %d rounds",
 			cfg.N, len(queries), float64(results[0])/float64(abRounds*abSlices*per), abRounds),
-		Columns: []string{"kind", "Mqueries/s", "vs rtree"},
+		Columns: []string{"kind", "Mqueries/s", "kdtree Mqueries/s", "vs kdtree"},
 	}
-	t.AddRow("rtree (STR)", rtreeMed, "1.000")
-	t.AddRow("flood", floodMed, fmt.Sprintf("%.3f", floodMed/rtreeMed))
-	return []*Table{t}, []floor{{name: "spatial/rect/flood", got: floodMed, ref: rtreeMed, min: spatialFloor}}, nil
+	var floors []floor
+	for k, min := range []float64{spatialFloodFloor, spatialRTreeFloor} {
+		r := medianRound(rates, k, ctl)
+		t.AddRow(spatialKinds[k], r[k], r[ctl], fmt.Sprintf("%.3f", r[k]/r[ctl]))
+		floors = append(floors, floor{name: "spatial/rect/" + spatialKinds[k], got: r[k], ref: r[ctl], min: min})
+	}
+	return []*Table{t}, floors, nil
 }

@@ -96,29 +96,38 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	return m, nil
 }
 
-// kmeans runs a few Lloyd iterations seeded by evenly spaced data points.
+// kmeansSample bounds the points a Lloyd iteration reads. The references
+// only have to spread over the data's clusters, which a few hundred points
+// per reference place as well as all of them; the one pass that must see
+// every point is the assignment in Build.
+const kmeansSample = 32768
+
+// kmeans runs a few Lloyd iterations, seeded by evenly spaced data points,
+// over at most kmeansSample evenly spaced data points.
 func kmeans(pvs []core.PV, k, iters int) []core.Point {
 	refs := make([]core.Point, k)
 	for i := range refs {
 		refs[i] = pvs[i*len(pvs)/k].Point.Clone()
 	}
 	dim := pvs[0].Point.Dim()
+	sample := min(len(pvs), kmeansSample)
 	for it := 0; it < iters; it++ {
 		sums := make([][]float64, k)
 		counts := make([]int, k)
 		for i := range sums {
 			sums[i] = make([]float64, dim)
 		}
-		for _, pv := range pvs {
+		for j := 0; j < sample; j++ {
+			p := pvs[j*len(pvs)/sample].Point
 			best, bd := 0, math.Inf(1)
 			for r := range refs {
-				if d := pv.Point.DistSq(refs[r]); d < bd {
+				if d := p.DistSq(refs[r]); d < bd {
 					best, bd = r, d
 				}
 			}
 			counts[best]++
 			for d := 0; d < dim; d++ {
-				sums[best][d] += pv.Point[d]
+				sums[best][d] += p[d]
 			}
 		}
 		for r := range refs {

@@ -163,3 +163,35 @@ func TestKNNDegenerateExtent(t *testing.T) {
 		t.Fatalf("KNN over equal points returned %d results, want 3", len(got))
 	}
 }
+
+// TestBuildDeterministic builds twice over an input larger than the Lloyd
+// sample: the references, and so the projected keys and the stored order,
+// must depend on the input alone, and sampling must not cost a lookup.
+func TestBuildDeterministic(t *testing.T) {
+	pts, _ := dataset.Points(dataset.SOSMLike, kmeansSample+7000, 2, 1107)
+	pvs := dataset.PV(pts)
+	a, err := Build(pvs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Build(pvs, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range a.refs {
+		if !a.refs[r].Equal(b.refs[r]) {
+			t.Fatalf("reference %d: %v then %v", r, a.refs[r], b.refs[r])
+		}
+	}
+	for i := range a.keys {
+		if a.keys[i] != b.keys[i] || a.pts.PV(i).Value != b.pts.PV(i).Value {
+			t.Fatalf("position %d: key %d value %d then key %d value %d",
+				i, a.keys[i], a.pts.PV(i).Value, b.keys[i], b.pts.PV(i).Value)
+		}
+	}
+	for i, pv := range pvs {
+		if v, ok := a.Lookup(pv.Point); !ok || !pvs[v].Point.Equal(pv.Point) {
+			t.Fatalf("Lookup of point %d: value %d, found %v", i, v, ok)
+		}
+	}
+}

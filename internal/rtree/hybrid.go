@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/lix-go/lix/internal/core"
 )
@@ -18,11 +19,13 @@ import (
 // Taxonomy: hybrid (R-tree branch), Approach 1 — a traditional index
 // augmented with an ML model.
 type Hybrid struct {
-	tree  *Tree
-	cells int
-	min   core.Point
-	max   core.Point
-	grid  [][]*node // cell -> candidate leaves
+	tree   *Tree
+	cells  int
+	min    core.Point
+	max    core.Point
+	leaves []*node
+	boxes  []float64 // leaf i's MBR at [2*dim*i, 2*dim*(i+1))
+	grid   [][]int32 // cell -> candidate leaves
 	// MaxCandidates bounds the learned path; larger candidate sets fall
 	// back to the traditional search.
 	MaxCandidates int
@@ -52,15 +55,15 @@ func NewHybrid(t *Tree, cells int) (*Hybrid, error) {
 		total *= cells
 	}
 	h := &Hybrid{tree: t, cells: cells, MaxCandidates: 8}
-	world := t.root.mbr()
-	h.min = world.Min
-	h.max = world.Max
+	world := make([]float64, 2*t.dim)
+	t.root.mbr(world)
+	h.min, h.max = world[:t.dim], world[t.dim:]
 	for d := 0; d < t.dim; d++ {
 		if !(h.max[d] > h.min[d]) {
 			h.max[d] = h.min[d] + 1
 		}
 	}
-	h.grid = make([][]*node, total)
+	h.grid = make([][]int32, total)
 	h.indexLeaves(t.root)
 	return h, nil
 }
@@ -68,21 +71,23 @@ func NewHybrid(t *Tree, cells int) (*Hybrid, error) {
 // indexLeaves registers every leaf in all grid cells its MBR overlaps.
 func (h *Hybrid) indexLeaves(n *node) {
 	if n.leaf {
-		r := n.mbr()
-		lo := make([]int, h.tree.dim)
-		hi := make([]int, h.tree.dim)
+		id, at := int32(len(h.leaves)), len(h.boxes)
+		h.leaves = append(h.leaves, n)
+		h.boxes = append(h.boxes, make([]float64, 2*h.tree.dim)...)
+		r := h.boxes[at:]
+		n.mbr(r)
+		lo, hi := make([]int, h.tree.dim), make([]int, h.tree.dim)
 		for d := 0; d < h.tree.dim; d++ {
-			lo[d] = h.cell(d, r.Min[d])
-			hi[d] = h.cell(d, r.Max[d])
+			lo[d] = h.cell(d, r[d])
+			hi[d] = h.cell(d, r[h.tree.dim+d])
 		}
-		idx := make([]int, h.tree.dim)
-		copy(idx, lo)
+		idx := slices.Clone(lo)
 		for {
 			flat := 0
 			for d := 0; d < h.tree.dim; d++ {
 				flat = flat*h.cells + idx[d]
 			}
-			h.grid[flat] = append(h.grid[flat], n)
+			h.grid[flat] = append(h.grid[flat], id)
 			d := h.tree.dim - 1
 			for d >= 0 {
 				idx[d]++
@@ -98,8 +103,8 @@ func (h *Hybrid) indexLeaves(n *node) {
 		}
 		return
 	}
-	for i := range n.entries {
-		h.indexLeaves(n.entries[i].child)
+	for _, kid := range n.kids {
+		h.indexLeaves(kid)
 	}
 }
 
@@ -130,22 +135,20 @@ func (h *Hybrid) PointSearch(p core.Point, fn func(core.PV) bool) (found, leaves
 	if len(cands) == 0 || len(cands) > h.MaxCandidates {
 		// Model is uninformative here: traditional path.
 		h.Fallbacks++
-		v, nodes := h.tree.Search(core.RectOf(p), fn)
-		return v, nodes
+		return h.tree.Search(core.Rect{Min: p, Max: p}, fn)
 	}
 	h.LearnedHits++
-	target := core.RectOf(p)
-	for _, leaf := range cands {
-		if !leaf.mbr().Intersects(target) {
+	w := 2 * h.tree.dim
+	for _, id := range cands {
+		if !box(h.boxes[int(id)*w : int(id+1)*w]).Contains(p) {
 			continue
 		}
 		leaves++
-		for i := range leaf.entries {
-			if leaf.entries[i].pv.Point.Equal(p) {
-				found++
-				if !fn(leaf.entries[i].pv) {
-					return found, leaves
-				}
+		pts := &h.leaves[id].pts
+		for i := pts.Find(0, pts.Len(), p); i >= 0; i = pts.Find(i+1, pts.Len(), p) {
+			found++
+			if !fn(pts.PV(i)) {
+				return found, leaves
 			}
 		}
 	}
@@ -162,10 +165,10 @@ func (h *Hybrid) Search(rect core.Rect, fn func(core.PV) bool) (visited, nodes i
 func (h *Hybrid) Stats() core.Stats {
 	st := h.tree.Stats()
 	st.Name = "learned-rtree"
-	ptrs := 0
+	ids := 0
 	for _, c := range h.grid {
-		ptrs += len(c)
+		ids += len(c)
 	}
-	st.IndexBytes += len(h.grid)*24 + ptrs*8
+	st.IndexBytes += len(h.grid)*24 + ids*4 + len(h.leaves)*8 + len(h.boxes)*8
 	return st
 }

@@ -2,28 +2,28 @@ package rtree
 
 import (
 	"fmt"
-
-	"github.com/lix-go/lix/internal/core"
+	"slices"
 )
 
 // CheckInvariants verifies the R-tree's structural invariants: every inner
-// entry's rectangle is exactly the MBR of its child (so pruning during
-// search and kNN is sound), every leaf point lies inside its enclosing
-// entry rectangle, all leaves sit at uniform depth, node entry counts
-// respect the capacity bound, and size matches the leaf entry count. It is
-// O(n) and intended for tests.
+// node holds one box per child and that box is exactly the child's MBR (so
+// pruning during search and kNN is sound), all leaves sit at uniform depth,
+// node entry counts respect the capacity bound, no non-root node is empty,
+// and size matches the leaf point count. It is O(n) and intended for tests.
 func (t *Tree) CheckInvariants() error {
 	if t.root == nil {
 		return fmt.Errorf("rtree: nil root")
 	}
+	w := 2 * t.dim
 	leafDepth := -1
 	total := 0
+	mbr := make([]float64, w)
 	var walk func(n *node, depth int) error
 	walk = func(n *node, depth int) error {
-		if len(n.entries) > t.maxEntries {
-			return fmt.Errorf("rtree: node holds %d entries > max %d", len(n.entries), t.maxEntries)
+		if n.count() > t.maxEntries {
+			return fmt.Errorf("rtree: node holds %d entries > max %d", n.count(), t.maxEntries)
 		}
-		if depth > 0 && len(n.entries) == 0 {
+		if depth > 0 && n.count() == 0 {
 			return fmt.Errorf("rtree: empty non-root node at depth %d", depth)
 		}
 		if n.leaf {
@@ -32,34 +32,33 @@ func (t *Tree) CheckInvariants() error {
 			} else if depth != leafDepth {
 				return fmt.Errorf("rtree: leaf at depth %d, expected %d", depth, leafDepth)
 			}
-			for i := range n.entries {
-				e := &n.entries[i]
-				if e.child != nil {
-					return fmt.Errorf("rtree: leaf entry %d has a child node", i)
-				}
-				if t.dim > 0 && e.pv.Point.Dim() != t.dim {
-					return fmt.Errorf("rtree: leaf point dim %d, tree dim %d", e.pv.Point.Dim(), t.dim)
-				}
-				if !e.rect.Contains(e.pv.Point) {
-					return fmt.Errorf("rtree: leaf entry %d rect does not contain its point", i)
-				}
-				total++
+			if len(n.kids) != 0 || len(n.bounds) != 0 {
+				return fmt.Errorf("rtree: leaf has %d children and %d bounds", len(n.kids), len(n.bounds))
 			}
+			if n.pts.Len() > 0 && n.pts.At(0).Dim() != t.dim {
+				return fmt.Errorf("rtree: leaf point dim %d, tree dim %d", n.pts.At(0).Dim(), t.dim)
+			}
+			total += n.pts.Len()
 			return nil
 		}
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.child == nil {
+		if n.pts.Len() != 0 {
+			return fmt.Errorf("rtree: inner node holds %d points", n.pts.Len())
+		}
+		if len(n.bounds) != w*len(n.kids) {
+			return fmt.Errorf("rtree: inner node has %d bounds for %d children of dim %d", len(n.bounds), len(n.kids), t.dim)
+		}
+		for i, kid := range n.kids {
+			if kid == nil {
 				return fmt.Errorf("rtree: inner entry %d has no child", i)
 			}
-			if len(e.child.entries) == 0 {
+			if kid.count() == 0 {
 				return fmt.Errorf("rtree: inner entry %d points at an empty node", i)
 			}
-			mbr := e.child.mbr()
-			if !rectEqual(e.rect, mbr) {
-				return fmt.Errorf("rtree: inner entry %d rect %v is not its child's MBR %v", i, e.rect, mbr)
+			kid.mbr(mbr)
+			if b := n.bounds[i*w : (i+1)*w]; !slices.Equal(b, mbr) {
+				return fmt.Errorf("rtree: inner entry %d box %v is not its child's MBR %v", i, b, mbr)
 			}
-			if err := walk(e.child, depth+1); err != nil {
+			if err := walk(kid, depth+1); err != nil {
 				return err
 			}
 		}
@@ -72,8 +71,4 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("rtree: size=%d but leaves hold %d points", t.size, total)
 	}
 	return nil
-}
-
-func rectEqual(a, b core.Rect) bool {
-	return a.Min.Equal(b.Min) && a.Max.Equal(b.Max)
 }

@@ -55,9 +55,7 @@ type KNNIndex interface {
 // MutableSpatialIndex is a SpatialIndex supporting inserts and deletes.
 type MutableSpatialIndex interface {
 	SpatialIndex
-	// Insert adds a point. The LISA index copies p; the R-tree, quadtree
-	// and uniform grid retain the caller's slice, which must not be
-	// written to afterwards.
+	// Insert adds a copy of p: the caller's slice is free once it returns.
 	Insert(p Point, v Value) error
 	// Delete removes one stored point equal to p with matching value.
 	Delete(p Point, v Value) bool
@@ -105,20 +103,13 @@ func lookupViaSearch(s interface {
 
 // --- R-tree ---------------------------------------------------------------
 
-type rtreeAdapter struct{ *rtree.Tree }
-
-func (a rtreeAdapter) Lookup(p Point) (Value, bool) { return lookupViaSearch(a.Tree, p) }
-
 // NewRTree returns an empty R-tree with the given node capacity (0 selects
 // the default).
 func NewRTree(maxEntries int) interface {
 	MutableSpatialIndex
 	KNNIndex
 } {
-	if maxEntries <= 0 {
-		maxEntries = rtree.DefaultMaxEntries
-	}
-	return rtreeAdapter{rtree.New(maxEntries)}
+	return rtree.New(maxEntries)
 }
 
 // BulkRTree bulk-loads an R-tree with Sort-Tile-Recursive packing.
@@ -126,14 +117,11 @@ func BulkRTree(maxEntries int, pvs []PV) (interface {
 	MutableSpatialIndex
 	KNNIndex
 }, error) {
-	if maxEntries <= 0 {
-		maxEntries = rtree.DefaultMaxEntries
-	}
 	t, err := rtree.BulkSTR(maxEntries, pvs)
 	if err != nil {
 		return nil, err
 	}
-	return rtreeAdapter{t}, nil
+	return t, nil
 }
 
 // LearnedRTree is the ML-enhanced R-tree (AI+R style).
@@ -142,9 +130,6 @@ type LearnedRTree = rtree.Hybrid
 // NewLearnedRTree bulk-loads an R-tree and attaches the learned
 // leaf-prediction model.
 func NewLearnedRTree(maxEntries, cells int, pvs []PV) (*LearnedRTree, error) {
-	if maxEntries <= 0 {
-		maxEntries = rtree.DefaultMaxEntries
-	}
 	t, err := rtree.BulkSTR(maxEntries, pvs)
 	if err != nil {
 		return nil, err
@@ -266,10 +251,11 @@ func SpatialKinds() []string {
 
 // BuildSpatial builds a spatial index of the named kind over the points.
 // Quadtree and grid derive their bounds from the dataset extent convention
-// ([0, 2^20) per dimension). The zm, zm-hilbert, mlindex, flood and lisa
-// kinds copy the coordinates into their own store; rtree, kdtree, quadtree
-// and grid retain each pvs[i].Point, which the caller must not write to
-// while the index is in use.
+// ([0, 2^20) per dimension). The rtree, zm, zm-hilbert, mlindex, flood and
+// lisa kinds copy the coordinates into their own store, and quadtree and
+// grid are filled through Insert, which copies; kdtree retains each
+// pvs[i].Point, which the caller must not write to while the index is in
+// use.
 func BuildSpatial(kind string, pvs []PV) (SpatialIndex, error) {
 	switch kind {
 	case "rtree":

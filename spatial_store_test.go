@@ -9,11 +9,13 @@ import (
 	"github.com/lix-go/lix/internal/flood"
 	"github.com/lix-go/lix/internal/lisa"
 	"github.com/lix-go/lix/internal/mlindex"
+	"github.com/lix-go/lix/internal/rtree"
 	"github.com/lix-go/lix/internal/zm"
 )
 
-// storeKinds are the kinds built on the flat point store.
-var storeKinds = []string{"zm", "zm-hilbert", "mlindex", "flood", "lisa"}
+// storeKinds are the kinds that keep their points in the flat point store
+// (the R-tree one store per leaf).
+var storeKinds = []string{"rtree", "zm", "zm-hilbert", "mlindex", "flood", "lisa"}
 
 // spatialAnswers renders everything ix answers about pts (point i has value
 // i), queries and kNN probes as one string, so two states of an index
@@ -151,15 +153,15 @@ func TestSearchCallbackCannotClobberNeighbour(t *testing.T) {
 
 // TestStoreKindsHigherDimensions runs the store-backed kinds against brute
 // force in 3-D and 4-D, where ScanRect takes its generic-dimension path and
-// not the 2-D one every other suite exercises. (zm-hilbert is 2-D only; its
-// exactness is the 2-D tests' above.)
+// not the 2-D one every other suite exercises, and the R-tree its generic
+// box test. (zm-hilbert is 2-D only; its exactness is the 2-D tests' above.)
 func TestStoreKindsHigherDimensions(t *testing.T) {
 	for _, dim := range []int{3, 4} {
 		for _, shape := range []dataset.SpatialKind{dataset.SUniform, dataset.SOSMLike} {
 			pts, _ := dataset.Points(shape, 2500, dim, int64(1806+dim))
 			queries := dataset.RectQueries(pts, 20, 0.01, 1807)
 			probes := dataset.KNNQueries(pts, 5, 1808)
-			for _, kind := range []string{"zm", "mlindex", "flood", "lisa"} {
+			for _, kind := range []string{"rtree", "zm", "mlindex", "flood", "lisa"} {
 				ix, err := BuildSpatial(kind, dataset.PV(pts))
 				if err != nil {
 					t.Fatalf("%s %d-D: %v", kind, dim, err)
@@ -201,7 +203,12 @@ func TestStoreKindsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r, err := BulkRTree(0, pvs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, query := range map[string]func(){
+		"rtree":   func() { r.Lookup(p); r.(*rtree.Tree).Search(rect, add) },
 		"zm":      func() { z.Lookup(p); z.Search(rect, add) },
 		"mlindex": func() { m.Lookup(p); m.Search(rect, add) },
 		"flood":   func() { f.Lookup(p); f.Search(rect, add) },
