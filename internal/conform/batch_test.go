@@ -28,8 +28,8 @@ var (
 )
 
 // The commit capability must reach the server through every layer above
-// the store: a wrapper that drops it sends the server back to one log
-// write per write run.
+// the store: a wrapper that drops it leaves the server's Apply calls
+// uncommitted until the log's buffer fills.
 var (
 	_ core.Committer = (*lix.Durable)(nil)
 	_ core.Committer = (*lix.ObservedMutableIndex)(nil)
@@ -120,8 +120,11 @@ func copyDir(t *testing.T, src, dst string) {
 // batched durable insert: the whole batch is one contiguous WAL frame
 // group, so truncating the log at any byte offset (the crash model)
 // recovers exactly a prefix of the batch in submission order — never a
-// subset with holes, never reordered.
+// subset with holes, never reordered. Its "apply" subtest does the same
+// for mixed batches: Apply → Commit → Crash → reopen equals the replay,
+// and a batch applied after the last Commit comes back whole or not at all.
 func TestDurableBatchCrashAtomicity(t *testing.T) {
+	t.Run("apply", applyCrash)
 	const (
 		walHeader   = 24 // WAL file header bytes
 		insertFrame = 33 // u32 len + u32 crc + (op u8, seq u64, key u64, val u64)

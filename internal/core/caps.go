@@ -14,16 +14,16 @@ package core
 // it lives in the kind registry (internal/registry, Kind.Bulk) rather
 // than here.
 
-// The three batch capabilities share one shape. Result slices are always
-// caller-owned, len(keys) each, so a serving loop reuses its buffers and
-// no layer allocates per call. sp is the request's span, nil when the
-// request is not sampled: a layer that implements a capability attributes
-// its own stages into it and decides whether the layer below sees it (the
-// durable layer times its in-memory apply itself and passes nil down, so
-// shard time is never counted twice). Writes return the store's error —
-// the first I/O error of the call, or the latched error of a store that
-// has already failed; in-memory layers return nil. Reads have no error
-// result: no layer can fail a read.
+// The four batch capabilities share one shape. Result slices are always
+// caller-owned, len(keys) (or len(ops)) each, so a serving loop reuses its
+// buffers and no layer allocates per call. sp is the request's span, nil
+// when the request is not sampled: a layer that implements a capability
+// attributes its own stages into it and decides whether the layer below
+// sees it (the durable layer times its in-memory apply itself and passes
+// nil down, so shard time is never counted twice). Writes return the
+// store's error — the first I/O error of the call, or the latched error of
+// a store that has already failed; in-memory layers return nil. Reads have
+// no error result: no layer can fail a read.
 
 // BatchLookuper resolves many keys in one call. vals[i], oks[i] answer
 // keys[i]; implementations may reorder internally (the sharded layer
@@ -47,20 +47,43 @@ type BatchDeleter interface {
 	DeleteBatch(keys []Key, oks []bool, sp *Span) error
 }
 
+// OpKind is what one Op of a mixed batch does.
+type OpKind uint8
+
+// The three operations of a mixed batch.
+const (
+	OpGet OpKind = iota
+	OpPut
+	OpDel
+)
+
+// Op is one operation of a mixed batch: a get or a delete of Key, or an
+// upsert of (Key, Val).
+type Op struct {
+	Kind OpKind
+	Key  Key
+	Val  Value
+}
+
+// Applier does a mixed batch in one call with the outcome of doing its ops
+// one by one in input order: vals[i], oks[i] answer a get and oks[i]
+// whether a delete's key was present. Over a store that logs it is the one
+// uncommitted entry point: the caller (the server, once per reply flush)
+// withholds every acknowledgement, and every answer that may show such a
+// write, until Committer.Commit has returned nil. A store that cannot log
+// the batch applies none of its writes, answers its gets, and returns the
+// error.
+type Applier interface {
+	Apply(ops []Op, vals []Value, oks []bool, sp *Span) error
+}
+
 // Committer is the capability of a store that logs a write into a buffer
 // when it applies it and writes the buffer out when somebody commits.
-// InsertBatch and DeleteBatch commit before they return; the Uncommitted
-// forms are the same calls without that step, for a caller that batches
-// many writes behind one commit and withholds every acknowledgement — and
-// every answer that may show such a write — until Commit has returned nil:
-// the serving layer, which commits once per reply flush. Commit makes the
-// whole log up to its current end durable (as durable as the store's sync
-// policy makes any write), its write and fsync landing in sp's wal and
-// fsync stages; its error is the store's latched one, and the writes it
-// failed to log stay visible in memory, unacknowledged.
+// Commit makes the whole log up to its current end durable (as durable as
+// the store's sync policy makes any write), its write and fsync landing in
+// sp's wal and fsync stages; its error is the store's latched one, and the
+// writes it failed to log stay visible in memory, unacknowledged.
 type Committer interface {
-	InsertUncommitted(recs []KV, sp *Span) error
-	DeleteUncommitted(keys []Key, oks []bool, sp *Span) error
 	Commit(sp *Span) error
 }
 
@@ -136,26 +159,33 @@ func DeleteBatch(ix Deleter, keys []Key, oks []bool, sp *Span) error {
 	return nil
 }
 
-// InsertUncommitted is InsertBatch through ix's Committer capability when
-// present — the batch is applied and logged, the commit left to Commit —
-// else InsertBatch itself, which leaves nothing to commit.
-func InsertUncommitted(ix Inserter, recs []KV, sp *Span) error {
-	if c, ok := ix.(Committer); ok {
-		return c.InsertUncommitted(recs, sp)
+// Apply does ops against ix through its Applier capability when present,
+// else a point loop — timed as the span's shard stage — that cannot fail.
+// It answers as Applier says, into vals and oks (len(ops) each).
+func Apply(ix interface {
+	Getter
+	Inserter
+	Deleter
+}, ops []Op, vals []Value, oks []bool, sp *Span) error {
+	if a, ok := ix.(Applier); ok {
+		return a.Apply(ops, vals, oks, sp)
 	}
-	return InsertBatch(ix, recs, sp)
+	defer sp.End(StageShard, sp.Begin())
+	for i, op := range ops {
+		switch op.Kind {
+		case OpGet:
+			vals[i], oks[i] = ix.Get(op.Key)
+		case OpPut:
+			ix.Insert(op.Key, op.Val)
+		case OpDel:
+			oks[i] = ix.Delete(op.Key)
+		}
+	}
+	return nil
 }
 
-// DeleteUncommitted is DeleteBatch the same way.
-func DeleteUncommitted(ix Deleter, keys []Key, oks []bool, sp *Span) error {
-	if c, ok := ix.(Committer); ok {
-		return c.DeleteUncommitted(keys, oks, sp)
-	}
-	return DeleteBatch(ix, keys, oks, sp)
-}
-
-// Commit commits what the Uncommitted calls on ix left buffered; a no-op
-// on an index without the capability.
+// Commit commits what Apply calls on ix left buffered; a no-op on an
+// index without the capability.
 func Commit(ix any, sp *Span) error {
 	if c, ok := ix.(Committer); ok {
 		return c.Commit(sp)

@@ -17,9 +17,10 @@ import (
 )
 
 // The server's half of the commit protocol, against a store that has the
-// core.Committer capability and nothing else of a durable stack: writes
-// are applied at once and "logged" when Commit gets through, and Commit
-// can be held or failed from the test.
+// core.Applier and core.Committer capabilities and nothing else of a
+// durable stack: Apply applies at once and "logs" when Commit gets
+// through, Commit can be held or failed from the test, and Apply can be
+// failed the way a log that refuses an append fails it.
 
 type commitStore struct {
 	mu      sync.Mutex
@@ -27,6 +28,8 @@ type commitStore struct {
 	logged  map[core.Key]core.Value // what a crash would keep
 	gate    chan struct{}           // non-nil: Commit waits for it to close
 	fail    error                   // non-nil: Commit returns it and logs nothing
+	refuse  error                   // non-nil: Apply returns it, applying no write
+	applies int                     // Apply calls
 }
 
 func newCommitStore() *commitStore {
@@ -41,32 +44,35 @@ func (s *commitStore) Get(k core.Key) (core.Value, bool) {
 }
 
 func (s *commitStore) Insert(k core.Key, v core.Value) {
-	s.InsertUncommitted([]core.KV{{Key: k, Value: v}}, nil)
+	s.Apply([]core.Op{{Kind: core.OpPut, Key: k, Val: v}}, make([]core.Value, 1), make([]bool, 1), nil)
 }
 func (s *commitStore) Delete(k core.Key) bool {
 	oks := make([]bool, 1)
-	s.DeleteUncommitted([]core.Key{k}, oks, nil)
+	s.Apply([]core.Op{{Kind: core.OpDel, Key: k}}, make([]core.Value, 1), oks, nil)
 	return oks[0]
 }
 func (s *commitStore) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int { return 0 }
 
-func (s *commitStore) InsertUncommitted(recs []core.KV, _ *core.Span) error {
+// Apply is the uncommitted write, in input order; refused, it still
+// answers the gets and reports every delete false, as Durable.Apply does.
+func (s *commitStore) Apply(ops []core.Op, vals []core.Value, oks []bool, _ *core.Span) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range recs {
-		s.applied[r.Key] = r.Value
+	s.applies++
+	for i, op := range ops {
+		switch {
+		case op.Kind == core.OpGet:
+			vals[i], oks[i] = s.applied[op.Key]
+		case s.refuse != nil:
+			oks[i] = false
+		case op.Kind == core.OpPut:
+			s.applied[op.Key] = op.Val
+		default:
+			_, oks[i] = s.applied[op.Key]
+			delete(s.applied, op.Key)
+		}
 	}
-	return nil
-}
-
-func (s *commitStore) DeleteUncommitted(keys []core.Key, oks []bool, _ *core.Span) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, k := range keys {
-		_, oks[i] = s.applied[k]
-		delete(s.applied, k)
-	}
-	return nil
+	return s.refuse
 }
 
 func (s *commitStore) Commit(*core.Span) error {
@@ -304,4 +310,75 @@ func TestAcknowledgedWritesSurviveCrash(t *testing.T) {
 	if re.Len() != want {
 		t.Fatalf("%d records after the crash, %d acknowledged", re.Len(), want)
 	}
+}
+
+// TestFailedAppendAnswersEveryFrame refuses the store call of a mixed
+// stretch, as a log that cannot take the append does: every SET, MSET and
+// DEL frame is answered ERR with the store's error, every GET and MGET
+// frame its value — the value before the stretch, since none of its
+// writes was applied — in request order, in one store call, and the
+// connection stays open.
+func TestFailedAppendAnswersEveryFrame(t *testing.T) {
+	store := newCommitStore()
+	store.Insert(1, 10)
+	store.Insert(2, 20)
+	store.refuse = errors.New("log refused the append")
+	m := obs.NewMetrics("failed-append")
+	srv := startServer(t, store, serve.Config{Metrics: m})
+	defer srv.Shutdown()
+
+	conn, r := dialRaw(t, srv)
+	reqs := []wire.Msg{
+		{Op: wire.OpGet, Key: 1},
+		{Op: wire.OpSet, Key: 1, Val: 11},
+		{Op: wire.OpGet, Key: 1},
+		{Op: wire.OpMSet, Recs: []core.KV{{Key: 3, Value: 30}, {Key: 2, Value: 21}}},
+		{Op: wire.OpMGet, Keys: []core.Key{2, 3, 1}},
+		{Op: wire.OpDel, Key: 2},
+		{Op: wire.OpGet, Key: 2},
+	}
+	if _, err := conn.Write(frames(t, reqs...)); err != nil {
+		t.Fatal(err)
+	}
+	for i, req := range reqs {
+		rep, err := r.Read()
+		if err != nil {
+			t.Fatalf("frame %d (%s): %v", i, req.Op, err)
+		}
+		switch req.Op {
+		case wire.OpSet, wire.OpMSet, wire.OpDel:
+			if rep.Op != wire.RErr || !strings.Contains(rep.Err, "refused the append") {
+				t.Errorf("frame %d (%s) = %+v, want ERR with the store's error", i, req.Op, rep)
+			}
+		case wire.OpGet:
+			if want := core.Value(req.Key * 10); rep.Op != wire.RValue || rep.Val != want {
+				t.Errorf("frame %d (GET %d) = %+v, want the value %d from before the stretch", i, req.Key, rep, want)
+			}
+		case wire.OpMGet:
+			if rep.Op != wire.RValues || len(rep.Vals) != 3 || rep.Vals[0] != 20 || rep.Oks[1] || rep.Vals[2] != 10 {
+				t.Errorf("frame %d (MGET 2 3 1) = %+v, want [20 absent 10]", i, rep)
+			}
+		}
+	}
+	store.mu.Lock()
+	applies := store.applies - 2 // the two Inserts above
+	store.mu.Unlock()
+	if groups := m.Groups.Load(); uint64(applies) != groups {
+		t.Errorf("%d store calls for %d groups of one stretch each, want one per group", applies, groups)
+	}
+	if got := m.Errors.Load(); got != 3 {
+		t.Errorf("Errors = %d, want 3: one per write frame", got)
+	}
+	for k, want := range map[core.Key]core.Value{1: 10, 2: 20} {
+		if v, ok := store.Get(k); !ok || v != want {
+			t.Errorf("key %d = (%d, %v) after the refused stretch, want %d", k, v, ok, want)
+		}
+	}
+	if _, ok := store.Get(3); ok {
+		t.Error("the refused MSET was applied")
+	}
+	if _, err := conn.Write(frames(t, wire.Msg{Op: wire.OpPing})); err != nil {
+		t.Fatal(err)
+	}
+	wantReplies(t, r, "ping after the refused stretch", wire.ROK)
 }

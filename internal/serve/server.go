@@ -3,34 +3,34 @@
 // assembled index stack.
 //
 // The design goal is to make the batch capabilities from the engine layer
-// (core.BatchLookuper / BatchInserter / BatchDeleter, forwarded through
-// shard, durable and obs wrappers) earn their keep on the network path,
-// and to carry their error result back to the client: a write run the
-// store could not make durable answers ERR on every frame, never OK.
+// (core.Applier, forwarded through shard, durable and obs wrappers) earn
+// their keep on the network path, and to carry their error result back
+// to the client: a write the store could not log answers ERR, never OK.
 // Each connection is one goroutine that reads *pipelined request groups*:
 // one blocking read for the first frame, then a non-blocking drain of
 // every complete frame already received (wire.Reader.FrameBuffered). The
-// group is then dispatched run-by-run — consecutive reads become one
-// LookupBatch, consecutive writes one InsertBatch, consecutive deletes
-// one DeleteBatch — so a pipelined MGET of 256 keys is one shard fan-out
-// and one WAL frame group, not 256 independent calls. Replies are encoded
-// in request order into the connection's write buffer and flushed before
-// the handler next blocks on a read — or earlier, once coalesceBytes of
-// them are pending: while complete frames keep arriving, a burst of short
-// groups shares one write(2). Over a store with the core.Committer
-// capability (a durable stack) the write runs are applied and logged
-// uncommitted, and every write of replies to a socket commits the store's
-// log first (replyWriter): no reply byte — an acknowledgement, or a GET on
-// any connection that saw the value — leaves before the log holds every
-// record applied so far, at one log write per reply flush. A SCAN whose
-// result set exceeds the frame guard streams as wire.RKVsPart chunks closed
-// by a final RKVs, still one logical reply in order.
+// group is then cut into stretches at the frames served alone (SCAN, PING,
+// unknown opcodes), and each stretch of GET/MGET/SET/MSET/DEL frames —
+// a whole 50/40/10 group of 32, or a pipelined MGET of 256 keys — is one
+// core.Apply: one pass through the obs wrapper, one log append, one lock
+// hold per touched shard, not one of each per run of like frames. Replies
+// are encoded in request order into the connection's write buffer and
+// flushed before the handler next blocks on a read — or earlier, once
+// coalesceBytes of them are pending: while complete frames keep arriving,
+// a burst of short groups shares one write(2). Over a store with the
+// core.Committer capability (a durable stack) the stretches are applied
+// and logged uncommitted, and every write of replies to a socket commits
+// the store's log first (replyWriter): no reply byte — an acknowledgement,
+// or a GET on any connection that saw the value — leaves before the log
+// holds every record applied so far, at one log write per reply flush. A
+// SCAN whose result set exceeds the frame guard streams as wire.RKVsPart
+// chunks closed by a final RKVs, still one logical reply in order.
 //
 // Pipelined semantics are sequential: a request observes every earlier
-// request on the same connection. Run grouping preserves this because
-// runs are homogeneous — reads cannot observe reads, InsertBatch is
-// later-wins and DeleteBatch first-wins, both exactly the sequential
-// outcome.
+// request on the same connection. A stretch preserves this because
+// core.Apply's contract is the outcome of its ops done one by one in
+// input order — the sharded layer keeps input order within each shard,
+// and equal keys share a shard.
 package serve
 
 import (
@@ -50,15 +50,14 @@ import (
 )
 
 // Store is the index surface the server needs: the mutable point/range
-// interface. Batch capabilities are optional and detected through the
-// core dispatch helpers, so any layer of the engine stack — a bare
-// backend, lix.Sharded, lix.Durable, an observed wrapper or the whole
-// lix.Stack — serves without adaptation. Every write goes through those
-// helpers, so a store whose batch capabilities return an error has it
-// answered to the client; Insert and Delete serve only as the loop
-// fallback for stores without the capabilities. If the store also
-// implements io.Closer and Config.CloseStore is set, Shutdown closes it
-// after the drain.
+// interface. The mixed-batch capability is optional and detected through
+// core.Apply, so any layer of the engine stack — a bare backend,
+// lix.Sharded, lix.Durable, an observed wrapper or the whole lix.Stack —
+// serves without adaptation. Every write goes through core.Apply, so a
+// store whose Apply returns an error has it answered to the client; Insert
+// and Delete serve only as the loop fallback for stores without the
+// capability. If the store also implements io.Closer and Config.CloseStore
+// is set, Shutdown closes it after the drain.
 type Store interface {
 	Get(k core.Key) (core.Value, bool)
 	Insert(k core.Key, v core.Value)
@@ -434,38 +433,25 @@ func isProtocolErr(err error) bool {
 	return errors.Is(err, wire.ErrMalformed) || errors.Is(err, wire.ErrFrameTooLarge)
 }
 
-// runKind classifies opcodes into batchable families.
-type runKind uint8
-
-const (
-	runNone  runKind = iota
-	runRead          // OpGet, OpMGet -> one LookupBatch
-	runWrite         // OpSet, OpMSet -> one InsertBatch
-	runDel           // OpDel         -> one DeleteBatch
-	runSolo          // OpScan, OpPing, anything else
-)
-
-func classify(op wire.Op) runKind {
+// batchable reports whether op joins a stretch — one store call for all
+// the frames in it — rather than being served alone, as SCAN, PING and
+// unknown opcodes are.
+func batchable(op wire.Op) bool {
 	switch op {
-	case wire.OpGet, wire.OpMGet:
-		return runRead
-	case wire.OpSet, wire.OpMSet:
-		return runWrite
-	case wire.OpDel:
-		return runDel
-	default:
-		return runSolo
+	case wire.OpGet, wire.OpMGet, wire.OpSet, wire.OpMSet, wire.OpDel:
+		return true
 	}
+	return false
 }
 
-// scratch is one connection's batch-assembly buffers, reused across runs
-// and groups: the flattened keys or records of a run (or the results of a
-// SCAN), the store's answers for them, and the one Msg every scalar reply
-// is encoded from. wire.Writer.Write encodes a reply into the write buffer
-// before returning, so none of this outlives the call. out is where the
-// write buffer drains to, told when write acknowledgements enter it.
+// scratch is one connection's batch-assembly buffers, reused across
+// stretches and groups: the flattened ops of a stretch, the results of a
+// SCAN, the store's answers, and the one Msg every scalar reply is encoded
+// from. wire.Writer.Write encodes a reply into the write buffer before
+// returning, so none of this outlives the call. out is where the write
+// buffer drains to, told when write acknowledgements enter it.
 type scratch struct {
-	keys []core.Key
+	ops  []core.Op
 	recs []core.KV
 	vals []core.Value
 	oks  []bool
@@ -496,14 +482,14 @@ func (sc *scratch) replyGet(w *wire.Writer, v core.Value, ok bool) {
 	}
 }
 
-// dispatch serves one pipelined group: it slices the group into maximal
-// runs of batchable ops, dispatches each run through the store's batch
-// capabilities, and writes one reply per request in request order. A
+// dispatch serves one pipelined group: it cuts the group into maximal
+// stretches of batchable frames at the solo frames, makes one store call
+// per stretch, and writes one reply per request in request order. A
 // non-nil span times the whole body as the dispatch stage; the store
-// stages (shard/wal/fsync) nest inside it via the core batch helpers.
+// stages (shard/wal/fsync) nest inside it via core.Apply.
 func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
 	m := s.cfg.Metrics
-	var mark time.Time // the last run boundary: one clock read per run, plus one
+	var mark time.Time // the last stretch boundary: one clock read per stretch, plus one
 	if m != nil {
 		m.Groups.Inc()
 		m.GroupLen.Observe(uint64(len(group)))
@@ -512,144 +498,121 @@ func (s *Server) dispatch(group []wire.Msg, w *wire.Writer, sc *scratch, sp *cor
 	}
 	defer sp.End(core.StageDispatch, sp.Begin())
 	for i := 0; i < len(group); {
-		kind := classify(group[i].Op)
-		j := i + 1
-		for kind != runSolo && j < len(group) && classify(group[j].Op) == kind {
-			j++
-		}
-		run := group[i:j]
-		switch kind {
-		case runRead:
-			s.serveReads(run, w, sc, sp)
-		case runWrite:
-			s.serveWrites(run, w, sc, sp)
-		case runDel:
-			s.serveDeletes(run, w, sc, sp)
-		default:
-			s.serveSolo(&run[0], w, sc, sp)
+		j, solo := i+1, !batchable(group[i].Op)
+		var frames [3]uint64 // a stretch's frames by family, indexed by core.OpKind
+		if solo {
+			s.serveSolo(&group[i], w, sc, sp)
+		} else {
+			for j < len(group) && batchable(group[j].Op) {
+				j++
+			}
+			frames = s.serveBatch(group[i:j], w, sc, sp)
 		}
 		if m != nil {
-			// Attribute the run's latency to each request in it, into the
-			// op-family histogram.
+			// Attribute the stretch's mean time per frame to each of its
+			// frames, in its family's histogram.
 			now := time.Now()
-			lat := uint64(now.Sub(mark)) / uint64(len(run))
+			lat := uint64(now.Sub(mark)) / uint64(j-i)
 			mark = now
-			var h *obs.Histogram
-			switch kind {
-			case runRead:
-				h = &m.GetNS
-			case runWrite:
-				h = &m.InsertNS
-			case runDel:
-				h = &m.DeleteNS
-			default:
-				h = &m.RangeNS
+			m.GetNS.ObserveN(lat, frames[core.OpGet])
+			m.InsertNS.ObserveN(lat, frames[core.OpPut])
+			m.DeleteNS.ObserveN(lat, frames[core.OpDel])
+			if solo {
+				m.RangeNS.Observe(lat)
 			}
-			h.ObserveN(lat, uint64(len(run)))
 		}
 		i = j
 	}
 }
 
-// serveReads answers a run of GET/MGET frames with one LookupBatch.
-// Hot-key telemetry counts every key here at full rate — the sketch is
-// independent of span sampling, since a 1% sample would take ~100×
-// longer to surface a hot key.
-func (s *Server) serveReads(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
-	hot := s.cfg.Tracer.HotKeys()
-	if sp == nil && len(run) == 1 && run[0].Op == wire.OpGet {
+// serveBatch answers a stretch of GET/MGET/SET/MSET/DEL frames with one
+// core.Apply of their ops flattened in request order, and returns its
+// frames by family. Writes are applied uncommitted where the store can
+// commit later, so their ROKs and RBools wait in the write buffer behind
+// the commit replyWriter makes. A store that fails the call has applied
+// none of its writes: each write frame is answered ERR, each read frame
+// its value, and the connection stays open. Hot-key telemetry counts every
+// read key at full rate: a 1% span sample would surface a hot key ~100×
+// later.
+func (s *Server) serveBatch(stretch []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) (frames [3]uint64) {
+	tr := s.cfg.Tracer
+	if sp == nil && len(stretch) == 1 && stretch[0].Op == wire.OpGet {
 		// Solo point read: skip batch assembly. (A sampled group takes
 		// the batch path below so the store can attribute its stages.)
-		if hot {
-			s.cfg.Tracer.TouchKey(run[0].Key)
-		}
-		v, ok := s.store.Get(run[0].Key)
+		tr.TouchKey(stretch[0].Key)
+		v, ok := s.store.Get(stretch[0].Key)
 		sc.replyGet(w, v, ok)
-		return
+		frames[core.OpGet] = 1
+		return frames
 	}
-	keys := sc.keys[:0]
-	for i := range run {
-		if run[i].Op == wire.OpGet {
-			keys = append(keys, run[i].Key)
-		} else {
-			keys = append(keys, run[i].Keys...)
+	ops := sc.ops[:0]
+	for i := range stretch {
+		switch f := &stretch[i]; f.Op {
+		case wire.OpGet:
+			ops = append(ops, core.Op{Kind: core.OpGet, Key: f.Key})
+		case wire.OpMGet:
+			for _, k := range f.Keys {
+				ops = append(ops, core.Op{Kind: core.OpGet, Key: k})
+			}
+		case wire.OpSet:
+			ops = append(ops, core.Op{Kind: core.OpPut, Key: f.Key, Val: f.Val})
+		case wire.OpMSet:
+			for _, r := range f.Recs {
+				ops = append(ops, core.Op{Kind: core.OpPut, Key: r.Key, Val: r.Value})
+			}
+		default:
+			ops = append(ops, core.Op{Kind: core.OpDel, Key: f.Key})
 		}
 	}
-	sc.keys = keys
-	if hot {
-		s.cfg.Tracer.TouchKeys(keys)
+	sc.ops = ops
+	if tr.HotKeys() {
+		for i := range ops {
+			if ops[i].Kind == core.OpGet {
+				tr.TouchKey(ops[i].Key)
+			}
+		}
 	}
-	vals, oks := sc.results(len(keys))
-	core.LookupBatch(s.store, keys, vals, oks, sp)
+	vals, oks := sc.results(len(ops))
+	err := core.Apply(s.store, ops, vals, oks, sp)
+	fail := wire.Msg{Op: wire.RErr}
+	if err != nil {
+		fail.Err = err.Error()
+	}
 	// Split the flat answers back into one reply per request frame.
 	off := 0
-	for i := range run {
-		if run[i].Op == wire.OpGet {
-			sc.replyGet(w, vals[off], oks[off])
-			off++
-			continue
+	for i := range stretch {
+		f := &stretch[i]
+		kind, n := core.OpPut, 1
+		switch f.Op {
+		case wire.OpGet:
+			kind = core.OpGet
+		case wire.OpMGet:
+			kind, n = core.OpGet, len(f.Keys)
+		case wire.OpMSet:
+			n = len(f.Recs)
+		case wire.OpDel:
+			kind = core.OpDel
 		}
-		n := len(run[i].Keys)
-		w.Write(&wire.Msg{Op: wire.RValues, Vals: vals[off : off+n], Oks: oks[off : off+n]})
+		frames[kind]++
+		switch {
+		case f.Op == wire.OpGet:
+			sc.replyGet(w, vals[off], oks[off])
+		case f.Op == wire.OpMGet:
+			w.Write(&wire.Msg{Op: wire.RValues, Vals: vals[off : off+n], Oks: oks[off : off+n]})
+		case err != nil:
+			s.countError()
+			w.Write(&fail)
+		case kind == core.OpDel:
+			sc.reply(w, wire.RBool, 0, oks[off])
+		default:
+			sc.reply(w, wire.ROK, 0, false)
+		}
 		off += n
 	}
-}
-
-// failRun answers every frame of a write run the store failed with ERR.
-// The run is all-or-error from the client's side and the connection stays
-// open: the store keeps serving reads from memory.
-func (s *Server) failRun(run []wire.Msg, w *wire.Writer, err error) {
-	reply := wire.Msg{Op: wire.RErr, Err: err.Error()}
-	for range run {
-		s.countError()
-		w.Write(&reply)
+	if err == nil && frames[core.OpPut]+frames[core.OpDel] > 0 {
+		sc.out.acks = true
 	}
-}
-
-// serveWrites applies a run of SET/MSET frames — a solo frame included,
-// so every write has an error path — with one InsertBatch, uncommitted
-// where the store can commit later: the ROKs wait in the write buffer
-// behind the commit replyWriter makes. Flattening in request order makes
-// InsertBatch's later-wins semantics exactly the sequential pipelined
-// outcome.
-func (s *Server) serveWrites(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
-	recs := sc.recs[:0]
-	for i := range run {
-		if run[i].Op == wire.OpSet {
-			recs = append(recs, core.KV{Key: run[i].Key, Value: run[i].Val})
-		} else {
-			recs = append(recs, run[i].Recs...)
-		}
-	}
-	sc.recs = recs
-	if err := core.InsertUncommitted(s.store, recs, sp); err != nil {
-		s.failRun(run, w, err)
-		return
-	}
-	sc.out.acks = true
-	for range run {
-		sc.reply(w, wire.ROK, 0, false)
-	}
-}
-
-// serveDeletes applies a run of DEL frames with one DeleteBatch (as
-// serveWrites: uncommitted, the replies behind the commit).
-// First-wins per-key liveness is exactly the sequential outcome.
-func (s *Server) serveDeletes(run []wire.Msg, w *wire.Writer, sc *scratch, sp *core.Span) {
-	keys := sc.keys[:0]
-	for i := range run {
-		keys = append(keys, run[i].Key)
-	}
-	sc.keys = keys
-	_, oks := sc.results(len(keys))
-	if err := core.DeleteUncommitted(s.store, keys, oks, sp); err != nil {
-		s.failRun(run, w, err)
-		return
-	}
-	sc.out.acks = true
-	for _, ok := range oks {
-		sc.reply(w, wire.RBool, 0, ok)
-	}
+	return frames
 }
 
 // serveSolo answers the non-batchable opcodes.

@@ -216,3 +216,49 @@ func TestAlexInsertSteadyStateZeroAlloc(t *testing.T) {
 type alexIx struct{ *alex.Index }
 
 func (a alexIx) Insert(k core.Key, v core.Value) { a.Index.Insert(k, v) }
+
+// mixedOps is a steady-state mixed batch over keys: gets of present keys,
+// overwrites of present keys and deletes of absent ones, so no run of it
+// changes a tree's shape.
+func mixedOps(keys []core.Key) []core.Op {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		switch i % 3 {
+		case 0:
+			ops[i] = core.Op{Kind: core.OpGet, Key: k}
+		case 1:
+			ops[i] = core.Op{Kind: core.OpPut, Key: k, Val: core.Value(i)}
+		default:
+			ops[i] = core.Op{Kind: core.OpDel, Key: k + 1}
+		}
+	}
+	return ops
+}
+
+// TestApplyZeroAlloc pins 0 allocs/op for mixed batches at sizes 1/16/256
+// in both regimes — grouped by shard on the caller, and fanned out — span
+// off and on.
+func TestApplyZeroAlloc(t *testing.T) {
+	forBatchRegimes(t, func(t *testing.T, s *Sharded) {
+		for _, size := range []int{1, 16, 256} {
+			ops := mixedOps(batchKeys(s, size))
+			vals, oks := make([]core.Value, size), make([]bool, size)
+			s.Apply(ops, vals, oks, nil)
+			for _, sp := range liveSpans() {
+				if got := testing.AllocsPerRun(200, func() {
+					s.Apply(ops, vals, oks, sp)
+				}); got != 0 {
+					t.Errorf("size %d, span %v: %v allocs/op, want 0", size, sp != nil, got)
+				}
+			}
+			for i, op := range ops {
+				if op.Kind == core.OpGet && !oks[i] {
+					t.Fatalf("size %d: key %d missing", size, op.Key)
+				}
+				if op.Kind == core.OpDel && oks[i] {
+					t.Fatalf("size %d: absent key %d deleted", size, op.Key)
+				}
+			}
+		}
+	})
+}

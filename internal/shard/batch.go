@@ -9,8 +9,9 @@ import (
 
 // A batched call is a sequence of (shard, run) pairs: the driver (batch)
 // routes the keys and cuts them into runs, and a shard does each run under
-// one lock hold (rw.go). The three operations share the driver; the two
-// regimes differ only in how runs are formed.
+// one lock hold (rw.go). The four operations share the driver; the two
+// regimes differ only in how runs are formed and whether they run
+// concurrently.
 
 // run is the part of a batch one shard does under one lock hold, as input
 // positions in input order — the order batch semantics (later-wins
@@ -43,6 +44,7 @@ const (
 	opLookup opKind = iota
 	opInsert
 	opDelete
+	opApply
 )
 
 // batchOp is one batched call: the operation and the caller's slices.
@@ -50,20 +52,27 @@ type batchOp struct {
 	kind opKind
 	keys []core.Key   // lookup, delete
 	recs []core.KV    // insert
-	vals []core.Value // lookup
-	oks  []bool       // lookup, delete
+	ops  []core.Op    // apply
+	vals []core.Value // lookup, apply
+	oks  []bool       // lookup, delete, apply
 }
 
 func (op *batchOp) len() int {
-	if op.kind == opInsert {
+	switch op.kind {
+	case opInsert:
 		return len(op.recs)
+	case opApply:
+		return len(op.ops)
 	}
 	return len(op.keys)
 }
 
 func (op *batchOp) key(i int) core.Key {
-	if op.kind == opInsert {
+	switch op.kind {
+	case opInsert:
 		return op.recs[i].Key
+	case opApply:
+		return op.ops[i].Key
 	}
 	return op.keys[i]
 }
@@ -78,6 +87,8 @@ func (s *Sharded) exec(op *batchOp, si int, r run) {
 		sh.insertRun(op.recs, r)
 	case opDelete:
 		sh.deleteRun(op.keys, r, op.oks)
+	case opApply:
+		sh.applyRun(op.ops, r, op.vals, op.oks)
 	}
 }
 
@@ -100,25 +111,29 @@ func (s *Sharded) exec(op *batchOp, si int, r run) {
 // against (batch size, GOMAXPROCS) is observed per call.
 const batchParallelMin = 512
 
-// batch is the one driver behind LookupBatch, InsertBatch and
-// DeleteBatch; the whole call is the span's shard stage.
+// batch is the one driver behind LookupBatch, InsertBatch, DeleteBatch
+// and Apply; the whole call is the span's shard stage.
 //
 // Small batches (and every batch on a single core or a single shard) are
-// cut into maximal stretches of consecutive same-shard keys and done in
-// input order on the calling goroutine: one lock hold per batch for
-// clustered keys, never more holds than a loop of point operations for
-// scattered ones, no grouping pass and no allocation. Large batches on
-// multi-core hosts are grouped by shard with a pooled counting sort and
-// the groups run concurrently, one goroutine per shard; input order is
-// kept within each shard, which is all sequential semantics need because
-// equal keys share a shard.
+// done in input order on the calling goroutine. A homogeneous one is cut
+// into maximal stretches of consecutive same-shard keys: one lock hold per
+// batch for clustered keys, never more holds than a loop of point
+// operations for scattered ones, no grouping pass and no allocation. A
+// mixed one, whose ops alternate between shards far more than a run of
+// lookups does, is grouped by shard first, and each touched shard does its
+// ops in turn under one hold. Large batches on multi-core hosts are
+// grouped by shard with a pooled counting sort and the groups run
+// concurrently, one goroutine per shard. Either way input order is kept
+// within each shard, which is all sequential semantics need because equal
+// keys share a shard.
 func (s *Sharded) batch(op *batchOp, sp *core.Span) {
 	n := op.len()
 	if n == 0 {
 		return
 	}
 	defer sp.End(core.StageShard, sp.Begin())
-	if n < s.fanoutMin || len(s.shards) == 1 || runtime.GOMAXPROCS(0) == 1 {
+	small := n < s.fanoutMin || len(s.shards) == 1 || runtime.GOMAXPROCS(0) == 1
+	if small && op.kind != opApply {
 		a, si := 0, s.router.Route(op.key(0))
 		for i := 1; i < n; i++ {
 			if sj := s.router.Route(op.key(i)); sj != si {
@@ -137,16 +152,23 @@ func (s *Sharded) batch(op *batchOp, sp *core.Span) {
 		// Every key routed to one shard — the common case for clustered
 		// keys under range partitioning: one stretch, no fan-out.
 		s.exec(op, si, run{b: n})
+	} else if small {
+		for si := range s.shards {
+			if sc.starts[si] != sc.starts[si+1] {
+				s.exec(op, si, sc.runOf(si))
+			}
+		}
 	} else {
 		sc.fanOut(op)
 	}
 	s.scratch.Put(sc)
 }
 
-// batchScratch is the fan-out regime's reusable workspace, pooled on the
-// Sharded so a large batch allocates nothing in steady state — neither
-// the counting sort nor the goroutine starts. idx[starts[si]:starts[si+1]]
-// lists the input positions owned by shard si in input order.
+// batchScratch is the workspace of every grouped batch, pooled on the
+// Sharded so a large or mixed batch allocates nothing in steady state —
+// neither the counting sort nor the goroutine starts.
+// idx[starts[si]:starts[si+1]] lists the input positions owned by shard si
+// in input order.
 type batchScratch struct {
 	shardOf []int32
 	idx     []int32
@@ -167,7 +189,7 @@ func newBatchScratch(s *Sharded) *batchScratch {
 	for si := range sc.work {
 		sc.work[si] = func() {
 			defer sc.wg.Done()
-			s.exec(&sc.op, si, run{idx: sc.idx[sc.starts[si]:sc.starts[si+1]]})
+			s.exec(&sc.op, si, sc.runOf(si))
 		}
 	}
 	return sc
@@ -208,6 +230,12 @@ func (sc *batchScratch) group(router Router, op *batchOp) int {
 		sc.cur[si]++
 	}
 	return -1
+}
+
+// runOf is shard si's group, once group has sorted a batch that spans
+// shards.
+func (sc *batchScratch) runOf(si int) run {
+	return run{idx: sc.idx[sc.starts[si]:sc.starts[si+1]]}
 }
 
 // fanOut runs the groups of op concurrently, one goroutine per shard that
@@ -255,5 +283,16 @@ func (s *Sharded) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error 
 		panic("shard: DeleteBatch: oks length must equal len(keys)")
 	}
 	s.batch(&batchOp{kind: opDelete, keys: keys, oks: oks}, sp)
+	return nil
+}
+
+// Apply does a mixed batch in one pass with the outcome of doing its ops
+// one by one in input order (core.Applier; vals and oks are len(ops)
+// each). The error is always nil.
+func (s *Sharded) Apply(ops []core.Op, vals []core.Value, oks []bool, sp *core.Span) error {
+	if len(vals) != len(ops) || len(oks) != len(ops) {
+		panic("shard: Apply: vals/oks length must equal len(ops)")
+	}
+	s.batch(&batchOp{kind: opApply, ops: ops, vals: vals, oks: oks}, sp)
 	return nil
 }

@@ -110,3 +110,79 @@ func FuzzShardRouter(f *testing.F) {
 		}
 	})
 }
+
+// FuzzApply decodes bytes into a sequence of mixed batches over a lattice
+// of 16 keys, so that one batch holds same-key chains, and applies them to
+// a Sharded of 1–4 shards — with a fan-out threshold of 2 on half the
+// inputs, which puts nearly every batch through the fan-out regime when
+// the run has a second P — against a map as the oracle: every get and
+// delete answer, and the final contents, must equal the sequential replay.
+//
+// Input layout: byte 0 picks the shard count (low two bits) and the
+// regime (bit 2); then each op is one byte — the low two bits the kind
+// (0 get, 1 put, 2 del, 3 end of batch), the next four the key — and a
+// put's value is the op's position in the input.
+func FuzzApply(f *testing.F) {
+	f.Add([]byte{0x03, 0x05, 0x04, 0x06, 0x04, 0x03, 0x10, 0x11, 0x12, 0x10})
+	f.Add([]byte{0x07, 0x01, 0x00, 0x02, 0x00, 0x01, 0x02, 0x01, 0x00, 0x03, 0x3c, 0x3d, 0x3e})
+	f.Add([]byte{0x04, 0x02, 0x02, 0x00, 0x03, 0x03, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		lattice := func(i byte) core.Key { return core.Key(i)<<59 | core.Key(i)*7 }
+		var init []core.KV
+		for i := byte(0); i < 16; i += 2 {
+			init = append(init, core.KV{Key: lattice(i), Value: core.Value(i)})
+		}
+		s, err := New(init, Config{Shards: 1 + int(data[0]&3)}, testBuilders())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if data[0]&4 != 0 {
+			s.fanoutMin = 2
+		}
+		oracle := map[core.Key]core.Value{}
+		for _, r := range init {
+			oracle[r.Key] = r.Value
+		}
+		var ops []core.Op
+		apply := func() {
+			vals, oks := make([]core.Value, len(ops)), make([]bool, len(ops))
+			s.Apply(ops, vals, oks, nil)
+			for i, op := range ops {
+				switch op.Kind {
+				case core.OpGet:
+					if v, ok := oracle[op.Key]; oks[i] != ok || (ok && vals[i] != v) {
+						t.Fatalf("op %d: get %d = (%d, %v), oracle (%d, %v)", i, op.Key, vals[i], oks[i], v, ok)
+					}
+				case core.OpPut:
+					oracle[op.Key] = op.Val
+				case core.OpDel:
+					if _, ok := oracle[op.Key]; oks[i] != ok {
+						t.Fatalf("op %d: del %d = %v, oracle %v", i, op.Key, oks[i], ok)
+					}
+					delete(oracle, op.Key)
+				}
+			}
+			ops = ops[:0]
+		}
+		for pos, b := range data[1:] {
+			if b&3 == 3 {
+				apply()
+				continue
+			}
+			ops = append(ops, core.Op{Kind: core.OpKind(b & 3), Key: lattice(b >> 2 & 15), Val: core.Value(pos)})
+		}
+		apply()
+		if s.Len() != len(oracle) {
+			t.Fatalf("Len = %d, oracle %d", s.Len(), len(oracle))
+		}
+		for _, r := range s.SearchRange(0, ^core.Key(0)) {
+			if v, ok := oracle[r.Key]; !ok || v != r.Value {
+				t.Fatalf("key %d = %d, oracle (%d, %v)", r.Key, r.Value, v, ok)
+			}
+		}
+	})
+}

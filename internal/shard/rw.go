@@ -81,6 +81,33 @@ func (sh *rwShard) deleteRun(keys []core.Key, r run, oks []bool) {
 	sh.mu.unlock()
 }
 
+// applyRun does a run of a mixed batch under one hold: a write hold if
+// any of its ops writes, else a read hold.
+func (sh *rwShard) applyRun(ops []core.Op, r run, vals []core.Value, oks []bool) {
+	n, write := r.len(), false
+	for j := 0; j < n && !write; j++ {
+		write = ops[r.at(j)].Kind != core.OpGet
+	}
+	if write {
+		sh.mu.lock()
+		defer sh.mu.unlock()
+	} else {
+		s := sh.mu.rlock()
+		defer sh.mu.runlock(s)
+	}
+	for j := 0; j < n; j++ {
+		i := r.at(j)
+		switch op := &ops[i]; op.Kind {
+		case core.OpGet:
+			vals[i], oks[i] = sh.ix.Get(op.Key)
+		case core.OpPut:
+			sh.ix.Insert(op.Key, op.Val)
+		case core.OpDel:
+			oks[i] = sh.ix.Delete(op.Key)
+		}
+	}
+}
+
 func (sh *rwShard) rangeScan(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
 	s := sh.mu.rlock()
 	defer sh.mu.runlock(s)

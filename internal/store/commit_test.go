@@ -56,6 +56,29 @@ func kvs(base, n int) []core.KV {
 	return recs
 }
 
+// puts and dels are upserts of recs and deletes of keys as the ops of a
+// mixed batch.
+func puts(recs []core.KV) []core.Op {
+	ops := make([]core.Op, len(recs))
+	for i, r := range recs {
+		ops[i] = core.Op{Kind: core.OpPut, Key: r.Key, Val: r.Value}
+	}
+	return ops
+}
+
+func dels(keys ...core.Key) []core.Op {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = core.Op{Kind: core.OpDel, Key: k}
+	}
+	return ops
+}
+
+// apply is d.Apply with its answers dropped: the uncommitted write.
+func apply(d *Durable, ops []core.Op, sp *core.Span) error {
+	return d.Apply(ops, make([]core.Value, len(ops)), make([]bool, len(ops)), sp)
+}
+
 // TestWALWriteErrorIsSticky: after a failed or short write(2) the file may
 // end in a torn frame, and recovery cuts the log there — so a frame written
 // behind it would be acknowledged and then dropped. The log must refuse
@@ -141,7 +164,7 @@ func TestDurableFailedCommitLatches(t *testing.T) {
 	if err := d.InsertBatch(kvs(100, 5), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertUncommitted(kvs(200, 3), nil); err != nil {
+	if err := apply(d, puts(kvs(200, 3)), nil); err != nil {
 		t.Fatalf("an uncommitted batch does no I/O, got %v", err)
 	}
 	first := d.Commit(nil)
@@ -153,11 +176,11 @@ func TestDurableFailedCommitLatches(t *testing.T) {
 	}
 	oks := make([]bool, 1)
 	for name, err := range map[string]error{
-		"Put":               d.Put(2, 20),
-		"InsertBatch":       d.InsertBatch(kvs(300, 2), nil),
-		"InsertUncommitted": d.InsertUncommitted(kvs(400, 2), nil),
-		"DeleteBatch":       d.DeleteBatch([]core.Key{1}, oks, nil),
-		"Sync":              d.Sync(),
+		"Put":         d.Put(2, 20),
+		"InsertBatch": d.InsertBatch(kvs(300, 2), nil),
+		"Apply":       apply(d, puts(kvs(400, 2)), nil),
+		"DeleteBatch": d.DeleteBatch([]core.Key{1}, oks, nil),
+		"Sync":        d.Sync(),
 	} {
 		if err != first {
 			t.Errorf("%s on the latched store = %v, want %v", name, err, first)
@@ -200,14 +223,13 @@ func multiCommit(t *testing.T, dir string, cfg Config) (data []byte, from int, r
 		}
 	}
 	from, writes := int(d.wal.End()), d.wal.Writes()
-	oks := make([]bool, 3)
-	if err := d.InsertUncommitted(kvs(2, 6), nil); err != nil { // overwrites 2 and 3
+	if err := apply(d, puts(kvs(2, 6)), nil); err != nil { // overwrites 2 and 3
 		t.Fatal(err)
 	}
-	if err := d.DeleteUncommitted([]core.Key{0, 5, 99}, oks, nil); err != nil {
+	if err := apply(d, dels(0, 5, 99), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertUncommitted([]core.KV{{Key: 5, Value: 55}, {Key: 40, Value: 1}}, nil); err != nil {
+	if err := apply(d, puts([]core.KV{{Key: 5, Value: 55}, {Key: 40, Value: 1}}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.wal.Writes() - writes; got != 0 {
@@ -300,8 +322,8 @@ func TestCommittedWritesSurviveCrash(t *testing.T) {
 				d.Put(1, 1),
 				d.InsertBatch(kvs(10, 2*walChunk+5), nil), // more than one chunk of the buffer
 				d.DeleteBatch([]core.Key{10, 11}, oks, nil),
-				d.InsertUncommitted(kvs(5000, 3), nil),
-				d.DeleteUncommitted([]core.Key{12, 5001}, oks, nil),
+				apply(d, puts(kvs(5000, 3)), nil),
+				apply(d, dels(12, 5001), nil),
 				d.Commit(nil),
 			}
 			d.Insert(2, 2)
@@ -312,7 +334,7 @@ func TestCommittedWritesSurviveCrash(t *testing.T) {
 				}
 			}
 			want := collect(d)
-			if err := d.InsertUncommitted(kvs(9000, 4), nil); err != nil {
+			if err := apply(d, puts(kvs(9000, 4)), nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.Crash(); err != nil {
@@ -352,7 +374,7 @@ func TestBufferReachesTheFileWithoutACommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.InsertUncommitted(kvs(0, 10), nil); err != nil {
+			if err := apply(d, puts(kvs(0, 10)), nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := flush(d); err != nil {
@@ -377,7 +399,7 @@ func TestBufferReachesTheFileWithoutACommit(t *testing.T) {
 		defer d.Close()
 		const batches = 4 * walBufMax / (8 * insertFrame)
 		for i := 0; i < batches; i++ {
-			if err := d.InsertUncommitted(kvs(8*i, 8), nil); err != nil {
+			if err := apply(d, puts(kvs(8*i, 8)), nil); err != nil {
 				t.Fatal(err)
 			}
 			if ahead := d.wal.End() - d.wal.written.Load(); ahead >= walBufMax+8*insertFrame {
@@ -464,6 +486,58 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestApplyRefused: a store that cannot log a mixed batch — latched, or
+// with its log closed under it so that the append fails — applies none of
+// its writes, answers its gets from memory (as they stood before the
+// batch), reports every delete false, and returns the error, which a
+// failed append latches.
+func TestApplyRefused(t *testing.T) {
+	for _, segments := range []int{1, 4} {
+		for _, how := range []string{"latched", "append"} {
+			t.Run(fmt.Sprintf("segments=%d/%s", segments, how), func(t *testing.T) {
+				d, err := Open(t.TempDir(), Config{Fsync: SyncNever, CheckpointEvery: -1}, memBuild(segments))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				if err := d.InsertBatch(kvs(1, 2), nil); err != nil { // 1→2, 2→3
+					t.Fatal(err)
+				}
+				if how == "latched" {
+					d.fail(errInjected)
+				} else {
+					d.wal.Crash()
+				}
+				ops := []core.Op{
+					{Kind: core.OpGet, Key: 1}, {Kind: core.OpPut, Key: 1, Val: 100}, {Kind: core.OpGet, Key: 1},
+					{Kind: core.OpDel, Key: 2}, {Kind: core.OpGet, Key: 2},
+					{Kind: core.OpPut, Key: 9, Val: 9}, {Kind: core.OpGet, Key: 9},
+				}
+				vals, oks := make([]core.Value, len(ops)), make([]bool, len(ops))
+				for i := range oks {
+					oks[i] = true
+				}
+				err = d.Apply(ops, vals, oks, nil)
+				if err == nil || err != d.Err() {
+					t.Fatalf("Apply = %v, Err = %v; want the store's error, latched", err, d.Err())
+				}
+				want := []struct {
+					v  core.Value
+					ok bool
+				}{{2, true}, {}, {2, true}, {0, false}, {3, true}, {}, {0, false}}
+				for i, w := range want {
+					if ops[i].Kind != core.OpPut && (oks[i] != w.ok || (w.ok && vals[i] != w.v)) {
+						t.Errorf("op %d (%v %d) = (%d, %v), want (%d, %v)", i, ops[i].Kind, ops[i].Key, vals[i], oks[i], w.v, w.ok)
+					}
+				}
+				if got := collect(d); len(got) != 2 || got[0] != kvs(1, 2)[0] || got[1] != kvs(1, 2)[1] {
+					t.Errorf("state after the refused batch = %v, want %v", got, kvs(1, 2))
+				}
+			})
 		}
 	}
 }

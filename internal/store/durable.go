@@ -71,11 +71,11 @@ type RecoveryInfo struct {
 // sorted-run checkpoints. Every mutation is framed into the generation's
 // one log as it is applied in memory, and the log is committed — written,
 // and fsynced under SyncAlways — before the mutation is acknowledged: by
-// the write entry points themselves before they return, or, for the
-// Uncommitted forms, by the caller's Commit. Checkpoint rotates to a fresh
-// log generation and flushes the retired one's delta into an immutable run
-// (see lsm.go). All methods are safe for concurrent use (writes to indexes
-// that are not themselves concurrency-safe are serialized internally).
+// the write entry points themselves before they return, or, for Apply, by
+// the caller's Commit. Checkpoint rotates to a fresh log generation and
+// flushes the retired one's delta into an immutable run (see lsm.go). All
+// methods are safe for concurrent use (writes to indexes that are not
+// themselves concurrency-safe are serialized internally).
 type Durable struct {
 	dir string
 	cfg Config
@@ -497,7 +497,8 @@ func (d *Durable) fail(err error) error {
 	if err == nil {
 		return nil
 	}
-	d.firstErr.CompareAndSwap(nil, &err)
+	latched := err // escapes; declared here so that a nil err costs no allocation
+	d.firstErr.CompareAndSwap(nil, &latched)
 	return d.Err()
 }
 
@@ -664,16 +665,15 @@ func (d *Durable) Delete(k core.Key) bool {
 // is a 64-bit mask over segment numbers mod 64, so beyond 64 segments it
 // holds some the batch does not touch — more exclusion than needed, never
 // less, and the ascending order keeps two batches from deadlocking.
-func (d *Durable) lockSegments(recs []core.KV, keys []core.Key) (mask uint64) {
+func (d *Durable) lockSegments(b batch) (mask uint64) {
 	if d.segments == 1 {
 		d.segMu[0].Lock()
 		return 1
 	}
-	for i := range recs {
-		mask |= 1 << (d.seg(recs[i].Key) & 63)
-	}
-	for _, k := range keys {
-		mask |= 1 << (d.seg(k) & 63)
+	for i, n := 0, b.len(); i < n; i++ {
+		if r, ok := b.record(i); ok {
+			mask |= 1 << (d.seg(r.Key) & 63)
+		}
 	}
 	for seg := range d.segMu {
 		if mask>>(seg&63)&1 != 0 {
@@ -691,32 +691,31 @@ func (d *Durable) unlockSegments(mask uint64) {
 	}
 }
 
-// writeBatch is the four batch entry points: upserts of recs, or — recs
-// empty — deletes of keys into oks (cleared first). Under the locks of the segments the
-// batch touches it numbers the records, frames them into the log's buffer
-// (the span's wal stage) and hands the whole batch to the wrapped index's
-// batch capability (the shard stage; the span is not forwarded, and a
-// sharded index fans a large batch out itself); a failed append applies
-// nothing. With commit it then commits the log up to the batch's end, the
-// write in the wal stage and the fsync in the fsync stage.
-func (d *Durable) writeBatch(recs []core.KV, keys []core.Key, oks []bool, commit bool, sp *core.Span) error {
-	clear(oks)
-	n := len(recs) + len(keys)
-	if err := d.Err(); err != nil || n == 0 {
-		return err
-	}
+// write is the three batch entry points: the n writes of b (n > 0, the
+// store not latched), deletes answered into oks and a mixed batch's gets
+// into vals and oks. Under the locks of the segments the batch writes it
+// numbers the records, frames them into the log's buffer (the span's wal
+// stage) and hands the whole batch to the wrapped index's batch capability
+// (the shard stage; the span is not forwarded, and a sharded index fans a
+// large batch out itself); a failed append applies nothing. With commit it
+// then commits the log up to the batch's end, the write in the wal stage
+// and the fsync in the fsync stage.
+func (d *Durable) write(b batch, n int, vals []core.Value, oks []bool, commit bool, sp *core.Span) error {
 	d.stateMu.RLock()
 	w := d.wal
-	mask := d.lockSegments(recs, keys)
+	mask := d.lockSegments(b)
 	t0 := sp.Begin()
-	off, err := w.AppendBatch(recs, keys, d.seq.Add(uint64(n))-uint64(n)+1)
+	off, err := w.AppendBatch(b, d.seq.Add(uint64(n))-uint64(n)+1)
 	sp.End(core.StageWAL, t0)
 	if err == nil {
 		t0 = sp.Begin()
-		if len(recs) > 0 {
-			err = core.InsertBatch(d.ix, recs, nil)
-		} else {
-			err = core.DeleteBatch(d.ix, keys, oks, nil)
+		switch {
+		case b.recs != nil:
+			err = core.InsertBatch(d.ix, b.recs, nil)
+		case b.keys != nil:
+			err = core.DeleteBatch(d.ix, b.keys, oks, nil)
+		default:
+			err = core.Apply(d.ix, b.ops, vals, oks, nil)
 		}
 		sp.End(core.StageShard, t0)
 	}
@@ -726,14 +725,17 @@ func (d *Durable) writeBatch(recs []core.KV, keys []core.Key, oks []bool, commit
 }
 
 // InsertBatch durably upserts recs: one pass through the log and the index
-// (see writeBatch) and one commit, duplicate keys resolving later-wins. A
+// (see write) and one commit, duplicate keys resolving later-wins. A
 // call that hits an I/O error returns the store's latched Err — its own
 // failure, unless a concurrent writer's came earlier — having applied
 // nothing if the append failed, everything if the commit did (the store is
 // latched either way). A store that has already failed returns Err with
 // nothing done.
 func (d *Durable) InsertBatch(recs []core.KV, sp *core.Span) error {
-	return d.writeBatch(recs, nil, nil, true, sp)
+	if err := d.Err(); err != nil || len(recs) == 0 {
+		return err
+	}
+	return d.write(batch{recs: recs}, len(recs), nil, nil, true, sp)
 }
 
 // DeleteBatch durably removes keys with the same framing, span attribution
@@ -742,22 +744,51 @@ func (d *Durable) InsertBatch(recs []core.KV, sp *core.Span) error {
 // (first-wins on duplicates) semantics inside the batch, and false for
 // every key when the append failed.
 func (d *Durable) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
-	return d.writeBatch(nil, keys, oks, true, sp)
+	clear(oks)
+	if err := d.Err(); err != nil || len(keys) == 0 {
+		return err
+	}
+	return d.write(batch{keys: keys}, len(keys), nil, oks, true, sp)
 }
 
-// InsertUncommitted, DeleteUncommitted and Commit are the core.Committer
-// capability: the batch calls without their commit, and the commit of
-// everything applied so far — by any caller, through any entry point — as
-// one log write. Between the two the index is ahead of the log by at most
-// the log's buffer, so the caller must not let an acknowledgement, or a
-// read that may have seen such a write, out before Commit returns nil.
-func (d *Durable) InsertUncommitted(recs []core.KV, sp *core.Span) error {
-	return d.writeBatch(recs, nil, nil, false, sp)
-}
-
-// DeleteUncommitted is DeleteBatch without its commit; see InsertUncommitted.
-func (d *Durable) DeleteUncommitted(keys []core.Key, oks []bool, sp *core.Span) error {
-	return d.writeBatch(nil, keys, oks, false, sp)
+// Apply and Commit are the core.Applier and core.Committer capabilities:
+// a mixed batch applied and logged without a commit — its writes framed
+// in one append under one hold of the locks they need; gets alone touch
+// neither — and the commit of everything applied so far, through any
+// entry point, as one log write. Until Commit returns nil the caller lets
+// no acknowledgement out, nor a read that may have seen such a write. On a
+// latched store or a failed append Apply applies no write, answers the
+// gets from memory (every delete false) and returns the error.
+func (d *Durable) Apply(ops []core.Op, vals []core.Value, oks []bool, sp *core.Span) error {
+	n := 0
+	for i := range ops {
+		if ops[i].Kind != core.OpGet {
+			n++
+		}
+	}
+	if n == 0 {
+		defer sp.End(core.StageShard, sp.Begin())
+		if !d.concReads {
+			d.segMu[0].RLock()
+			defer d.segMu[0].RUnlock()
+		}
+		return core.Apply(d.ix, ops, vals, oks, nil)
+	}
+	err := d.Err()
+	if err == nil {
+		if err = d.write(batch{ops: ops}, n, vals, oks, false, sp); err == nil {
+			return nil
+		}
+	}
+	for i, op := range ops {
+		switch op.Kind {
+		case core.OpGet:
+			vals[i], oks[i] = d.Get(op.Key)
+		case core.OpDel:
+			oks[i] = false
+		}
+	}
+	return err
 }
 
 // Commit writes the log out up to its current end (and fsyncs it under

@@ -239,7 +239,7 @@ func TestUncommittedSpanStages(t *testing.T) {
 	}
 	defer d.Close()
 	tr, sp := testSpan(t, 8)
-	if err := d.InsertUncommitted(kvs(0, 8), sp); err != nil {
+	if err := apply(d, puts(kvs(0, 8)), sp); err != nil {
 		t.Fatal(err)
 	}
 	framed := sp.Stage(core.StageWAL)

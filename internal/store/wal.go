@@ -40,22 +40,27 @@ const (
 	maxWalPayload = 64
 )
 
-// appendRecord encodes r's frame onto buf.
+// appendRecord encodes r's frame onto buf. The payload is written in place
+// and checksummed there: a payload on the stack would escape into the
+// checksum's indirect call and cost an allocation per record.
 func appendRecord(buf []byte, r Record) []byte {
-	var p [insertPayload]byte
 	n := deletePayload
+	if r.Op == OpInsert {
+		n = insertPayload
+	}
+	at := len(buf)
+	buf = append(buf, make([]byte, walFrameHdr+n)...)
+	f := buf[at:]
+	p := f[walFrameHdr:]
 	p[0] = byte(r.Op)
 	binary.LittleEndian.PutUint64(p[1:], r.Seq)
 	binary.LittleEndian.PutUint64(p[9:], r.Key)
 	if r.Op == OpInsert {
 		binary.LittleEndian.PutUint64(p[17:], r.Val)
-		n = insertPayload
 	}
-	var hdr [walFrameHdr]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(p[:n], castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, p[:n]...)
+	binary.LittleEndian.PutUint32(f[0:], uint32(n))
+	binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(p, castagnoli))
+	return buf
 }
 
 // DecodeRecords scans a record stream (the log body after the file
@@ -273,31 +278,54 @@ func (w *WAL) Append(recs ...Record) (int64, error) {
 	return w.appendedUnlock(len(recs))
 }
 
-// AppendBatch is Append for a batch in the shape the index takes it:
-// upserts of recs, or — recs empty — deletes of keys, numbered from seq in
-// input order, walChunk records per hold of the buffer. An error part-way
-// (only a self-commit can cause one) leaves the earlier chunks in the log;
-// the caller applies nothing.
-func (w *WAL) AppendBatch(recs []core.KV, keys []core.Key, seq uint64) (off int64, err error) {
-	for len(recs)+len(keys) > 0 {
+// batch is a batch of writes in the shape the index takes it: upserts of
+// recs, deletes of keys, or the puts and deletes of a mixed ops batch (its
+// gets log nothing). One of the three is set.
+type batch struct {
+	recs []core.KV
+	keys []core.Key
+	ops  []core.Op
+}
+
+// len is the number of items of b, gets included.
+func (b batch) len() int { return len(b.recs) + len(b.keys) + len(b.ops) }
+
+// record returns item i's log record (its Seq unset), false for a get.
+func (b batch) record(i int) (Record, bool) {
+	switch {
+	case b.recs != nil:
+		return Record{Op: OpInsert, Key: b.recs[i].Key, Val: b.recs[i].Value}, true
+	case b.keys != nil:
+		return Record{Op: OpDelete, Key: b.keys[i]}, true
+	}
+	switch op := b.ops[i]; op.Kind {
+	case core.OpPut:
+		return Record{Op: OpInsert, Key: op.Key, Val: op.Val}, true
+	case core.OpDel:
+		return Record{Op: OpDelete, Key: op.Key}, true
+	}
+	return Record{}, false
+}
+
+// AppendBatch is Append for a batch: its records numbered from seq in input
+// order, walChunk items per hold of the buffer. An error part-way (only a
+// self-commit can cause one) leaves the earlier chunks in the log; the
+// caller applies nothing.
+func (w *WAL) AppendBatch(b batch, seq uint64) (off int64, err error) {
+	for i, n := 0, b.len(); i < n; {
 		if err := w.begin(); err != nil {
 			return 0, err
 		}
-		n := min(len(recs)+len(keys), walChunk)
-		if len(recs) > 0 {
-			for _, r := range recs[:n] {
-				w.buf = appendRecord(w.buf, Record{Seq: seq, Op: OpInsert, Key: r.Key, Val: r.Value})
+		framed := 0
+		for end := min(n, i+walChunk); i < end; i++ {
+			if r, ok := b.record(i); ok {
+				r.Seq = seq
+				w.buf = appendRecord(w.buf, r)
 				seq++
+				framed++
 			}
-			recs = recs[n:]
-		} else {
-			for _, k := range keys[:n] {
-				w.buf = appendRecord(w.buf, Record{Seq: seq, Op: OpDelete, Key: k})
-				seq++
-			}
-			keys = keys[n:]
 		}
-		if off, err = w.appendedUnlock(n); err != nil {
+		if off, err = w.appendedUnlock(framed); err != nil {
 			return off, err
 		}
 	}

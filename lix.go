@@ -43,7 +43,13 @@ type (
 	KV = core.KV
 	// Stats reports index structure statistics.
 	Stats = core.Stats
+	// Op is one operation of a mixed batch (Stack.Apply): OpGet, OpPut or
+	// OpDel of a key.
+	Op = core.Op
 )
+
+// The kinds of Op.
+const OpGet, OpPut, OpDel = core.OpGet, core.OpPut, core.OpDel
 
 // Index is a read-only one-dimensional ordered index.
 type Index interface {

@@ -144,15 +144,20 @@ func (o *ObservedIndex) SearchRange(lo, hi Key) []KV {
 	return out
 }
 
-// batchDone records one batched call that began at start: whole-batch
-// latency and cardinality, plus n on the per-record op counter. The
-// bundle's counters and histograms are preallocated, so this allocates
-// nothing.
-func (o *ObservedIndex) batchDone(start time.Time, n int, ops *obs.Counter) {
+// batchDone records one batched call of n records that began at start:
+// whole-batch latency and cardinality. The bundle's counters and
+// histograms are preallocated, so this allocates nothing.
+func (o *ObservedIndex) batchDone(start time.Time, n int) {
 	o.m.BatchNS.Observe(uint64(time.Since(start)))
 	o.m.BatchLen.Observe(uint64(n))
 	o.m.Batches.Inc()
-	ops.Add(uint64(n))
+}
+
+// add adds n to c, skipping the atomic add when there is nothing to count.
+func add(c *obs.Counter, n int) {
+	if n > 0 {
+		c.Add(uint64(n))
+	}
 }
 
 // LookupBatch resolves keys into the caller's vals and oks slices through
@@ -163,14 +168,15 @@ func (o *ObservedIndex) batchDone(start time.Time, n int, ops *obs.Counter) {
 func (o *ObservedIndex) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
 	start := time.Now()
 	core.LookupBatch(o.idx, keys, vals, oks, sp)
-	o.batchDone(start, len(keys), &o.m.Lookups)
+	o.batchDone(start, len(keys))
 	hits := 0
 	for _, ok := range oks {
 		if ok {
 			hits++
 		}
 	}
-	o.m.Hits.Add(uint64(hits))
+	add(&o.m.Lookups, len(keys))
+	add(&o.m.Hits, hits)
 }
 
 // Close forwards the io.Closer capability, so a wrapped Durable can be
@@ -225,51 +231,57 @@ func (o *ObservedMutableIndex) Delete(k Key) bool {
 	return ok
 }
 
-// insertBatch and deleteBatch run one batched write through call — the
-// core dispatch helper of the entry point — forwarding the span and the
-// store's error, and recording whole-batch latency and cardinality (a
-// failed batch still counts as attempted).
-func (o *ObservedMutableIndex) insertBatch(recs []KV, sp *Span, call func(core.Inserter, []KV, *Span) error) error {
-	start := time.Now()
-	err := call(o.mut, recs, sp)
-	o.batchDone(start, len(recs), &o.m.Inserts)
-	return err
-}
+// The write batch calls go through the wrapped index's batched path when
+// it has one, forwarding the span and the store's error, and record
+// whole-batch latency and cardinality (a failed batch still counts as
+// attempted) beside the per-record op counters.
 
-func (o *ObservedMutableIndex) deleteBatch(keys []Key, oks []bool, sp *Span, call func(core.Deleter, []Key, []bool, *Span) error) error {
-	start := time.Now()
-	err := call(o.mut, keys, oks, sp)
-	o.batchDone(start, len(keys), &o.m.Deletes)
-	return err
-}
-
-// InsertBatch upserts recs through the wrapped index's batched path when
-// it has one; span, error and metrics as insertBatch says.
+// InsertBatch upserts recs.
 func (o *ObservedMutableIndex) InsertBatch(recs []KV, sp *Span) error {
-	return o.insertBatch(recs, sp, core.InsertBatch)
+	start := time.Now()
+	err := core.InsertBatch(o.mut, recs, sp)
+	o.batchDone(start, len(recs))
+	add(&o.m.Inserts, len(recs))
+	return err
 }
 
-// DeleteBatch removes keys through the wrapped index's batched path when
-// it has one, writing per-key presence into the caller's oks.
+// DeleteBatch removes keys, writing per-key presence into the caller's oks.
 func (o *ObservedMutableIndex) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
-	return o.deleteBatch(keys, oks, sp, core.DeleteBatch)
+	start := time.Now()
+	err := core.DeleteBatch(o.mut, keys, oks, sp)
+	o.batchDone(start, len(keys))
+	add(&o.m.Deletes, len(keys))
+	return err
 }
 
-// InsertUncommitted, DeleteUncommitted and Commit forward the
-// core.Committer capability of a durable index below the wrapper: the
-// batches are recorded as InsertBatch and DeleteBatch record theirs, the
-// commit passes through (the store counts it into wal_writes and fsync_ns).
-func (o *ObservedMutableIndex) InsertUncommitted(recs []KV, sp *Span) error {
-	return o.insertBatch(recs, sp, core.InsertUncommitted)
+// Apply does a mixed batch — the uncommitted entry point of a durable
+// index below — recorded as one batch from two clock reads, each family's
+// count (and the gets' hits) added to its counter.
+func (o *ObservedMutableIndex) Apply(ops []Op, vals []Value, oks []bool, sp *Span) error {
+	start := time.Now()
+	err := core.Apply(o.mut, ops, vals, oks, sp)
+	o.batchDone(start, len(ops))
+	var gets, puts, hits int
+	for i := range ops {
+		switch ops[i].Kind {
+		case OpGet:
+			gets++
+			if oks[i] {
+				hits++
+			}
+		case OpPut:
+			puts++
+		}
+	}
+	add(&o.m.Lookups, gets)
+	add(&o.m.Hits, hits)
+	add(&o.m.Inserts, puts)
+	add(&o.m.Deletes, len(ops)-gets-puts)
+	return err
 }
 
-// DeleteUncommitted is DeleteBatch without the commit; see InsertUncommitted.
-func (o *ObservedMutableIndex) DeleteUncommitted(keys []Key, oks []bool, sp *Span) error {
-	return o.deleteBatch(keys, oks, sp, core.DeleteUncommitted)
-}
-
-// Commit commits what the Uncommitted calls left in the log's buffer; a
-// no-op over an index that keeps no log.
+// Commit commits what Apply left in the log's buffer; a no-op over an
+// index that keeps no log.
 func (o *ObservedMutableIndex) Commit(sp *Span) error { return core.Commit(o.mut, sp) }
 
 // WriteMetricsPrometheus renders the given bundles in Prometheus text

@@ -61,7 +61,7 @@ const EngineLSM = "lsm"
 // Stack is a fully assembled serving engine: backend → shard → durable →
 // obs, composed in the one canonical order by NewStack. It satisfies
 // MutableIndex plus every batch capability (LookupBatch, InsertBatch,
-// DeleteBatch, SearchRange, io.Closer), each dispatching through the
+// DeleteBatch, Apply, SearchRange, io.Closer), each dispatching through the
 // layers' own capabilities so batched and parallel fast paths survive the
 // whole stack.
 type Stack struct {
@@ -202,26 +202,23 @@ func (s *Stack) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
 	return core.DeleteBatch(s.top, keys, oks, sp)
 }
 
-// InsertUncommitted, DeleteUncommitted and Commit are the commit
-// capability of a durable stack (core.Committer, which the server uses):
-// the batch calls apply and log into the log's buffer without committing
-// it, and Commit writes out everything applied so far — one write(2),
-// and one fsync under FsyncAlways, for however many batches came before.
-// A caller of the Uncommitted forms must hold back every acknowledgement,
-// and every read result that may show such a write, until Commit has
-// returned nil. On an in-memory stack they are InsertBatch, DeleteBatch
-// and a no-op.
-func (s *Stack) InsertUncommitted(recs []KV, sp *Span) error {
-	return core.InsertUncommitted(s.top, recs, sp)
+// Apply and Commit are the mixed-batch and commit capabilities
+// (core.Applier and core.Committer, which the server uses). Apply does a
+// batch of gets, puts and deletes in one pass with the outcome of doing
+// them in input order — vals[i], oks[i] answer a get, oks[i] reports
+// whether a delete's key was present — and over a durable stack logs its
+// writes into the log's buffer without committing it; Commit writes out
+// everything applied so far — one write(2), and one fsync under
+// FsyncAlways, for however many batches came before. A caller of Apply
+// must hold back every acknowledgement, and every read result that may
+// show such a write, until Commit has returned nil. A store that cannot
+// log the batch applies none of its writes, still answers its gets, and
+// returns the error. On an in-memory stack Commit is a no-op.
+func (s *Stack) Apply(ops []Op, vals []Value, oks []bool, sp *Span) error {
+	return core.Apply(s.top, ops, vals, oks, sp)
 }
 
-// DeleteUncommitted is DeleteBatch without the commit; see InsertUncommitted.
-func (s *Stack) DeleteUncommitted(keys []Key, oks []bool, sp *Span) error {
-	return core.DeleteUncommitted(s.top, keys, oks, sp)
-}
-
-// Commit commits the durable layer's log up to its current end; see
-// InsertUncommitted.
+// Commit commits the durable layer's log up to its current end; see Apply.
 func (s *Stack) Commit(sp *Span) error {
 	if s.durable == nil {
 		return nil

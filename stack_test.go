@@ -245,3 +245,51 @@ func TestStackBatchSpansConcurrent(t *testing.T) {
 		t.Errorf("shared span: shard=%v wal=%v, want both > 0", sp.Stage(StageShard), sp.Stage(StageWAL))
 	}
 }
+
+// TestStackApplyZeroAlloc pins 0 allocs/op for one pipelined group's worth
+// of mixed ops — 32 gets, overwrites and deletes of absent keys — through
+// a durable, sharded, observed stack in steady state: the obs wrapper's
+// accounting, the durable layer's locks and log framing, and the shard
+// layer's grouping all reuse what they hold.
+func TestStackApplyZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
+	}
+	recs := stackRecs(4096)
+	st, err := NewStack(recs, StackConfig{
+		Kind: "btree", Shards: 4, Dir: t.TempDir(), Fsync: FsyncNever, CheckpointEvery: -1,
+		Metrics: NewMetrics("apply-alloc"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ops := make([]Op, 32)
+	for i := range ops {
+		k := recs[(i*97)%len(recs)].Key
+		switch i % 10 {
+		case 0, 1, 2, 3, 4:
+			ops[i] = Op{Kind: OpGet, Key: k}
+		case 5, 6, 7, 8:
+			ops[i] = Op{Kind: OpPut, Key: k, Val: Value(i)}
+		default:
+			ops[i] = Op{Kind: OpDel, Key: k + 1}
+		}
+	}
+	vals, oks := make([]Value, len(ops)), make([]bool, len(ops))
+	for i := 0; i < 2; i++ { // grow the log's two buffers and warm the pool
+		if err := st.Apply(ops, vals, oks, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Commit(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(500, func() {
+		if err := st.Apply(ops, vals, oks, nil); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("%v allocs per Apply of %d mixed ops, want 0", got, len(ops))
+	}
+}
