@@ -16,15 +16,16 @@
 //
 //	lixbench -e serving   # btree+mutex vs sharded-rw vs xindex, 95/5 and 50/50:
 //	                      # sharded-rw >= 0.6x mutex; two callers >= 1.1x one
-//	lixbench -e batch     # batched vs looped ops at 16, 256, 4096; lookup
-//	                      # >= 0.9x, insert >= 0.8x, durable insert >= 2x
+//	lixbench -e batch     # batched (one Apply, + Commit for inserts) vs looped ops
+//	                      # at 16, 256, 4096; lookup >= 0.9x, insert >= 0.8x,
+//	                      # durable insert >= 2x
 //	lixbench -e paged     # paged indexes: warm pool >= 3x cold pool
 //	lixbench -e lsm       # checkpoint rate >= 2x a rewrite of the record set
 //	lixbench -e trace     # tracer attached but off >= 0.95x no tracer
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare
 //	lixbench -e spatial   # rectangle search: flood >= 1.9x, the STR R-tree >= 1.8x the k-d tree
-//	lixbench -e wire      # GETs over one loopback connection >= 0.27x in-process LookupBatch;
+//	lixbench -e wire      # GETs over one loopback connection >= 0.27x gets-only Apply in process;
 //	                      # mixed groups over a durable stack >= 0.59x an in-memory one, <= 1 log write per group
 //	lixbench -e gates     # all eight
 //

@@ -76,8 +76,8 @@ const (
 // dir. On reopen the kind and shard count stored in the newest manifest
 // win; opts fields explicitly set to a different value are a
 // configuration error, zero values defer to disk. A directory written by
-// the snapshot-rewrite engine of earlier versions is converted to sorted
-// runs before it is served.
+// the snapshot-rewrite engine of earlier versions (snap-<gen>.lix files) is
+// an error naming the file, and is left untouched.
 func Open(dir string, opts DurableOptions) (*Durable, error) {
 	cfg, build, err := durablePlan(opts)
 	if err != nil {

@@ -1,11 +1,6 @@
 package lix
 
-import (
-	"path/filepath"
-	"testing"
-
-	"github.com/lix-go/lix/internal/store"
-)
+import "testing"
 
 func durableSeed(n int) []KV {
 	recs := make([]KV, n)
@@ -102,15 +97,20 @@ func TestDurableFacadeBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := durableSeed(1000)
-	if err := d.InsertBatch(recs, nil); err != nil {
-		t.Fatal(err)
-	}
 	keys := make([]Key, len(recs))
 	for i, r := range recs {
 		keys[i] = r.Key
 	}
-	vals, oks := make([]Value, len(keys)), make([]bool, len(keys))
-	d.LookupBatch(keys, vals, oks, nil)
+	if _, _, err := applyOps(d, putOps(recs)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(nil); err != nil {
+		t.Fatal(err)
+	}
+	vals, oks, err := applyOps(d, keyOps(OpGet, keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range keys {
 		if !oks[i] || vals[i] != recs[i].Value {
 			t.Fatalf("batch lookup %d: (%d,%v)", i, vals[i], oks[i])
@@ -125,40 +125,5 @@ func TestDurableFacadeBatches(t *testing.T) {
 	defer d2.Close()
 	if d2.Len() != len(recs) {
 		t.Fatalf("recovered %d, want %d", d2.Len(), len(recs))
-	}
-}
-
-// TestDurableFacadeOpensSnapshotEngineDirectory: a directory the façade of
-// earlier versions wrote on its default engine — a snapshot whose meta still
-// names that engine — opens on a bare Open with its kind and shard count,
-// and is a store of sorted runs from then on.
-func TestDurableFacadeOpensSnapshotEngineDirectory(t *testing.T) {
-	dir := t.TempDir()
-	seed := durableSeed(400)
-	err := store.WriteSnapshot(filepath.Join(dir, "snap-0000000000000001.lix"), &store.SnapshotData{
-		Meta: map[string]string{"kind": "alex", "shards": "4", "engine": "snapshot"},
-		Recs: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 0; pass < 2; pass++ {
-		d, err := Open(dir, DurableOptions{Fsync: FsyncNever, CheckpointEvery: -1})
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if d.Len() != len(seed)+pass || d.Segments() != 4 || d.Meta()["kind"] != "alex" {
-			t.Fatalf("pass %d: %d records, %d segments, meta %v", pass, d.Len(), d.Segments(), d.Meta())
-		}
-		if ls := d.LSMStats(); ls.Runs != 1 || ls.LiveRecs != len(seed) {
-			t.Fatalf("pass %d: LSMStats %+v, want the snapshot's records as one run", pass, ls)
-		}
-		if err := d.Put(1, 1); err != nil {
-			t.Fatal(err)
-		}
-		d.Close()
-	}
-	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(snaps) != 0 {
-		t.Fatalf("snapshot files left after conversion: %v", snaps)
 	}
 }

@@ -76,17 +76,19 @@ func main() {
 	}
 	fmt.Println()
 
-	// The batched APIs group keys by shard and take each shard lock once
-	// per batch instead of once per key.
-	batch := make([]lix.Key, 1024)
+	// A batch (Apply) groups its keys by shard and takes each shard lock
+	// once per batch instead of once per key.
+	batch := make([]lix.Op, 1024)
 	r = rand.New(rand.NewSource(11))
 	for i := range batch {
-		batch[i] = recs[r.Intn(len(recs))].Key
+		batch[i] = lix.Op{Kind: lix.OpGet, Key: recs[r.Intn(len(recs))].Key}
 	}
 	vals, hits := make([]lix.Value, len(batch)), make([]bool, len(batch))
 	start := time.Now()
-	srw.LookupBatch(batch, vals, hits, nil) // caller-owned results; nil span = untraced
-	fmt.Printf("\nLookupBatch: %d keys in %v (%d hits, %d values)\n",
+	if err := srw.Apply(batch, vals, hits, nil); err != nil { // caller-owned results; nil span = untraced
+		panic(err)
+	}
+	fmt.Printf("\nApply: %d gets in %v (%d hits, %d values)\n",
 		len(batch), time.Since(start), countTrue(hits), len(vals))
 
 	// Layer-specific stats live on the layer: Stack.Sharded exposes it.

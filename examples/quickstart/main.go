@@ -75,21 +75,22 @@ func main() {
 	fmt.Printf("  after 100k inserts + delete: Get(14) = %d,%v, Len = %d\n", v, ok, alex.Len())
 
 	// The serving stack: one call composes backend → shards → metrics,
-	// with batched operations dispatched to each layer's native batch
+	// with a batch of operations dispatched to each layer's native batch
 	// path (one shard lock per batch instead of one per record).
 	fmt.Println("\nServing stack (lix.NewStack):")
 	m := lix.NewMetrics("quickstart")
 	s, err := lix.NewStack(recs, lix.StackConfig{Kind: "btree", Shards: 8, Metrics: m})
 	check(err)
 	defer s.Close()
-	keys := make([]lix.Key, 1000)
-	for i := range keys {
-		keys[i] = recs[i*3].Key
+	ops := make([]lix.Op, 1000)
+	for i := range ops {
+		ops[i] = lix.Op{Kind: lix.OpGet, Key: recs[i*3].Key}
 	}
 	// Results land in caller-owned slices (reusable across calls); the
-	// last argument is the request's trace span, nil when untraced.
-	vals, hits := make([]lix.Value, len(keys)), make([]bool, len(keys))
-	s.LookupBatch(keys, vals, hits, nil)
+	// last argument is the request's trace span, nil when untraced. A
+	// batch may mix OpGet, OpPut and OpDel; writes would need s.Commit.
+	vals, hits := make([]lix.Value, len(ops)), make([]bool, len(ops))
+	check(s.Apply(ops, vals, hits, nil))
 	found := 0
 	for _, ok := range hits {
 		if ok {
@@ -98,8 +99,8 @@ func main() {
 	}
 	span := s.SearchRange(recs[100].Key, recs[200].Key)
 	snap := m.Snapshot()
-	fmt.Printf("  LookupBatch(%d keys): %d hits; SearchRange: %d records\n",
-		len(keys), found, len(span))
+	fmt.Printf("  Apply(%d gets): %d hits; SearchRange: %d records\n",
+		len(ops), found, len(span))
 	fmt.Printf("  metered: %d lookups in %d batches, %d range scans\n",
 		snap.Counters["lookups"], snap.Counters["batches"], snap.Counters["ranges"])
 }

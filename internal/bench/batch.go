@@ -67,7 +67,7 @@ func batchSystems(cfg Config) []batchSystem {
 
 // gateBatch measures batched against looped inserts and lookups at each of
 // batchSizes, on an in-memory sharded stack and on a durable FsyncAlways
-// stack. Every batched cell carries a floor against its looped sibling —
+// stack. A batch is one Stack.Apply of puts (then Commit) or of gets. Every batched cell carries a floor against its looped sibling —
 // the "batch >= looped" promise with headroom for runner noise. Lookups
 // measure ~1.0-1.1x (floor 0.9, against the 0.42x the old grouping path
 // regressed to). In-memory inserts churn the allocator as the trees grow,
@@ -83,9 +83,9 @@ func gateBatch(cfg Config) ([]*Table, []floor, error) {
 	// round inserts abSlices slices, each a whole number of batches.
 	maxSize := batchSizes[len(batchSizes)-1]
 	freshKeys := mustKeys(dataset.Uniform, abSlices*roundUp(max(cfg.Q/abSlices, 1), maxSize), cfg.Seed+1)
-	fresh := make([]core.KV, len(freshKeys))
+	fresh := make([]core.Op, len(freshKeys))
 	for i, k := range freshKeys {
-		fresh[i] = core.KV{Key: k + 1, Value: core.Value(i)}
+		fresh[i] = core.Op{Kind: core.OpPut, Key: k + 1, Val: core.Value(i)}
 	}
 
 	var tables []*Table
@@ -101,7 +101,7 @@ func gateBatch(cfg Config) ([]*Table, []floor, error) {
 }
 
 // measure is gateBatch for one system.
-func (sys batchSystem) measure(cfg Config, keys []core.Key, recs, fresh []core.KV) (*Table, []floor, error) {
+func (sys batchSystem) measure(cfg Config, keys []core.Key, recs []core.KV, fresh []core.Op) (*Table, []floor, error) {
 	t := &Table{
 		ID: "BATCH",
 		Title: fmt.Sprintf("Batched vs looped ops, %s, n=%d, %d ops (Kops/s)",
@@ -132,8 +132,8 @@ func (sys batchSystem) measure(cfg Config, keys []core.Key, recs, fresh []core.K
 		insFloor, fsyncCell := 0.8, "-"
 		if sys.durable {
 			var batFsyncs uint64
-			batIns, batFsyncs, err = sys.timeInserts(recs, fresh[:cfg.Q], func(s *lix.Stack, recs []core.KV) error {
-				return insertBatched(s, recs, size)
+			batIns, batFsyncs, err = sys.timeInserts(recs, fresh[:cfg.Q], func(s *lix.Stack, puts []core.Op) error {
+				return insertBatched(s, puts, size)
 			})
 			loopIns, insFloor = durLooped, 2
 			fsyncCell = fmt.Sprintf("%d/%d (per %d/%d ops)", durLoopedFsyncs, batFsyncs, durLoopedOps, cfg.Q)
@@ -162,7 +162,7 @@ func (sys batchSystem) measure(cfg Config, keys []core.Key, recs, fresh []core.K
 // through abMedian: one stack per side and round, both grown by the same
 // q records (rounded up so a slice is a whole number of batches), slice by
 // slice.
-func (sys batchSystem) insertsAB(preload, fresh []core.KV, q, size int) (batched, looped float64, err error) {
+func (sys batchSystem) insertsAB(preload []core.KV, fresh []core.Op, q, size int) (batched, looped float64, err error) {
 	n := roundUp(max(q/abSlices, 1), size)
 	return abMedian(abRounds, abSlices, func() (side, side, func(), error) {
 		sb, closeB, err := sys.build(preload)
@@ -174,7 +174,7 @@ func (sys batchSystem) insertsAB(preload, fresh []core.KV, q, size int) (batched
 			closeB()
 			return nil, nil, nil, err
 		}
-		insertSide := func(insert func([]core.KV) error) side {
+		insertSide := func(insert func([]core.Op) error) side {
 			off := 0
 			return func() (float64, error) {
 				chunk := fresh[off : off+n]
@@ -182,8 +182,8 @@ func (sys batchSystem) insertsAB(preload, fresh []core.KV, q, size int) (batched
 				return timeOps(n, func() error { return insert(chunk) })
 			}
 		}
-		return insertSide(func(recs []core.KV) error { return insertBatched(sb, recs, size) }),
-			insertSide(func(recs []core.KV) error { return insertLooped(sl, recs) }),
+		return insertSide(func(puts []core.Op) error { return insertBatched(sb, puts, size) }),
+			insertSide(func(puts []core.Op) error { return insertLooped(sl, puts) }),
 			func() { closeB(); closeL() }, nil
 	})
 }
@@ -202,16 +202,18 @@ const lookupRounds = 11
 // results on the stack.
 func lookupsAB(s *lix.Stack, keys []core.Key, q, size int) (batched, looped float64, err error) {
 	n := roundUp(q, size)
-	lookupKeys := make([]core.Key, size)
+	lookupOps := make([]core.Op, size)
 	lookupVals := make([]core.Value, size)
 	lookupOks := make([]bool, size)
 	batchedSide := func() (float64, error) {
 		return timeOps(n, func() error {
 			for off := 0; off < n; off += size {
-				for i := range lookupKeys {
-					lookupKeys[i] = keys[(off+i)%len(keys)]
+				for i := range lookupOps {
+					lookupOps[i] = core.Op{Kind: core.OpGet, Key: keys[(off+i)%len(keys)]}
 				}
-				s.LookupBatch(lookupKeys, lookupVals, lookupOks, nil)
+				if err := s.Apply(lookupOps, lookupVals, lookupOks, nil); err != nil {
+					return err
+				}
 			}
 			return nil
 		})
@@ -229,32 +231,39 @@ func lookupsAB(s *lix.Stack, keys []core.Key, q, size int) (batched, looped floa
 	})
 }
 
-func insertBatched(s *lix.Stack, recs []core.KV, size int) error {
-	for off := 0; off < len(recs); off += size {
-		if err := s.InsertBatch(recs[off:min(off+size, len(recs))], nil); err != nil {
+// insertBatched applies puts size at a time, committing each batch as
+// the acknowledged write it stands for.
+func insertBatched(s *lix.Stack, puts []core.Op, size int) error {
+	vals, oks := make([]core.Value, size), make([]bool, size)
+	for off := 0; off < len(puts); off += size {
+		batch := puts[off:min(off+size, len(puts))]
+		if err := s.Apply(batch, vals[:len(batch)], oks[:len(batch)], nil); err != nil {
+			return err
+		}
+		if err := s.Commit(nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func insertLooped(s *lix.Stack, recs []core.KV) error {
-	for _, r := range recs {
-		s.Insert(r.Key, r.Value)
+func insertLooped(s *lix.Stack, puts []core.Op) error {
+	for _, op := range puts {
+		s.Insert(op.Key, op.Val)
 	}
 	return s.Err()
 }
 
-// timeInserts builds a fresh stack and times insert over recs on it; it
+// timeInserts builds a fresh stack and times insert of puts on it; it
 // returns ops/s and the fsyncs the inserts cost.
-func (sys batchSystem) timeInserts(preload, recs []core.KV, insert func(*lix.Stack, []core.KV) error) (float64, uint64, error) {
+func (sys batchSystem) timeInserts(preload []core.KV, puts []core.Op, insert func(*lix.Stack, []core.Op) error) (float64, uint64, error) {
 	s, cleanup, err := sys.build(preload)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bench: build %s: %w", sys.name, err)
 	}
 	defer cleanup()
 	base := fsyncs(s)
-	rate, err := timeOps(len(recs), func() error { return insert(s, recs) })
+	rate, err := timeOps(len(puts), func() error { return insert(s, puts) })
 	return rate, fsyncs(s) - base, err
 }
 

@@ -110,8 +110,8 @@ func (ws *wireServer) run(reqs []wire.Msg, pipeline, inflight int, hits bool) (f
 // gateWire holds the serve rung to what is under it, twice. Read path:
 // cfg.Q GETs of present keys per slice, as groups of cfg.Pipeline with
 // wireInflight groups in flight on one loopback connection to
-// lix.NewServer, against the same keys in the same groups through the same
-// stack's LookupBatch in process. Write path: the same number of mixed
+// lix.NewServer, against the same keys in the same groups as gets-only
+// Apply calls on the same stack in process. Write path: the same number of mixed
 // requests (50 % GET, 40 % SET, 10 % DEL, the repo benchmark's wire-durable
 // mix) in the same shape over a durable stack against an in-memory one,
 // both behind servers — what the log costs a pipelined client — and, one
@@ -125,18 +125,19 @@ func gateWire(cfg Config) ([]*Table, []floor, error) {
 		recs[i] = lix.KV{Key: lix.Key(i * 16), Value: lix.Value(i)}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	keys := make([]lix.Key, cfg.Q)
+	getOps := make([]lix.Op, cfg.Q)
 	gets, mixed := make([]wire.Msg, cfg.Q), make([]wire.Msg, cfg.Q)
-	for i := range keys {
-		keys[i] = recs[rng.Intn(cfg.N)].Key
-		gets[i] = wire.Msg{Op: wire.OpGet, Key: keys[i]}
+	for i := range getOps {
+		k := recs[rng.Intn(cfg.N)].Key
+		getOps[i] = lix.Op{Kind: lix.OpGet, Key: k}
+		gets[i] = wire.Msg{Op: wire.OpGet, Key: k}
 		switch p := rng.Intn(10); {
 		case p < 5:
 			mixed[i] = gets[i]
 		case p < 9:
-			mixed[i] = wire.Msg{Op: wire.OpSet, Key: keys[i], Val: lix.Value(i)}
+			mixed[i] = wire.Msg{Op: wire.OpSet, Key: k, Val: lix.Value(i)}
 		default:
-			mixed[i] = wire.Msg{Op: wire.OpDel, Key: keys[i]}
+			mixed[i] = wire.Msg{Op: wire.OpDel, Key: k}
 		}
 	}
 	groups := cfg.Q / cfg.Pipeline
@@ -155,10 +156,12 @@ func gateWire(cfg Config) ([]*Table, []floor, error) {
 		inProcess := func() (float64, error) {
 			start := time.Now()
 			for g := 0; g < groups; g++ {
-				stack.LookupBatch(keys[g*cfg.Pipeline:(g+1)*cfg.Pipeline], vals, oks, nil)
+				if err := stack.Apply(getOps[g*cfg.Pipeline:(g+1)*cfg.Pipeline], vals, oks, nil); err != nil {
+					return 0, err
+				}
 				for _, ok := range oks {
 					if !ok {
-						return 0, fmt.Errorf("bench: LookupBatch missed a present key")
+						return 0, fmt.Errorf("bench: a get in process missed a present key")
 					}
 				}
 			}
@@ -227,11 +230,11 @@ func gateWire(cfg Config) ([]*Table, []floor, error) {
 
 	t := &Table{
 		ID: "WIRE",
-		Title: fmt.Sprintf("one loopback connection, groups of %d, %d in flight, n=%d, %d shards, median of %d rounds: GETs vs the same stack's LookupBatch in process; mixed 50/40/10 GET/SET/DEL over a durable stack vs an in-memory one",
+		Title: fmt.Sprintf("one loopback connection, groups of %d, %d in flight, n=%d, %d shards, median of %d rounds: GETs vs the same stack's gets-only Apply in process; mixed 50/40/10 GET/SET/DEL over a durable stack vs an in-memory one",
 			cfg.Pipeline, wireInflight, cfg.N, cfg.Shards, abRounds),
 		Columns: []string{"path", "Kops/s", "vs reference"},
 	}
-	t.AddRow("in-process LookupBatch", inprocMed/1e3, "1.000")
+	t.AddRow("in-process Apply", inprocMed/1e3, "1.000")
 	t.AddRow("wire GET", wireMed/1e3, fmt.Sprintf("%.3f", wireMed/inprocMed))
 	t.AddRow("wire mixed, in-memory", memMed/1e3, "1.000")
 	t.AddRow("wire mixed, durable", durMed/1e3, fmt.Sprintf("%.3f", durMed/memMed))

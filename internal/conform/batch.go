@@ -23,22 +23,24 @@ func (a *altSpan) next(ops int) *core.Span {
 }
 
 // CheckBatchEquivalence replays w against a fresh instance of f, driving
-// maximal same-kind runs of operations through the batched dispatch
-// helpers (core.LookupBatch / InsertBatch / DeleteBatch, capped at
-// batchSize records per batch) while the sorted-slice oracle replays the
-// same operations strictly sequentially. Any state or result divergence
-// is an error: batching must be semantically invisible. Range operations
-// go through core.CollectRange, which pins the RangeSearcher capability
-// to the sequential scan. The duplicate-key contract inside one batch is
-// sequential-loop semantics — later-wins for inserts, first-wins for
-// delete liveness — which TestBatchLaterWinsPin asserts explicitly.
+// maximal same-kind runs of gets, inserts and deletes (capped at batchSize
+// ops per batch) through core.Apply — a run of writes then through
+// core.Commit, as an acknowledged write would — while the sorted-slice
+// oracle replays the same operations strictly sequentially. Any state or
+// result divergence is an error: batching must be semantically invisible.
+// A static index has no batch surface, and its gets are answered one by
+// one. Range operations go through core.CollectRange, which pins the
+// RangeSearcher capability to the sequential scan. The duplicate-key
+// contract inside one batch is sequential-loop semantics — later-wins for
+// inserts, first-wins for delete liveness — which TestBatchLaterWinsPin
+// asserts explicitly.
 //
 // The replay is shaped like a serving loop: one set of caller-owned
 // buffers is reused for every batch (result buffers are poisoned before
 // each call, so an entry a layer fails to write shows up as a wrong
 // answer), and every second call carries a live span. Spans must be
 // semantically invisible too: mutations alternate span-on and span-off
-// against the same oracle, and every lookup batch is answered both ways
+// against the same oracle, and every batch of gets is answered both ways
 // and the two answers compared.
 func CheckBatchEquivalence(f Factory, w Workload1D, batchSize int) error {
 	if batchSize <= 0 {
@@ -64,8 +66,7 @@ func CheckBatchEquivalence(f Factory, w Workload1D, batchSize int) error {
 	}
 
 	var (
-		keys  []core.Key
-		recs  []core.KV
+		batch []core.Op
 		vals  []core.Value
 		oks   []bool
 		vals2 []core.Value
@@ -82,6 +83,19 @@ func CheckBatchEquivalence(f Factory, w Workload1D, batchSize int) error {
 		}
 		return vals, oks
 	}
+	// apply does batch into vals and oks, and commits what it wrote.
+	apply := func(vals []core.Value, oks []bool, sp *core.Span) error {
+		if mix == nil {
+			for n, op := range batch {
+				vals[n], oks[n] = ix.Get(op.Key)
+			}
+			return nil
+		}
+		if err := core.Apply(mix, batch, vals, oks, sp); err != nil {
+			return err
+		}
+		return core.Commit(mix, sp)
+	}
 
 	ops := w.Ops
 	for i := 0; i < len(ops); {
@@ -92,48 +106,51 @@ func CheckBatchEquivalence(f Factory, w Workload1D, batchSize int) error {
 			j++
 		}
 		run := ops[i:j]
+		batch, want = batch[:0], want[:0]
 		switch kind {
 		case OpInsert:
-			recs = recs[:0]
 			for _, op := range run {
-				recs = append(recs, core.KV{Key: op.Key, Value: op.Val})
+				batch = append(batch, core.Op{Kind: core.OpPut, Key: op.Key, Val: op.Val})
 				o.Insert(op.Key, op.Val)
 			}
-			if err := core.InsertBatch(mix, recs, sp.next(len(recs))); err != nil {
-				return fail(i, "InsertBatch(%d recs): %v", len(recs), err)
+			vals, oks = poisoned(vals, oks, len(batch))
+			if err := apply(vals, oks, sp.next(len(batch))); err != nil {
+				return fail(i, "Apply(%d puts): %v", len(batch), err)
 			}
 		case OpDelete:
-			keys, want = keys[:0], want[:0]
 			for _, op := range run {
-				keys = append(keys, op.Key)
+				batch = append(batch, core.Op{Kind: core.OpDel, Key: op.Key})
 				want = append(want, o.Delete(op.Key))
 			}
-			vals, oks = poisoned(vals, oks, len(keys))
-			if err := core.DeleteBatch(mix, keys, oks, sp.next(len(keys))); err != nil {
-				return fail(i, "DeleteBatch(%d keys): %v", len(keys), err)
+			vals, oks = poisoned(vals, oks, len(batch))
+			if err := apply(vals, oks, sp.next(len(batch))); err != nil {
+				return fail(i, "Apply(%d deletes): %v", len(batch), err)
 			}
 			if !reflect.DeepEqual(oks, want) {
-				return fail(i, "DeleteBatch(%d keys) = %v, oracle %v", len(keys), oks, want)
+				return fail(i, "Apply(%d deletes) = %v, oracle %v", len(batch), oks, want)
 			}
 		case OpGet:
-			keys = keys[:0]
 			for _, op := range run {
-				keys = append(keys, op.Key)
+				batch = append(batch, core.Op{Kind: core.OpGet, Key: op.Key})
 			}
-			vals, oks = poisoned(vals, oks, len(keys))
-			vals2, oks2 = poisoned(vals2, oks2, len(keys))
-			core.LookupBatch(ix, keys, vals, oks, nil)
-			sp.live.Reset(len(keys))
-			core.LookupBatch(ix, keys, vals2, oks2, &sp.live)
-			for n, k := range keys {
-				wv, wok := o.Get(k)
+			vals, oks = poisoned(vals, oks, len(batch))
+			vals2, oks2 = poisoned(vals2, oks2, len(batch))
+			if err := apply(vals, oks, nil); err != nil {
+				return fail(i, "Apply(%d gets): %v", len(batch), err)
+			}
+			sp.live.Reset(len(batch))
+			if err := apply(vals2, oks2, &sp.live); err != nil {
+				return fail(i, "Apply(%d gets) with a span: %v", len(batch), err)
+			}
+			for n, op := range batch {
+				wv, wok := o.Get(op.Key)
 				if oks[n] != wok || (wok && vals[n] != wv) {
-					return fail(i+n, "LookupBatch key %d = (%d, %v), oracle (%d, %v)",
-						k, vals[n], oks[n], wv, wok)
+					return fail(i+n, "batch get %d = (%d, %v), oracle (%d, %v)",
+						op.Key, vals[n], oks[n], wv, wok)
 				}
 				if oks2[n] != wok || (wok && vals2[n] != wv) {
-					return fail(i+n, "LookupBatch key %d with a span = (%d, %v), without (%d, %v)",
-						k, vals2[n], oks2[n], vals[n], oks[n])
+					return fail(i+n, "batch get %d with a span = (%d, %v), without (%d, %v)",
+						op.Key, vals2[n], oks2[n], vals[n], oks[n])
 				}
 			}
 		case OpRange:

@@ -10,26 +10,10 @@ import (
 	"github.com/lix-go/lix/internal/core"
 )
 
-// batchCaps is the full batch surface. Every layer of the stack must keep
-// all three: a wrapper that drops one does not fail, it silently falls to
-// the helpers' per-record loop — and, above a durable layer, from one
-// fsync per batch to one per record.
-type batchCaps interface {
-	core.BatchLookuper
-	core.BatchInserter
-	core.BatchDeleter
-}
-
-var (
-	_ batchCaps = (*lix.Sharded)(nil)
-	_ batchCaps = (*lix.Durable)(nil)
-	_ batchCaps = (*lix.ObservedMutableIndex)(nil)
-	_ batchCaps = (*lix.Stack)(nil)
-)
-
 // The commit capability must reach the server through every layer above
 // the store: a wrapper that drops it leaves the server's Apply calls
-// uncommitted until the log's buffer fills.
+// uncommitted until the log's buffer fills. (apply_test.go pins Applier
+// on the same layers.)
 var (
 	_ core.Committer = (*lix.Durable)(nil)
 	_ core.Committer = (*lix.ObservedMutableIndex)(nil)
@@ -37,8 +21,8 @@ var (
 )
 
 // TestBatchEquivalence drives every registered 1-D factory — including
-// the layered durable-* and sharded-* configurations — through the
-// batched dispatch surface and demands state equivalence with the
+// the layered durable-* and sharded-* configurations — through same-kind
+// batches of core.Apply and demands state equivalence with the
 // sequentially-replayed oracle, over every workload shape.
 func TestBatchEquivalence(t *testing.T) {
 	nInit, nOps := diffSizes1D(t)
@@ -60,9 +44,9 @@ func TestBatchEquivalence(t *testing.T) {
 }
 
 // TestBatchLaterWinsPin pins the duplicate-key contract inside one batch
-// for every mutable factory: InsertBatch resolves duplicates later-wins,
-// DeleteBatch reports liveness first-wins — exactly what the equivalent
-// sequential loop would do.
+// for every mutable factory: a batch of puts resolves duplicates
+// later-wins, a batch of deletes reports liveness first-wins — exactly
+// what the equivalent sequential loop would do.
 func TestBatchLaterWinsPin(t *testing.T) {
 	for _, f := range Factories1D() {
 		if !f.Caps.Mutable {
@@ -76,9 +60,10 @@ func TestBatchLaterWinsPin(t *testing.T) {
 			}
 			defer closeIndex(ix)
 			mix := ix.(MutableIndex)
-			if err := core.InsertBatch(mix, []core.KV{
-				{Key: 42, Value: 1}, {Key: 7, Value: 3}, {Key: 42, Value: 2},
-			}, nil); err != nil {
+			puts := []core.Op{
+				{Kind: core.OpPut, Key: 42, Val: 1}, {Kind: core.OpPut, Key: 7, Val: 3}, {Kind: core.OpPut, Key: 42, Val: 2},
+			}
+			if err := core.Apply(mix, puts, make([]core.Value, 3), make([]bool, 3), nil); err != nil {
 				t.Fatal(err)
 			}
 			if v, ok := mix.Get(42); !ok || v != 2 {
@@ -87,15 +72,34 @@ func TestBatchLaterWinsPin(t *testing.T) {
 			if v, ok := mix.Get(7); !ok || v != 3 {
 				t.Fatalf("Get(7) = (%d, %v), want (3, true)", v, ok)
 			}
+			dels := []core.Op{{Kind: core.OpDel, Key: 42}, {Kind: core.OpDel, Key: 42}, {Kind: core.OpDel, Key: 99}}
 			oks := []bool{false, true, true}
-			if err := core.DeleteBatch(mix, []core.Key{42, 42, 99}, oks, nil); err != nil || !oks[0] || oks[1] || oks[2] {
-				t.Fatalf("DeleteBatch(42, 42, 99) = %v, %v, want [true false false]", oks, err)
+			if err := core.Apply(mix, dels, make([]core.Value, 3), oks, nil); err != nil || !oks[0] || oks[1] || oks[2] {
+				t.Fatalf("deletes of 42, 42, 99 = %v, %v, want [true false false]", oks, err)
 			}
 			if mix.Len() != 2 {
 				t.Fatalf("Len = %d, want 2 (keys 7, 10)", mix.Len())
 			}
 		})
 	}
+}
+
+// putOps is a batch of upserts of recs.
+func putOps(recs []core.KV) []core.Op {
+	ops := make([]core.Op, len(recs))
+	for i, r := range recs {
+		ops[i] = core.Op{Kind: core.OpPut, Key: r.Key, Val: r.Value}
+	}
+	return ops
+}
+
+// applyCommit applies ops to d and commits them: the acknowledged batch
+// write.
+func applyCommit(d *lix.Durable, ops []core.Op) error {
+	if err := d.Apply(ops, make([]core.Value, len(ops)), make([]bool, len(ops)), nil); err != nil {
+		return err
+	}
+	return d.Commit(nil)
 }
 
 // copyDir copies a flat store directory (no subdirectories).
@@ -143,7 +147,7 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 	for i := range batch {
 		batch[i] = core.KV{Key: core.Key((i*7919 + 13) % 1000), Value: core.Value(i + 1)}
 	}
-	if err := d.InsertBatch(batch, nil); err != nil {
+	if err := applyCommit(d, putOps(batch)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Crash(); err != nil {
@@ -201,10 +205,10 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 	}
 }
 
-// TestDurableBatchFsyncAmortization is the issue's measurable claim:
-// under FsyncAlways, inserting N records through one InsertBatch issues
-// at least 10x fewer fsyncs than N single Puts (the batch is one commit
-// of the log: one write, one fsync).
+// TestDurableBatchFsyncAmortization: under FsyncAlways, N records
+// inserted as one Apply and one Commit cost exactly one fsync (the batch is
+// one append to the log and the commit one write and one fsync), against
+// one per record for N single Puts.
 func TestDurableBatchFsyncAmortization(t *testing.T) {
 	n := 1000
 	if testing.Short() {
@@ -225,7 +229,7 @@ func TestDurableBatchFsyncAmortization(t *testing.T) {
 		}
 		base := d.Fsyncs()
 		if batched {
-			if err := d.InsertBatch(recs, nil); err != nil {
+			if err := applyCommit(d, putOps(recs)); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -249,8 +253,8 @@ func TestDurableBatchFsyncAmortization(t *testing.T) {
 	batched := run(true)
 	t.Logf("fsyncs: %d looped vs %d batched for %d records (%.0fx)",
 		looped, batched, n, float64(looped)/float64(max(batched, 1)))
-	if batched == 0 {
-		t.Fatal("batched insert issued no fsync under FsyncAlways")
+	if batched != 1 {
+		t.Fatalf("Apply + Commit of %d records issued %d fsyncs, want 1", n, batched)
 	}
 	if looped < 10*batched {
 		t.Fatalf("fsync amortization too weak: %d looped vs %d batched (want >= 10x)", looped, batched)

@@ -28,7 +28,7 @@ type StressConfig struct {
 	RangeReaders  int   // concurrent range scanners
 	KeysPerWriter int   // keys owned by each writer
 	OpsPerWriter  int   // mutation ops generated per writer
-	Batch         bool  // exercise the core batch helpers (LookupBatch/InsertBatch)
+	Batch         bool  // also drive runs of inserts and reads through core.Apply
 	Seed          int64 // history generation seed
 	ShrinkRetries int   // reruns per shrink candidate (failures are probabilistic)
 	ShrinkBudget  int   // max candidate evaluations during shrinking
@@ -160,25 +160,34 @@ func runStress(build func(init []core.KV) (MutableIndex, error), h stressHistory
 			// quiesced state stays the oracle state. Like a serving
 			// connection, each goroutine reuses one set of buffers and
 			// carries its own span on every second batch.
-			var recs []core.KV
-			var sp altSpan
+			var (
+				batch []core.Op
+				vals  = make([]core.Value, 16)
+				oks   = make([]bool, 16)
+				sp    altSpan
+			)
 			for i := 0; i < len(ops); {
 				// Group a run of consecutive inserts (when the run length
-				// exceeds 1) into one batch through the index's capability or
-				// the loop fallback, to drive the batched write path under
-				// contention.
+				// exceeds 1) into one batch of puts through the index's
+				// capability or the loop fallback, and commit it, to drive
+				// the batched write path under contention.
 				if cfg.Batch && ops[i].Kind == OpInsert {
 					j := i
 					for j < len(ops) && ops[j].Kind == OpInsert && j-i < 16 {
 						j++
 					}
 					if j-i > 1 {
-						recs = recs[:0]
+						batch = batch[:0]
 						for _, op := range ops[i:j] {
-							recs = append(recs, core.KV{Key: op.Key, Value: op.Val})
+							batch = append(batch, core.Op{Kind: core.OpPut, Key: op.Key, Val: op.Val})
 						}
-						if err := core.InsertBatch(ix, recs, sp.next(len(recs))); err != nil {
-							fail("conform: stress InsertBatch(%d recs): %v", len(recs), err)
+						s := sp.next(len(batch))
+						err := core.Apply(ix, batch, vals[:len(batch)], oks[:len(batch)], s)
+						if err == nil {
+							err = core.Commit(ix, s)
+						}
+						if err != nil {
+							fail("conform: stress Apply(%d puts): %v", len(batch), err)
 						}
 						i = j
 						continue
@@ -214,21 +223,24 @@ func runStress(build func(init []core.KV) (MutableIndex, error), h stressHistory
 			defer wg.Done()
 			r := rand.New(rand.NewSource(seed + 100 + int64(rd)))
 			var (
-				keys = make([]core.Key, 32)
-				vals = make([]core.Value, 32)
-				oks  = make([]bool, 32)
-				sp   altSpan
+				batch = make([]core.Op, 32)
+				vals  = make([]core.Value, 32)
+				oks   = make([]bool, 32)
+				sp    altSpan
 			)
 			for !done.Load() {
 				if cfg.Batch && r.Intn(4) == 0 {
 					n := 1 + r.Intn(32)
-					keys, vals, oks := keys[:n], vals[:n], oks[:n]
-					for i := range keys {
-						keys[i] = stressKey(r.Intn(total))
+					batch, vals, oks := batch[:n], vals[:n], oks[:n]
+					for i := range batch {
+						batch[i] = core.Op{Kind: core.OpGet, Key: stressKey(r.Intn(total))}
 					}
-					core.LookupBatch(ix, keys, vals, oks, sp.next(n))
-					for i, k := range keys {
-						if oks[i] && !checkVal("LookupBatch", k, vals[i]) {
+					if err := core.Apply(ix, batch, vals, oks, sp.next(n)); err != nil {
+						fail("conform: stress Apply(%d gets): %v", n, err)
+						return
+					}
+					for i, op := range batch {
+						if oks[i] && !checkVal("batch get", op.Key, vals[i]) {
 							return
 						}
 					}

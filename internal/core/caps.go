@@ -14,65 +14,43 @@ package core
 // it lives in the kind registry (internal/registry, Kind.Bulk) rather
 // than here.
 
-// The four batch capabilities share one shape. Result slices are always
-// caller-owned, len(keys) (or len(ops)) each, so a serving loop reuses its
-// buffers and no layer allocates per call. sp is the request's span, nil
-// when the request is not sampled: a layer that implements a capability
-// attributes its own stages into it and decides whether the layer below
-// sees it (the durable layer times its in-memory apply itself and passes
-// nil down, so shard time is never counted twice). Writes return the
-// store's error — the first I/O error of the call, or the latched error of
-// a store that has already failed; in-memory layers return nil. Reads have
-// no error result: no layer can fail a read.
-
-// BatchLookuper resolves many keys in one call. vals[i], oks[i] answer
-// keys[i]; implementations may reorder internally (the sharded layer
-// groups by shard) but the result slices follow input order.
-type BatchLookuper interface {
-	LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span)
-}
-
-// BatchInserter upserts many records in one call. Duplicate keys inside
-// one batch resolve later-wins, exactly as a sequential upsert loop
-// would (the conformance suite pins this).
-type BatchInserter interface {
-	InsertBatch(recs []KV, sp *Span) error
-}
-
-// BatchDeleter removes many keys in one call, reporting in oks[i] whether
-// keys[i] was present, with sequential semantics: the first occurrence
-// of a duplicated key reports its liveness, later occurrences report
-// false.
-type BatchDeleter interface {
-	DeleteBatch(keys []Key, oks []bool, sp *Span) error
-}
-
-// OpKind is what one Op of a mixed batch does.
+// OpKind is what one Op of a batch does.
 type OpKind uint8
 
-// The three operations of a mixed batch.
+// The three operations of a batch.
 const (
 	OpGet OpKind = iota
 	OpPut
 	OpDel
 )
 
-// Op is one operation of a mixed batch: a get or a delete of Key, or an
-// upsert of (Key, Val).
+// Op is one operation of a batch: a get or a delete of Key, or an upsert
+// of (Key, Val).
 type Op struct {
 	Kind OpKind
 	Key  Key
 	Val  Value
 }
 
-// Applier does a mixed batch in one call with the outcome of doing its ops
-// one by one in input order: vals[i], oks[i] answer a get and oks[i]
-// whether a delete's key was present. Over a store that logs it is the one
-// uncommitted entry point: the caller (the server, once per reply flush)
-// withholds every acknowledgement, and every answer that may show such a
-// write, until Committer.Commit has returned nil. A store that cannot log
-// the batch applies none of its writes, answers its gets, and returns the
-// error.
+// Applier is the one batch capability: it does a batch of gets, upserts
+// and deletes, in any mix, in one call with the outcome of doing its ops
+// one by one in input order. vals[i], oks[i] answer a get and oks[i]
+// whether a delete's key was present; the slices are caller-owned,
+// len(ops) each, so a serving loop reuses its buffers and no layer
+// allocates per call. sp is the request's span, nil when the request is
+// not sampled: a layer that implements the capability attributes its own
+// stages into it and decides whether the layer below sees it (the durable
+// layer times its in-memory apply itself and passes nil down, so shard
+// time is never counted twice).
+//
+// Over a store that logs, the writes are logged uncommitted: the caller
+// (the server, once per reply flush) withholds every acknowledgement, and
+// every answer that may show such a write, until Committer.Commit has
+// returned nil; a batch of gets alone touches no log. The error is the
+// store's — the first I/O error of the call, or the latched error of a
+// store that has already failed; in-memory layers return nil. A store that
+// cannot log the batch applies none of its writes, answers its gets, and
+// returns the error.
 type Applier interface {
 	Apply(ops []Op, vals []Value, oks []bool, sp *Span) error
 }
@@ -94,78 +72,20 @@ type RangeSearcher interface {
 	SearchRange(lo, hi Key) []KV
 }
 
-// The narrow read/write surfaces the generic fallbacks need. They are
-// subsets of every index interface in the repository, so any index value
-// converts implicitly.
-type (
-	// Getter is the point-read surface.
-	Getter interface {
-		Get(k Key) (Value, bool)
-	}
-	// Ranger is the ordered-scan surface.
-	Ranger interface {
-		Range(lo, hi Key, fn func(Key, Value) bool) int
-	}
-	// Inserter is the upsert surface.
-	Inserter interface {
-		Insert(k Key, v Value)
-	}
-	// Deleter is the delete surface.
-	Deleter interface {
-		Delete(k Key) bool
-	}
-)
-
-// LookupBatch resolves keys against ix into vals and oks (len(keys)
-// each) through its BatchLookuper capability when present, else a Get
-// loop timed as the span's shard stage — either way without allocating.
-func LookupBatch(ix Getter, keys []Key, vals []Value, oks []bool, sp *Span) {
-	if b, ok := ix.(BatchLookuper); ok {
-		b.LookupBatch(keys, vals, oks, sp)
-		return
-	}
-	defer sp.End(StageShard, sp.Begin())
-	for i, k := range keys {
-		vals[i], oks[i] = ix.Get(k)
-	}
-}
-
-// InsertBatch upserts recs into ix through its BatchInserter capability
-// when present, else an Insert loop (which is trivially later-wins and
-// cannot fail) timed as the span's shard stage.
-func InsertBatch(ix Inserter, recs []KV, sp *Span) error {
-	if b, ok := ix.(BatchInserter); ok {
-		return b.InsertBatch(recs, sp)
-	}
-	defer sp.End(StageShard, sp.Begin())
-	for _, r := range recs {
-		ix.Insert(r.Key, r.Value)
-	}
-	return nil
-}
-
-// DeleteBatch removes keys from ix through its BatchDeleter capability
-// when present, else a Delete loop timed as the span's shard stage.
-// oks[i] reports whether keys[i] was present when its turn came
-// (duplicates: first wins, rest read false).
-func DeleteBatch(ix Deleter, keys []Key, oks []bool, sp *Span) error {
-	if b, ok := ix.(BatchDeleter); ok {
-		return b.DeleteBatch(keys, oks, sp)
-	}
-	defer sp.End(StageShard, sp.Begin())
-	for i, k := range keys {
-		oks[i] = ix.Delete(k)
-	}
-	return nil
+// Ranger is the ordered-scan surface CollectRange falls back to, a subset
+// of every index interface in the repository.
+type Ranger interface {
+	Range(lo, hi Key, fn func(Key, Value) bool) int
 }
 
 // Apply does ops against ix through its Applier capability when present,
 // else a point loop — timed as the span's shard stage — that cannot fail.
-// It answers as Applier says, into vals and oks (len(ops) each).
+// It answers as Applier says, into vals and oks (len(ops) each). ix is
+// any mutable index of the repository.
 func Apply(ix interface {
-	Getter
-	Inserter
-	Deleter
+	Get(k Key) (Value, bool)
+	Insert(k Key, v Value)
+	Delete(k Key) bool
 }, ops []Op, vals []Value, oks []bool, sp *Span) error {
 	if a, ok := ix.(Applier); ok {
 		return a.Apply(ops, vals, oks, sp)

@@ -42,38 +42,35 @@ func (x *mapIndex) Range(lo, hi Key, fn func(Key, Value) bool) int {
 	return n
 }
 
-// capIndex embeds mapIndex and adds native batch capabilities that
-// record whether they were used and attribute fixed stage times, so
-// dispatch and span forwarding can be asserted; writes return err.
+// capIndex embeds mapIndex and adds the native batch and commit
+// capabilities, which record whether they were used and attribute fixed
+// stage times, so dispatch and span forwarding can be asserted; writes
+// return err.
 type capIndex struct {
 	*mapIndex
 	batched int
 	err     error
 }
 
-func (x *capIndex) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
+func (x *capIndex) Apply(ops []Op, vals []Value, oks []bool, sp *Span) error {
 	x.batched++
 	sp.Add(StageShard, 7)
-	for i, k := range keys {
-		vals[i], oks[i] = x.Get(k)
-	}
-}
-
-func (x *capIndex) InsertBatch(recs []KV, sp *Span) error {
-	x.batched++
-	sp.Add(StageWAL, 9)
-	for _, r := range recs {
-		x.Insert(r.Key, r.Value)
+	for i, op := range ops {
+		switch op.Kind {
+		case OpGet:
+			vals[i], oks[i] = x.Get(op.Key)
+		case OpPut:
+			x.Insert(op.Key, op.Val)
+		case OpDel:
+			oks[i] = x.Delete(op.Key)
+		}
 	}
 	return x.err
 }
 
-func (x *capIndex) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
+func (x *capIndex) Commit(sp *Span) error {
 	x.batched++
-	sp.Add(StageWAL, 11)
-	for i, k := range keys {
-		oks[i] = x.Delete(k)
-	}
+	sp.Add(StageWAL, 9)
 	return x.err
 }
 
@@ -89,43 +86,46 @@ func (x *capIndex) SearchRange(lo, hi Key) []KV {
 	return out
 }
 
+// TestBatchFallbacks: over an index without capabilities Apply is a point
+// loop with sequential semantics (later-wins puts, first-wins deletes) that
+// overwrites the caller's stale answers, Commit is a no-op, and
+// CollectRange scans.
 func TestBatchFallbacks(t *testing.T) {
 	ix := newMapIndex()
-	if err := InsertBatch(ix, []KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}, {Key: 1, Value: 11}}, nil); err != nil {
-		t.Fatalf("InsertBatch fallback: %v", err)
-	}
-	if v, ok := ix.Get(1); !ok || v != 11 {
-		t.Fatalf("later-wins fallback: Get(1) = (%d, %v), want (11, true)", v, ok)
+	ops := []Op{
+		{Kind: OpPut, Key: 1, Val: 10}, {Kind: OpPut, Key: 2, Val: 20}, {Kind: OpPut, Key: 1, Val: 11},
+		{Kind: OpGet, Key: 1}, {Kind: OpGet, Key: 2}, {Kind: OpGet, Key: 3},
+		{Kind: OpDel, Key: 2}, {Kind: OpDel, Key: 2}, {Kind: OpDel, Key: 9}, {Kind: OpGet, Key: 2},
 	}
 	// Result buffers are caller-owned: stale content must be overwritten.
-	vals, oks := []Value{9, 9, 9}, []bool{true, true, true}
-	LookupBatch(ix, []Key{1, 2, 3}, vals, oks, nil)
-	if !reflect.DeepEqual(vals, []Value{11, 20, 0}) || !reflect.DeepEqual(oks, []bool{true, true, false}) {
-		t.Fatalf("LookupBatch fallback = %v, %v", vals, oks)
+	vals, oks := make([]Value, len(ops)), make([]bool, len(ops))
+	for i := range oks {
+		vals[i], oks[i] = 9, true
+	}
+	if err := Apply(ix, ops, vals, oks, nil); err != nil {
+		t.Fatalf("Apply fallback: %v", err)
+	}
+	if !reflect.DeepEqual(vals[3:6], []Value{11, 20, 0}) || !reflect.DeepEqual(oks[3:10], []bool{true, true, false, true, false, false, false}) {
+		t.Fatalf("Apply fallback answered %v, %v", vals, oks)
+	}
+	if err := Commit(ix, nil); err != nil {
+		t.Fatalf("Commit without the capability: %v", err)
 	}
 	got := CollectRange(ix, 0, ^Key(0))
-	want := []KV{{Key: 1, Value: 11}, {Key: 2, Value: 20}}
+	want := []KV{{Key: 1, Value: 11}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CollectRange = %v, want %v", got, want)
 	}
 	if out := CollectRange(ix, 10, 5); out == nil || len(out) != 0 {
 		t.Fatalf("CollectRange inverted interval = %v, want non-nil empty", out)
 	}
-	dels := []bool{false, true, true}
-	if err := DeleteBatch(ix, []Key{2, 2, 9}, dels, nil); err != nil {
-		t.Fatalf("DeleteBatch fallback: %v", err)
-	}
-	if !reflect.DeepEqual(dels, []bool{true, false, false}) {
-		t.Fatalf("DeleteBatch fallback = %v, want [true false false]", dels)
-	}
 
-	// A live span over an index without capabilities: each loop is timed
-	// as the shard stage and no other stage is invented.
+	// A live span over an index without capabilities: the loop is timed as
+	// the shard stage and no other stage is invented.
 	var sp Span
 	sp.Reset(1)
-	LookupBatch(ix, []Key{1}, vals[:1], oks[:1], &sp)
-	InsertBatch(ix, []KV{{Key: 4, Value: 40}}, &sp)
-	DeleteBatch(ix, []Key{4}, dels[:1], &sp)
+	Apply(ix, ops[:4], vals[:4], oks[:4], &sp)
+	Commit(ix, &sp)
 	if sp.Stage(StageShard) <= 0 {
 		t.Fatal("fallback path recorded no shard time")
 	}
@@ -134,27 +134,33 @@ func TestBatchFallbacks(t *testing.T) {
 	}
 }
 
+// TestBatchDispatch: Apply, Commit and CollectRange reach the native
+// capabilities, which own the span's attribution and whose errors are the
+// helpers' errors.
 func TestBatchDispatch(t *testing.T) {
 	ix := &capIndex{mapIndex: newMapIndex()}
 	var sp Span
 	sp.Reset(3)
-	if err := InsertBatch(ix, []KV{{Key: 5, Value: 50}}, &sp); err != nil {
+	vals, oks := make([]Value, 3), make([]bool, 3)
+	if err := Apply(ix, []Op{{Kind: OpPut, Key: 5, Val: 50}, {Kind: OpGet, Key: 5}, {Kind: OpDel, Key: 5}}, vals, oks, &sp); err != nil {
 		t.Fatal(err)
 	}
-	LookupBatch(ix, []Key{5}, make([]Value, 1), make([]bool, 1), &sp)
-	if err := DeleteBatch(ix, []Key{5}, make([]bool, 1), &sp); err != nil {
+	if vals[1] != 50 || !oks[1] || !oks[2] {
+		t.Fatalf("native Apply answered %v, %v", vals, oks)
+	}
+	if err := Commit(ix, &sp); err != nil {
 		t.Fatal(err)
 	}
 	if out := CollectRange(ix, 0, ^Key(0)); out == nil || len(out) != 0 {
 		t.Fatalf("CollectRange did not normalize nil SearchRange result: %v", out)
 	}
-	if ix.batched != 4 {
-		t.Fatalf("native capabilities used %d times, want 4", ix.batched)
+	if ix.batched != 3 {
+		t.Fatalf("native capabilities used %d times, want 3", ix.batched)
 	}
 	// The span reaches the capability, which owns its attribution: the
 	// helper adds nothing on top.
-	if got := sp.Stage(StageWAL); got != 20 {
-		t.Fatalf("span WAL stage = %d, want 20 (9+11)", got)
+	if got := sp.Stage(StageWAL); got != 9 {
+		t.Fatalf("span WAL stage = %d, want 9", got)
 	}
 	if got := sp.Stage(StageShard); got != 7 {
 		t.Fatalf("span shard stage = %d, want 7", got)
@@ -162,11 +168,11 @@ func TestBatchDispatch(t *testing.T) {
 
 	// A write capability's error is the helper's error.
 	ix.err = errors.New("disk on fire")
-	if err := InsertBatch(ix, []KV{{Key: 6, Value: 60}}, nil); err != ix.err {
-		t.Fatalf("InsertBatch error = %v, want %v", err, ix.err)
+	if err := Apply(ix, []Op{{Kind: OpPut, Key: 6, Val: 60}}, vals[:1], oks[:1], nil); err != ix.err {
+		t.Fatalf("Apply error = %v, want %v", err, ix.err)
 	}
-	if err := DeleteBatch(ix, []Key{6}, make([]bool, 1), nil); err != ix.err {
-		t.Fatalf("DeleteBatch error = %v, want %v", err, ix.err)
+	if err := Commit(ix, nil); err != ix.err {
+		t.Fatalf("Commit error = %v, want %v", err, ix.err)
 	}
 }
 

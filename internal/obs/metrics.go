@@ -41,9 +41,8 @@ type Metrics struct {
 	// RangeLen is the result-cardinality histogram of Range scans.
 	RangeLen Histogram
 
-	// Batches counts batched operations (LookupBatch, InsertBatch,
-	// DeleteBatch calls — one increment per batch, not per record; the
-	// per-record work also lands in the operation counters above).
+	// Batches counts Apply calls — one increment per batch, not per op;
+	// the per-op work also lands in the operation counters above.
 	Batches Counter
 	// BatchNS is the whole-batch latency histogram in nanoseconds.
 	BatchNS Histogram

@@ -36,11 +36,11 @@ func startServer(t *testing.T, store serve.Store, cfg serve.Config) *serve.Serve
 // conform-backed differential e2e: the server IS an index
 // ---------------------------------------------------------------------------
 
-// netIndex adapts a live lixserve into conform.MutableIndex with the
-// batch capabilities the stress tier's core helpers detect (MGET and
-// MSET; deletes take the helpers' loop fallback): every operation is a
-// wire round-trip, concurrent
-// goroutines draw connections from a pool, and Close drains the server.
+// netIndex adapts a live lixserve into conform.MutableIndex with the batch
+// capability the stress tier's core.Apply detects (a batch is its ops as
+// GET/SET/DEL frames in one pipelined group): every operation is a wire
+// round-trip, concurrent goroutines draw connections from a pool, and
+// Close drains the server.
 // Running conform.CheckStress over it reuses the whole history-vs-oracle
 // machinery — randomized concurrent writers with disjoint key sets,
 // point/batch/range readers, sequential-oracle quiesce comparison and
@@ -111,27 +111,36 @@ func (n *netIndex) Delete(k core.Key) bool {
 	return ok
 }
 
-var (
-	_ core.BatchLookuper = (*netIndex)(nil)
-	_ core.BatchInserter = (*netIndex)(nil)
-)
+var _ core.Applier = (*netIndex)(nil)
 
-func (n *netIndex) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, _ *core.Span) {
+// frameOf is the request frame each kind of op is sent as.
+var frameOf = [...]wire.Op{core.OpGet: wire.OpGet, core.OpPut: wire.OpSet, core.OpDel: wire.OpDel}
+
+// Apply sends ops as one pipelined group of GET, SET and DEL frames and
+// reads the answers off the replies. The server commits before it
+// replies, so there is nothing left for a Commit.
+func (n *netIndex) Apply(ops []core.Op, vals []core.Value, oks []bool, _ *core.Span) error {
+	reqs := make([]wire.Msg, len(ops))
+	for i, op := range ops {
+		reqs[i] = wire.Msg{Op: frameOf[op.Kind], Key: op.Key, Val: op.Val}
+	}
 	c := n.client()
 	defer n.put(c)
-	gotVals, gotOks, err := c.MGet(keys)
+	reps, err := c.Pipeline(reqs, nil)
 	if err != nil {
-		panic(fmt.Sprintf("e2e: MGET: %v", err))
+		panic(fmt.Sprintf("e2e: pipeline of %d ops: %v", len(ops), err))
 	}
-	if copy(vals, gotVals) != len(keys) || copy(oks, gotOks) != len(keys) {
-		panic(fmt.Sprintf("e2e: MGET of %d keys answered %d vals, %d oks", len(keys), len(gotVals), len(gotOks)))
+	for i, rep := range reps {
+		switch {
+		case rep.Op == wire.RErr:
+			return &wire.ServerError{Msg: rep.Err}
+		case ops[i].Kind == core.OpGet:
+			vals[i], oks[i] = rep.Val, rep.Op == wire.RValue
+		case ops[i].Kind == core.OpDel:
+			oks[i] = rep.Ok
+		}
 	}
-}
-
-func (n *netIndex) InsertBatch(recs []core.KV, _ *core.Span) error {
-	c := n.client()
-	defer n.put(c)
-	return c.MSet(recs)
+	return nil
 }
 
 func (n *netIndex) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
@@ -636,8 +645,8 @@ func TestConnectionLimit(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 // TestPipelinedWritesFsyncAmortization is the acceptance-criteria pin:
-// under -fsync=always, a pipelined write group dispatches through
-// InsertBatch into ONE WAL frame group with ONE group-committed fsync —
+// under -fsync=always, a pipelined write group dispatches through one
+// Apply into ONE WAL frame group with ONE group-committed fsync —
 // while the same writes issued unpipelined pay one fsync each.
 func TestPipelinedWritesFsyncAmortization(t *testing.T) {
 	dir := t.TempDir()
@@ -672,7 +681,7 @@ func TestPipelinedWritesFsyncAmortization(t *testing.T) {
 	}
 
 	// 64 SET frames pipelined in one flush: the server coalesces the run
-	// into one InsertBatch. TCP may occasionally split the delivery, so
+	// into one Apply. TCP may occasionally split the delivery, so
 	// allow a small handful of groups — the point is the two orders of
 	// magnitude against unpipelined.
 	reqs := make([]wire.Msg, 64)

@@ -50,40 +50,11 @@ func (sh *rwShard) delete(k core.Key) bool {
 	return ok
 }
 
-// The run methods do one run of a batch (see run) under a single lock
-// hold, in the run's order; deleteRun reports per position whether the key
-// was live when its turn came.
-
-func (sh *rwShard) lookupRun(keys []core.Key, r run, vals []core.Value, oks []bool) {
-	s := sh.mu.rlock()
-	for j, n := 0, r.len(); j < n; j++ {
-		i := r.at(j)
-		vals[i], oks[i] = sh.ix.Get(keys[i])
-	}
-	sh.mu.runlock(s)
-}
-
-func (sh *rwShard) insertRun(recs []core.KV, r run) {
-	sh.mu.lock()
-	for j, n := 0, r.len(); j < n; j++ {
-		i := r.at(j)
-		sh.ix.Insert(recs[i].Key, recs[i].Value)
-	}
-	sh.mu.unlock()
-}
-
-func (sh *rwShard) deleteRun(keys []core.Key, r run, oks []bool) {
-	sh.mu.lock()
-	for j, n := 0, r.len(); j < n; j++ {
-		i := r.at(j)
-		oks[i] = sh.ix.Delete(keys[i])
-	}
-	sh.mu.unlock()
-}
-
-// applyRun does a run of a mixed batch under one hold: a write hold if
-// any of its ops writes, else a read hold.
-func (sh *rwShard) applyRun(ops []core.Op, r run, vals []core.Value, oks []bool) {
+// applyRun does run r of a batch (see run) under one lock hold, in the
+// run's order: a write hold if any of its ops writes, else a read hold. A
+// delete reports whether its key was live when its turn came.
+func (sh *rwShard) applyRun(b *batchOp, r run) {
+	ops, vals, oks := b.ops, b.vals, b.oks
 	n, write := r.len(), false
 	for j := 0; j < n && !write; j++ {
 		write = ops[r.at(j)].Kind != core.OpGet

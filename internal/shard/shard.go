@@ -53,7 +53,7 @@ type Sharded struct {
 	// fanoutMin is batchParallelMin; the allocation tests lower it to put
 	// small batches through the fan-out regime.
 	fanoutMin int
-	// scratch pools *batchScratch, the fan-out regime's workspace.
+	// scratch pools *batchScratch, the batch driver's workspace.
 	scratch sync.Pool
 }
 

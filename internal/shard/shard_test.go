@@ -48,6 +48,34 @@ func sortedRecs(n int, seed int64) []core.KV {
 	return recs
 }
 
+// putOps, getOps and delOps are same-kind batches: upserts of recs, gets
+// of keys and deletes of keys.
+func putOps(recs []core.KV) []core.Op {
+	ops := make([]core.Op, len(recs))
+	for i, r := range recs {
+		ops[i] = core.Op{Kind: core.OpPut, Key: r.Key, Val: r.Value}
+	}
+	return ops
+}
+
+func getOps(keys []core.Key) []core.Op { return keyOps(core.OpGet, keys) }
+func delOps(keys []core.Key) []core.Op { return keyOps(core.OpDel, keys) }
+
+func keyOps(kind core.OpKind, keys []core.Key) []core.Op {
+	ops := make([]core.Op, len(keys))
+	for i, k := range keys {
+		ops[i] = core.Op{Kind: kind, Key: k}
+	}
+	return ops
+}
+
+// apply does ops on s and returns the answers.
+func apply(s *Sharded, ops []core.Op, sp *core.Span) ([]core.Value, []bool) {
+	vals, oks := make([]core.Value, len(ops)), make([]bool, len(ops))
+	s.Apply(ops, vals, oks, sp)
+	return vals, oks
+}
+
 // onEmpty runs fn on an empty Sharded of the given shard count, in the
 // subtest "rw": these tests ran once per lock mode until the second mode
 // was deleted, and keep the name the one that is left always had.
@@ -216,37 +244,36 @@ func TestShardedRangeEarlyStop(t *testing.T) {
 func TestBatchedOps(t *testing.T) {
 	recs := sortedRecs(1024, 9)
 	onEmpty(t, 8, func(t *testing.T, s *Sharded) {
-		s.InsertBatch(recs, nil)
+		apply(s, putOps(recs), nil)
 		if g, w := s.Len(), len(recs); g != w {
-			t.Fatalf("Len after InsertBatch = %d, want %d", g, w)
+			t.Fatalf("Len after a batch of puts = %d, want %d", g, w)
 		}
 		keys := make([]core.Key, 0, 2*len(recs))
 		for _, r := range recs {
 			keys = append(keys, r.Key, r.Key+1) // hit, (almost surely) miss
 		}
-		vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
-		s.LookupBatch(keys, vals, oks, nil)
+		vals, oks := apply(s, getOps(keys), nil)
 		for i, r := range recs {
 			if !oks[2*i] || vals[2*i] != r.Value {
-				t.Fatalf("LookupBatch[%d] = (%d, %v), want (%d, true)", 2*i, vals[2*i], oks[2*i], r.Value)
+				t.Fatalf("get %d = (%d, %v), want (%d, true)", 2*i, vals[2*i], oks[2*i], r.Value)
 			}
 		}
 		// A batch with duplicate keys: the later record wins, as with a
 		// sequential upsert loop.
 		dup := []core.KV{{Key: 42, Value: 1}, {Key: 42, Value: 2}, {Key: 42, Value: 3}}
-		s.InsertBatch(dup, nil)
+		apply(s, putOps(dup), nil)
 		if v, ok := s.Get(42); !ok || v != 3 {
 			t.Fatalf("Get(42) = (%d, %v) after duplicate batch, want (3, true)", v, ok)
 		}
 	})
 }
 
-// TestInsertBatchDuplicateKeysLastWins is the regression test for the bug
-// the conform stress tier found and shrank: the RCU batch path deduped
-// equal keys after an UNSTABLE sort, so with enough records in the batch
-// the first of two equal-key upserts could win. A large batch with many
-// interleaved duplicates forces the instability.
-func TestInsertBatchDuplicateKeysLastWins(t *testing.T) {
+// TestApplyDuplicateKeysLastWins is the regression test for the bug the
+// conform stress tier found and shrank: the RCU batch path deduped equal
+// keys after an UNSTABLE sort, so with enough records in the batch the
+// first of two equal-key upserts could win. A large batch of puts with
+// many interleaved duplicates forces the instability.
+func TestApplyDuplicateKeysLastWins(t *testing.T) {
 	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
 		const keys, rounds = 64, 8
 		batch := make([]core.KV, 0, keys*rounds)
@@ -255,7 +282,7 @@ func TestInsertBatchDuplicateKeysLastWins(t *testing.T) {
 				batch = append(batch, core.KV{Key: core.Key(k) * 7919, Value: core.Value(round*keys + k)})
 			}
 		}
-		s.InsertBatch(batch, nil)
+		apply(s, putOps(batch), nil)
 		for k := 0; k < keys; k++ {
 			want := core.Value((rounds-1)*keys + k)
 			if v, ok := s.Get(core.Key(k) * 7919); !ok || v != want {
@@ -350,7 +377,7 @@ func TestObserverCountsLockWaits(t *testing.T) {
 func TestShardedStatsAggregates(t *testing.T) {
 	recs := sortedRecs(1000, 13)
 	onEmpty(t, 4, func(t *testing.T, s *Sharded) {
-		s.InsertBatch(recs, nil)
+		apply(s, putOps(recs), nil)
 		st := s.Stats()
 		if st.Count != len(recs) {
 			t.Fatalf("Stats.Count = %d, want %d", st.Count, len(recs))
@@ -386,20 +413,18 @@ func TestConcurrentSmoke(t *testing.T) {
 					case 1:
 						s.Delete(k)
 					case 2:
-						s.InsertBatch([]core.KV{{Key: k, Value: core.Value(k)}, {Key: k + 1_000_003, Value: core.Value(k + 1_000_003)}}, nil)
+						apply(s, putOps([]core.KV{{Key: k, Value: core.Value(k)}, {Key: k + 1_000_003, Value: core.Value(k + 1_000_003)}}), nil)
 					case 3:
 						if v, ok := s.Get(k); ok && v != core.Value(k) {
 							t.Errorf("Get(%d) = %d", k, v)
 							return
 						}
 					case 4:
-						vals, oks := make([]core.Value, 2), make([]bool, 2)
-						s.LookupBatch([]core.Key{k, k + 1}, vals, oks, nil)
+						vals, oks := apply(s, getOps([]core.Key{k, k + 1}), nil)
 						if oks[0] && vals[0] != core.Value(k) {
-							t.Errorf("LookupBatch(%d) = %d", k, vals[0])
+							t.Errorf("batch get %d = %d", k, vals[0])
 							return
 						}
-						_ = oks[1]
 					default:
 						prev := core.Key(0)
 						first := true

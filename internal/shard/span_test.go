@@ -8,10 +8,10 @@ import (
 	"github.com/lix-go/lix/internal/trace"
 )
 
-// TestShardedSpanAttribution pins the span argument of the batch
-// capabilities on the shard layer: the whole cross-shard fan-out lands in
-// the shard stage, nil spans skip the timing, and results are identical
-// either way.
+// TestShardedSpanAttribution pins the span argument of Apply on the shard
+// layer, for batches of puts, gets and deletes: the whole cross-shard
+// batch lands in the shard stage, nil spans skip the timing, and results
+// are identical either way.
 func TestShardedSpanAttribution(t *testing.T) {
 	s, err := New(nil, Config{Shards: 4}, testBuilders())
 	if err != nil {
@@ -27,7 +27,7 @@ func TestShardedSpanAttribution(t *testing.T) {
 	}
 
 	sp := tr.Start(len(recs))
-	s.InsertBatch(recs, sp)
+	apply(s, putOps(recs), sp)
 	if sp.Stage(core.StageShard) <= 0 {
 		t.Errorf("insert shard stage = %v, want > 0", sp.Stage(core.StageShard))
 	}
@@ -37,8 +37,7 @@ func TestShardedSpanAttribution(t *testing.T) {
 	tr.Finish(sp)
 
 	sp = tr.Start(len(keys))
-	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
-	s.LookupBatch(keys, vals, oks, sp)
+	vals, oks := apply(s, getOps(keys), sp)
 	for i := range keys {
 		if !oks[i] || vals[i] != core.Value(i) {
 			t.Fatalf("lookup %d = (%d,%v)", i, vals[i], oks[i])
@@ -50,8 +49,7 @@ func TestShardedSpanAttribution(t *testing.T) {
 	tr.Finish(sp)
 
 	sp = tr.Start(len(keys))
-	delOks := make([]bool, len(keys))
-	s.DeleteBatch(keys, delOks, sp)
+	_, delOks := apply(s, delOps(keys), sp)
 	for i, ok := range delOks {
 		if !ok {
 			t.Fatalf("delete %d missed", i)
@@ -66,11 +64,11 @@ func TestShardedSpanAttribution(t *testing.T) {
 	}
 
 	// Nil spans: plain passthrough on all three.
-	s.InsertBatch(recs[:4], nil)
-	if s.LookupBatch(keys[:4], vals[:4], oks[:4], nil); !oks[0] || vals[0] != 0 {
+	apply(s, putOps(recs[:4]), nil)
+	if vals, oks := apply(s, getOps(keys[:4]), nil); !oks[0] || vals[0] != 0 {
 		t.Error("nil-span lookup broken")
 	}
-	if s.DeleteBatch(keys[:4], delOks[:4], nil); !delOks[3] {
+	if _, oks := apply(s, delOps(keys[:4]), nil); !oks[3] {
 		t.Error("nil-span delete broken")
 	}
 }

@@ -56,8 +56,8 @@ func kvs(base, n int) []core.KV {
 	return recs
 }
 
-// puts and dels are upserts of recs and deletes of keys as the ops of a
-// mixed batch.
+// puts, dels and gets are upserts of recs, deletes of keys and gets of
+// keys as the ops of a batch.
 func puts(recs []core.KV) []core.Op {
 	ops := make([]core.Op, len(recs))
 	for i, r := range recs {
@@ -66,10 +66,13 @@ func puts(recs []core.KV) []core.Op {
 	return ops
 }
 
-func dels(keys ...core.Key) []core.Op {
+func dels(keys ...core.Key) []core.Op { return keyOps(core.OpDel, keys) }
+func gets(keys ...core.Key) []core.Op { return keyOps(core.OpGet, keys) }
+
+func keyOps(kind core.OpKind, keys []core.Key) []core.Op {
 	ops := make([]core.Op, len(keys))
 	for i, k := range keys {
-		ops[i] = core.Op{Kind: core.OpDel, Key: k}
+		ops[i] = core.Op{Kind: kind, Key: k}
 	}
 	return ops
 }
@@ -77,6 +80,15 @@ func dels(keys ...core.Key) []core.Op {
 // apply is d.Apply with its answers dropped: the uncommitted write.
 func apply(d *Durable, ops []core.Op, sp *core.Span) error {
 	return d.Apply(ops, make([]core.Value, len(ops)), make([]bool, len(ops)), sp)
+}
+
+// applyCommit is apply followed by the commit that acknowledges it: the
+// committed batch write.
+func applyCommit(d *Durable, ops []core.Op, sp *core.Span) error {
+	if err := apply(d, ops, sp); err != nil {
+		return err
+	}
+	return d.Commit(sp)
 }
 
 // TestWALWriteErrorIsSticky: after a failed or short write(2) the file may
@@ -161,7 +173,7 @@ func TestDurableFailedCommitLatches(t *testing.T) {
 	if err := d.Put(1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.InsertBatch(kvs(100, 5), nil); err != nil {
+	if err := applyCommit(d, puts(kvs(100, 5)), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := apply(d, puts(kvs(200, 3)), nil); err != nil {
@@ -174,13 +186,13 @@ func TestDurableFailedCommitLatches(t *testing.T) {
 	if err := d.Commit(nil); err != first {
 		t.Fatalf("second Commit = %v: records applied before the failure are still not in the log", err)
 	}
-	oks := make([]bool, 1)
+	oks := []bool{true}
 	for name, err := range map[string]error{
-		"Put":         d.Put(2, 20),
-		"InsertBatch": d.InsertBatch(kvs(300, 2), nil),
-		"Apply":       apply(d, puts(kvs(400, 2)), nil),
-		"DeleteBatch": d.DeleteBatch([]core.Key{1}, oks, nil),
-		"Sync":        d.Sync(),
+		"Put":          d.Put(2, 20),
+		"Apply+Commit": applyCommit(d, puts(kvs(300, 2)), nil),
+		"Apply":        apply(d, puts(kvs(400, 2)), nil),
+		"Apply del":    d.Apply(dels(1), make([]core.Value, 1), oks, nil),
+		"Sync":         d.Sync(),
 	} {
 		if err != first {
 			t.Errorf("%s on the latched store = %v, want %v", name, err, first)
@@ -317,11 +329,10 @@ func TestCommittedWritesSurviveCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oks := make([]bool, 2)
 			steps := []error{
 				d.Put(1, 1),
-				d.InsertBatch(kvs(10, 2*walChunk+5), nil), // more than one chunk of the buffer
-				d.DeleteBatch([]core.Key{10, 11}, oks, nil),
+				applyCommit(d, puts(kvs(10, 2*walChunk+5)), nil), // more than one chunk of the buffer
+				applyCommit(d, dels(10, 11), nil),
 				apply(d, puts(kvs(5000, 3)), nil),
 				apply(d, dels(12, 5001), nil),
 				d.Commit(nil),
@@ -504,7 +515,7 @@ func TestApplyRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer d.Close()
-				if err := d.InsertBatch(kvs(1, 2), nil); err != nil { // 1→2, 2→3
+				if err := applyCommit(d, puts(kvs(1, 2)), nil); err != nil { // 1→2, 2→3
 					t.Fatal(err)
 				}
 				if how == "latched" {

@@ -57,9 +57,8 @@ type RecoveryInfo struct {
 	// TruncatedBytes counts torn or corrupt tail bytes discarded across
 	// segments.
 	TruncatedBytes int64
-	// CorruptSnapshots counts manifest generations (and, in a directory of
-	// the retired snapshot engine, snapshots) that failed validation and
-	// were skipped.
+	// CorruptSnapshots counts manifest generations that failed validation
+	// and were skipped.
 	CorruptSnapshots int
 	// Runs is the number of sorted runs loaded.
 	Runs int
@@ -139,19 +138,18 @@ func walPath(dir string, gen uint64, seg int) string {
 	return filepath.Join(dir, fmt.Sprintf("wal-%016x-%03d.lix", gen, seg))
 }
 
-// dirState is the generation inventory of a store directory. snaps are
-// the checkpoints of the retired snapshot-rewrite engine (snap-<gen>.lix),
-// which Open still converts.
+// dirState is the generation inventory of a store directory.
 type dirState struct {
-	snaps     map[uint64]string
 	wals      map[uint64][]string // every wal-<gen>-<seg>.lix, by generation
 	manifests map[uint64]string
 	runs      map[uint64]string
 }
 
+// scanDir takes the inventory of dir. A checkpoint of the retired
+// snapshot-rewrite engine (snap-<gen>.lix) is an error naming the file:
+// this version neither converts nor ignores that layout.
 func scanDir(dir string) (dirState, error) {
 	st := dirState{
-		snaps:     map[uint64]string{},
 		wals:      map[uint64][]string{},
 		manifests: map[uint64]string{},
 		runs:      map[uint64]string{},
@@ -160,7 +158,7 @@ func scanDir(dir string) (dirState, error) {
 	if err != nil {
 		return st, err
 	}
-	single := map[string]map[uint64]string{"snap": st.snaps, "lsm": st.manifests, "sst": st.runs}
+	single := map[string]map[uint64]string{"lsm": st.manifests, "sst": st.runs}
 	for _, e := range entries {
 		name := e.Name()
 		prefix, _, _ := strings.Cut(name, "-")
@@ -173,6 +171,9 @@ func scanDir(dir string) (dirState, error) {
 			if _, err := fmt.Sscanf(name, prefix+"-%016x.lix", &gen); err == nil {
 				byGen[gen] = filepath.Join(dir, name)
 			}
+		} else if _, err := fmt.Sscanf(name, "snap-%016x.lix", &gen); err == nil {
+			return st, fmt.Errorf("store: %s is a checkpoint of the retired snapshot-rewrite engine, a layout this version does not open",
+				filepath.Join(dir, name))
 		} else if _, err := fmt.Sscanf(name, "wal-%016x-%03d.lix", &gen, &seg); err == nil {
 			st.wals[gen] = append(st.wals[gen], filepath.Join(dir, name))
 		}
@@ -181,7 +182,7 @@ func scanDir(dir string) (dirState, error) {
 }
 
 func (st dirState) empty() bool {
-	return len(st.snaps) == 0 && len(st.wals) == 0 && len(st.manifests) == 0 && len(st.runs) == 0
+	return len(st.wals) == 0 && len(st.manifests) == 0 && len(st.runs) == 0
 }
 
 // ---------------------------------------------------------------------------
@@ -210,7 +211,7 @@ func Create(dir string, cfg Config, build BuildFunc, recs []core.KV) (*Durable, 
 	if err != nil {
 		return nil, err
 	}
-	if d.runs, d.runRefs, err = writeBase(dir, 1, 1, d.meta, recs, 0); err != nil {
+	if d.runs, d.runRefs, err = writeBase(dir, d.meta, recs); err != nil {
 		d.Close()
 		return nil, err
 	}
@@ -226,8 +227,9 @@ func Create(dir string, cfg Config, build BuildFunc, recs []core.KV) (*Durable, 
 // after it (CRC-validated, torn or corrupt tails passed over) and folds the
 // records past the manifest's watermark into one more sorted delta — the
 // WAL tail is the newest run, not yet written — whose last-wins merge over
-// the runs is the record set the index is rebuilt from. A directory of the
-// retired snapshot-rewrite engine is converted first.
+// the runs is the record set the index is rebuilt from. A directory that
+// holds a checkpoint of the retired snapshot-rewrite engine (snap-<gen>.lix)
+// is an error naming the file, and Open leaves it untouched.
 func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 	start := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -238,14 +240,6 @@ func Open(dir string, cfg Config, build BuildFunc) (*Durable, error) {
 		return nil, err
 	}
 	var info RecoveryInfo
-	if len(st.manifests) == 0 && len(st.snaps) > 0 {
-		if err := convertLegacy(dir, st, &info); err != nil {
-			return nil, err
-		}
-		if st, err = scanDir(dir); err != nil {
-			return nil, err
-		}
-	}
 	man, runs, datas, err := openRuns(dir, st, &info)
 	if err != nil {
 		return nil, err
@@ -584,20 +578,6 @@ func (d *Durable) SearchRange(lo, hi core.Key) []core.KV {
 // diagnostics; mutating it directly bypasses the WAL).
 func (d *Durable) Unwrap() MutableIndex { return d.ix }
 
-// LookupBatch resolves keys into the caller's vals and oks slices
-// through the wrapped index's batched path when it has one. Reads
-// never touch the WAL, so the durable layer adds no stages of its own:
-// the whole in-memory batch is the span's shard stage, timed here and
-// not forwarded (no double count).
-func (d *Durable) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp *core.Span) {
-	defer sp.End(core.StageShard, sp.Begin())
-	if !d.concReads {
-		d.segMu[0].RLock()
-		defer d.segMu[0].RUnlock()
-	}
-	core.LookupBatch(d.ix, keys, vals, oks, nil)
-}
-
 // ---------------------------------------------------------------------------
 // Writes
 // ---------------------------------------------------------------------------
@@ -634,24 +614,23 @@ func (d *Durable) logOne(op OpKind, k core.Key, v core.Value) (applied bool, err
 	}
 	d.segMu[seg].Unlock()
 	d.stateMu.RUnlock()
-	return applied, d.finish(w, off, 1, true, nil, err)
+	if err == nil {
+		err = w.Commit(off, d.cfg.Fsync == SyncAlways, nil)
+	}
+	return applied, d.finish(1, err)
 }
 
-// finish ends a write of n records appended to w up to off with err: it
-// commits (unless the append failed, or the caller will), counts the
-// records toward the next checkpoint, and latches a failure, returning the
-// latched Err — this call's, unless a concurrent writer's came earlier.
-func (d *Durable) finish(w *WAL, off int64, n int, commit bool, sp *core.Span, err error) error {
-	if err == nil && commit {
-		err = w.Commit(off, d.cfg.Fsync == SyncAlways, sp)
-	}
+// finish ends a write of n records with err: it counts the records toward
+// the next checkpoint and latches a failure, returning the latched Err —
+// this call's, unless a concurrent writer's came earlier.
+func (d *Durable) finish(n int, err error) error {
 	d.bumpCheckpoint(n)
 	return d.fail(err)
 }
 
 // Insert implements MutableIndex. I/O errors latch into Err and turn
-// further mutations into no-ops; callers that need the error use Put or
-// InsertBatch.
+// further mutations into no-ops; callers that need the error use Put, or
+// Apply and Commit.
 func (d *Durable) Insert(k core.Key, v core.Value) { d.Put(k, v) }
 
 // Delete implements MutableIndex; see Insert for error handling.
@@ -660,19 +639,19 @@ func (d *Durable) Delete(k core.Key) bool {
 	return ok
 }
 
-// lockSegments takes, in ascending order, the lock of every segment a key
+// lockSegments takes, in ascending order, the lock of every segment a write
 // of the batch routes to, and returns the set for unlockSegments. The set
 // is a 64-bit mask over segment numbers mod 64, so beyond 64 segments it
 // holds some the batch does not touch — more exclusion than needed, never
 // less, and the ascending order keeps two batches from deadlocking.
-func (d *Durable) lockSegments(b batch) (mask uint64) {
+func (d *Durable) lockSegments(ops []core.Op) (mask uint64) {
 	if d.segments == 1 {
 		d.segMu[0].Lock()
 		return 1
 	}
-	for i, n := 0, b.len(); i < n; i++ {
-		if r, ok := b.record(i); ok {
-			mask |= 1 << (d.seg(r.Key) & 63)
+	for i := range ops {
+		if ops[i].Kind != core.OpGet {
+			mask |= 1 << (d.seg(ops[i].Key) & 63)
 		}
 	}
 	for seg := range d.segMu {
@@ -691,72 +670,37 @@ func (d *Durable) unlockSegments(mask uint64) {
 	}
 }
 
-// write is the three batch entry points: the n writes of b (n > 0, the
-// store not latched), deletes answered into oks and a mixed batch's gets
-// into vals and oks. Under the locks of the segments the batch writes it
-// numbers the records, frames them into the log's buffer (the span's wal
-// stage) and hands the whole batch to the wrapped index's batch capability
-// (the shard stage; the span is not forwarded, and a sharded index fans a
-// large batch out itself); a failed append applies nothing. With commit it
-// then commits the log up to the batch's end, the write in the wal stage
-// and the fsync in the fsync stage.
-func (d *Durable) write(b batch, n int, vals []core.Value, oks []bool, commit bool, sp *core.Span) error {
+// write logs and applies the n writes of ops (n > 0, the store not
+// latched), answering its gets into vals and oks and its deletes into oks.
+// Under the locks of the segments the batch writes it numbers the records,
+// frames them into the log's buffer (the span's wal stage) and hands the
+// whole batch to the wrapped index's batch capability (the shard stage;
+// the span is not forwarded, and a sharded index fans a large batch out
+// itself); a failed append applies nothing. It does not commit.
+func (d *Durable) write(ops []core.Op, n int, vals []core.Value, oks []bool, sp *core.Span) error {
 	d.stateMu.RLock()
 	w := d.wal
-	mask := d.lockSegments(b)
+	mask := d.lockSegments(ops)
 	t0 := sp.Begin()
-	off, err := w.AppendBatch(b, d.seq.Add(uint64(n))-uint64(n)+1)
+	err := w.AppendBatch(ops, d.seq.Add(uint64(n))-uint64(n)+1)
 	sp.End(core.StageWAL, t0)
 	if err == nil {
 		t0 = sp.Begin()
-		switch {
-		case b.recs != nil:
-			err = core.InsertBatch(d.ix, b.recs, nil)
-		case b.keys != nil:
-			err = core.DeleteBatch(d.ix, b.keys, oks, nil)
-		default:
-			err = core.Apply(d.ix, b.ops, vals, oks, nil)
-		}
+		err = core.Apply(d.ix, ops, vals, oks, nil)
 		sp.End(core.StageShard, t0)
 	}
 	d.unlockSegments(mask)
 	d.stateMu.RUnlock()
-	return d.finish(w, off, n, commit, sp, err)
+	return d.finish(n, err)
 }
 
-// InsertBatch durably upserts recs: one pass through the log and the index
-// (see write) and one commit, duplicate keys resolving later-wins. A
-// call that hits an I/O error returns the store's latched Err — its own
-// failure, unless a concurrent writer's came earlier — having applied
-// nothing if the append failed, everything if the commit did (the store is
-// latched either way). A store that has already failed returns Err with
-// nothing done.
-func (d *Durable) InsertBatch(recs []core.KV, sp *core.Span) error {
-	if err := d.Err(); err != nil || len(recs) == 0 {
-		return err
-	}
-	return d.write(batch{recs: recs}, len(recs), nil, nil, true, sp)
-}
-
-// DeleteBatch durably removes keys with the same framing, span attribution
-// and error contract as InsertBatch. oks (len(keys), caller-owned) is
-// overwritten: oks[i] reports whether keys[i] was present, with sequential
-// (first-wins on duplicates) semantics inside the batch, and false for
-// every key when the append failed.
-func (d *Durable) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
-	clear(oks)
-	if err := d.Err(); err != nil || len(keys) == 0 {
-		return err
-	}
-	return d.write(batch{keys: keys}, len(keys), nil, oks, true, sp)
-}
-
-// Apply and Commit are the core.Applier and core.Committer capabilities:
-// a mixed batch applied and logged without a commit — its writes framed
-// in one append under one hold of the locks they need; gets alone touch
-// neither — and the commit of everything applied so far, through any
-// entry point, as one log write. Until Commit returns nil the caller lets
-// no acknowledgement out, nor a read that may have seen such a write. On a
+// Apply and Commit are the core.Applier and core.Committer capabilities,
+// the store's one batch entry point: a batch applied and logged without a
+// commit — its writes framed in one append under one hold of the locks
+// they need; gets alone touch neither, and are the span's shard stage
+// alone — and the commit of everything applied so far, through any entry
+// point, as one log write. Until Commit returns nil the caller lets no
+// acknowledgement out, nor a read that may have seen such a write. On a
 // latched store or a failed append Apply applies no write, answers the
 // gets from memory (every delete false) and returns the error.
 func (d *Durable) Apply(ops []core.Op, vals []core.Value, oks []bool, sp *core.Span) error {
@@ -776,7 +720,7 @@ func (d *Durable) Apply(ops []core.Op, vals []core.Value, oks []bool, sp *core.S
 	}
 	err := d.Err()
 	if err == nil {
-		if err = d.write(batch{ops: ops}, n, vals, oks, false, sp); err == nil {
+		if err = d.write(ops, n, vals, oks, sp); err == nil {
 			return nil
 		}
 	}

@@ -491,20 +491,20 @@ func TestDurableBatchErrorSurface(t *testing.T) {
 		return recs
 	}
 	writes := []write{
-		{"InsertBatch", func(d *Durable, base core.Key, n int) error {
-			return d.InsertBatch(recsFrom(base, n), nil)
+		{"ApplyPuts", func(d *Durable, base core.Key, n int) error {
+			return applyCommit(d, puts(recsFrom(base, n)), nil)
 		}},
-		{"DeleteBatch", func(d *Durable, base core.Key, n int) error {
+		{"ApplyDels", func(d *Durable, base core.Key, n int) error {
 			// Half the keys are live (the preload), half are not: either
 			// way a failed delete must report false and remove nothing.
-			keys, oks := make([]core.Key, n), make([]bool, n)
-			for i := range keys {
-				keys[i], oks[i] = core.Key(i), true
+			ops, oks := make([]core.Op, n), make([]bool, n)
+			for i := range ops {
+				ops[i], oks[i] = core.Op{Kind: core.OpDel, Key: core.Key(i)}, true
 			}
-			err := d.DeleteBatch(keys, oks, nil)
+			err := d.Apply(ops, make([]core.Value, n), oks, nil)
 			for i, ok := range oks {
 				if ok {
-					t.Errorf("failed DeleteBatch reported key %d deleted", keys[i])
+					t.Errorf("failed delete reported key %d deleted", ops[i].Key)
 					break
 				}
 			}
@@ -521,7 +521,7 @@ func TestDurableBatchErrorSurface(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := d.InsertBatch(recsFrom(0, preload), nil); err != nil {
+				if err := applyCommit(d, puts(recsFrom(0, preload)), nil); err != nil {
 					t.Fatal(err)
 				}
 				if err := d.Crash(); err != nil {
@@ -563,8 +563,8 @@ func TestDurableBatchErrorSurface(t *testing.T) {
 	}
 }
 
-// TestDurableBatchRegimes drives InsertBatch and DeleteBatch with one and
-// with four segments, at sizes on both sides of batchParallelMin and of
+// TestDurableBatchRegimes drives batches of puts and of deletes through
+// Apply and Commit with one and with four segments, at sizes on both sides of batchParallelMin and of
 // the log's walChunk (a batch is framed walChunk records per hold of the
 // buffer), with duplicate keys in every batch.
 // Either way the batch must behave like the sequential loop (later-wins
@@ -588,7 +588,7 @@ func TestDurableBatchRegimes(t *testing.T) {
 						recs[i] = core.KV{Key: core.Key((i*7 + round) % (n/2 + 1)), Value: core.Value(1000*round + i)}
 						want[recs[i].Key] = recs[i].Value
 					}
-					if err := d.InsertBatch(recs, nil); err != nil {
+					if err := applyCommit(d, puts(recs), nil); err != nil {
 						t.Fatal(err)
 					}
 
@@ -600,8 +600,11 @@ func TestDurableBatchRegimes(t *testing.T) {
 						delete(want, keys[i])
 					}
 					oks := make([]bool, len(keys))
-					if err := d.DeleteBatch(keys, oks, nil); err != nil || !reflect.DeepEqual(oks, wantOKs) {
-						t.Fatalf("round %d: DeleteBatch oks diverge from the sequential loop (err %v)", round, err)
+					if err := d.Apply(dels(keys...), make([]core.Value, len(keys)), oks, nil); err != nil || !reflect.DeepEqual(oks, wantOKs) {
+						t.Fatalf("round %d: delete oks diverge from the sequential loop (err %v)", round, err)
+					}
+					if err := d.Commit(nil); err != nil {
+						t.Fatal(err)
 					}
 				}
 				check := func(d *Durable, when string) {

@@ -61,8 +61,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(encodeSnapshot(&SnapshotData{}))
 	f.Add(encodeSnapshot(&SnapshotData{
 		Meta:    map[string]string{"kind": "btree"},
-		Recs:    []core.KV{{Key: 1, Value: 2}, {Key: 3, Value: 4}},
 		LastSeq: 9,
+		Runs:    []RunRef{{ID: 2, Live: 5, Seq: 9, MinKey: 1, MaxKey: 3}, {ID: 1, Live: 1, Dead: 1, Seq: 4}},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeSnapshot(data)
@@ -74,7 +74,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of accepted snapshot rejected: %v", err)
 		}
-		if len(s2.Recs) != len(s.Recs) || s2.LastSeq != s.LastSeq || len(s2.Meta) != len(s.Meta) {
+		if len(s2.Runs) != len(s.Runs) || s2.LastSeq != s.LastSeq || len(s2.Meta) != len(s.Meta) {
 			t.Fatal("accepted snapshot does not round-trip")
 		}
 	})

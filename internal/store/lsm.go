@@ -21,7 +21,7 @@ import (
 //
 // File layout next to the log:
 //
-//	lsm-<gen>.lix  manifest — snapshot codec, empty record section, runs
+//	lsm-<gen>.lix  manifest — snapshot codec: meta, watermark, and the runs
 //	               section listing the live runs newest first
 //	sst-<id>.lix   immutable sorted run (internal/sst format)
 //
@@ -82,51 +82,25 @@ func writeRun(dir string, id uint64, fd *sst.FileData) (*sst.Reader, RunRef, err
 	}, nil
 }
 
-// writeBase makes recs the whole durable content of the store at dir: run
-// runID (when recs is non-empty), then manifest gen listing it.
-func writeBase(dir string, gen, runID uint64, meta map[string]string, recs []core.KV, lastSeq uint64) ([]*sst.Reader, []RunRef, error) {
+// writeBase makes recs the whole durable content of a fresh store at dir:
+// run 1 (when recs is non-empty), then manifest generation 1 listing it.
+func writeBase(dir string, meta map[string]string, recs []core.KV) ([]*sst.Reader, []RunRef, error) {
 	var runs []*sst.Reader
 	var refs []RunRef
 	if len(recs) > 0 {
-		r, ref, err := writeRun(dir, runID, &sst.FileData{Live: recs, Seq: lastSeq})
+		r, ref, err := writeRun(dir, 1, &sst.FileData{Live: recs})
 		if err != nil {
 			return nil, nil, err
 		}
 		runs, refs = []*sst.Reader{r}, []RunRef{ref}
 	}
-	return runs, refs, writeManifest(dir, gen, meta, lastSeq, refs)
+	return runs, refs, writeManifest(dir, 1, meta, 0, refs)
 }
 
 // writeManifest durably publishes refs, newest first, as the run list of
 // generation gen; lastSeq is the WAL watermark the runs cover.
 func writeManifest(dir string, gen uint64, meta map[string]string, lastSeq uint64, refs []RunRef) error {
 	return WriteSnapshot(manifestPath(dir, gen), &SnapshotData{Meta: meta, LastSeq: lastSeq, Runs: refs})
-}
-
-// convertLegacy turns a directory of the retired snapshot-rewrite engine
-// (snap-<gen>.lix, no manifest) into runs before it is served: the newest
-// valid snapshot's records become one run with the snapshot's watermark, a
-// manifest is published at the snapshot's generation, and GC removes the
-// snapshots. The order is the flush's, so a crash anywhere is safe: with
-// no manifest yet the next Open converts again and the orphaned run is
-// garbage, with one the leftover snapshot is. Corrupt snapshots are
-// skipped and counted; if none decodes, recovery proceeds from the WAL
-// alone, as that engine's did.
-func convertLegacy(dir string, st dirState, info *RecoveryInfo) error {
-	for _, gen := range gensDesc(st.snaps) {
-		snap, err := ReadSnapshot(st.snaps[gen])
-		if err != nil {
-			info.CorruptSnapshots++
-			continue
-		}
-		_, refs, err := writeBase(dir, gen, nextRunID(st), snap.Meta, snap.Recs, snap.LastSeq)
-		if err != nil {
-			return err
-		}
-		gcDir(dir, gen, refs)
-		return nil
-	}
-	return nil
 }
 
 // openRuns loads the newest decodable manifest and opens every run it
@@ -267,8 +241,8 @@ func (d *Durable) flush(old *WAL, newGen, lastSeq uint64) error {
 }
 
 // gcDir removes what manifest generation keepGen has superseded: older
-// manifests and WAL generations, run files refs does not list (crash
-// orphans), and the snapshot files of a converted directory.
+// manifests and WAL generations, and run files refs does not list (crash
+// orphans).
 func gcDir(dir string, keepGen uint64, refs []RunRef) {
 	st, err := scanDir(dir)
 	if err != nil {
@@ -290,9 +264,6 @@ func gcDir(dir string, keepGen uint64, refs []RunRef) {
 		delete(st.runs, ref.ID)
 	}
 	for _, path := range st.runs {
-		os.Remove(path)
-	}
-	for _, path := range st.snaps {
 		os.Remove(path)
 	}
 	syncDir(dir)

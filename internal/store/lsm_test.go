@@ -491,7 +491,7 @@ func TestOpenTrainsNothing(t *testing.T) {
 		for i := range recs {
 			recs[i] = core.KV{Key: core.Key(b*perRun + i), Value: core.Value(b)}
 		}
-		if err := d.InsertBatch(recs, nil); err != nil {
+		if err := applyCommit(d, puts(recs), nil); err != nil {
 			t.Fatal(err)
 		}
 		before := len(d.Runs())

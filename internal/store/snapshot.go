@@ -11,9 +11,8 @@ import (
 	"github.com/lix-go/lix/internal/core"
 )
 
-// Snapshot codec: the format of the manifest (lsm-<gen>.lix) and of the
-// retired snapshot-rewrite engine's checkpoints (snap-<gen>.lix), which
-// Open converts. A file is a magic string followed by CRC32C-framed sections:
+// Snapshot codec: the format of the manifest (lsm-<gen>.lix). A file is a
+// magic string followed by CRC32C-framed sections:
 //
 //	file:    magic "LIXSNAP1" | section*
 //	section: u8 id | u64 payload length | payload | u32 CRC32C(id, length, payload)
@@ -21,20 +20,20 @@ import (
 // Sections (in write order):
 //
 //	meta (1):    u32 pair count | (u16 klen, key bytes, u16 vlen, value bytes)*
-//	records (2): u64 count | (u64 key, u64 value)* — sorted ascending by
-//	             key; empty in a manifest
 //	state (3):   u64 last committed WAL sequence number
 //	runs (4):    u32 run count | (u64 id, u64 live, u64 dead, u64 seq,
 //	             u64 minKey, u64 maxKey)* — the run list, newest first
-//	             (absent when empty and from snapshot-engine files)
-//	footer (240): u64 record count echo — marks the file complete
+//	             (absent when empty)
+//	footer (240): u64 0 — marks the file complete
 //
-// All integers are little-endian. A reader accepts a snapshot only if
-// every section's CRC validates and the footer is present with a matching
-// record count; anything else (torn write, bit rot, partial copy) makes
-// the whole file invalid and recovery falls back to the previous
-// generation. Writers get atomicity from temp-file-then-rename: the final
-// name only ever refers to a fully written, fsynced file.
+// Section 2 held the records of the retired snapshot-rewrite engine's
+// checkpoints; manifests of earlier versions carry it empty (u64 count 0),
+// and a reader accepts it only so. All integers are little-endian. A
+// reader accepts a snapshot only if every section's CRC validates and the
+// footer is present and 0; anything else (torn write, bit rot, partial
+// copy) makes the whole file invalid and recovery falls back to the
+// previous generation. Writers get atomicity from temp-file-then-rename:
+// the final name only ever refers to a fully written, fsynced file.
 const (
 	snapMagic = "LIXSNAP1"
 
@@ -50,13 +49,11 @@ const (
 	maxSnapSection = 1 << 30
 )
 
-// SnapshotData is the logical content of one file of the codec: the
-// rebuild parameters, the WAL sequence high-water mark at checkpoint time,
-// and either the sorted-run files, newest first (a manifest: Recs stays
-// empty), or the full record set (a snapshot-engine checkpoint).
+// SnapshotData is the logical content of a manifest: the rebuild
+// parameters, the WAL sequence high-water mark at checkpoint time, and the
+// sorted-run files, newest first.
 type SnapshotData struct {
 	Meta    map[string]string
-	Recs    []core.KV
 	LastSeq uint64
 	Runs    []RunRef
 }
@@ -104,18 +101,11 @@ func encodeSnapshot(s *SnapshotData) []byte {
 		meta = append(meta, s.Meta[k]...)
 	}
 
-	recs := binary.LittleEndian.AppendUint64(nil, uint64(len(s.Recs)))
-	for _, r := range s.Recs {
-		recs = binary.LittleEndian.AppendUint64(recs, r.Key)
-		recs = binary.LittleEndian.AppendUint64(recs, r.Value)
-	}
-
 	state := binary.LittleEndian.AppendUint64(nil, s.LastSeq)
-	footer := binary.LittleEndian.AppendUint64(nil, uint64(len(s.Recs)))
+	footer := binary.LittleEndian.AppendUint64(nil, 0)
 
 	buf := append([]byte(nil), snapMagic...)
 	buf = appendSection(buf, secMeta, meta)
-	buf = appendSection(buf, secRecords, recs)
 	buf = appendSection(buf, secState, state)
 	if len(s.Runs) > 0 {
 		runs := binary.LittleEndian.AppendUint32(nil, uint32(len(s.Runs)))
@@ -160,11 +150,9 @@ func DecodeSnapshot(data []byte) (*SnapshotData, error) {
 				return nil, err
 			}
 		case secRecords:
-			recs, err := decodeRecs(payload)
-			if err != nil {
-				return nil, err
+			if len(payload) != 8 || binary.LittleEndian.Uint64(payload) != 0 {
+				return nil, fmt.Errorf("store: snapshot: records section of %d bytes (only the empty one is read)", len(payload))
 			}
-			s.Recs = recs
 		case secState:
 			if len(payload) != 8 {
 				return nil, fmt.Errorf("store: snapshot: state section has %d bytes", len(payload))
@@ -189,8 +177,8 @@ func DecodeSnapshot(data []byte) (*SnapshotData, error) {
 	if !sawFooter {
 		return nil, fmt.Errorf("store: snapshot: missing footer (incomplete file)")
 	}
-	if footerCount != uint64(len(s.Recs)) {
-		return nil, fmt.Errorf("store: snapshot: footer records %d, section holds %d", footerCount, len(s.Recs))
+	if footerCount != 0 {
+		return nil, fmt.Errorf("store: snapshot: footer records %d, want 0", footerCount)
 	}
 	return s, nil
 }
@@ -229,25 +217,6 @@ func decodeStr(p []byte, off int) (string, int, error) {
 		return "", 0, fmt.Errorf("store: snapshot: torn meta string at %d", off)
 	}
 	return string(p[off : off+n]), off + n, nil
-}
-
-func decodeRecs(p []byte) ([]core.KV, error) {
-	if len(p) < 8 {
-		return nil, fmt.Errorf("store: snapshot: records section has %d bytes", len(p))
-	}
-	n := binary.LittleEndian.Uint64(p)
-	if uint64(len(p)-8) != n*16 {
-		return nil, fmt.Errorf("store: snapshot: records section declares %d records in %d bytes", n, len(p)-8)
-	}
-	recs := make([]core.KV, n)
-	for i := range recs {
-		recs[i].Key = binary.LittleEndian.Uint64(p[8+16*i:])
-		recs[i].Value = binary.LittleEndian.Uint64(p[16+16*i:])
-		if i > 0 && recs[i].Key <= recs[i-1].Key {
-			return nil, fmt.Errorf("store: snapshot: records not strictly ascending at %d", i)
-		}
-	}
-	return recs, nil
 }
 
 func decodeRuns(p []byte) ([]RunRef, error) {

@@ -2,9 +2,10 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
@@ -18,12 +19,22 @@ func testKVs(n int) []core.KV {
 	return out
 }
 
+// testRuns is a run list of n entries, newest first.
+func testRuns(n int) []RunRef {
+	out := make([]RunRef, n)
+	for i := range out {
+		id := uint64(n - i)
+		out[i] = RunRef{ID: id, Live: 10 * id, Dead: id, Seq: 100 * id, MinKey: core.Key(id), MaxKey: core.Key(1000 * id)}
+	}
+	return out
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.lix")
 	in := &SnapshotData{
 		Meta:    map[string]string{"kind": "btree", "shards": "4"},
-		Recs:    testKVs(1000),
 		LastSeq: 42,
+		Runs:    testRuns(20),
 	}
 	if err := WriteSnapshot(path, in); err != nil {
 		t.Fatalf("write: %v", err)
@@ -32,13 +43,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if out.LastSeq != 42 || len(out.Recs) != 1000 {
-		t.Fatalf("round trip: seq=%d recs=%d", out.LastSeq, len(out.Recs))
-	}
-	for i := range in.Recs {
-		if out.Recs[i] != in.Recs[i] {
-			t.Fatalf("record %d: %v != %v", i, out.Recs[i], in.Recs[i])
-		}
+	if out.LastSeq != 42 || !reflect.DeepEqual(out.Runs, in.Runs) {
+		t.Fatalf("round trip: seq=%d runs=%v", out.LastSeq, out.Runs)
 	}
 	if out.Meta["kind"] != "btree" || out.Meta["shards"] != "4" {
 		t.Fatalf("meta %v", out.Meta)
@@ -54,7 +60,7 @@ func TestSnapshotEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if len(out.Recs) != 0 || len(out.Meta) != 0 || out.LastSeq != 0 {
+	if len(out.Runs) != 0 || len(out.Meta) != 0 || out.LastSeq != 0 {
 		t.Fatalf("empty snapshot decoded as %+v", out)
 	}
 }
@@ -62,7 +68,7 @@ func TestSnapshotEmpty(t *testing.T) {
 func TestSnapshotDeterministicBytes(t *testing.T) {
 	s := &SnapshotData{
 		Meta: map[string]string{"b": "2", "a": "1", "c": "3"},
-		Recs: testKVs(10),
+		Runs: testRuns(10),
 	}
 	if !bytes.Equal(encodeSnapshot(s), encodeSnapshot(s)) {
 		t.Fatal("encoding is not deterministic")
@@ -71,7 +77,7 @@ func TestSnapshotDeterministicBytes(t *testing.T) {
 
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.lix")
-	if err := WriteSnapshot(path, &SnapshotData{Recs: testKVs(100), LastSeq: 7}); err != nil {
+	if err := WriteSnapshot(path, &SnapshotData{Runs: testRuns(5), LastSeq: 7}); err != nil {
 		t.Fatal(err)
 	}
 	clean, _ := os.ReadFile(path)
@@ -91,17 +97,40 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotRejectsUnsortedRecords: the records section is read only
+// empty, as the manifests of earlier versions carry it, so a checkpoint of
+// the retired snapshot-rewrite engine — records in it, unsorted or not,
+// and their count in the footer — does not decode.
 func TestSnapshotRejectsUnsortedRecords(t *testing.T) {
-	recs := []core.KV{{Key: 5, Value: 1}, {Key: 3, Value: 2}}
-	data := encodeSnapshot(&SnapshotData{Recs: recs})
-	if _, err := DecodeSnapshot(data); err == nil || !strings.Contains(err.Error(), "ascending") {
-		t.Fatalf("unsorted records accepted: %v", err)
+	records := func(kvs ...core.KV) []byte {
+		p := binary.LittleEndian.AppendUint64(nil, uint64(len(kvs)))
+		for _, r := range kvs {
+			p = binary.LittleEndian.AppendUint64(p, r.Key)
+			p = binary.LittleEndian.AppendUint64(p, r.Value)
+		}
+		return p
+	}
+	file := func(recs []byte, count uint64) []byte {
+		b := appendSection([]byte(snapMagic), secRecords, recs)
+		return appendSection(b, secFooter, binary.LittleEndian.AppendUint64(nil, count))
+	}
+	if _, err := DecodeSnapshot(file(records(), 0)); err != nil {
+		t.Fatalf("the empty records section of an earlier manifest rejected: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"unsorted":     file(records(core.KV{Key: 5, Value: 1}, core.KV{Key: 3, Value: 2}), 2),
+		"sorted":       file(records(core.KV{Key: 3, Value: 2}, core.KV{Key: 5, Value: 1}), 2),
+		"footer count": file(records(), 2),
+	} {
+		if _, err := DecodeSnapshot(data); err == nil {
+			t.Errorf("%s: a file with records accepted", name)
+		}
 	}
 }
 
 func TestWriteSnapshotLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
-	if err := WriteSnapshot(filepath.Join(dir, "snap.lix"), &SnapshotData{Recs: testKVs(5)}); err != nil {
+	if err := WriteSnapshot(filepath.Join(dir, "snap.lix"), &SnapshotData{Runs: testRuns(5)}); err != nil {
 		t.Fatal(err)
 	}
 	entries, _ := os.ReadDir(dir)

@@ -18,42 +18,32 @@ func testSpan(t *testing.T, ops int) (*trace.Tracer, *core.Span) {
 	return tr, sp
 }
 
-// spyIndex is a memIndex with the three batch capabilities, recording
-// how often each ran and whether a span ever reached it.
+// spyIndex is a memIndex with the batch capability, recording how often
+// it ran and whether a span ever reached it.
 type spyIndex struct {
 	*memIndex
-	lookups, inserts, deletes int
-	sawSpan                   bool
+	applies int
+	sawSpan bool
 }
 
-func (x *spyIndex) LookupBatch(keys []core.Key, vals []core.Value, oks []bool, sp *core.Span) {
-	x.lookups++
+func (x *spyIndex) Apply(ops []core.Op, vals []core.Value, oks []bool, sp *core.Span) error {
+	x.applies++
 	x.sawSpan = x.sawSpan || sp != nil
-	for i, k := range keys {
-		vals[i], oks[i] = x.Get(k)
-	}
-}
-
-func (x *spyIndex) InsertBatch(recs []core.KV, sp *core.Span) error {
-	x.inserts++
-	x.sawSpan = x.sawSpan || sp != nil
-	for _, r := range recs {
-		x.Insert(r.Key, r.Value)
-	}
-	return nil
-}
-
-func (x *spyIndex) DeleteBatch(keys []core.Key, oks []bool, sp *core.Span) error {
-	x.deletes++
-	x.sawSpan = x.sawSpan || sp != nil
-	for i, k := range keys {
-		oks[i] = x.Delete(k)
+	for i, op := range ops {
+		switch op.Kind {
+		case core.OpGet:
+			vals[i], oks[i] = x.Get(op.Key)
+		case core.OpPut:
+			x.Insert(op.Key, op.Val)
+		case core.OpDel:
+			oks[i] = x.Delete(op.Key)
+		}
 	}
 	return nil
 }
 
 // TestDurableKeepsSpanFromInnerIndex pins the no-double-count rule: the
-// durable layer reaches the wrapped index through its batch capabilities
+// durable layer reaches the wrapped index through its batch capability
 // (one call for the whole batch, not a loop per record) and times that
 // work into the shard stage itself, so the span stops here — an inner
 // Sharded handed the same span would add its fan-out a second time.
@@ -69,17 +59,17 @@ func TestDurableKeepsSpanFromInnerIndex(t *testing.T) {
 	defer d.Close()
 
 	tr, sp := testSpan(t, 3)
-	keys := []core.Key{1, 2, 3}
-	if err := d.InsertBatch([]core.KV{{Key: 1, Value: 1}, {Key: 2, Value: 2}, {Key: 3, Value: 3}}, sp); err != nil {
+	if err := applyCommit(d, puts(kvs(1, 3)), sp); err != nil {
 		t.Fatal(err)
 	}
-	d.LookupBatch(keys, make([]core.Value, 3), make([]bool, 3), sp)
-	if err := d.DeleteBatch(keys, make([]bool, 3), sp); err != nil {
+	if err := apply(d, gets(1, 2, 3), sp); err != nil {
 		t.Fatal(err)
 	}
-	if spy.inserts != 1 || spy.lookups != 1 || spy.deletes != 1 {
-		t.Errorf("inner batch calls = %d/%d/%d (insert/lookup/delete), want 1/1/1",
-			spy.inserts, spy.lookups, spy.deletes)
+	if err := applyCommit(d, dels(1, 2, 3), sp); err != nil {
+		t.Fatal(err)
+	}
+	if spy.applies != 3 {
+		t.Errorf("inner batch calls = %d for a batch of puts, one of gets and one of deletes, want 3", spy.applies)
 	}
 	if spy.sawSpan {
 		t.Error("durable layer forwarded the span to the wrapped index (shard time counted twice)")
@@ -91,9 +81,9 @@ func TestDurableKeepsSpanFromInnerIndex(t *testing.T) {
 }
 
 // TestDurableInsertSpanStages pins the write-path stage attribution: a
-// span-carrying batched insert under SyncAlways records wal (framing into
-// the log's buffer, and the commit's write), shard (in-memory apply) and
-// fsync (the commit's fsync) time.
+// span-carrying batch of puts and its commit under SyncAlways record wal
+// (framing into the log's buffer, and the commit's write), shard
+// (in-memory apply) and fsync (the commit's fsync) time.
 func TestDurableInsertSpanStages(t *testing.T) {
 	d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(2))
 	if err != nil {
@@ -101,12 +91,8 @@ func TestDurableInsertSpanStages(t *testing.T) {
 	}
 	defer d.Close()
 
-	recs := make([]core.KV, 64)
-	for i := range recs {
-		recs[i] = core.KV{Key: core.Key(i), Value: core.Value(i)}
-	}
-	tr, sp := testSpan(t, len(recs))
-	if err := d.InsertBatch(recs, sp); err != nil {
+	tr, sp := testSpan(t, 64)
+	if err := applyCommit(d, puts(kvs(0, 64)), sp); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,12 +107,12 @@ func TestDurableInsertSpanStages(t *testing.T) {
 	tr.Finish(sp)
 
 	// The records landed despite the instrumentation detour.
-	if v, ok := d.Get(63); !ok || v != 63 {
+	if v, ok := d.Get(63); !ok || v != 64 {
 		t.Fatalf("Get(63) after span insert = (%d,%v)", v, ok)
 	}
 
 	// Nil span: no timing, no crash, same result.
-	d.InsertBatch([]core.KV{{Key: 100, Value: 1}}, nil)
+	applyCommit(d, puts(kvs(100, 1)), nil)
 	if _, ok := d.Get(100); !ok {
 		t.Fatal("nil-span insert lost the record")
 	}
@@ -143,11 +129,7 @@ func TestDurableInsertSpanNoFsyncStage(t *testing.T) {
 	defer d.Close()
 
 	tr, sp := testSpan(t, 8)
-	recs := make([]core.KV, 8)
-	for i := range recs {
-		recs[i] = core.KV{Key: core.Key(i), Value: core.Value(i)}
-	}
-	d.InsertBatch(recs, sp)
+	applyCommit(d, puts(kvs(0, 8)), sp)
 	if sp.Stage(core.StageWAL) <= 0 || sp.Stage(core.StageShard) <= 0 {
 		t.Errorf("wal=%v shard=%v, want both > 0", sp.Stage(core.StageWAL), sp.Stage(core.StageShard))
 	}
@@ -157,24 +139,26 @@ func TestDurableInsertSpanNoFsyncStage(t *testing.T) {
 	tr.Finish(sp)
 }
 
-// TestDurableDeleteSpanStages mirrors the insert pin for the delete path.
+// TestDurableDeleteSpanStages mirrors the insert pin for a batch of
+// deletes.
 func TestDurableDeleteSpanStages(t *testing.T) {
 	d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	recs := make([]core.KV, 32)
 	keys := make([]core.Key, 32)
-	for i := range recs {
-		recs[i] = core.KV{Key: core.Key(i), Value: core.Value(i)}
+	for i := range keys {
 		keys[i] = core.Key(i)
 	}
-	d.InsertBatch(recs, nil)
+	applyCommit(d, puts(kvs(0, 32)), nil)
 
 	tr, sp := testSpan(t, len(keys))
-	oks := make([]bool, len(keys))
-	if err := d.DeleteBatch(keys, oks, sp); err != nil {
+	vals, oks := make([]core.Value, len(keys)), make([]bool, len(keys))
+	if err := d.Apply(dels(keys...), vals, oks, sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(sp); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range oks {
@@ -190,25 +174,30 @@ func TestDurableDeleteSpanStages(t *testing.T) {
 	tr.Finish(sp)
 
 	// Nil span passthrough; the caller's stale oks is overwritten.
-	if d.DeleteBatch([]core.Key{999}, oks[:1], nil); oks[0] {
+	if d.Apply(dels(999), vals[:1], oks[:1], nil); oks[0] {
 		t.Error("nil-span delete of missing key reported true")
 	}
 }
 
-// TestDurableLookupSpanStages pins the read-path rule: the durable layer
-// adds no wal/fsync stages on reads — the whole batched lookup is shard
-// time.
+// TestDurableLookupSpanStages pins the read-path rule: a batch of gets
+// adds no wal/fsync stages, and neither does the Commit behind it, which
+// has nothing to write — the whole lookup is shard time.
 func TestDurableLookupSpanStages(t *testing.T) {
 	d, err := Open(t.TempDir(), Config{Fsync: SyncAlways, CheckpointEvery: -1}, memBuild(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.InsertBatch([]core.KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}}, nil)
+	applyCommit(d, puts([]core.KV{{Key: 1, Value: 10}, {Key: 2, Value: 20}}), nil)
 
 	tr, sp := testSpan(t, 3)
 	vals, oks := make([]core.Value, 3), make([]bool, 3)
-	d.LookupBatch([]core.Key{1, 2, 3}, vals, oks, sp)
+	if err := d.Apply(gets(1, 2, 3), vals, oks, sp); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Commit(sp); err != nil {
+		t.Fatal(err)
+	}
 	if !oks[0] || vals[0] != 10 || !oks[1] || vals[1] != 20 || oks[2] {
 		t.Fatalf("lookup = %v %v", vals, oks)
 	}
@@ -223,7 +212,7 @@ func TestDurableLookupSpanStages(t *testing.T) {
 	tr.Finish(sp)
 
 	// Nil span passthrough.
-	if d.LookupBatch([]core.Key{2}, vals[:1], oks[:1], nil); !oks[0] || vals[0] != 20 {
+	if d.Apply(gets(2), vals[:1], oks[:1], nil); !oks[0] || vals[0] != 20 {
 		t.Error("nil-span lookup broken")
 	}
 }

@@ -22,8 +22,9 @@
 // then the run, then the manifest (each temp file, fsync, rename), and
 // only then are the previous generation's files deleted, so recovery
 // always finds either the old manifest plus the complete old WAL, or the
-// new manifest. lsm.go has the engine; a directory of the retired
-// snapshot-rewrite engine (snap-<gen>.lix) is converted on Open.
+// new manifest. lsm.go has the engine. A directory that holds a checkpoint
+// of the retired snapshot-rewrite engine (snap-<gen>.lix) is an Open
+// error: that layout is neither converted nor ignored.
 package store
 
 import (

@@ -278,27 +278,10 @@ func (w *WAL) Append(recs ...Record) (int64, error) {
 	return w.appendedUnlock(len(recs))
 }
 
-// batch is a batch of writes in the shape the index takes it: upserts of
-// recs, deletes of keys, or the puts and deletes of a mixed ops batch (its
-// gets log nothing). One of the three is set.
-type batch struct {
-	recs []core.KV
-	keys []core.Key
-	ops  []core.Op
-}
-
-// len is the number of items of b, gets included.
-func (b batch) len() int { return len(b.recs) + len(b.keys) + len(b.ops) }
-
-// record returns item i's log record (its Seq unset), false for a get.
-func (b batch) record(i int) (Record, bool) {
-	switch {
-	case b.recs != nil:
-		return Record{Op: OpInsert, Key: b.recs[i].Key, Val: b.recs[i].Value}, true
-	case b.keys != nil:
-		return Record{Op: OpDelete, Key: b.keys[i]}, true
-	}
-	switch op := b.ops[i]; op.Kind {
+// opRecord returns op's log record (its Seq unset), false for a get, which
+// logs nothing.
+func opRecord(op core.Op) (Record, bool) {
+	switch op.Kind {
 	case core.OpPut:
 		return Record{Op: OpInsert, Key: op.Key, Val: op.Val}, true
 	case core.OpDel:
@@ -307,29 +290,29 @@ func (b batch) record(i int) (Record, bool) {
 	return Record{}, false
 }
 
-// AppendBatch is Append for a batch: its records numbered from seq in input
-// order, walChunk items per hold of the buffer. An error part-way (only a
-// self-commit can cause one) leaves the earlier chunks in the log; the
-// caller applies nothing.
-func (w *WAL) AppendBatch(b batch, seq uint64) (off int64, err error) {
-	for i, n := 0, b.len(); i < n; {
+// AppendBatch is Append for the writes of a batch: their records numbered
+// from seq in input order, walChunk ops per hold of the buffer. An error
+// part-way (only a self-commit can cause one) leaves the earlier chunks in
+// the log; the caller applies nothing.
+func (w *WAL) AppendBatch(ops []core.Op, seq uint64) error {
+	for i, n := 0, len(ops); i < n; {
 		if err := w.begin(); err != nil {
-			return 0, err
+			return err
 		}
 		framed := 0
 		for end := min(n, i+walChunk); i < end; i++ {
-			if r, ok := b.record(i); ok {
+			if r, ok := opRecord(ops[i]); ok {
 				r.Seq = seq
 				w.buf = appendRecord(w.buf, r)
 				seq++
 				framed++
 			}
 		}
-		if off, err = w.appendedUnlock(framed); err != nil {
-			return off, err
+		if _, err := w.appendedUnlock(framed); err != nil {
+			return err
 		}
 	}
-	return off, nil
+	return nil
 }
 
 // covered reports whether the file holds (sync: durably) every byte up to

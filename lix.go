@@ -43,8 +43,8 @@ type (
 	KV = core.KV
 	// Stats reports index structure statistics.
 	Stats = core.Stats
-	// Op is one operation of a mixed batch (Stack.Apply): OpGet, OpPut or
-	// OpDel of a key.
+	// Op is one operation of a batch (Stack.Apply): OpGet, OpPut or OpDel
+	// of a key.
 	Op = core.Op
 )
 

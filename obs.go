@@ -82,8 +82,7 @@ type observable interface {
 // the clock is read, and get_ns / insert_ns / delete_ns fed, on one call
 // in SampleEvery. Those histograms hold a uniform sample: quantiles and
 // mean are unbiased, Count is the number of samples. Range, SearchRange
-// and the batch methods do microseconds of work per call and stay timed
-// on every call.
+// and Apply do microseconds of work per call and stay timed on every call.
 type ObservedIndex struct {
 	idx Index
 	m   *Metrics
@@ -144,39 +143,11 @@ func (o *ObservedIndex) SearchRange(lo, hi Key) []KV {
 	return out
 }
 
-// batchDone records one batched call of n records that began at start:
-// whole-batch latency and cardinality. The bundle's counters and
-// histograms are preallocated, so this allocates nothing.
-func (o *ObservedIndex) batchDone(start time.Time, n int) {
-	o.m.BatchNS.Observe(uint64(time.Since(start)))
-	o.m.BatchLen.Observe(uint64(n))
-	o.m.Batches.Inc()
-}
-
 // add adds n to c, skipping the atomic add when there is nothing to count.
 func add(c *obs.Counter, n int) {
 	if n > 0 {
 		c.Add(uint64(n))
 	}
-}
-
-// LookupBatch resolves keys into the caller's vals and oks slices through
-// the wrapped index's batched path when it has one, recording whole-batch
-// latency and cardinality alongside the per-record lookup and hit
-// counters. The span is forwarded, so a Durable or Sharded below this
-// wrapper attributes its own stages.
-func (o *ObservedIndex) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
-	start := time.Now()
-	core.LookupBatch(o.idx, keys, vals, oks, sp)
-	o.batchDone(start, len(keys))
-	hits := 0
-	for _, ok := range oks {
-		if ok {
-			hits++
-		}
-	}
-	add(&o.m.Lookups, len(keys))
-	add(&o.m.Hits, hits)
 }
 
 // Close forwards the io.Closer capability, so a wrapped Durable can be
@@ -231,36 +202,19 @@ func (o *ObservedMutableIndex) Delete(k Key) bool {
 	return ok
 }
 
-// The write batch calls go through the wrapped index's batched path when
-// it has one, forwarding the span and the store's error, and record
-// whole-batch latency and cardinality (a failed batch still counts as
-// attempted) beside the per-record op counters.
-
-// InsertBatch upserts recs.
-func (o *ObservedMutableIndex) InsertBatch(recs []KV, sp *Span) error {
-	start := time.Now()
-	err := core.InsertBatch(o.mut, recs, sp)
-	o.batchDone(start, len(recs))
-	add(&o.m.Inserts, len(recs))
-	return err
-}
-
-// DeleteBatch removes keys, writing per-key presence into the caller's oks.
-func (o *ObservedMutableIndex) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
-	start := time.Now()
-	err := core.DeleteBatch(o.mut, keys, oks, sp)
-	o.batchDone(start, len(keys))
-	add(&o.m.Deletes, len(keys))
-	return err
-}
-
-// Apply does a mixed batch — the uncommitted entry point of a durable
-// index below — recorded as one batch from two clock reads, each family's
-// count (and the gets' hits) added to its counter.
+// Apply does a batch of gets, upserts and deletes through the wrapped
+// index's batch capability when it has one (uncommitted over a durable
+// index below), forwarding the span — so a Durable or Sharded below this
+// wrapper attributes its own stages — and the store's error. It is
+// recorded as one batch from two clock reads (a failed batch still counts
+// as attempted), each family's count and the gets' hits added to its
+// counter.
 func (o *ObservedMutableIndex) Apply(ops []Op, vals []Value, oks []bool, sp *Span) error {
 	start := time.Now()
 	err := core.Apply(o.mut, ops, vals, oks, sp)
-	o.batchDone(start, len(ops))
+	o.m.BatchNS.Observe(uint64(time.Since(start)))
+	o.m.BatchLen.Observe(uint64(len(ops)))
+	o.m.Batches.Inc()
 	var gets, puts, hits int
 	for i := range ops {
 		switch ops[i].Kind {

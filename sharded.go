@@ -8,9 +8,9 @@ import (
 
 // Sharded is the range-partitioned concurrent serving layer: it wraps any
 // registered mutable index kind into an N-shard structure with one
-// reader-writer lock per shard, parallel bulk build, batched
-// LookupBatch/InsertBatch/DeleteBatch, and cross-shard SearchRange
-// fan-out. All methods are safe for concurrent use. A Range callback runs
+// reader-writer lock per shard, parallel bulk build, one batch entry point
+// (Apply: gets, upserts and deletes, grouped by shard, the groups of a
+// large batch in parallel), and cross-shard SearchRange fan-out. All methods are safe for concurrent use. A Range callback runs
 // inside the shard's read hold: a consumer that may block collects first
 // (SearchRange) and acts afterwards. See DESIGN.md §"Sharded serving
 // layer".

@@ -60,10 +60,9 @@ const EngineLSM = "lsm"
 
 // Stack is a fully assembled serving engine: backend → shard → durable →
 // obs, composed in the one canonical order by NewStack. It satisfies
-// MutableIndex plus every batch capability (LookupBatch, InsertBatch,
-// DeleteBatch, Apply, SearchRange, io.Closer), each dispatching through the
-// layers' own capabilities so batched and parallel fast paths survive the
-// whole stack.
+// MutableIndex plus the batch, commit, range and close capabilities (Apply,
+// Commit, SearchRange, io.Closer), each dispatching through the layers' own
+// capabilities so batched and parallel fast paths survive the whole stack.
 type Stack struct {
 	top     MutableIndex
 	durable *Durable
@@ -171,49 +170,25 @@ func (s *Stack) Insert(k Key, v Value) { s.top.Insert(k, v) }
 // Delete removes k, reporting whether it was present.
 func (s *Stack) Delete(k Key) bool { return s.top.Delete(k) }
 
-// LookupBatch resolves keys in one pass through the layers' batch
-// capabilities into the caller-supplied vals and oks slices (len(keys)
-// each; vals[i], oks[i] answer keys[i]). With a sharded layer below, the
-// whole read path is allocation-free, so a serving loop can reuse its
-// buffers across batches indefinitely. sp is the request's span, nil
-// when it is not sampled: each layer that can break its time out
-// (durable: wal/fsync/apply; sharded: fan-out) attributes its stages
-// into it.
-func (s *Stack) LookupBatch(keys []Key, vals []Value, oks []bool, sp *Span) {
-	core.LookupBatch(s.top, keys, vals, oks, sp)
-}
-
-// InsertBatch upserts recs in one pass: one WAL frame group and one
-// commit of the log when the stack is durable, one lock acquisition per
-// touched shard when it is sharded. Duplicate keys inside
-// one batch resolve later-wins. The error is the durable layer's — the
-// first I/O error of the call, or the latched Err of a store that has
-// already failed — and always nil for an in-memory stack. sp as in
-// LookupBatch.
-func (s *Stack) InsertBatch(recs []KV, sp *Span) error {
-	return core.InsertBatch(s.top, recs, sp)
-}
-
-// DeleteBatch removes keys in one pass (same batching, error and span as
-// InsertBatch). The caller-supplied oks (len(keys)) is overwritten:
-// oks[i] reports whether keys[i] was present, with sequential semantics
-// on duplicates.
-func (s *Stack) DeleteBatch(keys []Key, oks []bool, sp *Span) error {
-	return core.DeleteBatch(s.top, keys, oks, sp)
-}
-
-// Apply and Commit are the mixed-batch and commit capabilities
-// (core.Applier and core.Committer, which the server uses). Apply does a
-// batch of gets, puts and deletes in one pass with the outcome of doing
-// them in input order — vals[i], oks[i] answer a get, oks[i] reports
-// whether a delete's key was present — and over a durable stack logs its
-// writes into the log's buffer without committing it; Commit writes out
-// everything applied so far — one write(2), and one fsync under
+// Apply and Commit are the batch and commit capabilities (core.Applier
+// and core.Committer, which the server uses). Apply does a batch of gets,
+// puts and deletes in one pass with the outcome of doing them in input
+// order, into the caller-supplied vals and oks (len(ops) each): vals[i],
+// oks[i] answer a get and oks[i] whether a delete's key was present. One
+// pass is one lock hold per touched shard on a sharded stack, without an
+// allocation, so a serving loop reuses its buffers indefinitely. A batch
+// of gets alone touches no log. Over a durable stack Apply logs the writes
+// as one append into the log's buffer without committing it; Commit writes
+// out everything applied so far — one write(2), and one fsync under
 // FsyncAlways, for however many batches came before. A caller of Apply
 // must hold back every acknowledgement, and every read result that may
-// show such a write, until Commit has returned nil. A store that cannot
-// log the batch applies none of its writes, still answers its gets, and
-// returns the error. On an in-memory stack Commit is a no-op.
+// show such a write, until Commit has returned nil. A store that cannot log
+// the batch applies none of its writes, still answers its gets, and
+// returns the error: the first I/O error, or the latched Err of a store
+// that has already failed. On an in-memory stack the error is always nil
+// and Commit is a no-op. sp is the request's span, nil when it is not
+// sampled: each layer that can break its time out (durable: wal, fsync and
+// apply; sharded: the batch) attributes its stages into it.
 func (s *Stack) Apply(ops []Op, vals []Value, oks []bool, sp *Span) error {
 	return core.Apply(s.top, ops, vals, oks, sp)
 }

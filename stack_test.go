@@ -4,7 +4,34 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/lix-go/lix/internal/core"
 )
+
+// putOps and keyOps are same-kind batches: upserts of recs, and gets or
+// deletes of keys.
+func putOps(recs []KV) []Op {
+	ops := make([]Op, len(recs))
+	for i, r := range recs {
+		ops[i] = Op{Kind: OpPut, Key: r.Key, Val: r.Value}
+	}
+	return ops
+}
+
+func keyOps(kind core.OpKind, keys ...Key) []Op {
+	ops := make([]Op, len(keys))
+	for i, k := range keys {
+		ops[i] = Op{Kind: kind, Key: k}
+	}
+	return ops
+}
+
+// applyOps does ops on ix and returns the answers.
+func applyOps(ix core.Applier, ops []Op) ([]Value, []bool, error) {
+	vals, oks := make([]Value, len(ops)), make([]bool, len(ops))
+	err := ix.Apply(ops, vals, oks, nil)
+	return vals, oks, err
+}
 
 func stackRecs(n int) []KV {
 	recs := make([]KV, n)
@@ -29,15 +56,17 @@ func TestStackPlain(t *testing.T) {
 	if v, ok := s.Get(30); !ok || v != 10 {
 		t.Fatalf("Get(30) = (%d, %v), want (10, true)", v, ok)
 	}
-	if err := s.InsertBatch([]KV{{Key: 1, Value: 100}, {Key: 1, Value: 101}}, nil); err != nil {
+	if _, _, err := applyOps(s, putOps([]KV{{Key: 1, Value: 100}, {Key: 1, Value: 101}})); err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := s.Get(1); !ok || v != 101 {
-		t.Fatalf("later-wins InsertBatch: Get(1) = (%d, %v), want (101, true)", v, ok)
+		t.Fatalf("later-wins batch of puts: Get(1) = (%d, %v), want (101, true)", v, ok)
 	}
-	oks := []bool{false, true}
-	if err := s.DeleteBatch([]Key{1, 1}, oks, nil); err != nil || !reflect.DeepEqual(oks, []bool{true, false}) {
-		t.Fatalf("DeleteBatch dups = %v, %v, want [true false]", oks, err)
+	if _, oks, err := applyOps(s, keyOps(OpDel, 1, 1)); err != nil || !reflect.DeepEqual(oks, []bool{true, false}) {
+		t.Fatalf("batch deletes of a duplicate = %v, %v, want [true false]", oks, err)
+	}
+	if err := s.Commit(nil); err != nil {
+		t.Fatalf("Commit of an in-memory stack = %v", err)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("Err() of an in-memory stack = %v", err)
@@ -64,11 +93,13 @@ func TestStackShardedAndObserved(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(i * 3)
 	}
-	vals, oks := make([]Value, len(keys)), make([]bool, len(keys))
-	s.LookupBatch(keys, vals, oks, nil)
+	vals, oks, err := applyOps(s, keyOps(OpGet, keys...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range keys {
 		if !oks[i] || vals[i] != Value(i) {
-			t.Fatalf("LookupBatch[%d] = (%d, %v), want (%d, true)", i, vals[i], oks[i], i)
+			t.Fatalf("batch get %d = (%d, %v), want (%d, true)", i, vals[i], oks[i], i)
 		}
 	}
 	got := s.SearchRange(0, 60)
@@ -107,12 +138,14 @@ func TestStackDurableRoundTrip(t *testing.T) {
 	if s.Durable() == nil || s.Sharded() == nil {
 		t.Fatal("durable sharded stack missing a layer accessor")
 	}
-	if err := s.InsertBatch([]KV{{Key: 7, Value: 70}, {Key: 11, Value: 110}}, nil); err != nil {
+	if _, _, err := applyOps(s, putOps([]KV{{Key: 7, Value: 70}, {Key: 11, Value: 110}})); err != nil {
 		t.Fatal(err)
 	}
-	oks := make([]bool, 1)
-	if err := s.DeleteBatch([]Key{7}, oks, nil); err != nil || !oks[0] {
-		t.Fatalf("DeleteBatch(7) = %v, %v, want true", oks[0], err)
+	if _, oks, err := applyOps(s, keyOps(OpDel, 7)); err != nil || !oks[0] {
+		t.Fatalf("batch delete of 7 = %v, %v, want true", oks[0], err)
+	}
+	if err := s.Commit(nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := s.Err(); err != nil {
 		t.Fatalf("Err() of a healthy durable stack = %v", err)
@@ -184,9 +217,9 @@ func TestSearchRangeThroughWrappers(t *testing.T) {
 	}
 }
 
-// TestStackBatchSpansConcurrent drives the three batch methods through
-// the full forwarding chain (Stack → obs → durable → sharded) from
-// several goroutines at once, all recording into one shared live span —
+// TestStackBatchSpansConcurrent drives batches of puts (then Commit), gets
+// and deletes through the full forwarding chain (Stack → obs → durable →
+// sharded) from several goroutines at once, all recording into one shared live span —
 // the shape of a parallel fan-out — so the race tier covers the span
 // crossing every layer concurrently. Each goroutine owns a key range and
 // its result buffers, so answers are exact.
@@ -212,25 +245,33 @@ func TestStackBatchSpansConcurrent(t *testing.T) {
 				keys[i] = Key(w*per + i)
 				recs[i] = KV{Key: keys[i], Value: Value(w)}
 			}
+			puts, gets, dels := putOps(recs), keyOps(OpGet, keys...), keyOps(OpDel, keys...)
 			for r := 0; r < rounds; r++ {
-				if err := s.InsertBatch(recs, &sp); err != nil {
-					t.Errorf("worker %d: InsertBatch: %v", w, err)
+				if err := s.Apply(puts, vals, oks, &sp); err != nil {
+					t.Errorf("worker %d: puts: %v", w, err)
 					return
 				}
-				s.LookupBatch(keys, vals, oks, &sp)
+				if err := s.Commit(&sp); err != nil {
+					t.Errorf("worker %d: Commit: %v", w, err)
+					return
+				}
+				if err := s.Apply(gets, vals, oks, &sp); err != nil {
+					t.Errorf("worker %d: gets: %v", w, err)
+					return
+				}
 				for i := range keys {
 					if !oks[i] || vals[i] != Value(w) {
-						t.Errorf("worker %d: LookupBatch[%d] = (%d, %v), want (%d, true)", w, i, vals[i], oks[i], w)
+						t.Errorf("worker %d: get %d = (%d, %v), want (%d, true)", w, i, vals[i], oks[i], w)
 						return
 					}
 				}
-				if err := s.DeleteBatch(keys, oks, &sp); err != nil {
-					t.Errorf("worker %d: DeleteBatch: %v", w, err)
+				if err := s.Apply(dels, vals, oks, &sp); err != nil {
+					t.Errorf("worker %d: deletes: %v", w, err)
 					return
 				}
 				for i, ok := range oks {
 					if !ok {
-						t.Errorf("worker %d: DeleteBatch[%d] = false, want true", w, i)
+						t.Errorf("worker %d: delete %d = false, want true", w, i)
 						return
 					}
 				}
