@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 
+	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -185,7 +186,7 @@ func CheckBatchEquivalence(f Factory, w Workload1D, batchSize int) error {
 	if ix.Len() != o.Len() {
 		return fmt.Errorf("%s/%s: final Len() = %d, oracle %d", f.Name, w.Name, ix.Len(), o.Len())
 	}
-	if err := CheckInvariants(ix); err != nil {
+	if err := lix.CheckInvariants(ix); err != nil {
 		return fmt.Errorf("%s/%s: invariants after batched replay: %v", f.Name, w.Name, err)
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -219,5 +220,5 @@ func CheckConcurrent(mk func() MutableIndex, cfg ConcurrencyConfig) error {
 	if n != total {
 		return fmt.Errorf("conform: quiesced full Range visited %d records, want %d", n, total)
 	}
-	return CheckInvariants(ix)
+	return lix.CheckInvariants(ix)
 }

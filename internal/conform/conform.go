@@ -25,75 +25,20 @@ import (
 	"sort"
 
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/registry"
 )
 
-// Index mirrors the public one-dimensional read interface structurally, so
-// the registry does not depend on the façade package's named types.
-type Index interface {
-	Get(k core.Key) (core.Value, bool)
-	Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
-	Len() int
-	Stats() core.Stats
-}
-
-// MutableIndex is an Index supporting upserts and deletes.
-type MutableIndex interface {
-	Index
-	Insert(k core.Key, v core.Value)
-	Delete(k core.Key) bool
-}
-
-// SpatialIndex mirrors the public multi-dimensional read interface.
-type SpatialIndex interface {
-	Lookup(p core.Point) (core.Value, bool)
-	Search(rect core.Rect, fn func(core.PV) bool) (visited, work int)
-	Len() int
-	Stats() core.Stats
-}
-
-// KNNIndex is a SpatialIndex that answers k-nearest-neighbor queries.
-type KNNIndex interface {
-	SpatialIndex
-	KNN(q core.Point, k int) []core.PV
-}
-
-// MutableSpatialIndex is a SpatialIndex supporting inserts and deletes.
-type MutableSpatialIndex interface {
-	SpatialIndex
-	Insert(p core.Point, v core.Value) error
-	Delete(p core.Point, v core.Value) bool
-}
-
-// InvariantChecker is the optional per-structure hook: implementations
-// verify their internal invariants (model error bounds, node occupancy,
-// ordering, containment) and return the first violation found.
-type InvariantChecker interface {
-	CheckInvariants() error
-}
-
-// CheckInvariants runs ix's invariant hook if it has one; indexes without
-// the hook trivially conform.
-func CheckInvariants(ix any) error {
-	if c, ok := ix.(InvariantChecker); ok {
-		return c.CheckInvariants()
-	}
-	return nil
-}
-
-// Caps are the capability flags a factory registers with. They tell the
-// workload engine which operations the index supports.
-type Caps struct {
-	// Mutable indexes support Insert/Delete after construction.
-	Mutable bool
-	// Spatial indexes store points; non-spatial indexes store uint64 keys.
-	Spatial bool
-	// KNN spatial indexes answer k-nearest-neighbor queries.
-	KNN bool
-	// AllowsEmpty builders accept an empty record set.
-	AllowsEmpty bool
-	// Dims restricts a spatial index to this dimensionality (0 = any).
-	Dims int
-}
+// The index surfaces under test, and the capability flags a factory
+// registers with: they tell the workload engine which operations the index
+// supports.
+type (
+	Index               = core.Index
+	MutableIndex        = core.MutableIndex
+	SpatialIndex        = core.SpatialIndex
+	KNNIndex            = core.KNNIndex
+	MutableSpatialIndex = core.MutableSpatialIndex
+	Caps                = registry.Caps
+)
 
 // Factory builds one index implementation for conformance testing. Exactly
 // one of Build1D / BuildSpatial is set, matching Caps.Spatial.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -116,7 +117,7 @@ func replay1D(f Factory, init []core.KV, ops []Op, checkEvery int) (int, string)
 		}
 		mix = m
 	}
-	if err := CheckInvariants(ix); err != nil {
+	if err := lix.CheckInvariants(ix); err != nil {
 		return replayBuild, fmt.Sprintf("invariants after build: %v", err)
 	}
 	for i, op := range ops {
@@ -124,12 +125,12 @@ func replay1D(f Factory, init []core.KV, ops []Op, checkEvery int) (int, string)
 			return i, d
 		}
 		if (i+1)%checkEvery == 0 {
-			if err := CheckInvariants(ix); err != nil {
+			if err := lix.CheckInvariants(ix); err != nil {
 				return i, fmt.Sprintf("invariants: %v", err)
 			}
 		}
 	}
-	if err := CheckInvariants(ix); err != nil {
+	if err := lix.CheckInvariants(ix); err != nil {
 		return len(ops) - 1, fmt.Sprintf("invariants at end: %v", err)
 	}
 	return replayOK, ""
@@ -300,7 +301,7 @@ func replaySpatial(f Factory, init []core.PV, ops []SpatialOp, checkEvery int) (
 		}
 		kix = k
 	}
-	if err := CheckInvariants(ix); err != nil {
+	if err := lix.CheckInvariants(ix); err != nil {
 		return replayBuild, fmt.Sprintf("invariants after build: %v", err)
 	}
 	for i, op := range ops {
@@ -308,12 +309,12 @@ func replaySpatial(f Factory, init []core.PV, ops []SpatialOp, checkEvery int) (
 			return i, d
 		}
 		if (i+1)%checkEvery == 0 {
-			if err := CheckInvariants(ix); err != nil {
+			if err := lix.CheckInvariants(ix); err != nil {
 				return i, fmt.Sprintf("invariants: %v", err)
 			}
 		}
 	}
-	if err := CheckInvariants(ix); err != nil {
+	if err := lix.CheckInvariants(ix); err != nil {
 		return len(ops) - 1, fmt.Sprintf("invariants at end: %v", err)
 	}
 	return replayOK, ""

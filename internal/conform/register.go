@@ -103,17 +103,10 @@ func register1DFromRegistry(k registry.Kind) {
 }
 
 func registerSpatialFromRegistry(k registry.Kind) {
-	caps := Caps{
-		Mutable:     k.Caps.Mutable,
-		Spatial:     true,
-		KNN:         k.Caps.KNN,
-		AllowsEmpty: k.Caps.AllowsEmpty,
-		Dims:        k.Caps.Dims,
-	}
 	if k.SpatialNew != nil {
 		Register(Factory{
 			Name: k.Name,
-			Caps: caps,
+			Caps: k.Caps,
 			BuildSpatial: func(pvs []core.PV) (SpatialIndex, error) {
 				ix, err := k.SpatialNew()
 				if err != nil {
@@ -131,7 +124,7 @@ func registerSpatialFromRegistry(k registry.Kind) {
 	}
 	Register(Factory{
 		Name: k.Name,
-		Caps: caps,
+		Caps: k.Caps,
 		BuildSpatial: func(pvs []core.PV) (SpatialIndex, error) {
 			return k.SpatialBulk(pvs)
 		},

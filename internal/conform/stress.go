@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -327,7 +328,7 @@ func runStress(build func(init []core.KV) (MutableIndex, error), h stressHistory
 	if n != len(want) {
 		return fmt.Errorf("conform: stress quiesced Range visited %d records, oracle %d", n, len(want))
 	}
-	return CheckInvariants(ix)
+	return lix.CheckInvariants(ix)
 }
 
 // CheckStress generates a randomized concurrent history, runs it against a

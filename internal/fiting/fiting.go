@@ -232,32 +232,16 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 func (ix *Index) merge(s *seg) {
 	keys := make([]core.Key, 0, len(s.keys)+len(s.buf))
 	vals := make([]core.Value, 0, len(s.keys)+len(s.buf))
-	i, j := 0, 0
-	for i < len(s.keys) || j < len(s.buf) {
-		switch {
-		case i >= len(s.keys):
-			keys = append(keys, s.buf[j].Key)
-			vals = append(vals, s.buf[j].Value)
-			j++
-		case j >= len(s.buf):
-			keys = append(keys, s.keys[i])
-			vals = append(vals, s.vals[i])
-			i++
-		case s.keys[i] < s.buf[j].Key:
-			keys = append(keys, s.keys[i])
-			vals = append(vals, s.vals[i])
-			i++
-		case s.keys[i] > s.buf[j].Key:
-			keys = append(keys, s.buf[j].Key)
-			vals = append(vals, s.buf[j].Value)
-			j++
-		default: // equal: buffer wins
-			keys = append(keys, s.buf[j].Key)
-			vals = append(vals, s.buf[j].Value)
-			i++
-			j++
+	core.MergeNewestFirst([]int{len(s.buf), len(s.keys)}, s.key, func(src, from, to int) bool {
+		if src == 1 {
+			keys, vals = append(keys, s.keys[from:to]...), append(vals, s.vals[from:to]...)
+			return true
 		}
-	}
+		for _, r := range s.buf[from:to] {
+			keys, vals = append(keys, r.Key), append(vals, r.Value)
+		}
+		return true
+	})
 	repl := ix.segmentize(keys, vals)
 	// Splice repl in place of s.
 	pos := ix.locate(s.firstKey)
@@ -309,38 +293,45 @@ func (ix *Index) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int 
 		if len(s.keys) > 0 && s.keys[0] > hi && (len(s.buf) == 0 || s.buf[0].Key > hi) {
 			break
 		}
-		i := s.lowerIdx(lo)
-		j := core.LowerBoundKV(s.buf, lo)
-		for i < len(s.keys) || j < len(s.buf) {
-			var k core.Key
-			var v core.Value
-			switch {
-			case i >= len(s.keys):
-				k, v = s.buf[j].Key, s.buf[j].Value
-				j++
-			case j >= len(s.buf):
-				k, v = s.keys[i], s.vals[i]
-				i++
-			case s.keys[i] < s.buf[j].Key:
-				k, v = s.keys[i], s.vals[i]
-				i++
-			default:
-				k, v = s.buf[j].Key, s.buf[j].Value
-				if s.keys[i] == s.buf[j].Key {
-					i++
+		// The segment from lo: its run and buffer from their first keys >= lo.
+		i, j := s.lowerIdx(lo), core.LowerBoundKV(s.buf, lo)
+		w := &seg{keys: s.keys[i:], vals: s.vals[i:], buf: s.buf[j:]}
+		stop := false
+		core.MergeNewestFirst([]int{len(w.buf), len(w.keys)}, w.key, func(src, from, to int) bool {
+			for x := from; x < to; x++ {
+				k, v := w.rec(src, x)
+				if stop = k > hi; stop {
+					return false
 				}
-				j++
+				count++
+				if stop = !fn(k, v); stop {
+					return false
+				}
 			}
-			if k > hi {
-				return count
-			}
-			count++
-			if !fn(k, v) {
-				return count
-			}
+			return true
+		})
+		if stop {
+			break
 		}
 	}
 	return count
+}
+
+// key returns the i-th key of merge source src of s: the buffer, which is
+// newer, when src is 0, else the run.
+func (s *seg) key(src, i int) core.Key {
+	if src == 0 {
+		return s.buf[i].Key
+	}
+	return s.keys[i]
+}
+
+// rec returns the i-th record of merge source src (as key numbers them).
+func (s *seg) rec(src, i int) (core.Key, core.Value) {
+	if src == 0 {
+		return s.buf[i].Key, s.buf[i].Value
+	}
+	return s.keys[i], s.vals[i]
 }
 
 // Stats reports structure statistics.

@@ -271,46 +271,19 @@ func (db *DB) isBottom(i int) bool {
 // mergeRuns merges runs (newest first) into a single run; newer records
 // shadow older ones; tombstones are dropped when dropDead.
 func mergeRuns(runs []*run, dropDead bool) *run {
-	type cursor struct {
-		r   *run
-		pos int
-	}
-	cs := make([]cursor, len(runs))
-	total := 0
-	for i, r := range runs {
-		cs[i] = cursor{r: r}
-		total += len(r.recs)
-	}
+	lens, total := runLens(runs)
 	recs := make([]core.KV, 0, total)
 	dead := make([]bool, 0, total)
-	for {
-		best := -1
-		var bk core.Key
-		for i := range cs {
-			if cs[i].pos >= len(cs[i].r.recs) {
-				continue
-			}
-			k := cs[i].r.recs[cs[i].pos].Key
-			if best == -1 || k < bk {
-				best, bk = i, k
+	core.MergeNewestFirst(lens, func(s, i int) core.Key { return runs[s].recs[i].Key }, func(s, from, to int) bool {
+		r := runs[s]
+		for i := from; i < to; i++ {
+			if !dropDead || !r.dead[i] {
+				recs = append(recs, r.recs[i])
+				dead = append(dead, r.dead[i])
 			}
 		}
-		if best == -1 {
-			break
-		}
-		rec := cs[best].r.recs[cs[best].pos]
-		isDead := cs[best].r.dead[cs[best].pos]
-		for i := range cs {
-			for cs[i].pos < len(cs[i].r.recs) && cs[i].r.recs[cs[i].pos].Key == bk {
-				cs[i].pos++
-			}
-		}
-		if isDead && dropDead {
-			continue
-		}
-		recs = append(recs, rec)
-		dead = append(dead, isDead)
-	}
+		return true
+	})
 	eps, learned := 0, true
 	if len(runs) > 0 {
 		eps = runs[0].eps
@@ -319,71 +292,53 @@ func mergeRuns(runs []*run, dropDead bool) *run {
 	return newRun(recs, dead, eps, learned)
 }
 
+// runLens returns the record count of each run and their sum.
+func runLens(runs []*run) ([]int, int) {
+	lens, total := make([]int, len(runs)), 0
+	for i, r := range runs {
+		lens[i] = len(r.recs)
+		total += len(r.recs)
+	}
+	return lens, total
+}
+
 // Range calls fn for live records with lo <= key <= hi ascending; fn
 // returning false stops. Returns records visited.
 func (db *DB) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
-	// Sources: memtable (materialized slice) + every run.
-	type src struct {
-		recs []core.KV
-		dead []bool
-		pos  int
-	}
-	var srcs []src
-	var memRecs []core.KV
-	var memDead []bool
+	// Sources, newest first: the memtable's records in range, then every
+	// run from its first key >= lo.
+	mem := &run{}
 	db.mem.Range(lo, hi, func(k core.Key, v core.Value) bool {
-		memRecs = append(memRecs, core.KV{Key: k, Value: v})
-		memDead = append(memDead, db.memDead[k])
+		mem.recs = append(mem.recs, core.KV{Key: k, Value: v})
+		mem.dead = append(mem.dead, db.memDead[k])
 		return true
 	})
-	srcs = append(srcs, src{recs: memRecs, dead: memDead})
-	addRun := func(r *run) {
-		start := r.lowerBound(lo)
-		end := start
-		for end < len(r.recs) && r.recs[end].Key <= hi {
-			end++
-		}
-		srcs = append(srcs, src{recs: r.recs[start:end], dead: r.dead[start:end]})
-	}
-	for _, r := range db.l0 {
-		addRun(r)
-	}
-	for _, r := range db.deep {
-		if r != nil {
-			addRun(r)
+	srcs := []*run{mem}
+	for _, level := range [][]*run{db.l0, db.deep} {
+		for _, r := range level {
+			if r != nil {
+				i := r.lowerBound(lo)
+				srcs = append(srcs, &run{recs: r.recs[i:], dead: r.dead[i:]})
+			}
 		}
 	}
+	lens, _ := runLens(srcs)
 	count := 0
-	for {
-		best := -1
-		var bk core.Key
-		for i := range srcs {
-			if srcs[i].pos >= len(srcs[i].recs) {
-				continue
+	core.MergeNewestFirst(lens, func(s, i int) core.Key { return srcs[s].recs[i].Key }, func(s, from, to int) bool {
+		r := srcs[s]
+		for i := from; i < to; i++ {
+			if r.recs[i].Key > hi {
+				return false
 			}
-			k := srcs[i].recs[srcs[i].pos].Key
-			if best == -1 || k < bk {
-				best, bk = i, k
-			}
-		}
-		if best == -1 {
-			break
-		}
-		rec := srcs[best].recs[srcs[best].pos]
-		isDead := srcs[best].dead[srcs[best].pos]
-		for i := range srcs {
-			for srcs[i].pos < len(srcs[i].recs) && srcs[i].recs[srcs[i].pos].Key == bk {
-				srcs[i].pos++
+			if !r.dead[i] {
+				count++
+				if !fn(r.recs[i].Key, r.recs[i].Value) {
+					return false
+				}
 			}
 		}
-		if isDead {
-			continue
-		}
-		count++
-		if !fn(rec.Key, rec.Value) {
-			break
-		}
-	}
+		return true
+	})
 	return count
 }
 

@@ -438,15 +438,12 @@ func (d *Dynamic) put(r dynRec) {
 // single static PGM at that slot (the logarithmic method).
 func (d *Dynamic) flush() {
 	d.hook.Emit(obs.EvBufferFlush, len(d.buf), "")
-	runs := [][]dynRec{d.buf}
+	// The buffer and the levels below the first empty slot, read in place.
+	lens, total := []int{len(d.buf)}, len(d.buf)
 	slot := 0
-	for ; slot < len(d.levels); slot++ {
-		if d.levels[slot] == nil {
-			break
-		}
-		runs = append(runs, levelRecs(d.levels[slot], d.tombs[slot]))
-		d.levels[slot] = nil
-		d.tombs[slot] = nil
+	for ; slot < len(d.levels) && d.levels[slot] != nil; slot++ {
+		lens = append(lens, d.levels[slot].n)
+		total += d.levels[slot].n
 	}
 	lastOccupied := true
 	for s := slot + 1; s < len(d.levels); s++ {
@@ -455,21 +452,28 @@ func (d *Dynamic) flush() {
 			break
 		}
 	}
-	merged := mergeRuns(runs, lastOccupied)
-	recs := make([]core.KV, len(merged))
-	for i, r := range merged {
-		recs[i] = core.KV{Key: r.key, Value: r.val}
-	}
+	recs := make([]core.KV, 0, total)
+	tmb := map[core.Key]bool{}
+	core.MergeNewestFirst(lens, d.key, func(s, from, to int) bool {
+		for i := from; i < to; i++ {
+			r := d.rec(s, i)
+			if r.dead {
+				if lastOccupied {
+					continue
+				}
+				tmb[r.key] = true
+			}
+			recs = append(recs, core.KV{Key: r.key, Value: r.val})
+		}
+		return true
+	})
 	ix, err := Build(recs, d.eps)
 	if err != nil {
 		// Inputs are sorted by construction; Build cannot fail.
 		panic(err)
 	}
-	tmb := map[core.Key]bool{}
-	for _, r := range merged {
-		if r.dead {
-			tmb[r.key] = true
-		}
+	for s := 0; s < slot; s++ {
+		d.levels[s], d.tombs[s] = nil, nil
 	}
 	for slot >= len(d.levels) {
 		d.levels = append(d.levels, nil)
@@ -478,61 +482,26 @@ func (d *Dynamic) flush() {
 	d.levels[slot] = ix
 	d.tombs[slot] = tmb
 	d.buf = d.buf[:0]
-	d.hook.Emit(obs.EvBufferMerge, len(merged), fmt.Sprintf("level%d", slot))
+	d.hook.Emit(obs.EvBufferMerge, len(recs), fmt.Sprintf("level%d", slot))
 }
 
-// levelRecs extracts a level's records with their tombstone flags.
-func levelRecs(ix *Index, tombs map[core.Key]bool) []dynRec {
-	out := make([]dynRec, ix.n)
-	for i := range ix.recs {
-		out[i] = dynRec{key: ix.recs[i].Key, val: ix.recs[i].Value, dead: tombs[ix.recs[i].Key]}
+// key returns the i-th key of merge source s: the buffer when s is 0,
+// else level s-1.
+func (d *Dynamic) key(s, i int) core.Key {
+	if s == 0 {
+		return d.buf[i].key
 	}
-	return out
+	return d.levels[s-1].keys[i]
 }
 
-// mergeRuns merges runs (runs[0] newest) into one sorted run; newer
-// occurrences shadow older ones. Tombstones are dropped when dropDead.
-func mergeRuns(runs [][]dynRec, dropDead bool) []dynRec {
-	type cursor struct {
-		run []dynRec
-		pos int
+// rec returns the i-th record of merge source s (as key numbers them)
+// with its tombstone flag.
+func (d *Dynamic) rec(s, i int) dynRec {
+	if s == 0 {
+		return d.buf[i]
 	}
-	cs := make([]cursor, len(runs))
-	total := 0
-	for i, r := range runs {
-		cs[i] = cursor{run: r}
-		total += len(r)
-	}
-	out := make([]dynRec, 0, total)
-	for {
-		// Find the smallest current key; prefer the newest run on ties.
-		best := -1
-		var bk core.Key
-		for i := range cs {
-			if cs[i].pos >= len(cs[i].run) {
-				continue
-			}
-			k := cs[i].run[cs[i].pos].key
-			if best == -1 || k < bk {
-				best, bk = i, k
-			}
-		}
-		if best == -1 {
-			break
-		}
-		rec := cs[best].run[cs[best].pos]
-		// Advance every run past this key (older duplicates are shadowed).
-		for i := range cs {
-			for cs[i].pos < len(cs[i].run) && cs[i].run[cs[i].pos].key == bk {
-				cs[i].pos++
-			}
-		}
-		if rec.dead && dropDead {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out
+	ix := d.levels[s-1]
+	return dynRec{key: ix.keys[i], val: ix.recs[i].Value, dead: d.tombs[s-1][ix.keys[i]]}
 }
 
 // getLevels looks k up in the static levels only (newest first).
@@ -570,62 +539,33 @@ func (d *Dynamic) Get(k core.Key) (core.Value, bool) {
 // Range calls fn for live records with lo <= key <= hi ascending; fn
 // returning false stops. Returns records visited.
 func (d *Dynamic) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
-	// Merge buffer + levels on the fly.
-	type src struct {
-		recs  []dynRec
-		pos   int
-		level int // -1 for buffer (newest)
-	}
-	var srcs []src
-	bi, _ := d.bufFind(lo)
-	srcs = append(srcs, src{recs: d.buf, pos: bi, level: -1})
-	for li, ix := range d.levels {
-		if ix == nil {
-			continue
+	// The buffer and every level, each read in place from its first key
+	// >= lo: source s starts at start[s] (an empty level is an empty source).
+	start, lens := make([]int, 1+len(d.levels)), make([]int, 1+len(d.levels))
+	start[0], _ = d.bufFind(lo)
+	lens[0] = len(d.buf) - start[0]
+	for l, ix := range d.levels {
+		if ix != nil {
+			start[l+1] = ix.LowerBound(lo)
+			lens[l+1] = ix.n - start[l+1]
 		}
-		start := ix.LowerBound(lo)
-		rs := make([]dynRec, 0)
-		for i := start; i < ix.n && ix.keys[i] <= hi; i++ {
-			dead := d.tombs[li][ix.keys[i]]
-			rs = append(rs, dynRec{key: ix.keys[i], val: ix.recs[i].Value, dead: dead})
-		}
-		srcs = append(srcs, src{recs: rs, level: li})
 	}
 	count := 0
-	for {
-		best := -1
-		var bk core.Key
-		for i := range srcs {
-			s := &srcs[i]
-			for s.pos < len(s.recs) && s.recs[s.pos].key < lo {
-				s.pos++
+	core.MergeNewestFirst(lens, func(s, i int) core.Key { return d.key(s, start[s]+i) }, func(s, from, to int) bool {
+		for i := start[s] + from; i < start[s]+to; i++ {
+			r := d.rec(s, i)
+			if r.key > hi {
+				return false
 			}
-			if s.pos >= len(s.recs) || s.recs[s.pos].key > hi {
-				continue
-			}
-			k := s.recs[s.pos].key
-			if best == -1 || k < bk {
-				best, bk = i, k
+			if !r.dead {
+				count++
+				if !fn(r.key, r.val) {
+					return false
+				}
 			}
 		}
-		if best == -1 {
-			break
-		}
-		rec := srcs[best].recs[srcs[best].pos]
-		for i := range srcs {
-			s := &srcs[i]
-			for s.pos < len(s.recs) && s.recs[s.pos].key == bk {
-				s.pos++
-			}
-		}
-		if rec.dead {
-			continue
-		}
-		count++
-		if !fn(rec.key, rec.val) {
-			break
-		}
-	}
+		return true
+	})
 	return count
 }
 

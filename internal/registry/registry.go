@@ -6,10 +6,8 @@
 // suite and the benchmark CLI all resolve kinds here instead of keeping
 // their own switch statements.
 //
-// The registry deliberately depends only on internal/core: it defines
-// the index surfaces structurally (identical method sets to the façade
-// and to internal/conform, internal/shard, internal/store), so interface
-// values convert implicitly in both directions.
+// The registry deliberately depends only on internal/core, where the index
+// surfaces it names are declared.
 package registry
 
 import (
@@ -19,37 +17,15 @@ import (
 	"github.com/lix-go/lix/internal/core"
 )
 
-// Index is the read-only one-dimensional index surface.
-type Index interface {
-	Get(k core.Key) (core.Value, bool)
-	Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
-	Len() int
-	Stats() core.Stats
-}
+// The index surfaces the constructors return.
+type (
+	Index               = core.Index
+	MutableIndex        = core.MutableIndex
+	SpatialIndex        = core.SpatialIndex
+	MutableSpatialIndex = core.MutableSpatialIndex
+)
 
-// MutableIndex is an Index supporting upserts and deletes.
-type MutableIndex interface {
-	Index
-	Insert(k core.Key, v core.Value)
-	Delete(k core.Key) bool
-}
-
-// SpatialIndex is the multi-dimensional read surface.
-type SpatialIndex interface {
-	Lookup(p core.Point) (core.Value, bool)
-	Search(rect core.Rect, fn func(core.PV) bool) (visited, work int)
-	Len() int
-	Stats() core.Stats
-}
-
-// MutableSpatialIndex is a SpatialIndex supporting inserts and deletes.
-type MutableSpatialIndex interface {
-	SpatialIndex
-	Insert(p core.Point, v core.Value) error
-	Delete(p core.Point, v core.Value) bool
-}
-
-// Caps are a kind's capability flags, mirrored by the conformance suite.
+// Caps are a kind's capability flags, shared with the conformance suite.
 type Caps struct {
 	// Mutable kinds support Insert/Delete after construction.
 	Mutable bool

@@ -10,22 +10,11 @@ import (
 	"github.com/lix-go/lix/internal/obs"
 )
 
-// Index mirrors the public one-dimensional read interface structurally
-// (like internal/conform does), so this package does not depend on the
-// façade's named types.
-type Index interface {
-	Get(k core.Key) (core.Value, bool)
-	Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
-	Len() int
-	Stats() core.Stats
-}
-
-// MutableIndex is an Index supporting upserts and deletes.
-type MutableIndex interface {
-	Index
-	Insert(k core.Key, v core.Value)
-	Delete(k core.Key) bool
-}
+// The index surfaces a shard serves.
+type (
+	Index        = core.Index
+	MutableIndex = core.MutableIndex
+)
 
 // Config sizes a Sharded instance.
 type Config struct {

@@ -203,10 +203,12 @@ func (r *Reader) train() (*lookup, error) {
 // memberKeys returns the sorted union of live and tombstone keys.
 func memberKeys(d *FileData) []core.Key {
 	out := make([]core.Key, 0, len(d.Live)+len(d.Dead))
-	c := cursor{d: d}
-	for c.head(); c.ok; c.next() {
-		out = append(out, c.key)
-	}
+	core.MergeNewestFirst([]int{len(d.Live), len(d.Dead)}, d.key, func(s, from, to int) bool {
+		for i := from; i < to; i++ {
+			out = append(out, d.key(s, i))
+		}
+		return true
+	})
 	return out
 }
 

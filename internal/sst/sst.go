@@ -330,22 +330,29 @@ func DecodeFile(b []byte) (*FileData, error) {
 	return d, nil
 }
 
-// WriteFile atomically writes d as a run file at path: encode, write to a
-// temp file in the same directory, fsync, rename over path, fsync the
-// directory. A crash at any point leaves either no file at path or a
-// complete, valid run — never a torn one.
+// WriteFile atomically writes d as a run file at path (WriteAtomic): a
+// crash at any point leaves either no file at path or a complete, valid
+// run — never a torn one.
 func WriteFile(path string, d *FileData) error {
 	buf, err := EncodeFile(d)
 	if err != nil {
 		return err
 	}
+	return WriteAtomic(path, buf)
+}
+
+// WriteAtomic writes b to path so that no reader ever sees a partial file
+// under that name: the bytes go to a temp file in the same directory,
+// which is fsynced, renamed over path, and the directory fsynced so the
+// rename itself is durable. The temp file's name does not end in ".lix".
+func WriteAtomic(path string, b []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(buf); err != nil {
+	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -359,11 +366,12 @@ func WriteFile(path string, d *FileData) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	return syncDir(dir)
+	return SyncDir(dir)
 }
 
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
+// SyncDir fsyncs a directory so renames, creates and removes within it are
+// durable.
+func SyncDir(dir string) error {
 	df, err := os.Open(dir)
 	if err != nil {
 		return err

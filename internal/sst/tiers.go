@@ -41,38 +41,12 @@ func (t *Tiers) Counters() Counters {
 	return c
 }
 
-// cursor walks one run's live and dead lists as a single ascending key
-// stream; key is the stream's head while ok.
-type cursor struct {
-	d    *FileData
-	i, j int // next unread Live and Dead entries
-	key  core.Key
-	ok   bool
-}
-
-// head recomputes the cursor's head after i or j moved.
-func (c *cursor) head() {
-	haveLive, haveDead := c.i < len(c.d.Live), c.j < len(c.d.Dead)
-	c.ok = haveLive || haveDead
-	switch {
-	case haveLive && (!haveDead || c.d.Live[c.i].Key < c.d.Dead[c.j]):
-		c.key = c.d.Live[c.i].Key
-	case haveDead:
-		c.key = c.d.Dead[c.j]
+// key is the i-th key of d's live list (list 0) or tombstones (list 1).
+func (d *FileData) key(list, i int) core.Key {
+	if list == 0 {
+		return d.Live[i].Key
 	}
-}
-
-// live reports whether the head is a live record rather than a tombstone.
-func (c *cursor) live() bool { return c.i < len(c.d.Live) && c.d.Live[c.i].Key == c.key }
-
-// next moves past the head.
-func (c *cursor) next() {
-	if c.live() {
-		c.i++
-	} else {
-		c.j++
-	}
-	c.head()
+	return d.Dead[i]
 }
 
 // MergeData merges runs (ordered newest first) into one logical run in a
@@ -83,38 +57,29 @@ func (c *cursor) next() {
 // inputs. Inputs may be empty; they are not modified.
 func MergeData(newestFirst []*FileData, dropDead bool) *FileData {
 	out := &FileData{}
-	cur := make([]cursor, len(newestFirst))
+	// Source 2r is run r's live list and 2r+1 its tombstones; the two share
+	// no key, so which of them counts as the newer never decides a tie.
+	lens := make([]int, 0, 2*len(newestFirst))
 	live := 0
-	for i, d := range newestFirst {
-		cur[i].d = d
-		cur[i].head()
+	for _, d := range newestFirst {
+		lens = append(lens, len(d.Live), len(d.Dead))
 		out.Seq = max(out.Seq, d.Seq)
 		live += len(d.Live)
 	}
 	out.Live = make([]core.KV, 0, live)
-	for {
-		// The smallest key any run still holds; ties go to the newest run,
-		// which is the one that speaks for the key.
-		win := -1
-		for i := range cur {
-			if cur[i].ok && (win < 0 || cur[i].key < cur[win].key) {
-				win = i
+	core.MergeNewestFirst(lens, func(s, i int) core.Key {
+		return newestFirst[s/2].key(s%2, i)
+	}, func(s, from, to int) bool {
+		if d := newestFirst[s/2]; s%2 == 0 {
+			// Where runs interleave, stretches are short: an element
+			// loop, not a memmove call per stretch.
+			for _, kv := range d.Live[from:to] {
+				out.Live = append(out.Live, kv)
 			}
-		}
-		if win < 0 {
-			return out
-		}
-		k := cur[win].key
-		if c := &cur[win]; c.live() {
-			out.Live = append(out.Live, c.d.Live[c.i])
 		} else if !dropDead {
-			out.Dead = append(out.Dead, k)
+			out.Dead = append(out.Dead, d.Dead[from:to]...)
 		}
-		// Every run's entry for k, the winner's included, is consumed.
-		for i := win; i < len(cur); i++ {
-			if cur[i].ok && cur[i].key == k {
-				cur[i].next()
-			}
-		}
-	}
+		return true
+	})
+	return out
 }

@@ -266,7 +266,7 @@ func gcDir(dir string, keepGen uint64, refs []RunRef) {
 	for _, path := range st.runs {
 		os.Remove(path)
 	}
-	syncDir(dir)
+	sst.SyncDir(dir)
 }
 
 // pickCompaction scans merge windows of compactMinRuns consecutive runs
@@ -354,7 +354,7 @@ func (d *Durable) compact(lo, hi int) error {
 		r.Close()
 		os.Remove(r.Stats().Path)
 	}
-	syncDir(d.dir)
+	sst.SyncDir(d.dir)
 	d.emit(obs.EvCompaction, merged, fmt.Sprintf("lsm merged %d runs into %d records (dropDead=%v)", len(window), merged, dropDead))
 	d.publishLSMGauges()
 	d.countWork(start, runBytes, true)

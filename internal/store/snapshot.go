@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/sst"
 )
 
 // Snapshot codec: the format of the manifest (lsm-<gen>.lix). A file is a
@@ -242,32 +242,10 @@ func decodeRuns(p []byte) ([]RunRef, error) {
 	return runs, nil
 }
 
-// WriteSnapshot atomically writes s to path: the bytes go to a temp file
-// in the same directory, which is fsynced, renamed over path, and the
-// directory fsynced so the rename itself is durable. Readers therefore
+// WriteSnapshot atomically writes s to path (sst.WriteAtomic): readers
 // never observe a partially written snapshot under the final name.
 func WriteSnapshot(path string, s *SnapshotData) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(encodeSnapshot(s)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return sst.WriteAtomic(path, encodeSnapshot(s))
 }
 
 // ReadSnapshot loads and validates the snapshot at path.
@@ -277,16 +255,4 @@ func ReadSnapshot(path string) (*SnapshotData, error) {
 		return nil, err
 	}
 	return DecodeSnapshot(data)
-}
-
-// syncDir fsyncs a directory so renames and creates within it are
-// durable. Errors are returned except on platforms where directories
-// cannot be fsynced.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

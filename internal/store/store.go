@@ -117,16 +117,8 @@ func (r Record) String() string {
 	return fmt.Sprintf("#%d %s(%d)", r.Seq, r.Op, r.Key)
 }
 
-// MutableIndex is the structural index surface the durable layer wraps
-// (mirrors the public façade's MutableIndex without importing it).
-type MutableIndex interface {
-	Get(k core.Key) (core.Value, bool)
-	Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int
-	Len() int
-	Stats() core.Stats
-	Insert(k core.Key, v core.Value)
-	Delete(k core.Key) bool
-}
+// MutableIndex is the index surface the durable layer wraps.
+type MutableIndex = core.MutableIndex
 
 // Router maps a key to its write segment, the lock domain its writes are
 // ordered in. The routing must be stable while the store is open (the same

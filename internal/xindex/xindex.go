@@ -363,35 +363,44 @@ func (ix *Index) compact(g *group) {
 func mergeBaseDelta(keys []core.Key, vals []core.Value, delta []deltaRec) ([]core.Key, []core.Value) {
 	outK := make([]core.Key, 0, len(keys)+len(delta))
 	outV := make([]core.Value, 0, len(keys)+len(delta))
-	i, j := 0, 0
-	for i < len(keys) || j < len(delta) {
-		var useDelta bool
-		switch {
-		case i >= len(keys):
-			useDelta = true
-		case j >= len(delta):
-			useDelta = false
-		case delta[j].key < keys[i]:
-			useDelta = true
-		case delta[j].key > keys[i]:
-			useDelta = false
-		default:
-			i++ // shadowed base record
-			useDelta = true
+	m := baseDelta{keys: keys, vals: vals, delta: delta}
+	core.MergeNewestFirst(m.lens(), m.key, func(s, from, to int) bool {
+		if s == 1 {
+			outK, outV = append(outK, keys[from:to]...), append(outV, vals[from:to]...)
+			return true
 		}
-		if useDelta {
-			if !delta[j].dead {
-				outK = append(outK, delta[j].key)
-				outV = append(outV, delta[j].val)
+		for _, d := range delta[from:to] {
+			if !d.dead {
+				outK, outV = append(outK, d.key), append(outV, d.val)
 			}
-			j++
-		} else {
-			outK = append(outK, keys[i])
-			outV = append(outV, vals[i])
-			i++
 		}
-	}
+		return true
+	})
 	return outK, outV
+}
+
+// baseDelta is a sorted base (keys, vals) and a sorted delta as the two
+// sources of a newest-first merge: source 0 is the delta, source 1 the base.
+type baseDelta struct {
+	keys  []core.Key
+	vals  []core.Value
+	delta []deltaRec
+}
+
+func (m *baseDelta) lens() []int { return []int{len(m.delta), len(m.keys)} }
+
+func (m *baseDelta) key(s, i int) core.Key {
+	if s == 0 {
+		return m.delta[i].key
+	}
+	return m.keys[i]
+}
+
+func (m *baseDelta) rec(s, i int) deltaRec {
+	if s == 0 {
+		return m.delta[i]
+	}
+	return deltaRec{key: m.keys[i], val: m.vals[i]}
 }
 
 // Range calls fn for live records with lo <= key <= hi ascending; fn
@@ -400,50 +409,29 @@ func mergeBaseDelta(keys []core.Key, vals []core.Value, delta []deltaRec) ([]cor
 func (ix *Index) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
 	r := ix.root.Load()
 	count := 0
-	for gi := r.route(lo); gi < len(r.groups); gi++ {
+	stop := false
+	for gi := r.route(lo); gi < len(r.groups) && !stop; gi++ {
 		g := r.groups[gi]
 		g.mu.RLock()
 		i := g.lowerIdx(lo)
 		j, _ := g.deltaFind(lo)
-		stop := false
-		for i < len(g.keys) || j < len(g.delta) {
-			var k core.Key
-			var v core.Value
-			var dead bool
-			switch {
-			case i >= len(g.keys):
-				k, v, dead = g.delta[j].key, g.delta[j].val, g.delta[j].dead
-				j++
-			case j >= len(g.delta):
-				k, v = g.keys[i], g.vals[i]
-				i++
-			case g.delta[j].key <= g.keys[i]:
-				k, v, dead = g.delta[j].key, g.delta[j].val, g.delta[j].dead
-				if g.delta[j].key == g.keys[i] {
-					i++
+		m := baseDelta{keys: g.keys[i:], vals: g.vals[i:], delta: g.delta[j:]}
+		core.MergeNewestFirst(m.lens(), m.key, func(s, from, to int) bool {
+			for x := from; x < to; x++ {
+				d := m.rec(s, x)
+				if stop = d.key > hi; stop {
+					return false
 				}
-				j++
-			default:
-				k, v = g.keys[i], g.vals[i]
-				i++
+				if !d.dead {
+					count++
+					if stop = !fn(d.key, d.val); stop {
+						return false
+					}
+				}
 			}
-			if k > hi {
-				stop = true
-				break
-			}
-			if dead {
-				continue
-			}
-			count++
-			if !fn(k, v) {
-				stop = true
-				break
-			}
-		}
+			return true
+		})
 		g.mu.RUnlock()
-		if stop {
-			break
-		}
 	}
 	return count
 }

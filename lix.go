@@ -46,33 +46,16 @@ type (
 	// Op is one operation of a batch (Stack.Apply): OpGet, OpPut or OpDel
 	// of a key.
 	Op = core.Op
+	// Index is a read-only one-dimensional ordered index: Get, Range, Len
+	// and Stats.
+	Index = core.Index
+	// MutableIndex is an Index supporting upserts (Insert) and deletes
+	// (Delete).
+	MutableIndex = core.MutableIndex
 )
 
 // The kinds of Op.
 const OpGet, OpPut, OpDel = core.OpGet, core.OpPut, core.OpDel
-
-// Index is a read-only one-dimensional ordered index.
-type Index interface {
-	// Get returns the value stored for k.
-	Get(k Key) (Value, bool)
-	// Range calls fn for every record with lo <= key <= hi in ascending
-	// order; fn returning false stops the scan. It returns the number of
-	// records visited.
-	Range(lo, hi Key, fn func(Key, Value) bool) int
-	// Len returns the number of records.
-	Len() int
-	// Stats reports structure statistics.
-	Stats() Stats
-}
-
-// MutableIndex is an Index supporting upserts and deletes.
-type MutableIndex interface {
-	Index
-	// Insert upserts (k, v).
-	Insert(k Key, v Value)
-	// Delete removes k, reporting whether it was present.
-	Delete(k Key) bool
-}
 
 // RMIConfig re-exports the RMI build configuration.
 type RMIConfig = rmi.Config

@@ -23,43 +23,18 @@ type (
 	Rect = core.Rect
 	// PV is a point/value record.
 	PV = core.PV
+	// SpatialIndex answers exact-point (Lookup) and rectangle (Search)
+	// queries over points.
+	SpatialIndex = core.SpatialIndex
+	// KNNIndex is a SpatialIndex that also answers k-nearest-neighbor
+	// queries (KNN).
+	KNNIndex = core.KNNIndex
+	// MutableSpatialIndex is a SpatialIndex supporting inserts and deletes.
+	MutableSpatialIndex = core.MutableSpatialIndex
 )
 
 // NewRect builds a validated rectangle.
 func NewRect(min, max Point) (Rect, error) { return core.NewRect(min, max) }
-
-// SpatialIndex answers exact-point and rectangle queries over points.
-type SpatialIndex interface {
-	// Lookup returns the value of a stored point equal to p.
-	Lookup(p Point) (Value, bool)
-	// Search calls fn for every point inside rect; fn returning false
-	// stops. It returns points visited and an implementation-specific
-	// work counter (nodes, cells, or candidates touched — the I/O proxy).
-	// The PV handed to fn may alias index memory: its Point is read-only,
-	// valid for the life of an immutable index and until the next Insert
-	// or Delete on a mutable one.
-	Search(rect Rect, fn func(PV) bool) (visited, work int)
-	// Len returns the number of points.
-	Len() int
-	// Stats reports structure statistics.
-	Stats() Stats
-}
-
-// KNNIndex is a SpatialIndex that also answers k-nearest-neighbor queries.
-type KNNIndex interface {
-	SpatialIndex
-	// KNN returns the k nearest points to q in ascending distance order.
-	KNN(q Point, k int) []PV
-}
-
-// MutableSpatialIndex is a SpatialIndex supporting inserts and deletes.
-type MutableSpatialIndex interface {
-	SpatialIndex
-	// Insert adds a copy of p: the caller's slice is free once it returns.
-	Insert(p Point, v Value) error
-	// Delete removes one stored point equal to p with matching value.
-	Delete(p Point, v Value) bool
-}
 
 // Spatial config re-exports.
 type (
