@@ -103,21 +103,26 @@ func FuzzPLAErrorBound(f *testing.F) {
 	})
 }
 
-// FuzzExponentialSearch cross-checks ExponentialSearch against LowerBound
-// from arbitrary start positions.
+// FuzzExponentialSearch cross-checks ExponentialSearch and
+// ExponentialSearchKV against LowerBound from arbitrary start positions.
 func FuzzExponentialSearch(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3}, uint64(2), 1)
 	f.Fuzz(func(t *testing.T, raw []byte, probe uint64, start int) {
 		keys := make([]core.Key, 0, len(raw))
+		recs := make([]core.KV, 0, len(raw))
 		cur := core.Key(0)
-		for _, b := range raw {
+		for i, b := range raw {
 			cur += core.Key(b)
 			keys = append(keys, cur)
+			recs = append(recs, core.KV{Key: cur, Value: core.Value(i)})
 		}
 		want := core.LowerBound(keys, core.Key(probe))
 		got := core.ExponentialSearch(keys, core.Key(probe), start)
 		if got != want {
 			t.Fatalf("ExponentialSearch(%d, start=%d) = %d, want %d", probe, start, got, want)
+		}
+		if got := core.ExponentialSearchKV(recs, core.Key(probe), start); got != want {
+			t.Fatalf("ExponentialSearchKV(%d, start=%d) = %d, want %d", probe, start, got, want)
 		}
 	})
 }

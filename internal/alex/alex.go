@@ -18,6 +18,7 @@ package alex
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 
 	"github.com/lix-go/lix/internal/core"
@@ -76,15 +77,19 @@ type inner struct {
 	trainedAt int // len(children) when the model was last trained
 }
 
+// dataNode is a gapped array. A slot's key and value are adjacent, so a get
+// finds the value on the key's cache line, and the slot array is one
+// allocation: the allocator rounds each array up to its size class on its
+// own (a large one to whole 8 KiB pages), and separate key, value and
+// occupancy arrays paid that remainder three times.
 type dataNode struct {
 	// Read by every operation on the leaf, written by expand (and next by
 	// a split of the neighbour): two lines.
-	keys  []core.Key
-	vals  []core.Value
-	occ   []bool
+	slots []core.KV // sorted by key; a gap slot keeps a filler key
+	occ   []uint64  // bit i&63 of occ[i>>6] set: slot i holds a record
 	model mlmodel.Linear
 	next  *dataNode // leaf chain for range scans
-	_     [2*cacheLine - 3*unsafe.Sizeof([]bool(nil)) - unsafe.Sizeof(mlmodel.Linear{}) - unsafe.Sizeof((*dataNode)(nil))]byte
+	_     [2*cacheLine - 2*unsafe.Sizeof([]uint64(nil)) - unsafe.Sizeof(mlmodel.Linear{}) - unsafe.Sizeof((*dataNode)(nil))]byte
 
 	// Written by every insert and delete that lands here.
 	numKeys int
@@ -96,42 +101,46 @@ func (*dataNode) isNode() {}
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{root: newDataNode(nil, nil, initDataSlots)}
+	return &Index{root: newDataNode(nil, initDataSlots)}
 }
 
 // Bulk builds an index from records sorted ascending by key (duplicates:
 // last wins).
 func Bulk(recs []core.KV) (*Index, error) {
+	dups := false
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Key < recs[i-1].Key {
 			return nil, fmt.Errorf("alex: bulk input not sorted at %d", i)
 		}
+		dups = dups || recs[i].Key == recs[i-1].Key
 	}
-	// Collapse duplicates (last wins).
-	keys := make([]core.Key, 0, len(recs))
-	vals := make([]core.Value, 0, len(recs))
-	for i := range recs {
-		if len(keys) > 0 && keys[len(keys)-1] == recs[i].Key {
-			vals[len(vals)-1] = recs[i].Value
-			continue
+	// The data nodes copy what they hold, so recs is only copied to
+	// collapse duplicates (last wins).
+	if dups {
+		uniq := make([]core.KV, 0, len(recs))
+		for _, r := range recs {
+			if len(uniq) > 0 && uniq[len(uniq)-1].Key == r.Key {
+				uniq[len(uniq)-1].Value = r.Value
+				continue
+			}
+			uniq = append(uniq, r)
 		}
-		keys = append(keys, recs[i].Key)
-		vals = append(vals, recs[i].Value)
+		recs = uniq
 	}
 	ix := &Index{}
 	var leaves []*dataNode
-	ix.root = buildSubtree(keys, vals, &leaves)
+	ix.root = buildSubtree(recs, &leaves)
 	for i := 0; i+1 < len(leaves); i++ {
 		leaves[i].next = leaves[i+1]
 	}
-	ix.size = len(keys)
+	ix.size = len(recs)
 	return ix, nil
 }
 
 // buildSubtree recursively creates inner nodes over equal-count partitions
 // until partitions fit in a data node.
-func buildSubtree(keys []core.Key, vals []core.Value, leaves *[]*dataNode) node {
-	n := len(keys)
+func buildSubtree(recs []core.KV, leaves *[]*dataNode) node {
+	n := len(recs)
 	if n <= bulkLeafKeys {
 		capHint := int(float64(n)/minDensity) + 2
 		if capHint < initDataSlots {
@@ -140,7 +149,7 @@ func buildSubtree(keys []core.Key, vals []core.Value, leaves *[]*dataNode) node 
 		if capHint > maxDataSlots {
 			capHint = maxDataSlots
 		}
-		dn := newDataNode(keys, vals, capHint)
+		dn := newDataNode(recs, capHint)
 		*leaves = append(*leaves, dn)
 		return dn
 	}
@@ -155,8 +164,8 @@ func buildSubtree(keys []core.Key, vals []core.Value, leaves *[]*dataNode) node 
 		if end > n {
 			end = n
 		}
-		in.firstKeys = append(in.firstKeys, keys[i])
-		in.children = append(in.children, buildSubtree(keys[i:end], vals[i:end], leaves))
+		in.firstKeys = append(in.firstKeys, recs[i].Key)
+		in.children = append(in.children, buildSubtree(recs[i:end], leaves))
 	}
 	in.retrain()
 	return in
@@ -190,17 +199,17 @@ func (in *inner) route(k core.Key) int {
 	return i
 }
 
-// newDataNode builds a gapped data node from sorted keys/vals with the
-// given slot capacity (>= len(keys)+1) using model-based placement.
-func newDataNode(keys []core.Key, vals []core.Value, capacity int) *dataNode {
-	n := len(keys)
+// newDataNode builds a gapped data node from records sorted by distinct
+// keys with the given slot capacity (>= len(recs)+1) using model-based
+// placement.
+func newDataNode(recs []core.KV, capacity int) *dataNode {
+	n := len(recs)
 	if capacity < n+1 {
 		capacity = n + 1
 	}
 	dn := &dataNode{
-		keys: make([]core.Key, capacity),
-		vals: make([]core.Value, capacity),
-		occ:  make([]bool, capacity),
+		slots: make([]core.KV, capacity),
+		occ:   make([]uint64, (capacity+63)/64),
 	}
 	if n == 0 {
 		return dn
@@ -209,8 +218,8 @@ func newDataNode(keys []core.Key, vals []core.Value, capacity int) *dataNode {
 	xs := make([]float64, n)
 	ys := make([]float64, n)
 	scale := float64(capacity-1) / float64(n)
-	for i, k := range keys {
-		xs[i] = float64(k)
+	for i, r := range recs {
+		xs[i] = float64(r.Key)
 		ys[i] = float64(i) * scale
 	}
 	_ = dn.model.Fit(xs, ys)
@@ -218,70 +227,90 @@ func newDataNode(keys []core.Key, vals []core.Value, capacity int) *dataNode {
 		dn.model.Slope = 0
 		dn.model.Intercept = float64(capacity) / 2
 	}
-	// Model-based placement: strictly increasing slots.
-	last := -1
-	for i := 0; i < n; i++ {
+	// Model-based placement: strictly increasing slots. The gaps before a
+	// record are written as it is placed, with the key of the record to
+	// their left (leading gaps with the first key), so the slot array is
+	// sorted when the last record is in.
+	free := 0 // first slot not yet written
+	fill := recs[0].Key
+	for i, r := range recs {
 		slot := int(math.Round(dn.model.Predict(xs[i])))
-		if slot <= last {
-			slot = last + 1
+		if slot < free {
+			slot = free
 		}
 		// Keep room for the remaining keys.
-		maxSlot := capacity - (n - i)
-		if slot > maxSlot {
+		if maxSlot := capacity - (n - i); slot > maxSlot {
 			slot = maxSlot
 		}
-		dn.keys[slot] = keys[i]
-		dn.vals[slot] = vals[i]
-		dn.occ[slot] = true
-		last = slot
+		for ; free < slot; free++ {
+			dn.slots[free].Key = fill
+		}
+		dn.slots[slot] = r
+		dn.occupy(slot)
+		fill, free = r.Key, slot+1
+	}
+	for ; free < capacity; free++ {
+		dn.slots[free].Key = fill
 	}
 	dn.numKeys = n
-	dn.fillGaps()
 	return dn
 }
 
-// fillGaps rewrites gap slots with the nearest occupied key to the left
-// (leading gaps take the first occupied key) to restore sortedness.
-func (dn *dataNode) fillGaps() {
-	// Find first occupied.
-	first := -1
-	for i, o := range dn.occ {
-		if o {
-			first = i
-			break
+func (dn *dataNode) occupied(i int) bool { return dn.occ[i>>6]&(1<<(i&63)) != 0 }
+func (dn *dataNode) occupy(i int)        { dn.occ[i>>6] |= 1 << (i & 63) }
+func (dn *dataNode) vacate(i int)        { dn.occ[i>>6] &^= 1 << (i & 63) }
+
+// gapFrom returns the first free slot at or after s, or -1 if there is
+// none. Bits past the last slot are clear, so they read as free and are
+// cut off by the bound.
+func (dn *dataNode) gapFrom(s int) int {
+	w := s >> 6
+	if w >= len(dn.occ) {
+		return -1
+	}
+	free := ^dn.occ[w] &^ (1<<(s&63) - 1)
+	for free == 0 {
+		if w++; w == len(dn.occ) {
+			return -1
 		}
+		free = ^dn.occ[w]
 	}
-	if first == -1 {
-		return
+	if g := w<<6 + bits.TrailingZeros64(free); g < len(dn.slots) {
+		return g
 	}
-	cur := dn.keys[first]
-	for i := 0; i < first; i++ {
-		dn.keys[i] = cur
+	return -1
+}
+
+// gapBefore returns the last free slot before s, or -1 if there is none.
+func (dn *dataNode) gapBefore(s int) int {
+	if s <= 0 {
+		return -1
 	}
-	for i := first; i < len(dn.keys); i++ {
-		if dn.occ[i] {
-			cur = dn.keys[i]
-		} else {
-			dn.keys[i] = cur
+	t := s - 1
+	w := t >> 6
+	free := ^dn.occ[w] & (2<<(t&63) - 1)
+	for free == 0 {
+		if w--; w < 0 {
+			return -1
 		}
+		free = ^dn.occ[w]
 	}
+	return w<<6 + 63 - bits.LeadingZeros64(free)
 }
 
 // lowerSlot returns the first slot with key >= k, using exponential search
 // from the model prediction.
 func (dn *dataNode) lowerSlot(k core.Key) int {
-	pred := core.Clamp(int(math.Round(dn.model.Predict(float64(k)))), 0, len(dn.keys)-1)
-	return core.ExponentialSearch(dn.keys, k, pred)
+	pred := core.Clamp(int(math.Round(dn.model.Predict(float64(k)))), 0, len(dn.slots)-1)
+	return core.ExponentialSearchKV(dn.slots, k, pred)
 }
 
 // get returns the value for k.
 func (dn *dataNode) get(k core.Key) (core.Value, bool) {
-	s := dn.lowerSlot(k)
-	for s < len(dn.keys) && dn.keys[s] == k {
-		if dn.occ[s] {
-			return dn.vals[s], true
+	for s := dn.lowerSlot(k); s < len(dn.slots) && dn.slots[s].Key == k; s++ {
+		if dn.occupied(s) {
+			return dn.slots[s].Value, true
 		}
-		s++
 	}
 	return 0, false
 }
@@ -324,16 +353,16 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 		dn := n.(*dataNode)
 		s := dn.lowerSlot(k)
 		// Upsert: scan the run of equal keys for an occupied slot.
-		for t := s; t < len(dn.keys) && dn.keys[t] == k; t++ {
-			if dn.occ[t] {
-				dn.vals[t] = v
+		for t := s; t < len(dn.slots) && dn.slots[t].Key == k; t++ {
+			if dn.occupied(t) {
+				dn.slots[t].Value = v
 				return false
 			}
 		}
 		// Structural adaptation before placing, if too dense; the leaf
 		// and the slot are then found again from the root.
-		if float64(dn.numKeys+1) > maxDensity*float64(len(dn.keys)) {
-			if 2*len(dn.keys) <= maxDataSlots {
+		if float64(dn.numKeys+1) > maxDensity*float64(len(dn.slots)) {
+			if 2*len(dn.slots) <= maxDataSlots {
 				ix.expand(dn)
 			} else {
 				ix.split(dn, parent)
@@ -351,47 +380,28 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 func (dn *dataNode) place(s int, k core.Key, v core.Value, shifts *int) {
 	// Fast path: the lower-bound slot itself is a gap carrying exactly k
 	// (a duplicate left over from a deletion): claim it, order unchanged.
-	if s < len(dn.keys) && !dn.occ[s] && dn.keys[s] == k {
-		dn.keys[s] = k
-		dn.vals[s] = v
-		dn.occ[s] = true
+	if s < len(dn.slots) && !dn.occupied(s) && dn.slots[s].Key == k {
+		dn.slots[s].Value = v
+		dn.occupy(s)
 		dn.numKeys++
 		return
 	}
-	// Find nearest gap right and left of s.
-	right := -1
-	for t := s; t < len(dn.keys); t++ {
-		if !dn.occ[t] {
-			right = t
-			break
-		}
-	}
-	left := -1
-	for t := s - 1; t >= 0; t-- {
-		if !dn.occ[t] {
-			left = t
-			break
-		}
-	}
+	// Every slot between s and the nearest gap holds a record, so a shift
+	// toward that gap changes one bit of the bitmap: the gap's own.
+	right, left := dn.gapFrom(s), dn.gapBefore(s)
 	switch {
 	case right >= 0 && (left < 0 || right-s <= s-left):
 		// Shift [s, right) one slot right, insert at s.
-		copy(dn.keys[s+1:right+1], dn.keys[s:right])
-		copy(dn.vals[s+1:right+1], dn.vals[s:right])
-		copy(dn.occ[s+1:right+1], dn.occ[s:right])
+		copy(dn.slots[s+1:right+1], dn.slots[s:right])
 		*shifts += right - s
-		dn.keys[s] = k
-		dn.vals[s] = v
-		dn.occ[s] = true
+		dn.occupy(right)
+		dn.slots[s] = core.KV{Key: k, Value: v}
 	case left >= 0:
 		// Shift (left, s-1] one slot left, insert at s-1.
-		copy(dn.keys[left:s-1], dn.keys[left+1:s])
-		copy(dn.vals[left:s-1], dn.vals[left+1:s])
-		copy(dn.occ[left:s-1], dn.occ[left+1:s])
+		copy(dn.slots[left:s-1], dn.slots[left+1:s])
 		*shifts += s - 1 - left
-		dn.keys[s-1] = k
-		dn.vals[s-1] = v
-		dn.occ[s-1] = true
+		dn.occupy(left)
+		dn.slots[s-1] = core.KV{Key: k, Value: v}
 	default:
 		// No gap: caller violated the density invariant.
 		panic("alex: place called with no free slot")
@@ -401,9 +411,8 @@ func (dn *dataNode) place(s int, k core.Key, v core.Value, shifts *int) {
 
 // expand doubles the node capacity and re-places all keys model-based.
 func (ix *Index) expand(dn *dataNode) {
-	keys, vals := dn.extract()
-	nn := newDataNode(keys, vals, 2*len(dn.keys))
-	dn.keys, dn.vals, dn.occ = nn.keys, nn.vals, nn.occ
+	nn := newDataNode(dn.extract(), 2*len(dn.slots))
+	dn.slots, dn.occ = nn.slots, nn.occ
 	dn.model = nn.model
 	dn.numKeys = nn.numKeys
 	ix.Expands++
@@ -411,39 +420,37 @@ func (ix *Index) expand(dn *dataNode) {
 }
 
 // extract returns the node's live records in sorted order.
-func (dn *dataNode) extract() ([]core.Key, []core.Value) {
-	keys := make([]core.Key, 0, dn.numKeys)
-	vals := make([]core.Value, 0, dn.numKeys)
-	for i := range dn.keys {
-		if dn.occ[i] {
-			keys = append(keys, dn.keys[i])
-			vals = append(vals, dn.vals[i])
+func (dn *dataNode) extract() []core.KV {
+	recs := make([]core.KV, 0, dn.numKeys)
+	for w, word := range dn.occ {
+		for ; word != 0; word &= word - 1 {
+			recs = append(recs, dn.slots[w<<6+bits.TrailingZeros64(word)])
 		}
 	}
-	return keys, vals
+	return recs
 }
 
 // split divides dn into two data nodes at the median and installs them in
 // parent (nil when dn is the root: a new root inner node is created).
 func (ix *Index) split(dn *dataNode, parent *inner) {
-	keys, vals := dn.extract()
-	mid := len(keys) / 2
+	recs := dn.extract()
+	mid := len(recs) / 2
 	capL := int(float64(mid)/minDensity) + 2
-	capR := int(float64(len(keys)-mid)/minDensity) + 2
-	leftN := newDataNode(keys[:mid], vals[:mid], capL)
-	rightN := newDataNode(keys[mid:], vals[mid:], capR)
+	capR := int(float64(len(recs)-mid)/minDensity) + 2
+	leftN := newDataNode(recs[:mid], capL)
+	rightN := newDataNode(recs[mid:], capR)
 	rightN.next = dn.next
 	leftN.next = rightN
 	ix.Splits++
-	ix.hook.Emit(obs.EvNodeSplit, len(keys), "split")
+	ix.hook.Emit(obs.EvNodeSplit, len(recs), "split")
 	if parent == nil {
 		// dn was the root.
 		rootFirst := core.Key(0)
-		if len(keys) > 0 {
-			rootFirst = keys[0]
+		if len(recs) > 0 {
+			rootFirst = recs[0].Key
 		}
 		in := &inner{
-			firstKeys: []core.Key{rootFirst, keys[mid]},
+			firstKeys: []core.Key{rootFirst, recs[mid].Key},
 			children:  []node{leftN, rightN},
 		}
 		in.retrain()
@@ -451,14 +458,14 @@ func (ix *Index) split(dn *dataNode, parent *inner) {
 		ix.root = in
 		return
 	}
-	ci := parent.route(keys[mid])
+	ci := parent.route(recs[mid].Key)
 	// The child at ci must be dn; replace with left and insert right after.
 	parent.children[ci] = leftN
 	parent.firstKeys = append(parent.firstKeys, 0)
 	parent.children = append(parent.children, nil)
 	copy(parent.firstKeys[ci+2:], parent.firstKeys[ci+1:])
 	copy(parent.children[ci+2:], parent.children[ci+1:])
-	parent.firstKeys[ci+1] = keys[mid]
+	parent.firstKeys[ci+1] = recs[mid].Key
 	parent.children[ci+1] = rightN
 	// Fix the leaf chain predecessor link.
 	ix.fixPrevLink(dn, leftN)
@@ -500,11 +507,11 @@ func (ix *Index) leftmostLeaf() *dataNode {
 func (ix *Index) Delete(k core.Key) bool {
 	dn := ix.findLeaf(k)
 	s := dn.lowerSlot(k)
-	for ; s < len(dn.keys) && dn.keys[s] == k; s++ {
-		if dn.occ[s] {
+	for ; s < len(dn.slots) && dn.slots[s].Key == k; s++ {
+		if dn.occupied(s) {
 			// The slot keeps its key value as a gap duplicate, so the
 			// array stays sorted with no rewriting.
-			dn.occ[s] = false
+			dn.vacate(s)
 			dn.numKeys--
 			ix.size--
 			return true
@@ -519,21 +526,21 @@ func (ix *Index) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int 
 	dn := ix.findLeaf(lo)
 	count := 0
 	s := dn.lowerSlot(lo)
-	for dn != nil {
-		for ; s < len(dn.keys); s++ {
-			if !dn.occ[s] {
-				continue
-			}
-			if dn.keys[s] > hi {
-				return count
-			}
-			count++
-			if !fn(dn.keys[s], dn.vals[s]) {
-				return count
+	for ; dn != nil; dn, s = dn.next, 0 {
+		// The records at or after slot s, a bitmap word at a time.
+		mask := ^uint64(0) << (s & 63)
+		for w := s >> 6; w < len(dn.occ); w, mask = w+1, ^uint64(0) {
+			for word := dn.occ[w] & mask; word != 0; word &= word - 1 {
+				r := dn.slots[w<<6+bits.TrailingZeros64(word)]
+				if r.Key > hi {
+					return count
+				}
+				count++
+				if !fn(r.Key, r.Value) {
+					return count
+				}
 			}
 		}
-		dn = dn.next
-		s = 0
 	}
 	return count
 }
@@ -552,17 +559,22 @@ func (ix *Index) Height() int {
 	}
 }
 
-// Stats reports structure statistics.
+// Stats reports structure statistics. IndexBytes is the nodes themselves
+// and the inner nodes' arrays; DataBytes is the data nodes' slot arrays and
+// bitmaps.
 func (ix *Index) Stats() core.Stats {
-	var dataNodes, innerNodes, slots int
+	var dataNodes, innerNodes, indexBytes, dataBytes int
 	var walk func(n node)
 	walk = func(n node) {
 		switch v := n.(type) {
 		case *dataNode:
 			dataNodes++
-			slots += len(v.keys)
+			indexBytes += int(unsafe.Sizeof(*v))
+			dataBytes += 16*cap(v.slots) + 8*cap(v.occ)
 		case *inner:
 			innerNodes++
+			// A child is an interface value: two words.
+			indexBytes += int(unsafe.Sizeof(*v)) + 8*cap(v.firstKeys) + 16*cap(v.children)
 			for _, c := range v.children {
 				walk(c)
 			}
@@ -572,8 +584,8 @@ func (ix *Index) Stats() core.Stats {
 	return core.Stats{
 		Name:       "alex",
 		Count:      ix.size,
-		IndexBytes: innerNodes*48 + dataNodes*16, // models + headers
-		DataBytes:  slots * 17,                   // key+val+occ per slot
+		IndexBytes: indexBytes,
+		DataBytes:  dataBytes,
 		Height:     ix.Height(),
 		Models:     dataNodes + innerNodes,
 	}

@@ -22,6 +22,23 @@ func BenchmarkGet(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkBulk builds a tree over 2 M lognormal keys, the record count
+// the repo benchmark's ALEX workloads preload.
+func BenchmarkBulk(b *testing.B) {
+	keys, _ := dataset.Keys(dataset.Lognormal, 2_000_000, 4)
+	recs := dataset.KV(keys)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix, err := Bulk(recs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkIndex = ix
+	}
+}
+
+var sinkIndex *Index
+
 func BenchmarkInsert(b *testing.B) {
 	keys, _ := dataset.Keys(dataset.Uniform, 1<<18, 3)
 	ix := New()

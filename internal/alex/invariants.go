@@ -10,7 +10,8 @@ import (
 // gapped-array contract of every data node (the full slot array sorted —
 // gap slots may carry stale keys after shifts, but never out of order — and
 // occupied keys strictly ascending, which together keep exponential search
-// exact), routing bounds of inner nodes, occupancy accounting, the leaf
+// exact), the bitmap's shape (one word per 64 slots, no bit past the last
+// slot), routing bounds of inner nodes, occupancy accounting, the leaf
 // chain, and the global record count. It is O(n) and intended for tests.
 func (ix *Index) CheckInvariants() error {
 	var leaves []*dataNode
@@ -21,30 +22,33 @@ func (ix *Index) CheckInvariants() error {
 		switch v := n.(type) {
 		case *dataNode:
 			leaves = append(leaves, v)
-			if len(v.keys) != len(v.vals) || len(v.keys) != len(v.occ) {
-				return fmt.Errorf("alex: data node slot arrays disagree: %d/%d/%d", len(v.keys), len(v.vals), len(v.occ))
+			if len(v.occ) != (len(v.slots)+63)/64 {
+				return fmt.Errorf("alex: bitmap of %d words for %d slots", len(v.occ), len(v.slots))
 			}
-			if v.numKeys >= len(v.keys) && v.numKeys > 0 {
-				return fmt.Errorf("alex: data node full (%d keys in %d slots): no gap for inserts", v.numKeys, len(v.keys))
+			if tail := len(v.slots) & 63; tail != 0 && v.occ[len(v.occ)-1]>>tail != 0 {
+				return fmt.Errorf("alex: bitmap marks a slot past the last of %d", len(v.slots))
+			}
+			if v.numKeys >= len(v.slots) && v.numKeys > 0 {
+				return fmt.Errorf("alex: data node full (%d keys in %d slots): no gap for inserts", v.numKeys, len(v.slots))
 			}
 			occ := 0
 			lastOccKey := core.Key(0)
 			haveOcc := false
-			for i, o := range v.occ {
-				if i > 0 && v.keys[i] < v.keys[i-1] {
+			for i, r := range v.slots {
+				if i > 0 && r.Key < v.slots[i-1].Key {
 					return fmt.Errorf("alex: data node slots not sorted at %d", i)
 				}
-				if o {
+				if v.occupied(i) {
 					occ++
-					if haveOcc && v.keys[i] <= lastOccKey {
+					if haveOcc && r.Key <= lastOccKey {
 						return fmt.Errorf("alex: occupied keys not strictly ascending at slot %d", i)
 					}
-					haveOcc, lastOccKey = true, v.keys[i]
-					if loValid && v.keys[i] < lo {
-						return fmt.Errorf("alex: key %d below routing bound %d", v.keys[i], lo)
+					haveOcc, lastOccKey = true, r.Key
+					if loValid && r.Key < lo {
+						return fmt.Errorf("alex: key %d below routing bound %d", r.Key, lo)
 					}
-					if hiValid && v.keys[i] >= hi {
-						return fmt.Errorf("alex: key %d at or above routing bound %d", v.keys[i], hi)
+					if hiValid && r.Key >= hi {
+						return fmt.Errorf("alex: key %d at or above routing bound %d", r.Key, hi)
 					}
 				}
 			}

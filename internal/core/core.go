@@ -184,6 +184,44 @@ func ExponentialSearch(keys []Key, k Key, pos int) int {
 	return SearchRange(keys, k, lo, hi)
 }
 
+// ExponentialSearchKV is ExponentialSearch over a []KV sorted by key.
+func ExponentialSearchKV(recs []KV, k Key, pos int) int {
+	if b := searchRec.Load(); b != nil {
+		return exponentialSearchKVRecorded(recs, k, pos, b.r)
+	}
+	n := len(recs)
+	if n == 0 {
+		return 0
+	}
+	pos = Clamp(pos, 0, n-1)
+	if recs[pos].Key < k {
+		// Gallop right.
+		step := 1
+		lo, hi := pos+1, pos+1
+		for hi < n && recs[hi].Key < k {
+			lo = hi + 1
+			step <<= 1
+			hi += step
+		}
+		if hi > n {
+			hi = n
+		}
+		return SearchRangeKV(recs, k, lo, hi)
+	}
+	// Gallop left.
+	step := 1
+	lo, hi := pos, pos
+	for lo > 0 && recs[lo-1].Key >= k {
+		hi = lo
+		step <<= 1
+		lo -= step
+	}
+	if lo < 0 {
+		lo = 0
+	}
+	return SearchRangeKV(recs, k, lo, hi)
+}
+
 // Clamp bounds v to [lo, hi].
 func Clamp(v, lo, hi int) int {
 	if v < lo {

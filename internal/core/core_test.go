@@ -46,8 +46,8 @@ func TestSearchRangeClamps(t *testing.T) {
 }
 
 // Property: for any sorted slice and key, SearchRange with a window known to
-// contain the answer agrees with LowerBound, and ExponentialSearch from any
-// starting position agrees with LowerBound.
+// contain the answer agrees with LowerBound, and ExponentialSearch and
+// ExponentialSearchKV from any starting position agree with LowerBound.
 func TestSearchAgreesWithLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	f := func(raw []uint64, probe uint64, start int) bool {
@@ -59,6 +59,9 @@ func TestSearchAgreesWithLowerBound(t *testing.T) {
 			return false
 		}
 		if got := ExponentialSearch(keys, probe, start%(len(keys)+1)); got != want {
+			return false
+		}
+		if got := ExponentialSearchKV(kvs(keys), probe, start%(len(keys)+1)); got != want {
 			return false
 		}
 		// A window around the true position must also find it.
@@ -76,14 +79,27 @@ func TestExponentialSearchFarStart(t *testing.T) {
 	for i := range keys {
 		keys[i] = Key(i * 2)
 	}
-	for _, start := range []int{0, 1, 500, 999, -5, 5000} {
+	recs := kvs(keys)
+	for _, start := range []int{0, 1, 3, 500, 999, -5, 5000} {
 		for _, k := range []Key{0, 1, 2, 999, 1000, 1998, 1999, 2000} {
 			want := LowerBound(keys, k)
 			if got := ExponentialSearch(keys, k, start); got != want {
 				t.Fatalf("ExponentialSearch(k=%d, start=%d) = %d, want %d", k, start, got, want)
 			}
+			if got := ExponentialSearchKV(recs, k, start); got != want {
+				t.Fatalf("ExponentialSearchKV(k=%d, start=%d) = %d, want %d", k, start, got, want)
+			}
 		}
 	}
+}
+
+// kvs returns keys as records, each valued with its index.
+func kvs(keys []Key) []KV {
+	recs := make([]KV, len(keys))
+	for i, k := range keys {
+		recs[i] = KV{Key: k, Value: Value(i)}
+	}
+	return recs
 }
 
 func TestRectBasics(t *testing.T) {

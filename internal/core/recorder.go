@@ -3,7 +3,8 @@ package core
 import "sync/atomic"
 
 // SearchRecorder receives per-search instrumentation from the bounded
-// last-mile search helpers (SearchRange, SearchRangeKV, ExponentialSearch).
+// last-mile search helpers (SearchRange, SearchRangeKV, ExponentialSearch,
+// ExponentialSearchKV).
 // A recorder observes the cost model of the paper directly: probes is the
 // number of key comparisons the correction step performed, window is the
 // width of the error window it searched. obs.Metrics implements this
@@ -117,6 +118,48 @@ func exponentialSearchRecorded(keys []Key, k Key, pos int, r SearchRecorder) int
 		}
 	}
 	idx, binProbes := searchRangeCounted(keys, k, lo, hi)
+	r.RecordSearch(probes+binProbes, hi-lo)
+	return idx
+}
+
+// exponentialSearchKVRecorded is exponentialSearchRecorded over []KV.
+func exponentialSearchKVRecorded(recs []KV, k Key, pos int, r SearchRecorder) int {
+	n := len(recs)
+	if n == 0 {
+		r.RecordSearch(0, 0)
+		return 0
+	}
+	pos = Clamp(pos, 0, n-1)
+	probes := 1 // the initial recs[pos] comparison
+	var lo, hi int
+	if recs[pos].Key < k {
+		// Gallop right.
+		step := 1
+		lo, hi = pos+1, pos+1
+		for hi < n && recs[hi].Key < k {
+			probes++
+			lo = hi + 1
+			step <<= 1
+			hi += step
+		}
+		if hi > n {
+			hi = n
+		}
+	} else {
+		// Gallop left.
+		step := 1
+		lo, hi = pos, pos
+		for lo > 0 && recs[lo-1].Key >= k {
+			probes++
+			hi = lo
+			step <<= 1
+			lo -= step
+		}
+		if lo < 0 {
+			lo = 0
+		}
+	}
+	idx, binProbes := searchRangeKVCounted(recs, k, lo, hi)
 	r.RecordSearch(probes+binProbes, hi-lo)
 	return idx
 }

@@ -80,6 +80,7 @@ func TestSearchRangeKVRecords(t *testing.T) {
 
 func TestExponentialSearchRecordsOnce(t *testing.T) {
 	keys := sortedKeys(4096)
+	recs := kvs(keys)
 	rec := &captureRecorder{}
 	SetSearchRecorder(rec)
 	defer SetSearchRecorder(nil)
@@ -94,7 +95,7 @@ func TestExponentialSearchRecordsOnce(t *testing.T) {
 		{Key(3 * 10), 4000},   // long gallop left
 		{0, 0},
 	} {
-		rec.probes = rec.probes[:0]
+		rec.probes, rec.windows = rec.probes[:0], rec.windows[:0]
 		got := ExponentialSearch(keys, c.k, c.pos)
 		SetSearchRecorder(nil)
 		plain := ExponentialSearch(keys, c.k, c.pos)
@@ -105,6 +106,14 @@ func TestExponentialSearchRecordsOnce(t *testing.T) {
 		if len(rec.probes) != 1 {
 			t.Fatalf("ExponentialSearch(%d, %d) recorded %d searches, want exactly 1",
 				c.k, c.pos, len(rec.probes))
+		}
+		// The KV twin: same index, same probe count and window, one record.
+		if gotKV := ExponentialSearchKV(recs, c.k, c.pos); gotKV != got {
+			t.Fatalf("ExponentialSearchKV(%d, %d) = %d, ExponentialSearch = %d", c.k, c.pos, gotKV, got)
+		}
+		if len(rec.probes) != 2 || rec.probes[1] != rec.probes[0] || rec.windows[1] != rec.windows[0] {
+			t.Fatalf("ExponentialSearchKV(%d, %d) recorded probes %v, windows %v; want one record equal to ExponentialSearch's",
+				c.k, c.pos, rec.probes, rec.windows)
 		}
 	}
 	// An exact prediction must cost far fewer probes than a far miss: that
@@ -127,8 +136,11 @@ func TestExponentialSearchRecordsEmpty(t *testing.T) {
 	if got := ExponentialSearch(nil, 5, 0); got != 0 {
 		t.Fatalf("empty ExponentialSearch = %d", got)
 	}
-	if len(rec.probes) != 1 || rec.probes[0] != 0 || rec.windows[0] != 0 {
-		t.Fatalf("empty search recorded %v/%v", rec.probes, rec.windows)
+	if got := ExponentialSearchKV(nil, 5, 0); got != 0 {
+		t.Fatalf("empty ExponentialSearchKV = %d", got)
+	}
+	if len(rec.probes) != 2 || rec.probes[0]+rec.probes[1] != 0 || rec.windows[0]+rec.windows[1] != 0 {
+		t.Fatalf("empty searches recorded %v/%v", rec.probes, rec.windows)
 	}
 }
 
