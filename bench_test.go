@@ -375,28 +375,6 @@ func BenchmarkE17SFCRanges(b *testing.B) {
 	}
 }
 
-// BenchmarkE18LearnedLSM — per-run learned index vs binary search.
-func BenchmarkE18LearnedLSM(b *testing.B) {
-	benchSetup(b)
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"learned", false}, {"binary", true}} {
-		db := lix.NewLearnedLSM(lix.LSMConfig{MemtableCap: 8192, DisableLearnedIndex: variant.disable})
-		for i, rec := range benchRecs {
-			db.Insert(rec.Key, lix.Value(i))
-		}
-		b.Run(variant.name, func(b *testing.B) {
-			var sink lix.Value
-			for i := 0; i < b.N; i++ {
-				v, _ := db.Get(benchProbe[i&(1<<16-1)])
-				sink += v
-			}
-			_ = sink
-		})
-	}
-}
-
 // BenchmarkE19DimSweep — range query cost vs dimensionality.
 func BenchmarkE19DimSweep(b *testing.B) {
 	for _, d := range []int{2, 3, 4} {

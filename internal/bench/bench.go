@@ -13,7 +13,6 @@ import (
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 	"github.com/lix-go/lix/internal/flood"
-	"github.com/lix-go/lix/internal/lsm"
 	"github.com/lix-go/lix/internal/pgm"
 	"github.com/lix-go/lix/internal/qdtree"
 	"github.com/lix-go/lix/internal/rmi"
@@ -86,7 +85,7 @@ func Run(id string, cfg Config) ([]*Table, error) {
 	case "E17":
 		return E17SFC(cfg), nil
 	case "E18":
-		return E18LearnedLSM(cfg), nil
+		return E18LearnedLSM(cfg)
 	case "E19":
 		return E19DimSweep(cfg), nil
 	default:
@@ -752,41 +751,6 @@ func E17SFC(cfg Config) []*Table {
 		budgetT.AddRow(budget, ns/1000, ivs/len(qs))
 	}
 	return []*Table{curveT, budgetT}
-}
-
-// E18LearnedLSM — the Bourbon comparison: per-run learned indexes vs
-// binary search inside an LSM-tree.
-func E18LearnedLSM(cfg Config) []*Table {
-	t := &Table{
-		ID:      "E18",
-		Title:   "Learned LSM-tree (Bourbon): per-run learned index vs binary search",
-		Columns: []string{"variant", "ns/get", "model_KiB", "runs", "segments"},
-	}
-	keys := mustKeys(dataset.Lognormal, cfg.N, cfg.Seed)
-	probes := dataset.LookupMix(keys, cfg.Q, 0.9, cfg.Seed+22)
-	r := newRand(cfg.Seed + 23)
-	perm := r.Perm(len(keys))
-	for _, variant := range []struct {
-		name    string
-		disable bool
-	}{{"learned (radixspline runs)", false}, {"baseline (binary search)", true}} {
-		db := lsm.New(lsm.Config{MemtableCap: 8192, DisableLearnedIndex: variant.disable})
-		for _, i := range perm {
-			db.Put(keys[i], core.Value(i))
-		}
-		db.Flush()
-		var sink core.Value
-		ns := nsPerOp(len(probes), func() {
-			for _, p := range probes {
-				v, _ := db.Get(p)
-				sink += v
-			}
-		})
-		_ = sink
-		runs, segs, modelBytes := db.ModelStats()
-		t.AddRow(variant.name, ns, modelBytes/1024, runs, segs)
-	}
-	return []*Table{t}
 }
 
 // E19DimSweep — the curse of dimensionality (paper §5.1 motivation): how

@@ -5,11 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
 	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/dataset"
+	"github.com/lix-go/lix/internal/segment"
 	"github.com/lix-go/lix/internal/sst"
 )
 
@@ -230,4 +233,115 @@ func probeLSMFilters(cfg Config, d *lix.Durable, row *lsmRow) error {
 		return fmt.Errorf("bench: learned filters skipped %.1f%% of absent-key run probes, want >= 90%%", row.skipPct)
 	}
 	return nil
+}
+
+// e18Runs is how many runs E18's store holds: the seed run and one per
+// checkpoint.
+const e18Runs = 5
+
+// E18LearnedLSM — Bourbon on the store's own run files. Each run keeps its
+// PLA fence model and learned filter in memory while its data pages stay on
+// disk, and a get goes newest run first through key range, filter, fence
+// model and one page read. The seed run holds a random half of a lognormal
+// keyset. The other half goes in, in permuted order, through explicit
+// checkpoints that each flush two thirds of what is left, so runs shrink
+// from oldest to newest and no window of the size-tiered compactor
+// qualifies. A 90 %-hit mix then probes the run set alone, not the
+// in-memory index, after an untimed pass that trains every run and checks
+// its answers against the store's. One row per run, newest first, then the
+// set.
+func E18LearnedLSM(cfg Config) ([]*Table, error) {
+	keys := mustKeys(dataset.Lognormal, cfg.N, cfg.Seed)
+	probes := dataset.LookupMix(keys, cfg.Q, 0.9, cfg.Seed+22)
+	perm := newRand(cfg.Seed + 23).Perm(len(keys))
+	seed, rest := perm[:len(keys)/2], perm[len(keys)/2:]
+	slices.Sort(seed)
+	recs := make([]core.KV, len(seed))
+	for j, i := range seed {
+		recs[j] = core.KV{Key: keys[i], Value: core.Value(i)}
+	}
+	dir, err := os.MkdirTemp("", "lixbench-e18-*")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	d, err := lix.NewDurable(dir, recs, lsmOptions)
+	if err != nil {
+		return nil, err
+	}
+	defer d.Close()
+	for c, done := 1, 0; c < e18Runs; c++ {
+		next := len(rest) - (len(rest)-done)/3
+		if c == e18Runs-1 {
+			next = len(rest)
+		}
+		for _, i := range rest[done:next] {
+			if err := d.Put(keys[i], core.Value(i)); err != nil {
+				return nil, err
+			}
+		}
+		if err := d.Checkpoint(); err != nil {
+			return nil, err
+		}
+		done = next
+	}
+
+	tiers := d.Tiers()
+	for _, k := range probes {
+		v, ok, err := tiers.Get(k)
+		if err != nil {
+			return nil, err
+		}
+		if want, wok := d.Get(k); ok != wok || v != want {
+			return nil, fmt.Errorf("bench: E18 run set answers (%d, %v) for key %d, the store (%d, %v)", v, ok, k, want, wok)
+		}
+	}
+	runs := tiers.Runs()
+	before := make([]sst.Counters, len(runs))
+	for i, r := range runs {
+		before[i] = r.Counters()
+	}
+	var sink core.Value
+	var getErr error
+	ns := nsPerOp(len(probes), func() {
+		for _, k := range probes {
+			v, _, err := tiers.Get(k)
+			if err != nil {
+				getErr = err
+				return
+			}
+			sink += v
+		}
+	})
+	_ = sink
+	if getErr != nil {
+		return nil, getErr
+	}
+
+	t := &Table{
+		ID: "E18",
+		Title: fmt.Sprintf("Learned LSM (Bourbon) on the store's run files: lognormal n=%d, %d gets at 90%% hits, %d runs newest first",
+			cfg.N, len(probes), len(runs)),
+		Columns: []string{"run", "live", "fences", "segments", "model_B", "fence_B", "filter_B", "holdout_fpr%", "filter_skip%", "pages/get", "ns/get"},
+	}
+	row := func(name string, st sst.RunStats, fpr any, c sst.Counters, ns any) {
+		skip := 0.0
+		if reached := c.Probes - c.RangeSkips; reached > 0 {
+			skip = 100 * float64(c.FilterSkips) / float64(reached)
+		}
+		t.AddRow(name, st.Live, st.Fences, st.Segments, st.Segments*segment.SegmentBytes, st.Fences*8, st.FilterBits/8,
+			fpr, skip, float64(c.PageReads)/float64(len(probes)), ns)
+	}
+	var all sst.RunStats
+	var allC sst.Counters
+	for i, r := range runs {
+		st, c, b := r.Stats(), r.Counters(), before[i]
+		c = sst.Counters{Probes: c.Probes - b.Probes, RangeSkips: c.RangeSkips - b.RangeSkips,
+			FilterSkips: c.FilterSkips - b.FilterSkips, PageReads: c.PageReads - b.PageReads}
+		row(fmt.Sprint(i), st, 100*r.MeasuredFPR(), c, "-")
+		all.Live, all.Fences, all.Segments, all.FilterBits = all.Live+st.Live, all.Fences+st.Fences, all.Segments+st.Segments, all.FilterBits+st.FilterBits
+		allC.Add(c)
+	}
+	row("all", all, "-", allC, ns)
+	return []*Table{t}, nil
 }

@@ -48,7 +48,7 @@ func TestRegistryCoverage(t *testing.T) {
 	for _, must := range []string{
 		"sorted-array", "btree", "skiplist", "skiplist-learned", "rmi", "rmi-hybrid",
 		"pgm", "pgm-dynamic", "radixspline", "histtree", "alex", "lipp", "fiting",
-		"learned-lsm", "xindex",
+		"xindex",
 		"rtree", "rtree-bulk", "kdtree", "quadtree", "grid",
 		"zm", "zm-hilbert", "mlindex", "flood", "lisa", "qdtree", "rtree-learned",
 	} {

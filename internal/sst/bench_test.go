@@ -6,9 +6,13 @@ import (
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/dataset"
 )
 
-var mergeSink *FileData
+var (
+	mergeSink *FileData
+	pageSink  int
+)
 
 // BenchmarkMergeData merges 4 runs of 100 k records each, about 10 % of them
 // tombstones, drawn from a key space of 1 M so that a key sits in roughly
@@ -50,4 +54,29 @@ func benchMerge(b *testing.B, space int) {
 		mergeSink = MergeData(datas, true)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*runs*perRun), "ns/record")
+}
+
+// BenchmarkPageFor is the fence search of a run lookup, learned against
+// binary, the comparison Bourbon makes per run: one run of 400 k lognormal
+// keys (1 600 fences), probed with E18's mix (90 % stored keys, the rest
+// between two of them). Both sides search the same trained lookup's
+// fences: model is pageFor (segment, prediction, windowed search, check),
+// binary is core.LowerBound over the whole fence array.
+func BenchmarkPageFor(b *testing.B) {
+	keys, err := dataset.Keys(dataset.Lognormal, 400_000, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lk := trainedLookup(b, keys)
+	probes := dataset.LookupMix(keys, 1<<16, 0.9, 4)
+	b.Run("model", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pageSink += lk.pageFor(probes[i&(len(probes)-1)])
+		}
+	})
+	b.Run("binary", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			pageSink += core.LowerBound(lk.fences, probes[i&(len(probes)-1)])
+		}
+	})
 }

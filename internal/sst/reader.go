@@ -310,6 +310,15 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 	return 0, Absent, nil
 }
 
+// predict is the fence slot the model puts k at, clamped to the slots of
+// its segment: a key past a segment's last fence has its lower bound at the
+// segment's end, where the extrapolated line may overshoot by more than
+// pageFor's window.
+func (lk *lookup) predict(k core.Key) int {
+	s := &lk.model[segment.Locate(lk.model, float64(k))]
+	return int(min(max(s.Predict(float64(k)), float64(s.StartIdx)), float64(s.EndIdx)))
+}
+
 // pageFor returns the data-page index whose key range covers k: the last
 // fence ≤ k. The PLA model predicts a slot and a windowed search corrects
 // it; the result is verified against the full fence array (the model is
@@ -317,8 +326,7 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 func (lk *lookup) pageFor(k core.Key) int {
 	var i int
 	if lk.model != nil {
-		s := &lk.model[segment.Locate(lk.model, float64(k))]
-		p := int(s.Predict(float64(k)))
+		p := lk.predict(k)
 		i = core.SearchRange(lk.fences, k, p-fenceEps-1, p+fenceEps+2)
 		if !((i == 0 || lk.fences[i-1] < k) && (i == len(lk.fences) || lk.fences[i] >= k)) {
 			i = core.LowerBound(lk.fences, k)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/dataset"
 )
 
 // genRun builds n live records (even keys, deterministic values) and nd
@@ -476,5 +477,76 @@ func TestFirstGetFromManyGoroutines(t *testing.T) {
 	wg.Wait()
 	if st := r.Stats(); st.FilterBits == 0 || st.Fences != pagesFor(len(d.Live)) {
 		t.Fatalf("untrained after concurrent lookups: %+v", st)
+	}
+}
+
+// trainedLookup writes keys as one run of live records, trains it with a
+// Get and returns its lookup state.
+func trainedLookup(tb testing.TB, keys []core.Key) *lookup {
+	tb.Helper()
+	d := &FileData{Live: make([]core.KV, len(keys))}
+	for i, k := range keys {
+		d.Live[i] = core.KV{Key: k, Value: core.Value(i)}
+	}
+	path := filepath.Join(tb.TempDir(), "run.lix")
+	if err := WriteFile(path, d); err != nil {
+		tb.Fatal(err)
+	}
+	r, _, err := Open(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	if _, st, err := r.Get(keys[0]); err != nil || st != Found {
+		tb.Fatalf("first Get = %v, %v", st, err)
+	}
+	return r.look.Load()
+}
+
+// TestPageForModelWindowHolds: the fence model is what pageFor searches
+// by, not an ornament the binary-search fallback hides. Over runs large
+// enough to get a model, on three key distributions, every fence, every
+// fence ± 1 and a key between each pair of fences must have its lower
+// bound inside the window the model predicts (clamped to the array as
+// core.SearchRange clamps it), so the fallback is never taken, and
+// pageFor must pick the page core.LowerBound picks.
+func TestPageForModelWindowHolds(t *testing.T) {
+	n := 200 * RecsPerPage
+	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Lognormal, dataset.Clustered} {
+		t.Run(string(kind), func(t *testing.T) {
+			keys, err := dataset.Keys(kind, n, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lk := trainedLookup(t, keys)
+			if len(lk.fences) < minModelFences || lk.model == nil {
+				t.Fatalf("%d fences, %d segments: the run got no model", len(lk.fences), len(lk.model))
+			}
+			fs := lk.fences
+			var probes []core.Key
+			for i, f := range fs {
+				probes = append(probes, f-1, f, f+1)
+				if i+1 < len(fs) {
+					probes = append(probes, f+(fs[i+1]-f)/2)
+				}
+			}
+			for _, k := range probes {
+				p := lk.predict(k)
+				lo, hi := max(p-fenceEps-1, 0), min(p+fenceEps+2, len(fs))
+				lo = min(lo, hi)
+				i := core.LowerBound(fs, k)
+				if i < lo || i > hi {
+					t.Fatalf("key %d: lower bound %d outside the model's window [%d, %d] (prediction %d)", k, i, lo, hi, p)
+				}
+				want := max(i-1, 0)
+				if i < len(fs) && fs[i] == k {
+					want = i
+				}
+				if got := lk.pageFor(k); got != want {
+					t.Fatalf("pageFor(%d) = %d, want %d", k, got, want)
+				}
+			}
+			t.Logf("%d fences, %d segments, %d probes", len(fs), len(lk.model), len(probes))
+		})
 	}
 }

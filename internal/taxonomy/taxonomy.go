@@ -127,7 +127,7 @@ func Catalog() []Entry {
 		{Name: "NFL", Year: 2022, Dim: OneDim, Mutability: Mutable, Layout: DynamicLayout, Kind: Pure, Insert: InPlace, Space: NotApplicable, Influences: []string{"LIPP"}},
 
 		// --- 1-D mutable hybrid --------------------------------------------
-		{Name: "BOURBON", Year: 2020, Dim: OneDim, Mutability: Mutable, Layout: FixedLayout, Kind: Hybrid, Insert: DeltaBuffer, Space: NotApplicable, HybridBase: "LSM-tree", Package: "internal/lsm", Influences: []string{"RMI"}},
+		{Name: "BOURBON", Year: 2020, Dim: OneDim, Mutability: Mutable, Layout: FixedLayout, Kind: Hybrid, Insert: DeltaBuffer, Space: NotApplicable, HybridBase: "LSM-tree", Package: "internal/sst", Influences: []string{"RMI"}},
 		{Name: "S3", Year: 2019, Dim: OneDim, Mutability: Mutable, Layout: FixedLayout, Kind: Hybrid, Insert: InPlace, Space: NotApplicable, HybridBase: "Skip list", Package: "internal/skiplist", Influences: []string{"RMI"}},
 		{Name: "Ada-BF", Year: 2019, Dim: OneDim, Mutability: Mutable, Layout: FixedLayout, Kind: Hybrid, Insert: DeltaBuffer, Space: NotApplicable, HybridBase: "Bloom filter", Influences: []string{"Learned-BF"}},
 		{Name: "PLBF", Year: 2020, Dim: OneDim, Mutability: Mutable, Layout: FixedLayout, Kind: Hybrid, Insert: DeltaBuffer, Space: NotApplicable, HybridBase: "Bloom filter", Package: "internal/lbf", Influences: []string{"Learned-BF", "Sandwiched-BF"}},

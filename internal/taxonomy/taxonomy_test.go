@@ -1,6 +1,8 @@
 package taxonomy
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -145,5 +147,28 @@ func TestImplementedCount(t *testing.T) {
 	}
 	if n := len(Catalog()); n < 40 {
 		t.Fatalf("catalog has only %d entries", n)
+	}
+}
+
+// TestPackagesExist: every non-empty Package names a directory under the
+// module root that holds a non-test Go file, so deleting an implementation
+// cannot leave the catalog pointing at nothing.
+func TestPackagesExist(t *testing.T) {
+	root := filepath.Join("..", "..") // go test runs in the package's directory
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not at %s: %v", root, err)
+	}
+	for _, e := range Catalog() {
+		if e.Package == "" {
+			continue
+		}
+		files, _ := filepath.Glob(filepath.Join(root, e.Package, "*.go"))
+		found := false
+		for _, f := range files {
+			found = found || !strings.HasSuffix(f, "_test.go")
+		}
+		if !found {
+			t.Errorf("%s: package %q holds no non-test Go file", e.Name, e.Package)
+		}
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"github.com/lix-go/lix/internal/fiting"
 	"github.com/lix-go/lix/internal/histtree"
 	"github.com/lix-go/lix/internal/lipp"
-	"github.com/lix-go/lix/internal/lsm"
 	"github.com/lix-go/lix/internal/pgm"
 	"github.com/lix-go/lix/internal/radixspline"
 	"github.com/lix-go/lix/internal/registry"
@@ -248,17 +247,6 @@ func BulkFITingTree(recs []KV, eps, bufCap int) (MutableIndex, error) {
 	}
 	return fitingAdapter{ix}, nil
 }
-
-// LSMConfig re-exports the learned LSM-tree configuration.
-type LSMConfig = lsm.Config
-
-// lsmAdapter narrows *lsm.DB to MutableIndex.
-type lsmAdapter struct{ *lsm.DB }
-
-func (a lsmAdapter) Insert(k Key, v Value) { a.DB.Put(k, v) }
-
-// NewLearnedLSM returns an empty BOURBON-style learned LSM-tree.
-func NewLearnedLSM(cfg LSMConfig) MutableIndex { return lsmAdapter{lsm.New(cfg)} }
 
 // XIndex is the concurrent learned index; all methods are safe for
 // concurrent use.

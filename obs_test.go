@@ -32,7 +32,7 @@ func obsTestRecs(n int) []KV {
 }
 
 // TestObserveRecordsAcrossKinds drives the acceptance matrix: for RMI, PGM,
-// ALEX, LIPP, XIndex and the learned LSM, an observed index must record
+// ALEX, LIPP, XIndex and RadixSpline, an observed index must record
 // per-op latency histograms, counters, and — with search metrics enabled —
 // probe counts and error-window widths from the shared last-mile search.
 func TestObserveRecordsAcrossKinds(t *testing.T) {
@@ -77,14 +77,12 @@ func TestObserveRecordsAcrossKinds(t *testing.T) {
 			}
 			return ix
 		}},
-		{"learned-lsm", func(t *testing.T) Index {
-			db := NewLearnedLSM(LSMConfig{MemtableCap: 256})
-			for _, r := range recs {
-				db.Insert(r.Key, r.Value)
+		{"radixspline", func(t *testing.T) Index {
+			ix, err := NewRadixSpline(recs, 0, 0)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Everything still in the memtable would bypass the learned
-			// run indexes; the cap above forces flushed runs.
-			return db
+			return ix
 		}},
 	}
 
@@ -156,7 +154,6 @@ func TestObserveMutableRecordsWritesAndEvents(t *testing.T) {
 		{"lipp", EvNodeSplit},
 		{"pgm-dynamic", EvBufferFlush},
 		{"fiting", EvBufferMerge},
-		{"learned-lsm", EvBufferFlush},
 	}
 	for _, c := range cases {
 		t.Run(c.kind, func(t *testing.T) {

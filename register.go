@@ -105,11 +105,6 @@ func register1DKinds() {
 		Caps: registry.Caps{Mutable: true, AllowsEmpty: true},
 		New:  func() (registry.MutableIndex, error) { return NewFITingTree(0, 0), nil },
 	})
-	registry.Register(registry.Kind{
-		Name: "learned-lsm",
-		Caps: registry.Caps{Mutable: true, AllowsEmpty: true},
-		New:  func() (registry.MutableIndex, error) { return NewLearnedLSM(LSMConfig{}), nil },
-	})
 	// The paged kinds are disk-resident: constructors back each instance
 	// with a temporary page file removed on Close (the conformance suite
 	// closes io.Closer indexes after every build).
