@@ -1,6 +1,7 @@
 // Top-level benchmarks: one testing.B benchmark per experiment in
 // DESIGN.md's E4–E19 suite (E1–E3 are the taxonomy figure regenerations,
-// exercised in internal/taxonomy). The lixbench CLI runs the same
+// exercised in internal/taxonomy; E18's fence search is internal/sst's
+// BenchmarkPageFor). The lixbench CLI runs the same
 // experiments at larger scale and prints the tables in EXPERIMENTS.md.
 package lix_test
 
