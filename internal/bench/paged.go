@@ -16,14 +16,6 @@ import (
 // and CLOCK evictions.
 const pagedColdFrames = 16
 
-// pagedBenchIndex is the slice of the paged index API the benchmark
-// drives; both *page.BTree and *page.PGM satisfy it.
-type pagedBenchIndex interface {
-	Get(core.Key) (core.Value, bool)
-	PoolStats() page.PoolStats
-	Close() error
-}
-
 // gatePaged measures random point lookups (cfg.Q of them over cfg.N keys)
 // against both disk-backed paged kinds, once through a buffer pool far
 // smaller than the dataset (cold, every probe faults pages in from disk)
@@ -41,23 +33,6 @@ func gatePaged(cfg Config) ([]*Table, []floor, error) {
 		probes[i] = keys[r.Intn(len(keys))]
 	}
 
-	kinds := []struct {
-		name string
-		bulk func(path string, recs []core.KV, o page.Options) (pagedBenchIndex, error)
-		open func(path string, o page.Options) (pagedBenchIndex, error)
-	}{
-		{
-			name: page.KindBTree,
-			bulk: func(p string, r []core.KV, o page.Options) (pagedBenchIndex, error) { return page.BulkBTree(p, r, o) },
-			open: func(p string, o page.Options) (pagedBenchIndex, error) { return page.OpenBTree(p, o) },
-		},
-		{
-			name: page.KindPGM,
-			bulk: func(p string, r []core.KV, o page.Options) (pagedBenchIndex, error) { return page.BulkPGM(p, r, o) },
-			open: func(p string, o page.Options) (pagedBenchIndex, error) { return page.OpenPGM(p, o) },
-		},
-	}
-
 	dir, err := os.MkdirTemp("", "lixbench-paged")
 	if err != nil {
 		return nil, nil, err
@@ -71,11 +46,11 @@ func gatePaged(cfg Config) ([]*Table, []floor, error) {
 		Columns: []string{"kind", "cold Kops", "warm Kops", "warm/cold", "cold miss%", "evictions"},
 	}
 	var floors []floor
-	for _, kind := range kinds {
-		path := filepath.Join(dir, kind.name+".lpx")
-		b, err := kind.bulk(path, recs, page.Options{})
+	for _, kind := range []string{page.KindBTree, page.KindPGM} {
+		path := filepath.Join(dir, kind+".lpx")
+		b, err := page.BulkIndex(path, kind, recs, page.Options{})
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: bulk %s: %w", kind.name, err)
+			return nil, nil, fmt.Errorf("bench: bulk %s: %w", kind, err)
 		}
 		if err := b.Close(); err != nil {
 			return nil, nil, err
@@ -88,9 +63,9 @@ func gatePaged(cfg Config) ([]*Table, []floor, error) {
 		// that splits would add (there are none here: lookups only).
 		warmFrames := int(st.Size())/page.DefaultPageSize + 16
 
-		cold, err := kind.open(path, page.Options{PoolFrames: pagedColdFrames})
+		cold, err := page.OpenIndex(path, kind, page.Options{PoolFrames: pagedColdFrames})
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: open cold %s: %w", kind.name, err)
+			return nil, nil, fmt.Errorf("bench: open cold %s: %w", kind, err)
 		}
 		coldRate := pagedLookupRate(cold, probes)
 		cs := cold.PoolStats()
@@ -98,12 +73,12 @@ func gatePaged(cfg Config) ([]*Table, []floor, error) {
 			return nil, nil, err
 		}
 		if cs.Evictions == 0 {
-			return nil, nil, fmt.Errorf("bench: cold %s run evicted nothing — pool not smaller than dataset", kind.name)
+			return nil, nil, fmt.Errorf("bench: cold %s run evicted nothing — pool not smaller than dataset", kind)
 		}
 
-		warm, err := kind.open(path, page.Options{PoolFrames: warmFrames})
+		warm, err := page.OpenIndex(path, kind, page.Options{PoolFrames: warmFrames})
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: open warm %s: %w", kind.name, err)
+			return nil, nil, fmt.Errorf("bench: open warm %s: %w", kind, err)
 		}
 		// Unmeasured pass over the exact probe workload: everything the
 		// measured loop touches is resident afterwards.
@@ -114,19 +89,19 @@ func gatePaged(cfg Config) ([]*Table, []floor, error) {
 			return nil, nil, err
 		}
 		if ws.Evictions > 0 {
-			return nil, nil, fmt.Errorf("bench: warm %s run evicted %d pages — pool sized too small", kind.name, ws.Evictions)
+			return nil, nil, fmt.Errorf("bench: warm %s run evicted %d pages — pool sized too small", kind, ws.Evictions)
 		}
 
 		missPct := 100 * float64(cs.Misses) / float64(cs.Hits+cs.Misses)
-		t.AddRow(kind.name, coldRate/1e3, warmRate/1e3, warmRate/coldRate, missPct, cs.Evictions)
-		floors = append(floors, floor{name: "paged/" + kind.name + "/lookup/warm", got: warmRate, ref: coldRate, min: 3})
+		t.AddRow(kind, coldRate/1e3, warmRate/1e3, warmRate/coldRate, missPct, cs.Evictions)
+		floors = append(floors, floor{name: "paged/" + kind + "/lookup/warm", got: warmRate, ref: coldRate, min: 3})
 	}
 	return []*Table{t}, floors, nil
 }
 
 // pagedLookupRate drives the probe sequence through ix and returns
 // lookups per second.
-func pagedLookupRate(ix pagedBenchIndex, probes []core.Key) float64 {
+func pagedLookupRate(ix *page.Index, probes []core.Key) float64 {
 	start := time.Now()
 	for _, k := range probes {
 		ix.Get(k)

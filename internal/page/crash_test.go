@@ -26,14 +26,7 @@ func buildCrashFile(t *testing.T, kind, path string) []core.KV {
 	for i := range recs {
 		recs[i] = core.KV{Key: core.Key(i * 7), Value: core.Value(i + 1)}
 	}
-	var ix pagedIndex
-	var err error
-	switch kind {
-	case KindBTree:
-		ix, err = BulkBTree(path, recs, Options{})
-	case KindPGM:
-		ix, err = BulkPGM(path, recs, Options{})
-	}
+	ix, err := BulkIndex(path, kind, recs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,36 +43,17 @@ func buildCrashFile(t *testing.T, kind, path string) []core.KV {
 // actually seen when it must be).
 func checkDetected(t *testing.T, kind, path string, recs []core.KV) int {
 	t.Helper()
-	var bt *BTree
-	var pg *PGM
-	var err error
 	// A small pool forces the sweep to read every page from disk rather
 	// than serving damage-masking cached frames.
-	switch kind {
-	case KindBTree:
-		bt, err = OpenBTree(path, Options{PoolFrames: 8})
-	case KindPGM:
-		pg, err = OpenPGM(path, Options{PoolFrames: 8})
-	}
+	ix, err := OpenIndex(path, kind, Options{PoolFrames: 8})
 	if err != nil {
 		// Damage in the meta page (or, for the PGM, anywhere in the leaf
 		// chain walked at open) is detected at open time: that is also a
 		// correct outcome.
 		return 1
 	}
-	lookup := func(k core.Key) (core.Value, bool, error) {
-		if bt != nil {
-			return bt.Lookup(k)
-		}
-		return pg.Lookup(k)
-	}
-	defer func() {
-		if bt != nil {
-			bt.Close()
-		} else {
-			pg.Close()
-		}
-	}()
+	defer ix.Close()
+	lookup := ix.Lookup
 	errs := 0
 	for _, r := range recs {
 		v, ok, err := lookup(r.Key)

@@ -3,6 +3,7 @@ package page
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 )
@@ -210,15 +211,22 @@ func (pf *File) Read(id uint64, p Buf) error {
 	if len(p) != pf.pageSize {
 		return fmt.Errorf("page: read buffer is %d bytes, page size %d", len(p), pf.pageSize)
 	}
-	n, err := pf.f.ReadAt(p, int64(id)*int64(pf.pageSize))
-	if n != pf.pageSize {
-		return fmt.Errorf("page: %s: short read of page %d (%d bytes): %v", pf.path, id, n, err)
+	return ReadPage(pf.f, pf.path, id, p)
+}
+
+// ReadPage fills p with page id of the file r, whose pages are len(p)
+// bytes, verifying the CRC and the stored self-id. path names the file in
+// errors. It is the one page read of every paged file, index or run.
+func ReadPage(r io.ReaderAt, path string, id uint64, p Buf) error {
+	n, err := r.ReadAt(p, int64(id)*int64(len(p)))
+	if n != len(p) {
+		return fmt.Errorf("page: %s: short read of page %d (%d bytes): %v", path, id, n, err)
 	}
 	if !p.VerifyCRC() {
-		return fmt.Errorf("page: %s: page %d CRC mismatch (torn or corrupted write)", pf.path, id)
+		return fmt.Errorf("page: %s: page %d CRC mismatch (torn or corrupted write)", path, id)
 	}
 	if p.ID() != id {
-		return fmt.Errorf("page: %s: page %d stores id %d (misdirected write)", pf.path, id, p.ID())
+		return fmt.Errorf("page: %s: page %d stores id %d (misdirected write)", path, id, p.ID())
 	}
 	return nil
 }

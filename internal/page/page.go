@@ -1,9 +1,11 @@
 // Package page is the disk-resident storage tier of the lix library: a
 // paged file format, a buffer pool with pin/unpin refcounts and CLOCK
-// eviction, and two index kinds built on top of them — a disk-backed
-// B+-tree (`paged-btree`) and a paged learned index (`paged-pgm`, PGM-style
-// segments over page-resident sorted leaves with the model array pinned in
-// memory).
+// eviction, and one paged index built on top of them — sorted records in a
+// chain of leaf pages — with two routers, which make its two kinds: a
+// B+-tree of inner pages (`paged-btree`) and a learned fence index pinned
+// in memory (`paged-pgm`, PGM-style segments over the first key of each
+// leaf). The fence index (Fences) is also how an sst run finds a data
+// page, and ReadPage is how a run reads one.
 //
 // The design follows the central observation of "Updatable Learned Indexes
 // Meet Disk-Resident DBMS" (PAPERS.md): once data no longer fits in RAM,
@@ -199,7 +201,11 @@ func (p Buf) InnerDeleteAt(i int) { p.LeafDeleteAt(i) }
 // InnerRoute returns the child page to descend into for key k: the child
 // of the first separator greater than k, or the rightmost child (the
 // header link) when no separator is greater.
-func (p Buf) InnerRoute(k core.Key) uint64 {
+func (p Buf) InnerRoute(k core.Key) uint64 { return p.innerChild(p.innerSlot(k)) }
+
+// innerSlot returns the slot InnerRoute takes for k: the index of the
+// first separator greater than k, Count() for the rightmost link.
+func (p Buf) innerSlot(k core.Key) int {
 	lo, hi := 0, p.Count()
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -209,10 +215,16 @@ func (p Buf) InnerRoute(k core.Key) uint64 {
 			hi = mid
 		}
 	}
-	if lo == p.Count() {
+	return lo
+}
+
+// innerChild returns the child at slot i: InnerChild(i), or the header
+// link for i == Count().
+func (p Buf) innerChild(i int) uint64 {
+	if i == p.Count() {
 		return p.Link()
 	}
-	return p.InnerChild(lo)
+	return p.InnerChild(i)
 }
 
 // InnerInsertAt shifts entries [i:count) right and stores (k, child) at i.

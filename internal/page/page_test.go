@@ -301,7 +301,7 @@ func TestOpenRejectsDamage(t *testing.T) {
 	}
 	// Wrong kind at the index layer.
 	p3 := mk("c.lpx")
-	if _, err := OpenBTree(p3, Options{}); err == nil {
-		t.Error("OpenBTree accepted a file of kind \"t\"")
+	if _, err := OpenIndex(p3, KindBTree, Options{}); err == nil {
+		t.Error("OpenIndex accepted a file of kind \"t\"")
 	}
 }

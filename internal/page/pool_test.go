@@ -26,11 +26,11 @@ type pagedIndex interface {
 
 func newPagedIndexes(t *testing.T, o Options) map[string]pagedIndex {
 	t.Helper()
-	bt, err := NewTempBTree(o)
+	bt, err := NewTempIndex(KindBTree, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewTempPGM(o)
+	pg, err := NewTempIndex(KindPGM, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +120,12 @@ func TestBulkMatchesInsertLoop(t *testing.T) {
 		recs[i] = core.KV{Key: core.Key(i*7 + 1), Value: core.Value(i)}
 	}
 	dir := t.TempDir()
-	bt, err := BulkBTree(filepath.Join(dir, "bt.lpx"), recs, Options{PoolFrames: 8})
+	bt, err := BulkIndex(filepath.Join(dir, "bt.lpx"), KindBTree, recs, Options{PoolFrames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bt.Close()
-	pg, err := BulkPGM(filepath.Join(dir, "pg.lpx"), recs, Options{PoolFrames: 8})
+	pg, err := BulkIndex(filepath.Join(dir, "pg.lpx"), KindPGM, recs, Options{PoolFrames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,12 +159,12 @@ func TestReopen(t *testing.T) {
 		recs[i] = core.KV{Key: core.Key(i * 5), Value: core.Value(i)}
 	}
 	build := map[string]func(path string) (pagedIndex, error){
-		KindBTree: func(path string) (pagedIndex, error) { return BulkBTree(path, recs, Options{}) },
-		KindPGM:   func(path string) (pagedIndex, error) { return BulkPGM(path, recs, Options{}) },
+		KindBTree: func(path string) (pagedIndex, error) { return BulkIndex(path, KindBTree, recs, Options{}) },
+		KindPGM:   func(path string) (pagedIndex, error) { return BulkIndex(path, KindPGM, recs, Options{}) },
 	}
 	open := map[string]func(path string) (pagedIndex, error){
-		KindBTree: func(path string) (pagedIndex, error) { return OpenBTree(path, Options{PoolFrames: 8}) },
-		KindPGM:   func(path string) (pagedIndex, error) { return OpenPGM(path, Options{PoolFrames: 8}) },
+		KindBTree: func(path string) (pagedIndex, error) { return OpenIndex(path, KindBTree, Options{PoolFrames: 8}) },
+		KindPGM:   func(path string) (pagedIndex, error) { return OpenIndex(path, KindPGM, Options{PoolFrames: 8}) },
 	}
 	for name := range build {
 		t.Run(name, func(t *testing.T) {
@@ -245,7 +245,7 @@ func TestPoolAllPinnedFails(t *testing.T) {
 // through the PageRecorder extension, evictions and write-backs as events.
 func TestObserverWiring(t *testing.T) {
 	m := obs.NewMetrics("paged")
-	bt, err := NewTempBTree(Options{PoolFrames: 8})
+	bt, err := NewTempIndex(KindBTree, Options{PoolFrames: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +286,8 @@ func TestConcurrentReaders(t *testing.T) {
 		recs[i] = core.KV{Key: core.Key(i * 3), Value: core.Value(i)}
 	}
 	for name, mk := range map[string]func(string) (pagedIndex, error){
-		KindBTree: func(p string) (pagedIndex, error) { return BulkBTree(p, recs, Options{PoolFrames: 8}) },
-		KindPGM:   func(p string) (pagedIndex, error) { return BulkPGM(p, recs, Options{PoolFrames: 8}) },
+		KindBTree: func(p string) (pagedIndex, error) { return BulkIndex(p, KindBTree, recs, Options{PoolFrames: 8}) },
+		KindPGM:   func(p string) (pagedIndex, error) { return BulkIndex(p, KindPGM, recs, Options{PoolFrames: 8}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			ix, err := mk(filepath.Join(t.TempDir(), "c.lpx"))
@@ -319,7 +319,7 @@ func TestConcurrentReaders(t *testing.T) {
 // fence array grows, and that huge keys (float64-adjacent) stay correct.
 func TestPGMRetrains(t *testing.T) {
 	m := obs.NewMetrics("pgm")
-	pg, err := NewTempPGM(Options{PoolFrames: 32})
+	pg, err := NewTempIndex(KindPGM, Options{PoolFrames: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func TestPGMRetrains(t *testing.T) {
 
 	// Keys near 2^64 collapse to equal float64s; the verified fallback
 	// must keep exact-integer correctness regardless of the model.
-	huge, err := NewTempPGM(Options{})
+	huge, err := NewTempIndex(KindPGM, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,6 +358,53 @@ func TestPGMRetrains(t *testing.T) {
 		}
 	}
 	if err := huge.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPGMRetrainsOnBalancedChurn: the fence model retrains on fence
+// insertions plus removals, not on their net. Fifty rounds that each empty
+// one low leaf and split one high leaf leave the fence count where it
+// started; the model must still retrain, and after every round each
+// fence's lower bound must lie inside the window the model predicts, so
+// no fence lookup falls back to a full binary search.
+func TestPGMRetrainsOnBalancedChurn(t *testing.T) {
+	per := LeafCap(DefaultPageSize)
+	recs := make([]core.KV, 400*per)
+	for i := range recs {
+		recs[i] = core.KV{Key: core.Key(i) * 1000, Value: core.Value(i)}
+	}
+	ix, err := BulkIndex(filepath.Join(t.TempDir(), "churn.lpx"), KindPGM, recs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	m := obs.NewMetrics("churn")
+	ix.SetObserver(m)
+	f := ix.Fences()
+	fallbacks := 0
+	for round := 0; round < 50; round++ {
+		for _, r := range recs[(round+1)*per : (round+2)*per] {
+			if !ix.Delete(r.Key) {
+				t.Fatalf("Delete(%d) = false", r.Key)
+			}
+		}
+		ix.Insert(recs[(399-round)*per].Key+1, 0) // into a full leaf
+		keys := f.Keys()
+		if len(keys) != 400 {
+			t.Fatalf("round %d: %d fences, want 400", round, len(keys))
+		}
+		for _, k := range keys {
+			lo, hi := f.Window(k)
+			if i := core.LowerBound(keys, k); i < lo || i > hi {
+				fallbacks++
+			}
+		}
+	}
+	if n := m.Events.Count(obs.EvRetrain); n == 0 || fallbacks > 0 {
+		t.Fatalf("%d retrains and %d fence lookups outside the model's window over 50 rounds", n, fallbacks)
+	}
+	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,11 +28,11 @@ func TestDeleteReclaimsPages(t *testing.T) {
 	for i := range recs {
 		recs[i] = core.KV{Key: core.Key(i*2 + 1), Value: core.Value(i)}
 	}
-	bt, err := NewTempBTree(Options{})
+	bt, err := NewTempIndex(KindBTree, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := NewTempPGM(Options{})
+	pg, err := NewTempIndex(KindPGM, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,13 +126,7 @@ func TestDeleteReclaimSurvivesReopen(t *testing.T) {
 	for _, kind := range []string{KindBTree, KindPGM} {
 		t.Run(kind, func(t *testing.T) {
 			path := dir + "/" + kind + ".lpx"
-			var ix bulkIndex
-			var err error
-			if kind == KindBTree {
-				ix, err = CreateBTree(path, Options{})
-			} else {
-				ix, err = CreatePGM(path, Options{})
-			}
+			ix, err := CreateIndex(path, kind, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,11 +144,7 @@ func TestDeleteReclaimSurvivesReopen(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if kind == KindBTree {
-				ix, err = OpenBTree(path, Options{})
-			} else {
-				ix, err = OpenPGM(path, Options{})
-			}
+			ix, err = OpenIndex(path, kind, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

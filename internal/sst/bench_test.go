@@ -59,24 +59,24 @@ func benchMerge(b *testing.B, space int) {
 // BenchmarkPageFor is the fence search of a run lookup, learned against
 // binary, the comparison Bourbon makes per run: one run of 400 k lognormal
 // keys (1 600 fences), probed with E18's mix (90 % stored keys, the rest
-// between two of them). Both sides search the same trained lookup's
-// fences: model is pageFor (segment, prediction, windowed search, check),
-// binary is core.LowerBound over the whole fence array.
+// between two of them). Both sides search the same trained run's fence
+// index: model is page.Fences.Find (segment, clamped prediction, windowed
+// search, check), binary is core.LowerBound over the whole fence array.
 func BenchmarkPageFor(b *testing.B) {
 	keys, err := dataset.Keys(dataset.Lognormal, 400_000, 3)
 	if err != nil {
 		b.Fatal(err)
 	}
-	lk := trainedLookup(b, keys)
+	f := &trainedLookup(b, keys).fences
 	probes := dataset.LookupMix(keys, 1<<16, 0.9, 4)
 	b.Run("model", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pageSink += lk.pageFor(probes[i&(len(probes)-1)])
+			pageSink += f.Find(probes[i&(len(probes)-1)])
 		}
 	})
 	b.Run("binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pageSink += core.LowerBound(lk.fences, probes[i&(len(probes)-1)])
+			pageSink += core.LowerBound(f.Keys(), probes[i&(len(probes)-1)])
 		}
 	})
 }

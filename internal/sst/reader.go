@@ -9,16 +9,9 @@ import (
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/lbf"
 	"github.com/lix-go/lix/internal/page"
-	"github.com/lix-go/lix/internal/segment"
 )
 
 const (
-	// fenceEps is the PLA error budget for the fence model, in fence-array
-	// slots — the same budget the paged PGM kind uses for its leaf fences.
-	fenceEps = 8
-	// minModelFences is the fence count below which a plain binary search
-	// beats a model; small runs skip the PLA build entirely.
-	minModelFences = 64
 	// filterBitsPerKey sizes each run's learned filter: generous enough
 	// that absent-key lookups skip the run well over 90% of the time.
 	filterBitsPerKey = 16
@@ -104,14 +97,13 @@ type Reader struct {
 }
 
 // lookup is a run's derived read-path state, rebuilt from the page contents
-// as the paged PGM kind rebuilds its fence model; immutable once published.
+// as a paged-pgm index rebuilds its fence index; immutable once published.
 type lookup struct {
 	f      *os.File
-	fences []core.Key        // first key of data page i
-	model  []segment.Segment // PLA over fences (nil for small runs)
-	tombs  []core.Key        // sorted tombstone keys, fully in memory
-	filter *lbf.Filter       // membership over live ∪ tombstone keys
-	fpr    float64           // filter FPR measured on a holdout when trained
+	fences page.Fences // over the first key of each data page
+	tombs  []core.Key  // sorted tombstone keys, fully in memory
+	filter *lbf.Filter // membership over live ∪ tombstone keys
+	fpr    float64     // filter FPR measured on a holdout when trained
 }
 
 // pagePool recycles 4 KiB lookup buffers across Get calls.
@@ -164,20 +156,12 @@ func (r *Reader) train() (*lookup, error) {
 		return nil, err
 	}
 	lk := &lookup{tombs: d.Dead}
-	// Fence array: the first key of each data page.
-	if pages := pagesFor(len(d.Live)); pages > 0 {
-		lk.fences = make([]core.Key, pages)
-		for i := range lk.fences {
-			lk.fences[i] = d.Live[i*RecsPerPage].Key
-		}
+	// Fence index over the first key of each data page.
+	fences := make([]core.Key, pagesFor(len(d.Live)))
+	for i := range fences {
+		fences[i] = d.Live[i*RecsPerPage].Key
 	}
-	if len(lk.fences) >= minModelFences {
-		xs := make([]float64, len(lk.fences))
-		for i, k := range lk.fences {
-			xs[i] = float64(k)
-		}
-		lk.model = segment.BuildOptimal(xs, segment.Positions(len(xs)), fenceEps)
-	}
+	lk.fences = page.NewFences(fences)
 	// Learned filter over every key the run speaks for — live and dead.
 	// Zero false negatives is load-bearing twice over: a missed live key
 	// would lose a committed write, a missed tombstone would resurrect a
@@ -294,11 +278,11 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 		r.falsePos.Add(1)
 		return 0, Absent, nil
 	}
-	pg := lk.pageFor(k)
 	bp := pagePool.Get().(*[]byte)
 	defer pagePool.Put(bp)
 	p := page.Buf(*bp)
-	if err := r.readPage(lk.f, uint64(1+pg), p); err != nil {
+	r.pageReads.Add(1)
+	if err := page.ReadPage(lk.f, r.sum.Path, uint64(1+lk.fences.Find(k)), p); err != nil {
 		return 0, Absent, err
 	}
 	if i, ok := p.LeafSearch(k); ok {
@@ -308,56 +292,6 @@ func (r *Reader) Get(k core.Key) (core.Value, State, error) {
 	}
 	r.falsePos.Add(1)
 	return 0, Absent, nil
-}
-
-// predict is the fence slot the model puts k at, clamped to the slots of
-// its segment: a key past a segment's last fence has its lower bound at the
-// segment's end, where the extrapolated line may overshoot by more than
-// pageFor's window.
-func (lk *lookup) predict(k core.Key) int {
-	s := &lk.model[segment.Locate(lk.model, float64(k))]
-	return int(min(max(s.Predict(float64(k)), float64(s.StartIdx)), float64(s.EndIdx)))
-}
-
-// pageFor returns the data-page index whose key range covers k: the last
-// fence ≤ k. The PLA model predicts a slot and a windowed search corrects
-// it; the result is verified against the full fence array (the model is
-// an accelerator, never an authority) with a binary-search fallback.
-func (lk *lookup) pageFor(k core.Key) int {
-	var i int
-	if lk.model != nil {
-		p := lk.predict(k)
-		i = core.SearchRange(lk.fences, k, p-fenceEps-1, p+fenceEps+2)
-		if !((i == 0 || lk.fences[i-1] < k) && (i == len(lk.fences) || lk.fences[i] >= k)) {
-			i = core.LowerBound(lk.fences, k)
-		}
-	} else {
-		i = core.LowerBound(lk.fences, k)
-	}
-	if i < len(lk.fences) && lk.fences[i] == k {
-		return i
-	}
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
-
-// readPage fills p with page id's content, verifying CRC and self-id —
-// the last line of defense against corruption that appears after Open.
-func (r *Reader) readPage(f *os.File, id uint64, p page.Buf) error {
-	n, err := f.ReadAt(p, int64(id)*PageSize)
-	if n != PageSize {
-		return fmt.Errorf("sst: %s: short read of page %d (%d bytes): %v", r.sum.Path, id, n, err)
-	}
-	r.pageReads.Add(1)
-	if !p.VerifyCRC() {
-		return fmt.Errorf("sst: %s: page %d CRC mismatch (torn or corrupted write)", r.sum.Path, id)
-	}
-	if p.ID() != id {
-		return fmt.Errorf("sst: %s: page %d stores id %d (misdirected write)", r.sum.Path, id, p.ID())
-	}
-	return nil
 }
 
 // Data re-reads and decodes the whole run — the bulk path for compaction
@@ -385,8 +319,8 @@ func (r *Reader) Counters() Counters {
 func (r *Reader) Stats() RunStats {
 	st := r.sum
 	if lk := r.look.Load(); lk != nil {
-		st.Fences = len(lk.fences)
-		st.Segments = len(lk.model)
+		st.Fences = len(lk.fences.Keys())
+		st.Segments = lk.fences.Segments()
 		st.FilterBits = lk.filter.Bits()
 		st.BackupKeys = lk.filter.BackupKeys()
 	}

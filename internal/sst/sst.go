@@ -7,8 +7,8 @@
 // This is the LSM branch of the learned-index taxonomy (paper §5, Bourbon;
 // "Updatable Learned Indexes Meet Disk-Resident DBMS" in PAPERS.md): the
 // durable store flushes its memtable into sorted runs, each run carries a
-// per-run learned fence index (PLA over the first key of every data page,
-// built with the same `internal/segment` machinery as the PGM kinds) and a
+// per-run learned fence index (`page.Fences`, a PLA over the first key of
+// every data page: the one a paged-pgm index routes by) and a
 // per-run learned Bloom filter (`internal/lbf`, classifier + backup, zero
 // false negatives) so point lookups of absent keys skip the run without
 // touching disk.
@@ -39,7 +39,7 @@
 //
 // The fence index and the learned filter are derived data, and lazy: they
 // are built from the page contents by the first lookup that reads through
-// the run (as the paged PGM kind rebuilds its fence model), never at open,
+// the run (as a paged-pgm index rebuilds its fences at open), never at open,
 // flush or compaction and never persisted, so a writer pays nothing for
 // models nobody reads and the file format stays canonical — the fuzz
 // target can pin Encode(Decode(b)) == b.

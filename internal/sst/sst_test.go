@@ -12,6 +12,7 @@ import (
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
+	"github.com/lix-go/lix/internal/page"
 )
 
 // genRun builds n live records (even keys, deterministic values) and nd
@@ -503,50 +504,76 @@ func trainedLookup(tb testing.TB, keys []core.Key) *lookup {
 	return r.look.Load()
 }
 
-// TestPageForModelWindowHolds: the fence model is what pageFor searches
-// by, not an ornament the binary-search fallback hides. Over runs large
-// enough to get a model, on three key distributions, every fence, every
-// fence ± 1 and a key between each pair of fences must have its lower
-// bound inside the window the model predicts (clamped to the array as
-// core.SearchRange clamps it), so the fallback is never taken, and
-// pageFor must pick the page core.LowerBound picks.
+// TestPageForModelWindowHolds: the fence model is what a fence lookup
+// searches by, not an ornament the binary-search fallback hides. One fence
+// index, page.Fences, serves both of its owners: a run finding a data page
+// and a paged-pgm index finding a leaf. For each, over 200 pages of three
+// key distributions, every fence, every fence ± 1 and a key between each
+// pair of fences must have its lower bound inside the window the model
+// predicts (clamped to the array as core.SearchRange clamps it), so the
+// fallback is never taken, and Find must pick the page core.LowerBound
+// picks.
 func TestPageForModelWindowHolds(t *testing.T) {
 	n := 200 * RecsPerPage
-	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Lognormal, dataset.Clustered} {
+	kinds := []dataset.Kind{dataset.Uniform, dataset.Lognormal, dataset.Clustered}
+	for _, kind := range kinds {
 		t.Run(string(kind), func(t *testing.T) {
 			keys, err := dataset.Keys(kind, n, 11)
 			if err != nil {
 				t.Fatal(err)
 			}
-			lk := trainedLookup(t, keys)
-			if len(lk.fences) < minModelFences || lk.model == nil {
-				t.Fatalf("%d fences, %d segments: the run got no model", len(lk.fences), len(lk.model))
-			}
-			fs := lk.fences
-			var probes []core.Key
-			for i, f := range fs {
-				probes = append(probes, f-1, f, f+1)
-				if i+1 < len(fs) {
-					probes = append(probes, f+(fs[i+1]-f)/2)
-				}
-			}
-			for _, k := range probes {
-				p := lk.predict(k)
-				lo, hi := max(p-fenceEps-1, 0), min(p+fenceEps+2, len(fs))
-				lo = min(lo, hi)
-				i := core.LowerBound(fs, k)
-				if i < lo || i > hi {
-					t.Fatalf("key %d: lower bound %d outside the model's window [%d, %d] (prediction %d)", k, i, lo, hi, p)
-				}
-				want := max(i-1, 0)
-				if i < len(fs) && fs[i] == k {
-					want = i
-				}
-				if got := lk.pageFor(k); got != want {
-					t.Fatalf("pageFor(%d) = %d, want %d", k, got, want)
-				}
-			}
-			t.Logf("%d fences, %d segments, %d probes", len(fs), len(lk.model), len(probes))
+			checkFenceWindows(t, &trainedLookup(t, keys).fences)
 		})
 	}
+	t.Run(page.KindPGM, func(t *testing.T) {
+		for _, kind := range kinds {
+			t.Run(string(kind), func(t *testing.T) {
+				keys, err := dataset.Keys(kind, n, 11) // 200 full leaves
+				if err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(t.TempDir(), "pgm.lpx")
+				ix, err := page.BulkIndex(path, page.KindPGM, dataset.KV(keys), page.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ix.Close()
+				checkFenceWindows(t, ix.Fences())
+				if err := ix.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
+}
+
+// checkFenceWindows runs TestPageForModelWindowHolds's probes against f.
+func checkFenceWindows(t *testing.T, f *page.Fences) {
+	t.Helper()
+	fs := f.Keys()
+	if f.Segments() == 0 {
+		t.Fatalf("%d fences and no model", len(fs))
+	}
+	var probes []core.Key
+	for i, k := range fs {
+		probes = append(probes, k-1, k, k+1)
+		if i+1 < len(fs) {
+			probes = append(probes, k+(fs[i+1]-k)/2)
+		}
+	}
+	for _, k := range probes {
+		lo, hi := f.Window(k)
+		i := core.LowerBound(fs, k)
+		if i < lo || i > hi {
+			t.Fatalf("key %d: lower bound %d outside the model's window [%d, %d]", k, i, lo, hi)
+		}
+		want := max(i-1, 0)
+		if i < len(fs) && fs[i] == k {
+			want = i
+		}
+		if got := f.Find(k); got != want {
+			t.Fatalf("Find(%d) = %d, want %d", k, got, want)
+		}
+	}
+	t.Logf("%d fences, %d segments, %d probes", len(fs), f.Segments(), len(probes))
 }
