@@ -301,16 +301,36 @@ func (dn *dataNode) gapBefore(s int) int {
 // lowerSlot returns the first slot with key >= k, using exponential search
 // from the model prediction.
 func (dn *dataNode) lowerSlot(k core.Key) int {
-	pred := core.Clamp(int(math.Round(dn.model.Predict(float64(k)))), 0, len(dn.slots)-1)
-	return core.ExponentialSearchKV(dn.slots, k, pred)
+	return core.ExponentialSearchKV(dn.slots, k, dn.predict(k))
+}
+
+// predict is the model's slot for k, clamped to the node.
+func (dn *dataNode) predict(k core.Key) int {
+	return core.Clamp(int(math.Round(dn.model.Predict(float64(k)))), 0, len(dn.slots)-1)
+}
+
+// find returns the slot that holds k's record, scanning the slots equal to
+// k from s, k's lower bound; -1 when k is absent. Gaps keep their keys, so
+// the run can hold gaps before the record.
+func (dn *dataNode) find(s int, k core.Key) int {
+	for ; s < len(dn.slots) && dn.slots[s].Key == k; s++ {
+		if dn.occupied(s) {
+			return s
+		}
+	}
+	return -1
+}
+
+// full reports whether one more record would take the node over
+// maxDensity, so that an insert must expand or split it first.
+func (dn *dataNode) full() bool {
+	return float64(dn.numKeys+1) > maxDensity*float64(len(dn.slots))
 }
 
 // get returns the value for k.
 func (dn *dataNode) get(k core.Key) (core.Value, bool) {
-	for s := dn.lowerSlot(k); s < len(dn.slots) && dn.slots[s].Key == k; s++ {
-		if dn.occupied(s) {
-			return dn.slots[s].Value, true
-		}
+	if s := dn.find(dn.lowerSlot(k), k); s >= 0 {
+		return dn.slots[s].Value, true
 	}
 	return 0, false
 }
@@ -352,16 +372,13 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 		}
 		dn := n.(*dataNode)
 		s := dn.lowerSlot(k)
-		// Upsert: scan the run of equal keys for an occupied slot.
-		for t := s; t < len(dn.slots) && dn.slots[t].Key == k; t++ {
-			if dn.occupied(t) {
-				dn.slots[t].Value = v
-				return false
-			}
+		if t := dn.find(s, k); t >= 0 {
+			dn.slots[t].Value = v
+			return false
 		}
 		// Structural adaptation before placing, if too dense; the leaf
 		// and the slot are then found again from the root.
-		if float64(dn.numKeys+1) > maxDensity*float64(len(dn.slots)) {
+		if dn.full() {
 			if 2*len(dn.slots) <= maxDataSlots {
 				ix.expand(dn)
 			} else {
@@ -506,18 +523,20 @@ func (ix *Index) leftmostLeaf() *dataNode {
 // (no contraction), matching the paper's deletion strategy.
 func (ix *Index) Delete(k core.Key) bool {
 	dn := ix.findLeaf(k)
-	s := dn.lowerSlot(k)
-	for ; s < len(dn.slots) && dn.slots[s].Key == k; s++ {
-		if dn.occupied(s) {
-			// The slot keeps its key value as a gap duplicate, so the
-			// array stays sorted with no rewriting.
-			dn.vacate(s)
-			dn.numKeys--
-			ix.size--
-			return true
-		}
+	s := dn.find(dn.lowerSlot(k), k)
+	if s < 0 {
+		return false
 	}
-	return false
+	ix.remove(dn, s)
+	return true
+}
+
+// remove vacates slot s of dn. The slot keeps its key as a gap duplicate,
+// so the array stays sorted with no rewriting and no slot moves.
+func (ix *Index) remove(dn *dataNode, s int) {
+	dn.vacate(s)
+	dn.numKeys--
+	ix.size--
 }
 
 // Range calls fn for records with lo <= key <= hi ascending; fn returning

@@ -176,7 +176,10 @@ func TestStatsIsTheLayout(t *testing.T) {
 // checks every answer against a map and the tree's invariants after every
 // operation. A leaf grown from New splits at 0.8 of maxDataSlots records,
 // which the lattice holds, so runs of inserts take leaves through every
-// expand and into splits.
+// expand and into splits. A second tree takes the same inserts, deletes and
+// gets through Apply, one batch per stretch between scans and one per run,
+// and must give the answers of the point ops, its invariants and their
+// contents.
 func FuzzALEXOps(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 1, 6, 0, 2, 5, 0, 3, 6, 0, 3, 5, 0, 4 | 8<<3, 0, 0})
 	// The whole lattice in four runs (the root leaf expands to
@@ -190,14 +193,46 @@ func FuzzALEXOps(f *testing.F) {
 			lattice = 1 << 14
 			run     = 1 << 12
 		)
-		ix := New()
+		ix, bx := New(), New()
 		ref := map[core.Key]core.Value{}
+		// batch is bx's next Apply; want[i] the point ops' answer to a get
+		// or delete in it.
+		type answer struct {
+			v  core.Value
+			ok bool
+		}
+		var (
+			batch []core.Op
+			want  []answer
+		)
+		flush := func() {
+			vals, oks := make([]core.Value, len(batch)), make([]bool, len(batch))
+			bx.Apply(batch, vals, oks, nil)
+			for i, op := range batch {
+				if op.Kind != core.OpPut && (oks[i] != want[i].ok || op.Kind == core.OpGet && vals[i] != want[i].v) {
+					t.Fatalf("op %d of %d through Apply: %v gave %d,%v, the point op %d,%v",
+						i, len(batch), op, vals[i], oks[i], want[i].v, want[i].ok)
+				}
+			}
+			if err := bx.CheckInvariants(); err != nil {
+				t.Fatalf("after an Apply of %d: %v", len(batch), err)
+			}
+			if bx.Len() != len(ref) {
+				t.Fatalf("Len = %d after an Apply of %d, want %d", bx.Len(), len(batch), len(ref))
+			}
+			batch, want = batch[:0], want[:0]
+		}
+		add := func(op core.Op, v core.Value, ok bool) {
+			batch = append(batch, op)
+			want = append(want, answer{v, ok})
+		}
 		insert := func(k core.Key, v core.Value) {
 			_, had := ref[k]
 			if got := ix.Insert(k, v); got == had {
 				t.Fatalf("Insert(%d) = %v with the key present: %v", k, got, had)
 			}
 			ref[k] = v
+			add(core.Op{Kind: core.OpPut, Key: k, Val: v}, 0, false)
 		}
 		del := func(k core.Key) {
 			_, had := ref[k]
@@ -205,6 +240,7 @@ func FuzzALEXOps(f *testing.F) {
 				t.Fatalf("Delete(%d) = %v, want %v", k, got, had)
 			}
 			delete(ref, k)
+			add(core.Op{Kind: core.OpDel, Key: k}, 0, had)
 		}
 		// At most 64 operations, so at most 64 runs of 4096: an append
 		// into a leaf can shift most of it, and runs are mostly appends.
@@ -223,7 +259,9 @@ func FuzzALEXOps(f *testing.F) {
 				if want, had := ref[k]; ok != had || got != want {
 					t.Fatalf("Get(%d) = %d,%v, want %d,%v", k, got, ok, want, had)
 				}
+				add(core.Op{Kind: core.OpGet, Key: k}, got, ok)
 			case 4:
+				flush()
 				hi := k + core.Key(op>>3)*64
 				var want, got []core.Key
 				for x := k; x <= hi && x < lattice; x++ {
@@ -242,13 +280,17 @@ func FuzzALEXOps(f *testing.F) {
 					t.Fatalf("Range(%d, %d) = %d records %v, want %v", k, hi, n, got, want)
 				}
 			case 5:
+				flush()
 				for i := core.Key(0); i < run; i++ {
 					insert((k+i)%lattice, v)
 				}
+				flush()
 			case 6:
+				flush()
 				for i := core.Key(0); i < run; i++ {
 					del((k + i) % lattice)
 				}
+				flush()
 			}
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatal(err)
@@ -256,6 +298,16 @@ func FuzzALEXOps(f *testing.F) {
 			if ix.Len() != len(ref) {
 				t.Fatalf("Len = %d, want %d", ix.Len(), len(ref))
 			}
+		}
+		flush()
+		n := bx.Range(0, lattice, func(x core.Key, val core.Value) bool {
+			if want, ok := ref[x]; !ok || val != want {
+				t.Fatalf("after the Applies key %d = %d, want %d,%v", x, val, want, ok)
+			}
+			return true
+		})
+		if n != len(ref) {
+			t.Fatalf("after the Applies %d records, want %d", n, len(ref))
 		}
 	})
 }

@@ -11,6 +11,7 @@ package btree
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/lix-go/lix/internal/core"
 )
@@ -60,8 +61,34 @@ func New(order int) *Tree {
 	if order < 4 {
 		order = 4
 	}
-	lf := &leaf{}
-	return &Tree{order: order, root: lf, first: lf}
+	t := &Tree{order: order}
+	t.root = t.newLeaf(0)
+	t.first = t.root.(*leaf)
+	return t
+}
+
+// newLeaf returns a leaf of n zero records whose arrays have room for
+// order: a leaf's arrays are allocated once and never grow, since a full
+// leaf splits before it takes another key.
+func (t *Tree) newLeaf(n int) *leaf {
+	return &leaf{keys: make([]core.Key, n, t.order), vals: make([]core.Value, n, t.order)}
+}
+
+// insertAt puts (k, v) at position i of a leaf that has room for it.
+func (lf *leaf) insertAt(i int, k core.Key, v core.Value) {
+	n := len(lf.keys)
+	lf.keys, lf.vals = lf.keys[:n+1], lf.vals[:n+1]
+	copy(lf.keys[i+1:], lf.keys[i:n])
+	copy(lf.vals[i+1:], lf.vals[i:n])
+	lf.keys[i], lf.vals[i] = k, v
+}
+
+// removeAt removes the record at position i, keeping the arrays.
+func (lf *leaf) removeAt(i int) {
+	n := len(lf.keys) - 1
+	copy(lf.keys[i:], lf.keys[i+1:])
+	copy(lf.vals[i:], lf.vals[i+1:])
+	lf.keys, lf.vals = lf.keys[:n], lf.vals[:n]
 }
 
 // NewDefault returns an empty tree with DefaultOrder.
@@ -88,7 +115,7 @@ func Bulk(order int, recs []core.KV) (*Tree, error) {
 	var firstKeys []core.Key
 	i := 0
 	for i < len(recs) {
-		lf := &leaf{}
+		lf := t.newLeaf(0)
 		for i < len(recs) && len(lf.keys) < fill {
 			k := recs[i].Key
 			if len(lf.keys) > 0 && lf.keys[len(lf.keys)-1] == k {
@@ -227,25 +254,24 @@ func (t *Tree) insert(n node, k core.Key, val core.Value) (added bool, splitKey 
 			v.vals[i] = val
 			return false, 0, nil
 		}
-		v.keys = append(v.keys, 0)
-		copy(v.keys[i+1:], v.keys[i:])
-		v.keys[i] = k
-		v.vals = append(v.vals, 0)
-		copy(v.vals[i+1:], v.vals[i:])
-		v.vals[i] = val
-		if len(v.keys) <= t.order {
+		if len(v.keys) < t.order {
+			v.insertAt(i, k, val)
 			return true, 0, nil
 		}
-		// Split.
+		// Split the full leaf, then insert into the half that owns k, so
+		// no leaf ever holds more than order keys or grows its arrays.
 		mid := len(v.keys) / 2
-		r := &leaf{
-			keys: append([]core.Key(nil), v.keys[mid:]...),
-			vals: append([]core.Value(nil), v.vals[mid:]...),
-			next: v.next,
-		}
-		v.keys = v.keys[:mid:mid]
-		v.vals = v.vals[:mid:mid]
+		r := t.newLeaf(len(v.keys) - mid)
+		copy(r.keys, v.keys[mid:])
+		copy(r.vals, v.vals[mid:])
+		r.next = v.next
+		v.keys, v.vals = v.keys[:mid], v.vals[:mid]
 		v.next = r
+		if i < mid {
+			v.insertAt(i, k, val)
+		} else {
+			r.insertAt(i-mid, k, val)
+		}
 		return true, r.keys[0], r
 	case *inner:
 		i := core.UpperBound(v.keys, k)
@@ -299,8 +325,7 @@ func (t *Tree) delete(n node, k core.Key) bool {
 		if i >= len(v.keys) || v.keys[i] != k {
 			return false
 		}
-		v.keys = append(v.keys[:i], v.keys[i+1:]...)
-		v.vals = append(v.vals[:i], v.vals[i+1:]...)
+		v.removeAt(i)
 		return true
 	case *inner:
 		ci := core.UpperBound(v.keys, k)
@@ -327,10 +352,8 @@ func (t *Tree) rebalance(p *inner, ci int) {
 			l := p.children[ci-1].(*leaf)
 			if len(l.keys) > min {
 				last := len(l.keys) - 1
-				c.keys = append([]core.Key{l.keys[last]}, c.keys...)
-				c.vals = append([]core.Value{l.vals[last]}, c.vals...)
-				l.keys = l.keys[:last]
-				l.vals = l.vals[:last]
+				c.insertAt(0, l.keys[last], l.vals[last])
+				l.removeAt(last)
 				p.keys[ci-1] = c.keys[0]
 				return
 			}
@@ -339,15 +362,14 @@ func (t *Tree) rebalance(p *inner, ci int) {
 		if ci < len(p.children)-1 {
 			r := p.children[ci+1].(*leaf)
 			if len(r.keys) > min {
-				c.keys = append(c.keys, r.keys[0])
-				c.vals = append(c.vals, r.vals[0])
-				r.keys = r.keys[1:]
-				r.vals = r.vals[1:]
+				c.insertAt(len(c.keys), r.keys[0], r.vals[0])
+				r.removeAt(0)
 				p.keys[ci] = r.keys[0]
 				return
 			}
 		}
-		// Merge with a sibling.
+		// Merge with a sibling: neither could lend, so the two hold fewer
+		// than order keys together and the survivor's arrays take them.
 		if ci > 0 {
 			l := p.children[ci-1].(*leaf)
 			l.keys = append(l.keys, c.keys...)
@@ -453,7 +475,9 @@ func (t *Tree) Height() int {
 	}
 }
 
-// Stats reports structure statistics.
+// Stats reports structure statistics. IndexBytes is the nodes themselves
+// and the inner nodes' arrays; DataBytes is the leaves' key and value
+// arrays, counted by capacity.
 func (t *Tree) Stats() core.Stats {
 	var idxBytes, dataBytes, nodes int
 	var walk func(n node)
@@ -461,10 +485,11 @@ func (t *Tree) Stats() core.Stats {
 		nodes++
 		switch v := n.(type) {
 		case *leaf:
-			dataBytes += 16 * len(v.keys)
-			idxBytes += 24 // slice headers + next pointer, amortized
+			dataBytes += 8*cap(v.keys) + 8*cap(v.vals)
+			idxBytes += int(unsafe.Sizeof(*v))
 		case *inner:
-			idxBytes += 8*len(v.keys) + 8*len(v.children) + 24
+			// A child is an interface value: two words.
+			idxBytes += int(unsafe.Sizeof(*v)) + 8*cap(v.keys) + 16*cap(v.children)
 			for _, c := range v.children {
 				walk(c)
 			}

@@ -101,22 +101,86 @@ func sameState(ix MutableIndex, o *oracle1D) error {
 	return nil
 }
 
-// checkApply drives ix (preloaded with init) through the chain batch and
-// batches random batches of lo..hi ops through core.Apply — poisoned result
-// buffers, a live span on every second call — and compares every answer
-// and the final state with the sequential replay.
-func checkApply(ix MutableIndex, init []core.KV, keys []core.Key, seed int64, batches, lo, hi int) error {
+// applyInput is one input of the mixed-batch differential: a preload and
+// the generator of its batches (b counts from 0, val numbers the puts).
+type applyInput struct {
+	name    string
+	init    []core.KV
+	batches int
+	batch   func(rng *rand.Rand, b int, val *core.Value) []core.Op
+}
+
+// latticeInput is the chain batch, then batches of lo..hi random ops over
+// the small lattice.
+func latticeInput(batches, lo, hi int) applyInput {
+	keys, init := applyLattice()
+	return applyInput{name: "lattice", init: init, batches: batches,
+		batch: func(rng *rand.Rand, b int, val *core.Value) []core.Op {
+			if b == 0 {
+				return chainBatch(keys)
+			}
+			return randomBatch(rng, keys, lo+rng.Intn(hi-lo+1), val)
+		}}
+}
+
+// Deep input geometry: deepKeys records 64 apart, which is three levels of
+// B+-tree at order 64, whose bulk load starts a leaf every deepLeaf
+// records. Sixteen batches at a time stay within deepBoundaries leaf
+// boundaries, in one of three windows, each inside one of ALEX's
+// bulk-loaded data nodes of 4000 records, so that its puts pile up there.
+const (
+	deepKeys       = 20_000
+	deepLeaf       = 57
+	deepBoundaries = 20
+)
+
+// deepInput is batches of 1-512 ops on keys within 8 records of a B+-tree
+// leaf boundary, preloaded ones and the 15 absent ones after each, in
+// phases of eight put-heavy batches and eight delete-heavy ones: runs
+// cross leaf splits, borrows and merges, and ALEX expands, in the middle
+// of a chunk.
+func deepInput(batches int) applyInput {
+	init := make([]core.KV, deepKeys)
+	for i := range init {
+		init[i] = core.KV{Key: core.Key(i) << 6, Value: core.Value(i)}
+	}
+	return applyInput{name: "deep", init: init, batches: batches,
+		batch: func(rng *rand.Rand, b int, val *core.Value) []core.Op {
+			puts, dels := 7, 1 // of 10, the rest gets
+			if b/8%2 == 1 {
+				puts, dels = 1, 8
+			}
+			ops := make([]core.Op, 1+rng.Intn(512))
+			for i := range ops {
+				rec := (100+b/16%3*70+rng.Intn(deepBoundaries))*deepLeaf + rng.Intn(17) - 8
+				k := core.Key(rec)<<6 | core.Key(rng.Intn(16))
+				switch p := rng.Intn(10); {
+				case p < puts:
+					*val++
+					ops[i] = core.Op{Kind: core.OpPut, Key: k, Val: *val}
+				case p < puts+dels:
+					ops[i] = core.Op{Kind: core.OpDel, Key: k}
+				default:
+					ops[i] = core.Op{Kind: core.OpGet, Key: k}
+				}
+			}
+			return ops
+		}}
+}
+
+// checkApply drives ix (preloaded with in.init) through in's batches with
+// core.Apply — poisoned result buffers, a live span on every second call —
+// and compares every answer and the final state with the sequential
+// replay.
+func checkApply(ix MutableIndex, in applyInput, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	o := newOracle1D(init)
+	o := newOracle1D(in.init)
 	var (
 		sp  altSpan
 		val core.Value = 1000
 	)
-	for b := 0; b <= batches; b++ {
-		ops := chainBatch(keys)
-		if b > 0 {
-			ops = randomBatch(rng, keys, lo+rng.Intn(hi-lo+1), &val)
-		}
+	for b := 0; b <= in.batches; b++ {
+		ops := in.batch(rng, b, &val)
 		vals, oks := make([]core.Value, len(ops)), make([]bool, len(ops))
 		for i := range oks {
 			vals[i], oks[i] = ^core.Value(0), true
@@ -138,11 +202,13 @@ func applyBatches(t *testing.T) int {
 	return 300
 }
 
-// TestApplyEquivalence: every registered mutable kind (a bare backend goes
-// through core.Apply's point loop, the sharded-rw and durable-* factories
-// through their own Apply), and each of those under the obs wrapper.
+// TestApplyEquivalence: every registered mutable kind (a bare backend
+// through its own Apply, btree and alex, or core.Apply's point loop; the
+// sharded-rw and durable-* factories through theirs), and each of those
+// under the obs wrapper, on two inputs: the small lattice, and the deep
+// input, on which the bulk-loaded B+-tree is at least three levels deep.
 func TestApplyEquivalence(t *testing.T) {
-	keys, init := applyLattice()
+	inputs := []applyInput{latticeInput(applyBatches(t), 1, 48), deepInput(applyBatches(t) / 4)}
 	for _, f := range Factories1D() {
 		if !f.Caps.Mutable {
 			continue
@@ -150,19 +216,24 @@ func TestApplyEquivalence(t *testing.T) {
 		f := f
 		t.Run(f.Name, func(t *testing.T) {
 			t.Parallel()
-			for _, observed := range []bool{false, true} {
-				ix, err := f.Build1D(init)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mix := ix.(MutableIndex)
-				if observed {
-					mix = lix.ObserveMutable(mix, lix.NewMetrics("apply-"+f.Name))
-				}
-				err = checkApply(mix, init, keys, int64(len(f.Name)), applyBatches(t), 1, 48)
-				closeIndex(ix)
-				if err != nil {
-					t.Fatalf("observed=%v: %v", observed, err)
+			for _, in := range inputs {
+				for _, observed := range []bool{false, true} {
+					ix, err := f.Build1D(in.init)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if h := ix.Stats().Height; f.Name == "btree" && in.name == "deep" && h < 3 {
+						t.Fatalf("deep input: B+-tree of height %d, want at least 3", h)
+					}
+					mix := ix.(MutableIndex)
+					if observed {
+						mix = lix.ObserveMutable(mix, lix.NewMetrics("apply-"+f.Name))
+					}
+					err = checkApply(mix, in, int64(len(f.Name)))
+					closeIndex(ix)
+					if err != nil {
+						t.Fatalf("%s input, observed=%v: %v", in.name, observed, err)
+					}
 				}
 			}
 		})
@@ -177,18 +248,18 @@ func TestApplyShardRegimes(t *testing.T) {
 	if runtime.GOMAXPROCS(0) == 1 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	keys, init := applyLattice()
 	for _, c := range []struct {
 		name   string
 		lo, hi int
 	}{{"grouped", 1, 64}, {"fanout", 512, 1024}} {
 		t.Run(c.name, func(t *testing.T) {
-			s, err := lix.NewSharded(init, lix.ShardedConfig{Shards: 4})
+			in := latticeInput(applyBatches(t)/4, c.lo, c.hi)
+			s, err := lix.NewSharded(in.init, lix.ShardedConfig{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if err := checkApply(s, init, keys, 0x5a, applyBatches(t)/4, c.lo, c.hi); err != nil {
+			if err := checkApply(s, in, 0x5a); err != nil {
 				t.Fatal(err)
 			}
 		})

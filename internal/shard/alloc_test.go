@@ -18,9 +18,9 @@ import (
 // batchScratch, so starting the per-shard goroutines allocates nothing
 // either.
 
-func allocStack(t *testing.T) *Sharded {
+func allocStack(t *testing.T, b Builders) *Sharded {
 	t.Helper()
-	s, err := New(sortedRecs(4096, 7), Config{Shards: 8}, testBuilders())
+	s, err := New(sortedRecs(4096, 7), Config{Shards: 8}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,23 +55,30 @@ func batchKeys(s *Sharded, n int) []core.Key {
 	return keys
 }
 
-// forBatchRegimes runs fn on both batch regimes: groups by shard done in
+// forBatchRegimes runs fn on both batch regimes — groups by shard done in
 // turn on the calling goroutine, and the same groups fanned out one
-// goroutine per shard. The subtests keep the "rw/" they were named with
-// while there was a second lock mode, and the caller-side regime keeps
-// "stretches" from when small batches were cut into same-shard stretches.
+// goroutine per shard — over both backends with their own Apply, which
+// the groups are gathered for. The B+-tree subtests keep the "rw/" they
+// were named with while there was a second lock mode, and the caller-side
+// regime keeps "stretches" from when small batches were cut into
+// same-shard stretches.
 func forBatchRegimes(t *testing.T, fn func(t *testing.T, s *Sharded)) {
 	if raceEnabled {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
-	for _, regime := range []string{"stretches", "fanout"} {
-		t.Run("rw/"+regime, func(t *testing.T) {
-			s := allocStack(t)
-			if regime == "fanout" {
-				forceFanOut(t, s)
-			}
-			fn(t, s)
-		})
+	for _, backend := range []struct {
+		name string
+		b    Builders
+	}{{"rw", testBuilders()}, {"alex", alexBuilders()}} {
+		for _, regime := range []string{"stretches", "fanout"} {
+			t.Run(backend.name+"/"+regime, func(t *testing.T) {
+				s := allocStack(t, backend.b)
+				if regime == "fanout" {
+					forceFanOut(t, s)
+				}
+				fn(t, s)
+			})
+		}
 	}
 }
 
@@ -90,7 +97,7 @@ func TestGetZeroAlloc(t *testing.T) {
 		t.Skip("AllocsPerRun pins skipped under -race: sync.Pool sheds items at random there")
 	}
 	t.Run("rw", func(t *testing.T) {
-		s := allocStack(t)
+		s := allocStack(t, testBuilders())
 		keys := batchKeys(s, 256)
 		i := 0
 		if got := testing.AllocsPerRun(500, func() {
@@ -115,12 +122,7 @@ func TestAlexInsertSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("AllocsPerRun pins skipped under -race")
 	}
 	recs := sortedRecs(50_000, 7) // leaves under inner nodes in every shard
-	s, err := New(recs, Config{Shards: 4}, Builders{
-		Bulk: func(recs []core.KV) (MutableIndex, error) {
-			ix, err := alex.Bulk(recs)
-			return alexIx{ix}, err
-		},
-	})
+	s, err := New(recs, Config{Shards: 4}, alexBuilders())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +143,14 @@ func TestAlexInsertSteadyStateZeroAlloc(t *testing.T) {
 type alexIx struct{ *alex.Index }
 
 func (a alexIx) Insert(k core.Key, v core.Value) { a.Index.Insert(k, v) }
+
+// alexBuilders wires the shard layer to an ALEX backend.
+func alexBuilders() Builders {
+	return Builders{Bulk: func(recs []core.KV) (MutableIndex, error) {
+		ix, err := alex.Bulk(recs)
+		return alexIx{ix}, err
+	}}
+}
 
 // The steady-state ops over a present key k (the i-th of a batch): a get of
 // it, an overwrite of it, and a delete of its absent neighbour. No batch of

@@ -15,25 +15,13 @@ import (
 // run is the part of a batch one shard does under one lock hold, as input
 // positions in input order — the order sequential semantics (later-wins
 // upserts, first-wins deletes) depend on. It is either the whole batch
-// [0, n) (idx nil) or a counting-sort group listing its positions in idx.
+// (idx nil) or a counting-sort group listing its positions in idx, with
+// ops, vals and oks the scratch it is gathered into (len(idx) each).
 type run struct {
-	n   int
-	idx []int32
-}
-
-func (r run) len() int {
-	if r.idx != nil {
-		return len(r.idx)
-	}
-	return r.n
-}
-
-// at returns the j-th input position of the run.
-func (r run) at(j int) int {
-	if r.idx != nil {
-		return int(r.idx[j])
-	}
-	return j
+	idx  []int32
+	ops  []core.Op
+	vals []core.Value
+	oks  []bool
 }
 
 // batchOp is one batched call: the caller's slices.
@@ -82,7 +70,7 @@ func (s *Sharded) batch(op *batchOp, sp *core.Span) {
 		sc = newBatchScratch(s)
 	}
 	if si := sc.group(s.router, op.ops); si >= 0 {
-		s.shards[si].applyRun(op, run{n: n})
+		s.shards[si].applyRun(op, run{})
 	} else if n < s.fanoutMin || runtime.GOMAXPROCS(0) == 1 {
 		for si, sh := range s.shards {
 			if sc.starts[si] != sc.starts[si+1] {
@@ -96,14 +84,18 @@ func (s *Sharded) batch(op *batchOp, sp *core.Span) {
 }
 
 // batchScratch is the workspace of a batch, pooled on the Sharded so a
-// batch allocates nothing in steady state — neither the counting sort nor
-// the goroutine starts. idx[starts[si]:starts[si+1]] lists the input
-// positions owned by shard si in input order.
+// batch allocates nothing in steady state — neither the counting sort, nor
+// the gathered runs, nor the goroutine starts. idx[starts[si]:starts[si+1]]
+// lists the input positions owned by shard si in input order, and the same
+// stretch of ops, vals and oks is where its run is gathered.
 type batchScratch struct {
 	shardOf []int32
 	idx     []int32
 	starts  []int32 // len shards+1
 	cur     []int32 // len shards
+	ops     []core.Op
+	vals    []core.Value
+	oks     []bool
 
 	// op is the call being fanned out, wg its join, and work[si] the
 	// goroutine body that does shard si's group of op: built once per
@@ -132,9 +124,8 @@ func (sc *batchScratch) group(router Router, ops []core.Op) int {
 	n := len(ops)
 	if cap(sc.shardOf) < n {
 		sc.shardOf = make([]int32, n)
-		sc.idx = make([]int32, n)
 	}
-	sc.shardOf, sc.idx = sc.shardOf[:n], sc.idx[:n]
+	sc.shardOf = sc.shardOf[:n]
 	for si := range sc.cur {
 		sc.cur[si] = 0
 	}
@@ -149,6 +140,11 @@ func (sc *batchScratch) group(router Router, ops []core.Op) int {
 	if single {
 		return int(first)
 	}
+	if cap(sc.idx) < n {
+		sc.idx = make([]int32, n)
+		sc.ops, sc.vals, sc.oks = make([]core.Op, n), make([]core.Value, n), make([]bool, n)
+	}
+	sc.idx = sc.idx[:n]
 	off := int32(0)
 	for si, c := range sc.cur {
 		sc.starts[si], sc.cur[si] = off, off
@@ -165,7 +161,8 @@ func (sc *batchScratch) group(router Router, ops []core.Op) int {
 // runOf is shard si's group, once group has sorted a batch that spans
 // shards.
 func (sc *batchScratch) runOf(si int) run {
-	return run{idx: sc.idx[sc.starts[si]:sc.starts[si+1]]}
+	lo, hi := sc.starts[si], sc.starts[si+1]
+	return run{idx: sc.idx[lo:hi], ops: sc.ops[lo:hi], vals: sc.vals[lo:hi], oks: sc.oks[lo:hi]}
 }
 
 // fanOut runs the groups of op concurrently, one goroutine per shard that

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/lix-go/lix/internal/btree"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -117,15 +118,20 @@ func FuzzShardRouter(f *testing.F) {
 // inputs, which puts nearly every batch through the fan-out regime when
 // the run has a second P — against a map as the oracle: every get and
 // delete answer, and the final contents, must equal the sequential replay.
+// The shards are B+-trees of order 4, so that nearly every batch splits,
+// borrows or merges leaves between the ops its runs located, or ALEX
+// indexes; both do their runs through their own Apply.
 //
-// Input layout: byte 0 picks the shard count (low two bits) and the
-// regime (bit 2); then each op is one byte — the low two bits the kind
-// (0 get, 1 put, 2 del, 3 end of batch), the next four the key — and a
-// put's value is the op's position in the input.
+// Input layout: byte 0 picks the shard count (low two bits), the regime
+// (bit 2) and the backend (bit 3: ALEX); then each op is one byte — the
+// low two bits the kind (0 get, 1 put, 2 del, 3 end of batch), the next
+// four the key — and a put's value is the op's position in the input.
 func FuzzApply(f *testing.F) {
 	f.Add([]byte{0x03, 0x05, 0x04, 0x06, 0x04, 0x03, 0x10, 0x11, 0x12, 0x10})
 	f.Add([]byte{0x07, 0x01, 0x00, 0x02, 0x00, 0x01, 0x02, 0x01, 0x00, 0x03, 0x3c, 0x3d, 0x3e})
 	f.Add([]byte{0x04, 0x02, 0x02, 0x00, 0x03, 0x03, 0x01})
+	f.Add([]byte{0x0c, 0x05, 0x09, 0x0d, 0x11, 0x15, 0x19, 0x1d, 0x02, 0x06, 0x0a, 0x0e, 0x12, 0x03, 0x04, 0x08, 0x0c})
+	f.Add([]byte{0x01, 0x3d, 0x39, 0x35, 0x31, 0x2d, 0x29, 0x25, 0x21, 0x3e, 0x3a, 0x36, 0x32, 0x2e, 0x2a, 0x3c, 0x38})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -135,7 +141,14 @@ func FuzzApply(f *testing.F) {
 		for i := byte(0); i < 16; i += 2 {
 			init = append(init, core.KV{Key: lattice(i), Value: core.Value(i)})
 		}
-		s, err := New(init, Config{Shards: 1 + int(data[0]&3)}, testBuilders())
+		b := Builders{Bulk: func(recs []core.KV) (MutableIndex, error) {
+			t, err := btree.Bulk(4, recs)
+			return btreeIx{t}, err
+		}}
+		if data[0]&8 != 0 {
+			b = alexBuilders()
+		}
+		s, err := New(init, Config{Shards: 1 + int(data[0]&3)}, b)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,13 +51,29 @@ func (sh *rwShard) delete(k core.Key) bool {
 }
 
 // applyRun does run r of a batch (see run) under one lock hold, in the
-// run's order: a write hold if any of its ops writes, else a read hold. A
-// delete reports whether its key was live when its turn came.
+// run's order, through core.Apply. A run that is a group of the batch is
+// gathered into its stretch of the scratch first and its answers are
+// scattered back after.
 func (sh *rwShard) applyRun(b *batchOp, r run) {
 	ops, vals, oks := b.ops, b.vals, b.oks
-	n, write := r.len(), false
-	for j := 0; j < n && !write; j++ {
-		write = ops[r.at(j)].Kind != core.OpGet
+	if r.idx != nil {
+		for j, i := range r.idx {
+			r.ops[j], r.vals[j], r.oks[j] = ops[i], vals[i], oks[i]
+		}
+		ops, vals, oks = r.ops, r.vals, r.oks
+	}
+	sh.apply(ops, vals, oks)
+	for j, i := range r.idx {
+		b.vals[i], b.oks[i] = vals[j], oks[j]
+	}
+}
+
+// apply hands ops to the backend under a write hold if any of them
+// writes, else a read hold.
+func (sh *rwShard) apply(ops []core.Op, vals []core.Value, oks []bool) {
+	write := false
+	for j := 0; j < len(ops) && !write; j++ {
+		write = ops[j].Kind != core.OpGet
 	}
 	if write {
 		sh.mu.lock()
@@ -66,17 +82,7 @@ func (sh *rwShard) applyRun(b *batchOp, r run) {
 		s := sh.mu.rlock()
 		defer sh.mu.runlock(s)
 	}
-	for j := 0; j < n; j++ {
-		i := r.at(j)
-		switch op := &ops[i]; op.Kind {
-		case core.OpGet:
-			vals[i], oks[i] = sh.ix.Get(op.Key)
-		case core.OpPut:
-			sh.ix.Insert(op.Key, op.Val)
-		case core.OpDel:
-			oks[i] = sh.ix.Delete(op.Key)
-		}
-	}
+	core.Apply(sh.ix, ops, vals, oks, nil)
 }
 
 func (sh *rwShard) rangeScan(lo, hi core.Key, fn func(core.Key, core.Value) bool) int {
