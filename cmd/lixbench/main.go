@@ -17,8 +17,8 @@
 //	lixbench -e serving   # btree+mutex vs sharded-rw vs xindex, 95/5 and 50/50:
 //	                      # sharded-rw >= 0.6x mutex; two callers >= 1.1x one
 //	lixbench -e batch     # batched (one Apply, + Commit for inserts) vs looped ops
-//	                      # at 16, 256, 4096; lookup >= 0.9x, insert >= 0.8x,
-//	                      # durable insert >= 2x
+//	                      # at 16, 256, 4096; lookup >= 1x at 16, >= 1.25x from
+//	                      # 256; insert >= 0.8x; durable insert >= 2x
 //	lixbench -e paged     # paged indexes: warm pool >= 3x cold pool
 //	lixbench -e lsm       # checkpoint rate >= 2x a rewrite of the record set
 //	lixbench -e trace     # tracer attached but off >= 0.95x no tracer

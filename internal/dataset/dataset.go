@@ -185,6 +185,38 @@ func LookupMix(keys []core.Key, nq int, hitFrac float64, seed int64) []core.Key 
 	return out
 }
 
+// ShardRuns splits keys (sorted) into parts equal partitions, as a sharded
+// index's shards, and returns each partition's preload, every other key,
+// and 1<<16 ops on the partition: gets of preloaded keys, or with mixed a
+// 50/40/10 get/put/delete mix over all of its keys, the absent ones too.
+// Deterministic given seed.
+func ShardRuns(keys []core.Key, parts int, mixed bool, seed int64) (preload [][]core.KV, ops [][]core.Op) {
+	r := rand.New(rand.NewSource(seed))
+	per := len(keys) / parts
+	preload, ops = make([][]core.KV, parts), make([][]core.Op, parts)
+	for t := range ops {
+		part := keys[t*per : (t+1)*per]
+		for i := 0; i < len(part); i += 2 {
+			preload[t] = append(preload[t], core.KV{Key: part[i], Value: PayloadFor(part[i])})
+		}
+		ops[t] = make([]core.Op, 1<<16)
+		for i := range ops[t] {
+			k := part[r.Intn(per)]
+			switch p := r.Intn(10); {
+			case !mixed:
+				ops[t][i] = core.Op{Kind: core.OpGet, Key: part[r.Intn(per/2)*2]}
+			case p < 5:
+				ops[t][i] = core.Op{Kind: core.OpGet, Key: k}
+			case p < 9:
+				ops[t][i] = core.Op{Kind: core.OpPut, Key: k, Val: core.Value(i)}
+			default:
+				ops[t][i] = core.Op{Kind: core.OpDel, Key: k}
+			}
+		}
+	}
+	return preload, ops
+}
+
 // ZipfKeys generates nq lookup keys sampled from the existing key set with
 // Zipfian popularity (s=1.2), modelling a skewed read workload.
 func ZipfKeys(keys []core.Key, nq int, seed int64) []core.Key {
