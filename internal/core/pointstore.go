@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -41,7 +42,31 @@ func PointsDim(pvs []PV) (int, error) {
 
 // SortKeys sorts keys ascending in place and returns the permutation it
 // applied: the new keys[i] is the old keys[order[i]]. Ties keep input order.
+// Float64 and uint64 keys, those of the spatial builds, go through a radix
+// sort; any other key type through a comparison sort.
 func SortKeys[K cmp.Ordered](keys []K) (order []int32) {
+	switch ks := any(keys).(type) {
+	case []float64:
+		bits := make([]uint64, len(ks))
+		for i, k := range ks {
+			bits[i] = floatOrderBits(k)
+		}
+		order = radixOrder(bits)
+		for i, k := range ks {
+			bits[i] = math.Float64bits(k)
+		}
+		for i, j := range order {
+			ks[i] = math.Float64frombits(bits[j])
+		}
+		return order
+	case []uint64:
+		order = radixOrder(slices.Clone(ks))
+		orig := slices.Clone(ks)
+		for i, j := range order {
+			ks[i] = orig[j]
+		}
+		return order
+	}
 	type keyed struct {
 		k K
 		i int32
@@ -59,6 +84,60 @@ func SortKeys[K cmp.Ordered](keys []K) (order []int32) {
 	order = make([]int32, len(keys))
 	for i, e := range ks {
 		keys[i], order[i] = e.k, e.i
+	}
+	return order
+}
+
+// floatOrderBits maps a float64 to a uint64 that sorts as cmp.Compare sorts
+// the floats: every NaN first, -0 and +0 equal.
+func floatOrderBits(f float64) uint64 {
+	switch {
+	case f != f:
+		return 0
+	case f == 0:
+		f = 0
+	}
+	if u := math.Float64bits(f); u>>63 == 1 {
+		return ^u
+	} else {
+		return u | 1<<63
+	}
+}
+
+// radixOrder returns the stable ascending order of bits, which it reorders
+// along the way: a least-significant-digit radix sort a byte a pass, each
+// pass a stable scatter, skipping the bytes every key shares.
+func radixOrder(bits []uint64) []int32 {
+	n := len(bits)
+	var counts [8][256]int
+	for _, u := range bits {
+		for b := 0; b < 8; b++ {
+			counts[b][byte(u>>(8*b))]++
+		}
+	}
+	order, tmpOrder := make([]int32, n), make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	tmp := make([]uint64, n)
+	for b := 0; b < 8 && n > 0; b++ {
+		count := &counts[b]
+		shift := 8 * b
+		if count[byte(bits[0]>>shift)] == n {
+			continue
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i, u := range bits {
+			d := byte(u >> shift)
+			tmp[count[d]], tmpOrder[count[d]] = u, order[i]
+			count[d]++
+		}
+		bits, tmp = tmp, bits
+		order, tmpOrder = tmpOrder, order
 	}
 	return order
 }
@@ -115,26 +194,35 @@ func (s *PointStore) Find(lo, hi int, p Point) int {
 	return -1
 }
 
-// DimRange narrows [lo, hi), a run whose points ascend in coordinate d, to
-// the positions whose coordinate d lies in [vmin, vmax].
-func (s *PointStore) DimRange(lo, hi, d int, vmin, vmax float64) (int, int) {
-	a, b := lo, hi
+// DimBound returns the first position in [lo, hi), a run whose points
+// ascend in coordinate d, whose coordinate d is at least v, or above v when
+// after is set; hi if there is none. It searches [guess-err, guess+err]
+// first, a model's prediction and its error bound, and the rest of the run
+// only when a neighbour of that window shows the answer outside it, so a
+// wrong bound costs time, never the answer.
+func (s *PointStore) DimBound(lo, hi, d int, v float64, after bool, guess, err int) int {
+	below := func(i int) bool {
+		if c := s.coords[i*s.dim+d]; after {
+			return c <= v
+		} else {
+			return c < v
+		}
+	}
+	a, b := max(lo, min(hi, guess-err)), min(hi, max(lo, guess+err+1))
+	switch {
+	case a > lo && !below(a-1):
+		a, b = lo, a-1
+	case b < hi && below(b):
+		a, b = b+1, hi
+	}
 	for a < b {
-		if mid := int(uint(a+b) >> 1); s.coords[mid*s.dim+d] < vmin {
+		if mid := int(uint(a+b) >> 1); below(mid) {
 			a = mid + 1
 		} else {
 			b = mid
 		}
 	}
-	lo = a
-	for b = hi; a < b; {
-		if mid := int(uint(a+b) >> 1); s.coords[mid*s.dim+d] <= vmax {
-			a = mid + 1
-		} else {
-			b = mid
-		}
-	}
-	return lo, a
+	return a
 }
 
 // ScanRect is the refine loop shared by every index built on the store: it

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -71,7 +72,7 @@ func TestPointStoreScanRectMatchesFilter(t *testing.T) {
 	}
 }
 
-// TestPointStoreEdits drives Insert, Remove, Find and DimRange against a
+// TestPointStoreEdits drives Insert, Remove, Find and DimBound against a
 // []PV model, and checks that At cannot be appended over its neighbour.
 func TestPointStoreEdits(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
@@ -81,7 +82,7 @@ func TestPointStoreEdits(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		if len(model) == 0 || r.Intn(3) > 0 {
 			p := randomPVs(r, 1, dim)[0].Point
-			// Keep the run sorted by coordinate 1, for DimRange.
+			// Keep the run sorted by coordinate 1, for DimBound.
 			i := sort.Search(len(model), func(i int) bool { return model[i].Point[1] >= p[1] })
 			s.Insert(i, p, Value(step))
 			model = slices.Insert(model, i, PV{Point: p.Clone(), Value: Value(step)})
@@ -106,11 +107,16 @@ func TestPointStoreEdits(t *testing.T) {
 	if s.Find(0, s.Len(), Point{-5, -5, -5}) != -1 {
 		t.Fatal("Find of an absent point")
 	}
-	for v := -1.0; v <= 50; v++ {
-		lo, hi := s.DimRange(0, s.Len(), 1, v, v+3)
-		for i := range model {
-			if in := model[i].Point[1] >= v && model[i].Point[1] <= v+3; in != (i >= lo && i < hi) {
-				t.Fatalf("DimRange(%g,%g) = [%d,%d) but record %d has %g", v, v+3, lo, hi, i, model[i].Point[1])
+	for v := -1.0; v <= 50; v += 0.5 {
+		for _, after := range []bool{false, true} {
+			want := sort.Search(len(model), func(i int) bool {
+				c := model[i].Point[1]
+				return c > v || (!after && c == v)
+			})
+			// Any guess and error bound, right or wrong, give the answer.
+			guess, err := r.Intn(s.Len()+20)-10, r.Intn(8)
+			if got := s.DimBound(0, s.Len(), 1, v, after, guess, err); got != want {
+				t.Fatalf("DimBound(%g, after=%v, guess %d±%d) = %d, want %d", v, after, guess, err, got, want)
 			}
 		}
 	}
@@ -131,6 +137,56 @@ func TestSortKeys(t *testing.T) {
 	for i, j := range order {
 		if keys[i] != orig[j] {
 			t.Fatalf("keys[%d] is not the old keys[%d]", i, j)
+		}
+	}
+}
+
+// TestSortKeysRadix holds the radix paths for float64 and uint64 keys to a
+// stable comparison sort, over ties, signed zeros, infinities and NaNs.
+func TestSortKeysRadix(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -1.5, 1.5, math.MaxFloat64, -math.SmallestNonzeroFloat64}
+	for _, n := range []int{0, 1, 2, 17, 5000} {
+		fs := make([]float64, n)
+		us := make([]uint64, n)
+		for i := range fs {
+			switch r.Intn(3) {
+			case 0:
+				fs[i] = special[r.Intn(len(special))]
+			case 1:
+				fs[i] = float64(r.Intn(20)) - 10
+			default:
+				fs[i] = r.NormFloat64() * 1e6
+			}
+			us[i] = r.Uint64() >> (r.Intn(4) * 16)
+		}
+		checkSortKeys(t, fs)
+		checkSortKeys(t, us)
+	}
+}
+
+func keyBits(k any) uint64 {
+	if f, ok := k.(float64); ok {
+		return math.Float64bits(f)
+	}
+	return k.(uint64)
+}
+
+func checkSortKeys[K float64 | uint64](t *testing.T, keys []K) {
+	t.Helper()
+	orig := slices.Clone(keys)
+	want := make([]int32, len(keys))
+	for i := range want {
+		want[i] = int32(i)
+	}
+	slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(orig[a], orig[b]) })
+	got := SortKeys(keys)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d %T keys: order %v, want %v", len(keys), keys, got[:min(len(got), 20)], want[:min(len(want), 20)])
+	}
+	for i, j := range got {
+		if keyBits(keys[i]) != keyBits(orig[j]) {
+			t.Fatalf("keys[%d] = %v is not the old keys[%d] = %v", i, keys[i], j, orig[j])
 		}
 	}
 }

@@ -20,7 +20,9 @@ import (
 
 // Config parameterizes a build.
 type Config struct {
-	// GridCols is the number of equal-depth slices per dimension (0 -> 16).
+	// GridCols is the number of equal-depth slices per dimension. 0 takes
+	// the count the cost model picks on a query sample drawn from the data
+	// (core.GridSample).
 	GridCols int
 	// ShardSize is the target records per shard (0 -> 1024).
 	ShardSize int
@@ -82,9 +84,6 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lisa: %w", err)
 	}
-	if cfg.GridCols <= 0 {
-		cfg.GridCols = 16
-	}
 	if cfg.ShardSize <= 0 {
 		cfg.ShardSize = 1024
 	}
@@ -94,16 +93,19 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 			cfg.DeltaCap = 16
 		}
 	}
+	sorted, _ := core.SortedColumns(pvs, dim, func(int) bool { return true })
+	ext := core.Rect{Min: make(core.Point, dim), Max: make(core.Point, dim)}
+	for d, col := range sorted {
+		ext.Min[d], ext.Max[d] = col[0], col[len(col)-1]
+	}
+	if cfg.GridCols <= 0 {
+		cfg.GridCols = tuneGrid(core.NewGridModel(sorted, core.GridSample(pvs, ext)), dim)
+	}
 	ix := &Index{cfg: cfg, dim: dim, size: len(pvs)}
 	// Equal-depth boundaries per dimension.
 	ix.bounds = make([][]float64, dim)
-	coord := make([]float64, len(pvs))
-	for d := 0; d < dim; d++ {
-		for i, pv := range pvs {
-			coord[i] = pv.Point[d]
-		}
-		sort.Float64s(coord)
-		ix.side = max(ix.side, coord[len(coord)-1]-coord[0])
+	for d, coord := range sorted {
+		ix.side = max(ix.side, ext.Max[d]-ext.Min[d])
 		b := make([]float64, cfg.GridCols+1)
 		b[0] = math.Inf(-1)
 		for c := 1; c < cfg.GridCols; c++ {
@@ -120,7 +122,7 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		ix.bounds[d] = b
 	}
 	// Map, sort and shard.
-	ms := coord
+	ms := sorted[0]
 	for i, pv := range pvs {
 		ms[i] = ix.mapPoint(pv.Point)
 	}
@@ -136,6 +138,23 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	ix.shards[0].loM = math.Inf(-1)
 	ix.retrainRouter()
 	return ix, nil
+}
+
+// tuneGrid returns the power-of-two column count, the same in every
+// dimension and at most n/8 cells in all, of least cost under the grid cost
+// model, refined along dimension 0 as the mapping refines.
+func tuneGrid(m core.GridModel, dim int) int {
+	best, bestCost := 1, math.Inf(1)
+	cols := make([]int, dim)
+	for g := 1; math.Pow(float64(g), float64(dim)) <= float64(max(m.N()/8, 1)); g *= 2 {
+		for d := range cols {
+			cols[d] = g
+		}
+		if cost := m.Cost(cols, 0); cost < bestCost {
+			best, bestCost = g, cost
+		}
+	}
+	return best
 }
 
 func (ix *Index) retrainRouter() {

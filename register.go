@@ -238,11 +238,7 @@ func registerSpatialKinds() {
 		Name: "flood",
 		Caps: registry.Caps{Spatial: true, KNN: true},
 		SpatialBulk: func(pvs []core.PV) (registry.SpatialIndex, error) {
-			dim := 2
-			if len(pvs) > 0 {
-				dim = pvs[0].Point.Dim()
-			}
-			return NewFlood(pvs, FloodConfig{SortDim: dim - 1})
+			return BuildSpatial("flood", pvs)
 		},
 	})
 	registry.Register(registry.Kind{

@@ -173,11 +173,14 @@ func NewZMIndex(pvs []PV, cfg ZMConfig) (KNNIndex, error) { return zm.Build(pvs,
 // index).
 func NewMLIndex(pvs []PV, cfg MLIndexConfig) (KNNIndex, error) { return mlindex.Build(pvs, cfg) }
 
-// NewFlood builds a Flood index with an explicit layout. The index also
-// answers KNN (it satisfies KNNIndex).
+// NewFlood builds a Flood index with cfg's sort dimension and columns; with
+// no Cols, the cost model picks the columns on a query sample drawn from the
+// data. The index also answers KNN (it satisfies KNNIndex).
 func NewFlood(pvs []PV, cfg FloodConfig) (SpatialIndex, error) { return flood.Build(pvs, cfg) }
 
-// NewFloodTuned tunes Flood's layout on a sample workload and builds it.
+// NewFloodTuned tunes Flood's layout, sort dimension included, on a sample
+// workload, or on a sample drawn from the data when queries is empty, and
+// builds it. BuildSpatial("flood") is NewFloodTuned(pvs, nil, 0).
 func NewFloodTuned(pvs []PV, queries []Rect, maxCells int) (SpatialIndex, FloodTuneResult, error) {
 	ix, res, err := flood.BuildTuned(pvs, queries, maxCells)
 	return ix, res, err
@@ -280,11 +283,8 @@ func BuildSpatial(kind string, pvs []PV) (SpatialIndex, error) {
 	case "mlindex":
 		return NewMLIndex(pvs, MLIndexConfig{})
 	case "flood":
-		dim := 2
-		if len(pvs) > 0 {
-			dim = pvs[0].Point.Dim()
-		}
-		return NewFlood(pvs, FloodConfig{SortDim: dim - 1})
+		ix, _, err := NewFloodTuned(pvs, nil, 0)
+		return ix, err
 	case "lisa":
 		return NewLISA(pvs, LISAConfig{})
 	default:
