@@ -22,11 +22,11 @@ import (
 // 1e-5 / 1e-4 / 1e-3 gave 290-380 ns a cell against 6.4-8.0 ns a candidate
 // over flood layouts of 16 to 4 096 columns (37 and 59 candidates a cell,
 // two runs), and 287 against 9.2 ns (31) over LISA grids of 8 to 256 columns
-// (2-vCPU sandbox). On spatial-query's points, every weight from 24 to 48
-// picks the same layouts (flood 128 columns, LISA 64), so the one pair serves
-// both kinds.
+// (2-vCPU sandbox). On spatial-query's points every cell weight from 16 to
+// 40 picks the same layouts (flood 128 columns, LISA 64; above 40 LISA
+// drops to 32, which ran 17 % slower), so one pair serves both kinds.
 const (
-	GridCellCost  = 40.0
+	GridCellCost  = 32.0
 	GridPointCost = 1.0
 )
 
@@ -108,16 +108,19 @@ func NewGridModel(sorted [][]float64, queries []Rect) GridModel {
 
 // Cost returns the model's mean cost of a sample query on the layout cols
 // refined along dimension refine: a query of per-dimension selectivity s
-// spans min(ceil(s_d·cols_d)+1, cols_d) columns in dimension d, touches the
-// product of those spans as cells, and hands on n · Π_{d≠refine}(span_d /
-// cols_d) · s_refine candidates.
+// spans min(s_d·cols_d + 1, cols_d) columns in dimension d (the expected
+// count at a random offset; ⌈s_d·cols_d⌉ + 1, the most it can span, made
+// the tuner shun gridding more than two of five dimensions, and E19's flood
+// ranges at d = 5 ran 2.3× slower for it), touches the product of those
+// spans as cells, and hands on n · Π_{d≠refine}(span_d / cols_d) ·
+// s_refine candidates.
 func (m GridModel) Cost(cols []int, refine int) float64 {
 	var cost float64
 	for _, s := range m.sels {
 		cells, frac := 1.0, s[refine]
 		for d, c := range cols {
 			fc := float64(c)
-			span := min(math.Ceil(s[d]*fc)+1, fc)
+			span := min(s[d]*fc+1, fc)
 			cells *= span
 			if d != refine {
 				frac *= span / fc
