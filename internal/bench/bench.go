@@ -755,11 +755,12 @@ func E17SFC(cfg Config) []*Table {
 
 // E19DimSweep — the curse of dimensionality (paper §5.1 motivation): how
 // point and range query cost grows with dimensionality for traditional vs
-// learned multi-dimensional indexes.
+// learned multi-dimensional indexes, and what each build costs (flood's
+// layout enumeration grows with the dimension).
 func E19DimSweep(cfg Config) []*Table {
 	t := &Table{
 		ID:      "E19",
-		Title:   "Dimensionality sweep (uniform, sel=1e-3 ranges): µs/query",
+		Title:   "Dimensionality sweep (uniform, sel=1e-3 ranges): µs/query, build ms",
 		Columns: []string{"index", "op", "d=2", "d=3", "d=4", "d=5"},
 	}
 	n := cfg.N / 4
@@ -767,15 +768,18 @@ func E19DimSweep(cfg Config) []*Table {
 	kinds := []string{"rtree", "kdtree", "grid", "zm", "flood", "lisa", "mlindex"}
 	point := map[string][]interface{}{}
 	rng := map[string][]interface{}{}
+	build := map[string][]interface{}{}
 	for _, d := range dims {
 		pts := mustPoints(dataset.SUniform, n, d, cfg.Seed)
 		pvs := dataset.PV(pts)
 		queries := dataset.RectQueries(pts, 100, 1e-3, cfg.Seed+30)
 		for _, kind := range kinds {
+			start := time.Now()
 			ix, err := lix.BuildSpatial(kind, pvs)
 			if err != nil {
 				panic(err)
 			}
+			build[kind] = append(build[kind], float64(time.Since(start).Microseconds())/1000)
 			var sink int
 			pNs := nsPerOp(n/10, func() {
 				for i := 0; i < n; i += 10 {
@@ -800,6 +804,9 @@ func E19DimSweep(cfg Config) []*Table {
 	}
 	for _, kind := range kinds {
 		t.AddRow(append([]interface{}{kind, "range"}, rng[kind]...)...)
+	}
+	for _, kind := range kinds {
+		t.AddRow(append([]interface{}{kind, "build ms"}, build[kind]...)...)
 	}
 	return []*Table{t}
 }

@@ -17,14 +17,13 @@ import (
 // behind three pointers read 0.49-0.52 on this schedule, and flood on a []PV
 // of slice headers into the caller's points 0.54 of the flat store's rate
 // (2.15-2.30 against 3.96-4.48 when both were held against that R-tree).
-// Since flood and LISA build the layout their cost model picks (flood 3.67-
-// 3.88 and LISA unchecked at the fixed n/64-points-a-column and 16 × 16
-// layouts), eight runs read 4.39-4.80 for flood and 2.73-3.56 for LISA, and
-// their floors moved to 3.5 and 2.1: a layout back at the fixed rules, or
-// flood's cells back to binary searches, fails.
+// Since flood and LISA build the layout their cost model picks (flood read
+// 3.67-3.88 at the fixed n/64-points-a-column rule, LISA was not gated at
+// its fixed 16 × 16), eight runs read 4.13-5.44 for flood and 2.86-3.43 for
+// LISA, and their floors are 3.2 and 2.2, under 0.8 of the lowest.
 const (
-	spatialFloodFloor = 3.5
-	spatialLISAFloor  = 2.1
+	spatialFloodFloor = 3.2
+	spatialLISAFloor  = 2.2
 	spatialRTreeFloor = 1.8
 )
 
