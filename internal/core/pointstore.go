@@ -60,10 +60,11 @@ func SortKeys[K cmp.Ordered](keys []K) (order []int32) {
 		}
 		return order
 	case []uint64:
-		order = radixOrder(slices.Clone(ks))
-		orig := slices.Clone(ks)
+		bits := slices.Clone(ks)
+		order = radixOrder(bits)
+		copy(bits, ks)
 		for i, j := range order {
-			ks[i] = orig[j]
+			ks[i] = bits[j]
 		}
 		return order
 	}
