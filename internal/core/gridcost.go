@@ -38,8 +38,8 @@ var gridSampleSels = [...]float64{1e-5, 1e-4, 1e-3}
 
 const gridSampleCenters = 64
 
-// gridSelFloor keeps a selectivity off zero, so an empty range (a zero data
-// extent, a rectangle off the data) still costs its cells.
+// gridSelFloor keeps a selectivity off zero, so a range that holds no point
+// in some dimension (a rectangle off the data) still hands on candidates.
 const gridSelFloor = 1e-6
 
 // GridSample returns the cost model's query sample drawn from the data:
