@@ -101,6 +101,33 @@ func TestDifferentialSpatial(t *testing.T) {
 	}
 }
 
+// TestDifferentialSpatialDims replays every spatial factory that takes any
+// dimensionality through every point distribution in 3 and 5 dimensions.
+func TestDifferentialSpatialDims(t *testing.T) {
+	for _, f := range FactoriesSpatial() {
+		if f.Caps.Dims != 0 {
+			continue
+		}
+		for _, dim := range []int{3, 5} {
+			for _, kind := range ShapesSpatial() {
+				f, dim, kind := f, dim, kind
+				t.Run(fmt.Sprintf("%s/d%d/%s", f.Name, dim, kind), func(t *testing.T) {
+					t.Parallel()
+					nInit, nOps := diffSizesSpatial(t)
+					w, err := NewSpatialWorkload(kind, nInit, nOps/2, dim,
+						f.Caps.Mutable, f.Caps.KNN, 0x3d5e+int64(dim)+int64(len(f.Name)))
+					if err != nil {
+						t.Fatalf("workload: %v", err)
+					}
+					if d := RunSpatial(f, w, 0); d != nil {
+						t.Fatalf("%s", d)
+					}
+				})
+			}
+		}
+	}
+}
+
 // TestCorpus1D applies the shared edge-case corpus to every 1-D factory.
 func TestCorpus1D(t *testing.T) {
 	for _, f := range Factories1D() {

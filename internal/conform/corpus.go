@@ -136,7 +136,14 @@ func CorpusSpatial() []CorpusCaseSpatial {
 	cases = append(cases,
 		CorpusCaseSpatial{Name: "empty", Pts: nil},
 		CorpusCaseSpatial{Name: "single", Pts: []core.PV{{Point: core.Point{100, 100}, Value: 1}}},
+		CorpusCaseSpatial{Name: "two-points", Pts: []core.PV{{Point: core.Point{10, 20}, Value: 1}, {Point: core.Point{30, 60}, Value: 2}}},
 	)
+	// A small irregular set: a grid index tunes a layout of a few cells.
+	few := make([]core.PV, 63)
+	for i := range few {
+		few[i] = core.PV{Point: core.Point{float64(i*37%63) * 13, float64(i) * 5}, Value: core.Value(i)}
+	}
+	cases = append(cases, CorpusCaseSpatial{Name: "63-points", Pts: few})
 	// Sorted along the diagonal, then the same points reversed: insertion
 	// order must not matter.
 	var sorted, reversed []core.PV
@@ -163,6 +170,12 @@ func CorpusSpatial() []CorpusCaseSpatial {
 		line[i] = core.PV{Point: core.Point{float64(i) * 11, 777}, Value: core.Value(i)}
 	}
 	cases = append(cases, CorpusCaseSpatial{Name: "axis-line", Pts: line})
+	// The other axis constant: zero extent in dimension 0.
+	vline := make([]core.PV, 300)
+	for i := range vline {
+		vline[i] = core.PV{Point: core.Point{777, float64(i) * 11}, Value: core.Value(i)}
+	}
+	cases = append(cases, CorpusCaseSpatial{Name: "vertical-line", Pts: vline})
 	return cases
 }
 

@@ -31,9 +31,11 @@ const (
 )
 
 // gridSampleSels are the selectivities of the query sample drawn from the
-// data: those of spatial-query's three rectangle classes, which E11 and the
-// spatial gate bracket. gridSampleCenters is the number of centres per
-// selectivity.
+// data, the result fractions spatial-query sizes its three rectangle
+// classes for, which E11 and the spatial gate bracket. The sample's squares
+// are sized by the data extent, not by result count, so a square at a dense
+// centre holds more than sel·n points and the sample only approximates that
+// traffic. gridSampleCenters is the number of centres per selectivity.
 var gridSampleSels = [...]float64{1e-5, 1e-4, 1e-3}
 
 const gridSampleCenters = 64
@@ -44,7 +46,8 @@ const gridSelFloor = 1e-6
 
 // GridSample returns the cost model's query sample drawn from the data:
 // squares centred on evenly spaced input points, of side sel^(1/d) times the
-// data extent ext in each dimension, for each sample selectivity.
+// data extent ext in each dimension (a uniform set's sel, whatever the
+// density at the centre), for each sample selectivity.
 func GridSample(pvs []PV, ext Rect) []Rect {
 	dim := ext.Dim()
 	k := min(gridSampleCenters, len(pvs))

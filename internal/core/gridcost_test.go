@@ -77,7 +77,7 @@ func TestGridModelShape(t *testing.T) {
 	if got, want := m.Cost([]int{1, 1}, 1), GridCellCost+GridPointCost*float64(len(pvs))*0.1; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("one cell: cost %g, want %g", got, want)
 	}
-	// 10 columns: the query spans ceil(0.1·10)+1 = 2 of them.
+	// 10 columns: the query spans s·cols + 1 = 0.1·10 + 1 = 2 of them.
 	if got, want := m.Cost([]int{10, 1}, 1), 2*GridCellCost+GridPointCost*float64(len(pvs))*0.2*0.1; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("10 columns: cost %g, want %g", got, want)
 	}

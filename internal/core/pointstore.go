@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -42,49 +41,29 @@ func PointsDim(pvs []PV) (int, error) {
 
 // SortKeys sorts keys ascending in place and returns the permutation it
 // applied: the new keys[i] is the old keys[order[i]]. Ties keep input order.
-// Float64 and uint64 keys, those of the spatial builds, go through a radix
-// sort; any other key type through a comparison sort.
-func SortKeys[K cmp.Ordered](keys []K) (order []int32) {
-	switch ks := any(keys).(type) {
-	case []float64:
-		bits := make([]uint64, len(ks))
-		for i, k := range ks {
+// It is a radix sort over the keys' bits, float64 keys ordered as
+// cmp.Compare orders them.
+func SortKeys[K float64 | uint64](keys []K) (order []int32) {
+	if fs, ok := any(keys).([]float64); ok {
+		bits := make([]uint64, len(fs))
+		for i, k := range fs {
 			bits[i] = floatOrderBits(k)
 		}
 		order = radixOrder(bits)
-		for i, k := range ks {
+		for i, k := range fs {
 			bits[i] = math.Float64bits(k)
 		}
 		for i, j := range order {
-			ks[i] = math.Float64frombits(bits[j])
-		}
-		return order
-	case []uint64:
-		bits := slices.Clone(ks)
-		order = radixOrder(bits)
-		copy(bits, ks)
-		for i, j := range order {
-			ks[i] = bits[j]
+			fs[i] = math.Float64frombits(bits[j])
 		}
 		return order
 	}
-	type keyed struct {
-		k K
-		i int32
-	}
-	ks := make([]keyed, len(keys))
-	for i, k := range keys {
-		ks[i] = keyed{k, int32(i)}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if c := cmp.Compare(a.k, b.k); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
-	order = make([]int32, len(keys))
-	for i, e := range ks {
-		keys[i], order[i] = e.k, e.i
+	us := any(keys).([]uint64)
+	bits := slices.Clone(us)
+	order = radixOrder(bits)
+	copy(bits, us)
+	for i, j := range order {
+		us[i] = bits[j]
 	}
 	return order
 }

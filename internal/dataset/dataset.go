@@ -372,32 +372,6 @@ func PV(pts []core.Point) []core.PV {
 	return out
 }
 
-// DegeneratePoints returns named point sets at the edges of what a grid
-// index's layout tuning sees: one, two and 63 points, all points equal, all
-// on one vertical or one horizontal line (a zero extent in one dimension),
-// and 3-D and 5-D sets. Values are the points' input positions.
-func DegeneratePoints() map[string][]core.PV {
-	gen := func(n int, f func(i int) core.Point) []core.PV {
-		pvs := make([]core.PV, n)
-		for i := range pvs {
-			pvs[i] = core.PV{Point: f(i), Value: core.Value(i)}
-		}
-		return pvs
-	}
-	pts3, _ := Points(SOSMLike, 3000, 3, 31)
-	pts5, _ := Points(SUniform, 3000, 5, 32)
-	return map[string][]core.PV{
-		"1 point":    gen(1, func(int) core.Point { return core.Point{5, 7} }),
-		"2 points":   gen(2, func(i int) core.Point { return core.Point{float64(i), float64(2 * i)} }),
-		"63 points":  gen(63, func(i int) core.Point { return core.Point{float64(i * 37 % 63), float64(i)} }),
-		"all equal":  gen(500, func(int) core.Point { return core.Point{5, 7} }),
-		"vertical":   gen(500, func(i int) core.Point { return core.Point{5, float64(i % 97)} }),
-		"horizontal": gen(500, func(i int) core.Point { return core.Point{float64(i % 89), 7} }),
-		"3-D":        PV(pts3),
-		"5-D":        PV(pts5),
-	}
-}
-
 // RectQueries generates nq axis-aligned query rectangles whose side length
 // is a sel^(1/dim) fraction of the extent (so a uniform dataset yields
 // roughly sel selectivity), centered at data points to follow the data

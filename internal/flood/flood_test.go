@@ -31,12 +31,12 @@ func TestSearchMatchesBrute(t *testing.T) {
 			}
 			for qi, q := range dataset.RectQueries(pts, 25, 0.01, 1202) {
 				want := bruteCount(pvs, q)
-				got, cells := ix.Search(q, func(core.PV) bool { return true })
+				got, scanned := ix.Search(q, func(core.PV) bool { return true })
 				if got != want {
 					t.Fatalf("%s dim=%d q%d: got %d, want %d", kind, dim, qi, got, want)
 				}
-				if cells <= 0 {
-					t.Fatal("no cells touched")
+				if scanned <= 0 {
+					t.Fatal("no candidates scanned")
 				}
 			}
 		}

@@ -9,81 +9,32 @@ import (
 	"github.com/lix-go/lix/internal/dataset"
 )
 
-// checkBrute holds Lookup and Search to brute force: every stored point is
-// found with the value of an equal point, and rectangles around stored
-// points, of zero and positive side, and the whole extent return exactly the
-// points inside them.
-func checkBrute(t *testing.T, name string, pvs []core.PV, lookup func(core.Point) (core.Value, bool), search func(core.Rect, func(core.PV) bool) (int, int)) {
-	t.Helper()
-	for _, pv := range pvs {
-		v, ok := lookup(pv.Point)
-		if !ok || !pvs[v].Point.Equal(pv.Point) {
-			t.Fatalf("%s: Lookup(%v) = %d, %v", name, pv.Point, v, ok)
-		}
+// TestBuildTunesDegenerate builds with no Cols, which the cost model fills
+// for the given sort dimension, on points all equal: the data extent is zero
+// in every dimension, so every sample square has zero sides. The registry's
+// flood kind tunes the sort dimension too (BuildTuned), and the conformance
+// corpus covers that path.
+func TestBuildTunesDegenerate(t *testing.T) {
+	pvs := make([]core.PV, 500)
+	for i := range pvs {
+		pvs[i] = core.PV{Point: core.Point{5, 7}, Value: core.Value(i)}
 	}
-	dim := pvs[0].Point.Dim()
-	absent := make(core.Point, dim)
-	for d := range absent {
-		absent[d] = -1
+	ix, err := Build(pvs, Config{SortDim: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := lookup(absent); ok {
-		t.Fatalf("%s: Lookup of an absent point", name)
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
-	ext := core.Bounds(pvs)
-	rects := []core.Rect{ext}
-	for i := 0; i < len(pvs); i += max(1, len(pvs)/20) {
-		for _, h := range []float64{0, 1, 10} {
-			r := core.Rect{Min: make(core.Point, dim), Max: make(core.Point, dim)}
-			for d := range r.Min {
-				r.Min[d], r.Max[d] = pvs[i].Point[d]-h, pvs[i].Point[d]+h
-			}
-			rects = append(rects, r)
-		}
+	if v, ok := ix.Lookup(core.Point{5, 7}); !ok || v < 0 || int(v) >= len(pvs) {
+		t.Fatalf("Lookup = %d, %v", v, ok)
 	}
-	for _, r := range rects {
-		var want, got int
-		var wantSum, gotSum core.Value
-		for _, pv := range pvs {
-			if r.Contains(pv.Point) {
-				want++
-				wantSum += pv.Value
-			}
-		}
-		visited, _ := search(r, func(pv core.PV) bool { got++; gotSum += pv.Value; return true })
-		if got != want || visited != want || gotSum != wantSum {
-			t.Fatalf("%s: Search(%v) gave %d points (visited %d, sum %d), want %d (sum %d)", name, r, got, visited, gotSum, want, wantSum)
-		}
+	if _, ok := ix.Lookup(core.Point{5, 8}); ok {
+		t.Fatal("Lookup of an absent point")
 	}
-}
-
-// TestDegenerateTunedDefaults builds every degenerate input with the tuned
-// defaults (Build with no Cols, and BuildTuned on the data sample): the
-// layout is finite with at least one cell, and answers equal brute force.
-func TestDegenerateTunedDefaults(t *testing.T) {
-	for name, pvs := range dataset.DegeneratePoints() {
-		dim := pvs[0].Point.Dim()
-		ix, err := Build(pvs, Config{SortDim: dim - 1})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		tuned, res, err := BuildTuned(pvs, nil, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.IsNaN(res.Cost) || math.IsInf(res.Cost, 0) || res.Evaluated < 1 {
-			t.Fatalf("%s: tuning result %+v", name, res)
-		}
-		for _, x := range []*Index{ix, tuned} {
-			cols, sortDim := x.Layout()
-			if x.Cells() < 1 || sortDim < 0 || sortDim >= dim || cols[sortDim] != 1 {
-				t.Fatalf("%s: layout %v sort %d, %d cells", name, cols, sortDim, x.Cells())
-			}
-			for _, c := range cols {
-				if c < 1 {
-					t.Fatalf("%s: layout %v", name, cols)
-				}
-			}
-			checkBrute(t, fmt.Sprintf("%s %v/%d", name, cols, sortDim), pvs, x.Lookup, x.Search)
+	for _, q := range []core.Rect{{Min: core.Point{5, 7}, Max: core.Point{5, 7}}, {Min: core.Point{0, 0}, Max: core.Point{4, 9}}} {
+		if got, _ := ix.Search(q, func(core.PV) bool { return true }); got != bruteCount(pvs, q) {
+			t.Fatalf("Search(%v) = %d, want %d", q, got, bruteCount(pvs, q))
 		}
 	}
 }

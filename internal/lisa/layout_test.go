@@ -1,76 +1,12 @@
 package lisa
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 )
-
-// checkBrute holds Lookup and Search to brute force: every stored point is
-// found with the value of an equal point, and rectangles around stored
-// points, of zero and positive side, and the whole extent return exactly the
-// points inside them.
-func checkBrute(t *testing.T, name string, pvs []core.PV, lookup func(core.Point) (core.Value, bool), search func(core.Rect, func(core.PV) bool) (int, int)) {
-	t.Helper()
-	for _, pv := range pvs {
-		v, ok := lookup(pv.Point)
-		if !ok || !pvs[v].Point.Equal(pv.Point) {
-			t.Fatalf("%s: Lookup(%v) = %d, %v", name, pv.Point, v, ok)
-		}
-	}
-	dim := pvs[0].Point.Dim()
-	absent := make(core.Point, dim)
-	for d := range absent {
-		absent[d] = -1
-	}
-	if _, ok := lookup(absent); ok {
-		t.Fatalf("%s: Lookup of an absent point", name)
-	}
-	ext := core.Bounds(pvs)
-	rects := []core.Rect{ext}
-	for i := 0; i < len(pvs); i += max(1, len(pvs)/20) {
-		for _, h := range []float64{0, 1, 10} {
-			r := core.Rect{Min: make(core.Point, dim), Max: make(core.Point, dim)}
-			for d := range r.Min {
-				r.Min[d], r.Max[d] = pvs[i].Point[d]-h, pvs[i].Point[d]+h
-			}
-			rects = append(rects, r)
-		}
-	}
-	for _, r := range rects {
-		var want, got int
-		var wantSum, gotSum core.Value
-		for _, pv := range pvs {
-			if r.Contains(pv.Point) {
-				want++
-				wantSum += pv.Value
-			}
-		}
-		visited, _ := search(r, func(pv core.PV) bool { got++; gotSum += pv.Value; return true })
-		if got != want || visited != want || gotSum != wantSum {
-			t.Fatalf("%s: Search(%v) gave %d points (visited %d, sum %d), want %d (sum %d)", name, r, got, visited, gotSum, want, wantSum)
-		}
-	}
-}
-
-// TestDegenerateTunedDefaults builds every degenerate input with GridCols
-// 0: the grid is finite with at least one column, and answers equal brute
-// force.
-func TestDegenerateTunedDefaults(t *testing.T) {
-	for name, pvs := range dataset.DegeneratePoints() {
-		ix, err := Build(pvs, Config{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if g := ix.cfg.GridCols; g < 1 || math.Pow(float64(g), float64(pvs[0].Point.Dim())) > float64(max(len(pvs)/8, 1)) {
-			t.Fatalf("%s: %d grid columns for %d points", name, g, len(pvs))
-		}
-		checkBrute(t, fmt.Sprintf("%s G=%d", name, ix.cfg.GridCols), pvs, ix.Lookup, ix.Search)
-	}
-}
 
 // work is a query's counted work in the cost model's units: cells touched,
 // weighted as the model weighs them, plus the candidates handed to ScanRect.
