@@ -1,6 +1,7 @@
 package lix_test
 
 import (
+	mathbits "math/bits"
 	"sort"
 	"testing"
 
@@ -131,13 +132,19 @@ func FuzzExponentialSearch(f *testing.F) {
 // Hilbert range decompositions and checks the covering contract both ways:
 // every cell of the rectangle is covered by some interval, and walking the
 // intervals and filtering decoded cells with ContainsCell reconstructs the
-// rectangle's cell set exactly once (intervals must not overlap).
+// rectangle's cell set exactly once (intervals must not overlap). The walks
+// start at the smallest aligned cube that holds the rectangle, so a small
+// rectangle starts deep in the curve; the Hilbert intervals must stay inside
+// that cube's code span. The Morton decomposition is also run on the
+// rectangle's cells at a coarser level, as the ZM-index searches: its
+// intervals, widened back to the fine codes, must cover every cell.
 //
 // Run with: go test -fuzz=FuzzSFCRangeDecompose -fuzztime=30s .
 func FuzzSFCRangeDecompose(f *testing.F) {
 	f.Add(uint8(4), uint8(1), uint8(2), uint8(10), uint8(12), uint8(8))
 	f.Add(uint8(5), uint8(0), uint8(0), uint8(31), uint8(31), uint8(1))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(4))
+	f.Add(uint8(4), uint8(3), uint8(5), uint8(20), uint8(9), uint8(3*16+5))
 	f.Fuzz(func(t *testing.T, bitsRaw, x0, y0, x1, y1, budgetRaw uint8) {
 		bits := uint(bitsRaw)%5 + 1 // 2..32 cells per dim: intervals stay enumerable
 		side := uint32(1) << bits
@@ -149,6 +156,7 @@ func FuzzSFCRangeDecompose(f *testing.F) {
 			}
 		}
 		maxRanges := int(budgetRaw)%16 + 1
+		k := uint(budgetRaw/16) % bits // fine bits per dimension the coarse level drops
 
 		morton, err := sfc.NewMorton(2, bits)
 		if err != nil {
@@ -211,6 +219,13 @@ func FuzzSFCRangeDecompose(f *testing.F) {
 					}
 				}
 			}
+			if name == "hilbert" {
+				top := uint(mathbits.Len32((min[0] ^ max[0]) | (min[1] ^ max[1])))
+				lo := c.encode(min[0], min[1]) &^ (1<<(2*top) - 1)
+				if ivs[0].Lo < lo || ivs[len(ivs)-1].Hi > lo+1<<(2*top)-1 {
+					t.Fatalf("%s: intervals %v leave the aligned square of side 2^%d from code %d", name, ivs, top, lo)
+				}
+			}
 			// Direction 2: walking the intervals and filtering by
 			// ContainsCell visits exactly the rectangle's cells, once each.
 			want := int((max[0] - min[0] + 1) * (max[1] - min[1] + 1))
@@ -228,6 +243,22 @@ func FuzzSFCRangeDecompose(f *testing.F) {
 			}
 			if got != want {
 				t.Fatalf("%s: interval walk yielded %d in-rect cells, want %d", name, got, want)
+			}
+		}
+		s := 2 * k
+		coarse := morton.Ranges(nil, morton.Encode(min)>>s, morton.Encode(max)>>s, maxRanges)
+		if len(coarse) > maxRanges {
+			t.Fatalf("level %d: %d intervals exceed budget %d", bits-k, len(coarse), maxRanges)
+		}
+		for x := min[0]; x <= max[0]; x++ {
+			for y := min[1]; y <= max[1]; y++ {
+				code, found := morton.Encode([]uint32{x, y}), false
+				for _, iv := range coarse {
+					found = found || code >= iv.Lo<<s && code <= iv.Hi<<s|(1<<s-1)
+				}
+				if !found {
+					t.Fatalf("level %d: cell (%d,%d) code %d not covered by %v", bits-k, x, y, code, coarse)
+				}
 			}
 		}
 	})

@@ -20,28 +20,32 @@ import (
 // Since flood and LISA build the layout their cost model picks (flood read
 // 3.67-3.88 at the fixed n/64-points-a-column rule, LISA was not gated at
 // its fixed 16 × 16), eight runs read 4.13-5.44 for flood and 2.86-3.43 for
-// LISA, and their floors are 3.2 and 2.2, under 0.8 of the lowest.
+// LISA, and their floors are 3.2 and 2.2, under 0.8 of the lowest. Since
+// the ZM-index searches at the curve level its cost model picks, fifteen
+// runs read 2.97-3.28 for it (1.53-1.57 at the fixed 20-bit level, three
+// runs), and its floor is 2.3.
 const (
 	spatialFloodFloor = 3.2
 	spatialLISAFloor  = 2.2
 	spatialRTreeFloor = 1.8
+	spatialZMFloor    = 2.3
 )
 
 // spatialKinds are the sides of the spatial gate; the control comes last.
-var spatialKinds = []string{"flood", "lisa", "rtree", "kdtree"}
+var spatialKinds = []string{"flood", "lisa", "rtree", "zm", "kdtree"}
 
 // gateSpatial is the rectangle-search gate of the flat layouts: flood and
 // LISA, the two grid kinds built on the flat point store in the layout
-// their cost model picks, and the bulk-loaded R-tree, whose leaves are
-// point stores and whose inner nodes are flat boxes, each against the k-d
-// tree, which keeps pointer nodes into the caller's points and is the
-// control no layout can move. All four are built over the same cfg.N
-// clustered 2-D points and answer the same cfg.Q rectangles, a third each at
-// three selectivities two decades apart like the repo benchmark's; abRates
-// runs them slice by slice. Every slice's result count is checked across the
-// four sides. A refine loop or
-// an MBR test that goes back to chasing a pointer per candidate falls
-// under its floor.
+// their cost model picks, the bulk-loaded R-tree, whose leaves are point
+// stores and whose inner nodes are flat boxes, and the ZM-index at the
+// curve level its cost model picks, each against the k-d tree, which keeps
+// pointer nodes into the caller's points and is the control no layout can
+// move. All five are built over the same cfg.N clustered 2-D points and
+// answer the same cfg.Q rectangles, a third each at three selectivities two
+// decades apart like the repo benchmark's; abRates runs them slice by slice.
+// Every slice's result count is checked across the five sides. A refine
+// loop or an MBR test that goes back to chasing a pointer per candidate, or
+// a ZM search back at the stored codes' resolution, falls under its floor.
 func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	pts := mustPoints(dataset.SOSMLike, cfg.N, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
@@ -93,7 +97,7 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 		Columns: []string{"kind", "Mqueries/s", "kdtree Mqueries/s", "vs kdtree"},
 	}
 	var floors []floor
-	for k, min := range []float64{spatialFloodFloor, spatialLISAFloor, spatialRTreeFloor} {
+	for k, min := range []float64{spatialFloodFloor, spatialLISAFloor, spatialRTreeFloor, spatialZMFloor} {
 		r := medianRound(rates, k, ctl)
 		t.AddRow(spatialKinds[k], r[k], r[ctl], fmt.Sprintf("%.3f", r[k]/r[ctl]))
 		floors = append(floors, floor{name: "spatial/rect/" + spatialKinds[k], got: r[k], ref: r[ctl], min: min})

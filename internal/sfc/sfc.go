@@ -85,6 +85,10 @@ type Morton struct {
 	// to one dimension's bits keeps that dimension's order, so box tests
 	// run on codes without decoding them.
 	lane uint64
+	// spread[v] is the lane's share of the byte v: bit b of v at bit
+	// b*Dims. Dimension d's share of a cell is its bytes' entries, each
+	// shifted by the byte's place and by Dims-1-d.
+	spread [256]uint64
 }
 
 // NewMorton validates and returns a Morton curve.
@@ -96,17 +100,24 @@ func NewMorton(dims int, bits uint) (*Morton, error) {
 	for b := uint(0); b < bits; b++ {
 		m.lane |= 1 << (b * uint(dims))
 	}
+	for v := range m.spread {
+		for b := uint(0); b < min(8, bits); b++ {
+			m.spread[v] |= uint64(v>>b&1) << (b * uint(dims))
+		}
+	}
 	return m, nil
 }
 
-// Spread returns the contribution of dimension d's cell c to a code; a
-// point's code is the OR of its dimensions' contributions.
+// Spread returns the contribution of dimension d's cell c (below 2^Bits) to a
+// code; a point's code is the OR of its dimensions' contributions.
 func (m *Morton) Spread(d int, c uint32) uint64 {
 	var z uint64
-	for b := uint(0); b < m.Bits; b++ {
-		z |= uint64(c>>b&1) << (b*uint(m.Dims) + uint(m.Dims-1-d))
+	// c < 2^Bits and Bits*Dims <= 63 keep every shift below 64.
+	for shift := uint(0); c != 0; shift += 8 * uint(m.Dims) {
+		z |= m.spread[c&0xff] << shift
+		c >>= 8
 	}
-	return z
+	return z << uint(m.Dims-1-d)
 }
 
 // Encode interleaves coords (one per dimension, each < 2^Bits) into a code.
@@ -207,9 +218,13 @@ type Interval struct {
 // covers every cell in the box. Intervals may over-approximate (cover
 // cells outside the box) when the budget is too small for an exact
 // decomposition, but never beyond [zmin, zmax], the box's lowest and highest
-// codes; callers filter, or skip ahead with BigMin.
+// codes; callers filter, or skip ahead with BigMin. The codes may be those
+// of any coarser level of the grid, Bits-k bits per dimension: a cell's code
+// shifted right by Dims*k is the code of its level-(Bits-k) cell.
 func (m *Morton) Ranges(buf []Interval, zmin, zmax uint64, maxRanges int) []Interval {
-	out := decompose(buf, uint(m.Dims), m.Bits, maxRanges, func(lo, hi uint64) (bool, bool) {
+	// The box lies in the smallest aligned cube that holds both corners.
+	top := (uint(bits.Len64(zmin^zmax)) + uint(m.Dims) - 1) / uint(m.Dims)
+	out := decompose(buf, uint(m.Dims), top, zmin, maxRanges, func(lo, hi uint64) (bool, bool) {
 		return m.boxRel(lo, hi, zmin, zmax)
 	})
 	if len(out) > 0 { // an inverted box has no cells
@@ -222,15 +237,19 @@ func (m *Morton) Ranges(buf []Interval, zmin, zmax uint64, maxRanges int) []Inte
 // aligned cubes of side 2^level cells are the aligned code spans of
 // 2^(level*dims) codes, so the walk runs in code space and asks rel where a
 // span's cube lies against the query box. It is a depth-first walk over that
-// implicit 2^dims-ary tree without a stack: a node's first child starts at
-// the node's own first code, and the node after a finished subtree starts at
-// the next code, on the highest level that code is aligned to. A node is
-// emitted whole when it is inside the box, a single cell, or the budget is
-// spent; a node emitted next to the last one extends it.
-func decompose(buf []Interval, dims, bits uint, maxRanges int, rel func(lo, hi uint64) (disjoint, contained bool)) []Interval {
+// implicit 2^dims-ary tree, rooted at the cube of side 2^top that holds code
+// at, without a stack: a node's first child starts at the node's own first
+// code, and the node after a finished subtree starts at the next code, on the
+// highest level that code is aligned to. A node is emitted whole when it is
+// inside the box, a single cell, or the budget is spent; a node emitted next
+// to the last one extends it. Rooted at a cube that holds the whole box, the
+// walk emits what a walk from the curve's root would: every cube on the way
+// down to it but the one it descends into lies outside the box.
+func decompose(buf []Interval, dims, top uint, at uint64, maxRanges int, rel func(lo, hi uint64) (disjoint, contained bool)) []Interval {
 	maxRanges = max(maxRanges, 1)
 	budget, out := maxRanges, buf[:0]
-	for lo, level := uint64(0), bits; ; {
+	span := uint64(1)<<(top*dims) - 1
+	for lo, level := at&^span, top; ; {
 		hi := lo + 1<<(level*dims) - 1
 		if disjoint, contained := rel(lo, hi); !disjoint {
 			if !contained && level > 0 && budget > 1 {
@@ -244,11 +263,11 @@ func decompose(buf []Interval, dims, bits uint, maxRanges int, rel func(lo, hi u
 				budget--
 			}
 		}
-		if hi == 1<<(bits*dims)-1 {
+		if hi == at|span {
 			return coalesce(out, maxRanges)
 		}
 		lo = hi + 1
-		for level < bits && lo&(1<<((level+1)*dims)-1) == 0 {
+		for level < top && lo&(1<<((level+1)*dims)-1) == 0 {
 			level++
 		}
 	}
@@ -360,9 +379,11 @@ func (h *Hilbert2D) MaxCode() uint64 { return (uint64(1) << (2 * h.Bits)) - 1 }
 
 // Ranges decomposes the rectangle [min, max] (inclusive cell coords) into
 // at most maxRanges Hilbert index intervals covering it, by the same
-// quadrant walk as Morton.Ranges.
+// quadrant walk as Morton.Ranges, rooted at the smallest aligned square that
+// holds both corners: one quadrant of the recursion.
 func (h *Hilbert2D) Ranges(min, max [2]uint32, maxRanges int) []Interval {
-	return decompose(nil, 2, h.Bits, maxRanges, func(lo, hi uint64) (disjoint, contained bool) {
+	top := uint(bits.Len32((min[0] ^ max[0]) | (min[1] ^ max[1])))
+	return decompose(nil, 2, top, h.Encode(min[0], min[1]), maxRanges, func(lo, hi uint64) (disjoint, contained bool) {
 		// An aligned span of 4^level codes is one quadrant of the Hilbert
 		// recursion: the aligned square around any of its cells.
 		side := uint32(1)<<(bits.Len64(hi-lo)/2) - 1
@@ -371,67 +392,4 @@ func (h *Hilbert2D) Ranges(min, max [2]uint32, maxRanges int) []Interval {
 		return x > max[0] || x+side < min[0] || y > max[1] || y+side < min[1],
 			x >= min[0] && x+side <= max[0] && y >= min[1] && y+side <= max[1]
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Convenience: project float points through quantizer + curve
-// ---------------------------------------------------------------------------
-
-// Curve is a space-filling curve over quantized cells.
-type Curve interface {
-	// Code maps quantized cell coordinates to a 1-D code.
-	Code(coords []uint32) uint64
-	// Cell inverts Code.
-	Cell(code uint64) []uint32
-	// Max returns the largest representable code.
-	Max() uint64
-}
-
-// MortonCurve adapts Morton to the Curve interface.
-type MortonCurve struct{ *Morton }
-
-// Code implements Curve.
-func (c MortonCurve) Code(coords []uint32) uint64 { return c.Encode(coords) }
-
-// Cell implements Curve.
-func (c MortonCurve) Cell(code uint64) []uint32 { return c.Decode(code) }
-
-// Max implements Curve.
-func (c MortonCurve) Max() uint64 { return c.MaxCode() }
-
-// HilbertCurve adapts Hilbert2D to the Curve interface.
-type HilbertCurve struct{ *Hilbert2D }
-
-// Code implements Curve.
-func (c HilbertCurve) Code(coords []uint32) uint64 { return c.Encode(coords[0], coords[1]) }
-
-// Cell implements Curve.
-func (c HilbertCurve) Cell(code uint64) []uint32 {
-	x, y := c.Decode(code)
-	return []uint32{x, y}
-}
-
-// Max implements Curve.
-func (c HilbertCurve) Max() uint64 { return c.MaxCode() }
-
-// CodePoint quantizes p and encodes it on the curve.
-func CodePoint(q *Quantizer, c Curve, p core.Point) uint64 {
-	return c.Code(q.CellPoint(p))
-}
-
-// Dist2D is a helper for tests: Chebyshev distance between two cells.
-func Dist2D(a, b []uint32) uint32 {
-	var m uint32
-	for d := range a {
-		var diff uint32
-		if a[d] > b[d] {
-			diff = a[d] - b[d]
-		} else {
-			diff = b[d] - a[d]
-		}
-		if diff > m {
-			m = diff
-		}
-	}
-	return m
 }

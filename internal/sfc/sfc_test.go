@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,24 +310,6 @@ func TestHilbertFewerRangesThanMorton(t *testing.T) {
 	}
 }
 
-func TestCurveAdapters(t *testing.T) {
-	m, _ := NewMorton(2, 8)
-	h, _ := NewHilbert2D(8)
-	q, _ := NewQuantizer([]float64{0, 0}, []float64{1, 1}, 8)
-	for _, c := range []Curve{MortonCurve{m}, HilbertCurve{h}} {
-		p := core.Point{0.3, 0.7}
-		code := CodePoint(q, c, p)
-		if code > c.Max() {
-			t.Fatalf("code out of range")
-		}
-		cell := c.Cell(code)
-		want := q.CellPoint(p)
-		if cell[0] != want[0] || cell[1] != want[1] {
-			t.Fatalf("adapter cell %v != %v", cell, want)
-		}
-	}
-}
-
 // Property: Morton encode/decode are inverse for random input.
 func TestMortonProperty(t *testing.T) {
 	m, _ := NewMorton(3, 12)
@@ -337,12 +320,6 @@ func TestMortonProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDist2D(t *testing.T) {
-	if Dist2D([]uint32{3, 9}, []uint32{5, 4}) != 5 {
-		t.Fatal("Dist2D wrong")
 	}
 }
 
@@ -395,4 +372,114 @@ func TestBigMinMatchesBruteForce(t *testing.T) {
 			t.Fatalf("dims=%d: only %d out-of-box codes checked", c.dims, checked)
 		}
 	}
+}
+
+// TestSpreadMatchesBitLoop holds the table-driven Spread to the per-bit
+// interleave it replaced, for dims 1 to 8 at every legal bit width (a cell
+// is a uint32, so at most 32 bits in one dimension), on the edge cells and
+// on random ones.
+func TestSpreadMatchesBitLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for dims := 1; dims <= 8; dims++ {
+		for bits := uint(1); bits*uint(dims) <= 63 && bits <= 32; bits++ {
+			m, err := NewMorton(dims, bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mask := uint64(1)<<bits - 1
+			cells := []uint32{0, 1, uint32(mask), uint32(1) << (bits - 1)}
+			for i := 0; i < 20; i++ {
+				cells = append(cells, uint32(r.Uint64()&mask))
+			}
+			for d := 0; d < dims; d++ {
+				for _, c := range cells {
+					var want uint64
+					for b := uint(0); b < bits; b++ {
+						want |= uint64(c>>b&1) << (b*uint(dims) + uint(dims-1-d))
+					}
+					if got := m.Spread(d, c); got != want {
+						t.Fatalf("dims=%d bits=%d d=%d cell %#x: Spread %#x, bit loop %#x", dims, bits, d, c, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRangesStartAtTheBoxCube is the differential test of the walk's start:
+// rooted at the smallest aligned cube that holds the box, Morton.Ranges
+// returns the intervals the walk from the curve's root returns, in 2-D, 3-D
+// and 5-D at every budget; so does Hilbert2D.Ranges from its smallest
+// aligned square, except at budget 1, where the root walk's one interval is
+// the whole curve and the square's is the square.
+func TestRangesStartAtTheBoxCube(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	budgets := []int{1, 2, 3, 8, 32, 1 << 20}
+	for _, c := range []struct {
+		dims int
+		bits uint
+	}{{2, 20}, {2, 6}, {3, 12}, {3, 4}, {5, 12}, {5, 3}} {
+		m, _ := NewMorton(c.dims, c.bits)
+		for box := 0; box < 300; box++ {
+			min, max := make([]uint32, c.dims), make([]uint32, c.dims)
+			for d := range min {
+				// Boxes of every size: the low end of the side's range is
+				// one cell, the high end the whole grid.
+				side := uint32(r.Int63n(1 << r.Intn(int(c.bits)+1)))
+				min[d] = uint32(r.Int63n(1<<c.bits - int64(side)))
+				max[d] = min[d] + side
+			}
+			zmin, zmax := m.Encode(min), m.Encode(max)
+			for _, budget := range budgets {
+				if budget > 64 && c.bits > 6 {
+					continue // an exact decomposition of a wide box is too long
+				}
+				want := decompose(nil, uint(c.dims), c.bits, 0, budget, func(lo, hi uint64) (bool, bool) {
+					return m.boxRel(lo, hi, zmin, zmax)
+				})
+				want[0].Lo, want[len(want)-1].Hi = zmin, zmax
+				if got := m.Ranges(nil, zmin, zmax, budget); !equalIntervals(got, want) {
+					t.Fatalf("dims=%d bits=%d box %v..%v budget %d: %v, from the root %v", c.dims, c.bits, min, max, budget, got, want)
+				}
+			}
+		}
+	}
+	h, _ := NewHilbert2D(10)
+	for box := 0; box < 300; box++ {
+		var min, max [2]uint32
+		for d := range min {
+			side := uint32(r.Int63n(1 << r.Intn(11)))
+			min[d] = uint32(r.Int63n(1<<10 - int64(side)))
+			max[d] = min[d] + side
+		}
+		for _, budget := range budgets[1:5] {
+			want := decompose(nil, 2, h.Bits, 0, budget, func(lo, hi uint64) (bool, bool) {
+				side := uint32(1)<<(bits.Len64(hi-lo)/2) - 1
+				x, y := h.Decode(lo)
+				x, y = x&^side, y&^side
+				return x > max[0] || x+side < min[0] || y > max[1] || y+side < min[1],
+					x >= min[0] && x+side <= max[0] && y >= min[1] && y+side <= max[1]
+			})
+			if got := h.Ranges(min, max, budget); !equalIntervals(got, want) {
+				t.Fatalf("hilbert box %v..%v budget %d: %v, from the root %v", min, max, budget, got, want)
+			}
+		}
+		top := uint(bits.Len32((min[0] ^ max[0]) | (min[1] ^ max[1])))
+		lo := h.Encode(min[0], min[1]) &^ (1<<(2*top) - 1)
+		if got := h.Ranges(min, max, 1); len(got) != 1 || got[0] != (Interval{lo, lo + 1<<(2*top) - 1}) {
+			t.Fatalf("hilbert box %v..%v budget 1: %v, want the square's span from %d", min, max, got, lo)
+		}
+	}
+}
+
+func equalIntervals(a, b []Interval) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

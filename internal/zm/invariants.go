@@ -2,12 +2,15 @@ package zm
 
 import "fmt"
 
-// CheckInvariants verifies the ZM-index: the stored curve codes are sorted,
-// every code matches the re-encoding of its point, the parallel arrays
-// agree in length, and the underlying PGM-index both satisfies its own
-// invariants and maps every code to the correct array position. It is
-// O(n log n) and intended for tests.
+// CheckInvariants verifies the ZM-index: the search level lies in 1..Bits,
+// the stored curve codes are sorted, every code matches the re-encoding of
+// its point, the parallel arrays agree in length, and the underlying
+// PGM-index both satisfies its own invariants and maps every code to the
+// correct array position. It is O(n log n) and intended for tests.
 func (z *Index) CheckInvariants() error {
+	if z.level < 1 || z.level > z.cfg.Bits {
+		return fmt.Errorf("zm: search level %d outside 1..%d", z.level, z.cfg.Bits)
+	}
 	if len(z.codes) != z.pts.Len() {
 		return fmt.Errorf("zm: %d codes for %d points", len(z.codes), z.pts.Len())
 	}
