@@ -330,7 +330,7 @@ func BenchmarkE16Layout(b *testing.B) {
 	pvs := dataset.PV(pts)
 	train := dataset.RectQueries(pts, 100, 1e-3, 18)
 	test := dataset.RectQueries(pts, 1024, 1e-3, 19)
-	tuned, _, err := lix.NewFloodTuned(pvs, train, 0)
+	tuned, err := lix.NewFlood(pvs, lix.FloodConfig{Queries: train})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -37,10 +37,10 @@ func main() {
 	}
 	train, test := queries[:100], queries[100:]
 
-	tuned, res, err := lix.NewFloodTuned(pvs, train, 0)
+	tuned, err := lix.NewFlood(pvs, lix.FloodConfig{Queries: train})
 	check(err)
-	fmt.Printf("Flood tuner evaluated %d layouts; chose cols=%v sortDim=%d (cost %.0f)\n\n",
-		res.Evaluated, res.Cols, res.SortDim, res.Cost)
+	cols, sortDim := tuned.Layout()
+	fmt.Printf("Flood's cost model chose cols=%v sortDim=%d\n\n", cols, sortDim)
 
 	naive0, err := lix.NewFlood(pvs, lix.FloodConfig{SortDim: 0, Cols: []int{1, 64}})
 	check(err)

@@ -356,8 +356,8 @@ func (ix *Index) Get(k core.Key) (core.Value, bool) {
 	return ix.findLeaf(k).get(k)
 }
 
-// Insert upserts (k, v); returns true if the key was new.
-func (ix *Index) Insert(k core.Key, v core.Value) bool {
+// Insert upserts (k, v).
+func (ix *Index) Insert(k core.Key, v core.Value) {
 	for {
 		// Descend, remembering the leaf's parent for a split.
 		var parent *inner
@@ -374,7 +374,7 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 		s := dn.lowerSlot(k)
 		if t := dn.find(s, k); t >= 0 {
 			dn.slots[t].Value = v
-			return false
+			return
 		}
 		// Structural adaptation before placing, if too dense; the leaf
 		// and the slot are then found again from the root.
@@ -388,7 +388,7 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 		}
 		dn.place(s, k, v, &ix.Shifts)
 		ix.size++
-		return true
+		return
 	}
 }
 

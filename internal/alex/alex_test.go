@@ -48,9 +48,9 @@ func TestInsertFromEmpty(t *testing.T) {
 	const n = 20000
 	r := rand.New(rand.NewSource(503))
 	perm := r.Perm(n)
-	for _, i := range perm {
-		if !ix.Insert(core.Key(i*3), core.Value(i)) {
-			t.Fatalf("Insert(%d) reported existing", i*3)
+	for j, i := range perm {
+		if ix.Insert(core.Key(i*3), core.Value(i)); ix.Len() != j+1 {
+			t.Fatalf("Insert(%d) did not add a key", i*3)
 		}
 	}
 	if ix.Len() != n {
@@ -104,8 +104,8 @@ func TestSequentialAppendTriggersSplits(t *testing.T) {
 func TestUpsert(t *testing.T) {
 	ix := New()
 	ix.Insert(5, 1)
-	if ix.Insert(5, 2) {
-		t.Fatal("upsert reported new")
+	if ix.Insert(5, 2); ix.Len() != 1 {
+		t.Fatal("upsert added a key")
 	}
 	if v, _ := ix.Get(5); v != 2 {
 		t.Fatalf("upsert = %d", v)
@@ -140,8 +140,9 @@ func TestDeleteAndReinsert(t *testing.T) {
 	}
 	// Reinsert deleted keys (exercises the claim-deleted-gap fast path).
 	for i := 0; i < n; i += 2 {
-		if !ix.Insert(core.Key(i*2), core.Value(i+1)) {
-			t.Fatalf("reinsert %d reported existing", i*2)
+		had := ix.Len()
+		if ix.Insert(core.Key(i*2), core.Value(i+1)); ix.Len() != had+1 {
+			t.Fatalf("reinsert %d did not add a key", i*2)
 		}
 	}
 	if ix.Len() != n {

@@ -227,11 +227,10 @@ func FuzzALEXOps(f *testing.F) {
 			want = append(want, answer{v, ok})
 		}
 		insert := func(k core.Key, v core.Value) {
-			_, had := ref[k]
-			if got := ix.Insert(k, v); got == had {
-				t.Fatalf("Insert(%d) = %v with the key present: %v", k, got, had)
-			}
 			ref[k] = v
+			if ix.Insert(k, v); ix.Len() != len(ref) {
+				t.Fatalf("Insert(%d): Len = %d, want %d", k, ix.Len(), len(ref))
+			}
 			add(core.Op{Kind: core.OpPut, Key: k, Val: v}, 0, false)
 		}
 		del := func(k core.Key) {

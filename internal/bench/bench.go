@@ -659,7 +659,7 @@ func E16Layout(cfg Config) []*Table {
 		name string
 		run  func(q core.Rect) (int, int)
 	}
-	tuned, _, err := flood.BuildTuned(pvs, train, 0)
+	tuned, err := flood.Build(pvs, flood.Config{Queries: train})
 	if err != nil {
 		panic(err)
 	}

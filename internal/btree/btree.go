@@ -233,9 +233,8 @@ func (t *Tree) upperBound(keys []core.Key, k core.Key) int {
 	return i
 }
 
-// Insert upserts (k, val). It returns true if a new key was added, false if
-// an existing key was overwritten.
-func (t *Tree) Insert(k core.Key, val core.Value) bool {
+// Insert upserts (k, val).
+func (t *Tree) Insert(k core.Key, val core.Value) {
 	added, splitKey, right := t.insert(t.root, k, val)
 	if right != nil {
 		t.root = &inner{keys: []core.Key{splitKey}, children: []node{t.root, right}}
@@ -243,7 +242,6 @@ func (t *Tree) Insert(k core.Key, val core.Value) bool {
 	if added {
 		t.size++
 	}
-	return added
 }
 
 func (t *Tree) insert(n node, k core.Key, val core.Value) (added bool, splitKey core.Key, right node) {

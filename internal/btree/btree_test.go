@@ -33,9 +33,9 @@ func TestInsertGetSmallOrder(t *testing.T) {
 	tr := New(4) // force deep tree
 	const n = 2000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
-	for _, i := range perm {
-		if !tr.Insert(core.Key(i*2), core.Value(i)) {
-			t.Fatalf("Insert(%d) reported existing", i*2)
+	for j, i := range perm {
+		if tr.Insert(core.Key(i*2), core.Value(i)); tr.Len() != j+1 {
+			t.Fatalf("Insert(%d) did not add a key", i*2)
 		}
 	}
 	if tr.Len() != n {
@@ -58,8 +58,8 @@ func TestInsertGetSmallOrder(t *testing.T) {
 func TestUpsert(t *testing.T) {
 	tr := NewDefault()
 	tr.Insert(7, 1)
-	if tr.Insert(7, 2) {
-		t.Fatal("second insert of same key reported added")
+	if tr.Insert(7, 2); tr.Len() != 1 {
+		t.Fatal("second insert of same key added a key")
 	}
 	if v, _ := tr.Get(7); v != 2 {
 		t.Fatalf("upsert value = %d", v)

@@ -102,33 +102,24 @@ func register1DFromRegistry(k registry.Kind) {
 	})
 }
 
+// registerSpatialFromRegistry registers a spatial kind's insert path
+// under its name and its bulk path under its name, or under <name>-bulk
+// when it has both.
 func registerSpatialFromRegistry(k registry.Kind) {
+	name := k.Name
 	if k.SpatialNew != nil {
 		Register(Factory{
-			Name: k.Name,
+			Name: name,
 			Caps: k.Caps,
 			BuildSpatial: func(pvs []core.PV) (SpatialIndex, error) {
-				ix, err := k.SpatialNew()
-				if err != nil {
-					return nil, err
-				}
-				for _, pv := range pvs {
-					if err := ix.Insert(pv.Point, pv.Value); err != nil {
-						return nil, err
-					}
-				}
-				return ix, nil
+				return k.InsertSpatial(pvs)
 			},
 		})
-		return
+		name += "-bulk"
 	}
-	Register(Factory{
-		Name: k.Name,
-		Caps: k.Caps,
-		BuildSpatial: func(pvs []core.PV) (SpatialIndex, error) {
-			return k.SpatialBulk(pvs)
-		},
-	})
+	if k.SpatialBulk != nil {
+		Register(Factory{Name: name, Caps: k.Caps, BuildSpatial: k.SpatialBulk})
+	}
 }
 
 func init() {

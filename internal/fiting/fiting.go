@@ -194,12 +194,12 @@ func (ix *Index) Get(k core.Key) (core.Value, bool) {
 	return 0, false
 }
 
-// Insert upserts (k, v); returns true if the key was new.
-func (ix *Index) Insert(k core.Key, v core.Value) bool {
+// Insert upserts (k, v).
+func (ix *Index) Insert(k core.Key, v core.Value) {
 	if len(ix.segs) == 0 {
 		ix.segs = []*seg{{firstKey: k, keys: []core.Key{k}, vals: []core.Value{v}}}
 		ix.size = 1
-		return true
+		return
 	}
 	s := ix.segs[ix.locate(k)]
 	// Upsert in base run.
@@ -207,16 +207,16 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 		// Buffer may shadow; check it first.
 		if j := core.LowerBoundKV(s.buf, k); j < len(s.buf) && s.buf[j].Key == k {
 			s.buf[j].Value = v
-			return false
+			return
 		}
 		s.vals[i] = v
-		return false
+		return
 	}
 	// Upsert in buffer.
 	j := core.LowerBoundKV(s.buf, k)
 	if j < len(s.buf) && s.buf[j].Key == k {
 		s.buf[j].Value = v
-		return false
+		return
 	}
 	s.buf = append(s.buf, core.KV{})
 	copy(s.buf[j+1:], s.buf[j:])
@@ -225,7 +225,6 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 	if len(s.buf) > ix.bufCap {
 		ix.merge(s)
 	}
-	return true
 }
 
 // merge folds a segment's buffer into its run and re-segments the result.

@@ -43,9 +43,9 @@ func TestInsertFromEmpty(t *testing.T) {
 	const n = 15000
 	r := rand.New(rand.NewSource(703))
 	perm := r.Perm(n)
-	for _, i := range perm {
-		if !ix.Insert(core.Key(i*4), core.Value(i)) {
-			t.Fatalf("Insert(%d) reported existing", i*4)
+	for j, i := range perm {
+		if ix.Insert(core.Key(i*4), core.Value(i)); ix.Len() != j+1 {
+			t.Fatalf("Insert(%d) did not add a key", i*4)
 		}
 	}
 	if ix.Len() != n {
@@ -69,8 +69,8 @@ func TestUpsertBaseAndBuffer(t *testing.T) {
 	keys, _ := dataset.Keys(dataset.Uniform, 1000, 704)
 	ix, _ := Build(dataset.KV(keys), 16, 64)
 	// Upsert base.
-	if ix.Insert(keys[10], 777) {
-		t.Fatal("base upsert reported new")
+	if ix.Insert(keys[10], 777); ix.Len() != len(keys) {
+		t.Fatal("base upsert added a key")
 	}
 	if v, _ := ix.Get(keys[10]); v != 777 {
 		t.Fatal("base upsert lost")
@@ -80,11 +80,11 @@ func TestUpsertBaseAndBuffer(t *testing.T) {
 	if fresh == keys[11] {
 		t.Skip("no gap")
 	}
-	if !ix.Insert(fresh, 1) {
-		t.Fatal("fresh insert reported existing")
+	if ix.Insert(fresh, 1); ix.Len() != len(keys)+1 {
+		t.Fatal("fresh insert did not add a key")
 	}
-	if ix.Insert(fresh, 2) {
-		t.Fatal("buffer upsert reported new")
+	if ix.Insert(fresh, 2); ix.Len() != len(keys)+1 {
+		t.Fatal("buffer upsert added a key")
 	}
 	if v, _ := ix.Get(fresh); v != 2 {
 		t.Fatal("buffer upsert lost")

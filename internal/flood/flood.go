@@ -20,15 +20,19 @@ import (
 
 // Config parameterizes a build.
 type Config struct {
-	// SortDim is the dimension cells are sorted by.
+	// SortDim is the dimension cells are sorted by; it is honoured only
+	// with Cols.
 	SortDim int
 	// Cols[d] is the number of columns in dimension d (ignored for
-	// SortDim). Values < 1 are raised to 1. Empty takes the columns the cost
-	// model picks for SortDim on a query sample drawn from the data
-	// (core.GridSample).
+	// SortDim). Values < 1 are raised to 1. Empty takes the columns and the
+	// sort dimension the cost model picks on Queries.
 	Cols []int
 	// CDFSamples bounds the per-dimension CDF model size (0 -> 256).
 	CDFSamples int
+	// Queries is the sample workload the layout is tuned on when Cols is
+	// empty; empty takes a query sample drawn from the data
+	// (core.GridSample).
+	Queries []core.Rect
 }
 
 // cellModelErr is the error bound of the per-cell models (Flood §4.2): a
@@ -63,7 +67,9 @@ type Index struct {
 	pts      core.PointStore // grouped by cell, sorted by sort dim inside
 }
 
-// Build constructs a Flood index over the points (copied and reordered).
+// Build constructs a Flood index over the points (copied and reordered) in
+// cfg's layout, or in the layout tuned on cfg.Queries when cfg.Cols is
+// empty.
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	dim, err := core.PointsDim(pvs)
 	if err != nil {
@@ -80,9 +86,12 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		return tuned || d == cfg.SortDim || cfg.Cols[d] > 1
 	})
 	if tuned {
-		m := core.NewGridModel(sorted, core.GridSample(pvs, core.Bounds(pvs)))
-		cfg.Cols = tune(m, dim, []int{cfg.SortDim}, 0).Cols
+		if len(cfg.Queries) == 0 {
+			cfg.Queries = core.GridSample(pvs, core.Bounds(pvs))
+		}
+		cfg.Cols, cfg.SortDim = tune(core.NewGridModel(sorted, cfg.Queries), dim)
 	}
+	cfg.Queries = nil // the index keeps cfg, not the sample
 	return build(pvs, dim, cfg, sorted, orders[cfg.SortDim])
 }
 
@@ -321,59 +330,22 @@ func (ix *Index) Stats() core.Stats {
 // Layout tuning (the "learning" in Flood)
 // ---------------------------------------------------------------------------
 
-// TuneResult records the tuning outcome.
-type TuneResult struct {
-	Cols    []int
-	SortDim int
-	Cost    float64
-	// Evaluated is the number of candidate layouts scored.
-	Evaluated int
-}
-
-// Tune searches layouts against a sample workload and returns the best
-// (columns vector, sort dimension) under the cost model. maxCells bounds
-// layout size (0 selects n/8).
-func Tune(pvs []core.PV, queries []core.Rect, maxCells int) (TuneResult, error) {
-	if len(pvs) == 0 {
-		return TuneResult{}, fmt.Errorf("flood: empty input")
-	}
-	if len(queries) == 0 {
-		return TuneResult{}, fmt.Errorf("flood: tuning requires sample queries")
-	}
-	dim, err := core.PointsDim(pvs)
-	if err != nil {
-		return TuneResult{}, fmt.Errorf("flood: %w", err)
-	}
-	sorted, _ := core.SortedColumns(pvs, dim, func(int) bool { return true })
-	return tune(core.NewGridModel(sorted, queries), dim, allDims(dim), maxCells), nil
-}
-
-func allDims(dim int) []int {
-	ds := make([]int, dim)
-	for d := range ds {
-		ds[d] = d
-	}
-	return ds
-}
-
 // tune enumerates the layouts with a power-of-two column count in every
-// dimension but the sort dimension, one of sortDims, and at most maxCells
-// cells (0 selects n/8), and returns the one of least modelled cost.
-func tune(m core.GridModel, dim int, sortDims []int, maxCells int) TuneResult {
-	if maxCells <= 0 {
-		maxCells = max(m.N()/8, 1)
-	}
-	best := TuneResult{Cost: math.Inf(1)}
+// dimension but the sort dimension, any sort dimension, and at most n/8
+// cells, and returns the columns and sort dimension of least modelled cost.
+func tune(m core.GridModel, dim int) (bestCols []int, bestSort int) {
+	maxCells := max(m.N()/8, 1)
+	bestCost, evaluated := math.Inf(1), 0
 	cols := make([]int, dim)
 	var enumerate func(d, cells, sortDim int)
 	enumerate = func(d, cells, sortDim int) {
-		if best.Evaluated > 100000 {
+		if evaluated > 100000 {
 			return
 		}
 		if d == dim {
-			best.Evaluated++
-			if cost := m.Cost(cols, sortDim); cost < best.Cost {
-				best.Cost, best.SortDim, best.Cols = cost, sortDim, slices.Clone(cols)
+			evaluated++
+			if cost := m.Cost(cols, sortDim); cost < bestCost {
+				bestCost, bestSort, bestCols = cost, sortDim, slices.Clone(cols)
 			}
 			return
 		}
@@ -387,25 +359,8 @@ func tune(m core.GridModel, dim int, sortDims []int, maxCells int) TuneResult {
 			enumerate(d+1, cells*c, sortDim)
 		}
 	}
-	for _, s := range sortDims {
+	for s := 0; s < dim; s++ {
 		enumerate(0, 1, s)
 	}
-	return best
-}
-
-// BuildTuned tunes the layout, sort dimension included, on the sample
-// workload and builds the index; with no queries it tunes on the query
-// sample drawn from the data (core.GridSample).
-func BuildTuned(pvs []core.PV, queries []core.Rect, maxCells int) (*Index, TuneResult, error) {
-	dim, err := core.PointsDim(pvs)
-	if err != nil {
-		return nil, TuneResult{}, fmt.Errorf("flood: %w", err)
-	}
-	sorted, orders := core.SortedColumns(pvs, dim, func(int) bool { return true })
-	if len(queries) == 0 {
-		queries = core.GridSample(pvs, core.Bounds(pvs))
-	}
-	res := tune(core.NewGridModel(sorted, queries), dim, allDims(dim), maxCells)
-	ix, err := build(pvs, dim, Config{SortDim: res.SortDim, Cols: res.Cols}, sorted, orders[res.SortDim])
-	return ix, res, err
+	return bestCols, bestSort
 }

@@ -22,7 +22,7 @@ func TestSearchMatchesBrute(t *testing.T) {
 		for _, dim := range []int{2, 3} {
 			pts, _ := dataset.Points(kind, 5000, dim, 1201)
 			pvs := dataset.PV(pts)
-			ix, err := Build(pvs, Config{SortDim: dim - 1})
+			ix, err := Build(pvs, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestSearchMatchesBrute(t *testing.T) {
 func TestLookup(t *testing.T) {
 	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 1203)
 	pvs := dataset.PV(pts)
-	ix, err := Build(pvs, Config{SortDim: 0})
+	ix, err := Build(pvs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,6 @@ func TestErrors(t *testing.T) {
 	if _, err := Build([]core.PV{{Point: core.Point{1}}, {Point: core.Point{1, 2}}}, Config{}); err == nil {
 		t.Fatal("mixed dims accepted")
 	}
-	if _, err := Tune(nil, nil, 0); err == nil {
-		t.Fatal("tune empty accepted")
-	}
-	if _, err := Tune(pvs, nil, 0); err == nil {
-		t.Fatal("tune without queries accepted")
-	}
 }
 
 func TestTunedLayoutBeatsBadLayout(t *testing.T) {
@@ -97,16 +91,14 @@ func TestTunedLayoutBeatsBadLayout(t *testing.T) {
 	pts, _ := dataset.Points(dataset.SDiagonal, 20000, 2, 1204)
 	pvs := dataset.PV(pts)
 	queries := dataset.RectQueries(pts, 60, 0.001, 1205)
-	tuned, res, err := BuildTuned(pvs, queries, 2048)
+	tuned, err := Build(pvs, Config{Queries: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluated < 8 {
-		t.Fatalf("tuner evaluated only %d layouts", res.Evaluated)
-	}
+	cols, sortDim := tuned.Layout()
 	// An intentionally bad layout: single column everywhere (full scan per
 	// query apart from the sort dim).
-	bad, err := Build(pvs, Config{SortDim: res.SortDim, Cols: onesLike(pvs[0].Point.Dim())})
+	bad, err := Build(pvs, Config{SortDim: sortDim, Cols: onesLike(pvs[0].Point.Dim())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +121,6 @@ func TestTunedLayoutBeatsBadLayout(t *testing.T) {
 			t.Fatalf("tuned q%d: got %d, want %d", qi, got, want)
 		}
 	}
-	cols, sortDim := tuned.Layout()
 	if cols[sortDim] != 1 {
 		t.Fatal("sort dim should have a single column")
 	}
@@ -153,7 +144,7 @@ func TestTunedReducesScannedPoints(t *testing.T) {
 	pts, _ := dataset.Points(dataset.SOSMLike, 20000, 2, 1206)
 	pvs := dataset.PV(pts)
 	queries := dataset.RectQueries(pts, 40, 0.0005, 1207)
-	tuned, _, err := BuildTuned(pvs, queries, 4096)
+	tuned, err := Build(pvs, Config{Queries: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +168,7 @@ func TestTunedReducesScannedPoints(t *testing.T) {
 
 func TestStatsAndEarlyStop(t *testing.T) {
 	pts, _ := dataset.Points(dataset.SUniform, 3000, 2, 1208)
-	ix, _ := Build(dataset.PV(pts), Config{SortDim: 1})
+	ix, _ := Build(dataset.PV(pts), Config{})
 	st := ix.Stats()
 	if st.Count != 3000 || st.IndexBytes <= 0 {
 		t.Fatalf("stats = %+v", st)

@@ -10,16 +10,14 @@ import (
 )
 
 // TestBuildTunesDegenerate builds with no Cols, which the cost model fills
-// for the given sort dimension, on points all equal: the data extent is zero
-// in every dimension, so every sample square has zero sides. The registry's
-// flood kind tunes the sort dimension too (BuildTuned), and the conformance
-// corpus covers that path.
+// with the sort dimension, on points all equal: the data extent is zero in
+// every dimension, so every sample square has zero sides.
 func TestBuildTunesDegenerate(t *testing.T) {
 	pvs := make([]core.PV, 500)
 	for i := range pvs {
 		pvs[i] = core.PV{Point: core.Point{5, 7}, Value: core.Value(i)}
 	}
-	ix, err := Build(pvs, Config{SortDim: 1})
+	ix, err := Build(pvs, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +74,12 @@ func TestTunedLayoutNearBest(t *testing.T) {
 			}
 			return w
 		}
-		tuned, res, err := BuildTuned(pvs, nil, 0)
+		tuned, err := Build(pvs, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := total(tuned)
+		cols, sortDim := tuned.Layout()
 		best, bestName := math.Inf(1), ""
 		for s := 0; s < 2; s++ {
 			for c := 16; c <= 4096; c *= 2 {
@@ -95,9 +94,9 @@ func TestTunedLayoutNearBest(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: tuned %v sort %d: %.0f per query; best of the sweep %s: %.0f", kind, res.Cols, res.SortDim, got/float64(len(queries)), bestName, best/float64(len(queries)))
+		t.Logf("%s: tuned %v sort %d: %.0f per query; best of the sweep %s: %.0f", kind, cols, sortDim, got/float64(len(queries)), bestName, best/float64(len(queries)))
 		if got > 1.25*best {
-			t.Errorf("%s: tuned layout %v sort %d does %.0f work per query, best of the sweep (%s) %.0f", kind, res.Cols, res.SortDim, got/float64(len(queries)), bestName, best/float64(len(queries)))
+			t.Errorf("%s: tuned layout %v sort %d does %.0f work per query, best of the sweep (%s) %.0f", kind, cols, sortDim, got/float64(len(queries)), bestName, best/float64(len(queries)))
 		}
 	}
 }

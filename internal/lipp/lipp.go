@@ -230,23 +230,21 @@ func (ix *Index) getRecorded(k core.Key, r obs.Recorder) (core.Value, bool) {
 	}
 }
 
-// Insert upserts (k, v); returns true if the key was new.
-func (ix *Index) Insert(k core.Key, v core.Value) bool {
+// Insert upserts (k, v).
+func (ix *Index) Insert(k core.Key, v core.Value) {
 	path := make([]*node, 0, 16)
 	nd := ix.root
-	var added bool
 	for {
 		path = append(path, nd)
 		s := &nd.slots[nd.predict(k)]
 		if s.kind == slotEmpty {
 			*s = slot{kind: slotEntry, key: k, val: v}
-			added = true
 			break
 		}
 		if s.kind == slotEntry {
 			if s.key == k {
 				s.val = v
-				return false
+				return
 			}
 			// Conflict: push both entries into a fresh child (or a run
 			// when the keys collide at float64 resolution).
@@ -271,31 +269,26 @@ func (ix *Index) Insert(k core.Key, v core.Value) bool {
 			nd.conflicts++
 			ix.Conflicts++
 			ix.hook.Emit(obs.EvNodeSplit, 2, "conflict")
-			added = true
 			break
 		}
 		if s.kind == slotRun {
 			i := core.LowerBoundKV(s.run, k)
 			if i < len(s.run) && s.run[i].Key == k {
 				s.run[i].Value = v
-				return false
+				return
 			}
 			s.run = append(s.run, core.KV{})
 			copy(s.run[i+1:], s.run[i:])
 			s.run[i] = core.KV{Key: k, Value: v}
-			added = true
 			break
 		}
 		nd = s.child
 	}
-	if added {
-		ix.size++
-		for _, p := range path {
-			p.size++
-		}
-		ix.maybeRebuild(path)
+	ix.size++
+	for _, p := range path {
+		p.size++
 	}
-	return added
+	ix.maybeRebuild(path)
 }
 
 // newConflictNode builds a 2-entry child; the caller guarantees the keys

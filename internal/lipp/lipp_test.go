@@ -46,9 +46,9 @@ func TestInsertFromEmpty(t *testing.T) {
 	const n = 20000
 	r := rand.New(rand.NewSource(603))
 	perm := r.Perm(n)
-	for _, i := range perm {
-		if !ix.Insert(core.Key(i*5), core.Value(i)) {
-			t.Fatalf("Insert(%d) reported existing", i*5)
+	for j, i := range perm {
+		if ix.Insert(core.Key(i*5), core.Value(i)); ix.Len() != j+1 {
+			t.Fatalf("Insert(%d) did not add a key", i*5)
 		}
 	}
 	if ix.Len() != n {
@@ -74,8 +74,8 @@ func TestInsertFromEmpty(t *testing.T) {
 func TestUpsertAndDelete(t *testing.T) {
 	ix := New()
 	ix.Insert(9, 1)
-	if ix.Insert(9, 2) {
-		t.Fatal("upsert reported new")
+	if ix.Insert(9, 2); ix.Len() != 1 {
+		t.Fatal("upsert added a key")
 	}
 	if v, _ := ix.Get(9); v != 2 {
 		t.Fatal("upsert value")
@@ -143,8 +143,8 @@ func TestFloatCollidingKeys(t *testing.T) {
 	// Insert more colliding keys dynamically.
 	ix2 := New()
 	for i := 0; i < 64; i++ {
-		if !ix2.Insert(base+core.Key(i), core.Value(i)) {
-			t.Fatal("insert reported existing")
+		if ix2.Insert(base+core.Key(i), core.Value(i)); ix2.Len() != i+1 {
+			t.Fatal("insert did not add a key")
 		}
 	}
 	if ix2.Len() != 64 {

@@ -1,10 +1,10 @@
 // Package registry is the single kind registry of the lix library: one
 // table mapping an index-kind name to its constructors and capability
 // flags. The public façade registers every kind at init (see the
-// façade's register.go); the façade's Build1D/BuildMutable1D shims, the
-// sharded serving layer, the durable storage planner, the conformance
-// suite and the benchmark CLI all resolve kinds here instead of keeping
-// their own switch statements.
+// façade's register.go); the façade's Build1D, BuildMutable1D and
+// BuildSpatial, the sharded serving layer, the durable storage planner,
+// the conformance suite and the benchmark CLI all resolve kinds here
+// instead of keeping their own switch statements.
 //
 // The registry deliberately depends only on internal/core, where the index
 // surfaces it names are declared.
@@ -44,7 +44,7 @@ type Caps struct {
 // kind with New appears in MutableKinds, Bulk is the optional
 // bulk-loading fast path (the BulkBuilder capability — a property of
 // the kind, not of an instance), and SpatialBulk/SpatialNew are the
-// spatial equivalents.
+// spatial equivalents: a spatial kind has either or both.
 type Kind struct {
 	Name string
 	Caps Caps
@@ -57,8 +57,9 @@ type Kind struct {
 	Bulk func(recs []core.KV) (MutableIndex, error)
 	// SpatialBulk builds a spatial index over points.
 	SpatialBulk func(pvs []core.PV) (SpatialIndex, error)
-	// SpatialNew returns an empty mutable spatial index.
-	SpatialNew func() (MutableSpatialIndex, error)
+	// SpatialNew returns an empty mutable spatial index for points of dim
+	// dimensions.
+	SpatialNew func(dim int) (MutableSpatialIndex, error)
 }
 
 var kinds []Kind
@@ -158,17 +159,6 @@ func MutableKinds() []string {
 	return out
 }
 
-// SpatialKinds lists the spatial kinds, in registration order.
-func SpatialKinds() []string {
-	var out []string
-	for _, k := range kinds {
-		if k.Caps.Spatial {
-			out = append(out, k.Name)
-		}
-	}
-	return out
-}
-
 // BuildMutable builds a mutable index of the named kind preloaded with
 // recs (sorted ascending, distinct keys), through the kind's bulk path
 // when it has one, else an empty constructor plus an insert loop.
@@ -186,6 +176,41 @@ func BuildMutable(name string, recs []core.KV) (MutableIndex, error) {
 	}
 	for _, r := range recs {
 		ix.Insert(r.Key, r.Value)
+	}
+	return ix, nil
+}
+
+// BuildSpatial builds a spatial index of the named kind over pvs, through
+// the kind's SpatialBulk when it has one, else InsertSpatial.
+func BuildSpatial(name string, pvs []core.PV) (SpatialIndex, error) {
+	k, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if k.SpatialBulk != nil {
+		return k.SpatialBulk(pvs)
+	}
+	if k.SpatialNew == nil {
+		return nil, fmt.Errorf("registry: kind %q is not spatial", name)
+	}
+	return k.InsertSpatial(pvs)
+}
+
+// InsertSpatial returns the kind's empty SpatialNew index, for the
+// dimension of pvs (2 when pvs is empty), with every point inserted.
+func (k Kind) InsertSpatial(pvs []core.PV) (MutableSpatialIndex, error) {
+	dim := 2
+	if len(pvs) > 0 {
+		dim = pvs[0].Point.Dim()
+	}
+	ix, err := k.SpatialNew(dim)
+	if err != nil {
+		return nil, err
+	}
+	for _, pv := range pvs {
+		if err := ix.Insert(pv.Point, pv.Value); err != nil {
+			return nil, err
+		}
 	}
 	return ix, nil
 }

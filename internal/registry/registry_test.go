@@ -41,6 +41,10 @@ func TestKindListsMatchFacade(t *testing.T) {
 	if got, want := registry.MutableKinds(), lix.Mutable1DKinds(); !equal(got, want) {
 		t.Fatalf("MutableKinds() = %v, façade %v", got, want)
 	}
+	want := []string{"rtree", "kdtree", "quadtree", "grid", "zm", "zm-hilbert", "mlindex", "flood", "lisa"}
+	if got := lix.SpatialKinds(); !equal(got, want) {
+		t.Fatalf("lix.SpatialKinds() = %v, want %v", got, want)
+	}
 }
 
 func TestLookupErrors(t *testing.T) {

@@ -140,15 +140,11 @@ func TestAlexInsertSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-type alexIx struct{ *alex.Index }
-
-func (a alexIx) Insert(k core.Key, v core.Value) { a.Index.Insert(k, v) }
-
 // alexBuilders wires the shard layer to an ALEX backend.
 func alexBuilders() Builders {
 	return Builders{Bulk: func(recs []core.KV) (MutableIndex, error) {
 		ix, err := alex.Bulk(recs)
-		return alexIx{ix}, err
+		return ix, err
 	}}
 }
 

@@ -143,7 +143,7 @@ func FuzzApply(f *testing.F) {
 		}
 		b := Builders{Bulk: func(recs []core.KV) (MutableIndex, error) {
 			t, err := btree.Bulk(4, recs)
-			return btreeIx{t}, err
+			return t, err
 		}}
 		if data[0]&8 != 0 {
 			b = alexBuilders()

@@ -17,20 +17,16 @@ import (
 // importing the façade (which imports this package's consumers).
 func testBuilders() Builders {
 	return Builders{
-		New: func() (MutableIndex, error) { return btreeIx{btree.New(0)}, nil },
+		New: func() (MutableIndex, error) { return btree.New(0), nil },
 		Bulk: func(recs []core.KV) (MutableIndex, error) {
 			t, err := btree.Bulk(btree.DefaultOrder, recs)
 			if err != nil {
 				return nil, err
 			}
-			return btreeIx{t}, nil
+			return t, nil
 		},
 	}
 }
-
-type btreeIx struct{ *btree.Tree }
-
-func (b btreeIx) Insert(k core.Key, v core.Value) { b.Tree.Insert(k, v) }
 
 func sortedRecs(n int, seed int64) []core.KV {
 	r := rand.New(rand.NewSource(seed))

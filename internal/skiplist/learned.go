@@ -121,13 +121,11 @@ func (l *Learned) Get(k core.Key) (core.Value, bool) {
 	return 0, false
 }
 
-// Insert upserts (k, v), returning true if the key was new.
-func (l *Learned) Insert(k core.Key, v core.Value) bool {
-	added := l.list.Insert(k, v)
-	if added {
+// Insert upserts (k, v).
+func (l *Learned) Insert(k core.Key, v core.Value) {
+	if l.list.insert(k, v) {
 		l.maybeRebuild()
 	}
-	return added
 }
 
 // Delete removes k, returning true if present.

@@ -84,8 +84,11 @@ func (l *List) Get(k core.Key) (core.Value, bool) {
 	return 0, false
 }
 
-// Insert upserts (k, v), returning true if the key was new.
-func (l *List) Insert(k core.Key, v core.Value) bool {
+// Insert upserts (k, v).
+func (l *List) Insert(k core.Key, v core.Value) { l.insert(k, v) }
+
+// insert upserts (k, v), returning true if the key was new.
+func (l *List) insert(k core.Key, v core.Value) bool {
 	var prevs [maxLevel]*node
 	n := l.findPrevs(k, &prevs)
 	if n != nil && n.key == k {

@@ -25,9 +25,9 @@ func TestInsertGetDelete(t *testing.T) {
 	l := New(1)
 	const n = 5000
 	perm := rand.New(rand.NewSource(2)).Perm(n)
-	for _, i := range perm {
-		if !l.Insert(core.Key(i*3), core.Value(i)) {
-			t.Fatal("insert reported existing")
+	for j, i := range perm {
+		if l.Insert(core.Key(i*3), core.Value(i)); l.Len() != j+1 {
+			t.Fatal("insert did not add a key")
 		}
 	}
 	if l.Len() != n {
@@ -43,8 +43,8 @@ func TestInsertGetDelete(t *testing.T) {
 		}
 	}
 	// Upsert.
-	if l.Insert(0, 99) {
-		t.Fatal("upsert reported new")
+	if l.Insert(0, 99); l.Len() != n {
+		t.Fatal("upsert added a key")
 	}
 	if v, _ := l.Get(0); v != 99 {
 		t.Fatal("upsert did not overwrite")

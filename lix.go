@@ -113,18 +113,13 @@ func (s *sortedArray) Stats() Stats {
 	return Stats{Name: "binary-search", Count: len(s.keys), DataBytes: 16 * len(s.keys), Height: 1}
 }
 
-// btreeAdapter narrows *btree.Tree to MutableIndex.
-type btreeAdapter struct{ *btree.Tree }
-
-func (a btreeAdapter) Insert(k Key, v Value) { a.Tree.Insert(k, v) }
-
 // NewBTree returns an empty B+-tree with the given order (0 selects the
 // default).
 func NewBTree(order int) MutableIndex {
 	if order <= 0 {
 		order = btree.DefaultOrder
 	}
-	return btreeAdapter{btree.New(order)}
+	return btree.New(order)
 }
 
 // BulkBTree bulk-loads a B+-tree from sorted records.
@@ -136,26 +131,16 @@ func BulkBTree(order int, recs []KV) (MutableIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return btreeAdapter{t}, nil
+	return t, nil
 }
 
-// skipAdapter narrows *skiplist.List to MutableIndex.
-type skipAdapter struct{ *skiplist.List }
-
-func (a skipAdapter) Insert(k Key, v Value) { a.List.Insert(k, v) }
-
 // NewSkipList returns an empty skip list.
-func NewSkipList(seed uint64) MutableIndex { return skipAdapter{skiplist.New(seed)} }
-
-// learnedSkipAdapter narrows *skiplist.Learned to MutableIndex.
-type learnedSkipAdapter struct{ *skiplist.Learned }
-
-func (a learnedSkipAdapter) Insert(k Key, v Value) { a.Learned.Insert(k, v) }
+func NewSkipList(seed uint64) MutableIndex { return skiplist.New(seed) }
 
 // NewLearnedSkipList returns an S3-style skip list with a learned fast
 // lane (stride 0 selects the default sampling interval).
 func NewLearnedSkipList(seed uint64, stride int) MutableIndex {
-	return learnedSkipAdapter{skiplist.NewLearned(seed, stride)}
+	return skiplist.NewLearned(seed, stride)
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +168,6 @@ func NewPGM(recs []KV, eps int) (Index, error) { return pgm.Build(recs, eps) }
 // and SegmentCount.
 type PGMIndex = pgm.Index
 
-// dynPGMAdapter adds nothing; pgm.Dynamic already matches MutableIndex.
 // NewDynamicPGM returns an empty dynamic PGM-index.
 func NewDynamicPGM(eps, bufCap int) MutableIndex { return pgm.NewDynamic(eps, bufCap) }
 
@@ -197,13 +181,8 @@ func NewHistTree(recs []KV, fanout, leafSize int) (Index, error) {
 	return histtree.Build(recs, fanout, leafSize)
 }
 
-// alexAdapter narrows *alex.Index to MutableIndex.
-type alexAdapter struct{ *alex.Index }
-
-func (a alexAdapter) Insert(k Key, v Value) { a.Index.Insert(k, v) }
-
 // NewALEX returns an empty ALEX index.
-func NewALEX() MutableIndex { return alexAdapter{alex.New()} }
+func NewALEX() MutableIndex { return alex.New() }
 
 // BulkALEX bulk-loads an ALEX index from sorted records.
 func BulkALEX(recs []KV) (MutableIndex, error) {
@@ -211,16 +190,11 @@ func BulkALEX(recs []KV) (MutableIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return alexAdapter{ix}, nil
+	return ix, nil
 }
 
-// lippAdapter narrows *lipp.Index to MutableIndex.
-type lippAdapter struct{ *lipp.Index }
-
-func (a lippAdapter) Insert(k Key, v Value) { a.Index.Insert(k, v) }
-
 // NewLIPP returns an empty LIPP index.
-func NewLIPP() MutableIndex { return lippAdapter{lipp.New()} }
+func NewLIPP() MutableIndex { return lipp.New() }
 
 // BulkLIPP bulk-loads a LIPP index from sorted records.
 func BulkLIPP(recs []KV) (MutableIndex, error) {
@@ -228,16 +202,11 @@ func BulkLIPP(recs []KV) (MutableIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return lippAdapter{ix}, nil
+	return ix, nil
 }
 
-// fitingAdapter narrows *fiting.Index to MutableIndex.
-type fitingAdapter struct{ *fiting.Index }
-
-func (a fitingAdapter) Insert(k Key, v Value) { a.Index.Insert(k, v) }
-
 // NewFITingTree returns an empty FITing-tree.
-func NewFITingTree(eps, bufCap int) MutableIndex { return fitingAdapter{fiting.New(eps, bufCap)} }
+func NewFITingTree(eps, bufCap int) MutableIndex { return fiting.New(eps, bufCap) }
 
 // BulkFITingTree builds a FITing-tree from sorted records.
 func BulkFITingTree(recs []KV, eps, bufCap int) (MutableIndex, error) {
@@ -245,7 +214,7 @@ func BulkFITingTree(recs []KV, eps, bufCap int) (MutableIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fitingAdapter{ix}, nil
+	return ix, nil
 }
 
 // XIndex is the concurrent learned index; all methods are safe for
@@ -261,7 +230,7 @@ func BulkXIndex(recs []KV, groupSize, deltaCap int) (*XIndex, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Kind registry shims (see register.go and internal/registry)
+// Building by kind name (see register.go and internal/registry)
 // ---------------------------------------------------------------------------
 
 // Static1DKinds lists the read-only 1-D index names accepted by Build1D.
@@ -272,9 +241,6 @@ func Static1DKinds() []string { return registry.StaticKinds() }
 func Mutable1DKinds() []string { return registry.MutableKinds() }
 
 // Build1D builds a read-only 1-D index of the named kind over sorted recs.
-//
-// Deprecated: thin shim over the kind registry; resolve kinds through
-// NewStack or internal/registry instead.
 func Build1D(kind string, recs []KV) (Index, error) {
 	k, err := registry.Static(kind)
 	if err != nil {
@@ -284,9 +250,6 @@ func Build1D(kind string, recs []KV) (Index, error) {
 }
 
 // BuildMutable1D returns an empty updatable 1-D index of the named kind.
-//
-// Deprecated: thin shim over the kind registry; resolve kinds through
-// NewStack or internal/registry instead.
 func BuildMutable1D(kind string) (MutableIndex, error) {
 	k, err := registry.Mutable(kind)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
+	"github.com/lix-go/lix/internal/registry"
 )
 
 func sortedRecs(t *testing.T, n int, seed int64) []KV {
@@ -125,46 +126,73 @@ func TestHybridRMIAndXIndexFacade(t *testing.T) {
 	}
 }
 
+// TestAllSpatialKindsAgree runs every KNN kind in 2-D, and the kinds that
+// take any dimensionality in 3-D too.
 func TestAllSpatialKindsAgree(t *testing.T) {
-	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 46)
-	pvs := dataset.PV(pts)
-	queries := dataset.RectQueries(pts, 15, 0.01, 47)
-	for _, kind := range SpatialKinds() {
-		ix, err := BuildSpatial(kind, pvs)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if ix.Len() != len(pvs) {
-			t.Fatalf("%s: len = %d", kind, ix.Len())
-		}
-		for qi, q := range queries {
-			want := 0
-			for _, pv := range pvs {
-				if q.Contains(pv.Point) {
-					want++
+	for _, dim := range []int{2, 3} {
+		pts, _ := dataset.Points(dataset.SOSMLike, 4000, dim, 46)
+		pvs := dataset.PV(pts)
+		queries := dataset.RectQueries(pts, 15, 0.01, 47)
+		for _, kind := range SpatialKinds() {
+			if k, _ := registry.Lookup(kind); k.Caps.Dims != 0 && k.Caps.Dims != dim {
+				continue
+			}
+			ix, err := BuildSpatial(kind, pvs)
+			if err != nil {
+				t.Fatalf("%s d=%d: %v", kind, dim, err)
+			}
+			if ix.Len() != len(pvs) {
+				t.Fatalf("%s d=%d: len = %d", kind, dim, ix.Len())
+			}
+			for qi, q := range queries {
+				want := 0
+				for _, pv := range pvs {
+					if q.Contains(pv.Point) {
+						want++
+					}
+				}
+				got, _ := ix.Search(q, func(PV) bool { return true })
+				if got != want {
+					t.Fatalf("%s d=%d q%d: got %d, want %d", kind, dim, qi, got, want)
 				}
 			}
-			got, _ := ix.Search(q, func(PV) bool { return true })
-			if got != want {
-				t.Fatalf("%s q%d: got %d, want %d", kind, qi, got, want)
+			// Point lookups.
+			for i := 0; i < len(pvs); i += 97 {
+				if _, ok := ix.Lookup(pvs[i].Point); !ok {
+					t.Fatalf("%s d=%d: lookup miss", kind, dim)
+				}
 			}
-		}
-		// Point lookups.
-		for i := 0; i < len(pvs); i += 97 {
-			if _, ok := ix.Lookup(pvs[i].Point); !ok {
-				t.Fatalf("%s: lookup miss", kind)
-			}
-		}
-		// kNN where supported.
-		if knn, ok := ix.(KNNIndex); ok {
-			got := knn.KNN(pvs[0].Point, 5)
-			if len(got) != 5 {
-				t.Fatalf("%s: knn len %d", kind, len(got))
+			if got := ix.(KNNIndex).KNN(pvs[0].Point, 5); len(got) != 5 {
+				t.Fatalf("%s d=%d: knn len %d", kind, dim, len(got))
 			}
 		}
 	}
-	if _, err := BuildSpatial("nope", pvs); err == nil {
-		t.Fatal("unknown spatial kind accepted")
+	pvs := dataset.PV([]core.Point{{1, 2}})
+	for _, kind := range []string{"nope", "btree"} {
+		if _, err := BuildSpatial(kind, pvs); err == nil {
+			t.Fatalf("BuildSpatial(%q) accepted", kind)
+		}
+	}
+	if _, err := BuildSpatial("quadtree", dataset.PV([]core.Point{{1, 2, 3}})); err == nil {
+		t.Fatal("3-D quadtree accepted")
+	}
+}
+
+// TestBuildSpatialRTreeIsSTR pins BuildSpatial("rtree") to the STR-packed
+// tree, not the insert-built one the kind's empty constructor gives.
+func TestBuildSpatialRTreeIsSTR(t *testing.T) {
+	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 53)
+	pvs := dataset.PV(pts)
+	got, err := BuildSpatial("rtree", pvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BulkRTree(0, pvs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats() != want.Stats() {
+		t.Fatalf("BuildSpatial(rtree) stats %+v, BulkRTree %+v", got.Stats(), want.Stats())
 	}
 }
 
@@ -176,12 +204,12 @@ func TestQdTreeAndFloodFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, res, err := NewFloodTuned(pvs, queries, 1024)
+	fl, err := NewFlood(pvs, FloodConfig{Queries: queries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluated < 1 {
-		t.Fatal("flood tuner evaluated nothing")
+	if cols, sortDim := fl.Layout(); cols[sortDim] != 1 {
+		t.Fatalf("flood layout %v sorts by dim %d, which has more than one column", cols, sortDim)
 	}
 	for _, q := range queries[:5] {
 		want := 0

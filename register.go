@@ -4,17 +4,18 @@ import (
 	"github.com/lix-go/lix/internal/btree"
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
+	"github.com/lix-go/lix/internal/flood"
 	"github.com/lix-go/lix/internal/registry"
 	"github.com/lix-go/lix/internal/rtree"
 )
 
-// This file is the single source of truth for index kinds: every
-// constructor of the public façade is registered with internal/registry
-// at init, and everything that used to keep its own kind switch —
-// Build1D/BuildMutable1D, the sharded serving layer's bulk builders, the
-// durable storage planner, the conformance suite's factory enumeration,
-// the benchmark CLI — resolves kinds from the registry instead. Adding
-// an index kind is one Register call here.
+// This file is the single source of truth for index kinds, 1-D and
+// spatial: every kind the public façade builds by name is registered with
+// internal/registry at init, and everything that builds by name —
+// Build1D, BuildMutable1D and BuildSpatial, the sharded serving layer's
+// bulk builders, the durable storage planner, the conformance suite's
+// factory enumeration, the benchmark CLI — resolves kinds from the
+// registry. Adding an index kind is one Register call here.
 
 func init() {
 	register1DKinds()
@@ -48,7 +49,7 @@ func register1DKinds() {
 				return nil, err
 			}
 			t.SetInterpolation(true)
-			return btreeAdapter{t}, nil
+			return t, nil
 		},
 	})
 	registry.Register(registry.Kind{
@@ -176,20 +177,17 @@ func (h learnedRTreeAdapter) Lookup(p core.Point) (core.Value, bool) {
 	return out, found
 }
 
-// registerSpatialKinds registers the multi-dimensional kinds.
+// registerSpatialKinds registers the multi-dimensional kinds. The KNN
+// kinds, in registration order, are SpatialKinds.
 func registerSpatialKinds() {
 	registry.Register(registry.Kind{
 		Name: "rtree",
 		Caps: registry.Caps{Mutable: true, Spatial: true, KNN: true, AllowsEmpty: true},
-		SpatialNew: func() (registry.MutableSpatialIndex, error) {
-			return NewRTree(0), nil
-		},
-	})
-	registry.Register(registry.Kind{
-		Name: "rtree-bulk",
-		Caps: registry.Caps{Spatial: true, KNN: true},
 		SpatialBulk: func(pvs []core.PV) (registry.SpatialIndex, error) {
 			return BulkRTree(0, pvs)
+		},
+		SpatialNew: func(int) (registry.MutableSpatialIndex, error) {
+			return NewRTree(0), nil
 		},
 	})
 	registry.Register(registry.Kind{
@@ -202,15 +200,26 @@ func registerSpatialKinds() {
 	registry.Register(registry.Kind{
 		Name: "quadtree",
 		Caps: registry.Caps{Mutable: true, Spatial: true, KNN: true, AllowsEmpty: true, Dims: 2},
-		SpatialNew: func() (registry.MutableSpatialIndex, error) {
-			return NewQuadtree(spatialBounds(2), 0)
+		SpatialNew: func(dim int) (registry.MutableSpatialIndex, error) {
+			return NewQuadtree(spatialBounds(dim), 0)
 		},
 	})
 	registry.Register(registry.Kind{
 		Name: "grid",
-		Caps: registry.Caps{Mutable: true, Spatial: true, KNN: true, AllowsEmpty: true, Dims: 2},
-		SpatialNew: func() (registry.MutableSpatialIndex, error) {
-			return NewUniformGrid(spatialBounds(2), 32)
+		Caps: registry.Caps{Mutable: true, Spatial: true, KNN: true, AllowsEmpty: true},
+		SpatialNew: func(dim int) (registry.MutableSpatialIndex, error) {
+			// Fewer cells per dimension in higher dimensions keep cells^dim
+			// bounded.
+			cells := 32
+			switch {
+			case dim >= 5:
+				cells = 8
+			case dim == 4:
+				cells = 12
+			case dim == 3:
+				cells = 20
+			}
+			return NewUniformGrid(spatialBounds(dim), cells)
 		},
 	})
 	registry.Register(registry.Kind{
@@ -238,7 +247,7 @@ func registerSpatialKinds() {
 		Name: "flood",
 		Caps: registry.Caps{Spatial: true, KNN: true},
 		SpatialBulk: func(pvs []core.PV) (registry.SpatialIndex, error) {
-			return BuildSpatial("flood", pvs)
+			return flood.Build(pvs, flood.Config{})
 		},
 	})
 	registry.Register(registry.Kind{

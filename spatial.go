@@ -1,8 +1,6 @@
 package lix
 
 import (
-	"fmt"
-
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/flood"
 	"github.com/lix-go/lix/internal/grid"
@@ -11,6 +9,7 @@ import (
 	"github.com/lix-go/lix/internal/mlindex"
 	"github.com/lix-go/lix/internal/qdtree"
 	"github.com/lix-go/lix/internal/quadtree"
+	"github.com/lix-go/lix/internal/registry"
 	"github.com/lix-go/lix/internal/rtree"
 	"github.com/lix-go/lix/internal/zm"
 )
@@ -48,8 +47,8 @@ type (
 	LISAConfig = lisa.Config
 	// QdTreeConfig parameterizes the Qd-tree.
 	QdTreeConfig = qdtree.Config
-	// FloodTuneResult reports Flood's layout tuning outcome.
-	FloodTuneResult = flood.TuneResult
+	// FloodIndex is a Flood index; use the concrete type for its layout.
+	FloodIndex = flood.Index
 )
 
 // ZM curve kinds.
@@ -174,20 +173,11 @@ func NewZMIndex(pvs []PV, cfg ZMConfig) (KNNIndex, error) { return zm.Build(pvs,
 func NewMLIndex(pvs []PV, cfg MLIndexConfig) (KNNIndex, error) { return mlindex.Build(pvs, cfg) }
 
 // NewFlood builds a Flood index with cfg's sort dimension and columns; with
-// no Cols, the cost model picks the columns on a query sample drawn from the
-// data. The index also answers KNN (it satisfies KNNIndex).
-func NewFlood(pvs []PV, cfg FloodConfig) (SpatialIndex, error) { return flood.Build(pvs, cfg) }
-
-// NewFloodTuned tunes Flood's layout, sort dimension included, on a sample
-// workload, or on a sample drawn from the data when queries is empty, and
-// builds it. BuildSpatial("flood") is NewFloodTuned(pvs, nil, 0).
-func NewFloodTuned(pvs []PV, queries []Rect, maxCells int) (SpatialIndex, FloodTuneResult, error) {
-	ix, res, err := flood.BuildTuned(pvs, queries, maxCells)
-	return ix, res, err
-}
-
-// lisaAdapter satisfies MutableSpatialIndex and KNNIndex.
-type lisaAdapter struct{ *lisa.Index }
+// no Cols, the cost model picks the columns and the sort dimension on
+// cfg.Queries, or on a query sample drawn from the data when that is empty
+// (BuildSpatial("flood") is NewFlood(pvs, FloodConfig{})). Layout reports
+// the layout built. The index also answers KNN (it satisfies KNNIndex).
+func NewFlood(pvs []PV, cfg FloodConfig) (*FloodIndex, error) { return flood.Build(pvs, cfg) }
 
 // NewLISA builds a LISA index over the points.
 func NewLISA(pvs []PV, cfg LISAConfig) (interface {
@@ -198,7 +188,7 @@ func NewLISA(pvs []PV, cfg LISAConfig) (interface {
 	if err != nil {
 		return nil, err
 	}
-	return lisaAdapter{ix}, nil
+	return ix, nil
 }
 
 // qdAdapter drops the qd-tree's third Search counter.
@@ -222,83 +212,26 @@ func NewQdTree(pvs []PV, queries []Rect, cfg QdTreeConfig) (SpatialIndex, error)
 	return qdAdapter{ix}, nil
 }
 
-// SpatialKinds lists the spatial index names accepted by BuildSpatial.
+// SpatialKinds lists the spatial index kinds that also answer KNN, in
+// registration order.
 func SpatialKinds() []string {
-	return []string{"rtree", "kdtree", "quadtree", "grid", "zm", "zm-hilbert", "mlindex", "flood", "lisa"}
+	var out []string
+	for _, k := range registry.Kinds() {
+		if k.Caps.KNN {
+			out = append(out, k.Name)
+		}
+	}
+	return out
 }
 
-// BuildSpatial builds a spatial index of the named kind over the points.
-// Quadtree and grid derive their bounds from the dataset extent convention
-// ([0, 2^20) per dimension). The rtree, zm, zm-hilbert, mlindex, flood and
-// lisa kinds copy the coordinates into their own store, and quadtree and
-// grid are filled through Insert, which copies; kdtree retains each
+// BuildSpatial builds a spatial index of any spatial kind registered in
+// register.go over the points: through the kind's bulk builder when it has
+// one, else an empty index of the points' dimension filled through Insert.
+// Quadtree and grid cover the dataset extent ([0, 2^20) per dimension).
+// The rtree, zm, zm-hilbert, mlindex, flood and lisa kinds copy the
+// coordinates into their own store, and Insert copies; kdtree retains each
 // pvs[i].Point, which the caller must not write to while the index is in
 // use.
 func BuildSpatial(kind string, pvs []PV) (SpatialIndex, error) {
-	switch kind {
-	case "rtree":
-		return BulkRTree(0, pvs)
-	case "kdtree":
-		return BulkKDTree(pvs)
-	case "quadtree":
-		q, err := NewQuadtree(worldBounds(2), 0)
-		if err != nil {
-			return nil, err
-		}
-		for _, pv := range pvs {
-			if err := q.Insert(pv.Point, pv.Value); err != nil {
-				return nil, err
-			}
-		}
-		return q, nil
-	case "grid":
-		dim := 2
-		if len(pvs) > 0 {
-			dim = pvs[0].Point.Dim()
-		}
-		// Keep cells^dim bounded as dimensionality grows.
-		cells := 32
-		switch {
-		case dim >= 5:
-			cells = 8
-		case dim >= 4:
-			cells = 12
-		case dim == 3:
-			cells = 20
-		}
-		g, err := NewUniformGrid(worldBounds(dim), cells)
-		if err != nil {
-			return nil, err
-		}
-		for _, pv := range pvs {
-			if err := g.Insert(pv.Point, pv.Value); err != nil {
-				return nil, err
-			}
-		}
-		return g, nil
-	case "zm":
-		return NewZMIndex(pvs, ZMConfig{})
-	case "zm-hilbert":
-		return NewZMIndex(pvs, ZMConfig{Curve: CurveHilbert})
-	case "mlindex":
-		return NewMLIndex(pvs, MLIndexConfig{})
-	case "flood":
-		ix, _, err := NewFloodTuned(pvs, nil, 0)
-		return ix, err
-	case "lisa":
-		return NewLISA(pvs, LISAConfig{})
-	default:
-		return nil, fmt.Errorf("lix: unknown spatial index kind %q", kind)
-	}
-}
-
-// worldBounds returns the dataset extent convention used by the synthetic
-// spatial generators.
-func worldBounds(dim int) Rect {
-	min := make(Point, dim)
-	max := make(Point, dim)
-	for d := 0; d < dim; d++ {
-		max[d] = 1 << 20
-	}
-	return Rect{Min: min, Max: max}
+	return registry.BuildSpatial(kind, pvs)
 }

@@ -195,7 +195,7 @@ func TestStoreKindsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := flood.Build(pvs, flood.Config{SortDim: 1})
+	f, err := flood.Build(pvs, flood.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
