@@ -284,7 +284,7 @@ func E8ModelChoice(cfg Config) []*Table {
 			}
 		})
 		_ = sink
-		pgmT.AddRow(eps, ix.SegmentCount(), ix.Levels(), ix.ModelBytes()/1024, ns)
+		pgmT.AddRow(eps, ix.SegmentCount(), ix.Levels(), ix.Stats().IndexBytes/1024, ns)
 	}
 
 	rmiT := &Table{

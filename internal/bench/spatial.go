@@ -10,9 +10,10 @@ import (
 	"github.com/lix-go/lix/internal/dataset"
 )
 
-// The least flood, LISA and the STR R-tree may lead the k-d tree by on
-// rectangle searches. Twelve runs on the 2-vCPU sandbox read 2.39-2.75 for
-// flood and 2.31-2.84 for the R-tree; each floor is under 0.8 of the lowest.
+// The least flood, LISA, the STR R-tree, the ZM-index and the ML-Index may
+// lead the k-d tree by on rectangle searches. Twelve runs on a 2-vCPU
+// host read 2.39-2.75 for flood and 2.31-2.84 for the R-tree; each floor
+// is under 0.8 of the lowest.
 // What each replaced is out of reach of it: the R-tree of 88-byte entries
 // behind three pointers read 0.49-0.52 on this schedule, and flood on a []PV
 // of slice headers into the caller's points 0.54 of the flat store's rate
@@ -23,29 +24,35 @@ import (
 // LISA, and their floors are 3.2 and 2.2, under 0.8 of the lowest. Since
 // the ZM-index searches at the curve level its cost model picks, fifteen
 // runs read 2.97-3.28 for it (1.53-1.57 at the fixed 20-bit level, three
-// runs), and its floor is 2.3.
+// runs), and its floor is 2.3. Since the ML-Index scans each partition's
+// annulus only in the pyramid sectors a rectangle meets, twelve runs read
+// 2.26-2.74 for it (1.59-1.62 over the whole ring, four runs), and its
+// floor is 1.8.
 const (
 	spatialFloodFloor = 3.2
 	spatialLISAFloor  = 2.2
 	spatialRTreeFloor = 1.8
 	spatialZMFloor    = 2.3
+	spatialMLFloor    = 1.8
 )
 
 // spatialKinds are the sides of the spatial gate; the control comes last.
-var spatialKinds = []string{"flood", "lisa", "rtree", "zm", "kdtree"}
+var spatialKinds = []string{"flood", "lisa", "rtree", "zm", "mlindex", "kdtree"}
 
 // gateSpatial is the rectangle-search gate of the flat layouts: flood and
 // LISA, the two grid kinds built on the flat point store in the layout
 // their cost model picks, the bulk-loaded R-tree, whose leaves are point
-// stores and whose inner nodes are flat boxes, and the ZM-index at the
-// curve level its cost model picks, each against the k-d tree, which keeps
-// pointer nodes into the caller's points and is the control no layout can
-// move. All five are built over the same cfg.N clustered 2-D points and
-// answer the same cfg.Q rectangles, a third each at three selectivities two
-// decades apart like the repo benchmark's; abRates runs them slice by slice.
-// Every slice's result count is checked across the five sides. A refine
-// loop or an MBR test that goes back to chasing a pointer per candidate, or
-// a ZM search back at the stored codes' resolution, falls under its floor.
+// stores and whose inner nodes are flat boxes, the ZM-index at the curve
+// level its cost model picks, and the ML-Index with its pyramid sectors,
+// each against the k-d tree, which keeps pointer nodes into the caller's
+// points and is the control no layout can move. All six are built over the
+// same cfg.N clustered 2-D points and answer the same cfg.Q rectangles, a
+// third each at three selectivities two decades apart like the repo
+// benchmark's; abRates runs them slice by slice. Every slice's result count
+// is checked across the six sides. A refine loop or an MBR test that goes
+// back to chasing a pointer per candidate, a ZM search back at the stored
+// codes' resolution, or an ML-Index scan back round the whole annulus,
+// falls under its floor.
 func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	pts := mustPoints(dataset.SOSMLike, cfg.N, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
@@ -97,7 +104,7 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 		Columns: []string{"kind", "Mqueries/s", "kdtree Mqueries/s", "vs kdtree"},
 	}
 	var floors []floor
-	for k, min := range []float64{spatialFloodFloor, spatialLISAFloor, spatialRTreeFloor, spatialZMFloor} {
+	for k, min := range []float64{spatialFloodFloor, spatialLISAFloor, spatialRTreeFloor, spatialZMFloor, spatialMLFloor} {
 		r := medianRound(rates, k, ctl)
 		t.AddRow(spatialKinds[k], r[k], r[ctl], fmt.Sprintf("%.3f", r[k]/r[ctl]))
 		floors = append(floors, floor{name: "spatial/rect/" + spatialKinds[k], got: r[k], ref: r[ctl], min: min})

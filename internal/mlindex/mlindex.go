@@ -5,13 +5,23 @@
 // projected keys. Point, range, and kNN queries translate to annulus scans
 // over the learned index.
 //
+// Each partition is split further, as the Pyramid technique (Berchtold et
+// al., SIGMOD 1998) splits the space around its centre: the sector of a
+// point is which of the 2·d pyramids around its reference holds it, the
+// axis along which it lies farthest from the reference and the sign of
+// that offset. A key is sub-partition (reference, sector) then distance,
+// so a rectangle, which seen from a reference is a thin distance band,
+// scans that band only in the sectors it can meet rather than all the way
+// round the reference.
+//
 // Taxonomy: immutable / pure / projected space (Approach 2).
 package mlindex
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/pgm"
@@ -37,10 +47,12 @@ type Index struct {
 	pts  core.PointStore // in key order
 	ix   *pgm.Index      // over keys
 	// distScale converts distances to integer key offsets within a
-	// partition's 2^32 key band; it is sized to the data's bounding-box
+	// sub-partition's 2^32 key band; it is sized to the data's bounding-box
 	// diagonal so the full distance range spreads over the band.
 	distScale float64
-	// per-partition max distance (for pruning)
+	// maxDist is each sub-partition's largest distance to its reference
+	// (for pruning), -Inf when the sub-partition is empty; sub-partition
+	// r·2d + s is sector s of reference r.
 	maxDist []float64
 }
 
@@ -79,13 +91,14 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	m.distScale = float64(uint64(1)<<32-2) / diag
 	// Project and sort.
 	m.keys = make([]core.Key, len(pvs))
-	m.maxDist = make([]float64, len(m.refs))
+	m.maxDist = make([]float64, len(m.refs)*2*dim)
+	for i := range m.maxDist {
+		m.maxDist[i] = math.Inf(-1)
+	}
 	for i, pv := range pvs {
-		r, d := m.nearestRef(pv.Point)
-		if d > m.maxDist[r] {
-			m.maxDist[r] = d
-		}
-		m.keys[i] = m.key(r, d)
+		sub, d := m.place(pv.Point)
+		m.maxDist[sub] = max(m.maxDist[sub], d)
+		m.keys[i] = m.key(sub, d)
 	}
 	m.pts = core.NewPointStoreFrom(dim, pvs, core.SortKeys(m.keys))
 	// The model is built over the key column the index already holds: a
@@ -152,13 +165,74 @@ func (m *Index) nearestRef(p core.Point) (int, float64) {
 	return best, math.Sqrt(bd)
 }
 
-// key maps (partition, distance) to the projected 1-D key.
-func (m *Index) key(ref int, dist float64) core.Key {
+// sector returns which of the 2·d pyramids around ref holds p: 2a+1 for
+// the axis a along which p lies farthest from ref (the lowest such axis on
+// a tie) when p[a] >= ref[a], 2a when p[a] < ref[a].
+func sector(p, ref core.Point) int {
+	a, far := 0, -1.0
+	for j := range p {
+		if o := math.Abs(p[j] - ref[j]); o > far {
+			a, far = j, o
+		}
+	}
+	if p[a] >= ref[a] {
+		return 2*a + 1
+	}
+	return 2 * a
+}
+
+// boxMeetsSector reports whether box may hold a point of sector s around
+// ref and, if so, bounds the distance to ref of any such point by [dLo,
+// dHi], in O(d). The closed pyramid of axis a and sign + holds the offsets
+// o from ref with o[a] >= |o[j]| for every j: a box meets it when the
+// offset of its far face along a is at least 0 and at least every other
+// axis's smallest |offset| in the box, and inside it o[a] is at least each
+// of those and every |o[j]| at most o[a]. The ties sector breaks lie on
+// the closed pyramid, and a rounded offset is monotone in the coordinate,
+// so the test never rejects a sector that holds a point of box.
+func boxMeetsSector(box core.Rect, ref core.Point, s int) (dLo, dHi float64, ok bool) {
+	a := s / 2
+	// Offsets along a, oriented so that the sector's side is positive.
+	near, far := box.Min[a]-ref[a], box.Max[a]-ref[a]
+	if s%2 == 0 {
+		near, far = ref[a]-box.Max[a], ref[a]-box.Min[a]
+	}
+	if far < 0 {
+		return 0, 0, false
+	}
+	near = max(near, 0)
+	var lo2, hi2 float64
+	for j := range ref {
+		if j == a {
+			continue
+		}
+		lo, hi := box.Min[j]-ref[j], box.Max[j]-ref[j]
+		m := max(lo, -hi, 0) // the smallest |offset| along j in box
+		if m > far {
+			return 0, 0, false
+		}
+		near = max(near, m)
+		f := min(max(-lo, hi), far) // the largest |offset| along j in box and sector
+		lo2 += m * m
+		hi2 += f * f
+	}
+	return math.Sqrt(near*near + lo2), math.Sqrt(far*far + hi2), true
+}
+
+// place returns the sub-partition p belongs to and p's distance to that
+// sub-partition's reference.
+func (m *Index) place(p core.Point) (sub int, dist float64) {
+	r, d := m.nearestRef(p)
+	return r*2*m.dim + sector(p, m.refs[r]), d
+}
+
+// key maps (sub-partition, distance) to the projected 1-D key.
+func (m *Index) key(sub int, dist float64) core.Key {
 	off := core.Key(dist * m.distScale)
 	if off >= 1<<32 {
 		off = 1<<32 - 1
 	}
-	return core.Key(ref)<<32 | off
+	return core.Key(sub)<<32 | off
 }
 
 // Len returns the number of points.
@@ -172,25 +246,25 @@ func (m *Index) Lookup(p core.Point) (core.Value, bool) {
 	if p.Dim() != m.dim {
 		return 0, false
 	}
-	r, d := m.nearestRef(p)
+	sub, d := m.place(p)
 	// distScale quantization: the point's key may be one off either way.
-	lo, hi := m.annulus(r, d, d)
+	lo, hi := m.annulus(sub, d, d)
 	if i := m.pts.Find(lo, hi, p); i >= 0 {
 		return m.pts.PV(i).Value, true
 	}
 	return 0, false
 }
 
-// annulus returns the positions [lo, hi) of the stored points of partition
-// r whose distance to the reference lies in [dLo, dHi].
-func (m *Index) annulus(r int, dLo, dHi float64) (lo, hi int) {
-	kLo := m.key(r, max(dLo, 0))
-	if kLo > core.Key(r)<<32 {
-		kLo-- // quantization slack, kept within partition r
+// annulus returns the positions [lo, hi) of the stored points of
+// sub-partition sub whose distance to the reference lies in [dLo, dHi].
+func (m *Index) annulus(sub int, dLo, dHi float64) (lo, hi int) {
+	kLo := m.key(sub, max(dLo, 0))
+	if kLo > core.Key(sub)<<32 {
+		kLo-- // quantization slack, kept within sub
 	}
-	kHi := m.key(r, dHi)
-	if kHi < core.Key(r)<<32|(1<<32-1) {
-		kHi++ // quantization slack, kept within partition r
+	kHi := m.key(sub, dHi)
+	if kHi < core.Key(sub)<<32|(1<<32-1) {
+		kHi++ // quantization slack, kept within sub
 	}
 	lo = m.ix.LowerBound(kLo)
 	// An inverted rectangle can put kHi below kLo: an empty annulus.
@@ -203,34 +277,31 @@ func (m *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned 
 	if rect.Dim() != m.dim {
 		return 0, 0
 	}
-	for r := range m.refs {
-		// Distance band of the rect seen from ref r.
-		dLo := math.Sqrt(rect.MinDistSq(m.refs[r]))
-		if dLo > m.maxDist[r] {
-			continue
-		}
-		lo, hi := m.annulus(r, dLo, min(maxDistToRect(m.refs[r], rect), m.maxDist[r]))
-		n, cont := m.pts.ScanRect(lo, hi, rect, fn)
-		visited += n
-		scanned += hi - lo
-		if !cont {
-			break
+	sectors := 2 * m.dim
+	for r, ref := range m.refs {
+		// The rect seen from ref r is a thin distance band; it is scanned
+		// only in the sectors the rect can meet, each over the part of the
+		// band that sector's share of the rect spans.
+		dRef := math.Sqrt(rect.MinDistSq(ref))
+		for s := 0; s < sectors; s++ {
+			sub := r*sectors + s
+			if dRef > m.maxDist[sub] {
+				continue
+			}
+			dLo, dHi, ok := boxMeetsSector(rect, ref, s)
+			if !ok || dLo > m.maxDist[sub] {
+				continue
+			}
+			lo, hi := m.annulus(sub, dLo, min(dHi, m.maxDist[sub]))
+			n, cont := m.pts.ScanRect(lo, hi, rect, fn)
+			visited += n
+			scanned += hi - lo
+			if !cont {
+				return visited, scanned
+			}
 		}
 	}
 	return visited, scanned
-}
-
-// maxDistToRect returns the maximum distance from p to any corner of rect.
-func maxDistToRect(p core.Point, rect core.Rect) float64 {
-	var s float64
-	for d := range p {
-		a := math.Abs(p[d] - rect.Min[d])
-		if b := math.Abs(p[d] - rect.Max[d]); b > a {
-			a = b
-		}
-		s += a * a
-	}
-	return math.Sqrt(s)
 }
 
 // KNN returns the k nearest points to q in ascending distance order using
@@ -240,58 +311,81 @@ func (m *Index) KNN(q core.Point, k int) []core.PV {
 		return nil
 	}
 	k = min(k, len(m.keys))
-	// coverRadius is the radius at which every partition's annulus
-	// [qDist-radius, qDist+radius] contains its full distance range
-	// [0, maxDist], i.e. the search provably scans every stored point.
-	// Capping expansion by the data span alone terminated too early when
-	// the extent was degenerate (all points equal) or q lay far outside it.
+	// coverRadius is the radius within which every stored point lies:
+	// from there on the search would rank them all, so it does that
+	// directly. Capping expansion by the data span alone terminated too
+	// early when the extent was degenerate (all points equal) or q lay far
+	// outside it.
+	sectors := 2 * m.dim
 	qDist := make([]float64, len(m.refs))
-	coverRadius := 0.0
 	for r := range m.refs {
 		qDist[r] = q.Dist(m.refs[r])
-		coverRadius = max(coverRadius, qDist[r]+m.maxDist[r])
+	}
+	coverRadius := 0.0
+	for sub, md := range m.maxDist {
+		coverRadius = max(coverRadius, qDist[sub/sectors]+md)
 	}
 	type cand struct {
 		i  int
 		d2 float64
 	}
 	var cands []cand
-	for radius := m.initialRadius(); ; radius *= 2 {
+	top := func() []core.PV {
+		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.d2, b.d2) })
+		result := make([]core.PV, min(k, len(cands)))
+		for i := range result {
+			result[i] = m.pts.PV(cands[i].i)
+		}
+		return result
+	}
+	ball := core.Rect{Min: make(core.Point, m.dim), Max: make(core.Point, m.dim)}
+	for radius := m.initialRadius(); radius < coverRadius; radius *= 2 {
 		cands = cands[:0]
-		for r := range m.refs {
-			// Points of partition r within radius of q lie in the annulus
-			// [qDist-radius, qDist+radius] around ref r.
-			if qDist[r]-radius > m.maxDist[r] {
+		for j := range q {
+			ball.Min[j], ball.Max[j] = q[j]-radius, q[j]+radius
+		}
+		for sub, md := range m.maxDist {
+			// Points of the sub-partition within radius of q lie in the
+			// annulus [qDist-radius, qDist+radius] around its reference, and
+			// in the ball's bounding box: in the box's band of its sector.
+			r := sub / sectors
+			if qDist[r]-radius > md {
 				continue
 			}
-			lo, hi := m.annulus(r, qDist[r]-radius, qDist[r]+radius)
+			dLo, dHi, ok := boxMeetsSector(ball, m.refs[r], sub%sectors)
+			if !ok {
+				continue
+			}
+			lo, hi := m.annulus(sub, max(qDist[r]-radius, dLo), min(qDist[r]+radius, dHi))
 			for i := lo; i < hi; i++ {
-				cands = append(cands, cand{i, q.DistSq(m.pts.At(i))})
+				if d2 := q.DistSq(m.pts.At(i)); d2 <= radius*radius {
+					cands = append(cands, cand{i, d2})
+				}
 			}
 		}
-		// At coverRadius every partition was scanned in full.
-		all := radius >= coverRadius
-		if len(cands) < k && !all {
-			continue
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].d2 < cands[j].d2 })
-		if all || cands[k-1].d2 <= radius*radius {
-			result := make([]core.PV, min(k, len(cands)))
-			for i := range result {
-				result[i] = m.pts.PV(cands[i].i)
-			}
-			return result
+		// Every point within radius is a candidate: with k of them, no
+		// point outside can be nearer than the k-th.
+		if len(cands) >= k {
+			return top()
 		}
 	}
+	cands = cands[:0]
+	for i := range m.keys {
+		cands = append(cands, cand{i, q.DistSq(m.pts.At(i))})
+	}
+	return top()
 }
 
 func (m *Index) initialRadius() float64 {
-	// A small fraction of the mean partition radius.
+	// A small fraction of the mean sub-partition radius.
 	var s float64
+	n := 0
 	for _, d := range m.maxDist {
-		s += d
+		if d >= 0 {
+			s, n = s+d, n+1
+		}
 	}
-	r := s / float64(len(m.maxDist)) * 0.05
+	r := s / float64(n) * 0.05
 	if r <= 0 {
 		r = 1
 	}
@@ -304,7 +398,7 @@ func (m *Index) Stats() core.Stats {
 	return core.Stats{
 		Name:       "mlindex",
 		Count:      len(m.keys),
-		IndexBytes: st.IndexBytes + 8*len(m.keys) + len(m.refs)*8*m.dim,
+		IndexBytes: st.IndexBytes + 8*len(m.keys) + len(m.refs)*8*m.dim + 8*len(m.maxDist),
 		DataBytes:  len(m.keys) * (8*m.dim + 8),
 		Height:     st.Height,
 		Models:     st.Models + len(m.refs),

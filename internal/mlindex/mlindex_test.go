@@ -1,7 +1,10 @@
 package mlindex
 
 import (
+	"math"
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
@@ -45,7 +48,7 @@ func TestBuildAndLookup(t *testing.T) {
 }
 
 func TestSearchMatchesBrute(t *testing.T) {
-	for _, dim := range []int{2, 3} {
+	for _, dim := range []int{2, 3, 5} {
 		pts, _ := dataset.Points(dataset.SOSMLike, 5000, dim, 1102)
 		pvs := dataset.PV(pts)
 		ix, err := Build(pvs, Config{})
@@ -66,29 +69,158 @@ func TestSearchMatchesBrute(t *testing.T) {
 }
 
 func TestKNNMatchesBrute(t *testing.T) {
-	pts, _ := dataset.Points(dataset.SSkewed, 3000, 2, 1104)
-	pvs := dataset.PV(pts)
-	ix, _ := Build(pvs, Config{Refs: 16})
-	for _, k := range []int{1, 10, 100} {
-		for qi, q := range dataset.KNNQueries(pts, 15, 1105) {
-			ds := make([]float64, len(pvs))
-			for i, pv := range pvs {
-				ds[i] = q.DistSq(pv.Point)
-			}
-			sort.Float64s(ds)
-			got := ix.KNN(q, k)
-			if len(got) != k {
-				t.Fatalf("q%d k=%d: len %d", qi, k, len(got))
-			}
-			for i, pv := range got {
-				if d := q.DistSq(pv.Point); d != ds[i] {
-					t.Fatalf("q%d k=%d i=%d: %g want %g", qi, k, i, d, ds[i])
+	for _, dim := range []int{2, 3} {
+		pts, _ := dataset.Points(dataset.SSkewed, 3000, dim, 1104)
+		pvs := dataset.PV(pts)
+		ix, _ := Build(pvs, Config{Refs: 16})
+		far := make(core.Point, dim)
+		for j := range far {
+			far[j] = -3 * dataset.Extent
+		}
+		queries := append(dataset.KNNQueries(pts, 15, 1105), far)
+		for _, k := range []int{1, 10, 100} {
+			for qi, q := range queries {
+				ds := make([]float64, len(pvs))
+				for i, pv := range pvs {
+					ds[i] = q.DistSq(pv.Point)
+				}
+				sort.Float64s(ds)
+				got := ix.KNN(q, k)
+				if len(got) != k {
+					t.Fatalf("dim=%d q%d k=%d: len %d", dim, qi, k, len(got))
+				}
+				for i, pv := range got {
+					if d := q.DistSq(pv.Point); d != ds[i] {
+						t.Fatalf("dim=%d q%d k=%d i=%d: %g want %g", dim, qi, k, i, d, ds[i])
+					}
 				}
 			}
 		}
+		if got := ix.KNN(make(core.Point, dim), 9999); len(got) != 3000 {
+			t.Fatalf("dim=%d: kNN beyond size = %d", dim, len(got))
+		}
 	}
-	if got := ix.KNN(core.Point{0, 0}, 9999); len(got) != 3000 {
-		t.Fatalf("kNN beyond size = %d", len(got))
+}
+
+// TestSectorTestIsConservative checks the box–pyramid test never rejects
+// the sector of a point the box holds, nor bounds the point's distance to
+// the reference by a band that misses it, on random points and boxes and on
+// the cases where a float comparison decides: a point on a box face, at the
+// reference itself, and on a pyramid's diagonal (a tie between two axes).
+func TestSectorTestIsConservative(t *testing.T) {
+	rng := rand.New(rand.NewSource(1108))
+	for _, dim := range []int{1, 2, 3, 5} {
+		for trial := 0; trial < 20000; trial++ {
+			ref, p := make(core.Point, dim), make(core.Point, dim)
+			box := core.Rect{Min: make(core.Point, dim), Max: make(core.Point, dim)}
+			for j := range ref {
+				ref[j] = rng.Float64()*200 - 100
+				p[j] = ref[j] + rng.NormFloat64()*30
+			}
+			switch trial % 4 {
+			case 1:
+				copy(p, ref)
+			case 2:
+				// On the diagonal of axes a and b: equal |offset| along both.
+				a, b := rng.Intn(dim), rng.Intn(dim)
+				o := rng.NormFloat64() * 30
+				p[a], p[b] = ref[a]+o, ref[b]-o
+			}
+			for j := range p {
+				box.Min[j] = p[j] - rng.ExpFloat64()*20
+				box.Max[j] = p[j] + rng.ExpFloat64()*20
+				switch rng.Intn(4) {
+				case 0:
+					box.Min[j] = p[j]
+				case 1:
+					box.Max[j] = p[j]
+				}
+			}
+			s := sector(p, ref)
+			dLo, dHi, ok := boxMeetsSector(box, ref, s)
+			if !box.Contains(p) || !ok {
+				t.Fatalf("dim=%d: box %v holds %v, sector %d around %v rejected", dim, box, p, s, ref)
+			}
+			// The band's sums of squares add in another order than Dist's.
+			if d := p.Dist(ref); d < dLo*(1-1e-12) || d > dHi*(1+1e-12) {
+				t.Fatalf("dim=%d: %v lies %g from %v, outside sector %d's band [%g, %g] in box %v", dim, p, d, ref, s, dLo, dHi, box)
+			}
+		}
+	}
+}
+
+// maxDistToRect returns the maximum distance from p to any corner of rect:
+// the outer edge of the band an ML-Index without sectors scans.
+func maxDistToRect(p core.Point, rect core.Rect) float64 {
+	var s float64
+	for d := range p {
+		a := math.Abs(p[d] - rect.Min[d])
+		if b := math.Abs(p[d] - rect.Max[d]); b > a {
+			a = b
+		}
+		s += a * a
+	}
+	return math.Sqrt(s)
+}
+
+// TestSectorsCutCandidates counts, over held-out rectangles at three
+// selectivities, the candidates Search scans with the sector test against
+// those it would scan over all of each reference's sectors, which is the
+// single annulus per reference an ML-Index without sectors scans. The
+// sectors must cut them to at most 0.6×.
+func TestSectorsCutCandidates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds over 200 000 points")
+	}
+	pts, _ := dataset.Points(dataset.SOSMLike, 200_000, 2, 1109)
+	ix, err := Build(dataset.PV(pts), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sectors := 2 * ix.dim
+	for i, sel := range []float64{1e-5, 1e-4, 1e-3} {
+		var withSectors, allSectors int
+		for _, q := range dataset.RectQueries(pts, 300, sel, 1110+int64(i)) {
+			_, n := ix.Search(q, func(core.PV) bool { return true })
+			withSectors += n
+			for r, ref := range ix.refs {
+				dLo, dHi := math.Sqrt(q.MinDistSq(ref)), maxDistToRect(ref, q)
+				for sub := r * sectors; sub < (r+1)*sectors; sub++ {
+					if dLo <= ix.maxDist[sub] {
+						lo, hi := ix.annulus(sub, dLo, min(dHi, ix.maxDist[sub]))
+						allSectors += hi - lo
+					}
+				}
+			}
+		}
+		ratio := float64(withSectors) / float64(allSectors)
+		t.Logf("sel %g: %d candidates with sectors, %d over all sectors (%.3f)", sel, withSectors, allSectors, ratio)
+		if ratio > 0.6 {
+			t.Errorf("sel %g: sectors scan %.3f of the single-annulus candidates, want <= 0.6", sel, ratio)
+		}
+	}
+}
+
+// TestCheckInvariantsCatchesMovedKey moves the last key of one
+// sub-partition into the next sub-partition's sector, keeping the keys in
+// order, and expects the check to name the stored key.
+func TestCheckInvariantsCatchesMovedKey(t *testing.T) {
+	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 1111)
+	ix, err := Build(dataset.PV(pts), Config{Refs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(ix.keys); i++ {
+		if next := ix.keys[i+1] >> 32; next != ix.keys[i]>>32 {
+			ix.keys[i] = next << 32
+			break
+		}
+	}
+	if err := ix.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "stored key") {
+		t.Fatalf("a key moved to another sector: %v", err)
 	}
 }
 

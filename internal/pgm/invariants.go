@@ -5,11 +5,13 @@ import (
 	"math"
 
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/segment"
 )
 
 // CheckInvariants verifies the structural invariants of a static PGM-index:
-// sorted keys, consistent dedup arrays, per-level segment tiling with
-// ascending first keys, and the ε error bound of every level-0 prediction.
+// sorted keys, the arrays kept for keys that collide in float64, per-level
+// segment tiling with ascending first keys, and the ε error bound of every
+// level-0 prediction.
 // It is O(n) and intended for tests (the conform suite calls it through the
 // public façade).
 func (ix *Index) CheckInvariants() error {
@@ -27,28 +29,26 @@ func (ix *Index) CheckInvariants() error {
 	if ix.n == 0 {
 		return nil
 	}
-	if ix.distinct != nil {
-		if len(ix.distinct) != ix.nd || len(ix.firstPos) != ix.nd {
-			return fmt.Errorf("pgm: nd=%d but len(distinct)=%d len(firstPos)=%d", ix.nd, len(ix.distinct), len(ix.firstPos))
-		}
-		for i := 0; i < ix.nd; i++ {
-			if i > 0 && ix.distinct[i] <= ix.distinct[i-1] {
-				return fmt.Errorf("pgm: distinct not strictly ascending at %d", i)
+	xs, ys, collide := modelPoints(ix.keys)
+	if collide != (ix.distinct != nil) || collide && (len(ix.distinct) != len(xs) || len(ix.firstPos) != len(xs)) {
+		return fmt.Errorf("pgm: %d distinct floats kept (%d first positions) for keys that collide in float64: %v", len(ix.distinct), len(ix.firstPos), collide)
+	}
+	below0 := ix.n
+	if collide {
+		for i := range xs {
+			if ix.distinct[i] != xs[i] || float64(ix.firstPos[i]) != ys[i] {
+				return fmt.Errorf("pgm: distinct[%d] = %g first at %d, the keys give %g first at %g", i, ix.distinct[i], ix.firstPos[i], xs[i], ys[i])
 			}
-			if ix.distinct[i] != float64(ix.keys[ix.firstPos[i]]) {
-				return fmt.Errorf("pgm: distinct[%d] does not match keys[firstPos[%d]]", i, i)
-			}
 		}
-	} else if ix.nd != ix.n {
-		return fmt.Errorf("pgm: collision-free index has nd=%d != n=%d", ix.nd, ix.n)
+		ys, below0 = segment.Positions(len(xs)), len(xs)
 	}
 	if len(ix.levels) == 0 {
 		return fmt.Errorf("pgm: no levels for %d records", ix.n)
 	}
 	// Per-level: segments tile [0, size-of-level-below) contiguously with
-	// ascending first keys.
+	// ascending first keys; level 0's tile its targets.
 	for l, lev := range ix.levels {
-		below := ix.nd
+		below := below0
 		if l > 0 {
 			below = len(ix.levels[l-1].segs)
 		}
@@ -82,19 +82,23 @@ func (ix *Index) CheckInvariants() error {
 		}
 	}
 	// ε-bound: every level-0 prediction of a distinct key lands within
-	// eps+1 of its true position (BuildOptimal guarantees ≤ eps; +1 absorbs
-	// the rounding the lookup path also allows for).
+	// eps+1 of its target (BuildOptimal guarantees ≤ eps; +1 absorbs the
+	// rounding the lookup path also allows for), and every segment starts
+	// at a distinct key's target.
 	segs := ix.levels[0].segs
-	si := 0
-	for d := 0; d < ix.nd; d++ {
-		for si < len(segs)-1 && d >= segs[si].EndIdx {
+	si := -1
+	for i, x := range xs {
+		y := int(ys[i])
+		if si+1 < len(segs) && y >= segs[si+1].StartIdx {
 			si++
+			if y != segs[si].StartIdx || x != segs[si].FirstKey {
+				return fmt.Errorf("pgm: level 0 segment %d starts at %d key %g, the distinct key there is %g at %d", si, segs[si].StartIdx, segs[si].FirstKey, x, y)
+			}
 		}
-		x := ix.distinctAt(d)
 		pred := math.Round(segs[si].Predict(x))
-		if diff := math.Abs(pred - float64(d)); diff > float64(ix.eps)+1 {
-			return fmt.Errorf("pgm: ε-bound violated at distinct %d: |%g-%d| = %g > eps+1 = %d",
-				d, pred, d, diff, ix.eps+1)
+		if diff := math.Abs(pred - float64(y)); diff > float64(ix.eps)+1 {
+			return fmt.Errorf("pgm: ε-bound violated at distinct key %g: |%g-%d| = %g > eps+1 = %d",
+				x, pred, y, diff, ix.eps+1)
 		}
 	}
 	return nil

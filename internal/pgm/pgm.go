@@ -14,6 +14,7 @@ package pgm
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/obs"
@@ -34,15 +35,19 @@ type Index struct {
 	recs []core.KV // nil for an index built by BuildKeys
 	keys []core.Key
 
-	// distinct/firstPos are only materialized when duplicate keys (or
-	// distinct keys colliding at float64 resolution) exist; for the common
-	// collision-free case the search runs on the key array directly and
-	// the index stores nothing but the PLA levels.
-	distinct []float64 // deduped key values as floats (nil if collision-free)
-	firstPos []int32   // first occurrence of distinct[i] in keys
-	nd       int       // number of distinct float values
+	// Level 0 maps a key, as a float64, to a position in keys: its
+	// segments' StartIdx/EndIdx are key positions and a key's first
+	// occurrence lies within ε of its prediction, so duplicate keys cost
+	// nothing per key. Only when distinct keys collide in float64 (above
+	// 2⁵³) does level 0 predict an index into distinct, the keys' ascending
+	// float values, with firstPos[i] the first key position of distinct[i]:
+	// a model over key positions would have to rise a whole collision run
+	// between float neighbours, a slope float64 cannot resolve that far
+	// from a segment's start.
+	distinct []float64
+	firstPos []int32
 
-	levels []level // levels[0] predicts into distinct space; higher predict lower
+	levels []level // higher levels predict segment indices of the level below
 	eps    int
 	n      int
 }
@@ -79,28 +84,27 @@ func BuildKeys(keys []core.Key, eps int) (*Index, error) {
 	if n == 0 {
 		return ix, nil
 	}
-	// Dedup at float64 resolution: duplicate keys, and distinct keys that
-	// collide when converted to float64, collapse to their first position.
-	distinct := make([]float64, 0, n)
-	firstPos := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		x := float64(ix.keys[i])
-		if len(distinct) > 0 && x == distinct[len(distinct)-1] {
-			continue
+	// Level 0: PLA over (distinct float64 key -> first position in keys),
+	// or -> index into distinct when distinct keys collide in float64.
+	xs, ys, collide := modelPoints(keys)
+	if collide {
+		ix.distinct, ix.firstPos = xs, make([]int32, len(ys))
+		for i, y := range ys {
+			ix.firstPos[i] = int32(y)
 		}
-		distinct = append(distinct, x)
-		firstPos = append(firstPos, int32(i))
+		ys = segment.Positions(len(xs))
 	}
-	ix.nd = len(distinct)
-	if ix.nd < n {
-		// Collisions exist: keep the dedup arrays for exact resolution.
-		ix.distinct = distinct
-		ix.firstPos = firstPos
+	segs := segment.BuildOptimal(xs, ys, float64(eps))
+	if !collide {
+		for i := range segs {
+			segs[i].StartIdx = int(ys[segs[i].StartIdx])
+			if segs[i].EndIdx < len(ys) {
+				segs[i].EndIdx = int(ys[segs[i].EndIdx])
+			} else {
+				segs[i].EndIdx = n
+			}
+		}
 	}
-
-	// Level 0: PLA over (distinct key -> distinct index).
-	ys := segment.Positions(len(distinct))
-	segs := segment.BuildOptimal(distinct, ys, float64(eps))
 	ix.levels = append(ix.levels, newLevel(segs))
 	// Recursive levels over segment first keys until a single segment.
 	for len(ix.levels[len(ix.levels)-1].segs) > 1 {
@@ -115,6 +119,21 @@ func BuildKeys(keys []core.Key, eps int) (*Index, error) {
 		}
 	}
 	return ix, nil
+}
+
+// modelPoints returns level 0's points: each distinct float64 value of the
+// sorted keys and the position of its first occurrence, and whether two
+// distinct keys share a float64 value.
+func modelPoints(keys []core.Key) (xs, ys []float64, collide bool) {
+	xs, ys = make([]float64, 0, len(keys)), make([]float64, 0, len(keys))
+	for i, k := range keys {
+		if x := float64(k); i == 0 || x != xs[len(xs)-1] {
+			xs, ys = append(xs, x), append(ys, float64(i))
+		} else if k != keys[i-1] {
+			collide = true
+		}
+	}
+	return xs, ys, collide
 }
 
 func newLevel(segs []segment.Segment) level {
@@ -208,73 +227,45 @@ func (ix *Index) LowerBound(k core.Key) int {
 		return 0
 	}
 	x := float64(k)
-	si := ix.locate(x)
-	s := &ix.levels[0].segs[si]
-	var d int
+	s := &ix.levels[0].segs[ix.locate(x)]
 	if x > s.LastKey {
-		// In the gap after this segment: the lower bound is the first
-		// distinct key of the next segment (or the end of the array).
-		d = s.EndIdx
-	} else {
-		pred := int(math.Round(s.Predict(x)))
-		lo := pred - ix.eps - 1
-		hi := pred + ix.eps + 2
-		if lo < s.StartIdx {
-			lo = s.StartIdx
-		}
-		if hi > s.EndIdx {
-			hi = s.EndIdx
-		}
-		// Binary search over distinct floats for the first >= x. The probe
-		// counter costs a register increment; it only escapes into the
-		// recorder when one is installed (the ε-bounded window here is the
-		// paper's last-mile correction cost for the PGM).
-		d = lo
-		probes := 0
-		for l, h := lo, hi; l < h; {
-			probes++
-			mid := int(uint(l+h) >> 1)
-			if ix.distinctAt(mid) < x {
-				l = mid + 1
-				d = l
-			} else {
-				h = mid
-				d = h
-			}
-		}
-		if r := core.ActiveSearchRecorder(); r != nil {
-			r.RecordSearch(probes, hi-lo)
-		}
+		// In the gap after this segment: the lower bound is the first key
+		// of the next segment (or the end of the array).
+		return ix.keyPos(s.EndIdx)
 	}
-	if d >= ix.nd {
-		return ix.n
+	pred := int(math.Round(s.Predict(x)))
+	lo := core.Clamp(pred-ix.eps-1, s.StartIdx, s.EndIdx)
+	hi := core.Clamp(pred+ix.eps+2, lo, s.EndIdx)
+	if ix.distinct != nil {
+		// The first distinct float at or above x, then the exact position
+		// among the keys that share it.
+		d := lo + sort.SearchFloat64s(ix.distinct[lo:hi], x)
+		return core.SearchRange(ix.keys, k, ix.keyPos(d), ix.keyPos(d+1))
 	}
-	if ix.distinct == nil {
-		// Collision-free: distinct space is the key array itself, and the
-		// float search already honored the exact integer order except for
-		// probe keys that collide with a stored key in float64; one exact
-		// comparison fixes that.
-		if ix.keys[d] < k {
-			return d + 1
-		}
-		return d
+	// The model bounds a key's first occurrence; a run of equal keys longer
+	// than the window can put the answer past either end of it, so a
+	// neighbour of the window that shows this widens the search to the
+	// rest of the segment on that side. SearchRange
+	// reports the probes of the ε-bounded window, the paper's last-mile
+	// correction cost, to a search recorder when one is installed.
+	switch {
+	case lo > s.StartIdx && ix.keys[lo-1] >= k:
+		lo, hi = s.StartIdx, lo-1
+	case hi < s.EndIdx && ix.keys[hi] < k:
+		lo, hi = hi+1, s.EndIdx
 	}
-	pos := int(ix.firstPos[d])
-	// Float collision may have collapsed a short run of distinct integer
-	// keys: resolve exactly on the integer array.
-	end := ix.n
-	if d+1 < ix.nd {
-		end = int(ix.firstPos[d+1])
-	}
-	return core.SearchRange(ix.keys, k, pos, end)
+	return core.SearchRange(ix.keys, k, lo, hi)
 }
 
-// distinctAt returns the i-th distinct float key.
-func (ix *Index) distinctAt(i int) float64 {
-	if ix.distinct == nil {
-		return float64(ix.keys[i])
+// keyPos returns the key position of level 0's target d.
+func (ix *Index) keyPos(d int) int {
+	switch {
+	case ix.firstPos == nil:
+		return d
+	case d < len(ix.firstPos):
+		return int(ix.firstPos[d])
 	}
-	return ix.distinct[i]
+	return ix.n
 }
 
 // value returns the value at position i.
@@ -309,7 +300,7 @@ func (ix *Index) Range(lo, hi core.Key, fn func(core.Key, core.Value) bool) int 
 }
 
 // Stats reports structure statistics. IndexBytes counts the PLA levels and
-// the dedup arrays.
+// the arrays kept for keys that collide in float64.
 func (ix *Index) Stats() core.Stats {
 	segs := 0
 	for _, l := range ix.levels {
@@ -323,16 +314,6 @@ func (ix *Index) Stats() core.Stats {
 		Height:     len(ix.levels),
 		Models:     segs,
 	}
-}
-
-// ModelBytes returns the bytes of PLA models only (excluding the dedup
-// arrays), the figure comparable to the paper's index-size plots.
-func (ix *Index) ModelBytes() int {
-	segs := 0
-	for _, l := range ix.levels {
-		segs += len(l.segs)
-	}
-	return segs * (segment.SegmentBytes + 8)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ package pgm
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
+	"github.com/lix-go/lix/internal/segment"
 )
 
 func TestStaticAllDistributions(t *testing.T) {
@@ -69,7 +71,7 @@ func TestStaticEpsilonTradeoff(t *testing.T) {
 		t.Fatalf("eps=8 segments %d should exceed eps=256 segments %d",
 			small.SegmentCount(), big.SegmentCount())
 	}
-	if small.ModelBytes() <= big.ModelBytes() {
+	if small.Stats().IndexBytes <= big.Stats().IndexBytes {
 		t.Fatal("model bytes should shrink with eps")
 	}
 	if small.Levels() < 1 || big.Levels() < 1 {
@@ -138,6 +140,61 @@ func TestStaticLowerBoundProperty(t *testing.T) {
 			if ix.LowerBound(probe) != core.LowerBound(keys, probe) {
 				t.Fatalf("probe %d mismatch", probe)
 			}
+		}
+	}
+}
+
+// TestLowerBoundOnDuplicates checks LowerBound against sort.Search for every
+// stored key and its neighbours on key columns whose model sees repeated
+// float64 values: exact duplicates scattered through the column, one run of
+// 10·ε copies (longer than the search window, so the window must widen),
+// and distinct keys above 2⁵³ that collide in float64. Only the last keeps
+// a per-key array beside the keys: on the others IndexBytes is the PLA
+// models alone.
+func TestLowerBoundOnDuplicates(t *testing.T) {
+	const eps = 16
+	rng := rand.New(rand.NewSource(208))
+	var scattered, run, collide []core.Key
+	for k := core.Key(0); len(scattered) < 20000; k += core.Key(1 + rng.Intn(50)) {
+		scattered = append(scattered, k)
+		if rng.Intn(100) == 0 {
+			scattered = append(scattered, k)
+		}
+	}
+	// The keys after the run keep to the line before it, so one segment
+	// spans the run and a probe just above it is predicted inside it.
+	for len(run) < 5000 {
+		if len(run) == 2000 {
+			for j := 0; j < 10*eps; j++ {
+				run = append(run, 6000)
+			}
+		}
+		run = append(run, core.Key(3*len(run)))
+	}
+	for k := core.Key(1<<60 + 12345); len(collide) < 20000; k += core.Key(1 + rng.Intn(600)) {
+		collide = append(collide, k)
+	}
+	for _, tc := range []struct {
+		name string
+		keys []core.Key
+	}{{"scattered", scattered}, {"run", run}, {"collide", collide}} {
+		ix, err := BuildKeys(tc.keys, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for _, k := range tc.keys {
+			for _, probe := range []core.Key{k - 1, k, k + 1} {
+				want := sort.Search(len(tc.keys), func(i int) bool { return tc.keys[i] >= probe })
+				if got := ix.LowerBound(probe); got != want {
+					t.Fatalf("%s: LowerBound(%d) = %d, want %d", tc.name, probe, got, want)
+				}
+			}
+		}
+		if st := ix.Stats(); tc.name != "collide" && st.IndexBytes != st.Models*(segment.SegmentBytes+8) {
+			t.Fatalf("%s: IndexBytes %d for %d models: a per-key term", tc.name, st.IndexBytes, st.Models)
 		}
 	}
 }

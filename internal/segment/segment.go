@@ -160,6 +160,9 @@ func BuildOptimal(xs, ys []float64, eps float64) []Segment {
 		panic("segment: xs/ys length mismatch")
 	}
 	var segs []Segment
+	// The feasible polygon and two clip buffers, reused across points and
+	// segments: a clip allocating its result was most of a build's time.
+	var poly, half, next []dualPt
 	start := 0
 	for start < n {
 		x0 := xs[start]
@@ -167,24 +170,24 @@ func BuildOptimal(xs, ys []float64, eps float64) []Segment {
 		// (ys non-decreasing in xs, so some non-negative slope fits);
 		// intercept within [y_start-eps, y_start+eps].
 		maxSlope := initialMaxSlope(xs, ys, start)
-		poly := []dualPt{
-			{0, ys[start] - eps},
-			{maxSlope, ys[start] - eps},
-			{maxSlope, ys[start] + eps},
-			{0, ys[start] + eps},
-		}
+		poly = append(poly[:0],
+			dualPt{0, ys[start] - eps},
+			dualPt{maxSlope, ys[start] - eps},
+			dualPt{maxSlope, ys[start] + eps},
+			dualPt{0, ys[start] + eps},
+		)
 		end := start
 		for end < n {
 			dx := xs[end] - x0
 			y := ys[end]
 			// Clip: a*dx + b <= y + eps   (below upper line)
 			//       a*dx + b >= y - eps   (above lower line)
-			next := clip(poly, dx, 1, y+eps, true)
-			next = clip(next, dx, 1, y-eps, false)
+			half = clip(half[:0], poly, dx, 1, y+eps, true)
+			next = clip(next[:0], half, dx, 1, y-eps, false)
 			if len(next) == 0 {
 				break
 			}
-			poly = prune(next)
+			poly, next = prune(next), poly
 			end++
 		}
 		if end == start {
@@ -247,10 +250,11 @@ func initialMaxSlope(xs, ys []float64, start int) float64 {
 }
 
 // clip cuts polygon poly with the half-plane ca*a + cb*b <= rhs (when below
-// is true) or >= rhs (when below is false), returning the clipped polygon.
-func clip(poly []dualPt, ca, cb, rhs float64, below bool) []dualPt {
+// is true) or >= rhs (when below is false), appending the clipped polygon to
+// out, which must not share poly's memory.
+func clip(out, poly []dualPt, ca, cb, rhs float64, below bool) []dualPt {
 	if len(poly) == 0 {
-		return nil
+		return out
 	}
 	inside := func(p dualPt) bool {
 		v := ca*p.a + cb*p.b
@@ -259,7 +263,6 @@ func clip(poly []dualPt, ca, cb, rhs float64, below bool) []dualPt {
 		}
 		return v >= rhs-1e-9
 	}
-	var out []dualPt
 	for i := range poly {
 		cur := poly[i]
 		prev := poly[(i+len(poly)-1)%len(poly)]
