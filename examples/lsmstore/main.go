@@ -22,9 +22,10 @@ func main() {
 	must(err)
 	defer os.RemoveAll(dir)
 	// A demo need not wait on fsync; checkpoints come where the loop asks.
-	db, err := lix.Open(dir, lix.DurableOptions{Fsync: lix.FsyncNever, CheckpointEvery: -1})
+	stack, err := lix.NewStack(nil, lix.StackConfig{Dir: dir, Fsync: lix.FsyncNever, CheckpointEvery: -1})
 	must(err)
-	defer db.Close()
+	defer stack.Close()
+	db := stack.Durable()
 
 	// Write a timestamp-like workload: mostly increasing keys with updates,
 	// a checkpoint every 100k, then delete the oldest 1k.

@@ -36,13 +36,15 @@ func run(dir string) error {
 	for i := range seed {
 		seed[i] = lix.KV{Key: lix.Key(i * 10), Value: lix.Value(i)}
 	}
-	d, err := lix.NewDurable(dir, seed, lix.DurableOptions{
+	st, err := lix.NewStack(seed, lix.StackConfig{
+		Dir:    dir,
 		Shards: 4,
 		Fsync:  lix.FsyncAlways,
 	})
 	if err != nil {
 		return err
 	}
+	d := st.Durable()
 
 	expect := make(map[lix.Key]lix.Value, len(seed)+200)
 	for _, r := range seed {
@@ -85,15 +87,16 @@ func run(dir string) error {
 	}
 	fmt.Println("crashed without a checkpoint")
 
-	// Reopen with zero options: the kind and shard count are read back
-	// from the manifest, the log suffix merges over the runs it lists, and
-	// the torn or unsynced tail (none here) would be truncated, not fatal.
-	r, err := lix.Open(dir, lix.DurableOptions{})
+	// Reopen with nothing but the directory: the kind and shard count are
+	// read back from the manifest, the log suffix merges over the runs it
+	// lists, and the torn or unsynced tail (none here) would be truncated,
+	// not fatal.
+	r, err := lix.NewStack(nil, lix.StackConfig{Dir: dir})
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	info := r.RecoveryInfo()
+	info := r.Durable().RecoveryInfo()
 	fmt.Printf("recovered: manifest gen %d (%d records in %d runs) + %d log records in %v\n",
 		info.SnapshotGen, info.SnapshotRecs, info.Runs, info.WALRecs, info.Elapsed)
 

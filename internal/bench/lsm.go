@@ -77,11 +77,11 @@ func gateLSM(cfg Config) ([]*Table, []floor, error) {
 	}
 
 	// Cold start of the last round, both ways.
-	re, err := lix.Open(dirs[0], lsmOptions)
+	re, err := lsmStack(dirs[0], nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	recoverMs := [2]float64{float64(re.RecoveryInfo().Elapsed.Microseconds()) / 1e3}
+	recoverMs := [2]float64{float64(re.Durable().RecoveryInfo().Elapsed.Microseconds()) / 1e3}
 	re.Close()
 	start := time.Now()
 	_, flat, err := sst.Open(flatPath(dirs[1]))
@@ -105,9 +105,14 @@ func gateLSM(cfg Config) ([]*Table, []floor, error) {
 	return []*Table{t}, []floor{{name: "lsm/checkpoint/lsm", got: lsmRate, ref: rewriteRate, min: 2}}, nil
 }
 
-var lsmOptions = lix.DurableOptions{
-	Fsync:           lix.FsyncNever, // measure checkpoint I/O, not WAL sync policy
-	CheckpointEvery: -1,             // checkpoints are explicit, so both sides pay at the same points
+// lsmStack creates the durable stack at dir seeded with recs, or opens
+// it when recs is nil.
+func lsmStack(dir string, recs []core.KV) (*lix.Stack, error) {
+	return lix.NewStack(recs, lix.StackConfig{
+		Dir:             dir,
+		Fsync:           lix.FsyncNever, // measure checkpoint I/O, not WAL sync policy
+		CheckpointEvery: -1,             // checkpoints are explicit, so both sides pay at the same points
+	})
 }
 
 // flatPath is where the rewrite side keeps its one run file: inside the
@@ -156,10 +161,11 @@ func lsmWritePhase(cfg Config, rewrite bool, recs []core.KV) (row lsmRow, dir st
 	if dir, err = os.MkdirTemp("", "lixbench-lsm-*"); err != nil {
 		return row, "", err
 	}
-	d, err := lix.NewDurable(dir, recs, lsmOptions)
+	st, err := lsmStack(dir, recs)
 	if err != nil {
 		return row, dir, err
 	}
+	d := st.Durable()
 	defer func() {
 		if err != nil {
 			d.Close()
@@ -265,11 +271,12 @@ func E18LearnedLSM(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	d, err := lix.NewDurable(dir, recs, lsmOptions)
+	st, err := lsmStack(dir, recs)
 	if err != nil {
 		return nil, err
 	}
-	defer d.Close()
+	defer st.Close()
+	d := st.Durable()
 	for c, done := 1, 0; c < e18Runs; c++ {
 		next := len(rest) - (len(rest)-done)/3
 		if c == e18Runs-1 {

@@ -254,12 +254,12 @@ func TestApplyShardRegimes(t *testing.T) {
 	}{{"grouped", 1, 64}, {"fanout", 512, 1024}} {
 		t.Run(c.name, func(t *testing.T) {
 			in := latticeInput(applyBatches(t)/4, c.lo, c.hi)
-			s, err := lix.NewSharded(in.init, lix.ShardedConfig{Shards: 4})
+			st, err := lix.NewStack(in.init, lix.StackConfig{Shards: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
-			if err := checkApply(s, in, 0x5a); err != nil {
+			defer st.Close()
+			if err := checkApply(st, in, 0x5a); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -329,11 +329,12 @@ func TestApplyDurableStack(t *testing.T) {
 func applyCrash(t *testing.T) {
 	keys, init := applyLattice()
 	dir := t.TempDir()
-	opts := lix.DurableOptions{Shards: 4, Fsync: lix.FsyncNever, CheckpointEvery: -1}
-	d, err := lix.NewDurable(dir, init, opts)
+	cfg := lix.StackConfig{Dir: dir, Shards: 4, Fsync: lix.FsyncNever, CheckpointEvery: -1}
+	st, err := lix.NewStack(init, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := st.Durable()
 	rng := rand.New(rand.NewSource(0xc4))
 	o := newOracle1D(init)
 	val := core.Value(1000)
@@ -362,7 +363,7 @@ func applyCrash(t *testing.T) {
 	if err := d.Crash(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := lix.Open(dir, opts)
+	r, err := lix.NewStack(nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

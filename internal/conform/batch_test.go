@@ -93,13 +93,13 @@ func putOps(recs []core.KV) []core.Op {
 	return ops
 }
 
-// applyCommit applies ops to d and commits them: the acknowledged batch
+// applyCommit applies ops to st and commits them: the acknowledged batch
 // write.
-func applyCommit(d *lix.Durable, ops []core.Op) error {
-	if err := d.Apply(ops, make([]core.Value, len(ops)), make([]bool, len(ops)), nil); err != nil {
+func applyCommit(st *lix.Stack, ops []core.Op) error {
+	if err := st.Apply(ops, make([]core.Value, len(ops)), make([]bool, len(ops)), nil); err != nil {
 		return err
 	}
-	return d.Commit(nil)
+	return st.Commit(nil)
 }
 
 // copyDir copies a flat store directory (no subdirectories).
@@ -135,8 +135,8 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 		batchLen    = 50
 	)
 	dir := t.TempDir()
-	d, err := lix.NewDurable(dir, nil, lix.DurableOptions{
-		Fsync: lix.FsyncNever, CheckpointEvery: -1,
+	st, err := lix.NewStack(nil, lix.StackConfig{
+		Dir: dir, Fsync: lix.FsyncNever, CheckpointEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +147,10 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 	for i := range batch {
 		batch[i] = core.KV{Key: core.Key((i*7919 + 13) % 1000), Value: core.Value(i + 1)}
 	}
-	if err := applyCommit(d, putOps(batch)); err != nil {
+	if err := applyCommit(st, putOps(batch)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Crash(); err != nil {
+	if err := st.Durable().Crash(); err != nil {
 		t.Fatal(err)
 	}
 	wals, err := filepath.Glob(filepath.Join(dir, "wal-*-000.lix"))
@@ -180,7 +180,7 @@ func TestDurableBatchCrashAtomicity(t *testing.T) {
 			if err := os.Truncate(filepath.Join(cdir, filepath.Base(wal)), int64(cut)); err != nil {
 				t.Fatal(err)
 			}
-			r, err := lix.Open(cdir, lix.DurableOptions{Fsync: lix.FsyncNever, CheckpointEvery: -1})
+			r, err := lix.NewStack(nil, lix.StackConfig{Dir: cdir, Fsync: lix.FsyncNever, CheckpointEvery: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,15 +221,16 @@ func TestDurableBatchFsyncAmortization(t *testing.T) {
 
 	run := func(batched bool) uint64 {
 		dir := t.TempDir()
-		d, err := lix.NewDurable(dir, nil, lix.DurableOptions{
-			Fsync: lix.FsyncAlways, CheckpointEvery: -1,
+		st, err := lix.NewStack(nil, lix.StackConfig{
+			Dir: dir, Fsync: lix.FsyncAlways, CheckpointEvery: -1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		d := st.Durable()
 		base := d.Fsyncs()
 		if batched {
-			if err := applyCommit(d, putOps(recs)); err != nil {
+			if err := applyCommit(st, putOps(recs)); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -15,30 +15,33 @@ import (
 // in-memory suite cannot express — close, reopen from disk, and the
 // recovered index must equal the oracle.
 
-// durableIndex wraps a store built in a scratch directory; Close tears
-// the store down and removes its files, which the replay engine invokes
-// through the io.Closer hook after every build.
+// durableIndex wraps a durable stack built in a scratch directory; Close
+// tears the store down and removes its files, which the replay engine
+// invokes through the io.Closer hook after every build.
 type durableIndex struct {
-	*lix.Durable
+	*lix.Stack
 	dir string
 }
 
 func (d durableIndex) Close() error {
-	err := d.Durable.Close()
+	err := d.Stack.Close()
 	os.RemoveAll(d.dir)
 	return err
 }
 
-// durableOpts are the conformance-suite store settings: no per-op fsync
-// (the suite checks logical equivalence, not power-loss durability, and
-// replays thousands of ops per workload) and a checkpoint interval small
-// enough that replays cross generation rotations.
-func durableOpts(shards, checkpointEvery int) lix.DurableOptions {
-	return lix.DurableOptions{
+// durableStack builds the durable stack at dir: created with recs when
+// they are non-nil, opened otherwise. The settings are the conformance
+// suite's: no per-op fsync (the suite checks logical equivalence, not
+// power-loss durability, and replays thousands of ops per workload) and a
+// checkpoint interval small enough that replays cross generation
+// rotations.
+func durableStack(dir string, recs []core.KV, shards, checkpointEvery int) (*lix.Stack, error) {
+	return lix.NewStack(recs, lix.StackConfig{
+		Dir:             dir,
 		Shards:          shards,
 		Fsync:           lix.FsyncNever,
 		CheckpointEvery: checkpointEvery,
-	}
+	})
 }
 
 // durableConfigs are the durable configurations under conformance: the
@@ -66,24 +69,24 @@ func init() {
 				if err != nil {
 					return nil, err
 				}
-				d, err := lix.NewDurable(dir, recs, durableOpts(c.shards, c.checkpointEvery))
+				st, err := durableStack(dir, recs, c.shards, c.checkpointEvery)
 				if err != nil {
 					os.RemoveAll(dir)
 					return nil, err
 				}
-				return durableIndex{Durable: d, dir: dir}, nil
+				return durableIndex{Stack: st, dir: dir}, nil
 			},
 		})
 	}
 }
 
-// DurableFactory builds and reopens a durable store for CheckReopen.
+// DurableFactory builds and reopens a durable stack for CheckReopen.
 type DurableFactory struct {
 	Name string
 	// Create initializes a fresh store at dir seeded with init.
-	Create func(dir string, init []core.KV) (*lix.Durable, error)
+	Create func(dir string, init []core.KV) (*lix.Stack, error)
 	// Reopen opens the store at dir after a clean Close.
-	Reopen func(dir string) (*lix.Durable, error)
+	Reopen func(dir string) (*lix.Stack, error)
 }
 
 // DurableFactories lists the reopen-checked configurations, mirroring
@@ -93,13 +96,13 @@ func DurableFactories() []DurableFactory {
 	for _, c := range durableConfigs {
 		out = append(out, DurableFactory{
 			Name: c.name,
-			Create: func(dir string, init []core.KV) (*lix.Durable, error) {
-				return lix.NewDurable(dir, init, durableOpts(c.shards, c.checkpointEvery))
+			Create: func(dir string, init []core.KV) (*lix.Stack, error) {
+				return durableStack(dir, init, c.shards, c.checkpointEvery)
 			},
-			Reopen: func(dir string) (*lix.Durable, error) {
+			Reopen: func(dir string) (*lix.Stack, error) {
 				// A bare reconfiguration-free open: kind and shard count
 				// must come back from the persisted state.
-				return lix.Open(dir, durableOpts(0, c.checkpointEvery))
+				return durableStack(dir, nil, 0, c.checkpointEvery)
 			},
 		})
 	}
@@ -113,32 +116,33 @@ func DurableFactories() []DurableFactory {
 // around the key space, and a full ascending Range. nil means the
 // persisted state is equivalent.
 func CheckReopen(f DurableFactory, w Workload1D, dir string) error {
-	d, err := f.Create(dir, w.Init)
+	st, err := f.Create(dir, w.Init)
 	if err != nil {
 		return fmt.Errorf("conform: %s create: %v", f.Name, err)
 	}
+	d := st.Durable()
 	o := newOracle1D(w.Init)
 	for i, op := range w.Ops {
 		switch op.Kind {
 		case OpInsert:
 			if err := d.Put(op.Key, op.Val); err != nil {
-				d.Close()
+				st.Close()
 				return fmt.Errorf("conform: %s op %d %s: %v", f.Name, i, op, err)
 			}
 			o.Insert(op.Key, op.Val)
 		case OpDelete:
 			got, err := d.Del(op.Key)
 			if err != nil {
-				d.Close()
+				st.Close()
 				return fmt.Errorf("conform: %s op %d %s: %v", f.Name, i, op, err)
 			}
 			if want := o.Delete(op.Key); got != want {
-				d.Close()
+				st.Close()
 				return fmt.Errorf("conform: %s op %d %s = %v, oracle %v", f.Name, i, op, got, want)
 			}
 		}
 	}
-	if err := d.Close(); err != nil {
+	if err := st.Close(); err != nil {
 		return fmt.Errorf("conform: %s close: %v", f.Name, err)
 	}
 

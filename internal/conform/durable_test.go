@@ -4,7 +4,6 @@ import (
 	"os"
 	"testing"
 
-	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
 )
 
@@ -49,11 +48,11 @@ func TestDurableStress(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				d, err := lix.NewDurable(dir, init, durableOpts(c.shards, c.checkpointEvery))
+				st, err := durableStack(dir, init, c.shards, c.checkpointEvery)
 				if err != nil {
 					return nil, err
 				}
-				return durableIndex{Durable: d, dir: dir}, nil
+				return durableIndex{Stack: st, dir: dir}, nil
 			}, stressCfg(t, int64(i+77)))
 			if err != nil {
 				t.Fatal(err)

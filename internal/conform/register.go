@@ -142,7 +142,7 @@ func init() {
 		return lix.NewXIndex(512, 64)
 	})
 
-	// The sharded serving layer, registered with a bulk-building factory so
+	// The sharded serving stack, registered with a bulk-building factory so
 	// the router splits at the workload's key quantiles and every replay
 	// crosses shard boundaries. The shard count is small so 5k-op
 	// workloads force cross-shard ranges.
@@ -150,7 +150,7 @@ func init() {
 		Name: "sharded-rw",
 		Caps: Caps{Mutable: true, AllowsEmpty: true},
 		Build1D: func(recs []core.KV) (Index, error) {
-			return lix.NewSharded(recs, lix.ShardedConfig{Shards: 4})
+			return lix.NewStack(recs, lix.StackConfig{Shards: 4})
 		},
 	})
 }

@@ -27,17 +27,17 @@ func stressCfg(t *testing.T, seed int64) StressConfig {
 func TestShardedStress(t *testing.T) {
 	cases := []struct {
 		name string
-		cfg  lix.ShardedConfig
+		cfg  lix.StackConfig
 	}{
-		{"rw-btree", lix.ShardedConfig{Shards: 4}},
-		{"rw-skiplist", lix.ShardedConfig{Shards: 3, Backend: "skiplist"}},
+		{"rw-btree", lix.StackConfig{Shards: 4}},
+		{"rw-skiplist", lix.StackConfig{Shards: 3, Kind: "skiplist"}},
 	}
 	for i, c := range cases {
 		c, i := c, i
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			err := CheckStress(func(init []core.KV) (MutableIndex, error) {
-				return lix.NewSharded(init, c.cfg)
+				return lix.NewStack(init, c.cfg)
 			}, stressCfg(t, int64(i+1)))
 			if err != nil {
 				t.Fatal(err)

@@ -73,6 +73,23 @@ func KNNByWindow(q Point, k, n int, side float64, search func(Rect, func(PV) boo
 	}
 }
 
+// LookupBySearch answers an exact-point lookup through an index's
+// rectangle search over the degenerate rectangle at p, for spatial
+// structures without a native point path.
+func LookupBySearch(search func(Rect, func(PV) bool) (int, int), p Point) (Value, bool) {
+	var out Value
+	found := false
+	// No Search mutates its rectangle, so both corners can be p itself.
+	search(Rect{Min: p, Max: p}, func(pv PV) bool {
+		if pv.Point.Equal(p) {
+			out, found = pv.Value, true
+			return false
+		}
+		return true
+	})
+	return out, found
+}
+
 // knnCand is a kNN candidate with its squared distance to the query.
 type knnCand struct {
 	pv PV

@@ -50,6 +50,9 @@ func New(bounds core.Rect, cells int) (*Grid, error) {
 // Len returns the number of points.
 func (g *Grid) Len() int { return g.size }
 
+// Lookup returns the value of a stored point equal to p.
+func (g *Grid) Lookup(p core.Point) (core.Value, bool) { return core.LookupBySearch(g.Search, p) }
+
 // cellCoord quantizes coordinate v in dimension d, clamping to the grid.
 func (g *Grid) cellCoord(d int, v float64) int {
 	span := g.bounds.Max[d] - g.bounds.Min[d]

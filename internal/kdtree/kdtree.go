@@ -72,6 +72,9 @@ func build(items []core.PV, depth, dim int) *node {
 // Len returns the number of points.
 func (t *Tree) Len() int { return t.size }
 
+// Lookup returns the value of a stored point equal to p.
+func (t *Tree) Lookup(p core.Point) (core.Value, bool) { return core.LookupBySearch(t.Search, p) }
+
 // Insert adds a point (no rebalancing).
 func (t *Tree) Insert(p core.Point, v core.Value) error {
 	if p.Dim() != t.dim {

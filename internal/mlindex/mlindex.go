@@ -2,8 +2,8 @@
 // iDistance-style projection — points are assigned to their nearest
 // reference point and keyed by partition offset plus distance to the
 // reference — with a learned one-dimensional index (a PGM-index) over the
-// projected keys. Point, range, and kNN queries translate to annulus scans
-// over the learned index.
+// projected keys. Point and range queries translate to annulus scans over
+// the learned index; kNN searches growing windows through the range query.
 //
 // Each partition is split further, as the Pyramid technique (Berchtold et
 // al., SIGMOD 1998) splits the space around its centre: the sector of a
@@ -18,10 +18,8 @@
 package mlindex
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/pgm"
@@ -54,6 +52,7 @@ type Index struct {
 	// (for pruning), -Inf when the sub-partition is empty; sub-partition
 	// r·2d + s is sector s of reference r.
 	maxDist []float64
+	side    float64 // longest side of the data extent
 }
 
 // Build constructs an ML-Index over the points (copied and reordered).
@@ -84,6 +83,9 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	// Scale: spread the largest possible distance (bounding-box diagonal)
 	// over the 32-bit offset band.
 	ext := core.Bounds(pvs)
+	for d := range dim {
+		m.side = max(m.side, ext.Max[d]-ext.Min[d])
+	}
 	diag := ext.Min.Dist(ext.Max)
 	if diag <= 0 {
 		diag = 1
@@ -304,92 +306,13 @@ func (m *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned 
 	return visited, scanned
 }
 
-// KNN returns the k nearest points to q in ascending distance order using
-// the iDistance expanding-annulus algorithm.
+// KNN returns the k nearest points to q in ascending distance order,
+// through the rectangle search of a window grown around q.
 func (m *Index) KNN(q core.Point, k int) []core.PV {
-	if k <= 0 || q.Dim() != m.dim {
+	if q.Dim() != m.dim {
 		return nil
 	}
-	k = min(k, len(m.keys))
-	// coverRadius is the radius within which every stored point lies:
-	// from there on the search would rank them all, so it does that
-	// directly. Capping expansion by the data span alone terminated too
-	// early when the extent was degenerate (all points equal) or q lay far
-	// outside it.
-	sectors := 2 * m.dim
-	qDist := make([]float64, len(m.refs))
-	for r := range m.refs {
-		qDist[r] = q.Dist(m.refs[r])
-	}
-	coverRadius := 0.0
-	for sub, md := range m.maxDist {
-		coverRadius = max(coverRadius, qDist[sub/sectors]+md)
-	}
-	type cand struct {
-		i  int
-		d2 float64
-	}
-	var cands []cand
-	top := func() []core.PV {
-		slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.d2, b.d2) })
-		result := make([]core.PV, min(k, len(cands)))
-		for i := range result {
-			result[i] = m.pts.PV(cands[i].i)
-		}
-		return result
-	}
-	ball := core.Rect{Min: make(core.Point, m.dim), Max: make(core.Point, m.dim)}
-	for radius := m.initialRadius(); radius < coverRadius; radius *= 2 {
-		cands = cands[:0]
-		for j := range q {
-			ball.Min[j], ball.Max[j] = q[j]-radius, q[j]+radius
-		}
-		for sub, md := range m.maxDist {
-			// Points of the sub-partition within radius of q lie in the
-			// annulus [qDist-radius, qDist+radius] around its reference, and
-			// in the ball's bounding box: in the box's band of its sector.
-			r := sub / sectors
-			if qDist[r]-radius > md {
-				continue
-			}
-			dLo, dHi, ok := boxMeetsSector(ball, m.refs[r], sub%sectors)
-			if !ok {
-				continue
-			}
-			lo, hi := m.annulus(sub, max(qDist[r]-radius, dLo), min(qDist[r]+radius, dHi))
-			for i := lo; i < hi; i++ {
-				if d2 := q.DistSq(m.pts.At(i)); d2 <= radius*radius {
-					cands = append(cands, cand{i, d2})
-				}
-			}
-		}
-		// Every point within radius is a candidate: with k of them, no
-		// point outside can be nearer than the k-th.
-		if len(cands) >= k {
-			return top()
-		}
-	}
-	cands = cands[:0]
-	for i := range m.keys {
-		cands = append(cands, cand{i, q.DistSq(m.pts.At(i))})
-	}
-	return top()
-}
-
-func (m *Index) initialRadius() float64 {
-	// A small fraction of the mean sub-partition radius.
-	var s float64
-	n := 0
-	for _, d := range m.maxDist {
-		if d >= 0 {
-			s, n = s+d, n+1
-		}
-	}
-	r := s / float64(n) * 0.05
-	if r <= 0 {
-		r = 1
-	}
-	return r
+	return core.KNNByWindow(q, k, len(m.keys), m.side, m.Search)
 }
 
 // Stats reports structure statistics.

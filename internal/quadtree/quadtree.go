@@ -51,6 +51,9 @@ func New(bounds core.Rect, capacity int) (*Tree, error) {
 // Len returns the number of points.
 func (t *Tree) Len() int { return t.size }
 
+// Lookup returns the value of a stored point equal to p.
+func (t *Tree) Lookup(p core.Point) (core.Value, bool) { return core.LookupBySearch(t.Search, p) }
+
 // Insert adds a point; it fails if the point lies outside the tree bounds.
 func (t *Tree) Insert(p core.Point, v core.Value) error {
 	if p.Dim() != 2 {

@@ -155,6 +155,21 @@ func (h *Hybrid) PointSearch(p core.Point, fn func(core.PV) bool) (found, leaves
 	return found, leaves
 }
 
+// Len returns the number of points.
+func (h *Hybrid) Len() int { return h.tree.Len() }
+
+// Lookup returns the value of a stored point equal to p, through
+// PointSearch.
+func (h *Hybrid) Lookup(p core.Point) (core.Value, bool) {
+	var out core.Value
+	found := false
+	h.PointSearch(p, func(pv core.PV) bool {
+		out, found = pv.Value, true
+		return false
+	})
+	return out, found
+}
+
 // Search delegates range queries to the traditional R-tree (as in the
 // AI+R-tree, whose learned path targets point-style queries).
 func (h *Hybrid) Search(rect core.Rect, fn func(core.PV) bool) (visited, nodes int) {

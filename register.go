@@ -6,7 +6,6 @@ import (
 	"github.com/lix-go/lix/internal/dataset"
 	"github.com/lix-go/lix/internal/flood"
 	"github.com/lix-go/lix/internal/registry"
-	"github.com/lix-go/lix/internal/rtree"
 )
 
 // This file is the single source of truth for index kinds, 1-D and
@@ -158,25 +157,6 @@ func spatialBounds(dim int) core.Rect {
 	return core.Rect{Min: min, Max: max}
 }
 
-// learnedRTreeAdapter adapts *rtree.Hybrid (Search/Stats only) to the
-// full spatial surface.
-type learnedRTreeAdapter struct {
-	*rtree.Hybrid
-	n int
-}
-
-func (h learnedRTreeAdapter) Len() int { return h.n }
-
-func (h learnedRTreeAdapter) Lookup(p core.Point) (core.Value, bool) {
-	var out core.Value
-	found := false
-	h.PointSearch(p, func(pv core.PV) bool {
-		out, found = pv.Value, true
-		return false
-	})
-	return out, found
-}
-
 // registerSpatialKinds registers the multi-dimensional kinds. The KNN
 // kinds, in registration order, are SpatialKinds.
 func registerSpatialKinds() {
@@ -277,7 +257,7 @@ func registerSpatialKinds() {
 			if err != nil {
 				return nil, err
 			}
-			return learnedRTreeAdapter{Hybrid: h, n: len(pvs)}, nil
+			return h, nil
 		},
 	})
 }

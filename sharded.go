@@ -10,10 +10,11 @@ import (
 // registered mutable index kind into an N-shard structure with one
 // reader-writer lock per shard, parallel bulk build, one batch entry point
 // (Apply: gets, upserts and deletes, grouped by shard, the groups of a
-// large batch in parallel), and cross-shard SearchRange fan-out. All methods are safe for concurrent use. A Range callback runs
-// inside the shard's read hold: a consumer that may block collects first
-// (SearchRange) and acts afterwards. See DESIGN.md §"Sharded serving
-// layer".
+// large batch in parallel), and cross-shard SearchRange fan-out. NewStack
+// builds it when StackConfig.Shards is positive. All methods are safe for
+// concurrent use. A Range callback runs inside the shard's read hold: a
+// consumer that may block collects first (SearchRange) and acts
+// afterwards. See DESIGN.md §"Sharded serving layer".
 type Sharded = shard.Sharded
 
 // ShardMode is vestigial and selects nothing: there is one shard design —
@@ -29,25 +30,13 @@ const (
 	ShardRCU
 )
 
-// ShardedConfig configures NewSharded.
-type ShardedConfig struct {
-	// Shards is the shard count (0 selects 8).
-	Shards int
-	// Backend is the per-shard mutable index kind, one of Mutable1DKinds
-	// ("" selects "btree").
-	Backend string
-}
-
-// NewSharded builds the sharded serving layer over recs (sorted ascending,
-// distinct keys; may be nil to start empty). Shard boundaries are the
-// record quantiles when records are given, else uniform over the key
-// space; the per-shard sub-indexes build in parallel, one goroutine per
-// shard.
-func NewSharded(recs []KV, cfg ShardedConfig) (*Sharded, error) {
-	if cfg.Backend == "" {
-		cfg.Backend = "btree"
-	}
-	k, err := registry.Mutable(cfg.Backend)
+// newSharded builds the shard layer over recs (sorted ascending, distinct
+// keys; may be nil to start empty): shards shards, each an index of kind,
+// one of Mutable1DKinds. Shard boundaries are the record quantiles
+// when records are given, else uniform over the key space; the per-shard
+// sub-indexes build in parallel, one goroutine per shard.
+func newSharded(recs []KV, shards int, kind string) (*Sharded, error) {
+	k, err := registry.Mutable(kind)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +45,7 @@ func NewSharded(recs []KV, cfg ShardedConfig) (*Sharded, error) {
 		// The kind has a bulk path faster than an insert loop.
 		b.Bulk = func(recs []core.KV) (shard.MutableIndex, error) { return k.Bulk(recs) }
 	}
-	return shard.New(recs, shard.Config{Shards: cfg.Shards}, b)
+	return shard.New(recs, shard.Config{Shards: shards}, b)
 }
 
 // SearchRange collects every record of ix with lo <= key <= hi into a

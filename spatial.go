@@ -57,24 +57,6 @@ const (
 	CurveHilbert = zm.CurveHilbert
 )
 
-// lookupViaSearch implements exact-point lookup with a degenerate
-// rectangle search, for spatial structures without a native point API.
-func lookupViaSearch(s interface {
-	Search(Rect, func(PV) bool) (int, int)
-}, p Point) (Value, bool) {
-	var out Value
-	found := false
-	// No Search mutates its rectangle, so both corners can be p itself.
-	s.Search(Rect{Min: p, Max: p}, func(pv PV) bool {
-		if pv.Point.Equal(p) {
-			out, found = pv.Value, true
-			return false
-		}
-		return true
-	})
-	return out, found
-}
-
 // --- R-tree ---------------------------------------------------------------
 
 // NewRTree returns an empty R-tree with the given node capacity (0 selects
@@ -113,24 +95,16 @@ func NewLearnedRTree(maxEntries, cells int, pvs []PV) (*LearnedRTree, error) {
 
 // --- k-d tree ---------------------------------------------------------------
 
-type kdAdapter struct{ *kdtree.Tree }
-
-func (a kdAdapter) Lookup(p Point) (Value, bool) { return lookupViaSearch(a.Tree, p) }
-
 // BulkKDTree builds a balanced k-d tree over the points.
 func BulkKDTree(pvs []PV) (KNNIndex, error) {
 	t, err := kdtree.Build(pvs)
 	if err != nil {
 		return nil, err
 	}
-	return kdAdapter{t}, nil
+	return t, nil
 }
 
 // --- quadtree ----------------------------------------------------------------
-
-type quadAdapter struct{ *quadtree.Tree }
-
-func (a quadAdapter) Lookup(p Point) (Value, bool) { return lookupViaSearch(a.Tree, p) }
 
 // NewQuadtree returns an empty PR quadtree over bounds (2-D only).
 func NewQuadtree(bounds Rect, capacity int) (interface {
@@ -141,14 +115,10 @@ func NewQuadtree(bounds Rect, capacity int) (interface {
 	if err != nil {
 		return nil, err
 	}
-	return quadAdapter{t}, nil
+	return t, nil
 }
 
 // --- uniform grid --------------------------------------------------------------
-
-type gridAdapter struct{ *grid.Grid }
-
-func (a gridAdapter) Lookup(p Point) (Value, bool) { return lookupViaSearch(a.Grid, p) }
 
 // NewUniformGrid returns an empty uniform grid index over bounds.
 func NewUniformGrid(bounds Rect, cells int) (interface {
@@ -159,7 +129,7 @@ func NewUniformGrid(bounds Rect, cells int) (interface {
 	if err != nil {
 		return nil, err
 	}
-	return gridAdapter{g}, nil
+	return g, nil
 }
 
 // --- learned multi-dimensional indexes ------------------------------------------

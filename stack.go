@@ -7,19 +7,24 @@ import (
 
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/registry"
+	"github.com/lix-go/lix/internal/store"
+	"github.com/lix-go/lix/internal/trace"
 )
 
 // StackConfig configures NewStack, the one-call engine constructor. Zero
 // values select the canonical defaults: a single unsharded, non-durable,
 // unobserved "btree" backend.
 type StackConfig struct {
-	// Kind is the backend index kind, one of Mutable1DKinds ("" selects
-	// "btree"). With Shards > 0 it is the per-shard backend and with Dir
-	// set it is the recovered kind.
+	// Kind is the backend index kind, one of Mutable1DKinds. With Shards
+	// > 0 it is the per-shard backend. "" selects "btree", except when Dir
+	// holds a store: then "" takes the stored kind, and any other value
+	// must equal it.
 	Kind string
 	// Shards, when positive, inserts the sharded concurrent serving layer.
 	// With Dir set, writers of different shards log and apply beside each
-	// other (the log itself is one file; its commits combine).
+	// other (the log itself is one file; its commits combine). When Dir
+	// holds a store, 0 takes the stored shard count, and any other value
+	// must equal it; a negative count with Dir is an error.
 	Shards int
 	// Mode and Snapshot are vestigial and select nothing: there is one
 	// shard design (see ShardMode). Any value of either is accepted, with
@@ -73,41 +78,42 @@ type Stack struct {
 
 // NewStack assembles a serving stack over recs (sorted ascending,
 // distinct keys; may be nil to start empty) in the canonical wrapping
-// order. With Dir set, a fresh directory is seeded with recs (the seed
-// is written as the first run); a directory already holding a store
-// recovers it — in that case recs must be nil and the stored kind/shard
-// configuration wins, exactly as Open.
+// order; it is the one constructor of every layer. With Dir set and recs
+// non-nil it creates the store, seeded with recs (the seed is written as
+// the first run), and fails if Dir already holds one. With Dir set and
+// recs nil it opens the store in Dir, creating an empty one in an empty
+// directory, and recovers the committed state; the stored kind and shard
+// count win (see StackConfig.Kind and Shards). A directory written by the
+// snapshot-rewrite engine of earlier versions (snap-<gen>.lix files) is an
+// error naming the file, and is left untouched.
 func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
-	if cfg.Kind == "" {
-		cfg.Kind = "btree"
+	kind := cfg.Kind
+	if kind == "" {
+		kind = "btree" // with Dir, durablePlan still lets a stored kind win
 	}
-	if _, err := registry.Mutable(cfg.Kind); err != nil {
+	if _, err := registry.Mutable(kind); err != nil {
 		return nil, err
 	}
 	if cfg.StorageEngine != "" && cfg.StorageEngine != EngineLSM {
 		return nil, fmt.Errorf("lix: unknown storage engine %q", cfg.StorageEngine)
+	}
+	if t := cfg.Trace; t != nil && t.SampleRate > 0 && cfg.Metrics == nil {
+		return nil, fmt.Errorf("lix: StackConfig.Trace.SampleRate > 0 requires StackConfig.Metrics")
 	}
 	s := &Stack{metrics: cfg.Metrics}
 
 	var inner MutableIndex
 	switch {
 	case cfg.Dir != "":
-		opts := DurableOptions{
-			Kind:            cfg.Kind,
-			Shards:          cfg.Shards,
-			Fsync:           cfg.Fsync,
-			SyncInterval:    cfg.SyncInterval,
-			CheckpointEvery: cfg.CheckpointEvery,
-			Metrics:         cfg.Metrics,
+		scfg, build, err := durablePlan(cfg)
+		if err != nil {
+			return nil, err
 		}
-		var (
-			d   *Durable
-			err error
-		)
+		var d *Durable
 		if recs != nil {
-			d, err = NewDurable(cfg.Dir, recs, opts)
+			d, err = store.Create(cfg.Dir, scfg, build, recs)
 		} else {
-			d, err = Open(cfg.Dir, opts)
+			d, err = store.Open(cfg.Dir, scfg, build)
 		}
 		if err != nil {
 			return nil, err
@@ -116,14 +122,14 @@ func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
 		s.sharded, _ = d.Unwrap().(*Sharded)
 		inner = d
 	case cfg.Shards > 0:
-		sh, err := NewSharded(recs, ShardedConfig{Shards: cfg.Shards, Backend: cfg.Kind})
+		sh, err := newSharded(recs, cfg.Shards, kind)
 		if err != nil {
 			return nil, err
 		}
 		s.sharded = sh
 		inner = sh
 	default:
-		ix, err := registry.BuildMutable(cfg.Kind, recs)
+		ix, err := registry.BuildMutable(kind, recs)
 		if err != nil {
 			return nil, err
 		}
@@ -136,10 +142,7 @@ func NewStack(recs []KV, cfg StackConfig) (*Stack, error) {
 		s.top = inner
 	}
 	if t := cfg.Trace; t != nil {
-		if t.SampleRate > 0 && cfg.Metrics == nil {
-			return nil, fmt.Errorf("lix: StackConfig.Trace.SampleRate > 0 requires StackConfig.Metrics")
-		}
-		s.tracer = NewTracer(TraceConfig{
+		s.tracer = trace.New(trace.Config{
 			SampleRate:    t.SampleRate,
 			SlowThreshold: t.SlowThreshold,
 			TopK:          t.TopK,

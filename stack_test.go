@@ -201,10 +201,11 @@ func TestStackConfigErrors(t *testing.T) {
 // sequential scan — and the results stay identical either way.
 func TestSearchRangeThroughWrappers(t *testing.T) {
 	recs := stackRecs(800)
-	sh, err := NewSharded(recs, ShardedConfig{Shards: 4})
+	st, err := NewStack(recs, StackConfig{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sh := st.Sharded()
 	wrapped := Observe(sh, NewMetrics("wrapped"))
 	direct := sh.SearchRange(100, 2000)
 	viaWrapper := SearchRange(wrapped, 100, 2000)

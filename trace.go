@@ -19,8 +19,6 @@ type (
 	// TraceStage identifies one timed section of a request's path
 	// (decode, dispatch, shard, wal, fsync, flush).
 	TraceStage = core.Stage
-	// TraceConfig tunes NewTracer.
-	TraceConfig = trace.Config
 	// KeyCount is one hot-key estimate from the SpaceSaving sketch:
 	// Count-Err <= true frequency <= Count.
 	KeyCount = trace.KeyCount
@@ -35,12 +33,6 @@ const (
 	StageFsync    = core.StageFsync
 	StageFlush    = core.StageFlush
 )
-
-// NewTracer returns a Tracer for cfg; see TraceConfig for the sampling,
-// slow-threshold and hot-key knobs. It panics if cfg.SampleRate is
-// positive without a Metrics bundle (prefer StackConfig.Trace, which
-// returns an error instead).
-func NewTracer(cfg TraceConfig) *Tracer { return trace.New(cfg) }
 
 // TraceOptions is the StackConfig knob for request tracing. The tracer
 // it builds is bound to the stack's Metrics bundle and returned by
