@@ -25,7 +25,8 @@
 //	                      # (meant to be 0.98; see traceFloor)
 //	lixbench -e obs       # Metrics-attached stack >= 0.85x bare
 //	lixbench -e spatial   # rectangle search against the k-d tree: flood >= 3.2x, LISA >= 2.2x,
-//	                      # the STR R-tree >= 1.8x, ZM >= 2.3x, the ML-Index >= 1.8x
+//	                      # the STR R-tree >= 1.8x, ZM >= 2.3x, the ML-Index >= 1.8x; candidates
+//	                      # per result (counted): ZM <= 2.2, the ML-Index <= 3.3
 //	lixbench -e wire      # GETs over one loopback connection >= 0.27x gets-only Apply in process;
 //	                      # mixed groups over a durable stack >= 0.59x an in-memory one, <= 1 log write per group
 //	lixbench -e gates     # all eight

@@ -13,8 +13,10 @@ import (
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 	"github.com/lix-go/lix/internal/flood"
+	"github.com/lix-go/lix/internal/mlindex"
 	"github.com/lix-go/lix/internal/pgm"
 	"github.com/lix-go/lix/internal/qdtree"
+	"github.com/lix-go/lix/internal/radixspline"
 	"github.com/lix-go/lix/internal/rmi"
 	"github.com/lix-go/lix/internal/zm"
 )
@@ -448,15 +450,8 @@ func E11RangeMD(cfg Config) []*Table {
 		row := []interface{}{name}
 		for _, sel := range []float64{1e-4, 1e-3, 1e-2, 1e-1} {
 			qs := dataset.RectQueries(pts, 100, sel, cfg.Seed+7)
-			var visited, work int
-			ns := nsPerOp(len(qs), func() {
-				for _, q := range qs {
-					v, w := ix.Search(q, func(core.PV) bool { return true })
-					visited += v
-					work += w
-				}
-			})
-			row = append(row, fmt.Sprintf("%s (%d)", formatFloat(ns/1000), work/len(qs)))
+			us, work, _ := timeSearch(ix.Search, qs)
+			row = append(row, fmt.Sprintf("%s (%d)", formatFloat(us), work/len(qs)))
 		}
 		t.AddRow(row...)
 	}
@@ -520,15 +515,8 @@ func E13InsertMD(cfg Config) []*Table {
 				}
 			}
 		})
-		var sink int
-		qNs := nsPerOp(len(queries), func() {
-			for _, q := range queries {
-				v, _ := ix.Search(q, func(core.PV) bool { return true })
-				sink += v
-			}
-		})
-		_ = sink
-		t.AddRow(name, 1000/insNs, qNs/1000)
+		qUs, _, _ := timeSearch(ix.Search, queries)
+		t.AddRow(name, 1000/insNs, qUs)
 	}
 	return []*Table{t}
 }
@@ -656,8 +644,8 @@ func E16Layout(cfg Config) []*Table {
 	test := dataset.RectQueries(pts, 200, 1e-3, cfg.Seed+13)
 
 	type layout struct {
-		name string
-		run  func(q core.Rect) (int, int)
+		name   string
+		search searchFunc
 	}
 	tuned, err := flood.Build(pvs, flood.Config{Queries: train})
 	if err != nil {
@@ -673,53 +661,36 @@ func E16Layout(cfg Config) []*Table {
 		panic(err)
 	}
 	layouts := []layout{
-		{"flood-tuned", func(q core.Rect) (int, int) {
-			v, c := tuned.Search(q, func(core.PV) bool { return true })
-			return v, c
-		}},
-		{"flood-fixed64", func(q core.Rect) (int, int) {
-			v, c := uniformIx.Search(q, func(core.PV) bool { return true })
-			return v, c
-		}},
-		{"qdtree", func(q core.Rect) (int, int) {
-			v, _, scanned := qd.Search(q, func(core.PV) bool { return true })
+		{"flood-tuned", tuned.Search},
+		{"flood-fixed64", uniformIx.Search},
+		{"qdtree", func(q core.Rect, fn func(core.PV) bool) (int, int) {
+			v, _, scanned := qd.Search(q, fn)
 			return v, scanned
 		}},
 	}
 	for _, l := range layouts {
-		var work int
-		ns := nsPerOp(len(test), func() {
-			for _, q := range test {
-				_, w := l.run(q)
-				work += w
-			}
-		})
-		t.AddRow(l.name, ns/1000, work/len(test))
+		us, work, _ := timeSearch(l.search, test)
+		t.AddRow(l.name, us, work/len(test))
 	}
 	return []*Table{t}
 }
 
 // E17SFC — space-filling-curve ablation: Z-order vs Hilbert at exact
-// decomposition, and the curve-level sweep of the ZM-index at its default
+// decomposition, the curve-level sweep of the ZM-index at its default
 // interval budget, with the level its cost model picks marked (the
-// projection machinery behind Approach 2). Both count candidates scanned.
+// projection machinery behind Approach 2), and the projected engine's 1-D
+// search (e17Search). Each counts candidates scanned.
 func E17SFC(cfg Config) []*Table {
 	n := cfg.N / 2
 	pts := mustPoints(dataset.SOSMLike, n, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
 	// run times the queries as the best of three passes: one pass of a few
 	// hundred microsecond queries jitters by 2× on a small host.
-	run := func(ix *zm.Index, qs []core.Rect) (us float64, cands int) {
+	run := func(search searchFunc, qs []core.Rect) (us float64, cands int) {
 		for pass := 0; pass < 3; pass++ {
-			cands = 0
-			ns := nsPerOp(len(qs), func() {
-				for _, q := range qs {
-					_, c := ix.Search(q, func(core.PV) bool { return true })
-					cands += c
-				}
-			})
-			if pass == 0 || ns/1000 < us {
-				us = ns / 1000
+			t, c, _ := timeSearch(search, qs)
+			if pass == 0 || t < us {
+				us, cands = t, c
 			}
 		}
 		return us, cands / len(qs)
@@ -736,7 +707,7 @@ func E17SFC(cfg Config) []*Table {
 			panic(err)
 		}
 		for _, sel := range []float64{1e-4, 1e-2} {
-			us, cands := run(ix, dataset.RectQueries(pts, 100, sel, cfg.Seed+20))
+			us, cands := run(ix.Search, dataset.RectQueries(pts, 100, sel, cfg.Seed+20))
 			curveT.AddRow(string(curve), ix.Level(), sel, us, cands)
 		}
 	}
@@ -762,7 +733,7 @@ func E17SFC(cfg Config) []*Table {
 		row := []interface{}{level}
 		var cands []interface{}
 		for _, qs := range queries {
-			us, c := run(ix, qs)
+			us, c := run(ix.Search, qs)
 			row, cands = append(row, us), append(cands, c)
 		}
 		mark := ""
@@ -771,7 +742,99 @@ func E17SFC(cfg Config) []*Table {
 		}
 		levelT.AddRow(append(append(row, cands...), mark)...)
 	}
-	return []*Table{curveT, levelT}
+	return []*Table{curveT, levelT, e17Search(pts, tuned, cfg.Seed)}
+}
+
+// searchFunc is a spatial index's rectangle search.
+type searchFunc = func(core.Rect, func(core.PV) bool) (visited, candidates int)
+
+// timeSearch runs every query through search once and returns the µs a
+// query took, and the candidates and results of all of them.
+func timeSearch(search searchFunc, qs []core.Rect) (us float64, cands, results int) {
+	ns := nsPerOp(len(qs), func() {
+		for _, q := range qs {
+			r, c := search(q, func(core.PV) bool { return true })
+			cands, results = cands+c, results+r
+		}
+	})
+	return ns / 1000, cands, results
+}
+
+// e17Search is E17's search column: each projected mapping (z, the tuned
+// Z-curve; the Hilbert curve; the ML-Index's sectors) at E11's
+// selectivities, the first search of its key column done by binary search,
+// a PGM-index or a RadixSpline over the same keys. Each searcher runs on a
+// copy of the index that shares its column and replaces its Locate. A cell
+// is the fastest of five passes, the three searchers taking turns in each,
+// so a slow spell of the host falls on all three.
+func e17Search(pts []core.Point, z *zm.Index, seed int64) *Table {
+	pvs := dataset.PV(pts)
+	h, err := zm.Build(pvs, zm.Config{Curve: zm.CurveHilbert})
+	if err != nil {
+		panic(err)
+	}
+	m, err := mlindex.Build(pvs, mlindex.Config{})
+	if err != nil {
+		panic(err)
+	}
+	mappings := []struct {
+		name string
+		keys []core.Key
+		at   func(locate func(core.Key) int) searchFunc
+	}{
+		{"z", z.Keys, func(f func(core.Key) int) searchFunc { c := *z; c.Locate = f; return c.Search }},
+		{"hilbert", h.Keys, func(f func(core.Key) int) searchFunc { c := *h; c.Locate = f; return c.Search }},
+		{"sector", m.Keys, func(f func(core.Key) int) searchFunc { c := *m; c.Locate = f; return c.Search }},
+	}
+	searchers := []string{"binary", "pgm", "radixspline"}
+	sels := []float64{1e-4, 1e-3, 1e-2, 1e-1}
+	t := &Table{
+		ID:      "E17c",
+		Title:   "Projected engine by 1-D search (2-D, osm-like): us/query and candidates per result at E11's selectivities",
+		Columns: []string{"mapping", "search", "us 1e-4", "us 1e-3", "us 1e-2", "us 1e-1", "cand/res 1e-4", "cand/res 1e-3", "cand/res 1e-2", "cand/res 1e-1"},
+	}
+	for _, mp := range mappings {
+		pg, err := pgm.BuildKeys(mp.keys, 0)
+		if err != nil {
+			panic(err)
+		}
+		recs := make([]core.KV, len(mp.keys))
+		for i, k := range mp.keys {
+			recs[i] = core.KV{Key: k, Value: core.Value(i)}
+		}
+		rs, err := radixspline.Build(recs, 0, 0)
+		if err != nil {
+			panic(err)
+		}
+		locates := []func(core.Key) int{nil, pg.LowerBound, rs.LowerBound}
+		us := make([][]float64, len(searchers))
+		ratios := make([]interface{}, len(sels))
+		for i, sel := range sels {
+			qs := dataset.RectQueries(pts, 100, sel, seed+7)
+			want := -1
+			for pass := 0; pass < 5; pass++ {
+				for s, locate := range locates {
+					u, cands, results := timeSearch(mp.at(locate), qs)
+					if want >= 0 && results != want {
+						panic(fmt.Sprintf("bench: %s over %s found %d points at sel %g, %s %d", searchers[s], mp.name, results, sel, searchers[0], want))
+					}
+					want, ratios[i] = results, float64(cands)/float64(max(results, 1))
+					if pass == 0 {
+						us[s] = append(us[s], u)
+					}
+					us[s][i] = min(us[s][i], u)
+				}
+			}
+		}
+		for s, name := range searchers {
+			row := []interface{}{mp.name, name}
+			for _, u := range us[s] {
+				row = append(row, u)
+			}
+			t.AddRow(append(row, ratios...)...)
+		}
+	}
+	return t
 }
 
 // E19DimSweep — the curse of dimensionality (paper §5.1 motivation): how
@@ -809,15 +872,10 @@ func E19DimSweep(cfg Config) []*Table {
 					}
 				}
 			})
-			rNs := nsPerOp(len(queries), func() {
-				for _, q := range queries {
-					v, _ := ix.Search(q, func(core.PV) bool { return true })
-					sink += v
-				}
-			})
+			rUs, _, _ := timeSearch(ix.Search, queries)
 			_ = sink
 			point[kind] = append(point[kind], pNs/1000)
-			rng[kind] = append(rng[kind], rNs/1000)
+			rng[kind] = append(rng[kind], rUs)
 		}
 	}
 	for _, kind := range kinds {

@@ -36,6 +36,21 @@ const (
 	spatialMLFloor    = 1.8
 )
 
+// Counted-work ceilings on the candidates the ZM-index and the ML-Index scan
+// per result, summed over every round: at a fixed seed the count repeats
+// exactly, whatever the host, so the gate cannot flap on them.
+const (
+	// A ZM level pinned coarse: one level under the one its cost model
+	// picks reads 3.03-3.52 (seeds 7 and 1-3), where the tuned level reads
+	// 2.096 at the default seed 7 and 2.00-2.14 at seeds 1-3.
+	spatialZMCandCeiling = 2.2
+	// An ML-Index scan back round every sector of a reference, over the band
+	// from the rectangle's nearest to its farthest corner, reads 4.50-4.87
+	// (seeds 7 and 1), where the sector test reads 2.894 at seed 7 and
+	// 2.66-3.17 at seeds 1-3.
+	spatialMLCandCeiling = 3.3
+)
+
 // spatialKinds are the sides of the spatial gate; the control comes last.
 var spatialKinds = []string{"flood", "lisa", "rtree", "zm", "mlindex", "kdtree"}
 
@@ -52,7 +67,9 @@ var spatialKinds = []string{"flood", "lisa", "rtree", "zm", "mlindex", "kdtree"}
 // is checked across the six sides. A refine loop or an MBR test that goes
 // back to chasing a pointer per candidate, a ZM search back at the stored
 // codes' resolution, or an ML-Index scan back round the whole annulus,
-// falls under its floor.
+// falls under its floor. The ZM-index's and the ML-Index's candidates per
+// result are held under their ceilings, each as a floor on results per
+// candidate.
 func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	pts := mustPoints(dataset.SOSMLike, cfg.N, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
@@ -62,14 +79,14 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	}
 	per := (len(queries) + abSlices - 1) / abSlices
 
-	results := make([]int, len(spatialKinds))
+	results, cands := make([]int, len(spatialKinds)), make([]int, len(spatialKinds))
 	rectSide := func(k int, ix lix.SpatialIndex) side {
 		next := 0
 		return func() (float64, error) {
 			start := time.Now()
 			for i := 0; i < per; i++ {
-				n, _ := ix.Search(queries[next], func(core.PV) bool { return true })
-				results[k] += n
+				n, c := ix.Search(queries[next], func(core.PV) bool { return true })
+				results[k], cands[k] = results[k]+n, cands[k]+c
 				next = (next + 1) % len(queries)
 			}
 			return float64(per) / float64(time.Since(start).Nanoseconds()) * 1000, nil
@@ -108,6 +125,14 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 		r := medianRound(rates, k, ctl)
 		t.AddRow(spatialKinds[k], r[k], r[ctl], fmt.Sprintf("%.3f", r[k]/r[ctl]))
 		floors = append(floors, floor{name: "spatial/rect/" + spatialKinds[k], got: r[k], ref: r[ctl], min: min})
+	}
+	for _, c := range []struct {
+		k       int
+		ceiling float64
+	}{{3, spatialZMCandCeiling}, {4, spatialMLCandCeiling}} {
+		name := spatialKinds[c.k]
+		t.AddRow(name+" candidates/result", float64(cands[c.k])/float64(results[c.k]), "", "")
+		floors = append(floors, floor{name: "spatial/results-per-candidate/" + name, got: float64(results[c.k]), ref: float64(cands[c.k]), min: 1 / c.ceiling})
 	}
 	return []*Table{t}, floors, nil
 }

@@ -1,9 +1,11 @@
 // Package mlindex implements the ML-Index (Davitkova et al., EDBT 2020): an
 // iDistance-style projection — points are assigned to their nearest
 // reference point and keyed by partition offset plus distance to the
-// reference — with a learned one-dimensional index (a PGM-index) over the
-// projected keys. Point and range queries translate to annulus scans over
-// the learned index; kNN searches growing windows through the range query.
+// reference — whose keys are the sorted column of the projected engine
+// (core.Projected), searched by binary search where the paper trains a
+// learned one-dimensional index (EXPERIMENTS E17). Point and range queries
+// translate to annulus scans over the column; kNN searches growing windows
+// through the range query.
 //
 // Each partition is split further, as the Pyramid technique (Berchtold et
 // al., SIGMOD 1998) splits the space around its centre: the sector of a
@@ -22,7 +24,6 @@ import (
 	"math"
 
 	"github.com/lix-go/lix/internal/core"
-	"github.com/lix-go/lix/internal/pgm"
 )
 
 // Config parameterizes a build.
@@ -30,84 +31,50 @@ type Config struct {
 	// Refs is the number of reference points (0 scales with the data,
 	// clamped to [16, 128]).
 	Refs int
-	// Epsilon for the underlying PGM-index.
-	Epsilon int
-	// KMeansIters refines reference points with Lloyd iterations (0 -> 8).
-	KMeansIters int
 }
 
-// Index is an immutable ML-Index.
+// kmeansIters is the number of Lloyd iterations that refine the
+// reference points.
+const kmeansIters = 8
+
+// Index is an immutable ML-Index: the projected keys are the engine's keys.
 type Index struct {
-	cfg  Config
-	dim  int
+	core.Projected
 	refs []core.Point
-	keys []core.Key      // sorted projected keys, parallel to pts
-	pts  core.PointStore // in key order
-	ix   *pgm.Index      // over keys
 	// distScale converts distances to integer key offsets within a
 	// sub-partition's 2^32 key band; it is sized to the data's bounding-box
 	// diagonal so the full distance range spreads over the band.
 	distScale float64
-	// maxDist is each sub-partition's largest distance to its reference
-	// (for pruning), -Inf when the sub-partition is empty; sub-partition
-	// r·2d + s is sector s of reference r.
+	// maxDist bounds each sub-partition's distances to its reference (for
+	// pruning), -Inf when the sub-partition is empty; sub-partition r·2d + s
+	// is sector s of reference r.
 	maxDist []float64
-	side    float64 // longest side of the data extent
 }
 
 // Build constructs an ML-Index over the points (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
-	dim, err := core.PointsDim(pvs)
+	m := &Index{}
+	err := m.Project(pvs, func(ext core.Rect) (func(core.Point) core.Key, error) {
+		refs := cfg.Refs
+		if refs <= 0 {
+			// Scale partitions with the data so annulus scans stay short;
+			// the ML-Index paper likewise uses dozens of reference points.
+			refs = min(max(len(pvs)/8192, 16), 128)
+		}
+		m.refs = kmeans(pvs, min(refs, len(pvs)))
+		// Spread the largest possible distance (the bounding-box diagonal)
+		// over the 32-bit offset band.
+		diag := ext.Min.Dist(ext.Max)
+		if diag <= 0 {
+			diag = 1
+		}
+		m.distScale = float64(uint64(1)<<32-2) / diag
+		return m.project, nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("mlindex: %w", err)
 	}
-	if cfg.Refs <= 0 {
-		// Scale partitions with the data so annulus scans stay short; the
-		// ML-Index paper likewise uses dozens of reference points.
-		cfg.Refs = len(pvs) / 8192
-		if cfg.Refs < 16 {
-			cfg.Refs = 16
-		}
-		if cfg.Refs > 128 {
-			cfg.Refs = 128
-		}
-	}
-	if cfg.Refs > len(pvs) {
-		cfg.Refs = len(pvs)
-	}
-	if cfg.KMeansIters == 0 {
-		cfg.KMeansIters = 8
-	}
-	m := &Index{cfg: cfg, dim: dim}
-	m.refs = kmeans(pvs, cfg.Refs, cfg.KMeansIters)
-	// Scale: spread the largest possible distance (bounding-box diagonal)
-	// over the 32-bit offset band.
-	ext := core.Bounds(pvs)
-	for d := range dim {
-		m.side = max(m.side, ext.Max[d]-ext.Min[d])
-	}
-	diag := ext.Min.Dist(ext.Max)
-	if diag <= 0 {
-		diag = 1
-	}
-	m.distScale = float64(uint64(1)<<32-2) / diag
-	// Project and sort.
-	m.keys = make([]core.Key, len(pvs))
-	m.maxDist = make([]float64, len(m.refs)*2*dim)
-	for i := range m.maxDist {
-		m.maxDist[i] = math.Inf(-1)
-	}
-	for i, pv := range pvs {
-		sub, d := m.place(pv.Point)
-		m.maxDist[sub] = max(m.maxDist[sub], d)
-		m.keys[i] = m.key(sub, d)
-	}
-	m.pts = core.NewPointStoreFrom(dim, pvs, core.SortKeys(m.keys))
-	// The model is built over the key column the index already holds: a
-	// key's value would only be its position.
-	if m.ix, err = pgm.BuildKeys(m.keys, cfg.Epsilon); err != nil {
-		return nil, err
-	}
+	m.maxDist = m.radii()
 	return m, nil
 }
 
@@ -119,52 +86,42 @@ const kmeansSample = 32768
 
 // kmeans runs a few Lloyd iterations, seeded by evenly spaced data points,
 // over at most kmeansSample evenly spaced data points.
-func kmeans(pvs []core.PV, k, iters int) []core.Point {
+func kmeans(pvs []core.PV, k int) []core.Point {
 	refs := make([]core.Point, k)
 	for i := range refs {
 		refs[i] = pvs[i*len(pvs)/k].Point.Clone()
 	}
-	dim := pvs[0].Point.Dim()
-	sample := min(len(pvs), kmeansSample)
-	for it := 0; it < iters; it++ {
-		sums := make([][]float64, k)
-		counts := make([]int, k)
-		for i := range sums {
-			sums[i] = make([]float64, dim)
-		}
+	dim, sample := len(refs[0]), min(len(pvs), kmeansSample)
+	for it := 0; it < kmeansIters; it++ {
+		sums, counts := make([]float64, k*dim), make([]int, k)
 		for j := 0; j < sample; j++ {
 			p := pvs[j*len(pvs)/sample].Point
-			best, bd := 0, math.Inf(1)
-			for r := range refs {
-				if d := p.DistSq(refs[r]); d < bd {
-					best, bd = r, d
-				}
-			}
-			counts[best]++
-			for d := 0; d < dim; d++ {
-				sums[best][d] += p[d]
+			r, _ := nearest(refs, p)
+			counts[r]++
+			for d, x := range p {
+				sums[r*dim+d] += x
 			}
 		}
-		for r := range refs {
-			if counts[r] == 0 {
-				continue
-			}
-			for d := 0; d < dim; d++ {
-				refs[r][d] = sums[r][d] / float64(counts[r])
+		for r, ref := range refs {
+			for d := range ref {
+				if counts[r] > 0 {
+					ref[d] = sums[r*dim+d] / float64(counts[r])
+				}
 			}
 		}
 	}
 	return refs
 }
 
-func (m *Index) nearestRef(p core.Point) (int, float64) {
-	best, bd := 0, math.Inf(1)
-	for r := range m.refs {
-		if d := p.DistSq(m.refs[r]); d < bd {
-			best, bd = r, d
+// nearest returns the reference nearest to p and p's squared distance to it.
+func nearest(refs []core.Point, p core.Point) (best int, d2 float64) {
+	d2 = math.Inf(1)
+	for r, ref := range refs {
+		if d := p.DistSq(ref); d < d2 {
+			best, d2 = r, d
 		}
 	}
-	return best, math.Sqrt(bd)
+	return best, d2
 }
 
 // sector returns which of the 2·d pyramids around ref holds p: 2a+1 for
@@ -224,8 +181,8 @@ func boxMeetsSector(box core.Rect, ref core.Point, s int) (dLo, dHi float64, ok 
 // place returns the sub-partition p belongs to and p's distance to that
 // sub-partition's reference.
 func (m *Index) place(p core.Point) (sub int, dist float64) {
-	r, d := m.nearestRef(p)
-	return r*2*m.dim + sector(p, m.refs[r]), d
+	r, d2 := nearest(m.refs, p)
+	return r*2*m.Dim + sector(p, m.refs[r]), math.Sqrt(d2)
 }
 
 // key maps (sub-partition, distance) to the projected 1-D key.
@@ -237,49 +194,55 @@ func (m *Index) key(sub int, dist float64) core.Key {
 	return core.Key(sub)<<32 | off
 }
 
-// Len returns the number of points.
-func (m *Index) Len() int { return len(m.keys) }
+// project is the key function of the mapping.
+func (m *Index) project(p core.Point) core.Key { return m.key(m.place(p)) }
 
-// Refs returns the reference points (read-only).
-func (m *Index) Refs() []core.Point { return m.refs }
+// radii bounds each sub-partition's distances to its reference from the
+// last of its keys, -Inf for an empty one: a key's offset is its distance
+// scaled and rounded down, so two offsets more lies above the distance
+// however the division back rounds.
+func (m *Index) radii() []float64 {
+	r := make([]float64, len(m.refs)*2*m.Dim)
+	for i := range r {
+		r[i] = math.Inf(-1)
+	}
+	for _, k := range m.Keys {
+		r[k>>32] = float64(k&(1<<32-1)+2) / m.distScale
+	}
+	return r
+}
 
 // Lookup returns the value of the point equal to p.
 func (m *Index) Lookup(p core.Point) (core.Value, bool) {
-	if p.Dim() != m.dim {
+	if p.Dim() != m.Dim {
 		return 0, false
 	}
-	sub, d := m.place(p)
-	// distScale quantization: the point's key may be one off either way.
-	lo, hi := m.annulus(sub, d, d)
-	if i := m.pts.Find(lo, hi, p); i >= 0 {
-		return m.pts.PV(i).Value, true
-	}
-	return 0, false
+	k := m.project(p) // as the build computed it for an equal point
+	return m.Projected.Lookup(p, k, k)
 }
 
-// annulus returns the positions [lo, hi) of the stored points of
-// sub-partition sub whose distance to the reference lies in [dLo, dHi].
-func (m *Index) annulus(sub int, dLo, dHi float64) (lo, hi int) {
-	kLo := m.key(sub, max(dLo, 0))
+// band returns the keys of sub-partition sub whose distance to the
+// reference may lie in [dLo, dHi]: an annulus of the engine's column.
+func (m *Index) band(sub int, dLo, dHi float64) (kLo, kHi core.Key) {
+	kLo = m.key(sub, max(dLo, 0))
 	if kLo > core.Key(sub)<<32 {
 		kLo-- // quantization slack, kept within sub
 	}
-	kHi := m.key(sub, dHi)
+	kHi = m.key(sub, dHi)
 	if kHi < core.Key(sub)<<32|(1<<32-1) {
 		kHi++ // quantization slack, kept within sub
 	}
-	lo = m.ix.LowerBound(kLo)
 	// An inverted rectangle can put kHi below kLo: an empty annulus.
-	return lo, max(lo, core.ExponentialSearch(m.keys, kHi+1, lo))
+	return kLo, kHi
 }
 
 // Search calls fn for every point in rect; fn returning false stops.
 // Returns points visited and candidate points scanned (the I/O proxy).
 func (m *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned int) {
-	if rect.Dim() != m.dim {
+	if rect.Dim() != m.Dim {
 		return 0, 0
 	}
-	sectors := 2 * m.dim
+	sectors := 2 * m.Dim
 	for r, ref := range m.refs {
 		// The rect seen from ref r is a thin distance band; it is scanned
 		// only in the sectors the rect can meet, each over the part of the
@@ -294,8 +257,8 @@ func (m *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned 
 			if !ok || dLo > m.maxDist[sub] {
 				continue
 			}
-			lo, hi := m.annulus(sub, dLo, min(dHi, m.maxDist[sub]))
-			n, cont := m.pts.ScanRect(lo, hi, rect, fn)
+			lo, hi := m.Interval(m.band(sub, dLo, min(dHi, m.maxDist[sub])))
+			n, cont := m.Pts.ScanRect(lo, hi, rect, fn)
 			visited += n
 			scanned += hi - lo
 			if !cont {
@@ -308,22 +271,9 @@ func (m *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned 
 
 // KNN returns the k nearest points to q in ascending distance order,
 // through the rectangle search of a window grown around q.
-func (m *Index) KNN(q core.Point, k int) []core.PV {
-	if q.Dim() != m.dim {
-		return nil
-	}
-	return core.KNNByWindow(q, k, len(m.keys), m.side, m.Search)
-}
+func (m *Index) KNN(q core.Point, k int) []core.PV { return m.Projected.KNN(q, k, m.Search) }
 
 // Stats reports structure statistics.
 func (m *Index) Stats() core.Stats {
-	st := m.ix.Stats()
-	return core.Stats{
-		Name:       "mlindex",
-		Count:      len(m.keys),
-		IndexBytes: st.IndexBytes + 8*len(m.keys) + len(m.refs)*8*m.dim + 8*len(m.maxDist),
-		DataBytes:  len(m.keys) * (8*m.dim + 8),
-		Height:     st.Height,
-		Models:     st.Models + len(m.refs),
-	}
+	return m.Projected.Stats("mlindex", len(m.refs)*8*m.Dim+8*len(m.maxDist), len(m.refs))
 }

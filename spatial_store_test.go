@@ -3,8 +3,10 @@ package lix
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
+	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 	"github.com/lix-go/lix/internal/flood"
 	"github.com/lix-go/lix/internal/lisa"
@@ -220,5 +222,46 @@ func TestStoreKindsDoNotAllocate(t *testing.T) {
 	}
 	if sum == 0 {
 		t.Fatal("the searches found nothing")
+	}
+}
+
+// TestCheckInvariantsCatchesMovedKey moves, in the projected engine's
+// column of each projected kind, the last key of one run of equal high 32
+// bits (an ML-Index sub-partition) to the first key of the next run's
+// (the next sub-partition's sector), keeping the keys in order, and expects
+// the check to name the stored key.
+func TestCheckInvariantsCatchesMovedKey(t *testing.T) {
+	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 1111)
+	for _, kind := range []string{"zm", "zm-hilbert", "mlindex"} {
+		t.Run(kind, func(t *testing.T) {
+			ix, err := BuildSpatial(kind, dataset.PV(pts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := CheckInvariants(ix); err != nil {
+				t.Fatal(err)
+			}
+			var keys []core.Key
+			switch ix := ix.(type) {
+			case *zm.Index:
+				keys = ix.Keys
+			case *mlindex.Index:
+				keys = ix.Keys
+			default:
+				t.Fatalf("%T is not a projected index", ix)
+			}
+			moved := false
+			for i := 0; i+1 < len(keys) && !moved; i++ {
+				if next := keys[i+1] >> 32; next != keys[i]>>32 {
+					keys[i], moved = next<<32, true
+				}
+			}
+			if !moved {
+				t.Fatal("every key has the same high 32 bits")
+			}
+			if err := CheckInvariants(ix); err == nil || !strings.Contains(err.Error(), "stored key") {
+				t.Fatalf("a key moved to another run: %v", err)
+			}
+		})
 	}
 }
