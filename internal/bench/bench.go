@@ -436,8 +436,8 @@ func E10PointMD(cfg Config) []*Table {
 func E11RangeMD(cfg Config) []*Table {
 	t := &Table{
 		ID:      "E11",
-		Title:   "Multi-dimensional range queries (2-D, osm-like): µs/query (work units)",
-		Columns: []string{"index", "sel=1e-4", "sel=1e-3", "sel=1e-2", "sel=1e-1"},
+		Title:   "Multi-dimensional range queries (2-D, osm-like): µs/query (work units), bytes per point from Stats",
+		Columns: []string{"index", "sel=1e-4", "sel=1e-3", "sel=1e-2", "sel=1e-1", "B/point"},
 	}
 	n := cfg.N / 2
 	pts := mustPoints(dataset.SOSMLike, n, 2, cfg.Seed)
@@ -453,7 +453,7 @@ func E11RangeMD(cfg Config) []*Table {
 			us, work, _ := timeSearch(ix.Search, qs)
 			row = append(row, fmt.Sprintf("%s (%d)", formatFloat(us), work/len(qs)))
 		}
-		t.AddRow(row...)
+		t.AddRow(append(row, bytesPerPoint(ix))...)
 	}
 	return []*Table{t}
 }
@@ -462,8 +462,8 @@ func E11RangeMD(cfg Config) []*Table {
 func E12KNN(cfg Config) []*Table {
 	t := &Table{
 		ID:      "E12",
-		Title:   "k-nearest-neighbor queries (2-D, osm-like): µs/query",
-		Columns: []string{"index", "k=1", "k=10", "k=100"},
+		Title:   "k-nearest-neighbor queries (2-D, osm-like): µs/query, bytes per point from Stats",
+		Columns: []string{"index", "k=1", "k=10", "k=100", "B/point"},
 	}
 	n := cfg.N / 2
 	pts := mustPoints(dataset.SOSMLike, n, 2, cfg.Seed)
@@ -486,7 +486,7 @@ func E12KNN(cfg Config) []*Table {
 			_ = sink
 			row = append(row, ns/1000)
 		}
-		t.AddRow(row...)
+		t.AddRow(append(row, bytesPerPoint(ix))...)
 	}
 	return []*Table{t}
 }
@@ -495,8 +495,8 @@ func E12KNN(cfg Config) []*Table {
 func E13InsertMD(cfg Config) []*Table {
 	t := &Table{
 		ID:      "E13",
-		Title:   "Multi-dimensional inserts into a pre-built index (2-D): Mops/s",
-		Columns: []string{"index", "insert_Mops", "query_after_us"},
+		Title:   "Multi-dimensional inserts into a pre-built index (2-D): Mops/s, bytes per point from Stats after the inserts",
+		Columns: []string{"index", "insert_Mops", "query_after_us", "B/point"},
 	}
 	n := cfg.N / 2
 	pts := mustPoints(dataset.SOSMLike, n, 2, cfg.Seed)
@@ -516,9 +516,15 @@ func E13InsertMD(cfg Config) []*Table {
 			}
 		})
 		qUs, _, _ := timeSearch(ix.Search, queries)
-		t.AddRow(name, 1000/insNs, qUs)
+		t.AddRow(name, 1000/insNs, qUs, bytesPerPoint(ix))
 	}
 	return []*Table{t}
+}
+
+// bytesPerPoint is what ix's Stats say it keeps a point, index and data.
+func bytesPerPoint(ix lix.SpatialIndex) string {
+	st := ix.Stats()
+	return fmt.Sprintf("%.1f", float64(st.IndexBytes+st.DataBytes)/float64(max(st.Count, 1)))
 }
 
 // E14Concurrent — XIndex scaling vs a globally-locked B-tree (§6.5).
@@ -725,10 +731,10 @@ func E17SFC(cfg Config) []*Table {
 	if err != nil {
 		panic(err)
 	}
-	for level := uint(6); level <= 20; level++ {
+	for level := uint(6); ; level++ {
 		ix, err := tuned.AtLevel(level)
 		if err != nil {
-			panic(err)
+			break // past the stored codes' Bits
 		}
 		row := []interface{}{level}
 		var cands []interface{}
@@ -764,10 +770,14 @@ func timeSearch(search searchFunc, qs []core.Rect) (us float64, cands, results i
 // Z-curve; the Hilbert curve; the ML-Index's sectors) at E11's
 // selectivities, the first search of its key column done by binary search,
 // a PGM-index or a RadixSpline over the same keys. Each searcher runs on a
-// copy of the index that shares its column and replaces its Locate. A cell
-// is the fastest of five passes, the three searchers taking turns in each,
-// so a slow spell of the host falls on all three.
+// copy of the index that shares its column and replaces its Locate. The
+// host runs the same search up to twice as slow in spells of seconds, so a
+// cell is timed in e17Passes passes, each of which runs every cell in turn,
+// over e17Rects rectangles in blocks of e17Block: a block's time is the
+// fastest of its passes, which takes a few milliseconds each, and a cell
+// is the mean of its blocks'.
 func e17Search(pts []core.Point, z *zm.Index, seed int64) *Table {
+	const e17Passes, e17Rects, e17Block = 15, 300, 25
 	pvs := dataset.PV(pts)
 	h, err := zm.Build(pvs, zm.Config{Curve: zm.CurveHilbert})
 	if err != nil {
@@ -779,12 +789,12 @@ func e17Search(pts []core.Point, z *zm.Index, seed int64) *Table {
 	}
 	mappings := []struct {
 		name string
-		keys []core.Key
-		at   func(locate func(core.Key) int) searchFunc
+		keys []uint32
+		at   func(locate func(uint32) int) searchFunc
 	}{
-		{"z", z.Keys, func(f func(core.Key) int) searchFunc { c := *z; c.Locate = f; return c.Search }},
-		{"hilbert", h.Keys, func(f func(core.Key) int) searchFunc { c := *h; c.Locate = f; return c.Search }},
-		{"sector", m.Keys, func(f func(core.Key) int) searchFunc { c := *m; c.Locate = f; return c.Search }},
+		{"z", z.Keys, func(f func(uint32) int) searchFunc { c := *z; c.Locate = f; return c.Search }},
+		{"hilbert", h.Keys, func(f func(uint32) int) searchFunc { c := *h; c.Locate = f; return c.Search }},
+		{"sector", m.Keys, func(f func(uint32) int) searchFunc { c := *m; c.Locate = f; return c.Search }},
 	}
 	searchers := []string{"binary", "pgm", "radixspline"}
 	sels := []float64{1e-4, 1e-3, 1e-2, 1e-1}
@@ -793,45 +803,74 @@ func e17Search(pts []core.Point, z *zm.Index, seed int64) *Table {
 		Title:   "Projected engine by 1-D search (2-D, osm-like): us/query and candidates per result at E11's selectivities",
 		Columns: []string{"mapping", "search", "us 1e-4", "us 1e-3", "us 1e-2", "us 1e-1", "cand/res 1e-4", "cand/res 1e-3", "cand/res 1e-2", "cand/res 1e-1"},
 	}
-	for _, mp := range mappings {
-		pg, err := pgm.BuildKeys(mp.keys, 0)
-		if err != nil {
-			panic(err)
-		}
+	// searches[mi][s] is mapping mi searched by searcher s.
+	searches := make([][]searchFunc, len(mappings))
+	for mi, mp := range mappings {
+		// The learned searchers take 64-bit keys: they index the column
+		// widened, and are asked the widened key.
+		wide := make([]core.Key, len(mp.keys))
 		recs := make([]core.KV, len(mp.keys))
 		for i, k := range mp.keys {
-			recs[i] = core.KV{Key: k, Value: core.Value(i)}
+			wide[i], recs[i] = core.Key(k), core.KV{Key: core.Key(k), Value: core.Value(i)}
+		}
+		pg, err := pgm.BuildKeys(wide, 0)
+		if err != nil {
+			panic(err)
 		}
 		rs, err := radixspline.Build(recs, 0, 0)
 		if err != nil {
 			panic(err)
 		}
-		locates := []func(core.Key) int{nil, pg.LowerBound, rs.LowerBound}
-		us := make([][]float64, len(searchers))
-		ratios := make([]interface{}, len(sels))
-		for i, sel := range sels {
-			qs := dataset.RectQueries(pts, 100, sel, seed+7)
-			want := -1
-			for pass := 0; pass < 5; pass++ {
-				for s, locate := range locates {
-					u, cands, results := timeSearch(mp.at(locate), qs)
-					if want >= 0 && results != want {
-						panic(fmt.Sprintf("bench: %s over %s found %d points at sel %g, %s %d", searchers[s], mp.name, results, sel, searchers[0], want))
+		searches[mi] = []searchFunc{mp.at(nil),
+			mp.at(func(k uint32) int { return pg.LowerBound(core.Key(k)) }),
+			mp.at(func(k uint32) int { return rs.LowerBound(core.Key(k)) })}
+	}
+	qs := make([][]core.Rect, len(sels))
+	for i, sel := range sels {
+		qs[i] = dataset.RectQueries(pts, e17Rects, sel, seed+7)
+	}
+	// blocksOf(mi, s, i) holds each block's fastest pass at selectivity i
+	// under mapping mi and searcher s; ratios[mi][i] is mi's candidates per
+	// result at i.
+	blocks := e17Rects / e17Block
+	best := make([]float64, len(mappings)*len(searchers)*len(sels)*blocks)
+	blocksOf := func(mi, s, i int) []float64 {
+		at := ((mi*len(searchers)+s)*len(sels) + i) * blocks
+		return best[at : at+blocks]
+	}
+	ratios := make([][]interface{}, len(mappings))
+	for pass := 0; pass < e17Passes; pass++ {
+		for mi := range mappings {
+			ratios[mi] = make([]interface{}, len(sels))
+			for i, sel := range sels {
+				var cands, results [3]int
+				for s, search := range searches[mi] {
+					for b, fastest := range blocksOf(mi, s, i) {
+						u, c, r := timeSearch(search, qs[i][b*e17Block:(b+1)*e17Block])
+						if pass == 0 || u < fastest {
+							blocksOf(mi, s, i)[b] = u
+						}
+						cands[s], results[s] = cands[s]+c, results[s]+r
 					}
-					want, ratios[i] = results, float64(cands)/float64(max(results, 1))
-					if pass == 0 {
-						us[s] = append(us[s], u)
+					if results[s] != results[0] {
+						panic(fmt.Sprintf("bench: %s over %s found %d points at sel %g, %s %d", searchers[s], mappings[mi].name, results[s], sel, searchers[0], results[0]))
 					}
-					us[s][i] = min(us[s][i], u)
 				}
+				ratios[mi][i] = float64(cands[0]) / float64(max(results[0], 1))
 			}
 		}
+	}
+	for mi, mp := range mappings {
 		for s, name := range searchers {
 			row := []interface{}{mp.name, name}
-			for _, u := range us[s] {
-				row = append(row, u)
+			for i := range sels {
+				var sum float64
+				for _, u := range blocksOf(mi, s, i) {
+					sum += u
+				}
+				row = append(row, sum/float64(blocks))
 			}
-			t.AddRow(append(row, ratios...)...)
+			t.AddRow(append(row, ratios[mi]...)...)
 		}
 	}
 	return t
@@ -844,7 +883,7 @@ func e17Search(pts []core.Point, z *zm.Index, seed int64) *Table {
 func E19DimSweep(cfg Config) []*Table {
 	t := &Table{
 		ID:      "E19",
-		Title:   "Dimensionality sweep (uniform, sel=1e-3 ranges): µs/query, build ms",
+		Title:   "Dimensionality sweep (uniform, sel=1e-3 ranges): µs/query, build ms, bytes per point from Stats",
 		Columns: []string{"index", "op", "d=2", "d=3", "d=4", "d=5"},
 	}
 	n := cfg.N / 4
@@ -852,7 +891,7 @@ func E19DimSweep(cfg Config) []*Table {
 	kinds := []string{"rtree", "kdtree", "grid", "zm", "flood", "lisa", "mlindex"}
 	point := map[string][]interface{}{}
 	rng := map[string][]interface{}{}
-	build := map[string][]interface{}{}
+	build, bytes := map[string][]interface{}{}, map[string][]interface{}{}
 	for _, d := range dims {
 		pts := mustPoints(dataset.SUniform, n, d, cfg.Seed)
 		pvs := dataset.PV(pts)
@@ -864,6 +903,7 @@ func E19DimSweep(cfg Config) []*Table {
 				panic(err)
 			}
 			build[kind] = append(build[kind], float64(time.Since(start).Microseconds())/1000)
+			bytes[kind] = append(bytes[kind], bytesPerPoint(ix))
 			var sink int
 			pNs := nsPerOp(n/10, func() {
 				for i := 0; i < n; i += 10 {
@@ -886,6 +926,9 @@ func E19DimSweep(cfg Config) []*Table {
 	}
 	for _, kind := range kinds {
 		t.AddRow(append([]interface{}{kind, "build ms"}, build[kind]...)...)
+	}
+	for _, kind := range kinds {
+		t.AddRow(append([]interface{}{kind, "B/point"}, bytes[kind]...)...)
 	}
 	return []*Table{t}
 }

@@ -49,6 +49,28 @@ const (
 	// (seeds 7 and 1), where the sector test reads 2.894 at seed 7 and
 	// 2.66-3.17 at seeds 1-3.
 	spatialMLCandCeiling = 3.3
+	// A LISA span that drops the x cut within a cell, and scans every record
+	// of each cell the rectangle meets, reads 4.437 at seed 7 (4.15-5.28 at
+	// seeds 1-3), where the cut reads 2.075 at seed 7 and 2.00-2.17 at seeds
+	// 1-3. Runs ordered by mapped value, which lost the cut in the two edge
+	// columns, read 2.370.
+	spatialLISACandCeiling = 2.3
+)
+
+// Counted ceilings on the bytes a point costs, IndexBytes plus DataBytes
+// over the points, which Stats report and which repeat exactly at a seed
+// (TestStatsMatchLiveHeap holds Stats to the live heap). A point's
+// coordinates and value take 24 B in 2-D.
+const (
+	// A float64 mapped value kept per LISA record beside its point reads
+	// 32.27, where the runs of points and their cell index read 24.22.
+	spatialLISABytesCeiling = 25.0
+	// A 64-bit key column under the ZM-index reads 32.00, where the 32-bit
+	// column reads 28.00.
+	spatialZMBytesCeiling = 29.0
+	// A 64-bit key column under the ML-Index reads 32.01, where the 32-bit
+	// column reads 28.01.
+	spatialMLBytesCeiling = 29.0
 )
 
 // spatialKinds are the sides of the spatial gate; the control comes last.
@@ -67,9 +89,10 @@ var spatialKinds = []string{"flood", "lisa", "rtree", "zm", "mlindex", "kdtree"}
 // is checked across the six sides. A refine loop or an MBR test that goes
 // back to chasing a pointer per candidate, a ZM search back at the stored
 // codes' resolution, or an ML-Index scan back round the whole annulus,
-// falls under its floor. The ZM-index's and the ML-Index's candidates per
-// result are held under their ceilings, each as a floor on results per
-// candidate.
+// falls under its floor. LISA's, the ZM-index's and the ML-Index's
+// candidates per result are held under their ceilings, each as a floor on
+// results per candidate, and their bytes per point under theirs, each as a
+// floor on points per byte.
 func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	pts := mustPoints(dataset.SOSMLike, cfg.N, 2, cfg.Seed)
 	pvs := dataset.PV(pts)
@@ -79,7 +102,7 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 	}
 	per := (len(queries) + abSlices - 1) / abSlices
 
-	results, cands := make([]int, len(spatialKinds)), make([]int, len(spatialKinds))
+	results, cands, bytes := make([]int, len(spatialKinds)), make([]int, len(spatialKinds)), make([]int, len(spatialKinds))
 	rectSide := func(k int, ix lix.SpatialIndex) side {
 		next := 0
 		return func() (float64, error) {
@@ -100,6 +123,8 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 				return nil, nil, fmt.Errorf("bench: build %s: %w", kind, err)
 			}
 			sides[k] = rectSide(k, ix)
+			st := ix.Stats()
+			bytes[k] = st.IndexBytes + st.DataBytes
 		}
 		runtime.GC() // collect the previous round's indexes now, not during a slice
 		return sides, func() {}, nil
@@ -127,12 +152,20 @@ func gateSpatial(cfg Config) ([]*Table, []floor, error) {
 		floors = append(floors, floor{name: "spatial/rect/" + spatialKinds[k], got: r[k], ref: r[ctl], min: min})
 	}
 	for _, c := range []struct {
-		k       int
-		ceiling float64
-	}{{3, spatialZMCandCeiling}, {4, spatialMLCandCeiling}} {
+		k   int
+		min float64 // the ceiling's reciprocal
+	}{{1, 1 / spatialLISACandCeiling}, {3, 1 / spatialZMCandCeiling}, {4, 1 / spatialMLCandCeiling}} {
 		name := spatialKinds[c.k]
 		t.AddRow(name+" candidates/result", float64(cands[c.k])/float64(results[c.k]), "", "")
-		floors = append(floors, floor{name: "spatial/results-per-candidate/" + name, got: float64(results[c.k]), ref: float64(cands[c.k]), min: 1 / c.ceiling})
+		floors = append(floors, floor{name: "spatial/results-per-candidate/" + name, got: float64(results[c.k]), ref: float64(cands[c.k]), min: c.min})
+	}
+	for _, c := range []struct {
+		k   int
+		min float64
+	}{{1, 1 / spatialLISABytesCeiling}, {3, 1 / spatialZMBytesCeiling}, {4, 1 / spatialMLBytesCeiling}} {
+		name := spatialKinds[c.k]
+		t.AddRow(name+" bytes/point", fmt.Sprintf("%.3f", float64(bytes[c.k])/float64(cfg.N)), "", "")
+		floors = append(floors, floor{name: "spatial/points-per-byte/" + name, got: float64(cfg.N), ref: float64(bytes[c.k]), min: c.min})
 	}
 	return []*Table{t}, floors, nil
 }

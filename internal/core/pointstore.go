@@ -43,27 +43,31 @@ func PointsDim(pvs []PV) (int, error) {
 // applied: the new keys[i] is the old keys[order[i]]. Ties keep input order.
 // It is a radix sort over the keys' bits, float64 keys ordered as
 // cmp.Compare orders them.
-func SortKeys[K float64 | uint64](keys []K) (order []int32) {
-	if fs, ok := any(keys).([]float64); ok {
-		bits := make([]uint64, len(fs))
-		for i, k := range fs {
-			bits[i] = floatOrderBits(k)
+func SortKeys[K float64 | uint64 | uint32](keys []K) (order []int32) {
+	fs, float := any(keys).([]float64)
+	bits := make([]uint64, len(keys))
+	for i, k := range keys {
+		if float {
+			bits[i] = floatOrderBits(fs[i])
+		} else {
+			bits[i] = uint64(k)
 		}
-		order = radixOrder(bits)
-		for i, k := range fs {
-			bits[i] = math.Float64bits(k)
-		}
-		for i, j := range order {
-			fs[i] = math.Float64frombits(bits[j])
-		}
-		return order
 	}
-	us := any(keys).([]uint64)
-	bits := slices.Clone(us)
 	order = radixOrder(bits)
-	copy(bits, us)
+	// bits is free again: it holds the keys, bit for bit, while they move.
+	for i, k := range keys {
+		if float {
+			bits[i] = math.Float64bits(fs[i])
+		} else {
+			bits[i] = uint64(k)
+		}
+	}
 	for i, j := range order {
-		us[i] = bits[j]
+		if float {
+			fs[i] = math.Float64frombits(bits[j])
+		} else {
+			keys[i] = K(bits[j])
+		}
 	}
 	return order
 }

@@ -141,14 +141,15 @@ func TestSortKeys(t *testing.T) {
 	}
 }
 
-// TestSortKeysRadix holds the radix paths for float64 and uint64 keys to a
-// stable comparison sort, over ties, signed zeros, infinities and NaNs.
+// TestSortKeysRadix holds the radix paths for float64, uint64 and uint32
+// keys to a stable comparison sort, over ties, signed zeros, infinities and
+// NaNs.
 func TestSortKeysRadix(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -1.5, 1.5, math.MaxFloat64, -math.SmallestNonzeroFloat64}
 	for _, n := range []int{0, 1, 2, 17, 5000} {
 		fs := make([]float64, n)
-		us := make([]uint64, n)
+		us, ws := make([]uint64, n), make([]uint32, n)
 		for i := range fs {
 			switch r.Intn(3) {
 			case 0:
@@ -159,20 +160,25 @@ func TestSortKeysRadix(t *testing.T) {
 				fs[i] = r.NormFloat64() * 1e6
 			}
 			us[i] = r.Uint64() >> (r.Intn(4) * 16)
+			ws[i] = uint32(us[i] >> 32)
 		}
 		checkSortKeys(t, fs)
 		checkSortKeys(t, us)
+		checkSortKeys(t, ws)
 	}
 }
 
 func keyBits(k any) uint64 {
-	if f, ok := k.(float64); ok {
-		return math.Float64bits(f)
+	switch k := k.(type) {
+	case float64:
+		return math.Float64bits(k)
+	case uint32:
+		return uint64(k)
 	}
 	return k.(uint64)
 }
 
-func checkSortKeys[K float64 | uint64](t *testing.T, keys []K) {
+func checkSortKeys[K float64 | uint64 | uint32](t *testing.T, keys []K) {
 	t.Helper()
 	orig := slices.Clone(keys)
 	want := make([]int32, len(keys))

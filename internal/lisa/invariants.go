@@ -7,10 +7,11 @@ import (
 
 // CheckInvariants verifies LISA's grid and shards: at least one column,
 // each dimension's column boundaries running from -Inf to +Inf without
-// decreasing, the shards' lowest mapped values not decreasing from -Inf,
-// and every record's stored mapped value its point's mapping, sorted within
-// its run and inside its shard's range; the records number Len. It is O(n)
-// and intended for tests.
+// decreasing, and the shards' lowest mapped values not decreasing from -Inf.
+// In every run, the cell index's ranks and ends ascend and the last end is
+// the run's length; every record lies in the cell the index puts it in, in
+// coordinate 0 order within it, and maps inside its shard's range; the
+// records number Len. It is O(n) and intended for tests.
 func (ix *Index) CheckInvariants() error {
 	g := ix.cfg.GridCols
 	if g < 1 || len(ix.bounds) != ix.dim {
@@ -39,18 +40,30 @@ func (ix *Index) CheckInvariants() error {
 			return fmt.Errorf("lisa: shard %d starts at %g, the next at %g", si, sh.loM, next)
 		}
 		for _, r := range sh.runs() {
-			if len(r.m) != r.pts.Len() {
-				return fmt.Errorf("lisa: shard %d run has %d mapped values for %d points", si, len(r.m), r.pts.Len())
-			}
-			for i, m := range r.m {
-				if got := ix.mapPoint(r.pts.At(i)); got != m {
-					return fmt.Errorf("lisa: shard %d record %d stored at %g, maps to %g", si, i, m, got)
+			var last cellEnd
+			for k, c := range r.cells {
+				if (k > 0 && c.rank <= last.rank) || c.end <= last.end {
+					return fmt.Errorf("lisa: shard %d cell index entry %d %v after %v", si, k, c, last)
 				}
-				if (i > 0 && m < r.m[i-1]) || m < sh.loM || m > next {
-					return fmt.Errorf("lisa: shard %d [%g,%g] record %d at %g out of order", si, sh.loM, next, i, m)
+				last = c
+			}
+			if int(last.end) != r.pts.Len() {
+				return fmt.Errorf("lisa: shard %d cell index ends at %d, its run at %d", si, last.end, r.pts.Len())
+			}
+			ranks := r.ranks()
+			for i, rank := range ranks {
+				p := r.pts.At(i)
+				if want, _ := ix.place(p); rank != want {
+					return fmt.Errorf("lisa: shard %d record %d is indexed in cell %d, maps to cell %d", si, i, rank, want)
+				}
+				if i > 0 && rank == ranks[i-1] && p[0] < r.pts.At(i - 1)[0] {
+					return fmt.Errorf("lisa: shard %d record %d at %g after %g in cell %d: out of order", si, i, p[0], r.pts.At(i - 1)[0], rank)
+				}
+				if m := ix.mapPoint(p); m < sh.loM || m > next {
+					return fmt.Errorf("lisa: shard %d record %d maps to %g, outside [%g,%g]", si, i, m, sh.loM, next)
 				}
 			}
-			n += len(r.m)
+			n += len(ranks)
 		}
 	}
 	if n != ix.size {

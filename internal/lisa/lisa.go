@@ -4,16 +4,20 @@
 // equal-depth grid (grid cell rank plus a within-cell offset along
 // dimension 0), the mapped domain is split into learned shards, and each
 // shard holds a sorted run plus a delta buffer for updates. Shards that
-// overflow split, keeping the structure balanced under inserts.
+// overflow split, keeping the structure balanced under inserts. A run keeps
+// its points only, in the mapping's order, by cell and then by dimension 0,
+// beside a small index of its cells; a search finds a cell in that index
+// and the coordinate range within it by the points' own dimension 0.
 //
 // Taxonomy: mutable / pure / delta-buffer insert / projected space.
 package lisa
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
+	"unsafe"
 
 	"github.com/lix-go/lix/internal/core"
 )
@@ -30,29 +34,86 @@ type Config struct {
 	DeltaCap int
 }
 
-// run is a run of records sorted by mapped value: m[i] belongs to point i
-// of pts.
+// run is a run of records in mapped order: by grid cell rank, then by
+// coordinate 0 within a cell. cells has one entry per cell the run holds, in
+// rank order, with the position its records end at; each cell's records
+// start where the one before it ends.
 type run struct {
-	m   []float64
-	pts core.PointStore
+	cells []cellEnd
+	pts   core.PointStore
 }
 
-func newRun(dim, capacity int) run {
-	return run{m: make([]float64, 0, capacity), pts: core.NewPointStore(dim, capacity)}
+type cellEnd struct{ rank, end uint32 }
+
+func newRun(dim, capacity int) run { return run{pts: core.NewPointStore(dim, capacity)} }
+
+// cell returns the index k of the first entry of rank at least rank and the
+// positions [lo, hi) of cell rank's records, empty at lo if there are none.
+func (r *run) cell(rank uint32) (k, lo, hi int) {
+	k, found := slices.BinarySearchFunc(r.cells, rank, func(c cellEnd, rank uint32) int { return cmp.Compare(c.rank, rank) })
+	if k > 0 {
+		lo = int(r.cells[k-1].end)
+	}
+	if hi = lo; found {
+		hi = int(r.cells[k].end)
+	}
+	return k, lo, hi
 }
 
-// span returns the positions [lo, hi) of the records with mapped value in
-// [mLo, mHi], both finite.
-func (r *run) span(mLo, mHi float64) (lo, hi int) {
-	lo = sort.SearchFloat64s(r.m, mLo)
-	return lo, lo + sort.SearchFloat64s(r.m[lo:], math.Nextafter(mHi, math.Inf(1)))
+// span returns the positions [lo, hi) of cell rank's records whose
+// coordinate 0 lies in [x0, x1]. f0 and f1 are the mapping's fractions of
+// x0 and x1 across the cell, which guess where in it they fall.
+func (r *run) span(rank uint32, x0, x1, f0, f1 float64) (lo, hi int) {
+	_, a, b := r.cell(rank)
+	guess := func(f float64) int { return a + int(f*float64(b-a)) }
+	lo = r.pts.DimBound(a, b, 0, x0, false, guess(f0), 0)
+	return lo, r.pts.DimBound(lo, b, 0, x1, true, max(lo, guess(f1)), 0)
 }
 
-// add appends record i of src.
-func (r *run) add(src *run, i int) {
-	pv := src.pts.PV(i)
-	r.m = append(r.m, src.m[i])
+// add appends a record of cell rank, which is not below the last record's.
+func (r *run) add(pv core.PV, rank uint32) {
 	r.pts.Append(pv.Point, pv.Value)
+	if k := len(r.cells) - 1; k >= 0 && r.cells[k].rank == rank {
+		r.cells[k].end++
+	} else {
+		r.cells = append(r.cells, cellEnd{rank, uint32(r.pts.Len())})
+	}
+}
+
+// insert adds a copy of p, of cell rank, after the records of its cell whose
+// coordinate 0 is at most p's.
+func (r *run) insert(p core.Point, v core.Value, rank uint32) {
+	k, lo, hi := r.cell(rank)
+	if lo == hi {
+		r.cells = slices.Insert(r.cells, k, cellEnd{rank, uint32(lo)})
+	}
+	r.pts.Insert(r.pts.DimBound(lo, hi, 0, p[0], true, hi, 0), p, v)
+	for ; k < len(r.cells); k++ {
+		r.cells[k].end++
+	}
+}
+
+// remove deletes record i, of cell rank.
+func (r *run) remove(i int, rank uint32) {
+	k, lo, hi := r.cell(rank)
+	r.pts.Remove(i)
+	for j := k; j < len(r.cells); j++ {
+		r.cells[j].end--
+	}
+	if hi-lo == 1 {
+		r.cells = slices.Delete(r.cells, k, k+1)
+	}
+}
+
+// ranks returns the rank of each record's cell.
+func (r *run) ranks() []uint32 {
+	out := make([]uint32, 0, r.pts.Len())
+	for _, c := range r.cells {
+		for len(out) < int(c.end) {
+			out = append(out, c.rank)
+		}
+	}
+	return out
 }
 
 type shard struct {
@@ -93,13 +154,16 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 			cfg.DeltaCap = 16
 		}
 	}
-	sorted, _ := core.SortedColumns(pvs, dim, func(int) bool { return true })
+	sorted, orders := core.SortedColumns(pvs, dim, func(int) bool { return true })
 	ext := core.Rect{Min: make(core.Point, dim), Max: make(core.Point, dim)}
 	for d, col := range sorted {
 		ext.Min[d], ext.Max[d] = col[0], col[len(col)-1]
 	}
 	if cfg.GridCols <= 0 {
 		cfg.GridCols = tuneGrid(core.NewGridModel(sorted, core.GridSample(pvs, ext)), dim)
+	}
+	if math.Pow(float64(cfg.GridCols), float64(dim)) > 1<<32 {
+		return nil, fmt.Errorf("lisa: %d columns in %d dimensions make over 2^32 cells", cfg.GridCols, dim)
 	}
 	ix := &Index{cfg: cfg, dim: dim, size: len(pvs)}
 	// Equal-depth boundaries per dimension.
@@ -111,29 +175,30 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		for c := 1; c < cfg.GridCols; c++ {
 			b[c] = coord[c*len(coord)/cfg.GridCols]
 		}
-		b[cfg.GridCols] = math.Inf(1)
-		// Boundaries must be strictly increasing for column search; nudge
-		// duplicates (heavy ties collapse columns, which is harmless).
-		for c := 1; c <= cfg.GridCols; c++ {
-			if b[c] <= b[c-1] {
-				b[c] = b[c-1]
-			}
-		}
+		b[cfg.GridCols] = math.Inf(1) // heavy ties collapse columns, which is harmless
 		ix.bounds[d] = b
 	}
-	// Map, sort and shard.
-	ms := sorted[0]
+	// Order by cell, and by coordinate 0 within a cell: the records in
+	// coordinate 0 order, sorted stably by cell rank. Then shard.
+	cells, ranks := make([]uint32, len(pvs)), make([]uint32, len(pvs))
 	for i, pv := range pvs {
-		ms[i] = ix.mapPoint(pv.Point)
+		cells[i], _ = ix.place(pv.Point)
 	}
-	order := core.SortKeys(ms)
-	for i := 0; i < len(ms); i += cfg.ShardSize {
-		end := min(i+cfg.ShardSize, len(ms))
-		ix.shards = append(ix.shards, &shard{
-			loM:   ms[i],
-			base:  run{m: slices.Clone(ms[i:end]), pts: core.NewPointStoreFrom(dim, pvs, order[i:end])},
-			delta: newRun(dim, 0),
-		})
+	for i, j := range orders[0] {
+		ranks[i] = cells[j]
+	}
+	order := core.SortKeys(ranks)
+	for i, j := range order {
+		order[i] = orders[0][j]
+	}
+	for i := 0; i < len(pvs); i += cfg.ShardSize {
+		end := min(i+cfg.ShardSize, len(pvs))
+		sh := &shard{base: newRun(dim, end-i), delta: newRun(dim, 0)}
+		for k := i; k < end; k++ {
+			sh.base.add(pvs[order[k]], ranks[k])
+		}
+		sh.loM = ix.mapPoint(sh.base.pts.At(0))
+		ix.shards = append(ix.shards, sh)
 	}
 	ix.shards[0].loM = math.Inf(-1)
 	ix.retrainRouter()
@@ -175,30 +240,18 @@ func (ix *Index) retrainRouter() {
 
 // column returns the grid column of v in dimension d.
 func (ix *Index) column(d int, v float64) int {
-	b := ix.bounds[d]
-	// Last c with b[c] <= v; b[0] = -inf guarantees c >= 0.
-	lo, hi := 0, len(b)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if b[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	if lo >= ix.cfg.GridCols {
-		lo = ix.cfg.GridCols - 1
-	}
-	return lo
+	// The last c with b[c] <= v, one before the first above v.
+	c, _ := slices.BinarySearch(ix.bounds[d], math.Nextafter(v, math.Inf(1)))
+	return min(max(c-1, 0), ix.cfg.GridCols-1)
 }
 
 // cellRank flattens per-dimension columns.
-func (ix *Index) cellRank(cols []int) float64 {
+func (ix *Index) cellRank(cols []int) uint32 {
 	r := 0
 	for _, c := range cols {
 		r = r*ix.cfg.GridCols + c
 	}
-	return float64(r)
+	return uint32(r)
 }
 
 // frac returns the monotone within-cell offset of v along dimension 0
@@ -223,22 +276,23 @@ func (ix *Index) frac(c int, v float64) float64 {
 // cellM combines a cell rank with a within-cell fraction, guaranteeing the
 // result stays strictly below rank+1 (the sum can otherwise round up at
 // large ranks, colliding with the next cell's values).
-func cellM(rank, f float64) float64 {
-	m := rank + f
-	if m >= rank+1 {
-		m = math.Nextafter(rank+1, 0)
+func cellM(rank, f float64) float64 { return min(rank+f, math.Nextafter(rank+1, 0)) }
+
+// place returns the rank of p's grid cell and p's offset within it along
+// dimension 0, the two parts of the mapping.
+func (ix *Index) place(p core.Point) (rank uint32, f float64) {
+	c0 := ix.column(0, p[0])
+	r := c0
+	for d := 1; d < ix.dim; d++ {
+		r = r*ix.cfg.GridCols + ix.column(d, p[d])
 	}
-	return m
+	return uint32(r), ix.frac(c0, p[0])
 }
 
 // mapPoint is LISA's monotone mapping function M.
 func (ix *Index) mapPoint(p core.Point) float64 {
-	c0 := ix.column(0, p[0])
-	rank := c0
-	for d := 1; d < ix.dim; d++ {
-		rank = rank*ix.cfg.GridCols + ix.column(d, p[d])
-	}
-	return cellM(float64(rank), ix.frac(c0, p[0]))
+	rank, f := ix.place(p)
+	return cellM(float64(rank), f)
 }
 
 // locate returns the shard index owning mapped value m.
@@ -271,20 +325,21 @@ func (ix *Index) firstShardFor(m float64) int {
 }
 
 // find returns the run and position of a stored point equal to p whose
-// value v accepts, or a nil run.
-func (ix *Index) find(p core.Point, accept func(core.Value) bool) (*run, int) {
-	m := ix.mapPoint(p)
+// value v accepts, and p's cell rank, or a nil run.
+func (ix *Index) find(p core.Point, accept func(core.Value) bool) (*run, int, uint32) {
+	rank, f := ix.place(p)
+	m := cellM(float64(rank), f)
 	for si := ix.firstShardFor(m); si < len(ix.shards) && ix.shards[si].loM <= m; si++ {
 		for _, r := range ix.shards[si].runs() {
-			lo, hi := r.span(m, m)
+			lo, hi := r.span(rank, p[0], p[0], f, f)
 			for i := r.pts.Find(lo, hi, p); i >= 0; i = r.pts.Find(i+1, hi, p) {
 				if accept(r.pts.PV(i).Value) {
-					return r, i
+					return r, i, rank
 				}
 			}
 		}
 	}
-	return nil, 0
+	return nil, 0, 0
 }
 
 // Lookup returns the value of the point equal to p.
@@ -292,7 +347,7 @@ func (ix *Index) Lookup(p core.Point) (core.Value, bool) {
 	if p.Dim() != ix.dim {
 		return 0, false
 	}
-	r, i := ix.find(p, func(core.Value) bool { return true })
+	r, i, _ := ix.find(p, func(core.Value) bool { return true })
 	if r == nil {
 		return 0, false
 	}
@@ -304,13 +359,11 @@ func (ix *Index) Insert(p core.Point, v core.Value) error {
 	if p.Dim() != ix.dim {
 		return fmt.Errorf("lisa: point dim %d, want %d", p.Dim(), ix.dim)
 	}
-	m := ix.mapPoint(p)
-	sh := ix.shards[ix.locate(m)]
-	i := sort.SearchFloat64s(sh.delta.m, m)
-	sh.delta.m = slices.Insert(sh.delta.m, i, m)
-	sh.delta.pts.Insert(i, p, v)
+	rank, f := ix.place(p)
+	sh := ix.shards[ix.locate(cellM(float64(rank), f))]
+	sh.delta.insert(p, v, rank)
 	ix.size++
-	if len(sh.delta.m) >= ix.cfg.DeltaCap {
+	if sh.delta.pts.Len() >= ix.cfg.DeltaCap {
 		ix.mergeShard(sh)
 	}
 	return nil
@@ -321,50 +374,47 @@ func (ix *Index) Delete(p core.Point, v core.Value) bool {
 	if p.Dim() != ix.dim {
 		return false
 	}
-	r, i := ix.find(p, func(got core.Value) bool { return got == v })
+	r, i, rank := ix.find(p, func(got core.Value) bool { return got == v })
 	if r == nil {
 		return false
 	}
-	r.m = slices.Delete(r.m, i, i+1)
-	r.pts.Remove(i)
+	r.remove(i, rank)
 	ix.size--
 	return true
 }
 
-// mergeShard folds the delta into the base run and splits if oversized.
+// mergeShard folds the delta into the base run, split into target-size
+// shards if the two hold more than two shards' worth.
 func (ix *Index) mergeShard(sh *shard) {
 	base, delta := &sh.base, &sh.delta
-	merged := newRun(ix.dim, len(base.m)+len(delta.m))
-	for i, j := 0, 0; i < len(base.m) || j < len(delta.m); {
-		if j >= len(delta.m) || (i < len(base.m) && base.m[i] <= delta.m[j]) {
-			merged.add(base, i)
+	rb, rd := base.ranks(), delta.ranks()
+	per := len(rb) + len(rd) // records a shard takes
+	if per > 2*ix.cfg.ShardSize {
+		per = ix.cfg.ShardSize
+	}
+	var repl []*shard
+	add := func(r *run, i int, rank uint32) {
+		if len(repl) == 0 || repl[len(repl)-1].base.pts.Len() == per {
+			repl = append(repl, &shard{loM: ix.mapPoint(r.pts.At(i)), base: newRun(ix.dim, per), delta: newRun(ix.dim, 0)})
+		}
+		repl[len(repl)-1].base.add(r.pts.PV(i), rank)
+	}
+	for i, j := 0, 0; i < len(rb) || j < len(rd); {
+		if j == len(rd) || i < len(rb) && (rb[i] < rd[j] || rb[i] == rd[j] && base.pts.At(i)[0] <= delta.pts.At(j)[0]) {
+			add(base, i, rb[i])
 			i++
 		} else {
-			merged.add(delta, j)
+			add(delta, j, rd[j])
 			j++
 		}
 	}
-	sh.delta = newRun(ix.dim, 0)
-	ix.Merges++
-	if len(merged.m) <= 2*ix.cfg.ShardSize {
-		sh.base = merged
-		return
-	}
-	// Split into target-size shards.
-	pos := slices.Index(ix.shards, sh)
-	var repl []*shard
-	for s := 0; s < len(merged.m); s += ix.cfg.ShardSize {
-		e := min(s+ix.cfg.ShardSize, len(merged.m))
-		ns := &shard{loM: merged.m[s], base: newRun(ix.dim, e-s), delta: newRun(ix.dim, 0)}
-		for i := s; i < e; i++ {
-			ns.base.add(&merged, i)
-		}
-		repl = append(repl, ns)
-	}
 	repl[0].loM = sh.loM
+	pos := slices.Index(ix.shards, sh)
 	ix.shards = slices.Replace(ix.shards, pos, pos+1, repl...)
-	ix.Splits++
-	ix.retrainRouter()
+	if ix.Merges++; len(repl) > 1 {
+		ix.Splits++
+		ix.retrainRouter()
+	}
 }
 
 // Search calls fn for every point in rect; fn returning false stops.
@@ -389,21 +439,17 @@ func (ix *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned
 	for {
 		// Mapped interval of this cell restricted to the rect's dim-0 span.
 		rank := ix.cellRank(cols)
-		var fLo, fHi float64
+		fLo, fHi := 0.0, 1.0
 		if cols[0] == lo[0] {
 			fLo = ix.frac(cols[0], rect.Min[0])
 		}
 		if cols[0] == hi[0] {
 			fHi = ix.frac(cols[0], rect.Max[0])
-		} else {
-			// Strictly below the next cell's rank so no record is scanned
-			// by two adjacent cell intervals.
-			fHi = math.Nextafter(1, 0)
 		}
-		mLo, mHi := cellM(rank, fLo), cellM(rank, fHi)
+		mLo, mHi := cellM(float64(rank), fLo), cellM(float64(rank), fHi)
 		for si := ix.firstShardFor(mLo); si < len(ix.shards) && ix.shards[si].loM <= mHi; si++ {
 			for _, r := range ix.shards[si].runs() {
-				i, j := r.span(mLo, mHi)
+				i, j := r.span(rank, rect.Min[0], rect.Max[0], fLo, fHi)
 				n, cont := r.pts.ScanRect(i, j, rect, fn)
 				visited += n
 				scanned += j - i
@@ -436,15 +482,15 @@ func (ix *Index) KNN(q core.Point, k int) []core.PV {
 
 // Stats reports structure statistics.
 func (ix *Index) Stats() core.Stats {
-	var deltaRecs int
+	var cells int
 	for _, sh := range ix.shards {
-		deltaRecs += len(sh.delta.m)
+		cells += len(sh.base.cells) + len(sh.delta.cells)
 	}
 	return core.Stats{
 		Name:       "lisa",
 		Count:      ix.size,
-		IndexBytes: len(ix.shards)*32 + ix.dim*(ix.cfg.GridCols+1)*8 + deltaRecs*8,
-		DataBytes:  ix.size * (8*ix.dim + 16),
+		IndexBytes: len(ix.shards)*int(unsafe.Sizeof(shard{})+8) + ix.dim*(ix.cfg.GridCols+1)*8 + cells*int(unsafe.Sizeof(cellEnd{})),
+		DataBytes:  ix.size * (8*ix.dim + 8),
 		Height:     2,
 		Models:     len(ix.shards) + ix.dim,
 	}

@@ -158,6 +158,9 @@ func TestErrorsAndStats(t *testing.T) {
 		t.Fatal("mixed dims accepted")
 	}
 	pts, _ := dataset.Points(dataset.SUniform, 1000, 2, 1310)
+	if _, err := Build(dataset.PV(pts), Config{GridCols: 1 << 17}); err == nil {
+		t.Fatal("2^34 cells accepted")
+	}
 	ix, _ := Build(dataset.PV(pts), Config{})
 	if err := ix.Insert(core.Point{1}, 0); err == nil {
 		t.Fatal("dim mismatch insert accepted")

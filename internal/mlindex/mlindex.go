@@ -22,6 +22,7 @@ package mlindex
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/lix-go/lix/internal/core"
 )
@@ -41,9 +42,12 @@ const kmeansIters = 8
 type Index struct {
 	core.Projected
 	refs []core.Point
+	// shift is the bits of a key below its sub-partition, which fills the
+	// top bits.Len(subs−1) of the 32: a key is sub<<shift | offset.
+	shift uint
 	// distScale converts distances to integer key offsets within a
-	// sub-partition's 2^32 key band; it is sized to the data's bounding-box
-	// diagonal so the full distance range spreads over the band.
+	// sub-partition's 2^shift key band; it is sized to the data's
+	// bounding-box diagonal so the full distance range spreads over the band.
 	distScale float64
 	// maxDist bounds each sub-partition's distances to its reference (for
 	// pruning), -Inf when the sub-partition is empty; sub-partition r·2d + s
@@ -54,7 +58,7 @@ type Index struct {
 // Build constructs an ML-Index over the points (copied and reordered).
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	m := &Index{}
-	err := m.Project(pvs, func(ext core.Rect) (func(core.Point) core.Key, error) {
+	err := m.Project(pvs, func(ext core.Rect) (func(core.Point) uint32, error) {
 		refs := cfg.Refs
 		if refs <= 0 {
 			// Scale partitions with the data so annulus scans stay short;
@@ -62,13 +66,18 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 			refs = min(max(len(pvs)/8192, 16), 128)
 		}
 		m.refs = kmeans(pvs, min(refs, len(pvs)))
+		subBits := bits.Len(uint(len(m.refs)*2*m.Dim - 1))
+		if subBits > 30 {
+			return nil, fmt.Errorf("%d references in %d dimensions leave no 32-bit key room for distances", len(m.refs), m.Dim)
+		}
+		m.shift = uint(32 - subBits)
 		// Spread the largest possible distance (the bounding-box diagonal)
-		// over the 32-bit offset band.
+		// over the offset band.
 		diag := ext.Min.Dist(ext.Max)
 		if diag <= 0 {
 			diag = 1
 		}
-		m.distScale = float64(uint64(1)<<32-2) / diag
+		m.distScale = float64(uint64(1)<<m.shift-2) / diag
 		return m.project, nil
 	})
 	if err != nil {
@@ -186,16 +195,13 @@ func (m *Index) place(p core.Point) (sub int, dist float64) {
 }
 
 // key maps (sub-partition, distance) to the projected 1-D key.
-func (m *Index) key(sub int, dist float64) core.Key {
-	off := core.Key(dist * m.distScale)
-	if off >= 1<<32 {
-		off = 1<<32 - 1
-	}
-	return core.Key(sub)<<32 | off
+func (m *Index) key(sub int, dist float64) uint32 {
+	off := min(uint64(dist*m.distScale), 1<<m.shift-1)
+	return uint32(sub)<<m.shift | uint32(off)
 }
 
 // project is the key function of the mapping.
-func (m *Index) project(p core.Point) core.Key { return m.key(m.place(p)) }
+func (m *Index) project(p core.Point) uint32 { return m.key(m.place(p)) }
 
 // radii bounds each sub-partition's distances to its reference from the
 // last of its keys, -Inf for an empty one: a key's offset is its distance
@@ -207,7 +213,7 @@ func (m *Index) radii() []float64 {
 		r[i] = math.Inf(-1)
 	}
 	for _, k := range m.Keys {
-		r[k>>32] = float64(k&(1<<32-1)+2) / m.distScale
+		r[k>>m.shift] = float64(k&(1<<m.shift-1)+2) / m.distScale
 	}
 	return r
 }
@@ -223,13 +229,13 @@ func (m *Index) Lookup(p core.Point) (core.Value, bool) {
 
 // band returns the keys of sub-partition sub whose distance to the
 // reference may lie in [dLo, dHi]: an annulus of the engine's column.
-func (m *Index) band(sub int, dLo, dHi float64) (kLo, kHi core.Key) {
+func (m *Index) band(sub int, dLo, dHi float64) (kLo, kHi uint32) {
 	kLo = m.key(sub, max(dLo, 0))
-	if kLo > core.Key(sub)<<32 {
+	if kLo > uint32(sub)<<m.shift {
 		kLo-- // quantization slack, kept within sub
 	}
 	kHi = m.key(sub, dHi)
-	if kHi < core.Key(sub)<<32|(1<<32-1) {
+	if kHi < uint32(sub)<<m.shift|(1<<m.shift-1) {
 		kHi++ // quantization slack, kept within sub
 	}
 	// An inverted rectangle can put kHi below kLo: an empty annulus.

@@ -29,8 +29,9 @@ const (
 
 // Config parameterizes a build.
 type Config struct {
-	// Bits per dimension for quantization (0 selects the max that fits, at
-	// most 20). Search runs at a level of at most Bits bits per dimension.
+	// Bits per dimension for quantization (0 selects the most the 32-bit
+	// codes hold, 32/dim, at most 16; more than 32/dim is a build error).
+	// Search runs at a level of at most Bits bits per dimension.
 	Bits uint
 	// Curve selects the projection (empty selects CurveZ).
 	Curve CurveKind
@@ -60,7 +61,7 @@ type Index struct {
 func Build(pvs []core.PV, cfg Config) (*Index, error) {
 	z := &Index{cfg: cfg}
 	var sample []core.Rect
-	err := z.Project(pvs, func(ext core.Rect) (func(core.Point) core.Key, error) {
+	err := z.Project(pvs, func(ext core.Rect) (func(core.Point) uint32, error) {
 		sample = core.GridSample(pvs, ext)
 		return z.code, z.curve(ext)
 	})
@@ -82,7 +83,10 @@ func (z *Index) curve(ext core.Rect) (err error) {
 		return fmt.Errorf("hilbert curve requires dim 2, got %d", dim)
 	}
 	if cfg.Bits == 0 {
-		cfg.Bits = min(uint(63/dim), 20)
+		cfg.Bits = min(uint(32/dim), 16)
+	}
+	if cfg.Bits > uint(32/dim) {
+		return fmt.Errorf("%d bits per dimension do not fit %d dimensions in a 32-bit code", cfg.Bits, dim)
 	}
 	if cfg.MaxRanges <= 0 {
 		cfg.MaxRanges = zMaxRanges
@@ -164,15 +168,15 @@ func (z *Index) AtLevel(level uint) (*Index, error) {
 }
 
 // code projects p to its curve code, allocating nothing.
-func (z *Index) code(p core.Point) core.Key {
+func (z *Index) code(p core.Point) uint32 {
 	if z.morton == nil {
-		return z.hil.Encode(z.quant.Cell(0, p[0]), z.quant.Cell(1, p[1]))
+		return uint32(z.hil.Encode(z.quant.Cell(0, p[0]), z.quant.Cell(1, p[1])))
 	}
-	var c core.Key
+	var c uint64
 	for d := range p {
 		c |= z.morton.Spread(d, z.quant.Cell(d, p[d]))
 	}
-	return c
+	return uint32(c)
 }
 
 // Lookup returns the value of the point equal to p.
@@ -205,9 +209,9 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 	s := k * uint(z.Dim)
 	var buf [zMaxRanges]sfc.Interval // a larger budget spills to the heap
 	var ivs []sfc.Interval
-	var zmin, zmax core.Key
+	var zmin, zmax uint64
 	if z.morton != nil {
-		zmin, zmax = z.code(rect.Min)>>s, z.code(rect.Max)>>s
+		zmin, zmax = uint64(z.code(rect.Min)>>s), uint64(z.code(rect.Max)>>s)
 		ivs = z.morton.Ranges(buf[:0], zmin, zmax, z.cfg.MaxRanges)
 	} else {
 		h := sfc.Hilbert2D{Bits: level}
@@ -221,16 +225,16 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 	// inBox says whether a stored code's coarse cell can hold a result; the
 	// Hilbert curve has no cheap test and filters every point of its
 	// intervals.
-	inBox := func(c core.Key) bool { return z.morton == nil || z.morton.InBox(c>>s, zmin, zmax) }
+	inBox := func(c uint64) bool { return z.morton == nil || z.morton.InBox(c>>s, zmin, zmax) }
 	// One search of the column finds where the scan starts; from there every
 	// move is forward, mostly by a few positions, and a seek from the current
 	// one costs the logarithm of that distance.
-	pos, n := z.LowerBound(ivs[0].Lo<<s), len(z.Keys)
+	pos, n := z.LowerBound(uint32(ivs[0].Lo<<s)), len(z.Keys)
 	for _, iv := range ivs {
 		hi := iv.Hi<<s | (1<<s - 1) // the last stored code in the interval's cells
-		pos = z.Seek(iv.Lo<<s, pos)
-		for pos < n && z.Keys[pos] <= hi {
-			c := z.Keys[pos]
+		pos = z.Seek(uint32(iv.Lo<<s), pos)
+		for pos < n && uint64(z.Keys[pos]) <= hi {
+			c := uint64(z.Keys[pos])
 			if !inBox(c) {
 				// The budget made this interval cover cells outside the
 				// box: resume at the next code inside it.
@@ -238,15 +242,15 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 				if next > iv.Hi {
 					break
 				}
-				pos = z.Seek(next<<s, pos)
+				pos = z.Seek(uint32(next<<s), pos)
 				steps++
 				continue
 			}
 			// The run goes on while its codes stay in the box; a code in the
 			// cell of the one before it is, so only a new cell is tested.
 			end, cell := pos+1, c|(1<<s-1)
-			for ; end < n && z.Keys[end] <= hi; end++ {
-				if c := z.Keys[end]; c > cell {
+			for ; end < n && uint64(z.Keys[end]) <= hi; end++ {
+				if c := uint64(z.Keys[end]); c > cell {
 					if !inBox(c) {
 						break
 					}

@@ -113,6 +113,12 @@ func TestErrors(t *testing.T) {
 	if _, err := Build(dataset.PV(pts3), Config{Curve: "bogus"}); err == nil {
 		t.Fatal("bogus curve accepted")
 	}
+	if _, err := Build(dataset.PV(pts3), Config{Bits: 11}); err == nil {
+		t.Fatal("33-bit 3-D codes accepted")
+	}
+	if _, err := Build(dataset.PV(pts3), Config{Bits: 10}); err != nil {
+		t.Fatalf("30-bit 3-D codes: %v", err)
+	}
 }
 
 func TestDegenerateSinglePoint(t *testing.T) {
@@ -145,7 +151,7 @@ func TestStatsAndBudget(t *testing.T) {
 		if got, _ := ix.Search(q, func(core.PV) bool { return true }); got != want {
 			t.Fatalf("budget search: got %d want %d", got, want)
 		}
-		if ivs := ix.morton.Ranges(nil, ix.code(q.Min)>>s, ix.code(q.Max)>>s, ix.cfg.MaxRanges); len(ivs) > 4 {
+		if ivs := ix.morton.Ranges(nil, uint64(ix.code(q.Min)>>s), uint64(ix.code(q.Max)>>s), ix.cfg.MaxRanges); len(ivs) > 4 {
 			t.Fatalf("interval budget exceeded: %d", len(ivs))
 		}
 	}

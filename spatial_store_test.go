@@ -2,11 +2,12 @@ package lix
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
-	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 	"github.com/lix-go/lix/internal/flood"
 	"github.com/lix-go/lix/internal/lisa"
@@ -226,10 +227,10 @@ func TestStoreKindsDoNotAllocate(t *testing.T) {
 }
 
 // TestCheckInvariantsCatchesMovedKey moves, in the projected engine's
-// column of each projected kind, the last key of one run of equal high 32
-// bits (an ML-Index sub-partition) to the first key of the next run's
-// (the next sub-partition's sector), keeping the keys in order, and expects
-// the check to name the stored key.
+// 32-bit column of each projected kind, the last key of one sub-partition
+// (the run of keys with equal top bits: an ML-Index reference's sector, a
+// curve's top-level cell) to the first key of the next sub-partition,
+// keeping the keys in order, and expects the check to name the stored key.
 func TestCheckInvariantsCatchesMovedKey(t *testing.T) {
 	pts, _ := dataset.Points(dataset.SOSMLike, 4000, 2, 1111)
 	for _, kind := range []string{"zm", "zm-hilbert", "mlindex"} {
@@ -241,27 +242,60 @@ func TestCheckInvariantsCatchesMovedKey(t *testing.T) {
 			if err := CheckInvariants(ix); err != nil {
 				t.Fatal(err)
 			}
-			var keys []core.Key
+			var keys []uint32
+			var subs int // sub-partitions, which fill a key's top bits
 			switch ix := ix.(type) {
 			case *zm.Index:
-				keys = ix.Keys
+				keys, subs = ix.Keys, 1<<ix.Dim
 			case *mlindex.Index:
-				keys = ix.Keys
+				keys, subs = ix.Keys, ix.Stats().Models*2*ix.Dim
 			default:
 				t.Fatalf("%T is not a projected index", ix)
 			}
+			shift := 32 - bits.Len(uint(subs-1))
 			moved := false
 			for i := 0; i+1 < len(keys) && !moved; i++ {
-				if next := keys[i+1] >> 32; next != keys[i]>>32 {
-					keys[i], moved = next<<32, true
+				if next := keys[i+1] >> shift; next != keys[i]>>shift {
+					keys[i], moved = next<<shift, true
 				}
 			}
 			if !moved {
-				t.Fatal("every key has the same high 32 bits")
+				t.Fatal("every key is in one sub-partition")
 			}
 			if err := CheckInvariants(ix); err == nil || !strings.Contains(err.Error(), "stored key") {
 				t.Fatalf("a key moved to another run: %v", err)
 			}
 		})
+	}
+}
+
+// TestStatsMatchLiveHeap holds what Stats reports, IndexBytes plus
+// DataBytes, to within 5 % of the live heap each of the repo benchmark's
+// five spatial kinds grows by when it is built, per point, so bytes per
+// point read from Stats are the bytes the index keeps.
+func TestStatsMatchLiveHeap(t *testing.T) {
+	const n = 200_000
+	pts, _ := dataset.Points(dataset.SOSMLike, n, 2, 1901)
+	pvs := dataset.PV(pts)
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, kind := range []string{"rtree", "zm", "mlindex", "flood", "lisa"} {
+		before := liveHeap()
+		ix, err := BuildSpatial(kind, pvs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := float64(liveHeap()-before) / n
+		st := ix.Stats()
+		stats := float64(st.IndexBytes+st.DataBytes) / n
+		runtime.KeepAlive(ix)
+		t.Logf("%s: Stats %.2f B a point, live heap %.2f", kind, stats, heap)
+		if stats < 0.95*heap || stats > 1.05*heap {
+			t.Errorf("%s: Stats report %.2f B a point, the live heap grew %.2f", kind, stats, heap)
+		}
 	}
 }
