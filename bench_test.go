@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	lix "github.com/lix-go/lix"
+	"github.com/lix-go/lix/internal/btree"
 	"github.com/lix-go/lix/internal/dataset"
 )
 
@@ -272,7 +273,7 @@ func BenchmarkE14Concurrent(b *testing.B) {
 			}
 		})
 	})
-	bt, err := lix.BulkBTree(0, benchRecs)
+	bt, err := btree.Bulk(btree.DefaultOrder, benchRecs)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -356,16 +357,12 @@ func BenchmarkE16Layout(b *testing.B) {
 // BenchmarkE17SFCRanges — rectangle decomposition cost, Z vs Hilbert.
 func BenchmarkE17SFCRanges(b *testing.B) {
 	benchSetup(b)
-	for _, curve := range []lix.ZMConfig{{}, {Curve: lix.CurveHilbert}} {
-		name := "z"
-		if curve.Curve == lix.CurveHilbert {
-			name = "hilbert"
-		}
-		ix, err := lix.NewZMIndex(benchPVs, curve)
+	for _, curve := range []struct{ name, kind string }{{"z", "zm"}, {"hilbert", "zm-hilbert"}} {
+		ix, err := lix.BuildSpatial(curve.kind, benchPVs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(curve.name, func(b *testing.B) {
 			var sink int
 			for i := 0; i < b.N; i++ {
 				v, _ := ix.Search(benchRects[i&1023], func(lix.PV) bool { return true })

@@ -6,6 +6,7 @@ import (
 
 	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/pgm"
 )
 
 // hostile key patterns that have historically broken learned indexes:
@@ -90,7 +91,7 @@ func TestLowerBoundersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pgc := pg.(*lix.PGMIndex)
+	pgc := pg.(*pgm.Index)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 5000; i++ {
 		probe := core.Key(r.Uint64())

@@ -21,9 +21,13 @@ func ExampleNewPGM() {
 	// Output: 41 true
 }
 
-// An updatable learned index with in-place, model-predicted inserts.
-func ExampleNewALEX() {
-	ix := lix.NewALEX()
+// An updatable learned index (ALEX) with in-place, model-predicted
+// inserts.
+func ExampleBuildMutable1D() {
+	ix, err := lix.BuildMutable1D("alex")
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < 1000; i++ {
 		ix.Insert(lix.Key(i*3), lix.Value(i))
 	}
@@ -47,14 +51,14 @@ func ExampleIndex_range() {
 	// 9 90
 }
 
-// Index 2-D points with a space-filling-curve learned index and run a
-// window query.
-func ExampleNewZMIndex() {
+// Index 2-D points with a space-filling-curve learned index (the ZM-index)
+// and run a window query.
+func ExampleBuildSpatial() {
 	var pvs []lix.PV
 	for i := 0; i < 100; i++ {
 		pvs = append(pvs, lix.PV{Point: lix.Point{float64(i), float64(i % 10)}, Value: lix.Value(i)})
 	}
-	ix, err := lix.NewZMIndex(pvs, lix.ZMConfig{})
+	ix, err := lix.BuildSpatial("zm", pvs)
 	if err != nil {
 		panic(err)
 	}

@@ -33,7 +33,8 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	bt, err := lix.BulkBTree(0, recs)
+	// The default stack is one B+-tree, bulk-loaded, with no layer above.
+	bt, err := lix.NewStack(recs, lix.StackConfig{})
 	if err != nil {
 		panic(err)
 	}

@@ -51,7 +51,11 @@ func main() {
 
 	// --- 2. Structural events from a mutable index ---------------------
 	am := lix.NewMetrics("alex")
-	alex := lix.ObserveMutable(lix.NewALEX(), am)
+	base, err := lix.BuildMutable1D("alex")
+	if err != nil {
+		panic(err)
+	}
+	alex := lix.ObserveMutable(base, am)
 	for i := 0; i < 100_000; i++ {
 		alex.Insert(lix.Key((i*2654435761)%1_000_000), lix.Value(i))
 	}

@@ -27,14 +27,17 @@ func main() {
 		}
 	}
 
-	// Build one index from each family.
-	rmi, err := lix.NewRMI(recs, lix.RMIConfig{})
+	// Build one index from each family, by kind name with its defaults
+	// (lix.Static1DKinds lists the names), or with a constructor that
+	// takes the kind's parameters.
+	rmi, err := lix.Build1D("rmi", recs)
 	check(err)
 	pgm, err := lix.NewPGM(recs, 64)
 	check(err)
-	btree, err := lix.BulkBTree(0, recs)
+	btree, err := lix.Build1D("btree", recs)
 	check(err)
-	binary := lix.NewSortedArray(recs)
+	binary, err := lix.Build1D("binary", recs)
+	check(err)
 
 	fmt.Println("Index profiles after indexing", n, "records:")
 	for _, ix := range []lix.Index{binary, btree, rmi, pgm} {
@@ -66,7 +69,8 @@ func main() {
 
 	// Updatable learned index.
 	fmt.Println("\nUpdatable learned index (ALEX):")
-	alex := lix.NewALEX()
+	alex, err := lix.BuildMutable1D("alex")
+	check(err)
 	for i := 0; i < 100000; i++ {
 		alex.Insert(lix.Key(i*7), lix.Value(i))
 	}

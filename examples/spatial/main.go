@@ -28,53 +28,45 @@ func main() {
 		}
 	}
 
-	zmIx, err := lix.NewZMIndex(pvs, lix.ZMConfig{})
-	check(err)
-	hilbert, err := lix.NewZMIndex(pvs, lix.ZMConfig{Curve: lix.CurveHilbert})
-	check(err)
-	ml, err := lix.NewMLIndex(pvs, lix.MLIndexConfig{Refs: 16})
-	check(err)
-	lisaIx, err := lix.NewLISA(pvs, lix.LISAConfig{})
-	check(err)
-	rt, err := lix.BulkRTree(0, pvs)
-	check(err)
-
-	indexes := []struct {
-		name string
-		ix   lix.KNNIndex
-	}{
-		{"zm (z-order)", zmIx}, {"zm (hilbert)", hilbert},
-		{"ml-index", ml}, {"lisa", lisaIx}, {"rtree", rt},
+	// Each kind is built by name with its defaults; every one of these
+	// also answers kNN.
+	kinds := []string{"zm", "zm-hilbert", "mlindex", "lisa", "rtree"}
+	indexes := make([]lix.KNNIndex, len(kinds))
+	for i, kind := range kinds {
+		ix, err := lix.BuildSpatial(kind, pvs)
+		check(err)
+		indexes[i] = ix.(lix.KNNIndex)
 	}
 
 	// Range query: a city-sized window.
 	window, err := lix.NewRect(lix.Point{140000, 140000}, lix.Point{160000, 160000})
 	check(err)
 	fmt.Println("Range query over a 20k x 20k window:")
-	for _, e := range indexes {
+	for i, ix := range indexes {
 		start := time.Now()
-		count, work := e.ix.Search(window, func(lix.PV) bool { return true })
-		fmt.Printf("  %-13s %6d points  (work=%d, %v)\n", e.name, count, work, time.Since(start).Round(time.Microsecond))
+		count, work := ix.Search(window, func(lix.PV) bool { return true })
+		fmt.Printf("  %-13s %6d points  (work=%d, %v)\n", kinds[i], count, work, time.Since(start).Round(time.Microsecond))
 	}
 
 	// kNN query.
 	q := lix.Point{150000, 150000}
 	fmt.Println("\n10 nearest neighbors of", q, ":")
-	for _, e := range indexes {
+	for i, ix := range indexes {
 		start := time.Now()
-		nn := e.ix.KNN(q, 10)
-		fmt.Printf("  %-13s nearest dist=%.1f  (%v)\n", e.name, q.Dist(nn[0].Point), time.Since(start).Round(time.Microsecond))
+		nn := ix.KNN(q, 10)
+		fmt.Printf("  %-13s nearest dist=%.1f  (%v)\n", kinds[i], q.Dist(nn[0].Point), time.Since(start).Round(time.Microsecond))
 	}
 
 	// Exact-point lookup.
 	fmt.Println("\nExact-point lookups:")
-	for _, e := range indexes {
-		v, ok := e.ix.Lookup(pvs[12345].Point)
-		fmt.Printf("  %-13s Lookup -> value=%d ok=%v\n", e.name, v, ok)
+	for i, ix := range indexes {
+		v, ok := ix.Lookup(pvs[12345].Point)
+		fmt.Printf("  %-13s Lookup -> value=%d ok=%v\n", kinds[i], v, ok)
 	}
 
 	// LISA supports inserts (delta buffers + shard splits).
 	fmt.Println("\nInserting 50k new points into LISA...")
+	lisaIx := indexes[3].(lix.MutableSpatialIndex)
 	for i := 0; i < 50000; i++ {
 		p := lix.Point{clamp(r.Float64() * (1 << 20)), clamp(r.Float64() * (1 << 20))}
 		check(lisaIx.Insert(p, lix.Value(n+i)))

@@ -24,10 +24,6 @@ type (
 	PartitionedBloomFilter = lbf.Partitioned
 )
 
-// NewBloomFilter returns a standard Bloom filter sized for n keys at the
-// target false-positive rate.
-func NewBloomFilter(n int, fpr float64) *BloomFilter { return bloom.New(n, fpr) }
-
 // NewBloomFilterBits returns a standard Bloom filter with a fixed bit
 // budget.
 func NewBloomFilterBits(bits uint64, n int) *BloomFilter { return bloom.NewBits(bits, n) }

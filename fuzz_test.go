@@ -42,7 +42,10 @@ func FuzzLearnedLowerBound(f *testing.F) {
 			}
 			recs = append(recs, lix.KV{Key: k, Value: lix.Value(i)})
 		}
-		ref := lix.NewSortedArray(recs)
+		ref, err := lix.Build1D("binary", recs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, kind := range []string{"rmi", "pgm", "radixspline", "histtree"} {
 			ix, err := lix.Build1D(kind, recs)
 			if err != nil {
@@ -183,7 +186,7 @@ func FuzzSFCRangeDecompose(f *testing.F) {
 			},
 			"hilbert": {
 				ranges: func() []sfc.Interval {
-					return hilbert.Ranges([2]uint32{min[0], min[1]}, [2]uint32{max[0], max[1]}, maxRanges)
+					return hilbert.Ranges(nil, [2]uint32{min[0], min[1]}, [2]uint32{max[0], max[1]}, maxRanges)
 				},
 				encode:  hilbert.Encode,
 				decode:  func(code uint64) (x, y uint32) { return hilbert.Decode(code) },

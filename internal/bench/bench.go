@@ -18,6 +18,7 @@ import (
 	"github.com/lix-go/lix/internal/qdtree"
 	"github.com/lix-go/lix/internal/radixspline"
 	"github.com/lix-go/lix/internal/rmi"
+	"github.com/lix-go/lix/internal/xindex"
 	"github.com/lix-go/lix/internal/zm"
 )
 
@@ -566,7 +567,7 @@ func E14Concurrent(cfg Config) []*Table {
 	}
 
 	// XIndex.
-	x, err := lix.BulkXIndex(recs, 0, 0)
+	x, err := xindex.Bulk(recs, 0, 0)
 	if err != nil {
 		panic(err)
 	}
@@ -610,7 +611,7 @@ func E15Adversarial(cfg Config) []*Table {
 	}
 	pg, _ := pgm.Build(recs, 32)
 	rm, _ := rmi.Build(recs, rmi.Config{})
-	bt, _ := lix.BulkBTree(0, recs)
+	bt, _ := btree.Bulk(btree.DefaultOrder, recs)
 	entries := []entry{
 		{"pgm(eps=32)", pg, 2*pg.Epsilon() + 3},
 		{"rmi", rm, rm.MaxAbsError()*2 + 1},

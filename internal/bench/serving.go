@@ -8,6 +8,7 @@ import (
 	"time"
 
 	lix "github.com/lix-go/lix"
+	"github.com/lix-go/lix/internal/btree"
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 )
@@ -26,7 +27,7 @@ func servingSystems(cfg Config) []servingSystem {
 			// against: one B+-tree behind one RWMutex.
 			name: "btree+mutex",
 			build: func(recs []core.KV) (func(core.Key) (core.Value, bool), func(core.Key, core.Value), error) {
-				ix, err := lix.BulkBTree(0, recs)
+				ix, err := btree.Bulk(btree.DefaultOrder, recs)
 				if err != nil {
 					return nil, nil, err
 				}

@@ -3,7 +3,7 @@ package conform
 import (
 	"testing"
 
-	lix "github.com/lix-go/lix"
+	"github.com/lix-go/lix/internal/xindex"
 )
 
 // TestXIndexLinearizable runs the happens-before checker against XIndex
@@ -24,7 +24,7 @@ func TestXIndexLinearizable(t *testing.T) {
 			cfg := DefaultConcurrencyConfig()
 			cfg.Seed = int64(c.groupSize)
 			err := CheckConcurrent(func() MutableIndex {
-				return lix.NewXIndex(c.groupSize, c.deltaCap)
+				return xindex.New(c.groupSize, c.deltaCap)
 			}, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -36,7 +36,7 @@ func TestXIndexLinearizable(t *testing.T) {
 // TestConcurrencyConfigValidation pins that a zero-valued configuration is
 // rejected instead of silently running an empty (vacuously passing) check.
 func TestConcurrencyConfigValidation(t *testing.T) {
-	if err := CheckConcurrent(func() MutableIndex { return lix.NewXIndex(0, 0) },
+	if err := CheckConcurrent(func() MutableIndex { return xindex.New(0, 0) },
 		ConcurrencyConfig{}); err == nil {
 		t.Fatal("zero config accepted")
 	}

@@ -3,17 +3,23 @@ package conform
 import (
 	lix "github.com/lix-go/lix"
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/page"
+	"github.com/lix-go/lix/internal/pgm"
 	"github.com/lix-go/lix/internal/registry"
+	"github.com/lix-go/lix/internal/rmi"
+	"github.com/lix-go/lix/internal/skiplist"
+	"github.com/lix-go/lix/internal/xindex"
 )
 
 // This file derives the conformance factory set from the kind registry:
-// every kind registered by the façade (see the façade's register.go) is
+// every kind the root package registers (see its register.go) is
 // enumerated and wrapped into a conformance factory with the matching
 // capability flags, so a new index opts into the differential suite, the
 // edge-case corpus and the invariant sweep by registering once with
-// internal/registry. A handful of façade constructors that are not
-// serving kinds (test-scale variants, the layered sharded
-// configurations) are registered explicitly at the bottom.
+// internal/registry. A few kinds swap their empty constructor for
+// test-scale parameters (conformOverrides), and the indexes that are not
+// registry kinds (Hybrid-RMI, XIndex, the sharded stack) are registered
+// explicitly at the bottom, built from their own packages.
 
 // mutable1D registers a mutable 1-D factory whose builder starts empty and
 // is preloaded by per-record inserts (the path a live system exercises).
@@ -55,25 +61,23 @@ var conformNames = map[string]string{"binary": "sorted-array"}
 // 5k-op workloads exercise structural maintenance (retrains, merges,
 // buffer spills), not just the fast path.
 var conformOverrides = map[string]func() lix.MutableIndex{
-	"skiplist":         func() lix.MutableIndex { return lix.NewSkipList(42) },
-	"skiplist-learned": func() lix.MutableIndex { return lix.NewLearnedSkipList(42, 0) },
-	"pgm-dynamic":      func() lix.MutableIndex { return lix.NewDynamicPGM(0, 64) },
+	"skiplist":         func() lix.MutableIndex { return skiplist.New(42) },
+	"skiplist-learned": func() lix.MutableIndex { return skiplist.NewLearned(42, 0) },
+	"pgm-dynamic":      func() lix.MutableIndex { return pgm.NewDynamic(0, 64) },
 	// Paged kinds run with a frame budget far below the working set, so
 	// every conformance replay crosses CLOCK evictions and write-backs.
-	"paged-btree": func() lix.MutableIndex {
-		ix, err := lix.NewTempPagedBTree(lix.PagedOptions{PoolFrames: 8})
-		if err != nil {
-			panic("conform: paged-btree: " + err.Error())
-		}
-		return ix
-	},
-	"paged-pgm": func() lix.MutableIndex {
-		ix, err := lix.NewTempPagedPGM(lix.PagedOptions{PoolFrames: 8})
-		if err != nil {
-			panic("conform: paged-pgm: " + err.Error())
-		}
-		return ix
-	},
+	"paged-btree": func() lix.MutableIndex { return tempPaged(page.KindBTree) },
+	"paged-pgm":   func() lix.MutableIndex { return tempPaged(page.KindPGM) },
+}
+
+// tempPaged returns an empty paged index of kind over a temporary file,
+// with an 8-frame buffer pool.
+func tempPaged(kind string) lix.MutableIndex {
+	ix, err := page.NewTempIndex(kind, page.Options{PoolFrames: 8})
+	if err != nil {
+		panic("conform: paged " + kind + ": " + err.Error())
+	}
+	return ix
 }
 
 func register1DFromRegistry(k registry.Kind) {
@@ -132,14 +136,18 @@ func init() {
 		}
 	}
 
-	// Façade constructors that are not registry kinds.
+	// Indexes that are not registry kinds.
 	static1D("rmi-hybrid", true, func(recs []core.KV) (lix.Index, error) {
-		return lix.NewHybridRMI(recs, lix.RMIConfig{}, 64)
+		h, err := rmi.BuildHybrid(recs, rmi.Config{}, 64)
+		if err != nil {
+			return nil, err
+		}
+		return h, nil
 	})
 	mutable1D("xindex", func() lix.MutableIndex {
 		// Small groups/deltas so 5k-op workloads exercise compaction and
 		// splits, not just the delta buffer.
-		return lix.NewXIndex(512, 64)
+		return xindex.New(512, 64)
 	})
 
 	// The sharded serving stack, registered with a bulk-building factory so

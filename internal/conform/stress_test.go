@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	lix "github.com/lix-go/lix"
+	"github.com/lix-go/lix/internal/btree"
 	"github.com/lix-go/lix/internal/core"
+	"github.com/lix-go/lix/internal/xindex"
 )
 
 func stressCfg(t *testing.T, seed int64) StressConfig {
@@ -50,7 +52,7 @@ func TestShardedStress(t *testing.T) {
 // concurrency predates the sharding layer.
 func TestXIndexStress(t *testing.T) {
 	err := CheckStress(func(init []core.KV) (MutableIndex, error) {
-		ix := lix.NewXIndex(256, 32)
+		ix := xindex.New(256, 32)
 		for _, r := range init {
 			ix.Insert(r.Key, r.Value)
 		}
@@ -119,7 +121,7 @@ func TestStressDetectsLostUpdates(t *testing.T) {
 	cfg.KeysPerWriter = 32
 	cfg.OpsPerWriter = 120
 	err := CheckStress(func(init []core.KV) (MutableIndex, error) {
-		l := &lossyIndex{ix: lix.NewBTree(0)}
+		l := &lossyIndex{ix: btree.NewDefault()}
 		for _, r := range init {
 			l.ix.Insert(r.Key, r.Value) // preload without counting drops
 		}
@@ -144,7 +146,7 @@ func TestStressDetectsLostUpdates(t *testing.T) {
 // rejected instead of vacuously passing.
 func TestStressConfigValidation(t *testing.T) {
 	err := CheckStress(func(init []core.KV) (MutableIndex, error) {
-		return lix.NewBTree(0), nil
+		return btree.NewDefault(), nil
 	}, StressConfig{})
 	if err == nil {
 		t.Fatal("zero config accepted")

@@ -378,12 +378,13 @@ func (h *Hilbert2D) Decode(d uint64) (x, y uint32) {
 func (h *Hilbert2D) MaxCode() uint64 { return (uint64(1) << (2 * h.Bits)) - 1 }
 
 // Ranges decomposes the rectangle [min, max] (inclusive cell coords) into
-// at most maxRanges Hilbert index intervals covering it, by the same
-// quadrant walk as Morton.Ranges, rooted at the smallest aligned square that
-// holds both corners: one quadrant of the recursion.
-func (h *Hilbert2D) Ranges(min, max [2]uint32, maxRanges int) []Interval {
+// at most maxRanges Hilbert index intervals covering it, appended to
+// buf[:0], by the same quadrant walk as Morton.Ranges, rooted at the
+// smallest aligned square that holds both corners: one quadrant of the
+// recursion.
+func (h *Hilbert2D) Ranges(buf []Interval, min, max [2]uint32, maxRanges int) []Interval {
 	top := uint(bits.Len32((min[0] ^ max[0]) | (min[1] ^ max[1])))
-	return decompose(nil, 2, top, h.Encode(min[0], min[1]), maxRanges, func(lo, hi uint64) (disjoint, contained bool) {
+	return decompose(buf, 2, top, h.Encode(min[0], min[1]), maxRanges, func(lo, hi uint64) (disjoint, contained bool) {
 		// An aligned span of 4^level codes is one quadrant of the Hilbert
 		// recursion: the aligned square around any of its cells.
 		side := uint32(1)<<(bits.Len64(hi-lo)/2) - 1

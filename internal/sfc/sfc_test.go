@@ -259,7 +259,7 @@ func TestHilbertRanges(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		x0, y0 := uint32(r.Intn(32)), uint32(r.Intn(32))
 		x1, y1 := x0+uint32(r.Intn(int(32-x0))), y0+uint32(r.Intn(int(32-y0)))
-		ivs := h.Ranges([2]uint32{x0, y0}, [2]uint32{x1, y1}, 1<<20)
+		ivs := h.Ranges(nil, [2]uint32{x0, y0}, [2]uint32{x1, y1}, 1<<20)
 		for j := 1; j < len(ivs); j++ {
 			if ivs[j].Lo <= ivs[j-1].Hi {
 				t.Fatalf("hilbert intervals overlap: %v", ivs)
@@ -302,7 +302,7 @@ func TestHilbertFewerRangesThanMorton(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		x0, y0 := uint32(r.Intn(48)), uint32(r.Intn(48))
 		x1, y1 := x0+uint32(r.Intn(16)), y0+uint32(r.Intn(16))
-		hTotal += len(h.Ranges([2]uint32{x0, y0}, [2]uint32{x1, y1}, 1<<20))
+		hTotal += len(h.Ranges(nil, [2]uint32{x0, y0}, [2]uint32{x1, y1}, 1<<20))
 		mTotal += len(m.Ranges(nil, m.Encode([]uint32{x0, y0}), m.Encode([]uint32{x1, y1}), 1<<20))
 	}
 	if hTotal > mTotal {
@@ -460,13 +460,13 @@ func TestRangesStartAtTheBoxCube(t *testing.T) {
 				return x > max[0] || x+side < min[0] || y > max[1] || y+side < min[1],
 					x >= min[0] && x+side <= max[0] && y >= min[1] && y+side <= max[1]
 			})
-			if got := h.Ranges(min, max, budget); !equalIntervals(got, want) {
+			if got := h.Ranges(nil, min, max, budget); !equalIntervals(got, want) {
 				t.Fatalf("hilbert box %v..%v budget %d: %v, from the root %v", min, max, budget, got, want)
 			}
 		}
 		top := uint(bits.Len32((min[0] ^ max[0]) | (min[1] ^ max[1])))
 		lo := h.Encode(min[0], min[1]) &^ (1<<(2*top) - 1)
-		if got := h.Ranges(min, max, 1); len(got) != 1 || got[0] != (Interval{lo, lo + 1<<(2*top) - 1}) {
+		if got := h.Ranges(nil, min, max, 1); len(got) != 1 || got[0] != (Interval{lo, lo + 1<<(2*top) - 1}) {
 			t.Fatalf("hilbert box %v..%v budget 1: %v, want the square's span from %d", min, max, got, lo)
 		}
 	}

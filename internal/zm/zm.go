@@ -214,8 +214,11 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 		zmin, zmax = uint64(z.code(rect.Min)>>s), uint64(z.code(rect.Max)>>s)
 		ivs = z.morton.Ranges(buf[:0], zmin, zmax, z.cfg.MaxRanges)
 	} else {
+		// The walk may run past its budget by three quadrants a level before
+		// it coalesces, so this buffer holds that much at the default budget.
+		var hbuf [hilbertMaxRanges + 3*16]sfc.Interval
 		h := sfc.Hilbert2D{Bits: level}
-		ivs = h.Ranges(
+		ivs = h.Ranges(hbuf[:0],
 			[2]uint32{z.quant.Cell(0, rect.Min[0]) >> k, z.quant.Cell(1, rect.Min[1]) >> k},
 			[2]uint32{z.quant.Cell(0, rect.Max[0]) >> k, z.quant.Cell(1, rect.Max[1]) >> k}, z.cfg.MaxRanges)
 	}

@@ -199,3 +199,37 @@ func TestKNNDegenerateExtent(t *testing.T) {
 		}
 	}
 }
+
+// TestHilbertSearchAllocatesNoMoreThanZ holds the Hilbert curve's rectangle
+// search to the Z-curve's allocations over the same rectangles: both
+// decompose into a buffer on the search's stack, and neither grows one on
+// the heap at its default budget.
+func TestHilbertSearchAllocatesNoMoreThanZ(t *testing.T) {
+	pts, _ := dataset.Points(dataset.SOSMLike, 20000, 2, 1011)
+	pvs := dataset.PV(pts)
+	var rects []core.Rect
+	for _, sel := range []float64{1e-4, 1e-3, 1e-2} {
+		rects = append(rects, dataset.RectQueries(pts, 100, sel, 1012)...)
+	}
+	var sum core.Value
+	add := func(pv core.PV) bool { sum += pv.Value; return true }
+	allocs := map[CurveKind]float64{}
+	for _, curve := range []CurveKind{CurveZ, CurveHilbert} {
+		ix, err := Build(pvs, Config{Curve: curve})
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs[curve] = testing.AllocsPerRun(5, func() {
+			for _, q := range rects {
+				ix.Search(q, add)
+			}
+		})
+	}
+	if allocs[CurveHilbert] > allocs[CurveZ] {
+		t.Fatalf("%v allocations over %d Hilbert searches, %v over the same Z-curve ones",
+			allocs[CurveHilbert], len(rects), allocs[CurveZ])
+	}
+	if sum == 0 {
+		t.Fatal("the searches found nothing")
+	}
+}

@@ -16,9 +16,10 @@ type InvariantChecker interface {
 }
 
 // CheckInvariants runs ix's structural self-check if it exposes one and
-// returns nil otherwise. The façade adapters embed the implementation
-// types, so a CheckInvariants method added to an internal index is
-// automatically reachable through the public constructors.
+// returns nil otherwise. The builders by kind name (Build1D,
+// BuildMutable1D, BuildSpatial) hand out the internal index types
+// themselves, so a CheckInvariants method added to an internal index is
+// reachable here with no change to this package.
 func CheckInvariants(ix any) error {
 	if c, ok := ix.(InvariantChecker); ok {
 		return c.CheckInvariants()

@@ -6,6 +6,8 @@ import (
 	"github.com/lix-go/lix/internal/core"
 	"github.com/lix-go/lix/internal/dataset"
 	"github.com/lix-go/lix/internal/registry"
+	"github.com/lix-go/lix/internal/rmi"
+	"github.com/lix-go/lix/internal/rtree"
 )
 
 func sortedRecs(t *testing.T, n int, seed int64) []KV {
@@ -20,7 +22,7 @@ func sortedRecs(t *testing.T, n int, seed int64) []KV {
 func TestAllStatic1DKindsAgree(t *testing.T) {
 	recs := sortedRecs(t, 8000, 42)
 	probes, _ := dataset.Keys(dataset.Uniform, 2000, 43)
-	ref := NewSortedArray(recs)
+	ref := newSortedArray(recs)
 	for _, kind := range Static1DKinds() {
 		ix, err := Build1D(kind, recs)
 		if err != nil {
@@ -55,6 +57,21 @@ func TestAllStatic1DKindsAgree(t *testing.T) {
 		if st := ix.Stats(); st.Count != len(recs) {
 			t.Fatalf("%s: stats count %d", kind, st.Count)
 		}
+	}
+}
+
+// TestBinaryStatsCountKeyColumn pins the binary baseline's size: the key
+// column it searches (8 B/key) is index, the records it retains (16 B/key)
+// are data.
+func TestBinaryStatsCountKeyColumn(t *testing.T) {
+	recs := sortedRecs(t, 1000, 54)
+	ix, err := Build1D("binary", recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ix.Stats()
+	if st.IndexBytes != 8*len(recs) || st.DataBytes != 16*len(recs) {
+		t.Fatalf("binary stats IndexBytes %d DataBytes %d, want %d and %d", st.IndexBytes, st.DataBytes, 8*len(recs), 16*len(recs))
 	}
 }
 
@@ -107,7 +124,7 @@ func TestAllMutable1DKindsAgree(t *testing.T) {
 
 func TestHybridRMIAndXIndexFacade(t *testing.T) {
 	recs := sortedRecs(t, 5000, 45)
-	h, err := NewHybridRMI(recs, RMIConfig{Stage2: 64}, 16)
+	h, err := rmi.BuildHybrid(recs, RMIConfig{Stage2: 64}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +204,12 @@ func TestBuildSpatialRTreeIsSTR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BulkRTree(0, pvs)
+	want, err := rtree.BulkSTR(0, pvs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats() != want.Stats() {
-		t.Fatalf("BuildSpatial(rtree) stats %+v, BulkRTree %+v", got.Stats(), want.Stats())
+		t.Fatalf("BuildSpatial(rtree) stats %+v, BulkSTR %+v", got.Stats(), want.Stats())
 	}
 }
 
@@ -230,11 +247,11 @@ func TestQdTreeAndFloodFacade(t *testing.T) {
 func TestLearnedRTreeFacade(t *testing.T) {
 	pts, _ := dataset.Points(dataset.SUniform, 3000, 2, 50)
 	pvs := dataset.PV(pts)
-	lr, err := NewLearnedRTree(0, 0, pvs)
+	ix, err := BuildSpatial("rtree-learned", pvs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, _ := lr.PointSearch(pvs[0].Point, func(PV) bool { return true })
+	found, _ := ix.(*rtree.Hybrid).PointSearch(pvs[0].Point, func(PV) bool { return true })
 	if found < 1 {
 		t.Fatal("learned rtree point search")
 	}

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"github.com/lix-go/lix/internal/obs"
+	"github.com/lix-go/lix/internal/registry"
+	"github.com/lix-go/lix/internal/xindex"
 )
 
 // checkSampled asserts the sampling contract for one point-operation
@@ -57,14 +59,14 @@ func TestObserveRecordsAcrossKinds(t *testing.T) {
 			return ix
 		}},
 		{"alex", func(t *testing.T) Index {
-			ix, err := BulkALEX(recs)
+			ix, err := registry.BuildMutable("alex", recs)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ix
 		}},
 		{"lipp", func(t *testing.T) Index {
-			ix, err := BulkLIPP(recs)
+			ix, err := registry.BuildMutable("lipp", recs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,7 +188,7 @@ func TestObserveMutableRecordsWritesAndEvents(t *testing.T) {
 // TestObserveXIndexEvents covers the concurrent index separately: its
 // compactions retrain groups and swap the root RCU-style.
 func TestObserveXIndexEvents(t *testing.T) {
-	ix := NewXIndex(64, 16)
+	ix := xindex.New(64, 16)
 	m := NewMetrics("xindex")
 	ix.SetObserver(m)
 	for i := 0; i < 5000; i++ {
@@ -206,7 +208,7 @@ func TestObserveXIndexEvents(t *testing.T) {
 // TestObserveTransparency checks the non-recording forwards.
 func TestObserveTransparency(t *testing.T) {
 	recs := obsTestRecs(100)
-	base := NewSortedArray(recs)
+	base := newSortedArray(recs)
 	m := NewMetrics("t")
 	o := Observe(base, m)
 	if o.Len() != base.Len() {
@@ -276,7 +278,7 @@ func TestDriftClosedLoop(t *testing.T) {
 // TestWriteMetricsPrometheus smoke-tests the public text rendering.
 func TestWriteMetricsPrometheus(t *testing.T) {
 	m := NewMetrics("demo")
-	o := Observe(NewSortedArray(obsTestRecs(10)), m)
+	o := Observe(newSortedArray(obsTestRecs(10)), m)
 	o.Get(7)
 	var buf bytes.Buffer
 	if err := WriteMetricsPrometheus(&buf, m); err != nil {

@@ -206,12 +206,12 @@ func TestStoreKindsDoNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := BulkRTree(0, pvs)
+	r, err := rtree.BulkSTR(0, pvs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, query := range map[string]func(){
-		"rtree":   func() { r.Lookup(p); r.(*rtree.Tree).Search(rect, add) },
+		"rtree":   func() { r.Lookup(p); r.Search(rect, add) },
 		"zm":      func() { z.Lookup(p); z.Search(rect, add) },
 		"mlindex": func() { m.Lookup(p); m.Search(rect, add) },
 		"flood":   func() { f.Lookup(p); f.Search(rect, add) },
