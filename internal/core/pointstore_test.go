@@ -142,29 +142,43 @@ func TestSortKeys(t *testing.T) {
 }
 
 // TestSortKeysRadix holds the radix paths for float64, uint64 and uint32
-// keys to a stable comparison sort, over ties, signed zeros, infinities and
-// NaNs.
+// keys to a stable comparison sort (slices.SortStableFunc with cmp.Compare),
+// over ties, signed zeros, infinities and NaNs, at sizes around a digit's
+// 256 values; float keys also with neither NaN nor -0 and with one of the
+// two alone.
 func TestSortKeysRadix(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -1.5, 1.5, math.MaxFloat64, -math.SmallestNonzeroFloat64}
-	for _, n := range []int{0, 1, 2, 17, 5000} {
-		fs := make([]float64, n)
-		us, ws := make([]uint64, n), make([]uint32, n)
-		for i := range fs {
-			switch r.Intn(3) {
-			case 0:
-				fs[i] = special[r.Intn(len(special))]
-			case 1:
-				fs[i] = float64(r.Intn(20)) - 10
-			default:
-				fs[i] = r.NormFloat64() * 1e6
+	for _, n := range []int{0, 1, 2, 3, 17, 255, 256, 257, 5000, 70000} {
+		for _, mix := range []string{"all", "no NaN or -0", "-0", "NaN"} {
+			fs := make([]float64, n)
+			us, ws := make([]uint64, n), make([]uint32, n)
+			for i := range fs {
+				switch r.Intn(3) {
+				case 0:
+					fs[i] = special[r.Intn(len(special))]
+				case 1:
+					fs[i] = float64(r.Intn(20)) - 10
+				default:
+					fs[i] = r.NormFloat64() * 1e6
+				}
+				switch f := fs[i]; {
+				case mix == "no NaN or -0" && (f != f || f == 0 && math.Signbit(f)):
+					fs[i] = 0
+				case mix == "-0" && f != f:
+					fs[i] = math.Copysign(0, -1)
+				case mix == "NaN" && f == 0 && math.Signbit(f):
+					fs[i] = math.NaN()
+				}
+				us[i] = r.Uint64() >> (r.Intn(4) * 16)
+				ws[i] = uint32(us[i] >> 32)
 			}
-			us[i] = r.Uint64() >> (r.Intn(4) * 16)
-			ws[i] = uint32(us[i] >> 32)
+			checkSortKeys(t, fs)
+			if mix == "all" {
+				checkSortKeys(t, us)
+				checkSortKeys(t, ws)
+			}
 		}
-		checkSortKeys(t, fs)
-		checkSortKeys(t, us)
-		checkSortKeys(t, ws)
 	}
 }
 

@@ -161,11 +161,7 @@ func BulkSTR(maxEntries int, pvs []core.PV) (*Tree, error) {
 	t.dim, t.size = dim, len(pvs)
 	w := 2 * dim
 	level, boxes := t.pack(len(pvs), func(i int32, d int) float64 { return pvs[i].Point[d] }, func(run []int32) *node {
-		leaf := &node{leaf: true, pts: core.NewPointStore(dim, len(run))}
-		for _, i := range run {
-			leaf.pts.Append(pvs[i].Point, pvs[i].Value)
-		}
-		return leaf
+		return &node{leaf: true, pts: core.NewPointStoreFrom(dim, pvs, run)}
 	})
 	for len(level) > 1 {
 		below, belowBoxes := level, boxes

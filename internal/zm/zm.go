@@ -207,7 +207,10 @@ func (z *Index) search(rect core.Rect, level uint, fn func(core.PV) bool) (visit
 	}
 	k := z.cfg.Bits - level
 	s := k * uint(z.Dim)
-	var buf [zMaxRanges]sfc.Interval // a larger budget spills to the heap
+	// The walk may run past its budget by 2^d − 1 cubes a level before it
+	// coalesces; this buffer holds that much at the default budget in 2-D,
+	// and a larger budget or more dimensions can spill to the heap.
+	var buf [zMaxRanges + 3*16]sfc.Interval
 	var ivs []sfc.Interval
 	var zmin, zmax uint64
 	if z.morton != nil {
