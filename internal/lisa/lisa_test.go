@@ -1,6 +1,8 @@
 package lisa
 
 import (
+	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -238,5 +240,44 @@ func TestKNNDegenerateExtent(t *testing.T) {
 	got = ix.KNN(core.Point{9100, 9100}, 1)
 	if len(got) != 1 || got[0].Value != 999 {
 		t.Fatalf("KNN near out-of-extent insert = %v, want value 999", got)
+	}
+}
+
+// TestBuildCellsMatchPlace holds the cells Build ranks in one pass over each
+// sorted column to those place's binary search gives, record by record, on
+// lattice points with ±0, ±Inf and NaN among the coordinates: rarely, and
+// so often that NaNs, which sort first, become column boundaries.
+func TestBuildCellsMatchPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1112))
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1)}
+	for _, dim := range []int{2, 3} {
+		for _, specials := range []int{20, 2} {
+			for _, cols := range []int{4, 16} {
+				pvs := make([]core.PV, 2000)
+				for i := range pvs {
+					p := make(core.Point, dim)
+					for j := range p {
+						if rng.Intn(specials) == 0 {
+							p[j] = special[rng.Intn(len(special))]
+						} else {
+							p[j] = float64(rng.Intn(9))
+						}
+					}
+					pvs[i] = core.PV{Point: p, Value: core.Value(i)}
+				}
+				ix, err := Build(pvs, Config{GridCols: cols, ShardSize: 64})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for si, sh := range ix.shards {
+					for i, rank := range sh.base.ranks() {
+						p := sh.base.pts.At(i)
+						if want, _ := ix.place(p); rank != want {
+							t.Fatalf("d=%d 1/%d specials, %d columns: shard %d record %v in cell %d, place gives %d", dim, specials, cols, si, p, rank, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
