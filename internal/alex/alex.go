@@ -6,7 +6,11 @@
 // Taxonomy: mutable / pure / in-place insert / dynamic data layout. The
 // structural adaptation (expand vs split) follows the paper's density
 // bounds; the full cost model is simplified to those density triggers,
-// which this package documents as the delta from the original system.
+// which this package documents as the delta from the original system: a
+// bulk load places each data node at ALEX's initial density 0.7, an expand
+// or a split at 0.6, and an insert that would take a node over 0.8 expands
+// or splits it first. Every slot array fills the size class the allocator
+// gives it, so a node can sit a little below its target.
 //
 // Gapped-array invariant: every slot holds a key; (re)builds write each gap
 // slot with the key of the nearest occupied slot to its left, and later
@@ -19,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"github.com/lix-go/lix/internal/core"
@@ -27,9 +32,12 @@ import (
 )
 
 // Tuning constants from the paper (densities) and this implementation
-// (node sizes).
+// (node sizes). The densities are ALEX's: a bulk-loaded node has no insert
+// history, so it starts at initDensity; a split or expand has just been
+// driven by inserts, so its nodes keep more room, at minDensity.
 const (
-	minDensity     = 0.6 // target density after bulk/expand
+	minDensity     = 0.6 // target density after split/expand
+	initDensity    = 0.7 // target density after bulk load
 	maxDensity     = 0.8 // insert density trigger
 	maxDataSlots   = 1 << 14
 	initDataSlots  = 64
@@ -142,14 +150,7 @@ func Bulk(recs []core.KV) (*Index, error) {
 func buildSubtree(recs []core.KV, leaves *[]*dataNode) node {
 	n := len(recs)
 	if n <= bulkLeafKeys {
-		capHint := int(float64(n)/minDensity) + 2
-		if capHint < initDataSlots {
-			capHint = initDataSlots
-		}
-		if capHint > maxDataSlots {
-			capHint = maxDataSlots
-		}
-		dn := newDataNode(recs, capHint)
+		dn := newDataNode(recs, core.Clamp(int(float64(n)/initDensity)+2, initDataSlots, maxDataSlots))
 		*leaves = append(*leaves, dn)
 		return dn
 	}
@@ -200,15 +201,17 @@ func (in *inner) route(k core.Key) int {
 }
 
 // newDataNode builds a gapped data node from records sorted by distinct
-// keys with the given slot capacity (>= len(recs)+1) using model-based
-// placement.
+// keys with at least the given slot capacity (>= len(recs)+1) using
+// model-based placement. The slot array is grown to the size class the
+// allocator rounds it up to anyway (a large one to whole 8 KiB pages), and
+// the slots that gives are gaps too: 2 738 keys at 0.7 ask for 3 913 slots,
+// whose 64 KiB hold 4 096.
 func newDataNode(recs []core.KV, capacity int) *dataNode {
 	n := len(recs)
-	if capacity < n+1 {
-		capacity = n + 1
-	}
+	slots := slices.Grow([]core.KV(nil), max(capacity, n+1))
+	capacity = cap(slots)
 	dn := &dataNode{
-		slots: make([]core.KV, capacity),
+		slots: slots[:capacity],
 		occ:   make([]uint64, (capacity+63)/64),
 	}
 	if n == 0 {

@@ -27,7 +27,8 @@ func BenchmarkGet(b *testing.B) {
 }
 
 // BenchmarkBulk builds a tree over 2 M lognormal keys, the record count
-// the repo benchmark's ALEX workloads preload.
+// the repo benchmark's ALEX workloads preload. It reports the leaves'
+// slots per key and their mean |slot - prediction| (slotStats).
 func BenchmarkBulk(b *testing.B) {
 	keys, _ := dataset.Keys(dataset.Lognormal, 2_000_000, 4)
 	recs := dataset.KV(keys)
@@ -39,6 +40,10 @@ func BenchmarkBulk(b *testing.B) {
 		}
 		sinkIndex = ix
 	}
+	b.StopTimer()
+	slotsPerKey, meanError := slotStats(sinkIndex)
+	b.ReportMetric(slotsPerKey, "slots/key")
+	b.ReportMetric(meanError, "slots_off/key")
 }
 
 var sinkIndex *Index

@@ -2,6 +2,8 @@ package alex
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -13,11 +15,15 @@ import (
 	"github.com/lix-go/lix/internal/dataset"
 )
 
-// bitmapNode returns a node of capacity slots whose occupied slots are
-// those for which occupied(i) is true; its keys play no part in a gap
-// search and stay zero.
+// bitmapNode returns a node of exactly capacity slots whose occupied slots
+// are those for which occupied(i) is true; its keys play no part in a gap
+// search and stay zero. It is a literal, not newDataNode, which would round
+// the capacity up to its size class and move the word edges under test.
 func bitmapNode(capacity int, occupied func(i int) bool) *dataNode {
-	dn := newDataNode(nil, capacity)
+	dn := &dataNode{
+		slots: make([]core.KV, capacity),
+		occ:   make([]uint64, (capacity+63)/64),
+	}
 	for i := 0; i < capacity; i++ {
 		if occupied(i) {
 			dn.occupy(i)
@@ -169,6 +175,73 @@ func TestStatsIsTheLayout(t *testing.T) {
 	}
 	t.Logf("%.2f B/key on the heap, Stats %.2f (%d expands, %d splits)", float64(grew)/float64(ix.Len()),
 		float64(want)/float64(ix.Len()), ix.Expands, ix.Splits)
+}
+
+// slotStats returns the slots per record of ix's leaves and the mean
+// distance between a record's slot and the slot its leaf's model predicts
+// for its key, where a get's exponential search starts.
+func slotStats(ix *Index) (slotsPerKey, meanError float64) {
+	slots, keys, off := 0, 0, 0
+	for l := ix.leftmostLeaf(); l != nil; l = l.next {
+		slots += len(l.slots)
+		for w, word := range l.occ {
+			for ; word != 0; word &= word - 1 {
+				s := w<<6 + bits.TrailingZeros64(word)
+				d := s - l.predict(l.slots[s].Key)
+				off += max(d, -d)
+				keys++
+			}
+		}
+	}
+	return float64(slots) / float64(keys), float64(off) / float64(keys)
+}
+
+// TestBulkLoadCeilings builds one shard of the repo benchmark's ALEX
+// preload: 525 k keys with its lognormal gaps, 2 735 in most leaves, at a
+// fixed seed. Every leaf must hold its whole slot array, a size class the
+// allocator hands out as is, at a density in (minDensity, initDensity].
+// Two counted ceilings, exact at the seed, stand behind that: Stats bytes
+// per key (24.25), which a bulk load back at minDensity (27.28) fails, and
+// the mean |slot - prediction| (5.70), which slot arrays left at the
+// asked-for capacity (6.71) fail.
+func TestBulkLoadCeilings(t *testing.T) {
+	rng := rand.New(rand.NewSource(513))
+	keys := make([]core.Key, 525_000)
+	k := core.Key(0)
+	for i := range keys {
+		k += 1 + core.Key(math.Exp(rng.NormFloat64()*1.5+4))
+		keys[i] = k
+	}
+	ix, err := Bulk(dataset.KV(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := 0
+	for l := ix.leftmostLeaf(); l != nil; l = l.next {
+		leaves++
+		if len(l.slots) != cap(l.slots) {
+			t.Fatalf("leaf %d: %d slots of an array of %d", leaves, len(l.slots), cap(l.slots))
+		}
+		if c := cap(slices.Grow([]core.KV(nil), len(l.slots))); c != len(l.slots) {
+			t.Fatalf("leaf %d: %d slots, whose allocation holds %d", leaves, len(l.slots), c)
+		}
+		if d := float64(l.numKeys) / float64(len(l.slots)); d <= minDensity || d > initDensity {
+			t.Fatalf("leaf %d: %d keys in %d slots, density %.3f, want (%.1f, %.1f]",
+				leaves, l.numKeys, len(l.slots), d, minDensity, initDensity)
+		}
+	}
+	st := ix.Stats()
+	perKey := float64(st.IndexBytes+st.DataBytes) / float64(ix.Len())
+	slotsPerKey, meanError := slotStats(ix)
+	t.Logf("%d leaves: Stats %.3f B/key, %.4f slots/key, mean |slot - prediction| %.4f",
+		leaves, perKey, slotsPerKey, meanError)
+	const bytesCeiling, errorCeiling = 25.0, 6.2
+	if perKey > bytesCeiling {
+		t.Errorf("Stats says %.3f B/key, ceiling %.2f", perKey, bytesCeiling)
+	}
+	if meanError > errorCeiling {
+		t.Errorf("mean |slot - prediction| %.4f, ceiling %.2f", meanError, errorCeiling)
+	}
 }
 
 // FuzzALEXOps decodes a byte stream into inserts, deletes, gets, range

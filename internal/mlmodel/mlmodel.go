@@ -618,7 +618,3 @@ func (c *CDF) Quantile(q float64) float64 {
 	}
 	return s[lo] + frac*(s[lo+1]-s[lo])
 }
-
-// KeyToFloat converts a uint64 key to float64. Precision loss above 2^53 is
-// acceptable for model inputs: the error-bounded search absorbs it.
-func KeyToFloat(k uint64) float64 { return float64(k) }

@@ -26,11 +26,8 @@ type Client struct {
 	timeout time.Duration
 }
 
-// Dial connects to a lixserve at addr.
-func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
-
-// DialTimeout connects with the given dial timeout, which also becomes
-// the per-call I/O deadline (0 = no deadline).
+// DialTimeout connects to a lixserve at addr with the given dial timeout,
+// which also becomes the per-call I/O deadline (0 = no deadline).
 func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
