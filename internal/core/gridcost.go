@@ -67,15 +67,12 @@ func GridSample(pvs []PV, ext Rect) []Rect {
 	return out
 }
 
-// SortedColumns returns, for every dimension d with want(d), d's
-// coordinates of pvs in ascending order and the order SortKeys gives them
-// (sorted[d][i] is pvs[orders[d][i]].Point[d]); nil for the others.
-func SortedColumns(pvs []PV, dim int, want func(d int) bool) (sorted [][]float64, orders [][]int32) {
+// SortedColumns returns, for every dimension d, d's coordinates of pvs in
+// ascending order and the order SortKeys gives them (sorted[d][i] is
+// pvs[orders[d][i]].Point[d]).
+func SortedColumns(pvs []PV, dim int) (sorted [][]float64, orders [][]int32) {
 	sorted, orders = make([][]float64, dim), make([][]int32, dim)
 	for d := range sorted {
-		if !want(d) {
-			continue
-		}
 		col := make([]float64, len(pvs))
 		for i := range pvs {
 			col[i] = pvs[i].Point[d]

@@ -26,7 +26,7 @@ func TestGridModelDegenerate(t *testing.T) {
 	}
 	for name, pvs := range cases {
 		dim := pvs[0].Point.Dim()
-		sorted, orders := SortedColumns(pvs, dim, func(int) bool { return true })
+		sorted, orders := SortedColumns(pvs, dim)
 		for d := range sorted {
 			for i, j := range orders[d] {
 				if sorted[d][i] != pvs[j].Point[d] || (i > 0 && sorted[d][i] < sorted[d][i-1]) {
@@ -71,7 +71,7 @@ func TestGridModelShape(t *testing.T) {
 			pvs = append(pvs, PV{Point: Point{float64(x), float64(y)}})
 		}
 	}
-	sorted, _ := SortedColumns(pvs, 2, func(int) bool { return true })
+	sorted, _ := SortedColumns(pvs, 2)
 	q := []Rect{{Min: Point{10, 10}, Max: Point{19, 19}}} // a tenth of each dimension
 	m := NewGridModel(sorted, q)
 	if got, want := m.Cost([]int{1, 1}, 1), GridCellCost+GridPointCost*float64(len(pvs))*0.1; math.Abs(got-want) > 1e-9 {

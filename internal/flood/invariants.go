@@ -2,20 +2,19 @@ package flood
 
 import "fmt"
 
-// CheckInvariants verifies the Flood layout: every dimension has at least
-// one column and the sort dimension exactly one, the cell offsets and model
+// CheckInvariants verifies the Flood layout: the grid's own invariants hold
+// and the sort dimension has one column, the cell offsets and model
 // offsets cover every cell and run from 0 to Len, every point lies in the
 // cell it is stored under, in sort-dimension order, and each cell's model
 // search finds the first of its points holding each sort-dimension value.
 // It is O(n log n) and intended for tests.
 func (ix *Index) CheckInvariants() error {
-	s := ix.cfg.SortDim
-	cells := 1
-	for d, c := range ix.cols {
-		if c < 1 || (d == s && c != 1) {
-			return fmt.Errorf("flood: %d columns in dimension %d, sort dimension %d", c, d, s)
-		}
-		cells *= c
+	s, cells := ix.cfg.SortDim, ix.grid.Cells()
+	if err := ix.grid.CheckInvariants(); err != nil {
+		return fmt.Errorf("flood: %w", err)
+	}
+	if c := ix.grid.Cols[s]; c != 1 {
+		return fmt.Errorf("flood: %d columns in the sort dimension %d", c, s)
 	}
 	if len(ix.offsets) != cells+1 || ix.offsets[0] != 0 || int(ix.offsets[cells]) != ix.pts.Len() {
 		return fmt.Errorf("flood: %d cell offsets for %d cells of %d points", len(ix.offsets), cells, ix.pts.Len())
@@ -30,7 +29,7 @@ func (ix *Index) CheckInvariants() error {
 		}
 		for i := lo; i < hi; i++ {
 			p := ix.pts.At(i)
-			if got := ix.cell(p); got != c {
+			if got := ix.grid.Cell(p); got != c {
 				return fmt.Errorf("flood: point %d %v stored in cell %d, maps to %d", i, p, c, got)
 			}
 			if i == lo || ix.pts.At(i - 1)[s] < p[s] {

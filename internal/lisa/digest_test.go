@@ -25,8 +25,8 @@ func TestLayoutDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := dataset.NewDigest()
-		g.Add(int64(ix.cfg.GridCols), int64(ix.cfg.ShardSize), int64(ix.cfg.DeltaCap), ix.slope, ix.base, int64(ix.size), ix.side)
-		for _, b := range ix.bounds {
+		g.Add(int64(ix.cfg.GridCols), int64(ix.cfg.ShardSize), int64(ix.cfg.DeltaCap), ix.slope, ix.base, int64(ix.size), ix.grid.Side)
+		for _, b := range ix.grid.Bounds {
 			g.Add(b)
 		}
 		for _, sh := range ix.shards {

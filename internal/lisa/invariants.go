@@ -3,29 +3,22 @@ package lisa
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
-// CheckInvariants verifies LISA's grid and shards: at least one column,
-// each dimension's column boundaries running from -Inf to +Inf without
-// decreasing, and the shards' lowest mapped values not decreasing from -Inf.
+// CheckInvariants verifies LISA's grid and shards: the grid's own invariants
+// with GridCols columns in every dimension, and the shards' lowest mapped
+// values not decreasing from -Inf.
 // In every run, the cell index's ranks and ends ascend and the last end is
 // the run's length; every record lies in the cell the index puts it in, in
 // coordinate 0 order within it, and maps inside its shard's range; the
 // records number Len. It is O(n) and intended for tests.
 func (ix *Index) CheckInvariants() error {
-	g := ix.cfg.GridCols
-	if g < 1 || len(ix.bounds) != ix.dim {
-		return fmt.Errorf("lisa: %d columns, %d boundary sets for dimension %d", g, len(ix.bounds), ix.dim)
+	if err := ix.grid.CheckInvariants(); err != nil {
+		return fmt.Errorf("lisa: %w", err)
 	}
-	for d, b := range ix.bounds {
-		if len(b) != g+1 || !math.IsInf(b[0], -1) || !math.IsInf(b[g], 1) {
-			return fmt.Errorf("lisa: dimension %d has boundaries %v for %d columns", d, b, g)
-		}
-		for c := 1; c <= g; c++ {
-			if !(b[c] >= b[c-1]) {
-				return fmt.Errorf("lisa: dimension %d boundary %d is %g after %g", d, c, b[c], b[c-1])
-			}
-		}
+	if len(ix.grid.Cols) != ix.dim || slices.ContainsFunc(ix.grid.Cols, func(c int) bool { return c != ix.cfg.GridCols }) {
+		return fmt.Errorf("lisa: grid columns %v, want %d in %d dimensions", ix.grid.Cols, ix.cfg.GridCols, ix.dim)
 	}
 	if len(ix.shards) == 0 || !math.IsInf(ix.shards[0].loM, -1) {
 		return fmt.Errorf("lisa: %d shards, the first not open below", len(ix.shards))

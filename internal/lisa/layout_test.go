@@ -13,7 +13,7 @@ import (
 func (ix *Index) work(q core.Rect) float64 {
 	cells := 1
 	for d := 0; d < ix.dim; d++ {
-		cells *= ix.column(d, q.Max[d]) - ix.column(d, q.Min[d]) + 1
+		cells *= ix.grid.Column(d, q.Max[d]) - ix.grid.Column(d, q.Min[d]) + 1
 	}
 	_, scanned := ix.Search(q, func(core.PV) bool { return true })
 	return core.GridCellCost*float64(cells) + core.GridPointCost*float64(scanned)

@@ -134,14 +134,12 @@ func (sh *shard) runs() [2]*run { return [2]*run{&sh.base, &sh.delta} }
 type Index struct {
 	cfg    Config
 	dim    int
-	bounds [][]float64 // per dim: sorted column boundaries (len cols+1)
+	grid   core.Grid // GridCols columns in every dimension
 	shards []*shard
 	// router: linear model over shard loM -> index, corrected by walk.
 	slope, base float64
 	size        int
-	side        float64 // longest side of the extent the index was built on
-	// Merges and Splits count shard maintenance events (diagnostics).
-	Merges int
+	// Splits counts the merges that split a shard (diagnostics).
 	Splits int
 }
 
@@ -155,53 +153,23 @@ func Build(pvs []core.PV, cfg Config) (*Index, error) {
 		cfg.ShardSize = 1024
 	}
 	if cfg.DeltaCap <= 0 {
-		cfg.DeltaCap = cfg.ShardSize / 4
-		if cfg.DeltaCap < 16 {
-			cfg.DeltaCap = 16
-		}
+		cfg.DeltaCap = max(cfg.ShardSize/4, 16)
 	}
-	sorted, orders := core.SortedColumns(pvs, dim, func(int) bool { return true })
-	ext := core.Rect{Min: make(core.Point, dim), Max: make(core.Point, dim)}
-	for d, col := range sorted {
-		ext.Min[d], ext.Max[d] = col[0], col[len(col)-1]
-	}
+	sorted, orders := core.SortedColumns(pvs, dim)
 	if cfg.GridCols <= 0 {
-		cfg.GridCols = tuneGrid(core.NewGridModel(sorted, core.GridSample(pvs, ext)), dim)
-	}
-	if math.Pow(float64(cfg.GridCols), float64(dim)) > 1<<32 {
-		return nil, fmt.Errorf("lisa: %d columns in %d dimensions make over 2^32 cells", cfg.GridCols, dim)
+		cfg.GridCols = tuneGrid(core.NewGridModel(sorted, core.GridSample(pvs, core.Bounds(pvs))), dim)
 	}
 	ix := &Index{cfg: cfg, dim: dim, size: len(pvs)}
-	// Equal-depth boundaries per dimension.
-	ix.bounds = make([][]float64, dim)
-	for d, coord := range sorted {
-		ix.side = max(ix.side, ext.Max[d]-ext.Min[d])
-		b := make([]float64, cfg.GridCols+1)
-		b[0] = math.Inf(-1)
-		for c := 1; c < cfg.GridCols; c++ {
-			b[c] = coord[c*len(coord)/cfg.GridCols]
-		}
-		b[cfg.GridCols] = math.Inf(1) // heavy ties collapse columns, which is harmless
-		ix.bounds[d] = b
+	cols := make([]int, dim)
+	for d := range cols {
+		cols[d] = cfg.GridCols
+	}
+	if ix.grid, err = core.NewGrid(sorted, cols, 1<<32); err != nil {
+		return nil, fmt.Errorf("lisa: %w", err)
 	}
 	// Order by cell, and by coordinate 0 within a cell: the records in
 	// coordinate 0 order, sorted stably by cell rank. Then shard.
-	// Each record's cell rank, as place gives it, a dimension at a time.
-	// column's search is for the first boundary not below v's successor, a
-	// test that holds on a prefix of the boundaries and moves up with v, so
-	// one pass over each sorted column finds it for every record.
-	cells, ranks := make([]uint32, len(pvs)), make([]uint32, len(pvs))
-	for d, col := range sorted {
-		b, c := ix.bounds[d], 0
-		for k, v := range col {
-			t := math.Nextafter(v, math.Inf(1))
-			for c < len(b) && cmp.Less(b[c], t) {
-				c++
-			}
-			j := orders[d][k]
-			cells[j] = cells[j]*uint32(cfg.GridCols) + uint32(min(max(c-1, 0), cfg.GridCols-1))
-		}
-	}
+	cells, ranks := ix.grid.Ranks(len(pvs), sorted, orders), make([]uint32, len(pvs))
 	for i, j := range orders[0] {
 		ranks[i] = cells[j]
 	}
@@ -241,54 +209,29 @@ func tuneGrid(m core.GridModel, dim int) int {
 }
 
 func (ix *Index) retrainRouter() {
-	n := len(ix.shards)
-	if n < 2 {
-		ix.slope, ix.base = 0, 0
-		return
+	ix.slope, ix.base = 0, 0
+	if n := len(ix.shards); n >= 2 {
+		lo, hi := ix.shards[1].loM, ix.shards[n-1].loM
+		if ix.base = lo; hi > lo {
+			ix.slope = float64(n-2) / (hi - lo)
+		}
 	}
-	lo := ix.shards[1].loM
-	hi := ix.shards[n-1].loM
-	ix.base = lo
-	if hi > lo {
-		ix.slope = float64(n-2) / (hi - lo)
-	} else {
-		ix.slope = 0
-	}
-}
-
-// column returns the grid column of v in dimension d.
-func (ix *Index) column(d int, v float64) int {
-	// The last c with b[c] <= v, one before the first above v.
-	c, _ := slices.BinarySearch(ix.bounds[d], math.Nextafter(v, math.Inf(1)))
-	return min(max(c-1, 0), ix.cfg.GridCols-1)
-}
-
-// cellRank flattens per-dimension columns.
-func (ix *Index) cellRank(cols []int) uint32 {
-	r := 0
-	for _, c := range cols {
-		r = r*ix.cfg.GridCols + c
-	}
-	return uint32(r)
 }
 
 // frac returns the monotone within-cell offset of v along dimension 0
 // given its column c, in [0, 1).
 func (ix *Index) frac(c int, v float64) float64 {
-	b := ix.bounds[0]
-	lo, hi := b[c], b[c+1]
-	if math.IsInf(lo, -1) || math.IsInf(hi, 1) || hi <= lo {
-		// Open-ended edge cells: squash with a bounded sigmoid-ish map.
+	b := ix.grid.Bounds[0]
+	if b == nil { // one column, open at both ends
 		return 0.5
 	}
-	f := (v - lo) / (hi - lo)
-	if f < 0 {
-		f = 0
+	lo, hi := b[c], b[c+1]
+	if math.IsInf(lo, -1) || math.IsInf(hi, 1) || hi <= lo {
+		// An open edge column, or an empty one, has no span to interpolate
+		// across: every offset in it is the midpoint.
+		return 0.5
 	}
-	if f >= 1 {
-		f = math.Nextafter(1, 0)
-	}
-	return f
+	return min(max((v-lo)/(hi-lo), 0), math.Nextafter(1, 0))
 }
 
 // cellM combines a cell rank with a within-cell fraction, guaranteeing the
@@ -299,13 +242,12 @@ func cellM(rank, f float64) float64 { return min(rank+f, math.Nextafter(rank+1, 
 // place returns the rank of p's grid cell and p's offset within it along
 // dimension 0, the two parts of the mapping.
 func (ix *Index) place(p core.Point) (rank uint32, f float64) {
-	c0 := ix.column(0, p[0])
-	r := c0
-	for d := 1; d < ix.dim; d++ {
-		r = r*ix.cfg.GridCols + ix.column(d, p[d])
-	}
-	return uint32(r), ix.frac(c0, p[0])
+	r := ix.grid.Cell(p)
+	return uint32(r), ix.frac(r/ix.stride0(), p[0]) // dimension 0 leads the rank
 }
+
+// stride0 returns the number of cells a column of dimension 0 spans.
+func (ix *Index) stride0() int { return ix.grid.Cells() / ix.cfg.GridCols }
 
 // mapPoint is LISA's monotone mapping function M.
 func (ix *Index) mapPoint(p core.Point) float64 {
@@ -327,9 +269,6 @@ func (ix *Index) locate(m float64) int {
 
 // Len returns the number of points.
 func (ix *Index) Len() int { return ix.size }
-
-// Shards returns the shard count.
-func (ix *Index) Shards() int { return len(ix.shards) }
 
 // firstShardFor returns the index of the first shard that can hold mapped
 // value m. Equal mapped values may span several shards after count-based
@@ -429,7 +368,7 @@ func (ix *Index) mergeShard(sh *shard) {
 	repl[0].loM = sh.loM
 	pos := slices.Index(ix.shards, sh)
 	ix.shards = slices.Replace(ix.shards, pos, pos+1, repl...)
-	if ix.Merges++; len(repl) > 1 {
+	if len(repl) > 1 {
 		ix.Splits++
 		ix.retrainRouter()
 	}
@@ -441,61 +380,39 @@ func (ix *Index) Search(rect core.Rect, fn func(core.PV) bool) (visited, scanned
 	if rect.Dim() != ix.dim {
 		return 0, 0
 	}
-	// Column bounds and the odometer over them; on the stack for the usual
-	// dimensionalities.
-	var buf [3 * 8]int
-	b := buf[:]
-	if 3*ix.dim > len(b) {
-		b = make([]int, 3*ix.dim)
-	}
-	lo, hi, cols := b[:ix.dim], b[ix.dim:2*ix.dim], b[2*ix.dim:3*ix.dim]
-	for d := 0; d < ix.dim; d++ {
-		lo[d] = ix.column(d, rect.Min[d])
-		hi[d] = ix.column(d, rect.Max[d])
-		cols[d] = lo[d]
-	}
-	for {
-		// Mapped interval of this cell restricted to the rect's dim-0 span.
-		rank := ix.cellRank(cols)
+	// The mapped interval of each cell, cut to the rect's dimension-0 span
+	// in the first and the last column of dimension 0 the rect meets.
+	lo0, hi0 := ix.grid.Column(0, rect.Min[0]), ix.grid.Column(0, rect.Max[0])
+	fLo0, fHi0 := ix.frac(lo0, rect.Min[0]), ix.frac(hi0, rect.Max[0])
+	loEnd, hiStart := (lo0+1)*ix.stride0(), hi0*ix.stride0()
+	ix.grid.Walk(rect, func(rank int) bool {
 		fLo, fHi := 0.0, 1.0
-		if cols[0] == lo[0] {
-			fLo = ix.frac(cols[0], rect.Min[0])
+		if rank < loEnd {
+			fLo = fLo0
 		}
-		if cols[0] == hi[0] {
-			fHi = ix.frac(cols[0], rect.Max[0])
+		if rank >= hiStart {
+			fHi = fHi0
 		}
 		mLo, mHi := cellM(float64(rank), fLo), cellM(float64(rank), fHi)
 		for si := ix.firstShardFor(mLo); si < len(ix.shards) && ix.shards[si].loM <= mHi; si++ {
 			for _, r := range ix.shards[si].runs() {
-				i, j := r.span(rank, rect.Min[0], rect.Max[0], fLo, fHi)
+				i, j := r.span(uint32(rank), rect.Min[0], rect.Max[0], fLo, fHi)
 				n, cont := r.pts.ScanRect(i, j, rect, fn)
 				visited += n
 				scanned += j - i
 				if !cont {
-					return visited, scanned
+					return false
 				}
 			}
 		}
-		// Odometer.
-		d := ix.dim - 1
-		for ; d >= 0; d-- {
-			if cols[d]++; cols[d] <= hi[d] {
-				break
-			}
-			cols[d] = lo[d]
-		}
-		if d < 0 {
-			return visited, scanned
-		}
-	}
+		return true
+	})
+	return visited, scanned
 }
 
 // KNN returns the k nearest points to q in ascending distance order.
 func (ix *Index) KNN(q core.Point, k int) []core.PV {
-	if q.Dim() != ix.dim {
-		return nil
-	}
-	return core.KNNByWindow(q, k, ix.size, ix.side, ix.Search)
+	return ix.grid.KNN(q, k, ix.size, ix.Search)
 }
 
 // Stats reports structure statistics.
@@ -507,7 +424,7 @@ func (ix *Index) Stats() core.Stats {
 	return core.Stats{
 		Name:       "lisa",
 		Count:      ix.size,
-		IndexBytes: len(ix.shards)*int(unsafe.Sizeof(shard{})+8) + ix.dim*(ix.cfg.GridCols+1)*8 + cells*int(unsafe.Sizeof(cellEnd{})),
+		IndexBytes: len(ix.shards)*int(unsafe.Sizeof(shard{})+8) + ix.grid.Bytes() + cells*int(unsafe.Sizeof(cellEnd{})),
 		DataBytes:  ix.size * (8*ix.dim + 8),
 		Height:     2,
 		Models:     len(ix.shards) + ix.dim,

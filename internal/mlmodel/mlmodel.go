@@ -1,7 +1,7 @@
 // Package mlmodel implements the small machine-learning models that learned
 // index structures are built from: linear regression (closed form),
-// polynomial regression (normal equations), logistic regression (SGD), a
-// tiny multilayer perceptron, and cumulative-distribution-function models.
+// polynomial regression (normal equations), logistic regression (SGD) and a
+// tiny multilayer perceptron.
 //
 // The surveyed learned indexes deliberately avoid heavyweight models (paper
 // §6.2): model evaluation sits on the lookup critical path, so everything
@@ -530,91 +530,4 @@ func meanScale(v []float64) (shift, scale float64) {
 		scale = 1
 	}
 	return shift, scale
-}
-
-// ---------------------------------------------------------------------------
-// CDF models over sorted keys
-// ---------------------------------------------------------------------------
-
-// CDF approximates the empirical cumulative distribution of a sorted key
-// set with an equi-depth sample: Predict maps a key to a fraction in [0,1].
-// It backs per-dimension partitioning in Flood and LISA.
-type CDF struct {
-	samples []float64 // sorted key sample; samples[i] ≈ quantile i/(len-1)
-}
-
-// NewCDF builds a CDF model from sorted keys using at most maxSamples
-// quantile points (minimum 2).
-func NewCDF(sorted []float64, maxSamples int) *CDF {
-	if maxSamples < 2 {
-		maxSamples = 2
-	}
-	n := len(sorted)
-	if n == 0 {
-		return &CDF{samples: []float64{0, 1}}
-	}
-	if n == 1 {
-		return &CDF{samples: []float64{sorted[0], sorted[0] + 1}}
-	}
-	if maxSamples > n {
-		maxSamples = n
-	}
-	s := make([]float64, maxSamples)
-	for i := 0; i < maxSamples; i++ {
-		idx := i * (n - 1) / (maxSamples - 1)
-		s[i] = sorted[idx]
-	}
-	return &CDF{samples: s}
-}
-
-// Predict returns the approximate CDF value of x in [0,1], interpolating
-// linearly between quantile samples. It is monotone non-decreasing in x.
-func (c *CDF) Predict(x float64) float64 {
-	s := c.samples
-	m := len(s)
-	if x <= s[0] {
-		return 0
-	}
-	if x >= s[m-1] {
-		return 1
-	}
-	// Binary search for the bracketing segment.
-	lo, hi := 0, m-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if s[mid] <= x {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	den := s[hi] - s[lo]
-	frac := 0.0
-	if den > 0 {
-		frac = (x - s[lo]) / den
-	}
-	return (float64(lo) + frac) / float64(m-1)
-}
-
-// Bytes returns the model footprint.
-func (c *CDF) Bytes() int { return 8 * len(c.samples) }
-
-// Quantile returns the approximate key at CDF value q in [0,1] (the inverse
-// of Predict).
-func (c *CDF) Quantile(q float64) float64 {
-	s := c.samples
-	m := len(s)
-	if q <= 0 {
-		return s[0]
-	}
-	if q >= 1 {
-		return s[m-1]
-	}
-	pos := q * float64(m-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo >= m-1 {
-		return s[m-1]
-	}
-	return s[lo] + frac*(s[lo+1]-s[lo])
 }

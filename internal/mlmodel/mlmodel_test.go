@@ -248,62 +248,10 @@ func TestMLPErrors(t *testing.T) {
 	}
 }
 
-func TestCDFMonotoneAndInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	keys := make([]float64, 2000)
-	for i := range keys {
-		keys[i] = rng.NormFloat64() * 1e6
-	}
-	sort.Float64s(keys)
-	c := NewCDF(keys, 64)
-	// Monotone over a sweep.
-	prev := -1.0
-	for x := keys[0] - 1e5; x <= keys[len(keys)-1]+1e5; x += 5e4 {
-		p := c.Predict(x)
-		if p < prev-1e-12 {
-			t.Fatalf("CDF not monotone at %g: %g < %g", x, p, prev)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("CDF out of range: %g", p)
-		}
-		prev = p
-	}
-	// Quantile inverts Predict approximately on interior points.
-	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		x := c.Quantile(q)
-		if math.Abs(c.Predict(x)-q) > 0.05 {
-			t.Fatalf("Quantile(%g) = %g, Predict back = %g", q, x, c.Predict(x))
-		}
-	}
-	if c.Quantile(-1) != keys[0] || c.Quantile(2) != keys[len(keys)-1] {
-		t.Fatal("Quantile clamping failed")
-	}
-}
-
-func TestCDFDegenerate(t *testing.T) {
-	c := NewCDF(nil, 10)
-	if p := c.Predict(0.5); p < 0 || p > 1 {
-		t.Fatalf("empty CDF Predict = %g", p)
-	}
-	c = NewCDF([]float64{42}, 10)
-	if c.Predict(41) != 0 || c.Predict(43) != 1 {
-		t.Fatal("single-key CDF endpoints wrong")
-	}
-	// Heavy duplicates.
-	keys := make([]float64, 100)
-	for i := 50; i < 100; i++ {
-		keys[i] = 1
-	}
-	c = NewCDF(keys, 8)
-	if p := c.Predict(0.5); p < 0.3 || p > 0.8 {
-		t.Fatalf("duplicate CDF Predict(0.5) = %g", p)
-	}
-}
-
 func TestModelBytesPositive(t *testing.T) {
 	models := []Model{
 		&Linear{}, NewPolynomial(2), NewLogistic(KeyFeatureDim, KeyFeatures),
-		NewMLP(4), NewCDF([]float64{1, 2, 3}, 4),
+		NewMLP(4),
 	}
 	for _, m := range models {
 		if m.Bytes() <= 0 {

@@ -154,6 +154,7 @@ func register1DKinds() {
 		Name: "fiting",
 		Caps: registry.Caps{Mutable: true, AllowsEmpty: true},
 		New:  func() (registry.MutableIndex, error) { return fiting.New(0, 0), nil },
+		Bulk: func(recs []core.KV) (registry.MutableIndex, error) { return mutable(fiting.Build(recs, 0, 0)) },
 	})
 	// The paged kinds are the disk-resident tier (internal/page, DESIGN.md
 	// §9): sorted records in a chain of fixed-size CRC-framed leaf pages
